@@ -10,9 +10,14 @@
 //! fixed-size cell vectors. Detected UB: uninitialized reads, division by
 //! zero, signed overflow, out-of-bounds accesses, null dereferences and
 //! call-depth/fuel exhaustion.
+//!
+//! Names are borrowed from the program: scopes are one stack of
+//! `(&str, slot)` bindings searched newest first, and every object's
+//! cells live back to back in one vector, so declaring or looking up a
+//! variable allocates nothing.
 
+use crate::newest;
 use spe_minic::ast::*;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A runtime value.
@@ -126,7 +131,11 @@ pub fn run(p: &Program, limits: Limits) -> Result<Execution, Ub> {
     let mut interp = Interp {
         program: p,
         slots: Vec::new(),
-        globals: HashMap::new(),
+        cells: Vec::new(),
+        globals: Vec::new(),
+        locals: Vec::new(),
+        frame: 0,
+        scope: 0,
         fuel: limits.fuel,
         max_depth: limits.max_depth,
         output: Vec::new(),
@@ -143,33 +152,40 @@ pub fn run(p: &Program, limits: Limits) -> Result<Execution, Ub> {
     })
 }
 
-/// A storage slot: a named object of one or more cells.
-#[derive(Debug, Clone)]
-struct Slot {
-    name: String,
-    cells: Vec<Option<Value>>,
+/// A storage slot: a named object of `len` cells starting at `start` in
+/// [`Interp::cells`].
+#[derive(Debug, Clone, Copy)]
+struct Slot<'p> {
+    name: &'p str,
+    start: usize,
+    len: usize,
 }
 
 struct Interp<'p> {
     program: &'p Program,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<'p>>,
+    /// The cells of every slot, in slot order.
+    cells: Vec<Option<Value>>,
     /// Global name -> slot.
-    globals: HashMap<String, usize>,
+    globals: Vec<(&'p str, usize)>,
+    /// Local name -> slot bindings of the whole call chain, innermost
+    /// scope last.
+    locals: Vec<(&'p str, usize)>,
+    /// Start of the running function's bindings in `locals`.
+    frame: usize,
+    /// Start of the innermost scope's bindings in `locals`.
+    scope: usize,
     fuel: u64,
     max_depth: usize,
     output: Vec<String>,
 }
 
-/// Lexical environment of one function activation: name -> slot, innermost
-/// scope last.
-type Env = Vec<HashMap<String, usize>>;
-
-enum Flow {
+enum Flow<'p> {
     Normal,
     Return(Option<Value>),
     Break,
     Continue,
-    Goto(String),
+    Goto(&'p str),
 }
 
 impl<'p> Interp<'p> {
@@ -181,7 +197,7 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn alloc(&mut self, name: &str, ty: &Type, init_zero: bool) -> Result<usize, Ub> {
+    fn alloc(&mut self, name: &'p str, ty: &Type, init_zero: bool) -> Result<usize, Ub> {
         if matches!(ty.base, BaseType::Struct(_)) && ty.pointers == 0 {
             return Err(Ub::Unsupported("struct object".into()));
         }
@@ -189,33 +205,53 @@ impl<'p> Interp<'p> {
         if n > 1 << 20 {
             return Err(Ub::Unsupported("huge array".into()));
         }
-        let cells = vec![if init_zero { Some(Value::Int(0)) } else { None }; n];
+        let start = self.cells.len();
+        let init = if init_zero { Some(Value::Int(0)) } else { None };
+        self.cells.resize(start + n, init);
         self.slots.push(Slot {
-            name: name.to_string(),
-            cells,
+            name,
+            start,
+            len: n,
         });
         Ok(self.slots.len() - 1)
+    }
+
+    /// Binds `name` in the innermost scope, replacing an earlier binding
+    /// of the same name in that scope (a `goto` can re-run a declaration).
+    fn bind(&mut self, name: &'p str, slot: usize) {
+        match self.locals[self.scope..].iter_mut().find(|b| b.0 == name) {
+            Some(b) => b.1 = slot,
+            None => self.locals.push((name, slot)),
+        }
+    }
+
+    /// Opens a scope; returns the token [`Interp::close_scope`] takes.
+    fn open_scope(&mut self) -> usize {
+        std::mem::replace(&mut self.scope, self.locals.len())
+    }
+
+    fn close_scope(&mut self, outer: usize) {
+        self.locals.truncate(self.scope);
+        self.scope = outer;
     }
 
     fn init_globals(&mut self) -> Result<(), Ub> {
         // Two passes: allocate all globals (zero-initialized, as in C),
         // then evaluate initializers in order.
-        let items: Vec<&Item> = self.program.items.iter().collect();
-        for item in &items {
+        let items = &self.program.items;
+        for item in items {
             if let Item::Global(decls) = item {
                 for d in decls {
                     let slot = self.alloc(&d.name, &d.ty, true)?;
-                    self.globals.insert(d.name.clone(), slot);
+                    self.globals.push((&d.name, slot));
                 }
             }
         }
-        for item in &items {
+        for item in items {
             if let Item::Global(decls) = item {
                 for d in decls {
-                    if let Some(init) = &d.init {
-                        let slot = self.globals[&d.name];
-                        let env: Env = Vec::new();
-                        self.init_slot(slot, init, &env, 0)?;
+                    if let (Some(init), Some(slot)) = (&d.init, newest(&self.globals, &d.name)) {
+                        self.init_slot(slot, init, 0)?;
                     }
                 }
             }
@@ -223,26 +259,21 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn init_slot(
-        &mut self,
-        slot: usize,
-        init: &'p Expr,
-        env: &Env,
-        depth: usize,
-    ) -> Result<(), Ub> {
+    fn init_slot(&mut self, slot: usize, init: &'p Expr, depth: usize) -> Result<(), Ub> {
         if let ExprKind::Call(name, args) = &init.kind {
             if name == "__init_list" {
                 for (i, a) in args.iter().enumerate() {
-                    let v = self.eval(a, env, depth)?;
-                    let len = self.slots[slot].cells.len();
-                    if i >= len {
-                        return Err(Ub::OutOfBounds(self.slots[slot].name.clone()));
+                    let v = self.eval(a, depth)?;
+                    let s = self.slots[slot];
+                    if i >= s.len {
+                        return Err(Ub::OutOfBounds(s.name.to_string()));
                     }
-                    self.slots[slot].cells[i] = Some(v);
+                    self.cells[s.start + i] = Some(v);
                 }
                 // Remaining elements of a brace-initialized object are
                 // zero (C semantics).
-                for c in self.slots[slot].cells.iter_mut() {
+                let s = self.slots[slot];
+                for c in &mut self.cells[s.start..s.start + s.len] {
                     if c.is_none() {
                         *c = Some(Value::Int(0));
                     }
@@ -250,8 +281,20 @@ impl<'p> Interp<'p> {
                 return Ok(());
             }
         }
-        let v = self.eval(init, env, depth)?;
-        self.slots[slot].cells[0] = Some(v);
+        let v = self.eval(init, depth)?;
+        let start = self.slots[slot].start;
+        self.cells[start] = Some(v);
+        Ok(())
+    }
+
+    fn declare(&mut self, decls: &'p [VarDeclarator], depth: usize) -> Result<(), Ub> {
+        for d in decls {
+            let slot = self.alloc(&d.name, &d.ty, false)?;
+            self.bind(&d.name, slot);
+            if let Some(init) = &d.init {
+                self.init_slot(slot, init, depth)?;
+            }
+        }
         Ok(())
     }
 
@@ -264,15 +307,18 @@ impl<'p> Interp<'p> {
         if depth >= self.max_depth {
             return Err(Ub::StackOverflow);
         }
-        let mut env: Env = vec![HashMap::new()];
+        let caller = (self.frame, self.scope);
+        self.frame = self.locals.len();
+        self.scope = self.frame;
         for (param, arg) in f.params.iter().zip(args) {
             let slot = self.alloc(&param.name, &param.ty, false)?;
-            self.slots[slot].cells[0] = Some(arg);
-            env.last_mut()
-                .expect("frame scope")
-                .insert(param.name.clone(), slot);
+            self.cells[self.slots[slot].start] = Some(arg);
+            self.bind(&param.name, slot);
         }
-        match self.run_body(&f.body, &mut env, depth)? {
+        let flow = self.run_body(&f.body, depth)?;
+        self.locals.truncate(self.frame);
+        (self.frame, self.scope) = caller;
+        match flow {
             Flow::Return(v) => Ok(v),
             Flow::Goto(l) => Err(Ub::Unsupported(format!("goto to unknown label `{l}`"))),
             _ => Ok(None),
@@ -281,17 +327,17 @@ impl<'p> Interp<'p> {
 
     /// Runs a statement list with label support: a `goto` unwinds to the
     /// nearest list containing the label and resumes there.
-    fn run_body(&mut self, stmts: &'p [Stmt], env: &mut Env, depth: usize) -> Result<Flow, Ub> {
+    fn run_body(&mut self, stmts: &'p [Stmt], depth: usize) -> Result<Flow<'p>, Ub> {
         let mut idx = 0usize;
         'outer: loop {
             while idx < stmts.len() {
-                let flow = self.stmt(&stmts[idx], env, depth)?;
+                let flow = self.stmt(&stmts[idx], depth)?;
                 match flow {
                     Flow::Normal => idx += 1,
                     Flow::Goto(label) => {
                         // Do we define the label at this level?
                         for (i, s) in stmts.iter().enumerate() {
-                            if stmt_defines_label(s, &label) {
+                            if stmt_defines_label(s, label) {
                                 idx = i;
                                 continue 'outer;
                             }
@@ -305,35 +351,29 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn stmt(&mut self, s: &'p Stmt, env: &mut Env, depth: usize) -> Result<Flow, Ub> {
+    fn stmt(&mut self, s: &'p Stmt, depth: usize) -> Result<Flow<'p>, Ub> {
         self.burn()?;
         match s {
             Stmt::Expr(e) => {
-                self.eval(e, env, depth)?;
+                self.eval(e, depth)?;
                 Ok(Flow::Normal)
             }
             Stmt::Decl(decls) => {
-                for d in decls {
-                    let slot = self.alloc(&d.name, &d.ty, false)?;
-                    env.last_mut().expect("scope").insert(d.name.clone(), slot);
-                    if let Some(init) = &d.init {
-                        self.init_slot(slot, init, env, depth)?;
-                    }
-                }
+                self.declare(decls, depth)?;
                 Ok(Flow::Normal)
             }
             Stmt::Block(body) => {
-                env.push(HashMap::new());
-                let flow = self.run_body(body, env, depth)?;
-                env.pop();
+                let outer = self.open_scope();
+                let flow = self.run_body(body, depth)?;
+                self.close_scope(outer);
                 Ok(flow)
             }
             Stmt::If(c, t, e) => {
-                let v = self.truthy(c, env, depth)?;
+                let v = self.truthy(c, depth)?;
                 if v {
-                    self.stmt(t, env, depth)
+                    self.stmt(t, depth)
                 } else if let Some(e) = e {
-                    self.stmt(e, env, depth)
+                    self.stmt(e, depth)
                 } else {
                     Ok(Flow::Normal)
                 }
@@ -341,10 +381,10 @@ impl<'p> Interp<'p> {
             Stmt::While(c, body) => {
                 loop {
                     self.burn()?;
-                    if !self.truthy(c, env, depth)? {
+                    if !self.truthy(c, depth)? {
                         break;
                     }
-                    match self.stmt(body, env, depth)? {
+                    match self.stmt(body, depth)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         other => return Ok(other),
@@ -355,31 +395,23 @@ impl<'p> Interp<'p> {
             Stmt::DoWhile(body, c) => {
                 loop {
                     self.burn()?;
-                    match self.stmt(body, env, depth)? {
+                    match self.stmt(body, depth)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         other => return Ok(other),
                     }
-                    if !self.truthy(c, env, depth)? {
+                    if !self.truthy(c, depth)? {
                         break;
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::For(init, cond, step, body) => {
-                env.push(HashMap::new());
+                let outer = self.open_scope();
                 match init {
-                    Some(ForInit::Decl(decls)) => {
-                        for d in decls {
-                            let slot = self.alloc(&d.name, &d.ty, false)?;
-                            env.last_mut().expect("scope").insert(d.name.clone(), slot);
-                            if let Some(i) = &d.init {
-                                self.init_slot(slot, i, env, depth)?;
-                            }
-                        }
-                    }
+                    Some(ForInit::Decl(decls)) => self.declare(decls, depth)?,
                     Some(ForInit::Expr(e)) => {
-                        self.eval(e, env, depth)?;
+                        self.eval(e, depth)?;
                     }
                     None => {}
                 }
@@ -387,13 +419,13 @@ impl<'p> Interp<'p> {
                 loop {
                     self.burn()?;
                     let go = match cond {
-                        Some(c) => self.truthy(c, env, depth)?,
+                        Some(c) => self.truthy(c, depth)?,
                         None => true,
                     };
                     if !go {
                         break;
                     }
-                    match self.stmt(body, env, depth)? {
+                    match self.stmt(body, depth)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         other => {
@@ -402,65 +434,60 @@ impl<'p> Interp<'p> {
                         }
                     }
                     if let Some(st) = step {
-                        self.eval(st, env, depth)?;
+                        self.eval(st, depth)?;
                     }
                 }
-                env.pop();
+                self.close_scope(outer);
                 Ok(result)
             }
             Stmt::Return(e) => {
                 let v = match e {
-                    Some(e) => Some(self.eval(e, env, depth)?),
+                    Some(e) => Some(self.eval(e, depth)?),
                     None => None,
                 };
                 Ok(Flow::Return(v))
             }
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Goto(l) => Ok(Flow::Goto(l.clone())),
-            Stmt::Label(_, inner) => self.stmt(inner, env, depth),
+            Stmt::Goto(l) => Ok(Flow::Goto(l)),
+            Stmt::Label(_, inner) => self.stmt(inner, depth),
             Stmt::Empty => Ok(Flow::Normal),
         }
     }
 
-    fn truthy(&mut self, e: &'p Expr, env: &Env, depth: usize) -> Result<bool, Ub> {
-        Ok(match self.eval(e, env, depth)? {
+    fn truthy(&mut self, e: &'p Expr, depth: usize) -> Result<bool, Ub> {
+        Ok(match self.eval(e, depth)? {
             Value::Int(v) => v != 0,
             Value::Ptr(_) => true,
             Value::Null => false,
         })
     }
 
-    fn lookup(&self, name: &str, env: &Env) -> Option<usize> {
-        for scope in env.iter().rev() {
-            if let Some(&s) = scope.get(name) {
-                return Some(s);
-            }
-        }
-        self.globals.get(name).copied()
+    fn lookup(&self, name: &str) -> Option<usize> {
+        newest(&self.locals[self.frame..], name).or_else(|| newest(&self.globals, name))
     }
 
     /// Resolves an lvalue expression to a cell.
-    fn lvalue(&mut self, e: &'p Expr, env: &Env, depth: usize) -> Result<PtrTarget, Ub> {
+    fn lvalue(&mut self, e: &'p Expr, depth: usize) -> Result<PtrTarget, Ub> {
         match &e.kind {
             ExprKind::Ident(id) => {
                 let slot = self
-                    .lookup(&id.name, env)
+                    .lookup(&id.name)
                     .ok_or_else(|| Ub::UnknownFunction(id.name.clone()))?;
                 Ok(PtrTarget { slot, offset: 0 })
             }
-            ExprKind::Unary(UnaryOp::Deref, inner) => match self.eval(inner, env, depth)? {
+            ExprKind::Unary(UnaryOp::Deref, inner) => match self.eval(inner, depth)? {
                 Value::Ptr(t) => Ok(t),
                 Value::Null => Err(Ub::BadDeref),
                 Value::Int(_) => Err(Ub::BadDeref),
             },
             ExprKind::Index(base, idx) => {
-                let t = self.lvalue_or_ptr(base, env, depth)?;
-                let i = self.int(idx, env, depth)?;
-                let slot = &self.slots[t.slot];
+                let t = self.lvalue_or_ptr(base, depth)?;
+                let i = self.int(idx, depth)?;
+                let slot = self.slots[t.slot];
                 let off = t.offset as i64 + i;
-                if off < 0 || off as usize >= slot.cells.len() {
-                    return Err(Ub::OutOfBounds(slot.name.clone()));
+                if off < 0 || off as usize >= slot.len {
+                    return Err(Ub::OutOfBounds(slot.name.to_string()));
                 }
                 Ok(PtrTarget {
                     slot: t.slot,
@@ -468,16 +495,16 @@ impl<'p> Interp<'p> {
                 })
             }
             ExprKind::Member(_, _, _) => Err(Ub::Unsupported("struct member access".into())),
-            ExprKind::Cast(_, inner) => self.lvalue(inner, env, depth),
+            ExprKind::Cast(_, inner) => self.lvalue(inner, depth),
             _ => Err(Ub::Unsupported("invalid lvalue".into())),
         }
     }
 
     /// Array-to-pointer decay for `a[i]` and `p[i]`.
-    fn lvalue_or_ptr(&mut self, e: &'p Expr, env: &Env, depth: usize) -> Result<PtrTarget, Ub> {
+    fn lvalue_or_ptr(&mut self, e: &'p Expr, depth: usize) -> Result<PtrTarget, Ub> {
         if let ExprKind::Ident(id) = &e.kind {
-            if let Some(slot) = self.lookup(&id.name, env) {
-                if self.slots[slot].cells.len() > 1 {
+            if let Some(slot) = self.lookup(&id.name) {
+                if self.slots[slot].len > 1 {
                     return Ok(PtrTarget { slot, offset: 0 });
                 }
                 // A scalar: it may hold a pointer.
@@ -488,40 +515,37 @@ impl<'p> Interp<'p> {
                 };
             }
         }
-        match self.eval(e, env, depth)? {
+        match self.eval(e, depth)? {
             Value::Ptr(t) => Ok(t),
             _ => Err(Ub::BadDeref),
         }
     }
 
     fn read_cell(&self, slot: usize, offset: usize) -> Result<Value, Ub> {
-        let s = &self.slots[slot];
-        match s.cells.get(offset) {
-            Some(Some(v)) => Ok(*v),
-            Some(None) => Err(Ub::UninitializedRead(s.name.clone())),
-            None => Err(Ub::OutOfBounds(s.name.clone())),
+        let s = self.slots[slot];
+        if offset >= s.len {
+            return Err(Ub::OutOfBounds(s.name.to_string()));
         }
+        self.cells[s.start + offset].ok_or_else(|| Ub::UninitializedRead(s.name.to_string()))
     }
 
     fn write_cell(&mut self, t: PtrTarget, v: Value) -> Result<(), Ub> {
-        let s = &mut self.slots[t.slot];
-        match s.cells.get_mut(t.offset) {
-            Some(cell) => {
-                *cell = Some(v);
-                Ok(())
-            }
-            None => Err(Ub::OutOfBounds(s.name.clone())),
+        let s = self.slots[t.slot];
+        if t.offset >= s.len {
+            return Err(Ub::OutOfBounds(s.name.to_string()));
         }
+        self.cells[s.start + t.offset] = Some(v);
+        Ok(())
     }
 
-    fn int(&mut self, e: &'p Expr, env: &Env, depth: usize) -> Result<i64, Ub> {
-        match self.eval(e, env, depth)? {
+    fn int(&mut self, e: &'p Expr, depth: usize) -> Result<i64, Ub> {
+        match self.eval(e, depth)? {
             Value::Int(v) => Ok(v),
             _ => Err(Ub::Unsupported("pointer used as integer".into())),
         }
     }
 
-    fn eval(&mut self, e: &'p Expr, env: &Env, depth: usize) -> Result<Value, Ub> {
+    fn eval(&mut self, e: &'p Expr, depth: usize) -> Result<Value, Ub> {
         self.burn()?;
         match &e.kind {
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
@@ -529,9 +553,9 @@ impl<'p> Interp<'p> {
             ExprKind::StrLit(_) => Ok(Value::Int(0)), // only as printf fmt
             ExprKind::Ident(id) => {
                 let slot = self
-                    .lookup(&id.name, env)
+                    .lookup(&id.name)
                     .ok_or_else(|| Ub::UnknownFunction(id.name.clone()))?;
-                if self.slots[slot].cells.len() > 1 {
+                if self.slots[slot].len > 1 {
                     // Array decays to pointer.
                     return Ok(Value::Ptr(PtrTarget { slot, offset: 0 }));
                 }
@@ -539,24 +563,24 @@ impl<'p> Interp<'p> {
             }
             ExprKind::Unary(op, inner) => match op {
                 UnaryOp::Neg => {
-                    let v = self.int(inner, env, depth)?;
+                    let v = self.int(inner, depth)?;
                     v.checked_neg().map(Value::Int).ok_or(Ub::Overflow)
                 }
-                UnaryOp::Not => Ok(Value::Int((!self.truthy(inner, env, depth)?) as i64)),
-                UnaryOp::BitNot => Ok(Value::Int(!self.int(inner, env, depth)?)),
+                UnaryOp::Not => Ok(Value::Int((!self.truthy(inner, depth)?) as i64)),
+                UnaryOp::BitNot => Ok(Value::Int(!self.int(inner, depth)?)),
                 UnaryOp::Deref => {
-                    let t = match self.eval(inner, env, depth)? {
+                    let t = match self.eval(inner, depth)? {
                         Value::Ptr(t) => t,
                         _ => return Err(Ub::BadDeref),
                     };
                     self.read_cell(t.slot, t.offset)
                 }
                 UnaryOp::Addr => {
-                    let t = self.lvalue(inner, env, depth)?;
+                    let t = self.lvalue(inner, depth)?;
                     Ok(Value::Ptr(t))
                 }
                 UnaryOp::PreInc | UnaryOp::PreDec => {
-                    let t = self.lvalue(inner, env, depth)?;
+                    let t = self.lvalue(inner, depth)?;
                     let old = match self.read_cell(t.slot, t.offset)? {
                         Value::Int(v) => v,
                         _ => return Err(Ub::Unsupported("++/-- on pointer".into())),
@@ -572,7 +596,7 @@ impl<'p> Interp<'p> {
                 }
             },
             ExprKind::Post(op, inner) => {
-                let t = self.lvalue(inner, env, depth)?;
+                let t = self.lvalue(inner, depth)?;
                 let old = match self.read_cell(t.slot, t.offset)? {
                     Value::Int(v) => v,
                     _ => return Err(Ub::Unsupported("++/-- on pointer".into())),
@@ -586,10 +610,10 @@ impl<'p> Interp<'p> {
                 self.write_cell(t, Value::Int(new))?;
                 Ok(Value::Int(old))
             }
-            ExprKind::Binary(op, a, b) => self.binary(*op, a, b, env, depth),
+            ExprKind::Binary(op, a, b) => self.binary(*op, a, b, depth),
             ExprKind::Assign(op, lhs, rhs) => {
-                let t = self.lvalue(lhs, env, depth)?;
-                let rv = self.eval(rhs, env, depth)?;
+                let t = self.lvalue(lhs, depth)?;
+                let rv = self.eval(rhs, depth)?;
                 let result = match op.binary() {
                     None => rv,
                     Some(bop) => {
@@ -608,22 +632,22 @@ impl<'p> Interp<'p> {
                 Ok(result)
             }
             ExprKind::Ternary(c, t, els) => {
-                if self.truthy(c, env, depth)? {
-                    self.eval(t, env, depth)
+                if self.truthy(c, depth)? {
+                    self.eval(t, depth)
                 } else {
-                    self.eval(els, env, depth)
+                    self.eval(els, depth)
                 }
             }
-            ExprKind::Call(name, args) => self.builtin_or_call(name, args, env, depth),
+            ExprKind::Call(name, args) => self.builtin_or_call(name, args, depth),
             ExprKind::Index(_, _) => {
-                let t = self.lvalue(e, env, depth)?;
+                let t = self.lvalue(e, depth)?;
                 self.read_cell(t.slot, t.offset)
             }
             ExprKind::Member(_, _, _) => Err(Ub::Unsupported("struct member access".into())),
-            ExprKind::Cast(_, inner) => self.eval(inner, env, depth),
+            ExprKind::Cast(_, inner) => self.eval(inner, depth),
             ExprKind::Comma(a, b) => {
-                self.eval(a, env, depth)?;
-                self.eval(b, env, depth)
+                self.eval(a, depth)?;
+                self.eval(b, depth)
             }
         }
     }
@@ -633,36 +657,35 @@ impl<'p> Interp<'p> {
         op: BinaryOp,
         a: &'p Expr,
         b: &'p Expr,
-        env: &Env,
         depth: usize,
     ) -> Result<Value, Ub> {
         // Short-circuit operators first.
         match op {
             BinaryOp::LogAnd => {
-                if !self.truthy(a, env, depth)? {
+                if !self.truthy(a, depth)? {
                     return Ok(Value::Int(0));
                 }
-                return Ok(Value::Int(self.truthy(b, env, depth)? as i64));
+                return Ok(Value::Int(self.truthy(b, depth)? as i64));
             }
             BinaryOp::LogOr => {
-                if self.truthy(a, env, depth)? {
+                if self.truthy(a, depth)? {
                     return Ok(Value::Int(1));
                 }
-                return Ok(Value::Int(self.truthy(b, env, depth)? as i64));
+                return Ok(Value::Int(self.truthy(b, depth)? as i64));
             }
             _ => {}
         }
-        let av = self.eval(a, env, depth)?;
-        let bv = self.eval(b, env, depth)?;
+        let av = self.eval(a, depth)?;
+        let bv = self.eval(b, depth)?;
         match (av, bv) {
             (Value::Int(x), Value::Int(y)) => Ok(Value::Int(arith(op, x, y)?)),
             // Pointer comparisons and pointer ± integer.
             (Value::Ptr(p), Value::Int(i)) if matches!(op, BinaryOp::Add | BinaryOp::Sub) => {
                 let delta = if op == BinaryOp::Add { i } else { -i };
                 let off = p.offset as i64 + delta;
-                let len = self.slots[p.slot].cells.len() as i64;
-                if off < 0 || off > len {
-                    return Err(Ub::OutOfBounds(self.slots[p.slot].name.clone()));
+                let slot = self.slots[p.slot];
+                if off < 0 || off > slot.len as i64 {
+                    return Err(Ub::OutOfBounds(slot.name.to_string()));
                 }
                 Ok(Value::Ptr(PtrTarget {
                     slot: p.slot,
@@ -682,13 +705,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn builtin_or_call(
-        &mut self,
-        name: &str,
-        args: &'p [Expr],
-        env: &Env,
-        depth: usize,
-    ) -> Result<Value, Ub> {
+    fn builtin_or_call(&mut self, name: &str, args: &'p [Expr], depth: usize) -> Result<Value, Ub> {
         match name {
             "printf" => {
                 let mut rendered = String::new();
@@ -699,7 +716,7 @@ impl<'p> Interp<'p> {
                 }
                 let mut vals = Vec::new();
                 for a in args.iter().skip(1) {
-                    match self.eval(a, env, depth)? {
+                    match self.eval(a, depth)? {
                         Value::Int(v) => vals.push(v.to_string()),
                         Value::Ptr(_) => vals.push("<ptr>".into()),
                         Value::Null => vals.push("0".into()),
@@ -727,9 +744,9 @@ impl<'p> Interp<'p> {
                 if f.params.len() != args.len() {
                     return Err(Ub::Unsupported(format!("arity mismatch calling `{name}`")));
                 }
-                let mut vals = Vec::new();
+                let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval(a, env, depth)?);
+                    vals.push(self.eval(a, depth)?);
                 }
                 let ret = self.call(f, vals, depth + 1)?;
                 Ok(ret.unwrap_or(Value::Int(0)))

@@ -49,6 +49,18 @@ use std::fmt;
 
 pub(crate) use passes::const_arith as passes_const_arith;
 
+/// The newest binding of `name`: later declarations shadow earlier ones,
+/// as inner scopes shadow outer ones. Lowering and the reference
+/// interpreter borrow names from the program and have few of them in
+/// scope, so a short backwards scan needs no allocation and no hashing.
+pub(crate) fn newest<T: Copy>(bindings: &[(&str, T)], name: &str) -> Option<T> {
+    bindings
+        .iter()
+        .rev()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, v)| v)
+}
+
 /// Identity of a compiler under test: family plus version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompilerId {

@@ -7,10 +7,15 @@
 //! plus light loop clean-up (`loop`). Every transformation records
 //! coverage points; wrong-code defects from the [`crate::bugs`] registry
 //! are realized here as incorrect rewrites.
+//!
+//! [`optimize`] copies the program at most once: `-O0` runs no pass and
+//! hands the input back borrowed, and from `-O1` up every pass rewrites
+//! one private copy in place.
 
 use crate::bugs::{exprs_equal, BugSpec, Trigger};
 use crate::coverage::Coverage;
 use spe_minic::ast::*;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Pass pipeline context.
@@ -35,86 +40,100 @@ impl PassCtx<'_> {
 }
 
 /// Runs the optimization pipeline for the configured level, returning the
-/// transformed program.
-pub fn optimize(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
-    let mut prog = p.clone();
-    if ctx.opt >= 1 {
-        prog = fold_pass(&prog, ctx);
-        prog = dce_pass(&prog, ctx);
+/// transformed program — borrowed unchanged at `-O0`, where no pass runs.
+pub fn optimize<'p>(p: &'p Program, ctx: &mut PassCtx<'_>) -> Cow<'p, Program> {
+    if ctx.opt == 0 {
+        return Cow::Borrowed(p);
     }
+    let mut prog = p.clone();
+    fold_pass(&mut prog, ctx);
+    dce_pass(&mut prog, ctx);
     if ctx.opt >= 2 {
-        prog = ccp_pass(&prog, ctx);
-        prog = alias_pass(&prog, ctx);
+        ccp_pass(&mut prog, ctx);
+        alias_pass(&mut prog, ctx);
     }
     if ctx.opt >= 3 {
-        prog = loop_pass(&prog, ctx);
+        loop_pass(&mut prog, ctx);
     }
-    prog
+    Cow::Owned(prog)
 }
 
-fn map_functions(p: &Program, mut f: impl FnMut(&Function) -> Function) -> Program {
-    Program {
-        items: p
-            .items
-            .iter()
-            .map(|i| match i {
-                Item::Func(func) => Item::Func(f(func)),
-                other => other.clone(),
-            })
-            .collect(),
-        max_occ: p.max_occ,
-        max_expr: p.max_expr,
-    }
+/// The function bodies of `p`, in source order.
+fn bodies(p: &mut Program) -> impl Iterator<Item = &mut Vec<Stmt>> {
+    p.items.iter_mut().filter_map(|i| match i {
+        Item::Func(f) => Some(&mut f.body),
+        _ => None,
+    })
+}
+
+/// Moves `e` out, leaving a literal with the same id behind.
+fn take_expr(e: &mut Expr) -> Expr {
+    let hole = Expr {
+        id: e.id,
+        kind: ExprKind::IntLit(0),
+    };
+    std::mem::replace(e, hole)
 }
 
 // ----- fold ---------------------------------------------------------------
 
-fn fold_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn fold_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("fold", 0);
-    map_functions(p, |f| Function {
-        body: f.body.iter().map(|s| fold_stmt(s, ctx)).collect(),
-        ..f.clone()
-    })
+    for body in bodies(p) {
+        for s in body {
+            fold_stmt(s, ctx);
+        }
+    }
 }
 
-fn fold_stmt(s: &Stmt, ctx: &mut PassCtx<'_>) -> Stmt {
+fn fold_inits(ds: &mut [VarDeclarator], ctx: &mut PassCtx<'_>) {
+    for d in ds {
+        if let Some(init) = &mut d.init {
+            fold_expr(init, ctx);
+        }
+    }
+}
+
+fn fold_stmt(s: &mut Stmt, ctx: &mut PassCtx<'_>) {
     match s {
-        Stmt::Expr(e) => Stmt::Expr(fold_expr(e, ctx)),
-        Stmt::Decl(ds) => Stmt::Decl(
-            ds.iter()
-                .map(|d| VarDeclarator {
-                    init: d.init.as_ref().map(|i| fold_expr(i, ctx)),
-                    ..d.clone()
-                })
-                .collect(),
-        ),
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|s| fold_stmt(s, ctx)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            fold_expr(c, ctx),
-            Box::new(fold_stmt(t, ctx)),
-            e.as_ref().map(|e| Box::new(fold_stmt(e, ctx))),
-        ),
-        Stmt::While(c, b) => Stmt::While(fold_expr(c, ctx), Box::new(fold_stmt(b, ctx))),
-        Stmt::DoWhile(b, c) => Stmt::DoWhile(Box::new(fold_stmt(b, ctx)), fold_expr(c, ctx)),
-        Stmt::For(init, c, st, b) => Stmt::For(
-            init.as_ref().map(|i| match i {
-                ForInit::Decl(ds) => ForInit::Decl(
-                    ds.iter()
-                        .map(|d| VarDeclarator {
-                            init: d.init.as_ref().map(|i| fold_expr(i, ctx)),
-                            ..d.clone()
-                        })
-                        .collect(),
-                ),
-                ForInit::Expr(e) => ForInit::Expr(fold_expr(e, ctx)),
-            }),
-            c.as_ref().map(|c| fold_expr(c, ctx)),
-            st.as_ref().map(|s| fold_expr(s, ctx)),
-            Box::new(fold_stmt(b, ctx)),
-        ),
-        Stmt::Return(e) => Stmt::Return(e.as_ref().map(|e| fold_expr(e, ctx))),
-        Stmt::Label(l, inner) => Stmt::Label(l.clone(), Box::new(fold_stmt(inner, ctx))),
-        other => other.clone(),
+        Stmt::Expr(e) | Stmt::Return(Some(e)) => fold_expr(e, ctx),
+        Stmt::Decl(ds) => fold_inits(ds, ctx),
+        Stmt::Block(b) => {
+            for s in b {
+                fold_stmt(s, ctx);
+            }
+        }
+        Stmt::If(c, t, e) => {
+            fold_expr(c, ctx);
+            fold_stmt(t, ctx);
+            if let Some(e) = e {
+                fold_stmt(e, ctx);
+            }
+        }
+        Stmt::While(c, b) => {
+            fold_expr(c, ctx);
+            fold_stmt(b, ctx);
+        }
+        Stmt::DoWhile(b, c) => {
+            fold_stmt(b, ctx);
+            fold_expr(c, ctx);
+        }
+        Stmt::For(init, c, st, b) => {
+            match init {
+                Some(ForInit::Decl(ds)) => fold_inits(ds, ctx),
+                Some(ForInit::Expr(e)) => fold_expr(e, ctx),
+                None => {}
+            }
+            if let Some(c) = c {
+                fold_expr(c, ctx);
+            }
+            if let Some(st) = st {
+                fold_expr(st, ctx);
+            }
+            fold_stmt(b, ctx);
+        }
+        Stmt::Label(_, inner) => fold_stmt(inner, ctx),
+        _ => {}
     }
 }
 
@@ -130,122 +149,129 @@ fn is_pure_var(e: &Expr) -> bool {
     matches!(e.kind, ExprKind::Ident(_))
 }
 
-fn fold_expr(e: &Expr, ctx: &mut PassCtx<'_>) -> Expr {
-    // Variable-multiplicity buckets: enumeration rewires which variables
-    // repeat inside one expression, steering the folder down different
-    // canonicalization paths.
-    {
-        let mut names: Vec<String> = Vec::new();
-        e.for_each_ident(&mut |id| names.push(id.name.clone()));
-        if !names.is_empty() {
-            let total = names.len();
-            names.sort();
-            names.dedup();
-            let distinct = names.len();
-            let max_same = total - distinct + 1;
-            ctx.coverage.hit("fold", 18 + (max_same as u32).min(5));
-            ctx.coverage.hit("ccp", 3 + (distinct as u32).min(8));
-        }
+/// Variable-multiplicity buckets: enumeration rewires which variables
+/// repeat inside one expression, steering the folder down different
+/// canonicalization paths.
+fn multiplicity_coverage(e: &Expr, coverage: &mut Coverage) {
+    let (total, distinct) = if let ExprKind::Ident(_) = e.kind {
+        (1, 1)
+    } else {
+        let mut names: Vec<&str> = Vec::new();
+        e.for_each_ident(&mut |id| names.push(&id.name));
+        let total = names.len();
+        names.sort_unstable();
+        names.dedup();
+        (total, names.len())
+    };
+    if total > 0 {
+        let max_same = total - distinct + 1;
+        coverage.hit("fold", 18 + (max_same as u32).min(5));
+        coverage.hit("ccp", 3 + (distinct as u32).min(8));
     }
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
+}
+
+fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
+    multiplicity_coverage(e, ctx.coverage);
+    match &mut e.kind {
         ExprKind::Binary(op, a, b) => {
-            let a = fold_expr(a, ctx);
-            let b = fold_expr(b, ctx);
-            if let (Some(x), Some(y)) = (lit(&a), lit(&b)) {
-                if let Some(v) = const_arith(*op, x, y) {
+            let op = *op;
+            fold_expr(a, ctx);
+            fold_expr(b, ctx);
+            let (x, y) = (lit(a), lit(b));
+            if let (Some(x), Some(y)) = (x, y) {
+                if let Some(v) = const_arith(op, x, y) {
                     ctx.coverage.hit("fold", 1 + (op.precedence() % 8) as u32);
-                    return rebuild(ExprKind::IntLit(v));
+                    e.kind = ExprKind::IntLit(v);
+                    return;
                 }
             }
             // x - x => 0 for pure operands (or 1 under the seeded
             // wrong-code defect).
-            if *op == BinaryOp::Sub && is_pure_var(&a) && exprs_equal(&a, &b) {
+            if op == BinaryOp::Sub && is_pure_var(a) && exprs_equal(a, b) {
                 ctx.coverage.hit("fold", 9);
-                if let Some(id) = ctx.bug_active(Trigger::SubSelf) {
-                    ctx.miscompiled_by.push(id);
-                    return rebuild(ExprKind::IntLit(1));
-                }
-                return rebuild(ExprKind::IntLit(0));
+                let v = match ctx.bug_active(Trigger::SubSelf) {
+                    Some(id) => {
+                        ctx.miscompiled_by.push(id);
+                        1
+                    }
+                    None => 0,
+                };
+                e.kind = ExprKind::IntLit(v);
+                return;
             }
-            // Algebraic identities.
-            match (op, lit(&a), lit(&b)) {
+            // Algebraic identities: the surviving operand replaces the
+            // whole node.
+            match (op, x, y) {
                 (BinaryOp::Add, Some(0), _) => {
                     ctx.coverage.hit("fold", 10);
-                    return b;
+                    *e = take_expr(b);
                 }
                 (BinaryOp::Add, _, Some(0)) | (BinaryOp::Sub, _, Some(0)) => {
                     ctx.coverage.hit("fold", 11);
-                    return a;
+                    *e = take_expr(a);
                 }
                 (BinaryOp::Mul, _, Some(1)) => {
                     ctx.coverage.hit("fold", 12);
-                    return a;
+                    *e = take_expr(a);
                 }
                 (BinaryOp::Mul, Some(1), _) => {
                     ctx.coverage.hit("fold", 12);
-                    return b;
+                    *e = take_expr(b);
                 }
-                (BinaryOp::Mul, _, Some(0)) if is_pure_var(&a) => {
+                (BinaryOp::Mul, _, Some(0)) if is_pure_var(a) => {
                     ctx.coverage.hit("fold", 13);
-                    return rebuild(ExprKind::IntLit(0));
+                    e.kind = ExprKind::IntLit(0);
                 }
-                (BinaryOp::Mul, Some(0), _) if is_pure_var(&b) => {
+                (BinaryOp::Mul, Some(0), _) if is_pure_var(b) => {
                     ctx.coverage.hit("fold", 13);
-                    return rebuild(ExprKind::IntLit(0));
+                    e.kind = ExprKind::IntLit(0);
                 }
                 _ => {}
             }
-            rebuild(ExprKind::Binary(*op, Box::new(a), Box::new(b)))
         }
         ExprKind::Unary(op, inner) => {
-            let inner = fold_expr(inner, ctx);
-            if let (UnaryOp::Neg, Some(v)) = (op, lit(&inner)) {
-                if let Some(n) = v.checked_neg() {
-                    ctx.coverage.hit("fold", 14);
-                    return rebuild(ExprKind::IntLit(n));
+            let op = *op;
+            fold_expr(inner, ctx);
+            match (op, lit(inner)) {
+                (UnaryOp::Neg, Some(v)) => {
+                    if let Some(n) = v.checked_neg() {
+                        ctx.coverage.hit("fold", 14);
+                        e.kind = ExprKind::IntLit(n);
+                    }
                 }
+                (UnaryOp::Not, Some(v)) => {
+                    ctx.coverage.hit("fold", 15);
+                    e.kind = ExprKind::IntLit((v == 0) as i64);
+                }
+                _ => {}
             }
-            if let (UnaryOp::Not, Some(v)) = (op, lit(&inner)) {
-                ctx.coverage.hit("fold", 15);
-                return rebuild(ExprKind::IntLit((v == 0) as i64));
-            }
-            rebuild(ExprKind::Unary(*op, Box::new(inner)))
         }
         ExprKind::Ternary(c, t, els) => {
-            let c = fold_expr(c, ctx);
-            let t = fold_expr(t, ctx);
-            let els = fold_expr(els, ctx);
-            if let Some(v) = lit(&c) {
+            fold_expr(c, ctx);
+            fold_expr(t, ctx);
+            fold_expr(els, ctx);
+            if let Some(v) = lit(c) {
                 ctx.coverage.hit("fold", 16);
-                return if v != 0 { t } else { els };
-            }
-            if exprs_equal(&t, &els) {
+                *e = take_expr(if v != 0 { t } else { els });
+            } else if exprs_equal(t, els) {
                 // The operand_equal_p comparison site (Figure 3); the
                 // crash variant is handled before the pipeline runs.
                 ctx.coverage.hit("fold", 17);
             }
-            rebuild(ExprKind::Ternary(Box::new(c), Box::new(t), Box::new(els)))
         }
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(),
-            Box::new(fold_expr(rhs, ctx)),
-        )),
-        ExprKind::Post(op, inner) => rebuild(ExprKind::Post(*op, inner.clone())),
-        ExprKind::Call(name, args) => rebuild(ExprKind::Call(
-            name.clone(),
-            args.iter().map(|a| fold_expr(a, ctx)).collect(),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(a.clone(), Box::new(fold_expr(i, ctx)))),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(fold_expr(a, ctx)),
-            Box::new(fold_expr(b, ctx)),
-        )),
-        ExprKind::Cast(t, inner) => {
-            rebuild(ExprKind::Cast(t.clone(), Box::new(fold_expr(inner, ctx))))
+        ExprKind::Assign(_, _, rhs) => fold_expr(rhs, ctx),
+        ExprKind::Call(_, args) => {
+            for a in args {
+                fold_expr(a, ctx);
+            }
         }
-        _ => e.clone(),
+        ExprKind::Index(_, i) => fold_expr(i, ctx),
+        ExprKind::Comma(a, b) => {
+            fold_expr(a, ctx);
+            fold_expr(b, ctx);
+        }
+        ExprKind::Cast(_, inner) => fold_expr(inner, ctx),
+        _ => {}
     }
 }
 
@@ -296,28 +322,25 @@ pub(crate) fn const_arith(op: BinaryOp, x: i64, y: i64) -> Option<i64> {
 
 // ----- dce ------------------------------------------------------------------
 
-fn dce_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn dce_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("dce", 0);
-    map_functions(p, |f| {
-        let has_back_goto = function_has_backward_goto(&f.body);
-        Function {
-            body: dce_stmts(&f.body, ctx, has_back_goto, false),
-            ..f.clone()
-        }
-    })
+    for body in bodies(p) {
+        let has_back_goto = function_has_backward_goto(body);
+        dce_stmts(body, ctx, has_back_goto, false);
+    }
 }
 
 fn function_has_backward_goto(body: &[Stmt]) -> bool {
-    let mut labels: HashSet<String> = HashSet::new();
+    let mut labels: Vec<&str> = Vec::new();
     let mut found = false;
-    fn walk(stmts: &[Stmt], labels: &mut HashSet<String>, found: &mut bool) {
+    fn walk<'a>(stmts: &'a [Stmt], labels: &mut Vec<&'a str>, found: &mut bool) {
         for s in stmts {
             match s {
                 Stmt::Label(l, inner) => {
-                    labels.insert(l.clone());
+                    labels.push(l);
                     walk(std::slice::from_ref(inner), labels, found);
                 }
-                Stmt::Goto(l) if labels.contains(l) => *found = true,
+                Stmt::Goto(l) if labels.contains(&l.as_str()) => *found = true,
                 Stmt::Block(b) => walk(b, labels, found),
                 Stmt::If(_, t, e) => {
                     walk(std::slice::from_ref(t), labels, found);
@@ -336,110 +359,90 @@ fn function_has_backward_goto(body: &[Stmt]) -> bool {
     found
 }
 
-fn dce_stmts(
-    stmts: &[Stmt],
-    ctx: &mut PassCtx<'_>,
-    back_goto: bool,
-    after_label: bool,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
+fn dce_stmts(stmts: &mut Vec<Stmt>, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) {
     let mut seen_label = after_label;
-    for s in stmts {
-        if let Stmt::Label(_, _) = s {
-            seen_label = true
-        }
-        match s {
-            // `if (0)` / `if (non-zero-literal)` simplification.
-            Stmt::If(c, t, e) => {
-                if let Some(v) = lit(c) {
-                    ctx.coverage.hit("dce", 1);
-                    if v != 0 {
-                        out.push(dce_one(t, ctx, back_goto, seen_label));
-                    } else if let Some(e) = e {
-                        out.push(dce_one(e, ctx, back_goto, seen_label));
-                    }
-                    continue;
-                }
-                out.push(Stmt::If(
-                    c.clone(),
-                    Box::new(dce_one(t, ctx, back_goto, seen_label)),
-                    e.as_ref()
-                        .map(|e| Box::new(dce_one(e, ctx, back_goto, seen_label))),
-                ));
-            }
-            Stmt::While(c, b) => {
-                if lit(c) == Some(0) {
-                    ctx.coverage.hit("dce", 2);
-                    continue;
-                }
-                out.push(Stmt::While(
-                    c.clone(),
-                    Box::new(dce_one(b, ctx, back_goto, seen_label)),
-                ));
-            }
-            // Self-assignment removal: `x = x;`.
-            Stmt::Expr(e)
-                if matches!(&e.kind, ExprKind::Assign(AssignOp::Assign, l, r)
-                    if is_pure_var(l) && exprs_equal(l, r)) =>
-            {
-                ctx.coverage.hit("dce", 3);
-            }
-            // The Clang 26994 lifetime defect: drop initializers of
-            // declarations that follow a label in a function with a
-            // backward goto.
-            Stmt::Decl(ds) if back_goto && seen_label => {
-                if let Some(id) = ctx.bug_active(Trigger::DeclAfterLabelWithBackGoto) {
-                    ctx.coverage.hit("dce", 4);
-                    ctx.miscompiled_by.push(id);
-                    out.push(Stmt::Decl(
-                        ds.iter()
-                            .map(|d| VarDeclarator {
-                                init: None,
-                                ..d.clone()
-                            })
-                            .collect(),
-                    ));
-                    continue;
-                }
-                out.push(s.clone());
-            }
-            Stmt::Block(b) => {
-                out.push(Stmt::Block(dce_stmts(b, ctx, back_goto, seen_label)));
-            }
-            Stmt::Label(l, inner) => {
-                out.push(Stmt::Label(
-                    l.clone(),
-                    Box::new(dce_one(inner, ctx, back_goto, true)),
-                ));
-            }
-            other => out.push(other.clone()),
+    let mut i = 0;
+    while i < stmts.len() {
+        seen_label |= matches!(stmts[i], Stmt::Label(_, _));
+        if dce_stmt(&mut stmts[i], ctx, back_goto, seen_label) {
+            i += 1;
+        } else {
+            stmts.remove(i);
         }
     }
-    out
 }
 
-fn dce_one(s: &Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) -> Stmt {
-    let v = dce_stmts(std::slice::from_ref(s), ctx, back_goto, after_label);
-    match v.len() {
-        0 => Stmt::Empty,
-        1 => v.into_iter().next().expect("one statement"),
-        _ => Stmt::Block(v),
+/// Simplifies one statement in place; `false` means it is deleted.
+fn dce_stmt(s: &mut Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, seen_label: bool) -> bool {
+    match s {
+        // `if (0)` / `if (non-zero-literal)` simplification.
+        Stmt::If(c, t, e) => {
+            if let Some(v) = lit(c) {
+                ctx.coverage.hit("dce", 1);
+                let arm = if v != 0 { Some(t) } else { e.as_mut() };
+                let Some(arm) = arm.map(|a| std::mem::replace(&mut **a, Stmt::Empty)) else {
+                    return false;
+                };
+                *s = arm;
+                dce_one(s, ctx, back_goto, seen_label);
+                return true;
+            }
+            dce_one(t, ctx, back_goto, seen_label);
+            if let Some(e) = e {
+                dce_one(e, ctx, back_goto, seen_label);
+            }
+        }
+        Stmt::While(c, b) => {
+            if lit(c) == Some(0) {
+                ctx.coverage.hit("dce", 2);
+                return false;
+            }
+            dce_one(b, ctx, back_goto, seen_label);
+        }
+        // Self-assignment removal: `x = x;`.
+        Stmt::Expr(e)
+            if matches!(&e.kind, ExprKind::Assign(AssignOp::Assign, l, r)
+                if is_pure_var(l) && exprs_equal(l, r)) =>
+        {
+            ctx.coverage.hit("dce", 3);
+            return false;
+        }
+        // The Clang 26994 lifetime defect: drop initializers of
+        // declarations that follow a label in a function with a
+        // backward goto.
+        Stmt::Decl(ds) if back_goto && seen_label => {
+            if let Some(id) = ctx.bug_active(Trigger::DeclAfterLabelWithBackGoto) {
+                ctx.coverage.hit("dce", 4);
+                ctx.miscompiled_by.push(id);
+                for d in ds {
+                    d.init = None;
+                }
+            }
+        }
+        Stmt::Block(b) => dce_stmts(b, ctx, back_goto, seen_label),
+        Stmt::Label(_, inner) => dce_one(inner, ctx, back_goto, true),
+        _ => {}
+    }
+    true
+}
+
+/// [`dce_stmt`] on a nested statement, which becomes `;` when deleted.
+fn dce_one(s: &mut Stmt, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) {
+    let seen_label = after_label || matches!(s, Stmt::Label(_, _));
+    if !dce_stmt(s, ctx, back_goto, seen_label) {
+        *s = Stmt::Empty;
     }
 }
 
 // ----- ccp ------------------------------------------------------------------
 
-fn ccp_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn ccp_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("ccp", 0);
-    map_functions(p, |f| {
+    for body in bodies(p) {
         let mut addressed = HashSet::new();
-        collect_addressed(&f.body, &mut addressed);
-        let mut consts: HashMap<String, i64> = HashMap::new();
-        Function {
-            body: ccp_stmts(&f.body, &mut consts, &addressed, ctx),
-            ..f.clone()
-        }
-    })
+        collect_addressed(body, &mut addressed);
+        ccp_stmts(body, &mut HashMap::new(), &addressed, ctx);
+    }
 }
 
 fn collect_addressed(stmts: &[Stmt], out: &mut HashSet<String>) {
@@ -522,125 +525,88 @@ fn collect_addressed(stmts: &[Stmt], out: &mut HashSet<String>) {
 }
 
 /// Straight-line constant propagation. Any control flow or call clears
-/// the known-constants map (sound but conservative).
+/// the known-constants map (sound but conservative); nested statements
+/// start from an empty map.
 fn ccp_stmts(
-    stmts: &[Stmt],
+    stmts: &mut [Stmt],
     consts: &mut HashMap<String, i64>,
     addressed: &HashSet<String>,
     ctx: &mut PassCtx<'_>,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
+) {
     for s in stmts {
-        match s {
-            Stmt::Decl(ds) => {
-                let mut nds = Vec::new();
-                for d in ds {
-                    let init = d.init.as_ref().map(|i| ccp_expr(i, consts, ctx));
-                    if let Some(i) = &init {
-                        if let Some(v) = lit(i) {
-                            if !addressed.contains(&d.name) {
-                                consts.insert(d.name.clone(), v);
-                            }
-                        }
-                    }
-                    nds.push(VarDeclarator { init, ..d.clone() });
-                }
-                out.push(Stmt::Decl(nds));
-            }
-            Stmt::Expr(e) => {
-                let ne = ccp_expr(e, consts, ctx);
-                // Track `x = literal` and invalidate on other writes.
-                if let ExprKind::Assign(op, lhs, rhs) = &ne.kind {
-                    if let ExprKind::Ident(id) = &lhs.kind {
-                        if *op == AssignOp::Assign {
-                            match lit(rhs) {
-                                Some(v) if !addressed.contains(&id.name) => {
-                                    ctx.coverage.hit("ccp", 1);
-                                    consts.insert(id.name.clone(), v);
-                                }
-                                _ => {
-                                    consts.remove(&id.name);
-                                }
-                            }
-                        } else {
-                            consts.remove(&id.name);
-                        }
-                    } else {
-                        // Store through pointer/array: globals and
-                        // addressed locals may change.
-                        consts.clear();
-                    }
-                } else if contains_write(&ne) {
-                    consts.clear();
-                }
-                out.push(Stmt::Expr(ne));
-            }
-            // Control flow: propagate into the condition, then clear.
-            Stmt::If(c, t, e) => {
-                let c = ccp_expr(c, consts, ctx);
-                consts.clear();
-                let t2 = ccp_block(t, consts, addressed, ctx);
-                let e2 = e
-                    .as_ref()
-                    .map(|e| Box::new(ccp_block(e, consts, addressed, ctx)));
-                out.push(Stmt::If(c, Box::new(t2), e2));
-                consts.clear();
-            }
-            Stmt::While(c, b) => {
-                consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::While(c.clone(), Box::new(b2)));
-                consts.clear();
-            }
-            Stmt::DoWhile(b, c) => {
-                consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::DoWhile(Box::new(b2), c.clone()));
-                consts.clear();
-            }
-            Stmt::For(init, c, st, b) => {
-                consts.clear();
-                let b2 = ccp_block(b, consts, addressed, ctx);
-                out.push(Stmt::For(init.clone(), c.clone(), st.clone(), Box::new(b2)));
-                consts.clear();
-            }
-            Stmt::Return(Some(e)) => {
-                out.push(Stmt::Return(Some(ccp_expr(e, consts, ctx))));
-            }
-            Stmt::Block(b) => {
-                consts.clear();
-                let mut inner = HashMap::new();
-                out.push(Stmt::Block(ccp_stmts(b, &mut inner, addressed, ctx)));
-                consts.clear();
-            }
-            Stmt::Label(l, inner) => {
-                consts.clear();
-                let i2 = ccp_block(inner, consts, addressed, ctx);
-                out.push(Stmt::Label(l.clone(), Box::new(i2)));
-                consts.clear();
-            }
-            Stmt::Goto(_) => {
-                consts.clear();
-                out.push(s.clone());
-            }
-            other => out.push(other.clone()),
-        }
+        ccp_stmt(s, consts, addressed, ctx);
     }
-    out
 }
 
-fn ccp_block(
-    s: &Stmt,
+fn ccp_stmt(
+    s: &mut Stmt,
     consts: &mut HashMap<String, i64>,
     addressed: &HashSet<String>,
     ctx: &mut PassCtx<'_>,
-) -> Stmt {
-    let mut inner = HashMap::new();
-    let _ = consts;
-    let v = ccp_stmts(std::slice::from_ref(s), &mut inner, addressed, ctx);
-    match v.len() {
-        1 => v.into_iter().next().expect("one statement"),
-        _ => Stmt::Block(v),
+) {
+    match s {
+        Stmt::Decl(ds) => {
+            for d in ds {
+                if let Some(init) = &mut d.init {
+                    ccp_expr(init, consts, ctx);
+                    if let Some(v) = lit(init) {
+                        if !addressed.contains(&d.name) {
+                            consts.insert(d.name.clone(), v);
+                        }
+                    }
+                }
+            }
+        }
+        Stmt::Expr(e) => {
+            ccp_expr(e, consts, ctx);
+            // Track `x = literal` and invalidate on other writes.
+            if let ExprKind::Assign(op, lhs, rhs) = &e.kind {
+                if let ExprKind::Ident(id) = &lhs.kind {
+                    if *op == AssignOp::Assign {
+                        match lit(rhs) {
+                            Some(v) if !addressed.contains(&id.name) => {
+                                ctx.coverage.hit("ccp", 1);
+                                consts.insert(id.name.clone(), v);
+                            }
+                            _ => {
+                                consts.remove(&id.name);
+                            }
+                        }
+                    } else {
+                        consts.remove(&id.name);
+                    }
+                } else {
+                    // Store through pointer/array: globals and
+                    // addressed locals may change.
+                    consts.clear();
+                }
+            } else if contains_write(e) {
+                consts.clear();
+            }
+        }
+        // Control flow: propagate into the condition, then clear.
+        Stmt::If(c, t, e) => {
+            ccp_expr(c, consts, ctx);
+            consts.clear();
+            ccp_stmt(t, &mut HashMap::new(), addressed, ctx);
+            if let Some(e) = e {
+                ccp_stmt(e, &mut HashMap::new(), addressed, ctx);
+            }
+            consts.clear();
+        }
+        Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) | Stmt::Label(_, b) => {
+            consts.clear();
+            ccp_stmt(b, &mut HashMap::new(), addressed, ctx);
+            consts.clear();
+        }
+        Stmt::Return(Some(e)) => ccp_expr(e, consts, ctx),
+        Stmt::Block(b) => {
+            consts.clear();
+            ccp_stmts(b, &mut HashMap::new(), addressed, ctx);
+            consts.clear();
+        }
+        Stmt::Goto(_) => consts.clear(),
+        _ => {}
     }
 }
 
@@ -659,109 +625,82 @@ fn contains_write(e: &Expr) -> bool {
     }
 }
 
-fn ccp_expr(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> Expr {
+fn ccp_expr(e: &mut Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) {
     // The gcc-samevar6-wc defect: in expressions reading one variable
     // many times, the (buggy) propagator replaces the reads with 0.
-    let mut names = Vec::new();
-    e.for_each_ident(&mut |id| names.push(id.name.clone()));
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    for n in &names {
-        *counts.entry(n.as_str()).or_insert(0) += 1;
-    }
-    if let Some((&worst, _)) = counts.iter().max_by_key(|(_, &c)| c) {
-        if counts[worst] >= 6 {
-            if let Some(id) = ctx.bug_active(Trigger::SameVarTimes(6)) {
-                ctx.miscompiled_by.push(id);
-                let zeroed = replace_var_reads(e, worst);
-                return zeroed;
-            }
+    if let Some(id) = ctx.bug_active(Trigger::SameVarTimes(6)) {
+        if let Some(victim) = most_read(e).filter(|&(_, n)| n >= 6) {
+            let victim = victim.0.to_string();
+            ctx.miscompiled_by.push(id);
+            replace_var_reads(e, &victim);
+            return;
         }
     }
-    subst_consts(e, consts, ctx)
+    subst_consts(e, consts, ctx);
 }
 
-fn replace_var_reads(e: &Expr, name: &str) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Ident(id) if id.name == name => rebuild(ExprKind::IntLit(0)),
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(), // do not rewrite the store target
-            Box::new(replace_var_reads(rhs, name)),
-        )),
-        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => e.clone(),
-        ExprKind::Unary(op, a) => {
-            rebuild(ExprKind::Unary(*op, Box::new(replace_var_reads(a, name))))
+/// The variable `e` reads most often and its count; a tie goes to the
+/// one read first in source order.
+fn most_read(e: &Expr) -> Option<(&str, usize)> {
+    let mut counts: Vec<(&str, usize)> = Vec::new();
+    e.for_each_ident(&mut |id| match counts.iter_mut().find(|c| c.0 == id.name) {
+        Some(c) => c.1 += 1,
+        None => counts.push((&id.name, 1)),
+    });
+    counts.into_iter().fold(None, |best, (n, c)| match best {
+        Some((_, most)) if most >= c => best,
+        _ => Some((n, c)),
+    })
+}
+
+fn replace_var_reads(e: &mut Expr, name: &str) {
+    match &mut e.kind {
+        ExprKind::Ident(id) if id.name == name => e.kind = ExprKind::IntLit(0),
+        // Do not rewrite the store target.
+        ExprKind::Assign(_, _, rhs) => replace_var_reads(rhs, name),
+        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => {}
+        ExprKind::Unary(_, a) | ExprKind::Index(_, a) => replace_var_reads(a, name),
+        ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+            replace_var_reads(a, name);
+            replace_var_reads(b, name);
         }
-        ExprKind::Binary(op, a, b) => rebuild(ExprKind::Binary(
-            *op,
-            Box::new(replace_var_reads(a, name)),
-            Box::new(replace_var_reads(b, name)),
-        )),
-        ExprKind::Ternary(c, t, e2) => rebuild(ExprKind::Ternary(
-            Box::new(replace_var_reads(c, name)),
-            Box::new(replace_var_reads(t, name)),
-            Box::new(replace_var_reads(e2, name)),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(
-            a.clone(),
-            Box::new(replace_var_reads(i, name)),
-        )),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(replace_var_reads(a, name)),
-            Box::new(replace_var_reads(b, name)),
-        )),
-        _ => e.clone(),
+        ExprKind::Ternary(c, t, e2) => {
+            replace_var_reads(c, name);
+            replace_var_reads(t, name);
+            replace_var_reads(e2, name);
+        }
+        _ => {}
     }
 }
 
-fn subst_consts(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Ident(id) => match consts.get(&id.name) {
-            Some(v) => {
+fn subst_consts(e: &mut Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) {
+    match &mut e.kind {
+        ExprKind::Ident(id) => {
+            if let Some(&v) = consts.get(&id.name) {
                 ctx.coverage.hit("ccp", 2);
-                rebuild(ExprKind::IntLit(*v))
+                e.kind = ExprKind::IntLit(v);
             }
-            None => e.clone(),
-        },
-        ExprKind::Assign(op, lhs, rhs) => rebuild(ExprKind::Assign(
-            *op,
-            lhs.clone(),
-            Box::new(subst_consts(rhs, consts, ctx)),
-        )),
-        ExprKind::Unary(UnaryOp::Addr, _) => e.clone(),
-        ExprKind::Unary(op, a) => {
-            rebuild(ExprKind::Unary(*op, Box::new(subst_consts(a, consts, ctx))))
         }
-        ExprKind::Post(_, _) => e.clone(),
-        ExprKind::Binary(op, a, b) => rebuild(ExprKind::Binary(
-            *op,
-            Box::new(subst_consts(a, consts, ctx)),
-            Box::new(subst_consts(b, consts, ctx)),
-        )),
-        ExprKind::Ternary(c, t, e2) => rebuild(ExprKind::Ternary(
-            Box::new(subst_consts(c, consts, ctx)),
-            Box::new(subst_consts(t, consts, ctx)),
-            Box::new(subst_consts(e2, consts, ctx)),
-        )),
-        ExprKind::Call(name, args) => rebuild(ExprKind::Call(
-            name.clone(),
-            args.iter().map(|a| subst_consts(a, consts, ctx)).collect(),
-        )),
-        ExprKind::Index(a, i) => rebuild(ExprKind::Index(
-            a.clone(),
-            Box::new(subst_consts(i, consts, ctx)),
-        )),
-        ExprKind::Comma(a, b) => rebuild(ExprKind::Comma(
-            Box::new(subst_consts(a, consts, ctx)),
-            Box::new(subst_consts(b, consts, ctx)),
-        )),
-        ExprKind::Cast(t, a) => rebuild(ExprKind::Cast(
-            t.clone(),
-            Box::new(subst_consts(a, consts, ctx)),
-        )),
-        _ => e.clone(),
+        ExprKind::Unary(UnaryOp::Addr, _) | ExprKind::Post(_, _) => {}
+        ExprKind::Assign(_, _, a)
+        | ExprKind::Unary(_, a)
+        | ExprKind::Index(_, a)
+        | ExprKind::Cast(_, a) => subst_consts(a, consts, ctx),
+        ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+            subst_consts(a, consts, ctx);
+            subst_consts(b, consts, ctx);
+        }
+        ExprKind::Ternary(c, t, e2) => {
+            subst_consts(c, consts, ctx);
+            subst_consts(t, consts, ctx);
+            subst_consts(e2, consts, ctx);
+        }
+        ExprKind::Call(_, args) => {
+            for a in args {
+                subst_consts(a, consts, ctx);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -771,13 +710,12 @@ fn subst_consts(e: &Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) 
 /// consecutive `*p = …; *q = …;` through distinct pointer variables are
 /// swapped under the gcc-69951 defect — wrong exactly when `p` and `q`
 /// alias, reproducing the Figure 2 miscompilation.
-fn alias_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn alias_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("alias", 0);
     let bug = ctx.bug_active(Trigger::AliasedPointerStores);
-    map_functions(p, |f| Function {
-        body: alias_stmts(&f.body, bug, ctx),
-        ..f.clone()
-    })
+    for body in bodies(p) {
+        alias_stmts(body, bug, ctx);
+    }
 }
 
 fn is_deref_store(s: &Stmt) -> Option<&str> {
@@ -795,8 +733,7 @@ fn is_deref_store(s: &Stmt) -> Option<&str> {
     None
 }
 
-fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Vec<Stmt> {
-    let mut out: Vec<Stmt> = Vec::new();
+fn alias_stmts(stmts: &mut [Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
     let mut i = 0;
     while i < stmts.len() {
         if let (Some(p1), Some(p2)) = (
@@ -808,20 +745,17 @@ fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>)
                 if let Some(id) = bug {
                     ctx.coverage.hit("alias", 2);
                     ctx.miscompiled_by.push(id);
-                    out.push(stmts[i + 1].clone());
-                    out.push(stmts[i].clone());
+                    stmts.swap(i, i + 1);
                     i += 2;
                     continue;
                 }
             }
         }
-        match &stmts[i] {
-            Stmt::Block(b) => out.push(Stmt::Block(alias_stmts(b, bug, ctx))),
-            other => out.push(other.clone()),
+        if let Stmt::Block(b) = &mut stmts[i] {
+            alias_stmts(b, bug, ctx);
         }
         i += 1;
     }
-    out
 }
 
 // ----- loop -----------------------------------------------------------------
@@ -829,78 +763,63 @@ fn alias_stmts(stmts: &[Stmt], bug: Option<&'static str>, ctx: &mut PassCtx<'_>)
 /// Loop clean-up at `-O3`: removes loops whose condition folded to zero
 /// and hosts the self-indexed-array wrong-code defect (gcc-70138): the
 /// (buggy) "vectorizer" rewrites a self-indexed array subscript to zero.
-fn loop_pass(p: &Program, ctx: &mut PassCtx<'_>) -> Program {
+fn loop_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     ctx.coverage.hit("loop", 0);
     let bug = ctx.bug_active(Trigger::SelfIndexedArray);
-    map_functions(p, |f| Function {
-        body: f.body.iter().map(|s| loop_stmt(s, bug, ctx)).collect(),
-        ..f.clone()
-    })
-}
-
-fn loop_stmt(s: &Stmt, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Stmt {
-    match s {
-        Stmt::For(_, Some(c), _, _) if lit(c) == Some(0) => {
-            ctx.coverage.hit("loop", 1);
-            Stmt::Empty
+    for body in bodies(p) {
+        for s in body {
+            loop_stmt(s, bug, ctx);
         }
-        Stmt::While(c, b) => {
-            ctx.coverage.hit("loop", 2);
-            Stmt::While(c.clone(), Box::new(loop_stmt(b, bug, ctx)))
-        }
-        Stmt::For(i, c, st, b) => {
-            ctx.coverage.hit("loop", 3);
-            Stmt::For(
-                i.clone(),
-                c.clone(),
-                st.clone(),
-                Box::new(loop_stmt(b, bug, ctx)),
-            )
-        }
-        Stmt::DoWhile(b, c) => Stmt::DoWhile(Box::new(loop_stmt(b, bug, ctx)), c.clone()),
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|s| loop_stmt(s, bug, ctx)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            c.clone(),
-            Box::new(loop_stmt(t, bug, ctx)),
-            e.as_ref().map(|e| Box::new(loop_stmt(e, bug, ctx))),
-        ),
-        Stmt::Label(l, inner) => Stmt::Label(l.clone(), Box::new(loop_stmt(inner, bug, ctx))),
-        Stmt::Expr(e) => Stmt::Expr(vectorize_expr(e, bug, ctx)),
-        other => other.clone(),
     }
 }
 
-fn vectorize_expr(e: &Expr, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) -> Expr {
-    let rebuild = |kind: ExprKind| Expr { id: e.id, kind };
-    match &e.kind {
-        ExprKind::Assign(op, lhs, rhs) => {
-            if let ExprKind::Index(base, idx) = &lhs.kind {
-                let mut names = Vec::new();
-                idx.for_each_ident(&mut |id| names.push(id.name.clone()));
-                names.sort();
-                let self_indexed = names.windows(2).any(|w| w[0] == w[1]);
-                if self_indexed {
-                    ctx.coverage.hit("loop", 4);
-                    if let Some(id) = bug {
-                        ctx.miscompiled_by.push(id);
-                        let zero = Expr {
-                            id: idx.id,
-                            kind: ExprKind::IntLit(0),
-                        };
-                        return rebuild(ExprKind::Assign(
-                            *op,
-                            Box::new(Expr {
-                                id: lhs.id,
-                                kind: ExprKind::Index(base.clone(), Box::new(zero)),
-                            }),
-                            rhs.clone(),
-                        ));
-                    }
-                }
-            }
-            e.clone()
+fn loop_stmt(s: &mut Stmt, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
+    match s {
+        Stmt::For(_, Some(c), _, _) if lit(c) == Some(0) => {
+            ctx.coverage.hit("loop", 1);
+            *s = Stmt::Empty;
         }
-        _ => e.clone(),
+        Stmt::While(_, b) => {
+            ctx.coverage.hit("loop", 2);
+            loop_stmt(b, bug, ctx);
+        }
+        Stmt::For(_, _, _, b) => {
+            ctx.coverage.hit("loop", 3);
+            loop_stmt(b, bug, ctx);
+        }
+        Stmt::DoWhile(b, _) | Stmt::Label(_, b) => loop_stmt(b, bug, ctx),
+        Stmt::Block(b) => {
+            for s in b {
+                loop_stmt(s, bug, ctx);
+            }
+        }
+        Stmt::If(_, t, e) => {
+            loop_stmt(t, bug, ctx);
+            if let Some(e) = e {
+                loop_stmt(e, bug, ctx);
+            }
+        }
+        Stmt::Expr(e) => vectorize_expr(e, bug, ctx),
+        _ => {}
+    }
+}
+
+fn vectorize_expr(e: &mut Expr, bug: Option<&'static str>, ctx: &mut PassCtx<'_>) {
+    let ExprKind::Assign(_, lhs, _) = &mut e.kind else {
+        return;
+    };
+    let ExprKind::Index(_, idx) = &mut lhs.kind else {
+        return;
+    };
+    let mut names: Vec<&str> = Vec::new();
+    idx.for_each_ident(&mut |id| names.push(&id.name));
+    names.sort_unstable();
+    if names.windows(2).any(|w| w[0] == w[1]) {
+        ctx.coverage.hit("loop", 4);
+        if let Some(id) = bug {
+            ctx.miscompiled_by.push(id);
+            idx.kind = ExprKind::IntLit(0);
+        }
     }
 }
 
@@ -1036,6 +955,51 @@ mod tests {
         };
         optimize(&p, &mut ctx3);
         assert!(cov3.points_hit() > cov0.points_hit());
+    }
+
+    #[test]
+    fn samevar_bug_zeroes_the_first_most_read_variable() {
+        // `a` and `b` tie at six reads each: the victim must not depend
+        // on hash order, so every run zeroes `a`, the one read first.
+        let src = "int a, b, x; int main() { x = a+a+a+a+a+a+b+b+b+b+b+b; return x; }";
+        let regs = registry();
+        let bug = regs
+            .iter()
+            .find(|b| b.id == "gcc-samevar6-wc")
+            .expect("present");
+        let prog = parse(src).expect("parses");
+        let outputs: HashSet<String> = (0..64)
+            .map(|_| {
+                let mut cov = Coverage::new();
+                let mut ctx = PassCtx {
+                    opt: 2,
+                    wrong_code: vec![bug],
+                    coverage: &mut cov,
+                    miscompiled_by: Vec::new(),
+                };
+                let out = print_program(&optimize(&prog, &mut ctx));
+                assert_eq!(ctx.miscompiled_by, vec!["gcc-samevar6-wc"]);
+                out
+            })
+            .collect();
+        assert_eq!(outputs.len(), 1, "{outputs:?}");
+        let out = outputs.into_iter().next().expect("one output");
+        assert!(!out.contains("a +") && out.contains("b + b"), "{out}");
+    }
+
+    #[test]
+    fn only_o0_hands_the_program_back_borrowed() {
+        let p = parse("int main() { return 1 + 2; }").expect("parses");
+        let mut cov = Coverage::new();
+        let mut ctx = PassCtx {
+            opt: 0,
+            wrong_code: Vec::new(),
+            coverage: &mut cov,
+            miscompiled_by: Vec::new(),
+        };
+        assert!(matches!(optimize(&p, &mut ctx), Cow::Borrowed(_)));
+        ctx.opt = 3;
+        assert!(matches!(optimize(&p, &mut ctx), Cow::Owned(_)));
     }
 
     #[test]

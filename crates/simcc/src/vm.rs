@@ -6,8 +6,8 @@
 //! initializers become observable), and memory is a flat `i64` array
 //! addressed by absolute cell index (pointers are plain addresses).
 
+use crate::newest;
 use spe_minic::ast::*;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Canary filling fresh stack frames; distinguishable from the zeroed
@@ -142,16 +142,21 @@ pub struct VmExecution {
 
 // ----- lowering -------------------------------------------------------------
 
-struct FnLower<'a> {
+/// Layout of one variable: base address (globals) or frame offset
+/// (locals), and its size in cells.
+type Layout = (i64, usize);
+
+struct FnLower<'a, 'p> {
     instrs: &'a mut Vec<Instr>,
-    /// name -> (is_global, base address/offset, cells)
-    scopes: Vec<HashMap<String, (bool, i64, usize)>>,
-    globals: &'a HashMap<String, (i64, usize)>,
-    func_ids: &'a HashMap<String, usize>,
+    /// Locals in scope, innermost last.
+    locals: Vec<(&'p str, Layout)>,
+    globals: &'a [(&'p str, Layout)],
+    /// Function name -> index.
+    func_ids: &'a [(&'p str, usize)],
     next_local: i64,
     max_frame: i64,
-    labels: HashMap<String, usize>,
-    goto_patches: Vec<(usize, String)>,
+    labels: Vec<(&'p str, usize)>,
+    goto_patches: Vec<(usize, &'p str)>,
     break_patches: Vec<Vec<usize>>,
     continue_targets: Vec<ContinueTarget>,
 }
@@ -174,7 +179,7 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
         return Err(LowerError("struct definitions are not lowerable".into()));
     }
     // Allocate globals.
-    let mut globals_layout: HashMap<String, (i64, usize)> = HashMap::new();
+    let mut globals_layout: Vec<(&str, Layout)> = Vec::new();
     let mut gmem: Vec<i64> = Vec::new();
     for item in &p.items {
         if let Item::Global(decls) = item {
@@ -186,7 +191,7 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
                 if n > 1 << 20 {
                     return Err(LowerError(format!("array `{}` too large", d.name)));
                 }
-                globals_layout.insert(d.name.clone(), (gmem.len() as i64, n));
+                globals_layout.push((&d.name, (gmem.len() as i64, n)));
                 gmem.extend(std::iter::repeat_n(0, n));
             }
         }
@@ -195,17 +200,18 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
     for item in &p.items {
         if let Item::Global(decls) = item {
             for d in decls {
-                if let Some(init) = &d.init {
-                    let (base, cells) = globals_layout[&d.name];
+                if let (Some(init), Some((base, cells))) =
+                    (&d.init, newest(&globals_layout, &d.name))
+                {
                     init_global(init, base, cells, &globals_layout, &mut gmem)?;
                 }
             }
         }
     }
-    let func_ids: HashMap<String, usize> = p
+    let func_ids: Vec<(&str, usize)> = p
         .functions()
         .enumerate()
-        .map(|(i, f)| (f.name.clone(), i))
+        .map(|(i, f)| (f.name.as_str(), i))
         .collect();
     let mut instrs = Vec::new();
     let mut funcs = Vec::new();
@@ -213,12 +219,12 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
         let entry = instrs.len();
         let mut fl = FnLower {
             instrs: &mut instrs,
-            scopes: vec![HashMap::new()],
+            locals: Vec::new(),
             globals: &globals_layout,
             func_ids: &func_ids,
             next_local: 0,
             max_frame: 0,
-            labels: HashMap::new(),
+            labels: Vec::new(),
             goto_patches: Vec::new(),
             break_patches: Vec::new(),
             continue_targets: Vec::new(),
@@ -232,9 +238,7 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
         fl.instrs.push(Instr::Ret);
         // Patch gotos.
         for (at, label) in std::mem::take(&mut fl.goto_patches) {
-            let target = *fl
-                .labels
-                .get(&label)
+            let target = newest(&fl.labels, label)
                 .ok_or_else(|| LowerError(format!("unknown label `{label}`")))?;
             fl.instrs[at] = Instr::Jmp(target);
         }
@@ -246,9 +250,7 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
             frame,
         });
     }
-    let main = *func_ids
-        .get("main")
-        .ok_or_else(|| LowerError("no main function".into()))?;
+    let main = newest(&func_ids, "main").ok_or_else(|| LowerError("no main function".into()))?;
     Ok(Image {
         instrs,
         funcs,
@@ -261,7 +263,7 @@ fn init_global(
     init: &Expr,
     base: i64,
     cells: usize,
-    layout: &HashMap<String, (i64, usize)>,
+    layout: &[(&str, Layout)],
     gmem: &mut [i64],
 ) -> Result<(), LowerError> {
     if let ExprKind::Call(name, args) = &init.kind {
@@ -279,15 +281,14 @@ fn init_global(
     Ok(())
 }
 
-fn const_eval(e: &Expr, layout: &HashMap<String, (i64, usize)>) -> Result<i64, LowerError> {
+fn const_eval(e: &Expr, layout: &[(&str, Layout)]) -> Result<i64, LowerError> {
     match &e.kind {
         ExprKind::IntLit(v) => Ok(*v),
         ExprKind::CharLit(c) => Ok(*c as i64),
         ExprKind::Unary(UnaryOp::Neg, a) => Ok(const_eval(a, layout)?.wrapping_neg()),
         ExprKind::Unary(UnaryOp::Addr, a) => match &a.kind {
-            ExprKind::Ident(id) => layout
-                .get(&id.name)
-                .map(|&(b, _)| b)
+            ExprKind::Ident(id) => newest(layout, &id.name)
+                .map(|(b, _)| b)
                 .ok_or_else(|| LowerError(format!("&{} in global initializer", id.name))),
             _ => Err(LowerError("complex address in global initializer".into())),
         },
@@ -300,8 +301,8 @@ fn const_eval(e: &Expr, layout: &HashMap<String, (i64, usize)>) -> Result<i64, L
     }
 }
 
-impl FnLower<'_> {
-    fn alloc_local(&mut self, name: &str, ty: &Type) -> Result<i64, LowerError> {
+impl<'p> FnLower<'_, 'p> {
+    fn alloc_local(&mut self, name: &'p str, ty: &Type) -> Result<i64, LowerError> {
         if matches!(ty.base, BaseType::Struct(_)) && ty.pointers == 0 {
             return Err(LowerError(format!("struct local `{name}`")));
         }
@@ -312,68 +313,66 @@ impl FnLower<'_> {
         let off = self.next_local;
         self.next_local += n;
         self.max_frame = self.max_frame.max(self.next_local);
-        self.scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), (false, off, n as usize));
+        self.locals.push((name, (off, n as usize)));
         Ok(off)
     }
 
     fn resolve(&self, name: &str) -> Option<(bool, i64, usize)> {
-        for s in self.scopes.iter().rev() {
-            if let Some(&v) = s.get(name) {
-                return Some(v);
-            }
+        match newest(&self.locals, name) {
+            Some((off, n)) => Some((false, off, n)),
+            None => newest(self.globals, name).map(|(b, n)| (true, b, n)),
         }
-        self.globals.get(name).map(|&(b, n)| (true, b, n))
     }
 
-    fn stmts(&mut self, body: &[Stmt]) -> Result<(), LowerError> {
+    fn stmts(&mut self, body: &'p [Stmt]) -> Result<(), LowerError> {
         for s in body {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+    fn decls(&mut self, decls: &'p [VarDeclarator]) -> Result<(), LowerError> {
+        for d in decls {
+            let off = self.alloc_local(&d.name, &d.ty)?;
+            if let Some(init) = &d.init {
+                if let ExprKind::Call(name, args) = &init.kind {
+                    if name == "__init_list" {
+                        let cells = d.ty.array.map(|n| n.max(1) as usize).unwrap_or(1);
+                        for (i, a) in args.iter().enumerate().take(cells) {
+                            self.instrs.push(Instr::AddrLocal(off + i as i64));
+                            self.expr(a)?;
+                            self.instrs.push(Instr::StoreInd);
+                        }
+                        // Zero the rest, as in C.
+                        for i in args.len()..cells {
+                            self.instrs.push(Instr::AddrLocal(off + i as i64));
+                            self.instrs.push(Instr::Push(0));
+                            self.instrs.push(Instr::StoreInd);
+                        }
+                        continue;
+                    }
+                }
+                self.instrs.push(Instr::AddrLocal(off));
+                self.expr(init)?;
+                self.instrs.push(Instr::StoreInd);
+            }
+        }
+        Ok(())
+    }
+
+    fn stmt(&mut self, s: &'p Stmt) -> Result<(), LowerError> {
         match s {
             Stmt::Expr(e) => {
                 self.expr(e)?;
                 self.instrs.push(Instr::Pop);
             }
-            Stmt::Decl(decls) => {
-                for d in decls {
-                    let off = self.alloc_local(&d.name, &d.ty)?;
-                    if let Some(init) = &d.init {
-                        if let ExprKind::Call(name, args) = &init.kind {
-                            if name == "__init_list" {
-                                let cells = d.ty.array.map(|n| n.max(1) as usize).unwrap_or(1);
-                                for (i, a) in args.iter().enumerate().take(cells) {
-                                    self.instrs.push(Instr::AddrLocal(off + i as i64));
-                                    self.expr(a)?;
-                                    self.instrs.push(Instr::StoreInd);
-                                }
-                                // Zero the rest, as in C.
-                                for i in args.len()..cells {
-                                    self.instrs.push(Instr::AddrLocal(off + i as i64));
-                                    self.instrs.push(Instr::Push(0));
-                                    self.instrs.push(Instr::StoreInd);
-                                }
-                                continue;
-                            }
-                        }
-                        self.instrs.push(Instr::AddrLocal(off));
-                        self.expr(init)?;
-                        self.instrs.push(Instr::StoreInd);
-                    }
-                }
-            }
+            Stmt::Decl(decls) => self.decls(decls)?,
             Stmt::Block(body) => {
-                self.scopes.push(HashMap::new());
+                let scope = self.locals.len();
                 let saved = self.next_local;
                 self.stmts(body)?;
                 self.next_local = saved;
-                self.scopes.pop();
+                self.locals.truncate(scope);
             }
             Stmt::If(c, t, e) => {
                 self.expr(c)?;
@@ -423,10 +422,10 @@ impl FnLower<'_> {
                 self.finish_loop(end);
             }
             Stmt::For(init, cond, step, b) => {
-                self.scopes.push(HashMap::new());
+                let scope = self.locals.len();
                 let saved = self.next_local;
                 match init {
-                    Some(ForInit::Decl(decls)) => self.stmt(&Stmt::Decl(decls.clone()))?,
+                    Some(ForInit::Decl(decls)) => self.decls(decls)?,
                     Some(ForInit::Expr(e)) => {
                         self.expr(e)?;
                         self.instrs.push(Instr::Pop);
@@ -460,7 +459,7 @@ impl FnLower<'_> {
                 }
                 self.finish_loop(end);
                 self.next_local = saved;
-                self.scopes.pop();
+                self.locals.truncate(scope);
             }
             Stmt::Return(e) => {
                 match e {
@@ -495,10 +494,10 @@ impl FnLower<'_> {
             Stmt::Goto(l) => {
                 let at = self.instrs.len();
                 self.instrs.push(Instr::Jmp(usize::MAX));
-                self.goto_patches.push((at, l.clone()));
+                self.goto_patches.push((at, l));
             }
             Stmt::Label(l, inner) => {
-                self.labels.insert(l.clone(), self.instrs.len());
+                self.labels.push((l, self.instrs.len()));
                 self.stmt(inner)?;
             }
             Stmt::Empty => {}
@@ -522,7 +521,7 @@ impl FnLower<'_> {
     }
 
     /// Lowers an lvalue: leaves its *address* on the stack.
-    fn addr(&mut self, e: &Expr) -> Result<(), LowerError> {
+    fn addr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::Ident(id) => {
                 let (is_global, base, _) = self
@@ -549,7 +548,7 @@ impl FnLower<'_> {
         Ok(())
     }
 
-    fn base_addr(&mut self, e: &Expr) -> Result<(), LowerError> {
+    fn base_addr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
         if let ExprKind::Ident(id) = &e.kind {
             if let Some((is_global, base, cells)) = self.resolve(&id.name) {
                 if cells > 1 {
@@ -566,7 +565,7 @@ impl FnLower<'_> {
         self.expr(e)
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(), LowerError> {
+    fn expr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::IntLit(v) => self.instrs.push(Instr::Push(*v)),
             ExprKind::CharLit(c) => self.instrs.push(Instr::Push(*c as i64)),
@@ -715,9 +714,7 @@ impl FnLower<'_> {
                 } else if name == "__init_list" {
                     return Err(LowerError("brace initializer in expression".into()));
                 } else {
-                    let func = *self
-                        .func_ids
-                        .get(name)
+                    let func = newest(self.func_ids, name)
                         .ok_or_else(|| LowerError(format!("unknown function `{name}`")))?;
                     for a in args {
                         self.expr(a)?;
@@ -748,22 +745,77 @@ impl FnLower<'_> {
 
 // ----- the VM ---------------------------------------------------------------
 
+/// Cells in the stack window above the globals.
+const STACK_CELLS: usize = 1 << 16;
+
+/// The machine's memory: the globals, then a [`STACK_CELLS`]-cell stack
+/// window that starts out all [`STACK_CANARY`].
+///
+/// The window is materialized lazily. `cells` ends just past the highest
+/// cell ever written; every cell beyond it has never been written, so it
+/// still holds the canary and reads return that without storing it.
+/// Bounds are checked against the full window, so the traps are those
+/// of an eagerly filled memory.
+struct Memory {
+    cells: Vec<i64>,
+    /// One past the last addressable cell.
+    end: usize,
+}
+
+impl Memory {
+    fn new(globals: &[i64]) -> Memory {
+        Memory {
+            cells: globals.to_vec(),
+            end: globals.len() + STACK_CELLS,
+        }
+    }
+
+    fn index(&self, a: i64) -> Result<usize, Trap> {
+        if a < 0 || a as usize >= self.end {
+            return Err(Trap::BadAddress(a));
+        }
+        Ok(a as usize)
+    }
+
+    fn load(&self, a: i64) -> Result<i64, Trap> {
+        let i = self.index(a)?;
+        Ok(self.cells.get(i).copied().unwrap_or(STACK_CANARY))
+    }
+
+    fn store(&mut self, a: i64, v: i64) -> Result<(), Trap> {
+        let i = self.index(a)?;
+        if i >= self.cells.len() {
+            self.cells.resize(i + 1, STACK_CANARY);
+        }
+        self.cells[i] = v;
+        Ok(())
+    }
+
+    /// Re-canaries the fresh frame `lo..hi`; cells not yet materialized
+    /// already read as the canary.
+    fn fresh_frame(&mut self, lo: usize, hi: usize) {
+        let hi = hi.min(self.cells.len());
+        if lo < hi {
+            self.cells[lo..hi].fill(STACK_CANARY);
+        }
+    }
+}
+
 /// Executes an image with the given fuel.
 ///
 /// # Errors
 ///
 /// Returns a [`Trap`] on bad addresses, division by zero or timeout.
 pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
-    let mut mem = image.globals.clone();
-    let stack_base = mem.len();
-    mem.resize(stack_base + (1 << 16), STACK_CANARY);
+    let mut mem = Memory::new(&image.globals);
+    let stack_base = image.globals.len();
     let mut values: Vec<i64> = Vec::new();
     let mut frames: Vec<(usize, usize)> = Vec::new(); // (return pc, fp)
     let mut output = Vec::new();
 
     let main = &image.funcs[image.main];
     let mut fp = stack_base;
-    // Fill main's frame with canaries (resize above already did).
+    // Main's frame starts out canaries, like the rest of the window.
     let mut sp_mem = stack_base + main.frame;
     let mut pc = main.entry;
     let mut remaining = fuel;
@@ -787,18 +839,12 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
             Instr::AddrGlobal(a) => values.push(*a),
             Instr::LoadInd => {
                 let a = pop!();
-                if a < 0 || a as usize >= mem.len() {
-                    return Err(Trap::BadAddress(a));
-                }
-                values.push(mem[a as usize]);
+                values.push(mem.load(a)?);
             }
             Instr::StoreInd | Instr::StoreIndPush => {
                 let v = pop!();
                 let a = pop!();
-                if a < 0 || a as usize >= mem.len() {
-                    return Err(Trap::BadAddress(a));
-                }
-                mem[a as usize] = v;
+                mem.store(a, v)?;
                 if matches!(instr, Instr::StoreIndPush) {
                     values.push(v);
                 }
@@ -842,17 +888,14 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
                 let f = &image.funcs[*func];
                 let new_fp = sp_mem;
                 let new_sp = new_fp + f.frame;
-                if new_sp > mem.len() {
+                if new_sp > mem.end {
                     return Err(Trap::StackOverflow);
                 }
-                // Canary-fill the fresh frame.
-                for cell in &mut mem[new_fp..new_sp] {
-                    *cell = STACK_CANARY;
-                }
+                mem.fresh_frame(new_fp, new_sp);
                 // Pop arguments into parameter slots (reverse order).
                 for i in (0..*nargs).rev() {
                     let v = pop!();
-                    mem[new_fp + i] = v;
+                    mem.store((new_fp + i) as i64, v)?;
                 }
                 frames.push((pc, fp));
                 fp = new_fp;
@@ -1041,6 +1084,70 @@ mod tests {
     fn uninitialized_local_reads_canary() {
         let src = "int main() { int x; return x; }";
         assert_eq!(run_src(src).exit_code, STACK_CANARY);
+    }
+
+    fn run_result(src: &str) -> Result<VmExecution, Trap> {
+        execute(
+            &lower(&parse(src).expect("parses")).expect("lowers"),
+            1_000_000,
+        )
+    }
+
+    #[test]
+    fn never_written_stack_cells_read_the_canary() {
+        // Pointer arithmetic is unscaled cell arithmetic: `p + 100` is a
+        // stack cell far above main's one-cell frame that nothing wrote.
+        let src = "int main() { int x = 1; int *p = &x; return *(p + 100); }";
+        assert_eq!(run_src(src).exit_code, STACK_CANARY);
+    }
+
+    #[test]
+    fn the_stack_window_ends_at_globals_plus_65536() {
+        // `g` is global cell 0 and the only global, so the stack window
+        // is cells 1..=65536: the last one reads the canary, one past it
+        // traps.
+        let last = "int g; int main() { int *p = &g; return *(p + 65536); }";
+        assert_eq!(run_src(last).exit_code, STACK_CANARY);
+        let past = "int g; int main() { int *p = &g; return *(p + 65537); }";
+        assert_eq!(run_result(past), Err(Trap::BadAddress(65537)));
+        let store = "int g; int main() { int *p = &g; *(p + 65537) = 1; return 0; }";
+        assert_eq!(run_result(store), Err(Trap::BadAddress(65537)));
+        // With no globals the cell below the stack is out of range too.
+        let below = "int main() { int x; int *p = &x; return *(p - 1); }";
+        assert_eq!(run_result(below), Err(Trap::BadAddress(-1)));
+    }
+
+    #[test]
+    fn deep_recursion_re_canaries_every_fresh_frame() {
+        // `dirty` leaves 7 in every frame of a 64-deep chain; `probe`
+        // reuses exactly those cells and must still see the canary in
+        // its uninitialized local at every depth.
+        let src = r#"
+            int dirty(int n) { int x = 7; if (n > 0) return dirty(n - 1); return x; }
+            int probe(int n) { int x; if (n > 0) { int r = probe(n - 1); if (r != 90) return r; } return x; }
+            int main() { dirty(63); return probe(63); }
+        "#;
+        assert_eq!(run_src(src).exit_code, STACK_CANARY);
+        // Cells above the stack top keep what a returned callee left
+        // there: only *fresh frames* are re-canaried.
+        let stale = r#"
+            int dirty(int n) { int x = 7; return x; }
+            int main() { int y = 0; int *p = &y; dirty(0); return *(p + 3); }
+        "#;
+        assert_eq!(run_src(stale).exit_code, 7);
+        let too_deep =
+            "int f(int n) { if (n > 0) return f(n - 1); return 0; } int main() { return f(64); }";
+        assert_eq!(run_result(too_deep), Err(Trap::StackOverflow));
+    }
+
+    #[test]
+    fn a_frame_past_the_window_overflows() {
+        // A 65536-cell frame fills the window exactly; one more cell does
+        // not fit.
+        let fits = "int big() { int a[65536]; return a[65535]; } int main() { return big(); }";
+        assert_eq!(run_src(fits).exit_code, STACK_CANARY);
+        let past = "int big() { int a[65537]; return 0; } int main() { return big(); }";
+        assert_eq!(run_result(past), Err(Trap::StackOverflow));
     }
 
     #[test]
