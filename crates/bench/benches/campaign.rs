@@ -20,9 +20,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
-use spe_harness::{
-    run_campaign_parallel, run_campaign_parallel_with_path, CampaignConfig, OraclePath,
-};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig, Oracle};
+use spe_simcc::backend::SimccBackend;
 use spe_simcc::{Compiler, CompilerId};
 use spe_telemetry::{names, Recorder};
 
@@ -82,10 +81,11 @@ fn bench_campaign(c: &mut Criterion) {
     // in the same run.
     group.bench_function("workers1_roundtrip", |b| {
         b.iter(|| {
-            criterion::black_box(
-                run_campaign_parallel_with_path(&files, &config, 1, OraclePath::RoundTrip)
-                    .variants_tested,
-            )
+            let round_trip = Campaign {
+                oracle: Oracle::Backend(&SimccBackend),
+                ..Campaign::default()
+            };
+            criterion::black_box(round_trip.run(&files, &config).variants_tested)
         })
     });
     group.finish();

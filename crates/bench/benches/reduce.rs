@@ -19,8 +19,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spe_corpus::{generate, seeds, CorpusConfig};
-use spe_harness::reduction::{reduce_findings, ReductionOptions};
-use spe_harness::{run_campaign_parallel, CampaignConfig, CampaignReport, FindingKind};
+use spe_harness::reduction::ReductionOptions;
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig, CampaignReport, FindingKind};
 use spe_simcc::{Compiler, CompilerId};
 
 fn campaign() -> (CampaignReport, ReductionOptions) {
@@ -47,6 +47,16 @@ fn campaign() -> (CampaignReport, ReductionOptions) {
         ..ReductionOptions::default()
     };
     (report, options)
+}
+
+/// The in-memory reduction stage on `workers` threads.
+fn reduce_findings(report: &mut CampaignReport, options: &ReductionOptions, workers: usize) {
+    Campaign {
+        workers,
+        ..Campaign::default()
+    }
+    .reduce(report, options, None)
+    .expect("an in-memory reduction has no journal to fail");
 }
 
 fn bench_reduction(c: &mut Criterion) {

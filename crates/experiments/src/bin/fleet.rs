@@ -13,8 +13,8 @@
 
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::{compact_journal, CampaignStatus, CheckpointOptions};
-use spe_harness::fleet::{merge_journals_detailed, resume_host, run_host, FleetPlan};
-use spe_harness::{run_campaign_parallel, CampaignConfig};
+use spe_harness::fleet::{merge_journals_detailed, FleetPlan};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig};
 use spe_report::{fleet_provenance_table, FleetHostRow};
 use spe_simcc::{Compiler, CompilerId};
 use std::path::PathBuf;
@@ -76,19 +76,22 @@ fn child(args: &[String]) -> ! {
         every: 16,
         stop_after: get("--stop-after").map(|n| n.parse().expect("kill budget")),
     };
+    let campaign = Campaign {
+        workers,
+        ..Campaign::default()
+    };
     let status = if args.iter().any(|a| a == "--resume") {
-        resume_host(journal_path(host), workers, &options)
+        campaign.resume(journal_path(host), &options)
     } else {
-        run_host(
-            &plan(),
-            host,
+        campaign.run_journaled(
             &corpus(),
             &config(),
-            workers,
             journal_path(host),
             &options,
+            Some((plan(), host)),
         )
     }
+    .map(spe_experiments::surface_warnings)
     .unwrap_or_else(|e| {
         eprintln!("fleet demo host {host}: {e}");
         std::process::exit(1);

@@ -10,9 +10,9 @@ use spe_bignum::BigUint;
 use spe_core::{naive_count, spe_count, Granularity, Skeleton};
 use spe_corpus::{generate, seeds, stats, CorpusConfig, TestFile};
 use spe_harness::coverage_run::figure9 as run_figure9;
-use spe_harness::reduction::{reduce_findings, ReductionOptions};
+use spe_harness::reduction::ReductionOptions;
 use spe_harness::triage::{figure10 as run_figure10, table4 as run_table4};
-use spe_harness::{run_campaign, run_campaign_parallel, CampaignConfig, CampaignReport, FindingKind};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig, CampaignReport, FindingKind};
 use spe_report::{
     corrected_counts_table, figure8_bucket_of, figure8_buckets, CorrectedCounts, Histogram, Table,
 };
@@ -266,15 +266,19 @@ pub fn phase<T>(name: &str, f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     (out, std::time::Duration::from_nanos(nanos))
 }
 
-/// Prints a supervised [`spe_harness::orchestrate::Outcome`]'s absorbed
-/// fault warnings (journal degradation, quarantined jobs) to stderr and
-/// unwraps the status — experiments bins must never drop them silently.
-pub fn surface_warnings(
-    outcome: spe_harness::orchestrate::Outcome,
-) -> spe_harness::checkpoint::CampaignStatus {
-    for w in &outcome.warnings {
+/// Prints the warnings a campaign absorbed (journal degradation,
+/// panicking reducers) to stderr — experiments bins must never drop
+/// them silently.
+pub fn print_warnings(warnings: &[String]) {
+    for w in warnings {
         eprintln!("spe-experiments: warning: {w}");
     }
+}
+
+/// Prints a supervised [`spe_harness::Outcome`]'s warnings and unwraps
+/// the status.
+pub fn surface_warnings(outcome: spe_harness::Outcome) -> spe_harness::CampaignStatus {
+    print_warnings(&outcome.warnings);
     outcome.status
 }
 
@@ -295,7 +299,7 @@ fn campaign_scaling_table(
         seed: corpus_seed,
     }));
     let serial_start = std::time::Instant::now();
-    let serial = run_campaign(&files, config);
+    let serial = Campaign::default().run(&files, config);
     let serial_time = serial_start.elapsed();
     let mut t = Table::new(
         title,
@@ -386,10 +390,7 @@ pub fn canonical_native_speedup(scale: Scale, worker_counts: &[usize]) -> Table 
 /// uninterrupted run. The two phases render as one table via the
 /// partial-report merge [`Table::extend`].
 pub fn resume_demo(scale: Scale, workers: usize) -> Table {
-    use spe_harness::checkpoint::{
-        compact_journal, reduce_findings_checkpointed, CampaignStatus, CheckpointOptions,
-    };
-    use spe_harness::orchestrate::{self, FaultPolicy};
+    use spe_harness::checkpoint::{compact_journal, CampaignStatus, CheckpointOptions};
     let mut files = seeds::all();
     files.extend(generate(&CorpusConfig {
         files: scale.corpus_files / 8,
@@ -407,6 +408,10 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
         ..Default::default()
     };
     let reference = run_campaign_parallel(&files, &config, workers);
+    let campaign = Campaign {
+        workers,
+        ..Campaign::default()
+    };
     let path = std::env::temp_dir().join(format!(
         "spe-resume-demo-{}-{workers}.journal",
         std::process::id()
@@ -426,19 +431,19 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
         &headers,
     );
     let (first, first_time) = phase("run_until_kill", || {
-        orchestrate::campaign_checkpointed(
-            &files,
-            &config,
-            workers,
-            &path,
-            &CheckpointOptions {
-                every: 64,
-                stop_after: Some(stop_after),
-            },
-            &FaultPolicy::default(),
-        )
-        .map(surface_warnings)
-        .expect("journal is writable")
+        campaign
+            .run_journaled(
+                &files,
+                &config,
+                &path,
+                &CheckpointOptions {
+                    every: 64,
+                    stop_after: Some(stop_after),
+                },
+                None,
+            )
+            .map(surface_warnings)
+            .expect("journal is writable")
     });
     assert!(
         matches!(first, CampaignStatus::Interrupted),
@@ -473,16 +478,12 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
     ]);
     t.extend(&compacted);
     let (resumed, resume_time) = phase("resume", || {
-        orchestrate::resume(
-            &path,
-            workers,
-            &CheckpointOptions::default(),
-            &FaultPolicy::default(),
-        )
-        .map(surface_warnings)
-        .expect("journal resumes")
-        .into_report()
-        .expect("uninterrupted resume completes")
+        campaign
+            .resume(&path, &CheckpointOptions::default())
+            .map(surface_warnings)
+            .expect("journal resumes")
+            .into_report()
+            .expect("uninterrupted resume completes")
     });
     assert_eq!(resumed, reference, "resumed report diverged");
     // The resumed phase as a *partial report*, merged into one table.
@@ -500,16 +501,17 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
     reduce_campaign(&mut in_memory, &config);
     let mut journaled = resumed;
     let ((), reduce_time) = phase("reduce", || {
-        reduce_findings_checkpointed(
-            &mut journaled,
-            &ReductionOptions {
-                fuel: config.fuel,
-                ..ReductionOptions::default()
-            },
-            workers,
-            &path,
-        )
-        .expect("checkpointed reduction");
+        let warnings = campaign
+            .reduce(
+                &mut journaled,
+                &ReductionOptions {
+                    fuel: config.fuel,
+                    ..ReductionOptions::default()
+                },
+                Some(&path),
+            )
+            .expect("checkpointed reduction");
+        print_warnings(&warnings);
     });
     assert_eq!(journaled, in_memory, "checkpointed reduction diverged");
     let mut reduction = Table::new("", &headers);
@@ -528,14 +530,20 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
 /// Runs the post-campaign reduce/dedup stage over a report with the
 /// campaign's own fuel, fanning reduction jobs across the worker pool.
 pub fn reduce_campaign(report: &mut CampaignReport, config: &CampaignConfig) {
-    reduce_findings(
+    let warnings = Campaign {
+        workers: campaign_workers(),
+        ..Campaign::default()
+    }
+    .reduce(
         report,
         &ReductionOptions {
             fuel: config.fuel,
             ..ReductionOptions::default()
         },
-        campaign_workers(),
-    );
+        None,
+    )
+    .expect("an in-memory reduction has no journal to fail");
+    print_warnings(&warnings);
 }
 
 /// The reduce/dedup stage's corrected counts (Table-3-style root-cause

@@ -1,39 +1,31 @@
-//! Checkpointable, resumable campaigns over an `spe-persist` journal.
+//! The checkpoint journal: what makes campaigns resumable with
+//! byte-identical final reports (`DESIGN.md` §9).
 //!
-//! [`crate::run_campaign_parallel`] is a one-shot in-memory run: a crash
-//! or preemption loses everything, which is untenable for the paper's
-//! multi-day enumeration budgets (Table 2). This module makes every
-//! campaign **checkpointable and resumable with byte-identical final
-//! reports** (`DESIGN.md` §9):
+//! [`crate::Campaign::run_journaled`] runs the work-stealing campaign
+//! while each worker periodically appends its (file, shard) progress —
+//! the emission-index high-water mark plus the candidate [`Finding`]s
+//! and counters accrued since the last checkpoint — as a checksummed,
+//! fsync'd record frame in an [`spe_persist::Journal`]. The journal's
+//! manifest pins the corpus, the configuration, the decomposition and
+//! the oracle's backend identity, so [`crate::Campaign::resume`] needs
+//! only the path: it rebuilds the per-job state by **streaming** the
+//! valid prefix through [`spe_persist::JournalIter`] (a torn tail frame
+//! from the crash is detected and dropped; memory is bounded by the live
+//! per-job state, not the journal size), re-deals only unfinished jobs,
+//! and **re-seeds each shard at its recorded high-water mark** through
+//! [`spe_core::ShardedEnumerator::enumerate_shard_resumed_prepared`] —
+//! the exact-unranking `skip_to` machinery, so no variant before the
+//! mark is ever re-enumerated. [`crate::Campaign::reduce`] extends the
+//! same journal through the post-campaign reduction stage, one witness
+//! per finding, so a resumed pipeline re-reduces only what was lost.
 //!
-//! * [`run_campaign_checkpointed`] runs the familiar work-stealing
-//!   campaign, but each worker periodically appends its (file, shard)
-//!   progress — the emission-index high-water mark plus the candidate
-//!   [`Finding`]s and counters accrued since the last checkpoint — as a
-//!   checksummed, fsync'd record frame in an [`spe_persist::Journal`];
-//! * [`resume_campaign`] rebuilds the per-job state by **streaming** the
-//!   journal's valid prefix through [`spe_persist::JournalIter`] (a torn
-//!   tail frame from the crash is detected and dropped; memory is
-//!   bounded by the live per-job state, not the journal size), re-deals
-//!   only unfinished jobs into the work-stealing queue, and **re-seeds
-//!   each shard at its recorded high-water mark** through
-//!   [`spe_core::ShardedEnumerator::enumerate_shard_resumed_prepared`] —
-//!   the exact-unranking `skip_to` machinery, so no variant before the
-//!   mark is ever re-enumerated;
-//! * [`compact_journal`] folds a long journal's superseded `Progress`
-//!   frames into one frame per job via a crash-safe write-new → fsync →
-//!   atomic-rename rewrite ([`spe_persist::journal::promote`];
-//!   `DESIGN.md` §11) — resuming from the compacted journal is
-//!   byte-identical to resuming from the original;
-//! * [`reduce_findings_checkpointed`] extends the same journal through
-//!   the post-campaign reduction stage, recording one witness per
-//!   finding so a resumed pipeline re-reduces only what was lost.
-//!
-//! The worker pool itself — with its panic isolation, checkpoint
-//! cadence, and journal-fault degradation — lives in
-//! [`crate::orchestrate`]; every entry point here is a thin wrapper that
-//! builds or replays journal state and hands it to the one supervised
-//! loop.
+//! This module holds the record schema, the replay that folds a
+//! journal into live state, [`compact_journal`] — which folds a long
+//! journal's superseded `Progress` frames into one frame per job via a
+//! crash-safe write-new → fsync → atomic-rename rewrite
+//! ([`spe_persist::journal::promote`]; `DESIGN.md` §11) — and the
+//! [`run_campaign_checkpointed`], [`resume_campaign`] and
+//! [`reduce_findings_checkpointed`] shorthands.
 //!
 //! **Resume determinism.** Enumeration order is globally fixed
 //! (file-major, emission-index order), every per-variant computation is
@@ -41,19 +33,14 @@
 //! commits a high-water mark *together with* exactly the candidates of
 //! the variants it covers — one atomic frame. Replayed prefix +
 //! recomputed suffix therefore reproduces precisely the uninterrupted
-//! per-job outputs, and [`crate::run_campaign`]'s deterministic
-//! (file, shard)-ordered merge does the rest: the final report is
-//! byte-identical to a never-interrupted run, at any worker count, no
-//! matter where (or how often) the campaign was killed. `DESIGN.md` §9
-//! spells the argument out.
+//! per-job outputs, and the deterministic (file, shard)-ordered merge
+//! does the rest: the final report is byte-identical to a
+//! never-interrupted run, at any worker count, no matter where (or how
+//! often) the campaign was killed. `DESIGN.md` §9 spells the argument
+//! out.
 
-use crate::orchestrate::{self, FaultPolicy, Outcome, Spec};
-use crate::reduction::{attach_and_dedup, reduce_one_isolated, ReducedWitness, ReductionOptions};
-use crate::steal::WorkQueue;
-use crate::{
-    merge_outputs, CampaignConfig, CampaignReport, Finding, FindingKind, Oracle, OraclePath,
-    ShardOutput,
-};
+use crate::reduction::{ReducedWitness, ReductionOptions, Slot};
+use crate::{Campaign, CampaignConfig, CampaignReport, Finding, FindingKind, ShardOutput};
 use spe_core::Algorithm;
 use spe_corpus::TestFile;
 use spe_persist::{DecodeError, Decoder, Encoder, Journal, JournalError, JournalIter};
@@ -62,8 +49,7 @@ use spe_simcc::{bugs, Compiler, CompilerId};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Errors of checkpointed runs and resumes.
 #[derive(Debug)]
@@ -110,7 +96,7 @@ pub struct CheckpointOptions {
     /// records. Smaller = less recomputation after a crash, more fsync
     /// traffic; `DESIGN.md` §9 discusses the cadence trade-off. (A
     /// wall-clock cadence bound rides alongside this count in
-    /// [`FaultPolicy::checkpoint_interval`].)
+    /// [`crate::FaultPolicy::checkpoint_interval`].)
     pub every: u64,
     /// Simulated preemption for tests and demos: once this many variants
     /// have been processed across all workers *in this run*, workers
@@ -129,15 +115,15 @@ impl Default for CheckpointOptions {
     }
 }
 
-/// Outcome of a checkpointed run: either a finished report or an
-/// interruption whose state lives in the journal.
+/// How a journaled run ended: a finished report or an interruption
+/// whose state lives in the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignStatus {
     /// The campaign ran to completion; the report is byte-identical to
-    /// the equivalent uninterrupted [`crate::run_campaign_parallel`].
+    /// the equivalent uninterrupted in-memory [`crate::Campaign::run`].
     Complete(CampaignReport),
     /// [`CheckpointOptions::stop_after`] fired mid-campaign. Resume from
-    /// the journal with [`resume_campaign`].
+    /// the journal with [`crate::Campaign::resume`].
     Interrupted,
 }
 
@@ -218,6 +204,17 @@ fn encode_finding(enc: &mut Encoder, f: &Finding) {
     enc.str(&f.file).str(&f.reproducer);
 }
 
+/// Decodes an optimization level, refusing one [`Compiler::new`] would
+/// reject: a journal's bytes are untrusted.
+fn decode_opt(dec: &mut Decoder) -> Result<u8, CheckpointError> {
+    match dec.u8()? {
+        opt @ 0..=3 => Ok(opt),
+        opt => Err(CheckpointError::Foreign(format!(
+            "optimization level -O{opt} (levels are 0..=3)"
+        ))),
+    }
+}
+
 fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
     let kind = match dec.u8()? {
         0 => FindingKind::Crash,
@@ -229,26 +226,23 @@ fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
     };
     let family = dec.str()?;
     let compiler = intern_family(&family, dec.u32()?)?;
-    let opt = dec.u8()?;
+    let opt = decode_opt(dec)?;
     let signature = dec.str()?;
     let bug_id = match dec.opt_str()? {
         Some(id) => Some(intern_bug_id(&id)?),
         None => None,
     };
-    Ok(Finding {
+    // Candidates are checkpointed pre-merge: dedup links and reduced
+    // witnesses are recomputed deterministically downstream.
+    Ok(Finding::new(
         kind,
         compiler,
         opt,
         signature,
         bug_id,
-        file: dec.str()?,
-        reproducer: dec.str()?,
-        // Candidates are checkpointed pre-merge: dedup links and reduced
-        // witnesses are recomputed deterministically downstream.
-        duplicate_of: None,
-        reduced: None,
-        fingerprint_duplicate_of: None,
-    })
+        dec.str()?,
+        dec.str()?,
+    ))
 }
 
 /// One `Progress` frame: the job's new high-water mark plus exactly the
@@ -299,7 +293,11 @@ fn encode_reduction_options(options: &ReductionOptions) -> Vec<u8> {
 
 /// One `Reduced` frame: the finding's index and signature plus its
 /// witness (`None` when the finding proved irreducible).
-fn encode_reduced(finding: usize, signature: &str, witness: &Option<ReducedWitness>) -> Vec<u8> {
+pub(crate) fn encode_reduced(
+    finding: usize,
+    signature: &str,
+    witness: &Option<ReducedWitness>,
+) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.u8(REC_REDUCED).u32(finding as u32).str(signature);
     match witness {
@@ -408,7 +406,7 @@ impl Manifest {
         for _ in 0..dec.usize()? {
             let family = dec.str()?;
             let id = intern_family(&family, dec.u32()?)?;
-            compilers.push(Compiler::new(id, dec.u8()?));
+            compilers.push(Compiler::new(id, decode_opt(&mut dec)?));
         }
         let budget = dec.usize()?;
         let algorithm = *ALGORITHMS
@@ -465,14 +463,18 @@ impl Manifest {
 
     /// Fails with a clear [`CheckpointError::Foreign`] when the journal
     /// was written under a different backend id or configuration hash
-    /// than `oracle` — the "refuse, don't silently diverge" gate of
+    /// than `backend` — the "refuse, don't silently diverge" gate of
     /// every resume path (campaign and reduction).
-    fn check_backend(&self, oracle: &Oracle<'_>) -> Result<(), CheckpointError> {
-        let (id, hash) = (oracle.backend_id(), oracle.config_hash());
+    pub(crate) fn check_backend(
+        &self,
+        backend: &dyn CompilerBackend,
+    ) -> Result<(), CheckpointError> {
+        let (id, hash) = (backend.id(), backend.config_hash());
         if self.backend_id != id {
             return Err(CheckpointError::Foreign(format!(
                 "journal was recorded under backend {:?}, resume was handed {:?}; \
-                 resume with the matching backend (resume_campaign_with_backend)",
+                 resume with a Campaign whose oracle is the matching backend \
+                 (Oracle::Backend)",
                 self.backend_id, id
             )));
         }
@@ -521,6 +523,8 @@ pub(crate) struct Replay {
     pub(crate) manifest: Manifest,
     pub(crate) jobs: Vec<JobState>,
     pub(crate) campaign_done: bool,
+    /// Record frames folded so far.
+    pub(crate) frames: u64,
     /// Per-finding reduction results recorded so far, keyed by finding
     /// index and carrying the finding's signature (verified on replay so
     /// a witness can never attach to a different campaign's finding);
@@ -539,13 +543,27 @@ impl Replay {
             manifest,
             jobs: (0..job_count).map(|_| JobState::default()).collect(),
             campaign_done: false,
+            frames: 0,
             reduced: HashMap::new(),
             reduction_options: None,
         })
     }
 
+    /// Opens the journal at `path` under its writer lock and streams its
+    /// valid prefix into live state (a torn tail is left for the
+    /// returned iterator's appender to truncate).
+    pub(crate) fn open(path: &Path) -> Result<(Replay, JournalIter), CheckpointError> {
+        let mut iter = JournalIter::open_locked(path)?;
+        let mut replay = Replay::new(iter.header())?;
+        for rec in &mut iter {
+            replay.apply(&rec?)?;
+        }
+        Ok((replay, iter))
+    }
+
     /// Folds one record frame into the live state.
     pub(crate) fn apply(&mut self, rec: &[u8]) -> Result<(), CheckpointError> {
+        self.frames += 1;
         let job_count = self.jobs.len();
         let mut dec = Decoder::new(rec);
         match dec.u8()? {
@@ -608,41 +626,21 @@ impl Replay {
         }
         Ok(())
     }
-
-    /// Streams every record of `iter` into the live state.
-    fn drain(&mut self, iter: &mut JournalIter) -> Result<(), CheckpointError> {
-        for rec in iter {
-            self.apply(&rec?)?;
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
-// Checkpointed campaign entry points (thin wrappers over orchestrate).
+// Shorthands over `Campaign` (default oracle and fault policy).
 // ---------------------------------------------------------------------
 
-/// Runs a campaign writing per-(file, shard) checkpoints into a fresh
-/// journal at `path` (any existing file is replaced).
-///
-/// The work decomposition is `files × workers` jobs, exactly as
-/// [`crate::run_campaign_parallel`]; the completed report is
-/// byte-identical to it (and to the serial [`crate::run_campaign`]) for
-/// every worker count. The journal's manifest records the corpus,
-/// configuration and decomposition, so [`resume_campaign`] needs only
-/// the path.
-///
-/// Runs under [`FaultPolicy::default`]; degradation warnings (a journal
-/// that stopped accepting appends mid-run) are printed to stderr — use
-/// [`crate::orchestrate::campaign_checkpointed`] to inspect them
-/// programmatically.
+/// Runs a campaign on `workers` threads, checkpointing into a fresh
+/// journal at `path` — shorthand for [`Campaign::run_journaled`] with
+/// the incremental oracle, the default fault policy and no fleet slot.
+/// Warnings of absorbed journal faults are dropped; use
+/// [`Campaign::run_journaled`] to see them.
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Journal`] when the journal cannot be
-/// **created**. Later append failures no longer abort the campaign:
-/// they are retried and then degrade the run to checkpoint-less
-/// completion (see [`FaultPolicy`]).
+/// As [`Campaign::run_journaled`].
 pub fn run_campaign_checkpointed(
     files: &[TestFile],
     config: &CampaignConfig,
@@ -650,273 +648,34 @@ pub fn run_campaign_checkpointed(
     path: impl AsRef<Path>,
     options: &CheckpointOptions,
 ) -> Result<CampaignStatus, CheckpointError> {
-    run_campaign_checkpointed_with_path(
-        files,
-        config,
+    Campaign {
         workers,
-        path,
-        options,
-        OraclePath::default(),
-    )
+        ..Campaign::default()
+    }
+    .run_journaled(files, config, path, options, None)
+    .map(|outcome| outcome.status)
 }
 
-/// [`run_campaign_checkpointed`] on an explicit [`crate::OraclePath`].
-/// Both paths record the same backend identity in the journal manifest,
-/// so a journal written on one path resumes on the other (and the final
-/// report stays byte-identical either way).
+/// Resumes the campaign whose journal lives at `path` on `workers`
+/// threads — shorthand for [`Campaign::resume`] with the incremental
+/// oracle and the default fault policy. Warnings of absorbed journal
+/// faults are dropped; use [`Campaign::resume`] to see them.
 ///
 /// # Errors
 ///
-/// As [`run_campaign_checkpointed`].
-pub fn run_campaign_checkpointed_with_path(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`run_campaign_checkpointed`] with the oracle dispatched through
-/// `backend` instead of the in-process simulator. The manifest records
-/// the backend's id and configuration hash, and every resume of the
-/// journal must present a matching backend
-/// ([`resume_campaign_with_backend`]) or is refused.
-///
-/// A job whose backend reports a machinery failure
-/// ([`spe_simcc::backend::BackendError`], as opposed to a compiler
-/// verdict) is **quarantined**: a [`FindingKind::BackendDegraded`]
-/// finding carrying the failing variant is committed, the job is marked
-/// done, and the campaign continues — a flaky backend degrades coverage
-/// visibly instead of hanging or poisoning the run. A job that
-/// **panics** is quarantined the same way as a
-/// [`FindingKind::JobPanicked`] finding (`DESIGN.md` §11).
-///
-/// # Errors
-///
-/// As [`run_campaign_checkpointed`].
-pub fn run_campaign_checkpointed_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Resumes the campaign whose journal lives at `path`.
-///
-/// The journal's valid prefix is replayed **streamingly** (a torn tail
-/// frame from the crash is truncated, and memory stays bounded by the
-/// live per-job state), finished jobs keep their recorded outputs,
-/// and unfinished jobs are re-dealt into the work-stealing queue with
-/// their shards re-seeded at the committed emission-index high-water
-/// marks via exact unranking — work before a mark is never re-enumerated,
-/// work after it is recomputed (identically, by determinism of the
-/// enumeration). `workers` only sizes the thread pool; the job
-/// decomposition is fixed by the manifest, and the completed report is
-/// byte-identical to an uninterrupted run regardless of either. A resumed
-/// run may itself be interrupted ([`CheckpointOptions::stop_after`]) and
-/// resumed again, any number of times.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Journal`] when the file is not a
-/// resumable journal (or another writer holds it),
-/// [`CheckpointError::Decode`] / [`CheckpointError::Foreign`] when its
-/// records do not decode against this build's schema and registries —
-/// including a journal recorded under a **different oracle backend**
-/// than the in-process simulator (use [`resume_campaign_with_backend`]
-/// for those).
+/// As [`Campaign::resume`]; a journal recorded under another backend
+/// than the in-process simulator is refused.
 pub fn resume_campaign(
     path: impl AsRef<Path>,
     workers: usize,
     options: &CheckpointOptions,
 ) -> Result<CampaignStatus, CheckpointError> {
-    resume_campaign_with_path(path, workers, options, OraclePath::default())
-}
-
-/// [`resume_campaign`] on an explicit [`crate::OraclePath`]. A resume
-/// may use a different path than the run that wrote the journal — the
-/// two strategies share one backend identity and produce identical
-/// observations, so the replayed prefix and recomputed suffix always
-/// agree (the identity suite alternates paths across kill points to pin
-/// this).
-///
-/// # Errors
-///
-/// As [`resume_campaign`].
-pub fn resume_campaign_with_path(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    resume_supervised(
-        path.as_ref(),
+    Campaign {
         workers,
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`resume_campaign`] for journals written by
-/// [`run_campaign_checkpointed_with_backend`]: `backend` must match the
-/// manifest's recorded backend id *and* configuration hash, otherwise
-/// the resume is refused with [`CheckpointError::Foreign`] — replayed
-/// frames mixed with a different oracle's recomputed suffix would match
-/// no uninterrupted run.
-///
-/// # Errors
-///
-/// As [`resume_campaign`], plus the backend-mismatch refusal above.
-pub fn resume_campaign_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Prints absorbed-fault warnings to stderr and unwraps the status —
-/// the compatibility shim between the supervised [`Outcome`] and the
-/// historical `CampaignStatus`-returning API.
-fn warn_and_unwrap(outcome: Outcome) -> CampaignStatus {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
+        ..Campaign::default()
     }
-    outcome.status
-}
-
-/// Builds the manifest and fresh journal for a checkpointed run, then
-/// hands everything to the supervised orchestrator.
-pub(crate) fn run_checkpointed_supervised(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: &Path,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let workers = workers.max(1);
-    let manifest = Manifest {
-        config: config.clone(),
-        shards_per_file: workers,
-        files: files.to_vec(),
-        backend_id: oracle.backend_id(),
-        backend_hash: oracle.config_hash(),
-        fleet: None,
-    };
-    let journal = Journal::create(path, &manifest.encode())?;
-    let jobs = (0..files.len() * workers).map(|_| JobState::default()).collect();
-    Ok(orchestrate::run(Spec {
-        files,
-        config,
-        shards_per_file: workers,
-        jobs,
-        workers,
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    }))
-}
-
-/// Streams the journal into live state (lock → replay → truncate torn
-/// tail → append position, one pass over the file), then hands the
-/// unfinished jobs to the supervised orchestrator.
-pub(crate) fn resume_supervised(
-    path: &Path,
-    workers: usize,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let telemetry = spe_telemetry::global();
-    let replay_timer = spe_telemetry::Timer::start(&*telemetry);
-    let mut iter = JournalIter::open_locked(path)?;
-    let mut replay = Replay::new(iter.header())?;
-    replay.drain(&mut iter)?;
-    if telemetry.enabled() {
-        telemetry.span(
-            spe_telemetry::names::ORCH_REPLAY,
-            &format!("jobs={}", replay.jobs.len()),
-            replay_timer.stop_nanos(),
-        );
-    }
-    replay.manifest.check_backend(&oracle)?;
-    let Replay {
-        manifest,
-        mut jobs,
-        campaign_done,
-        ..
-    } = replay;
-    if let Some(stamp) = manifest.fleet {
-        // A host journal records frames only for its own slice; jobs
-        // outside it are re-marked done (empty partials) so the pool
-        // never deals them — the same pre-marking `fleet::run_host`
-        // applied on the first run. Replayed state on a foreign job
-        // means the journal and its stamp disagree: refuse it.
-        crate::fleet::mark_foreign_jobs_done(&mut jobs, stamp)?;
-    }
-    if campaign_done {
-        // Nothing to recompute: fold the recorded outputs directly.
-        drop(iter);
-        let outputs = jobs.into_iter().map(|j| j.partial).collect();
-        return Ok(Outcome {
-            status: CampaignStatus::Complete(merge_outputs(outputs)),
-            warnings: Vec::new(),
-        });
-    }
-    // The scan's writer lock carries straight into the appender: no
-    // other resume can slip a frame in between replay and append.
-    let journal = iter.into_appender()?;
-    Ok(orchestrate::run(Spec {
-        files: &manifest.files,
-        config: &manifest.config,
-        shards_per_file: manifest.shards_per_file,
-        jobs,
-        workers: workers.max(1),
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    }))
+    .resume(path, options)
+    .map(|outcome| outcome.status)
 }
 
 // ---------------------------------------------------------------------
@@ -994,14 +753,7 @@ fn compact_inner(path: &Path, promote: bool) -> Result<CompactStats, CheckpointE
 }
 
 fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, CheckpointError> {
-    let mut iter = JournalIter::open_locked(path)?;
-    let header = iter.header().to_vec();
-    let mut replay = Replay::new(&header)?;
-    let mut frames_before = 0u64;
-    for rec in &mut iter {
-        replay.apply(&rec?)?;
-        frames_before += 1;
-    }
+    let (replay, iter) = Replay::open(path)?;
     let bytes_before = iter.valid_len();
     let tmp = match path.file_name() {
         Some(name) => {
@@ -1018,7 +770,7 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
     // The header bytes are copied verbatim — compaction must never
     // re-encode the manifest, or a build with a drifted encoder could
     // silently rewrite what the campaign pinned.
-    let mut out = Journal::create(&tmp, &header)?;
+    let mut out = Journal::create(&tmp, iter.header())?;
     let mut frames_after = 0u64;
     for (i, job) in replay.jobs.iter().enumerate() {
         if !job.is_empty() {
@@ -1064,7 +816,7 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
     // only now, after the rename (or abandonment) is complete.
     drop(iter);
     Ok(CompactStats {
-        frames_before,
+        frames_before: replay.frames,
         frames_after,
         bytes_before,
         bytes_after,
@@ -1075,70 +827,41 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
 // Checkpointed reduction stage.
 // ---------------------------------------------------------------------
 
-/// [`crate::reduction::reduce_findings`] with per-finding checkpoints
-/// appended to the campaign's journal at `path`.
-///
-/// Witnesses recorded by an earlier (killed) reduction pass are replayed
-/// instead of recomputed; only missing findings fan out over the worker
-/// pool, each committing a `Reduced` frame as it lands. Since every
-/// witness is a pure function of its finding, the attached report —
-/// including the fingerprint/trigger dedup links — is byte-identical to
-/// an uninterrupted [`crate::reduction::reduce_findings`] at any worker
-/// count and any kill/resume history. A reducer that panics on one
-/// finding records it as irreducible with a stderr warning instead of
-/// killing the fan-out (`DESIGN.md` §11).
+/// Reduces `report`'s findings on `workers` threads, checkpointing every
+/// witness into the campaign's journal at `path` — shorthand for
+/// [`Campaign::reduce`] with the incremental oracle. Warnings of
+/// panicking reducers are dropped; use [`Campaign::reduce`] to see them.
 ///
 /// # Errors
 ///
-/// Returns the same error classes as [`resume_campaign`]; the report is
-/// left unmodified on error.
+/// As [`Campaign::reduce`].
 pub fn reduce_findings_checkpointed(
     report: &mut CampaignReport,
     options: &ReductionOptions,
     workers: usize,
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
-    reduce_findings_checkpointed_oracle(report, options, workers, path.as_ref(), Oracle::Direct)
-}
-
-/// [`reduce_findings_checkpointed`] against a pluggable backend: the
-/// journal's manifest must have been recorded under the same backend id
-/// and configuration hash as `backend`, mirroring
-/// [`resume_campaign_with_backend`]'s refusal — reduction replays the
-/// oracle per candidate shrink, so a different backend would attach
-/// witnesses no uninterrupted run could produce.
-///
-/// # Errors
-///
-/// As [`reduce_findings_checkpointed`], plus the backend-mismatch
-/// refusal above.
-pub fn reduce_findings_checkpointed_with_backend(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-) -> Result<(), CheckpointError> {
-    reduce_findings_checkpointed_oracle(
-        report,
-        options,
+    Campaign {
         workers,
-        path.as_ref(),
-        Oracle::Backend(backend),
-    )
+        ..Campaign::default()
+    }
+    .reduce(report, options, Some(path.as_ref()))
+    .map(drop)
 }
 
-fn reduce_findings_checkpointed_oracle(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
+/// Replays the reduction records of the journal at `path` into one slot
+/// per finding of `report`, after checking that the journal was recorded
+/// under `backend` and `options` and that every record belongs to this
+/// report. When findings remain to be reduced, also returns the
+/// journal's appender with `options` pinned in it.
+pub(crate) fn replay_reduction(
     path: &Path,
-    oracle: Oracle<'_>,
-) -> Result<(), CheckpointError> {
-    let mut iter = JournalIter::open_locked(path)?;
-    let mut replayed = Replay::new(iter.header())?;
-    replayed.drain(&mut iter)?;
-    replayed.manifest.check_backend(&oracle)?;
+    report: &CampaignReport,
+    options: &ReductionOptions,
+    backend: &dyn CompilerBackend,
+) -> Result<(Vec<Slot>, Option<Journal>), CheckpointError> {
+    let (replayed, iter) = Replay::open(path)?;
+    replayed.manifest.check_backend(backend)?;
     // Replayed witnesses were computed under the recorded options; a
     // resumed pass under different options would attach a mixture that
     // matches *no* uninterrupted run — reject it, mirroring how the
@@ -1150,89 +873,31 @@ fn reduce_findings_checkpointed_oracle(
             )));
         }
     }
-    let jobs = report.findings.len();
+    let findings = report.findings.len();
     // Replayed witnesses must belong to *this* report's findings: every
     // record's index and recorded signature are checked, so a journal
     // from a different campaign (or a differently filtered report) is
     // rejected instead of silently mis-attaching witnesses.
-    let mut slots: Vec<Option<Option<ReducedWitness>>> = vec![None; jobs];
-    for (&idx, (signature, witness)) in &replayed.reduced {
+    let mut slots: Vec<Slot> = vec![None; findings];
+    for (idx, (signature, witness)) in replayed.reduced {
         let finding = report.findings.get(idx as usize).ok_or_else(|| {
-            CheckpointError::Foreign(format!("reduced finding {idx} out of {jobs}"))
+            CheckpointError::Foreign(format!("reduced finding {idx} out of {findings}"))
         })?;
-        if finding.signature != *signature {
+        if finding.signature != signature {
             return Err(CheckpointError::Foreign(format!(
                 "reduced record {idx} signed {signature:?}, report has {:?}",
                 finding.signature
             )));
         }
-        slots[idx as usize] = Some(witness.clone());
+        slots[idx as usize] = Some(witness);
     }
-    let missing: Vec<usize> = (0..jobs).filter(|&i| slots[i].is_none()).collect();
-    if !missing.is_empty() {
-        // The scan's lock carries into the appender, as on resume.
-        let mut journal = iter.into_appender()?;
-        if replayed.reduction_options.is_none() {
-            journal.append(&encode_reduction_options(options))?;
-        }
-        let journal = Mutex::new(journal);
-        let failure: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        let fresh: Mutex<Vec<(usize, Option<ReducedWitness>)>> = Mutex::new(Vec::new());
-        let workers = workers.clamp(1, missing.len());
-        let queue = WorkQueue::new(missing, workers);
-        let findings = &report.findings;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let journal = &journal;
-                let failure = &failure;
-                let stop = &stop;
-                let fresh = &fresh;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(w) {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let witness = reduce_one_isolated(&findings[i], options, oracle);
-                        let frame = encode_reduced(i, &findings[i].signature, &witness);
-                        if let Err(e) = journal.lock().expect("poisoned").append(&frame) {
-                            let mut slot = failure.lock().expect("poisoned");
-                            if slot.is_none() {
-                                *slot = Some(e.into());
-                            }
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        fresh.lock().expect("poisoned").push((i, witness));
-                    }
-                });
-            }
-        });
-        if let Some(e) = failure.into_inner().expect("poisoned") {
-            return Err(e);
-        }
-        for (i, witness) in fresh.into_inner().expect("poisoned") {
-            slots[i] = Some(witness);
-        }
+    if slots.iter().all(Option::is_some) {
+        return Ok((slots, None));
     }
-    let witnesses = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.unwrap_or_else(|| {
-                // Unreachable by construction (every missing slot was
-                // either filled or the pool returned Err) — but one
-                // unaccounted finding must degrade to "unreduced", not
-                // kill the pipeline.
-                eprintln!(
-                    "spe-harness: warning: finding {i} was neither replayed nor reduced; \
-                     leaving it without a witness"
-                );
-                None
-            })
-        })
-        .collect();
-    attach_and_dedup(report, witnesses);
-    Ok(())
+    // The scan's lock carries into the appender, as on resume.
+    let mut journal = iter.into_appender()?;
+    if replayed.reduction_options.is_none() {
+        journal.append(&encode_reduction_options(options))?;
+    }
+    Ok((slots, Some(journal)))
 }

@@ -11,13 +11,15 @@
 //! independently enumerable, so **no host touches any variant outside
 //! its slice**.
 //!
-//! * [`run_host`] runs one host's slice through the supervised
-//!   orchestrator ([`crate::orchestrate`]) into a host-scoped journal
-//!   whose manifest pins `(fleet_id, n_hosts, host_id)` next to the
-//!   backend identity — every supervision layer (panic quarantine,
+//! * [`crate::Campaign::run_journaled`] with a fleet slot
+//!   `Some((plan, host_id))` runs one host's slice through the
+//!   supervised orchestrator ([`crate::orchestrate`]) into a host-scoped
+//!   journal whose manifest pins `(fleet_id, n_hosts, host_id)` next to
+//!   the backend identity — every supervision layer (panic quarantine,
 //!   checkpoint cadence, journal-fault degradation) applies per host
-//!   unchanged. A killed host resumes with [`resume_host`], on any
-//!   worker count, any number of times.
+//!   unchanged. A killed host resumes with [`crate::Campaign::resume`]
+//!   (host journals **are** campaign journals), on any worker count,
+//!   any number of times.
 //! * [`merge_journals`] streams every host journal
 //!   ([`spe_persist::JournalSet`]), validates that the manifests
 //!   describe one fleet (refusing mixed fleets, duplicate host ids, and
@@ -40,15 +42,10 @@
 //! `merge(fleet(N)) ≡ serial` for N ∈ {1, 2, 3, 8} across worker
 //! counts, host-death/resume cycles, and randomized corpora.
 
-use crate::checkpoint::{
-    CampaignStatus, CheckpointError, CheckpointOptions, FleetStamp, JobState, Manifest, Replay,
-};
-use crate::orchestrate::{self, FaultPolicy, Outcome, Spec};
-use crate::{merge_outputs, CampaignConfig, CampaignReport, Oracle, OraclePath};
+use crate::checkpoint::{CheckpointError, FleetStamp, JobState, Manifest, Replay};
+use crate::{merge_outputs, CampaignReport};
 use spe_combinatorics::even_ranges;
-use spe_corpus::TestFile;
-use spe_persist::{Journal, JournalError, JournalSet, TailCorruption};
-use spe_simcc::backend::CompilerBackend;
+use spe_persist::{JournalError, JournalSet, TailCorruption};
 use spe_telemetry::{names, Timer};
 use std::fmt;
 use std::ops::Range;
@@ -111,12 +108,20 @@ impl FleetPlan {
             .position(|r| r.contains(&job))
     }
 
-    fn stamp(&self, host_id: usize) -> FleetStamp {
-        FleetStamp {
-            fleet_id: self.fleet_id,
-            n_hosts: self.n_hosts.max(1) as u32,
-            host_id: host_id as u32,
+    /// The manifest stamp of host `host_id`, refused when the host is
+    /// outside the plan.
+    pub(crate) fn stamp(&self, host_id: usize) -> Result<FleetStamp, CheckpointError> {
+        let n_hosts = self.n_hosts.max(1);
+        if host_id >= n_hosts {
+            return Err(CheckpointError::Foreign(format!(
+                "host {host_id} is out of the plan's {n_hosts} hosts"
+            )));
         }
+        Ok(FleetStamp {
+            fleet_id: self.fleet_id,
+            n_hosts: n_hosts as u32,
+            host_id: host_id as u32,
+        })
     }
 }
 
@@ -132,7 +137,7 @@ pub enum FleetError {
     /// No paths were given.
     NoJournals,
     /// The journal's manifest has no fleet stamp — it was written by a
-    /// single-host entry point, not [`run_host`].
+    /// single-host run, not a fleet host run.
     NotAFleetJournal {
         /// The offending journal.
         path: PathBuf,
@@ -205,7 +210,8 @@ impl fmt::Display for FleetError {
             FleetError::NotAFleetJournal { path } => write!(
                 f,
                 "{} is not a fleet host journal (its manifest carries no fleet stamp); \
-                 only journals written by fleet::run_host can be merged",
+                 only journals of fleet host runs (Campaign::run_journaled with a fleet slot) \
+                 can be merged",
                 path.display()
             ),
             FleetError::MixedFleets { path, detail } => {
@@ -234,7 +240,7 @@ impl fmt::Display for FleetError {
             FleetError::HostIncomplete { host, path, job } => write!(
                 f,
                 "host {host} ({}) has not finished job {job} of its slice; \
-                 resume it to completion (fleet::resume_host) before merging",
+                 resume it to completion (Campaign::resume) before merging",
                 path.display()
             ),
             FleetError::ForeignJob { host, path, job } => write!(
@@ -302,146 +308,6 @@ pub struct MergedFleet {
     pub report: CampaignReport,
     /// Per-host provenance, ascending by host id.
     pub hosts: Vec<HostSummary>,
-}
-
-/// Runs host `host_id`'s slice of the fleet campaign into a fresh
-/// host-scoped journal at `path` (any existing file is replaced).
-///
-/// The journal's manifest pins the corpus, configuration, decomposition
-/// and backend identity — exactly as a single-host checkpointed run —
-/// plus the fleet stamp `(fleet_id, n_hosts, host_id)`. Only the jobs
-/// of [`FleetPlan::host_jobs`]`(host_id)` are dealt to the worker pool;
-/// `workers` sizes that pool and nothing else, so hosts of one fleet
-/// may use different worker counts freely.
-///
-/// A completed host returns [`CampaignStatus::Complete`] with its
-/// **partial** report (its slice only — meaningful for monitoring, not
-/// a campaign result); the campaign result comes from
-/// [`merge_journals`] over all hosts. An interrupted host (kill,
-/// [`CheckpointOptions::stop_after`]) resumes with [`resume_host`].
-///
-/// # Errors
-///
-/// [`CheckpointError::Journal`] when the journal cannot be created,
-/// [`CheckpointError::Foreign`] when `host_id` is out of the plan's
-/// range.
-pub fn run_host(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_host_with_path(
-        plan,
-        host_id,
-        files,
-        config,
-        workers,
-        path,
-        options,
-        OraclePath::default(),
-    )
-}
-
-/// [`run_host`] on an explicit [`OraclePath`]. As with single-host
-/// campaigns, both paths share one backend identity: hosts of one
-/// fleet may mix paths and the merged report is unchanged.
-///
-/// # Errors
-///
-/// As [`run_host`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_with_path(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    oracle_path: OraclePath,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_host_oracle(
-        plan,
-        host_id,
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        oracle_path.oracle(),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// [`run_host`] with the oracle dispatched through `backend`; the
-/// journal pins the backend's id and configuration hash, and resumes
-/// must present a matching backend
-/// ([`crate::checkpoint::resume_campaign_with_backend`]).
-///
-/// # Errors
-///
-/// As [`run_host`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_host_with_backend(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-) -> Result<CampaignStatus, CheckpointError> {
-    run_host_oracle(
-        plan,
-        host_id,
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        FaultPolicy::default(),
-    )
-    .map(warn_and_unwrap)
-}
-
-/// Resumes an interrupted host from its journal — identical to
-/// [`crate::checkpoint::resume_campaign`] (host journals **are**
-/// campaign journals; the fleet stamp rides in the manifest), re-dealt
-/// on any worker count, resumable any number of times. The slice is
-/// recovered from the stamp, so nothing but the path is needed.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign`], plus
-/// [`CheckpointError::Foreign`] when the journal records state outside
-/// its host's slice.
-pub fn resume_host(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    crate::checkpoint::resume_campaign(path, workers, options)
-}
-
-/// [`resume_host`] for journals written by [`run_host_with_backend`].
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign_with_backend`].
-pub fn resume_host_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-) -> Result<CampaignStatus, CheckpointError> {
-    crate::checkpoint::resume_campaign_with_backend(path, backend, workers, options)
 }
 
 /// Merges one fleet's host journals into the campaign report —
@@ -572,10 +438,8 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     for (h, owned) in ranges.into_iter().enumerate() {
         let i = journal_of_host[h].expect("no host is missing");
         let mut replay = Replay::new(set.header(i))?;
-        let mut frames = 0u64;
         for rec in set.records(i) {
             replay.apply(&rec.map_err(CheckpointError::Journal)?)?;
-            frames += 1;
         }
         // A single-host resume truncates a torn tail and recomputes the
         // lost work; a merge cannot recompute another host's slice, so
@@ -616,7 +480,7 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
             host_id: h,
             path: set.path(i).to_path_buf(),
             jobs: owned,
-            frames,
+            frames: replay.frames,
             variants_tested,
             candidates,
         });
@@ -633,18 +497,19 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     })
 }
 
-/// Re-marks every job outside the stamped host's slice as done (the
-/// pre-marking [`run_host`] applied on the first run, which journals do
-/// not record), and refuses journals whose replayed state contradicts
-/// the stamp. Called by every resume of a fleet journal.
+/// Marks every job outside the stamped host's slice as done, returning
+/// the slice: on a host's first run (the pool then never deals the
+/// foreign jobs) and on every resume of its journal, which records
+/// frames for its own slice only. Refuses replayed state that
+/// contradicts the stamp.
 pub(crate) fn mark_foreign_jobs_done(
     jobs: &mut [JobState],
     stamp: FleetStamp,
-) -> Result<(), CheckpointError> {
+) -> Result<Range<usize>, CheckpointError> {
     let owned = even_ranges(jobs.len(), stamp.n_hosts as usize)
         .into_iter()
         .nth(stamp.host_id as usize)
-        .expect("decode validated host_id < n_hosts");
+        .expect("stamps are validated host_id < n_hosts");
     for (j, job) in jobs.iter_mut().enumerate() {
         if owned.contains(&j) {
             continue;
@@ -658,87 +523,5 @@ pub(crate) fn mark_foreign_jobs_done(
         }
         job.done = true;
     }
-    Ok(())
-}
-
-/// Prints absorbed-fault warnings to stderr and unwraps the status —
-/// the same shim the single-host wrappers use.
-fn warn_and_unwrap(outcome: Outcome) -> CampaignStatus {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
-    }
-    outcome.status
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_host_oracle(
-    plan: &FleetPlan,
-    host_id: usize,
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: &Path,
-    options: &CheckpointOptions,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    let n_hosts = plan.n_hosts.max(1);
-    if host_id >= n_hosts {
-        return Err(CheckpointError::Foreign(format!(
-            "host {host_id} is out of the plan's {n_hosts} hosts"
-        )));
-    }
-    let shards_per_file = plan.shards_per_file.max(1);
-    let manifest = Manifest {
-        config: config.clone(),
-        shards_per_file,
-        files: files.to_vec(),
-        backend_id: oracle.backend_id(),
-        backend_hash: oracle.config_hash(),
-        fleet: Some(plan.stamp(host_id)),
-    };
-    let journal = Journal::create(path, &manifest.encode())?;
-    let job_count = files.len() * shards_per_file;
-    let owned = even_ranges(job_count, n_hosts)[host_id].clone();
-    let telemetry = spe_telemetry::global();
-    let timer = Timer::start(&*telemetry);
-    if telemetry.enabled() {
-        telemetry.gauge(
-            names::FLEET_JOBS_OWNED,
-            i64::try_from(owned.len()).unwrap_or(i64::MAX),
-        );
-    }
-    // Jobs outside the slice are pre-marked done: the pool never deals
-    // them, no frames are written for them, and their empty partials
-    // contribute nothing to the host's partial report.
-    let jobs = (0..job_count)
-        .map(|j| JobState {
-            done: !owned.contains(&j),
-            ..JobState::default()
-        })
-        .collect();
-    let outcome = orchestrate::run(Spec {
-        files,
-        config,
-        shards_per_file,
-        jobs,
-        workers: workers.max(1),
-        every: options.every,
-        stop_after: options.stop_after,
-        journal: Some(journal),
-        oracle,
-        policy,
-    });
-    if telemetry.enabled() {
-        telemetry.span(
-            names::FLEET_HOST_RUN,
-            &format!(
-                "fleet={:#x} host={host_id}/{n_hosts} jobs={}",
-                plan.fleet_id,
-                owned.len()
-            ),
-            timer.stop_nanos(),
-        );
-    }
-    Ok(outcome)
+    Ok(owned)
 }

@@ -3,37 +3,51 @@
 //!
 //! This crate is the paper's §5 experimental machinery:
 //!
-//! * [`run_campaign`] enumerates SPE variants of a corpus and feeds them
-//!   to one or more [`Compiler`]s, detecting **crash bugs** (internal
-//!   compiler errors, deduplicated by signature as in Table 3), **wrong
-//!   code** (differential mismatch between the UB-checked reference
-//!   interpreter and the compiled VM image), and **performance bugs**;
+//! * [`Campaign`] is the one way to run, journal, resume or reduce a
+//!   campaign. It enumerates SPE variants of a corpus and feeds them to
+//!   one or more [`Compiler`]s through an [`Oracle`], detecting **crash
+//!   bugs** (internal compiler errors, deduplicated by signature as in
+//!   Table 3), **wrong code** (differential mismatch between the
+//!   UB-checked reference interpreter and the compiled VM image), and
+//!   **performance bugs**. Every run goes through [`orchestrate`]'s one
+//!   supervised worker pool — panic isolation, checkpoint cadence, and
+//!   journal-fault degradation (`DESIGN.md` §11); a serial run is that
+//!   pool at one worker;
+//! * [`checkpoint`] is the journal schema that makes campaigns (and the
+//!   [`reduction`] stage) resumable with final reports byte-identical to
+//!   uninterrupted runs (`DESIGN.md` §9), plus journal compaction;
+//! * [`fleet`] partitions one campaign across hosts and merges their
+//!   journals (`DESIGN.md` §14);
 //! * [`triage`] aggregates findings into the paper's Table 4 and
 //!   Figure 10 shapes using the seeded-bug registry metadata;
 //! * [`mutation`] implements the Orion-style statement-deletion baseline
 //!   (PM-X in Figure 9);
 //! * [`coverage_run`] measures pass/point coverage improvements of SPE
-//!   and mutation variants over the baseline suite (Figure 9);
-//! * [`checkpoint`] makes campaigns (and the [`reduction`] stage)
-//!   checkpointable and resumable over an [`spe_persist`] journal, with
-//!   final reports byte-identical to uninterrupted runs (`DESIGN.md` §9);
-//! * [`orchestrate`] is the one supervised worker-pool loop behind every
-//!   parallel and checkpointed entry point — panic isolation, checkpoint
-//!   cadence, and journal-fault degradation (`DESIGN.md` §11).
+//!   and mutation variants over the baseline suite (Figure 9).
+//!
+//! [`run_campaign_parallel`], [`run_campaign_checkpointed`],
+//! [`resume_campaign`] and [`checkpoint::reduce_findings_checkpointed`]
+//! are one-expression shorthands over [`Campaign`] with the default
+//! oracle and fault policy.
+//!
+//! The library never prints: faults it absorbs come back as
+//! [`Outcome::warnings`] (or the warnings of [`Campaign::reduce`]) and
+//! as telemetry events.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use spe_core::{
     Algorithm, EnumeratorConfig, Granularity, NameId, ShardedEnumerator, Skeleton, Variant,
     VariantSpace,
 };
 use spe_corpus::TestFile;
-use spe_simcc::backend::{intern, BackendError, CompilerBackend};
+use spe_simcc::backend::{intern, BackendError, CompilerBackend, SimccBackend};
 use spe_simcc::incremental::{CacheStats, CachedOracle};
-use spe_simcc::{interp, CompileError, Compiler, CompilerId, Observation};
+use spe_simcc::{Compiler, CompilerId, Observation};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 
 pub mod checkpoint;
 pub mod coverage_run;
@@ -45,44 +59,13 @@ pub mod steal;
 pub mod triage;
 
 pub use checkpoint::{
-    resume_campaign, resume_campaign_with_path, run_campaign_checkpointed,
-    run_campaign_checkpointed_with_path, CampaignStatus, CheckpointError, CheckpointOptions,
+    resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointError, CheckpointOptions,
 };
 pub use fleet::{
-    merge_journals, merge_journals_detailed, resume_host, run_host, FleetError, FleetPlan,
-    HostSummary, MergedFleet,
+    merge_journals, merge_journals_detailed, FleetError, FleetPlan, HostSummary, MergedFleet,
 };
+pub use orchestrate::{Campaign, FaultPolicy, Outcome};
 pub use reduction::ReducedWitness;
-
-/// Which per-variant execution strategy the in-process oracle uses.
-/// Both produce byte-identical [`CampaignReport`]s on the same inputs
-/// (pinned by `tests/oracle_identity.rs` at every worker count,
-/// including kill/resume histories that alternate paths); they differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OraclePath {
-    /// Splice-don't-reparse ([`spe_simcc::incremental`]): each (file,
-    /// shard) job parses its first rendered variant once and splices
-    /// every later variant's name bindings directly into the cached AST,
-    /// memoizing pass-pipeline results across configurations. The
-    /// default — roughly an order of magnitude faster on
-    /// enumeration-heavy campaigns.
-    #[default]
-    Incremental,
-    /// The historical render → lex → parse → compile round trip for
-    /// every variant. The reference implementation the identity suite
-    /// compares against; also useful to isolate cache bugs.
-    RoundTrip,
-}
-
-impl OraclePath {
-    pub(crate) fn oracle(self) -> Oracle<'static> {
-        match self {
-            OraclePath::Incremental => Oracle::Incremental,
-            OraclePath::RoundTrip => Oracle::Direct,
-        }
-    }
-}
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -191,6 +174,33 @@ pub struct Finding {
     pub fingerprint_duplicate_of: Option<String>,
 }
 
+impl Finding {
+    /// A candidate finding as emitted (or replayed from a journal):
+    /// dedup links and the reduced witness are computed downstream.
+    pub(crate) fn new(
+        kind: FindingKind,
+        compiler: CompilerId,
+        opt: u8,
+        signature: String,
+        bug_id: Option<&'static str>,
+        file: String,
+        reproducer: String,
+    ) -> Finding {
+        Finding {
+            kind,
+            compiler,
+            opt,
+            signature,
+            bug_id,
+            file,
+            reproducer,
+            duplicate_of: None,
+            reduced: None,
+            fingerprint_duplicate_of: None,
+        }
+    }
+}
+
 /// Aggregate campaign results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignReport {
@@ -254,199 +264,70 @@ impl ShardOutput {
     }
 }
 
-/// Runs every compiler over one realized variant, appending candidate
-/// findings and counter deltas to `out`. This is the single shared
-/// per-variant path of the serial and parallel campaigns — they cannot
-/// drift apart.
-fn process_variant(file: &TestFile, src: &str, config: &CampaignConfig, out: &mut ShardOutput) {
-    let Ok(prog) = spe_minic::parse(src) else {
-        return;
-    };
-    let mut reference: Option<Result<interp::Execution, interp::Ub>> = None;
-    for cc in &config.compilers {
-        out.variants_tested += 1;
-        match cc.compile(&prog) {
-            Err(CompileError::Ice(ice)) => {
-                out.candidates.push(Finding {
-                    kind: FindingKind::Crash,
-                    compiler: cc.id(),
-                    opt: cc.opt(),
-                    signature: ice.signature.to_string(),
-                    bug_id: Some(ice.bug_id),
-                    file: file.name.clone(),
-                    reproducer: src.to_string(),
-                    duplicate_of: None,
-                    reduced: None,
-                    fingerprint_duplicate_of: None,
-                });
-            }
-            Err(CompileError::Unsupported(_)) => {}
-            Ok(compiled) => {
-                for slow in &compiled.slow_compile_bugs {
-                    out.candidates.push(Finding {
-                        kind: FindingKind::Performance,
-                        compiler: cc.id(),
-                        opt: cc.opt(),
-                        signature: format!(
-                            "compile time blow-up in {} at -O{}",
-                            cc.id().family,
-                            cc.opt()
-                        ),
-                        bug_id: Some(slow),
-                        file: file.name.clone(),
-                        reproducer: src.to_string(),
-                        duplicate_of: None,
-                        reduced: None,
-                        fingerprint_duplicate_of: None,
-                    });
-                }
-                if config.check_wrong_code {
-                    // Evaluate the reference once per variant, with the
-                    // same limits the reduction oracle re-checks under
-                    // (`spe_simcc::observe` shares these helpers).
-                    if reference.is_none() {
-                        reference = Some(interp::run(
-                            &prog,
-                            spe_simcc::reference_limits(config.fuel),
-                        ));
-                    }
-                    match reference.as_ref().expect("just set") {
-                        Err(_) => {
-                            // UB or non-termination: skip, per §5.4.
-                            out.variants_ub_skipped += 1;
-                        }
-                        Ok(expected) => {
-                            if spe_simcc::differs_from_reference(&compiled, expected, config.fuel)
-                            {
-                                let bug_id = compiled.miscompiled_by.first().copied();
-                                out.candidates.push(Finding {
-                                    kind: FindingKind::WrongCode,
-                                    compiler: cc.id(),
-                                    opt: cc.opt(),
-                                    signature: format!(
-                                        "wrong code: {} at -O{} on {}",
-                                        cc.id().family,
-                                        cc.opt(),
-                                        file.name
-                                    ),
-                                    bug_id,
-                                    file: file.name.clone(),
-                                    reproducer: src.to_string(),
-                                    duplicate_of: None,
-                                    reduced: None,
-                                    fingerprint_duplicate_of: None,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// How a campaign reaches its oracle: the direct in-process path (the
-/// historical [`process_variant`] code, byte-for-byte), dispatch
-/// through a [`CompilerBackend`], or the incremental splice-don't-reparse
-/// path ([`spe_simcc::incremental`]). Direct and backend dispatch are
-/// proven byte-identical for the in-process backend by
-/// `tests/backend_identity.rs`; incremental and round-trip are proven
-/// byte-identical by `tests/oracle_identity.rs`. Keeping the direct arm
-/// intact is what makes both suites real two-implementation comparisons.
-#[derive(Clone, Copy)]
-pub(crate) enum Oracle<'a> {
-    /// `spe_simcc` called in-process, no trait dispatch: render → parse
-    /// → compile for every variant (the round-trip reference path).
-    Direct,
-    /// `spe_simcc` through a per-job [`IncrementalSession`]: the
-    /// skeleton's AST is parsed once and each variant's name bindings
-    /// are spliced in. Journal-compatible with [`Oracle::Direct`] (same
-    /// backend identity), so a checkpointed campaign can alternate paths
-    /// across kill/resume cycles.
+/// How a campaign observes its variants. On the in-process simulator
+/// both oracles produce byte-identical reports (pinned by
+/// `tests/oracle_identity.rs` and `tests/backend_identity.rs` at every
+/// worker count and across kill/resume histories); they differ in speed
+/// and in what they can drive.
+#[derive(Clone, Copy, Default)]
+pub enum Oracle<'a> {
+    /// The in-process simulator through a per-job splice cache
+    /// ([`spe_simcc::incremental`]): each (file, shard) job parses its
+    /// first rendered variant once and splices every later variant's
+    /// name bindings into the cached AST, memoizing pass-pipeline results
+    /// across configurations. The default, and an order of magnitude
+    /// faster than the round trip on enumeration-heavy campaigns. Its
+    /// journals record [`SimccBackend`]'s identity, so they resume under
+    /// either oracle.
+    #[default]
     Incremental,
-    /// Any [`CompilerBackend`], including the in-process one.
+    /// Any [`CompilerBackend`]: every rendered variant goes to
+    /// [`CompilerBackend::observe_variant`]. `Oracle::Backend(&SimccBackend)`
+    /// is the in-process round trip (render → parse → compile per
+    /// variant), the reference the incremental oracle is checked
+    /// against; a subprocess backend drives external compilers, and a
+    /// job whose backend persistently fails is quarantined as a
+    /// [`FindingKind::BackendDegraded`] finding.
     Backend(&'a dyn CompilerBackend),
 }
 
-impl Oracle<'_> {
-    /// The backend id recorded in checkpoint-journal manifests.
-    pub(crate) fn backend_id(&self) -> String {
+impl<'a> Oracle<'a> {
+    /// The backend whose identity (id and configuration hash) journals
+    /// record, and that journaled resumes and reductions must match.
+    pub(crate) fn backend(self) -> &'a dyn CompilerBackend {
         match self {
-            // Incremental and direct are two execution strategies of the
-            // same oracle semantics — they share one identity, so their
-            // journals resume interchangeably.
-            Oracle::Direct | Oracle::Incremental => {
-                spe_simcc::backend::SIMCC_BACKEND_ID.to_string()
-            }
-            Oracle::Backend(b) => b.id().to_string(),
+            Oracle::Incremental => &SimccBackend,
+            Oracle::Backend(backend) => backend,
         }
     }
 
-    /// The backend configuration hash recorded next to the id.
-    pub(crate) fn config_hash(&self) -> u64 {
-        match self {
-            Oracle::Direct | Oracle::Incremental => spe_simcc::backend::SIMCC_CONFIG_HASH,
-            Oracle::Backend(b) => b.config_hash(),
-        }
-    }
-
-    /// The per-job incremental session for this oracle, `None` for the
-    /// round-trip paths. Created at each (file, shard) job's start and
-    /// dropped at its end, so cached AST state can never cross a job
-    /// boundary (work stealing, checkpoint/resume, and panic quarantine
-    /// all see exactly the state the round-trip oracle would).
-    pub(crate) fn session<'s>(&self, sk: &'s Skeleton) -> Option<IncrementalSession<'s>> {
-        match self {
-            Oracle::Incremental => Some(IncrementalSession::new(sk)),
-            _ => None,
-        }
-    }
-
-    /// Runs every compiler configuration over one rendered variant,
-    /// recording its latency into the per-verdict oracle histogram of
-    /// `telemetry` (`oracle_ns.<verdict>`) when the sink is enabled.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] (backend dispatch only) when the oracle
-    /// machinery failed; the caller quarantines the work item.
-    pub(crate) fn process_variant(
-        &self,
-        file: &TestFile,
-        src: &str,
-        config: &CampaignConfig,
-        out: &mut ShardOutput,
-        telemetry: &dyn TelemetrySink,
-    ) -> Result<(), BackendError> {
-        process_timed(telemetry, out, |out| self.dispatch(file, src, config, out))
-    }
-
-    fn dispatch(
-        &self,
-        file: &TestFile,
-        src: &str,
-        config: &CampaignConfig,
-        out: &mut ShardOutput,
-    ) -> Result<(), BackendError> {
-        match self {
-            // Without a per-job session (the reduction stage, or a job
-            // that fell back), the incremental oracle degenerates to the
-            // direct path — same semantics, no cache.
-            Oracle::Direct | Oracle::Incremental => {
-                process_variant(file, src, config, out);
-                Ok(())
-            }
-            Oracle::Backend(b) => process_variant_backend(file, src, config, *b, out),
+    /// This oracle bound to one (file, shard) job. Created at the job's
+    /// start and dropped at its end, so cached AST state can never cross
+    /// a job boundary (work stealing, checkpoint/resume, and panic
+    /// quarantine all see exactly the state the round trip would).
+    pub(crate) fn job<'s>(self, sk: &'s Skeleton) -> JobOracle<'s>
+    where
+        'a: 's,
+    {
+        JobOracle {
+            sk,
+            route: match self {
+                Oracle::Incremental => None,
+                Oracle::Backend(backend) => Some(Route::Backend(backend)),
+            },
+            prev: Vec::new(),
+            changed: Vec::new(),
+            spellings: Vec::new(),
+            last_stats: CacheStats::default(),
         }
     }
 }
 
 /// Runs one per-variant oracle invocation `f`, recording its latency
 /// into the per-verdict oracle histogram (`oracle_ns.<verdict>`) and the
-/// campaign counters of `telemetry` when the sink is enabled. The shared
-/// instrumentation seam of [`Oracle::process_variant`] and
-/// [`IncrementalSession::process_variant`]: exactly one histogram sample
-/// per variant, whichever execution path produced the observations.
+/// campaign counters of `telemetry` when the sink is enabled: exactly
+/// one histogram sample per variant, whichever route produced the
+/// observations.
 fn process_timed(
     telemetry: &dyn TelemetrySink,
     out: &mut ShardOutput,
@@ -465,7 +346,7 @@ fn process_timed(
     let nanos = timer.stop_nanos();
     // The verdict drives which latency histogram the observation
     // lands in; a variant producing several findings is classified
-    // by its first (emission order matches the direct path).
+    // by its first in emission order.
     match &result {
         Ok(()) => {
             let verdict = if let Some(f) = out.candidates.get(before.0) {
@@ -497,11 +378,9 @@ fn process_timed(
     result
 }
 
-/// [`process_variant`] through a [`CompilerBackend`]: one
-/// `observe_variant` call per rendered variant, findings constructed
-/// from the returned [`spe_simcc::Observation`]s in the exact emission
-/// order of the direct path (crash, then per-bug performance, then
-/// wrong code, per configuration in order).
+/// One rendered variant through a [`CompilerBackend`]: one
+/// `observe_variant` call, findings constructed by
+/// [`emit_observations`].
 fn process_variant_backend(
     file: &TestFile,
     src: &str,
@@ -512,8 +391,8 @@ fn process_variant_backend(
     let fuel = config.check_wrong_code.then_some(config.fuel);
     let observations = backend.observe_variant(src, &config.compilers, fuel)?;
     if observations.is_empty() {
-        // Not a testable program for this backend (parse failure);
-        // skipped without counting, exactly like the direct path.
+        // Not a testable program for this backend (parse failure):
+        // skipped without counting.
         return Ok(());
     }
     if observations.len() != config.compilers.len() {
@@ -529,12 +408,9 @@ fn process_variant_backend(
 }
 
 /// Turns per-configuration [`Observation`]s into findings and counter
-/// deltas, in the exact emission order of the direct path (crash, then
-/// per-bug performance, then wrong code, per configuration in order).
-/// The one emission definition shared by backend dispatch and the
-/// incremental session — the two observation-producing paths cannot
-/// drift apart from each other (and `tests/backend_identity.rs` /
-/// `tests/oracle_identity.rs` pin both against the direct path).
+/// deltas: per configuration in order, a crash, else one performance
+/// finding per slow-compile bug and then wrong code. The one place that
+/// builds compiler findings, shared by every oracle route.
 fn emit_observations(
     file: &TestFile,
     src: &str,
@@ -544,88 +420,87 @@ fn emit_observations(
 ) {
     for (cc, obs) in config.compilers.iter().zip(observations) {
         out.variants_tested += 1;
+        let finding = |kind, signature, bug_id| {
+            Finding::new(
+                kind,
+                cc.id(),
+                cc.opt(),
+                signature,
+                bug_id,
+                file.name.clone(),
+                src.to_string(),
+            )
+        };
         if let Some(ice) = &obs.ice {
-            out.candidates.push(Finding {
-                kind: FindingKind::Crash,
-                compiler: cc.id(),
-                opt: cc.opt(),
-                signature: ice.signature.to_string(),
-                bug_id: Some(ice.bug_id),
-                file: file.name.clone(),
-                reproducer: src.to_string(),
-                duplicate_of: None,
-                reduced: None,
-                fingerprint_duplicate_of: None,
-            });
+            out.candidates.push(finding(
+                FindingKind::Crash,
+                ice.signature.to_string(),
+                Some(ice.bug_id),
+            ));
             continue;
         }
         if obs.unsupported {
             continue;
         }
         for slow in &obs.slow_compile {
-            out.candidates.push(Finding {
-                kind: FindingKind::Performance,
-                compiler: cc.id(),
-                opt: cc.opt(),
-                signature: format!(
+            out.candidates.push(finding(
+                FindingKind::Performance,
+                format!(
                     "compile time blow-up in {} at -O{}",
                     cc.id().family,
                     cc.opt()
                 ),
-                bug_id: Some(slow),
-                file: file.name.clone(),
-                reproducer: src.to_string(),
-                duplicate_of: None,
-                reduced: None,
-                fingerprint_duplicate_of: None,
-            });
+                Some(slow),
+            ));
         }
         if config.check_wrong_code {
             if obs.reference_ub {
+                // UB or non-termination: skip, per §5.4.
                 out.variants_ub_skipped += 1;
             } else if obs.wrong_code {
-                out.candidates.push(Finding {
-                    kind: FindingKind::WrongCode,
-                    compiler: cc.id(),
-                    opt: cc.opt(),
-                    signature: format!(
+                out.candidates.push(finding(
+                    FindingKind::WrongCode,
+                    format!(
                         "wrong code: {} at -O{} on {}",
                         cc.id().family,
                         cc.opt(),
                         file.name
                     ),
-                    bug_id: obs.miscompiled_by.first().copied(),
-                    file: file.name.clone(),
-                    reproducer: src.to_string(),
-                    duplicate_of: None,
-                    reduced: None,
-                    fingerprint_duplicate_of: None,
-                });
+                    obs.miscompiled_by.first().copied(),
+                ));
             }
         }
     }
 }
 
-/// The per-(file, shard)-job state of the incremental oracle path: one
-/// [`CachedOracle`] anchored on the job's first rendered variant, plus
-/// the previous variant's bindings for hole-delta computation.
+/// Where one job's variants go.
+enum Route<'s> {
+    /// The splice cache, anchored on the job's first rendered variant.
+    Cache(Box<CachedOracle>),
+    /// Every variant through a backend: the campaign's own, or
+    /// [`SimccBackend`] (the round trip) for an incremental job whose
+    /// first variant could not anchor a cache.
+    Backend(&'s dyn CompilerBackend),
+}
+
+/// An [`Oracle`] bound to one (file, shard) job. On
+/// [`Oracle::Incremental`] it holds one [`CachedOracle`] anchored on the
+/// job's first rendered variant, plus the previous variant's bindings
+/// for hole-delta computation.
 ///
-/// The session parses the *first variant it processes* (not the
+/// The cache parses the *first variant the job processes* (not the
 /// skeleton's normalized program), so the cached AST is exactly what the
-/// round-trip path would parse for it; every later variant differs only
-/// in identifier spellings at hole slots, which is precisely what
+/// round trip would parse for it; every later variant differs only in
+/// identifier spellings at hole slots, which is precisely what
 /// [`CachedOracle::observe_variant`] splices (see
 /// [`spe_simcc::incremental`] for the identity argument). If the first
 /// variant does not parse, or a hole cannot be mapped into the parsed
-/// AST, the session permanently falls back to the round-trip path for
-/// the job — identical behavior by construction.
-pub(crate) struct IncrementalSession<'s> {
+/// AST, the whole job takes the round trip through [`SimccBackend`] —
+/// identical behavior by construction.
+pub(crate) struct JobOracle<'s> {
     sk: &'s Skeleton,
-    cache: Option<CachedOracle>,
-    /// Permanent round-trip fallback for this job.
-    fallback: bool,
-    /// Whether the first variant has been seen (and the cache built).
-    started: bool,
+    /// `None` until an incremental job's first variant picks the route.
+    route: Option<Route<'s>>,
     /// The previous variant's hole bindings — the delta baseline.
     prev: Vec<NameId>,
     /// Scratch: indices of holes whose binding changed since `prev`.
@@ -636,23 +511,17 @@ pub(crate) struct IncrementalSession<'s> {
     last_stats: CacheStats,
 }
 
-impl<'s> IncrementalSession<'s> {
-    pub(crate) fn new(sk: &'s Skeleton) -> IncrementalSession<'s> {
-        IncrementalSession {
-            sk,
-            cache: None,
-            fallback: false,
-            started: false,
-            prev: Vec::new(),
-            changed: Vec::new(),
-            spellings: Vec::new(),
-            last_stats: CacheStats::default(),
-        }
-    }
-
-    /// [`Oracle::process_variant`] through the splice cache: identical
-    /// findings and counters, one `oracle_ns.<verdict>` histogram sample,
-    /// plus the `oracle_cache.*` effectiveness counters.
+impl JobOracle<'_> {
+    /// Runs every compiler configuration over one rendered variant,
+    /// appending candidate findings and counter deltas to `out`, with
+    /// one `oracle_ns.<verdict>` histogram sample (plus the
+    /// `oracle_cache.*` counters on the splice cache) when `telemetry`
+    /// is enabled.
+    ///
+    /// # Errors
+    ///
+    /// [`BackendError`] when the backend machinery failed; the caller
+    /// quarantines the job.
     pub(crate) fn process_variant(
         &mut self,
         variant: &Variant,
@@ -662,41 +531,43 @@ impl<'s> IncrementalSession<'s> {
         out: &mut ShardOutput,
         telemetry: &dyn TelemetrySink,
     ) -> Result<(), BackendError> {
-        if self.fallback {
-            return Oracle::Direct.process_variant(file, src, config, out, telemetry);
-        }
-        if !self.started {
-            self.started = true;
-            let built = spe_minic::parse(src).ok().and_then(|prog| {
-                let occs: Vec<_> = self.sk.hole_occs().collect();
-                CachedOracle::new(
-                    prog,
-                    &occs,
-                    &config.compilers,
-                    config.check_wrong_code,
-                    config.fuel,
-                )
-            });
-            match built {
-                Some(cache) => self.cache = Some(cache),
-                None => {
-                    // Unparsable render (then every variant is equally
-                    // unparsable and the round trip skips them all) or
-                    // an unmappable hole: take the round-trip path for
-                    // the whole job.
-                    self.fallback = true;
-                    return Oracle::Direct.process_variant(file, src, config, out, telemetry);
-                }
+        let sk = self.sk;
+        let route = self.route.get_or_insert_with(|| {
+            // An unparsable first render (then every variant is equally
+            // unparsable and the round trip skips them all) or an
+            // unmappable hole sends the whole job round-trip.
+            spe_minic::parse(src)
+                .ok()
+                .and_then(|prog| {
+                    let occs: Vec<_> = sk.hole_occs().collect();
+                    CachedOracle::new(
+                        prog,
+                        &occs,
+                        &config.compilers,
+                        config.check_wrong_code,
+                        config.fuel,
+                    )
+                })
+                .map_or(Route::Backend(&SimccBackend), |cache| {
+                    Route::Cache(Box::new(cache))
+                })
+        });
+        let cache = match route {
+            Route::Cache(cache) => cache,
+            Route::Backend(backend) => {
+                let backend = *backend;
+                return process_timed(telemetry, out, |out| {
+                    process_variant_backend(file, src, config, backend, out)
+                });
             }
-        }
+        };
         self.spellings.clear();
-        let table = self.sk.names();
+        let table = sk.names();
         for &id in &variant.names {
             self.spellings.push(table.name(id));
         }
         variant.changed_holes_into(&self.prev, &mut self.changed);
         self.prev.clone_from(&variant.names);
-        let cache = self.cache.as_mut().expect("cache built above");
         let (spellings, changed) = (&self.spellings, &self.changed);
         process_timed(telemetry, out, |out| {
             let observations = cache.observe_variant(spellings, Some(changed));
@@ -704,7 +575,7 @@ impl<'s> IncrementalSession<'s> {
             Ok(())
         })?;
         if telemetry.enabled() {
-            let stats = self.cache.as_ref().expect("cache built above").stats();
+            let stats = cache.stats();
             let last = std::mem::replace(&mut self.last_stats, stats);
             for (name, delta) in [
                 (names::ORACLE_SPLICE_HITS, stats.splice_delta - last.splice_delta),
@@ -727,101 +598,43 @@ impl<'s> IncrementalSession<'s> {
     }
 }
 
-/// The quarantine record of a (file, shard) job whose oracle backend
-/// persistently failed: the campaign carries on, and the report keeps
-/// an auditable [`FindingKind::BackendDegraded`] entry carrying the
-/// failing variant as its reproducer.
-pub(crate) fn degraded_finding(
-    file: &TestFile,
-    shard: usize,
-    variant_src: &str,
-    config: &CampaignConfig,
-    err: &BackendError,
-) -> Finding {
-    let (compiler, opt) = match config.compilers.first() {
-        Some(cc) => (cc.id(), cc.opt()),
-        None => (
-            CompilerId {
-                family: intern("backend"),
-                version: 0,
-            },
-            0,
-        ),
-    };
-    Finding {
-        kind: FindingKind::BackendDegraded,
-        compiler,
-        opt,
-        signature: format!(
-            "backend degraded: {} shard {}: {}",
-            file.name, shard, err.what
-        ),
-        bug_id: None,
-        file: file.name.clone(),
-        reproducer: variant_src.to_string(),
-        duplicate_of: None,
-        reduced: None,
-        fingerprint_duplicate_of: None,
-    }
-}
-
-/// The quarantine record of a (file, shard) job whose worker panicked:
-/// the [`FindingKind::JobPanicked`] counterpart of [`degraded_finding`],
-/// carrying the variant that was being processed when the panic fired
-/// and the panic message.
-pub(crate) fn panicked_finding(
+/// The quarantine record of a (file, shard) job: a
+/// [`FindingKind::BackendDegraded`] or [`FindingKind::JobPanicked`]
+/// finding whose reproducer is the variant being processed when the
+/// backend failed or the worker panicked, and whose signature carries
+/// `what` went wrong.
+pub(crate) fn quarantine_finding(
+    kind: FindingKind,
     file: &TestFile,
     shard: usize,
     variant_src: &str,
     config: &CampaignConfig,
     what: &str,
 ) -> Finding {
-    let (compiler, opt) = match config.compilers.first() {
-        Some(cc) => (cc.id(), cc.opt()),
-        None => (
+    let (compiler, opt) = config.compilers.first().map_or(
+        (
             CompilerId {
                 family: intern("backend"),
                 version: 0,
             },
             0,
         ),
-    };
-    Finding {
-        kind: FindingKind::JobPanicked,
+        |cc| (cc.id(), cc.opt()),
+    );
+    Finding::new(
+        kind,
         compiler,
         opt,
-        signature: format!("job panicked: {} shard {}: {}", file.name, shard, what),
-        bug_id: None,
-        file: file.name.clone(),
-        reproducer: variant_src.to_string(),
-        duplicate_of: None,
-        reduced: None,
-        fingerprint_duplicate_of: None,
-    }
-}
-
-/// Processes one (file, shard) work item: enumerates the shard's slice of
-/// the file's variant space and feeds every variant to the oracle.
-/// `buf` is the worker's reusable render buffer.
-fn process_work_item(
-    file: &TestFile,
-    shard: usize,
-    shards_per_file: usize,
-    config: &CampaignConfig,
-    buf: &mut String,
-    oracle: Oracle<'_>,
-) -> ShardOutput {
-    match prepare_file(file, shards_per_file, config) {
-        None => ShardOutput::default(),
-        Some((sk, space)) => {
-            process_file_shard(file, &sk, &space, shard, shards_per_file, config, buf, oracle)
-        }
-    }
+        format!("{}: {} shard {}: {}", kind.label(), file.name, shard, what),
+        None,
+        file.name.clone(),
+        variant_src.to_string(),
+    )
 }
 
 /// Parses and analyzes one file and materializes its variant space once;
 /// `None` when the file does not analyze. The expensive half of a work
-/// item — the parallel campaign computes it once per file and shares it
+/// item — the orchestrator computes it once per file and shares it
 /// across that file's shards.
 fn prepare_file(
     file: &TestFile,
@@ -844,58 +657,10 @@ fn campaign_enumerator(config: &CampaignConfig, shards_per_file: usize) -> Shard
     )
 }
 
-/// Streams one shard of a prepared file through the compilers. Every
-/// variant is rendered through the worker's reusable `buf` via the
-/// skeleton's compiled template — no per-variant source allocation.
-/// A persistent backend failure quarantines the rest of the shard: the
-/// accumulated output is kept and capped with a
-/// [`FindingKind::BackendDegraded`] finding.
-#[allow(clippy::too_many_arguments)]
-fn process_file_shard(
-    file: &TestFile,
-    sk: &Skeleton,
-    space: &VariantSpace,
-    shard: usize,
-    shards_per_file: usize,
-    config: &CampaignConfig,
-    buf: &mut String,
-    oracle: Oracle<'_>,
-) -> ShardOutput {
-    let mut out = ShardOutput {
-        file_processed: shard == 0,
-        ..ShardOutput::default()
-    };
-    let telemetry = spe_telemetry::global();
-    // Per-job incremental session (when the oracle is incremental):
-    // created here, dropped when the shard completes.
-    let mut session = oracle.session(sk);
-    campaign_enumerator(config, shards_per_file).enumerate_shard_prepared(
-        space,
-        shard,
-        &mut |variant| {
-            variant.render_into(sk, buf);
-            let result = match session.as_mut() {
-                Some(sess) => {
-                    sess.process_variant(variant, file, buf, config, &mut out, &*telemetry)
-                }
-                None => oracle.process_variant(file, buf, config, &mut out, &*telemetry),
-            };
-            match result {
-                Ok(()) => ControlFlow::Continue(()),
-                Err(e) => {
-                    out.candidates.push(degraded_finding(file, shard, buf, config, &e));
-                    ControlFlow::Break(())
-                }
-            }
-        },
-    );
-    out
-}
-
 /// Folds per-item outputs into the final report **in work-item order**
-/// (file-major, shard-minor), which is exactly the serial emission order —
-/// so dedup decisions, finding order, first-reproducer choices and the
-/// triage tables derived from them are byte-identical to a serial run.
+/// (file-major, shard-minor) — so dedup decisions, finding order,
+/// first-reproducer choices and the triage tables derived from them do
+/// not depend on worker count, completion order, or kill/resume history.
 fn merge_outputs(outputs: Vec<ShardOutput>) -> CampaignReport {
     let mut report = CampaignReport::default();
     // (family, signature) -> index into findings.
@@ -913,134 +678,21 @@ fn merge_outputs(outputs: Vec<ShardOutput>) -> CampaignReport {
     report
 }
 
-/// Runs an SPE bug-hunting campaign over `files`.
-///
-/// Crash detection needs only compilation; the wrong-code oracle runs the
-/// UB-checking reference interpreter first and skips undefined variants,
-/// exactly as §5.4 prescribes.
-///
-/// Runs on the incremental oracle path ([`OraclePath::Incremental`]);
-/// use [`run_campaign_with_path`] to force the round trip.
-pub fn run_campaign(files: &[TestFile], config: &CampaignConfig) -> CampaignReport {
-    run_campaign_oracle(files, config, Oracle::Incremental)
-}
-
-/// [`run_campaign`] on an explicit [`OraclePath`]. Reports are
-/// byte-identical across paths; the differential identity suite runs
-/// both and compares.
-pub fn run_campaign_with_path(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    path: OraclePath,
-) -> CampaignReport {
-    run_campaign_oracle(files, config, path.oracle())
-}
-
-/// [`run_campaign`] with the oracle dispatched through a
-/// [`CompilerBackend`] — the entry point for external-compiler
-/// campaigns. With the in-process [`spe_simcc::backend::SimccBackend`]
-/// the report is byte-identical to [`run_campaign`]; with a subprocess
-/// backend, jobs whose backend persistently fails are quarantined as
-/// [`FindingKind::BackendDegraded`] findings instead of aborting the
-/// campaign.
-pub fn run_campaign_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-) -> CampaignReport {
-    run_campaign_oracle(files, config, Oracle::Backend(backend))
-}
-
-fn run_campaign_oracle(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    oracle: Oracle<'_>,
-) -> CampaignReport {
-    let mut buf = String::new();
-    merge_outputs(
-        files
-            .iter()
-            .map(|file| process_work_item(file, 0, 1, config, &mut buf, oracle))
-            .collect(),
-    )
-}
-
-/// Runs the campaign with a pool of `workers` threads, fanning
-/// `files × shards` work items across the pool (each file's variant space
-/// is cut into `workers` shards, so even a single large file parallelizes).
-/// Work items live in a shared work-stealing queue ([`steal::WorkQueue`]):
-/// each worker is dealt a contiguous run of items — so consecutive shards
-/// of one file stay on one thread, keeping its prepared variant space warm
-/// — and a worker that runs dry steals from the back of the first
-/// non-empty neighbour (scanning round-robin), smoothing skew when one
-/// file's variants compile much slower than the rest. Each worker renders
-/// variants through one reusable buffer.
-///
-/// The merged [`CampaignReport`] — finding order, dedup decisions,
-/// reproducers and counters — is **byte-identical** to [`run_campaign`] on
-/// the same inputs, for any worker count: outputs are folded in
-/// deterministic (file, shard) order regardless of completion order, and
-/// within that order findings keep their stable (file, compiler,
-/// signature) emission sequence.
-///
-/// A thin wrapper over [`orchestrate`]'s supervised loop (no checkpoint
-/// sink): workers additionally run each job under panic isolation, so a
-/// poisoned variant quarantines its (file, shard) job as a
-/// [`FindingKind::JobPanicked`] finding instead of crashing the process.
+/// Runs the campaign in memory on a pool of `workers` threads —
+/// shorthand for [`Campaign::run`] with the incremental oracle and the
+/// default fault policy. Each file's variant space is cut into `workers`
+/// shards, so even a single large file parallelizes; the report is
+/// byte-identical for every worker count.
 pub fn run_campaign_parallel(
     files: &[TestFile],
     config: &CampaignConfig,
     workers: usize,
 ) -> CampaignReport {
-    run_campaign_parallel_with_path(files, config, workers, OraclePath::Incremental)
-}
-
-/// [`run_campaign_parallel`] on an explicit [`OraclePath`]. Reports are
-/// byte-identical across paths and worker counts.
-pub fn run_campaign_parallel_with_path(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: OraclePath,
-) -> CampaignReport {
-    complete_report(orchestrate::campaign_oracle(
-        files,
-        config,
+    Campaign {
         workers,
-        path.oracle(),
-        orchestrate::FaultPolicy::default(),
-    ))
-}
-
-/// [`run_campaign_parallel`] through a [`CompilerBackend`]: the
-/// work-stealing pool, deterministic merge and byte-identity guarantees
-/// are unchanged; only the oracle is dispatched. Backends that shell out
-/// should size their process pool to `workers` (see `spe-subproc`).
-pub fn run_campaign_parallel_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-) -> CampaignReport {
-    complete_report(orchestrate::campaign_oracle(
-        files,
-        config,
-        workers,
-        Oracle::Backend(backend),
-        orchestrate::FaultPolicy::default(),
-    ))
-}
-
-/// Unwraps an in-memory (checkpoint-less) [`orchestrate::Outcome`]: with
-/// no journal sink and no kill budget, such a run always completes.
-fn complete_report(outcome: orchestrate::Outcome) -> CampaignReport {
-    for w in &outcome.warnings {
-        eprintln!("spe-harness: warning: {w}");
+        ..Campaign::default()
     }
-    outcome
-        .status
-        .into_report()
-        .expect("in-memory campaigns always complete")
+    .run(files, config)
 }
 
 fn record(
@@ -1077,9 +729,13 @@ mod tests {
     use super::*;
     use spe_corpus::seeds;
 
+    fn run(files: &[TestFile], config: &CampaignConfig) -> CampaignReport {
+        Campaign::default().run(files, config)
+    }
+
     fn seed_campaign(check_wrong_code: bool) -> CampaignReport {
         let files = seeds::all();
-        run_campaign(
+        run(
             &files,
             &CampaignConfig {
                 compilers: vec![
@@ -1148,7 +804,7 @@ mod tests {
             name: "ub.c".into(),
             source: "int main() { int a = 0, b = 4; b = b / (a + b); return b; }".into(),
         }];
-        let report = run_campaign(
+        let report = run(
             &files,
             &CampaignConfig {
                 compilers: vec![Compiler::new(CompilerId::gcc(440), 1)],
@@ -1178,7 +834,7 @@ mod tests {
     fn stable_release_campaign_finds_fewer_bugs_than_trunk() {
         let files = seeds::all();
         let run_with = |version: u32| {
-            run_campaign(
+            run(
                 &files,
                 &CampaignConfig {
                     compilers: vec![

@@ -1,13 +1,10 @@
-//! The supervised campaign orchestrator: **one** worker-pool/merge loop
-//! behind every parallel and checkpointed entry point.
+//! [`Campaign`] — the one way to run, journal, resume or reduce a
+//! campaign — and the **one** supervised worker-pool/merge loop behind
+//! every run (`DESIGN.md` §11).
 //!
-//! Historically the crate spelled the pool invariants twice — once in
-//! the in-memory parallel campaign, once in the checkpointed driver —
-//! pinned together only by byte-identity tests. This module is the
-//! single loop both were collapsed into (`DESIGN.md` §11): a
-//! work-stealing pool over the `files × shards` job space, with an
-//! **optional checkpoint sink** (an `spe-persist` journal) and three
-//! supervision layers the duplicated loops never had:
+//! The loop is a work-stealing pool over the `files × shards` job space,
+//! with an **optional checkpoint sink** (an `spe-persist` journal) and
+//! three supervision layers:
 //!
 //! * **Panic isolation** — each (file, shard) job runs under
 //!   [`std::panic::catch_unwind`]. A panicking job is rolled back to its
@@ -16,7 +13,7 @@
 //!   with the job's completion record, so a resume skips it), and the
 //!   pool carries on — one poisoned variant cannot take down a
 //!   multi-day campaign or wedge its siblings.
-//! * **Time-based checkpoint cadence** — in addition to the historical
+//! * **Time-based checkpoint cadence** — in addition to the
 //!   every-N-variants cadence, a job whose variants are slow (an
 //!   external compiler at -O3) commits at least every
 //!   [`FaultPolicy::checkpoint_interval`], bounding recomputation after
@@ -39,17 +36,18 @@
 //! injected-fault suite (`tests/orchestrator_faults.rs`) pin all of it.
 
 use crate::checkpoint::{
-    encode_campaign_done, encode_job_done, encode_progress, CampaignStatus, CheckpointError,
-    CheckpointOptions, JobState,
+    encode_campaign_done, encode_job_done, encode_progress, replay_reduction, CampaignStatus,
+    CheckpointError, CheckpointOptions, JobState, Manifest, Replay,
 };
+use crate::fleet::{mark_foreign_jobs_done, FleetPlan};
+use crate::reduction::{attach_and_dedup, reduce_missing, ReductionOptions};
 use crate::steal::WorkQueue;
 use crate::{
-    degraded_finding, merge_outputs, panicked_finding, prepare_file, CampaignConfig,
-    CampaignReport, Oracle, ShardOutput,
+    merge_outputs, prepare_file, quarantine_finding, CampaignConfig, CampaignReport, FindingKind,
+    Oracle, ShardOutput,
 };
 use spe_corpus::TestFile;
 use spe_persist::{Journal, JournalError};
-use spe_simcc::backend::CompilerBackend;
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
 use std::any::Any;
 use std::ops::ControlFlow;
@@ -92,11 +90,11 @@ impl Default for FaultPolicy {
     }
 }
 
-/// What a supervised run produced: the campaign status plus every
-/// degradation the orchestrator absorbed instead of aborting on.
+/// What a journaled run or resume produced: the campaign status plus
+/// every degradation the orchestrator absorbed instead of aborting on.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Completion or interruption, exactly as the thin wrappers return.
+    /// Completion, or interruption by [`CheckpointOptions::stop_after`].
     pub status: CampaignStatus,
     /// Human-readable records of absorbed faults (e.g. checkpointing
     /// disabled after exhausted journal retries). Empty on a clean run.
@@ -113,27 +111,301 @@ impl Outcome {
     }
 }
 
-/// Everything one supervised run needs. Borrowed, not owned: resume
-/// paths hand the manifest's corpus straight through without cloning.
-pub(crate) struct Spec<'a> {
-    pub(crate) files: &'a [TestFile],
-    pub(crate) config: &'a CampaignConfig,
+/// One way to run, journal, resume or reduce a campaign: an oracle, a
+/// worker count and a fault policy, with four methods —
+/// [`Campaign::run`] in memory, [`Campaign::run_journaled`] into a
+/// checkpoint journal (optionally as one host of a fleet),
+/// [`Campaign::resume`] from a journal, and [`Campaign::reduce`] over a
+/// finished report. Every run goes through the one supervised loop of
+/// this module and every reduction through the one fan-out of
+/// [`crate::reduction`].
+///
+/// ```no_run
+/// use spe_harness::{Campaign, CampaignConfig, Oracle};
+/// use spe_simcc::backend::SimccBackend;
+///
+/// let files = spe_corpus::seeds::all();
+/// let config = CampaignConfig::default();
+/// let campaign = Campaign { workers: 4, ..Campaign::default() };
+/// let round_trip = Campaign { oracle: Oracle::Backend(&SimccBackend), ..campaign };
+/// assert_eq!(campaign.run(&files, &config), round_trip.run(&files, &config));
+/// ```
+#[derive(Clone, Copy)]
+pub struct Campaign<'a> {
+    /// How variants are observed; [`Oracle::Incremental`] by default.
+    pub oracle: Oracle<'a>,
+    /// Worker threads (at least one; one by default). On a fresh
+    /// single-host run this is also the number of shards each file's
+    /// variant space is cut into, so it fixes the job decomposition; a
+    /// resume (whose journal pins the decomposition) and a fleet host
+    /// (whose plan does) use it only to size the pool. Backends that
+    /// shell out should size their process pool to it (see
+    /// `spe-subproc`).
+    pub workers: usize,
+    /// How hard a journaled run fights journal faults.
+    pub policy: FaultPolicy,
+}
+
+impl Default for Campaign<'_> {
+    fn default() -> Self {
+        Campaign {
+            oracle: Oracle::Incremental,
+            workers: 1,
+            policy: FaultPolicy::default(),
+        }
+    }
+}
+
+impl Campaign<'_> {
+    /// Runs the campaign over `files` in memory. It always completes —
+    /// there is no journal to fail and no kill budget — so it returns
+    /// the report itself. A job that panics, or whose backend
+    /// persistently fails, is quarantined as a
+    /// [`FindingKind::JobPanicked`] / [`FindingKind::BackendDegraded`]
+    /// finding instead of crashing the process.
+    pub fn run(&self, files: &[TestFile], config: &CampaignConfig) -> CampaignReport {
+        let shards_per_file = self.workers.max(1);
+        let spec = Spec {
+            files,
+            config,
+            shards_per_file,
+            jobs: fresh_jobs(files.len() * shards_per_file),
+            journal: None,
+        };
+        match run(self, spec).status {
+            CampaignStatus::Complete(report) => report,
+            // Only a kill budget interrupts a run, and this one has none.
+            CampaignStatus::Interrupted => unreachable!("in-memory campaigns always complete"),
+        }
+    }
+
+    /// Runs the campaign writing per-(file, shard) checkpoints into a
+    /// fresh journal at `journal` (any existing file is replaced). The
+    /// manifest records the corpus, the configuration, the
+    /// decomposition and the oracle's backend identity, so
+    /// [`Campaign::resume`] needs only the path; the completed report is
+    /// byte-identical to [`Campaign::run`] at the same decomposition.
+    ///
+    /// With `fleet: Some((plan, host_id))` this is one host's slice of a
+    /// multi-host campaign (`DESIGN.md` §14): the plan fixes the
+    /// decomposition, the manifest also pins `(fleet_id, n_hosts,
+    /// host_id)`, and only the jobs of [`FleetPlan::host_jobs`] run. The
+    /// completed report covers that slice only; the campaign result
+    /// comes from [`crate::fleet::merge_journals`] over all hosts.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Journal`] when the journal cannot be
+    /// **created**, [`CheckpointError::Foreign`] when `host_id` is
+    /// outside the plan. Later append failures do not abort the run:
+    /// they are retried and then degrade it to checkpoint-less
+    /// completion with an [`Outcome::warnings`] entry (see
+    /// [`FaultPolicy`]).
+    pub fn run_journaled(
+        &self,
+        files: &[TestFile],
+        config: &CampaignConfig,
+        journal: impl AsRef<Path>,
+        options: &CheckpointOptions,
+        fleet: Option<(FleetPlan, usize)>,
+    ) -> Result<Outcome, CheckpointError> {
+        let stamp = fleet
+            .map(|(plan, host_id)| plan.stamp(host_id))
+            .transpose()?;
+        let shards_per_file = fleet
+            .map_or(self.workers, |(plan, _)| plan.shards_per_file)
+            .max(1);
+        let backend = self.oracle.backend();
+        let manifest = Manifest {
+            config: config.clone(),
+            shards_per_file,
+            files: files.to_vec(),
+            backend_id: backend.id().to_string(),
+            backend_hash: backend.config_hash(),
+            fleet: stamp,
+        };
+        let journal = Journal::create(journal, &manifest.encode())?;
+        let mut jobs = fresh_jobs(files.len() * shards_per_file);
+        let spec = |jobs| Spec {
+            files,
+            config,
+            shards_per_file,
+            jobs,
+            journal: Some((journal, *options)),
+        };
+        let Some(stamp) = stamp else {
+            return Ok(run(self, spec(jobs)));
+        };
+        // Jobs outside the host's slice are pre-marked done: the pool
+        // never deals them, no frames are written for them, and their
+        // empty partials contribute nothing to the host's report.
+        let owned = mark_foreign_jobs_done(&mut jobs, stamp)?;
+        let telemetry = spe_telemetry::global();
+        let timer = Timer::start(&*telemetry);
+        if telemetry.enabled() {
+            telemetry.gauge(
+                names::FLEET_JOBS_OWNED,
+                i64::try_from(owned.len()).unwrap_or(i64::MAX),
+            );
+        }
+        let outcome = run(self, spec(jobs));
+        if telemetry.enabled() {
+            telemetry.span(
+                names::FLEET_HOST_RUN,
+                &format!(
+                    "fleet={:#x} host={}/{} jobs={}",
+                    stamp.fleet_id,
+                    stamp.host_id,
+                    stamp.n_hosts,
+                    owned.len()
+                ),
+                timer.stop_nanos(),
+            );
+        }
+        Ok(outcome)
+    }
+
+    /// Resumes the campaign whose journal lives at `journal`. The valid
+    /// prefix is replayed **streamingly** (a torn tail frame from the
+    /// crash is truncated, and memory stays bounded by the live per-job
+    /// state), finished jobs keep their recorded outputs, and unfinished
+    /// jobs are re-dealt with their shards re-seeded at the committed
+    /// emission-index high-water marks by exact unranking — work before
+    /// a mark is never re-enumerated. The manifest fixes the
+    /// decomposition, so the completed report is byte-identical to an
+    /// uninterrupted run whatever `workers` is; a resumed run may itself
+    /// be interrupted and resumed again, any number of times. A fleet
+    /// host's journal resumes its own slice.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Journal`] when the file is not a resumable
+    /// journal (or another writer holds it); [`CheckpointError::Decode`]
+    /// / [`CheckpointError::Foreign`] when its records do not decode
+    /// against this build's schema and registries, or when it was
+    /// recorded under another backend identity than this campaign's
+    /// oracle — replayed frames mixed with a different oracle's
+    /// recomputed suffix would match no uninterrupted run.
+    pub fn resume(
+        &self,
+        journal: impl AsRef<Path>,
+        options: &CheckpointOptions,
+    ) -> Result<Outcome, CheckpointError> {
+        let telemetry = spe_telemetry::global();
+        let replay_timer = Timer::start(&*telemetry);
+        let (replay, iter) = Replay::open(journal.as_ref())?;
+        if telemetry.enabled() {
+            telemetry.span(
+                names::ORCH_REPLAY,
+                &format!("jobs={}", replay.jobs.len()),
+                replay_timer.stop_nanos(),
+            );
+        }
+        replay.manifest.check_backend(self.oracle.backend())?;
+        let Replay {
+            manifest,
+            mut jobs,
+            campaign_done,
+            ..
+        } = replay;
+        if let Some(stamp) = manifest.fleet {
+            // A host journal records frames only for its own slice; the
+            // jobs outside it are re-marked done, as on the first run.
+            mark_foreign_jobs_done(&mut jobs, stamp)?;
+        }
+        if campaign_done {
+            // Nothing to recompute: fold the recorded outputs directly.
+            let report = merge_outputs(jobs.into_iter().map(|j| j.partial).collect());
+            return Ok(Outcome {
+                status: CampaignStatus::Complete(report),
+                warnings: Vec::new(),
+            });
+        }
+        // The scan's writer lock carries straight into the appender: no
+        // other resume can slip a frame in between replay and append.
+        let journal = iter.into_appender()?;
+        let spec = Spec {
+            files: &manifest.files,
+            config: &manifest.config,
+            shards_per_file: manifest.shards_per_file,
+            jobs,
+            journal: Some((journal, *options)),
+        };
+        Ok(run(self, spec))
+    }
+
+    /// Reduces every finding of `report` and runs the fingerprint and
+    /// trigger dedup folds ([`crate::reduction`]). Findings fan out over
+    /// `workers` threads; each witness is a pure function of its
+    /// finding, so the report is byte-identical for every worker count.
+    /// Under [`Oracle::Incremental`] candidate shrinks are probed in
+    /// process with [`spe_simcc::Compiler::observe`]; under
+    /// [`Oracle::Backend`] each is printed and re-observed by the
+    /// backend, so witnesses are certified by the oracle that found
+    /// them.
+    ///
+    /// With `journal: Some(path)` — the campaign's journal — the pass is
+    /// checkpointed: witnesses an earlier (killed) pass recorded are
+    /// replayed, only the missing findings are reduced, and each
+    /// witness lands as one journal frame, so any kill/resume history
+    /// yields the uninterrupted report.
+    ///
+    /// Returns one warning per finding whose reducer panicked; such a
+    /// finding is recorded as irreducible (and as a
+    /// [`names::REDUCE_PANICKED`] telemetry event) instead of killing
+    /// the fan-out.
+    ///
+    /// # Errors
+    ///
+    /// Only with a journal: the error classes of [`Campaign::resume`],
+    /// plus a [`CheckpointError::Foreign`] refusal when the journal's
+    /// recorded reduction ran under other options or belongs to another
+    /// report. The report is left unmodified on error.
+    pub fn reduce(
+        &self,
+        report: &mut CampaignReport,
+        options: &ReductionOptions,
+        journal: Option<&Path>,
+    ) -> Result<Vec<String>, CheckpointError> {
+        let (mut slots, journal) = match journal {
+            Some(path) => replay_reduction(path, report, options, self.oracle.backend())?,
+            None => (vec![None; report.findings.len()], None),
+        };
+        let warnings = reduce_missing(
+            &report.findings,
+            &mut slots,
+            options,
+            self.workers,
+            self.oracle,
+            journal,
+        )?;
+        attach_and_dedup(report, slots.into_iter().map(Option::flatten).collect());
+        Ok(warnings)
+    }
+}
+
+/// `count` jobs with no replayed state.
+fn fresh_jobs(count: usize) -> Vec<JobState> {
+    (0..count).map(|_| JobState::default()).collect()
+}
+
+/// Everything one supervised run needs besides its [`Campaign`].
+/// Borrowed, not owned: a resume hands the manifest's corpus straight
+/// through without cloning.
+struct Spec<'a> {
+    files: &'a [TestFile],
+    config: &'a CampaignConfig,
     /// Shards each file's variant space is cut into — fixed by the
-    /// journal manifest on resume, `workers` on fresh runs.
-    pub(crate) shards_per_file: usize,
+    /// journal manifest on resume and by the plan on a fleet host, the
+    /// worker count otherwise.
+    shards_per_file: usize,
     /// Per-job replayed state: fresh defaults on a first run, the
     /// journal's committed high-water marks and partial outputs on a
     /// resume. Jobs marked done are not re-dealt.
-    pub(crate) jobs: Vec<JobState>,
-    pub(crate) workers: usize,
-    /// Count-based checkpoint cadence ([`CheckpointOptions::every`]).
-    pub(crate) every: u64,
-    /// Simulated-kill budget ([`CheckpointOptions::stop_after`]).
-    pub(crate) stop_after: Option<u64>,
-    /// The checkpoint sink; `None` runs the pool purely in memory.
-    pub(crate) journal: Option<Journal>,
-    pub(crate) oracle: Oracle<'a>,
-    pub(crate) policy: FaultPolicy,
+    jobs: Vec<JobState>,
+    /// The checkpoint sink and what it records; `None` runs the pool
+    /// purely in memory.
+    journal: Option<(Journal, CheckpointOptions)>,
 }
 
 /// The checkpoint sink: serializes journal appends, retries transient
@@ -170,9 +442,8 @@ impl Sink<'_> {
             let result = journal.lock().expect("poisoned").append(payload);
             match result {
                 Ok(()) => return,
-                Err(e @ JournalError::Io { .. }) if attempt < self.policy.max_append_retries => {
+                Err(JournalError::Io { .. }) if attempt < self.policy.max_append_retries => {
                     attempt += 1;
-                    let _ = e;
                     self.telemetry.counter(names::JOURNAL_RETRIES, 1);
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2);
@@ -220,23 +491,25 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// The one supervised worker-pool/merge loop (`DESIGN.md` §11). Every
-/// public campaign entry point — parallel, checkpointed, resumed, with
-/// or without a backend — is a thin wrapper over this function.
-pub(crate) fn run(spec: Spec<'_>) -> Outcome {
+/// The one supervised worker-pool/merge loop (`DESIGN.md` §11) behind
+/// every [`Campaign`] run and resume.
+fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
+    let Campaign {
+        oracle,
+        workers,
+        policy,
+    } = *campaign;
     let Spec {
         files,
         config,
         shards_per_file,
         jobs,
-        workers,
-        every,
-        stop_after,
         journal,
-        oracle,
-        policy,
     } = spec;
-    let every = every.max(1);
+    let workers = workers.max(1);
+    let (journal, options) = journal.unzip();
+    let every = options.map_or(u64::MAX, |o| o.every).max(1);
+    let stop_after = options.and_then(|o| o.stop_after);
     // One global-sink read per run; workers share the borrow. All
     // recording is write-only (nothing read back), so instrumented
     // runs stay byte-identical to `NullSink` runs.
@@ -323,12 +596,12 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
                     let mut rollback = (0usize, 0u64, 0u64);
                     let panic_payload = if let Some((sk, space)) = space {
                         let enumerator = crate::campaign_enumerator(config, shards_per_file);
-                        // Per-job incremental session (None on the
-                        // round-trip paths): built lazily from the job's
-                        // first variant inside the panic guard, dropped
-                        // at job end — cached AST state cannot outlive
-                        // the job or leak into a quarantined sibling.
-                        let mut session = oracle.session(sk);
+                        // The job's oracle (and its splice cache) is
+                        // built lazily from the job's first variant
+                        // inside the panic guard and dropped at job end
+                        // — cached AST state cannot outlive the job or
+                        // leak into a quarantined sibling.
+                        let mut job_oracle = oracle.job(sk);
                         catch_unwind(AssertUnwindSafe(|| {
                             enumerator.enumerate_shard_resumed_prepared(
                                 space,
@@ -340,21 +613,20 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
                                         return ControlFlow::Break(());
                                     }
                                     variant.render_into(sk, &mut buf);
-                                    let result = match session.as_mut() {
-                                        Some(sess) => sess.process_variant(
-                                            variant, file, &buf, config, &mut delta, telemetry,
-                                        ),
-                                        None => oracle.process_variant(
-                                            file, &buf, config, &mut delta, telemetry,
-                                        ),
-                                    };
-                                    if let Err(e) = result {
+                                    if let Err(e) = job_oracle.process_variant(
+                                        variant, file, &buf, config, &mut delta, telemetry,
+                                    ) {
                                         // Backend machinery failure:
                                         // quarantine the job (degraded
                                         // finding + JobDone below) and
                                         // let the campaign continue.
-                                        delta.candidates.push(degraded_finding(
-                                            file, shard, &buf, config, &e,
+                                        delta.candidates.push(quarantine_finding(
+                                            FindingKind::BackendDegraded,
+                                            file,
+                                            shard,
+                                            &buf,
+                                            config,
+                                            &e.what,
                                         ));
                                         return ControlFlow::Break(());
                                     }
@@ -403,7 +675,8 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
                         delta.candidates.truncate(rollback.0);
                         delta.variants_tested = rollback.1;
                         delta.variants_ub_skipped = rollback.2;
-                        delta.candidates.push(panicked_finding(
+                        delta.candidates.push(quarantine_finding(
+                            FindingKind::JobPanicked,
                             file,
                             shard,
                             &buf,
@@ -473,151 +746,4 @@ pub(crate) fn run(spec: Spec<'_>) -> Outcome {
         status: CampaignStatus::Complete(report),
         warnings: warnings.into_inner().expect("poisoned"),
     }
-}
-
-/// A supervised in-memory campaign: [`crate::run_campaign_parallel`]
-/// with the [`Outcome`] (and its absorbed-fault warnings) exposed.
-/// Always completes — there is no checkpoint sink to fail and no
-/// simulated-kill budget.
-pub fn campaign(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    policy: &FaultPolicy,
-) -> Outcome {
-    campaign_oracle(files, config, workers, Oracle::Incremental, *policy)
-}
-
-/// [`campaign`] with the oracle dispatched through a
-/// [`CompilerBackend`].
-pub fn campaign_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    policy: &FaultPolicy,
-) -> Outcome {
-    campaign_oracle(files, config, workers, Oracle::Backend(backend), *policy)
-}
-
-pub(crate) fn campaign_oracle(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    oracle: Oracle<'_>,
-    policy: FaultPolicy,
-) -> Outcome {
-    let workers = workers.max(1);
-    run(Spec {
-        files,
-        config,
-        shards_per_file: workers,
-        jobs: (0..files.len() * workers).map(|_| JobState::default()).collect(),
-        workers,
-        every: u64::MAX,
-        stop_after: None,
-        journal: None,
-        oracle,
-        policy,
-    })
-}
-
-/// A supervised checkpointed campaign:
-/// [`crate::checkpoint::run_campaign_checkpointed`] with an explicit
-/// [`FaultPolicy`] and the [`Outcome`] exposed.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Journal`] when the journal cannot be
-/// *created*. Append failures after that no longer abort the run — they
-/// degrade it (see [`FaultPolicy`]).
-pub fn campaign_checkpointed(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Incremental,
-        *policy,
-    )
-}
-
-/// [`campaign_checkpointed`] with the oracle dispatched through a
-/// [`CompilerBackend`].
-///
-/// # Errors
-///
-/// As [`campaign_checkpointed`].
-pub fn campaign_checkpointed_with_backend(
-    files: &[TestFile],
-    config: &CampaignConfig,
-    workers: usize,
-    path: impl AsRef<Path>,
-    options: &CheckpointOptions,
-    backend: &dyn CompilerBackend,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::run_checkpointed_supervised(
-        files,
-        config,
-        workers,
-        path.as_ref(),
-        options,
-        Oracle::Backend(backend),
-        *policy,
-    )
-}
-
-/// A supervised resume: [`crate::checkpoint::resume_campaign`] with an
-/// explicit [`FaultPolicy`] and the [`Outcome`] exposed. The journal is
-/// replayed **streamingly** ([`spe_persist::JournalIter`]) — resume
-/// memory is bounded by the live per-job state, not the journal size.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign`].
-pub fn resume(
-    path: impl AsRef<Path>,
-    workers: usize,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Incremental,
-        *policy,
-    )
-}
-
-/// [`resume`] for journals recorded under a [`CompilerBackend`]; the
-/// backend must match the manifest's recorded identity or the resume is
-/// refused.
-///
-/// # Errors
-///
-/// As [`crate::checkpoint::resume_campaign_with_backend`].
-pub fn resume_with_backend(
-    path: impl AsRef<Path>,
-    backend: &dyn CompilerBackend,
-    workers: usize,
-    options: &CheckpointOptions,
-    policy: &FaultPolicy,
-) -> Result<Outcome, CheckpointError> {
-    crate::checkpoint::resume_supervised(
-        path.as_ref(),
-        workers,
-        options,
-        Oracle::Backend(backend),
-        *policy,
-    )
 }

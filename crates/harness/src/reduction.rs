@@ -1,6 +1,6 @@
 //! Post-campaign test-case reduction and fingerprint deduplication.
 //!
-//! A [`crate::CampaignReport`] fresh out of [`crate::run_campaign`]
+//! A [`crate::CampaignReport`] fresh out of [`crate::Campaign::run`]
 //! carries, for every unique-signature finding, the **first raw
 //! reproducer** — often a whole corpus file of which a single statement
 //! matters. This stage (the pipeline step between campaign merge and
@@ -28,23 +28,25 @@
 //!    are still unmerged but share a trigger fold into the first root
 //!    with that trigger.
 //!
-//! Reduction jobs fan out over the same work-stealing
-//! [`crate::steal::WorkQueue`] the parallel campaign uses; since each
-//! job is a pure deterministic function of its finding, the report is
-//! **byte-identical for every worker count** — witnesses are written into
-//! per-finding slots and both dedup folds walk them in finding order.
-//! For long campaigns the stage is also checkpointable: see
-//! [`crate::checkpoint::reduce_findings_checkpointed`] and `DESIGN.md`
-//! §9.
+//! [`crate::Campaign::reduce`] runs the stage. Reduction jobs fan out
+//! over the same work-stealing [`crate::steal::WorkQueue`] campaigns
+//! use; since each job is a pure deterministic function of its finding,
+//! the report is **byte-identical for every worker count** — witnesses
+//! are written into per-finding slots and both dedup folds walk them in
+//! finding order. For long campaigns the stage is also checkpointable
+//! into the campaign's journal (`DESIGN.md` §9).
 
+use crate::checkpoint::{encode_reduced, CheckpointError};
 use crate::steal::WorkQueue;
 use crate::{CampaignReport, Finding, FindingKind, Oracle};
 use spe_minic::ast::Program;
+use spe_persist::Journal;
 use spe_reduce::stmts::stmt_kind_signature;
 use spe_reduce::{reduce, ReduceConfig};
-use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, Divergence, Observation};
+use spe_telemetry::{names, Timer};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// A finding's reduced witness plus reduction bookkeeping.
@@ -94,10 +96,14 @@ impl Default for ReductionOptions {
     }
 }
 
+/// A finding's reduction result: `None` until it is reduced (or
+/// replayed from a journal), `Some(None)` when it proved irreducible.
+pub(crate) type Slot = Option<Option<ReducedWitness>>;
+
 /// Whether an observation still certifies `finding`: same
 /// [`FindingKind`], same bug id (for wrong code, an unattributed
 /// finding — `bug_id == None` — must stay unattributed). Shared by the
-/// direct and backend-dispatched reduction oracles.
+/// in-process and backend-dispatched reduction oracles.
 fn verdict_matches(finding: &Finding, obs: &Observation) -> bool {
     match finding.kind {
         FindingKind::Crash => obs.ice.as_ref().map(|ice| ice.bug_id) == finding.bug_id,
@@ -130,8 +136,8 @@ fn observe_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>)
     match oracle {
         // Reduction probes arbitrary shrunken programs, not variants of
         // one skeleton — there is nothing for the incremental cache to
-        // splice, so both in-process paths observe directly.
-        Oracle::Direct | Oracle::Incremental => Some(cc.observe(p, wrong_code_fuel)),
+        // splice, so the in-process oracle observes the AST directly.
+        Oracle::Incremental => Some(cc.observe(p, wrong_code_fuel)),
         Oracle::Backend(b) => b
             .observe_config(&spe_minic::print_program(p), cc, wrong_code_fuel)
             .ok(),
@@ -142,7 +148,7 @@ fn observe_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>)
 /// configuration: same [`FindingKind`], same bug id (for wrong code, an
 /// unattributed finding — `bug_id == None` — must stay unattributed).
 pub fn reproduces(finding: &Finding, p: &Program, fuel: u64) -> bool {
-    reproduces_oracle(finding, p, fuel, Oracle::Direct)
+    reproduces_oracle(finding, p, fuel, Oracle::Incremental)
 }
 
 fn reproduces_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>) -> bool {
@@ -181,7 +187,7 @@ fn trigger_signature(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'
 /// quarantine marker (its "reproducer" is the variant the
 /// infrastructure failed on — there is no verdict to preserve, so
 /// nothing to reduce).
-pub(crate) fn reduce_one_oracle(
+fn reduce_one(
     finding: &Finding,
     options: &ReductionOptions,
     oracle: Oracle<'_>,
@@ -205,103 +211,90 @@ pub(crate) fn reduce_one_oracle(
     })
 }
 
-/// [`reduce_one_oracle`] under panic isolation: a reducer (or oracle)
-/// panic on one malformed finding records that finding as irreducible
-/// with a stderr warning instead of killing the whole fan-out
-/// (`DESIGN.md` §11). Deterministic — a given finding either always
-/// panics or never does — so reports stay byte-identical across worker
-/// counts and kill/resume histories.
-pub(crate) fn reduce_one_isolated(
-    finding: &Finding,
-    options: &ReductionOptions,
-    oracle: Oracle<'_>,
-) -> Option<ReducedWitness> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        reduce_one_oracle(finding, options, oracle)
-    })) {
-        Ok(witness) => witness,
-        Err(payload) => {
-            eprintln!(
-                "spe-harness: warning: reduction of finding {:?} panicked ({}); \
-                 recording it as irreducible and continuing",
-                finding.signature,
-                crate::orchestrate::panic_message(payload.as_ref())
-            );
-            None
-        }
-    }
-}
-
-/// Runs the reduction stage over every finding of `report`, fanning jobs
-/// across `workers` threads of a work-stealing pool, then applies the
-/// fingerprint dedup pass. The resulting report is byte-identical for
-/// every worker count.
-pub fn reduce_findings(report: &mut CampaignReport, options: &ReductionOptions, workers: usize) {
-    reduce_findings_oracle(report, options, workers, Oracle::Direct);
-}
-
-/// [`reduce_findings`] with the re-check oracle dispatched through
-/// `backend`: every candidate shrink is re-observed by
-/// [`CompilerBackend::observe_config`] on the printed program, so
-/// witnesses are certified by the same oracle that found them. Use the
-/// backend the campaign ran under — a different one would re-check a
-/// different compiler.
-pub fn reduce_findings_with_backend(
-    report: &mut CampaignReport,
-    options: &ReductionOptions,
-    workers: usize,
-    backend: &dyn CompilerBackend,
-) {
-    reduce_findings_oracle(report, options, workers, Oracle::Backend(backend));
-}
-
-fn reduce_findings_oracle(
-    report: &mut CampaignReport,
+/// The one reduction fan-out: reduces every finding whose slot is still
+/// empty across `workers` threads of a work-stealing pool and fills its
+/// slot, first appending its `Reduced` frame to `journal` when one is
+/// given. A journal append failure stops the pool and is returned.
+///
+/// Each reduction runs under panic isolation: a reducer (or oracle)
+/// panic on one malformed finding records that finding as irreducible,
+/// with a [`names::REDUCE_PANICKED`] event and a returned warning,
+/// instead of killing the fan-out (`DESIGN.md` §11). Deterministic — a
+/// given finding either always panics or never does — so reports stay
+/// byte-identical across worker counts and kill/resume histories.
+/// Warnings come back in finding order.
+pub(crate) fn reduce_missing(
+    findings: &[Finding],
+    slots: &mut [Slot],
     options: &ReductionOptions,
     workers: usize,
     oracle: Oracle<'_>,
-) {
-    let jobs = report.findings.len();
-    if jobs == 0 {
-        return;
+    journal: Option<Journal>,
+) -> Result<Vec<String>, CheckpointError> {
+    let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+    if missing.is_empty() {
+        return Ok(Vec::new());
     }
     let telemetry = spe_telemetry::global();
-    let pass_timer = spe_telemetry::Timer::start(&*telemetry);
-    let workers = workers.clamp(1, jobs);
-    let slots: Mutex<Vec<Option<ReducedWitness>>> = Mutex::new(vec![None; jobs]);
-    if workers == 1 {
-        let mut slots = slots.lock().expect("poisoned");
-        for (i, f) in report.findings.iter().enumerate() {
-            slots[i] = reduce_one_isolated(f, options, oracle);
-        }
-        drop(slots);
-    } else {
-        let queue = WorkQueue::new((0..jobs).collect(), workers);
-        let findings = &report.findings;
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(w) {
-                        // Reduction is a pure function of the finding, so
-                        // completion order cannot affect the report.
-                        let witness = reduce_one_isolated(&findings[i], options, oracle);
-                        slots.lock().expect("poisoned")[i] = witness;
+    let pass_timer = Timer::start(&*telemetry);
+    let count = missing.len();
+    let workers = workers.clamp(1, count);
+    let queue = WorkQueue::new(missing, workers);
+    let journal = journal.map(Mutex::new);
+    let slots = Mutex::new(slots);
+    let warnings: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+    let failure: Mutex<Option<CheckpointError>> = Mutex::new(None);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let (queue, journal, slots) = (&queue, &journal, &slots);
+            let (warnings, failure, stop, telemetry) = (&warnings, &failure, &stop, &telemetry);
+            scope.spawn(move || {
+                while let Some(i) = queue.pop(w) {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
                     }
-                });
-            }
-        });
+                    let finding = &findings[i];
+                    let witness = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        reduce_one(finding, options, oracle)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        let warning = format!(
+                            "reduction of finding {:?} panicked ({}); \
+                             recording it as irreducible and continuing",
+                            finding.signature,
+                            crate::orchestrate::panic_message(payload.as_ref())
+                        );
+                        telemetry.event(names::REDUCE_PANICKED, &warning);
+                        warnings.lock().expect("poisoned").push((i, warning));
+                        None
+                    });
+                    if let Some(journal) = journal {
+                        let frame = encode_reduced(i, &finding.signature, &witness);
+                        if let Err(e) = journal.lock().expect("poisoned").append(&frame) {
+                            failure.lock().expect("poisoned").get_or_insert(e.into());
+                            stop.store(true, Ordering::Relaxed);
+                            return;
+                        }
+                    }
+                    slots.lock().expect("poisoned")[i] = Some(witness);
+                }
+            });
+        }
+    });
+    if let Some(e) = failure.into_inner().expect("poisoned") {
+        return Err(e);
     }
-    let slots = slots.into_inner().expect("poisoned");
-    attach_and_dedup(report, slots);
     if telemetry.enabled() {
         telemetry.span(
-            spe_telemetry::names::REDUCE_PASS,
-            &format!("findings={jobs} workers={workers}"),
+            names::REDUCE_PASS,
+            &format!("findings={count} workers={workers}"),
             pass_timer.stop_nanos(),
         );
     }
+    let mut warnings = warnings.into_inner().expect("poisoned");
+    warnings.sort_by_key(|&(i, _)| i);
+    Ok(warnings.into_iter().map(|(_, warning)| warning).collect())
 }
 
 /// Attaches witnesses in finding order and runs both ground-truth-free
@@ -402,10 +395,23 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_campaign, CampaignConfig};
+    use crate::{Campaign, CampaignConfig};
     use spe_core::Algorithm;
     use spe_corpus::seeds;
     use spe_simcc::CompilerId;
+
+    fn run_campaign(files: &[spe_corpus::TestFile], config: &CampaignConfig) -> CampaignReport {
+        Campaign::default().run(files, config)
+    }
+
+    fn reduce_findings(report: &mut CampaignReport, options: &ReductionOptions, workers: usize) {
+        let campaign = Campaign {
+            workers,
+            ..Campaign::default()
+        };
+        let warnings = campaign.reduce(report, options, None).expect("no journal");
+        assert!(warnings.is_empty(), "no reducer panics: {warnings:?}");
+    }
 
     fn campaign() -> (CampaignReport, CampaignConfig) {
         let config = CampaignConfig {

@@ -176,14 +176,14 @@ pub fn figure10(report: &CampaignReport, family: &str, versions: &[u32]) -> Figu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_campaign, CampaignConfig};
+    use crate::{Campaign, CampaignConfig};
     use spe_core::Algorithm;
     use spe_corpus::seeds;
     use spe_simcc::bugs::GCC_VERSIONS;
     use spe_simcc::{Compiler, CompilerId};
 
     fn campaign() -> CampaignReport {
-        run_campaign(
+        Campaign::default().run(
             &seeds::all(),
             &CampaignConfig {
                 compilers: vec![

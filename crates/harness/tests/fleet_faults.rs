@@ -4,9 +4,11 @@
 //! refused with an error naming the offending journal, host, or gap.
 
 use spe_corpus::{generate, CorpusConfig, TestFile};
-use spe_harness::checkpoint::{compact_journal, run_campaign_checkpointed, CheckpointOptions};
-use spe_harness::fleet::{merge_journals, resume_host, run_host, FleetError};
-use spe_harness::{CampaignConfig, CampaignStatus, CheckpointError, FleetPlan};
+use spe_harness::checkpoint::{
+    compact_journal, resume_campaign, run_campaign_checkpointed, CheckpointOptions,
+};
+use spe_harness::fleet::{merge_journals, FleetError};
+use spe_harness::{Campaign, CampaignConfig, CampaignStatus, CheckpointError, FleetPlan};
 use spe_simcc::{Compiler, CompilerId};
 use std::path::{Path, PathBuf};
 
@@ -46,16 +48,19 @@ fn complete_fleet(
     (0..plan.n_hosts)
         .map(|host| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host(
-                plan,
-                host,
+            let status = Campaign {
+                workers: 2,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 files,
                 config,
-                2,
                 &path,
                 &CheckpointOptions::default(),
+                Some((*plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(matches!(status, CampaignStatus::Complete(_)));
             path
         })
@@ -75,19 +80,19 @@ fn killed_hosts_resume_on_different_worker_counts_byte_identically() {
             // Every host is killed mid-slice, then resumed — repeatedly,
             // on a rotating worker count, with another kill budget each
             // time — until it completes.
-            let mut status = run_host(
-                &plan,
-                host,
-                &files,
-                &config,
-                1,
-                &path,
-                &CheckpointOptions {
-                    every: 8,
-                    stop_after: Some(3),
-                },
-            )
-            .expect("host runs");
+            let mut status = Campaign::default()
+                .run_journaled(
+                    &files,
+                    &config,
+                    &path,
+                    &CheckpointOptions {
+                        every: 8,
+                        stop_after: Some(3),
+                    },
+                    Some((plan, host)),
+                )
+                .expect("host runs")
+                .status;
             assert!(
                 status.is_interrupted(),
                 "host {host} must be preempted by its kill budget"
@@ -97,7 +102,7 @@ fn killed_hosts_resume_on_different_worker_counts_byte_identically() {
                 if !status.is_interrupted() {
                     break;
                 }
-                status = resume_host(
+                status = resume_campaign(
                     &path,
                     workers[attempt % workers.len()],
                     &CheckpointOptions {
@@ -218,15 +223,20 @@ fn non_fleet_and_incomplete_journals_are_refused() {
     let plan = FleetPlan::new(0x1c0, 2, 2);
     let done = dir.join("host-0.journal");
     let dead = dir.join("host-1.journal");
+    let host_run = |host, workers, path: &Path, options: &CheckpointOptions| {
+        Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .run_journaled(&files, &config, path, options, Some((plan, host)))
+        .map(|outcome| outcome.status)
+    };
     assert!(matches!(
-        run_host(&plan, 0, &files, &config, 2, &done, &CheckpointOptions::default()),
+        host_run(0, 2, &done, &CheckpointOptions::default()),
         Ok(CampaignStatus::Complete(_))
     ));
-    assert!(run_host(
-        &plan,
+    assert!(host_run(
         1,
-        &files,
-        &config,
         1,
         &dead,
         &CheckpointOptions {
@@ -247,7 +257,7 @@ fn non_fleet_and_incomplete_journals_are_refused() {
     assert!(message.contains("resume"), "no repair hint: {message}");
     // Resuming the dead host repairs the set.
     assert!(matches!(
-        resume_host(&dead, 4, &CheckpointOptions::default()),
+        resume_campaign(&dead, 4, &CheckpointOptions::default()),
         Ok(CampaignStatus::Complete(_))
     ));
     assert_eq!(
@@ -294,14 +304,12 @@ fn out_of_plan_host_ids_are_refused() {
     let files = corpus();
     let dir = journal_dir("faults-hostid");
     let plan = FleetPlan::new(0xbad, 2, 2);
-    match run_host(
-        &plan,
-        2,
+    match Campaign::default().run_journaled(
         &files,
         &config(),
-        1,
         dir.join("host-2.journal"),
         &CheckpointOptions::default(),
+        Some((plan, 2)),
     ) {
         Err(CheckpointError::Foreign(message)) => {
             assert!(message.contains("host 2"), "{message}");

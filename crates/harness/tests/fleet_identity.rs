@@ -9,13 +9,10 @@
 use proptest::prelude::*;
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::CheckpointOptions;
-use spe_harness::fleet::{
-    merge_journals, merge_journals_detailed, run_host, run_host_with_backend, run_host_with_path,
-};
-use spe_harness::reduction::{reduce_findings, ReductionOptions};
+use spe_harness::fleet::{merge_journals, merge_journals_detailed};
+use spe_harness::reduction::ReductionOptions;
 use spe_harness::{
-    run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig, CampaignStatus,
-    FleetPlan, OraclePath,
+    run_campaign_parallel, Campaign, CampaignConfig, CampaignStatus, FleetPlan, Oracle,
 };
 use spe_simcc::backend::{BackendError, CompilerBackend, SimccBackend};
 use spe_simcc::{Compiler, CompilerId, Observation};
@@ -55,16 +52,19 @@ fn run_fleet(
     (0..plan.n_hosts)
         .map(|host| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host(
-                plan,
-                host,
+            let status = Campaign {
+                workers: workers[host % workers.len()],
+                ..Campaign::default()
+            }
+            .run_journaled(
                 files,
                 config,
-                workers[host % workers.len()],
                 &path,
                 &CheckpointOptions::default(),
+                Some((*plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(
                 matches!(status, CampaignStatus::Complete(_)),
                 "unkilled host {host} must complete"
@@ -123,22 +123,25 @@ fn hosts_may_mix_oracle_paths_without_changing_the_merge() {
     let reference = run_campaign_parallel(&files, &config, 2);
     let dir = journal_dir("identity-paths");
     let plan = FleetPlan::new(0x0a71e, 2, 2);
-    let paths: Vec<PathBuf> = [OraclePath::Incremental, OraclePath::RoundTrip]
+    let paths: Vec<PathBuf> = [Oracle::Incremental, Oracle::Backend(&SimccBackend)]
         .into_iter()
         .enumerate()
-        .map(|(host, oracle_path)| {
+        .map(|(host, oracle)| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host_with_path(
-                &plan,
-                host,
+            let status = Campaign {
+                oracle,
+                workers: 3,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                3,
                 &path,
                 &CheckpointOptions::default(),
-                oracle_path,
+                Some((plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(matches!(status, CampaignStatus::Complete(_)));
             path
         })
@@ -159,8 +162,14 @@ fn reduction_folds_are_identical_on_merged_and_serial_reports() {
         fuel: config.fuel,
         ..ReductionOptions::default()
     };
-    reduce_findings(&mut reference, &options, 4);
-    reduce_findings(&mut merged, &options, 2);
+    for (report, workers) in [(&mut reference, 4), (&mut merged, 2)] {
+        Campaign {
+            workers,
+            ..Campaign::default()
+        }
+        .reduce(report, &options, None)
+        .expect("in-memory reduction");
+    }
     assert_eq!(
         merged, reference,
         "trigger-aware dedup folds diverged on the merged report"
@@ -223,7 +232,12 @@ fn panic_quarantines_survive_the_fleet_merge_byte_identically() {
     let files = generate(&CorpusConfig { files: 8, seed: 13 });
     let config = config();
     let backend = PanickyBackend(SimccBackend);
-    let reference = run_campaign_parallel_with_backend(&files, &config, &backend, 2);
+    let reference = Campaign {
+        oracle: Oracle::Backend(&backend),
+        workers: 2,
+        ..Campaign::default()
+    }
+    .run(&files, &config);
     assert!(
         reference
             .findings
@@ -236,17 +250,20 @@ fn panic_quarantines_survive_the_fleet_merge_byte_identically() {
     let paths: Vec<PathBuf> = (0..plan.n_hosts)
         .map(|host| {
             let path = dir.join(format!("host-{host}.journal"));
-            let status = run_host_with_backend(
-                &plan,
-                host,
+            let status = Campaign {
+                oracle: Oracle::Backend(&backend),
+                workers: 1 + host,
+                ..Campaign::default()
+            }
+            .run_journaled(
                 &files,
                 &config,
-                1 + host,
                 &path,
                 &CheckpointOptions::default(),
-                &backend,
+                Some((plan, host)),
             )
-            .expect("host runs");
+            .expect("host runs")
+            .status;
             assert!(matches!(status, CampaignStatus::Complete(_)));
             path
         })

@@ -4,7 +4,7 @@
 //! tables.
 
 use spe_corpus::{generate, CorpusConfig};
-use spe_harness::{run_campaign, run_campaign_parallel, CampaignConfig};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig};
 use spe_simcc::{Compiler, CompilerId};
 
 fn config() -> CampaignConfig {
@@ -28,7 +28,7 @@ fn parallel_campaign_is_byte_identical_to_serial() {
     let files = generate(&CorpusConfig { files: 10, seed: 7 });
     assert_eq!(files.len(), 10);
     let config = config();
-    let serial = run_campaign(&files, &config);
+    let serial = Campaign::default().run(&files, &config);
     assert!(
         serial.files_processed >= 8,
         "most generated files should analyze, got {}",
@@ -48,7 +48,7 @@ fn parallel_campaign_is_byte_identical_to_serial() {
 fn parallel_campaign_matches_on_the_paper_seed_corpus() {
     let files = spe_corpus::seeds::all();
     let config = config();
-    let serial = run_campaign(&files, &config);
+    let serial = Campaign::default().run(&files, &config);
     assert!(
         !serial.findings.is_empty(),
         "the seed corpus exposes seeded compiler bugs"
@@ -76,7 +76,7 @@ fn parallel_campaign_matches_on_the_paper_seed_corpus() {
 fn worker_counts_beyond_the_workload_are_safe() {
     let files = generate(&CorpusConfig { files: 2, seed: 3 });
     let config = config();
-    let serial = run_campaign(&files, &config);
+    let serial = Campaign::default().run(&files, &config);
     let parallel = run_campaign_parallel(&files, &config, 16);
     assert_eq!(parallel, serial);
 }

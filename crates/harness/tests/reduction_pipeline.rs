@@ -4,8 +4,8 @@
 //! distinct-signature duplicates, and parallel reduction is byte-stable.
 
 use spe_corpus::{generate, seeds, CorpusConfig};
-use spe_harness::reduction::{reduce_findings, reproduces, ReductionOptions};
-use spe_harness::{run_campaign_parallel, CampaignConfig, CampaignReport};
+use spe_harness::reduction::{reproduces, ReductionOptions};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig, CampaignReport};
 use spe_simcc::{Compiler, CompilerId};
 
 /// A scaled-down Table 4 trunk campaign: the paper seeds plus a slice of
@@ -40,14 +40,19 @@ fn trunk_campaign() -> (CampaignReport, CampaignConfig) {
 
 fn reduced_campaign(workers: usize) -> (CampaignReport, CampaignConfig) {
     let (mut report, config) = trunk_campaign();
-    reduce_findings(
+    Campaign {
+        workers,
+        ..Campaign::default()
+    }
+    .reduce(
         &mut report,
         &ReductionOptions {
             fuel: config.fuel,
             ..ReductionOptions::default()
         },
-        workers,
-    );
+        None,
+    )
+    .expect("in-memory reduction");
     (report, config)
 }
 

@@ -118,7 +118,7 @@ pub trait CompilerBackend: Send + Sync {
     /// The default implementation loops [`Self::observe_config`];
     /// backends amortize per-variant work here (the in-process backend
     /// parses once and evaluates the reference interpreter once for all
-    /// configurations, exactly like the direct campaign path).
+    /// configurations).
     ///
     /// # Errors
     ///
@@ -137,11 +137,10 @@ pub trait CompilerBackend: Send + Sync {
 }
 
 /// The in-process `simcc` backend: [`crate::Compiler::observe`] behind
-/// the trait. The default oracle of every campaign entry point, with
-/// **zero behavior change** relative to the direct path — the
-/// per-variant fast path below is the same parse-once /
-/// reference-once sequence, pinned byte-identical by
-/// `tests/backend_identity.rs`.
+/// the trait, parsing every variant afresh — the round trip the
+/// harness's incremental splice oracle is pinned byte-identical to by
+/// `tests/backend_identity.rs` and `tests/oracle_identity.rs`, and the
+/// identity its journals record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimccBackend;
 
@@ -196,10 +195,9 @@ impl CompilerBackend for SimccBackend {
             return Ok(Vec::new());
         };
         telemetry.counter(spe_telemetry::names::SIMCC_OBSERVATIONS, compilers.len() as u64);
-        // Parse once, evaluate the reference interpreter at most once:
-        // the same amortization (and the same evaluation order) as the
-        // direct campaign path, so observations — including the
-        // `reference_ub` skip flags — are identical to it.
+        // Parse once, evaluate the reference interpreter at most once —
+        // and only for a configuration that compiled, so `reference_ub`
+        // skip flags are set exactly where a compiled run is compared.
         let mut reference: Option<Result<crate::interp::Execution, crate::interp::Ub>> = None;
         let mut out = Vec::with_capacity(compilers.len());
         for cc in compilers {

@@ -20,9 +20,7 @@
 //! this executable).
 
 use spe_core::Algorithm;
-use spe_harness::{
-    run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig, FindingKind,
-};
+use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig, FindingKind, Oracle};
 use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, CompilerId};
 use spe_subproc::{SubprocBackend, SubprocConfig};
@@ -85,7 +83,12 @@ fn main() {
     subproc_config.env = vec![("FAKECC_FUEL".into(), config.fuel.to_string())];
     let backend = SubprocBackend::new(subproc_config).expect("backend");
     let external = phase("parity_subproc", || {
-        run_campaign_parallel_with_backend(&files, &config, &backend, workers)
+        Campaign {
+            oracle: Oracle::Backend(&backend),
+            workers,
+            ..Campaign::default()
+        }
+        .run(&files, &config)
     });
 
     let wrong_code = |report: &spe_harness::CampaignReport| -> BTreeSet<String> {
@@ -163,7 +166,12 @@ fn main() {
     broken_config.retries = 1;
     let broken = SubprocBackend::new(broken_config).expect("backend");
     let degraded = phase("quarantine", || {
-        run_campaign_parallel_with_backend(&files, &config, &broken, workers)
+        Campaign {
+            oracle: Oracle::Backend(&broken),
+            workers,
+            ..Campaign::default()
+        }
+        .run(&files, &config)
     });
     assert!(
         degraded

@@ -9,10 +9,8 @@
 //! backend machinery, and never a hang or panic of the campaign.
 
 use spe_core::Algorithm;
-use spe_harness::checkpoint::{
-    resume_campaign, run_campaign_checkpointed_with_backend, CheckpointOptions,
-};
-use spe_harness::{run_campaign_parallel_with_backend, CampaignConfig, FindingKind};
+use spe_harness::checkpoint::{resume_campaign, CheckpointOptions};
+use spe_harness::{Campaign, CampaignConfig, FindingKind, Oracle};
 use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, CompilerId, Divergence};
 use std::path::{Path, PathBuf};
@@ -260,7 +258,12 @@ fn flaky_backend_campaign_terminates_with_quarantined_jobs() {
         fuel: 10_000,
     };
     let backend = backend_in(&dir, "/nonexistent/spe-test-cc", |_| {});
-    let report = run_campaign_parallel_with_backend(&files, &config, &backend, 4);
+    let on_backend = |workers| Campaign {
+        oracle: Oracle::Backend(&backend),
+        workers,
+        ..Campaign::default()
+    };
+    let report = on_backend(4).run(&files, &config);
     assert!(!report.findings.is_empty(), "quarantine must be visible");
     for f in &report.findings {
         assert_eq!(f.kind, FindingKind::BackendDegraded);
@@ -273,15 +276,9 @@ fn flaky_backend_campaign_terminates_with_quarantined_jobs() {
     // recorded done), and the journal is pinned to this backend — a
     // plain in-process resume must be refused, not silently mixed.
     let journal = dir.join("campaign.journal");
-    let status = run_campaign_checkpointed_with_backend(
-        &files,
-        &config,
-        2,
-        &journal,
-        &CheckpointOptions::default(),
-        &backend,
-    )
-    .expect("campaign completes despite the degraded backend");
+    let status = on_backend(2)
+        .run_journaled(&files, &config, &journal, &CheckpointOptions::default(), None)
+        .expect("campaign completes despite the degraded backend");
     let report = status.into_report().expect("complete, not interrupted");
     assert!(report
         .findings

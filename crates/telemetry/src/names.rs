@@ -94,6 +94,9 @@ pub const REDUCE_SHRINK_X100: &str = "reduce.shrink_x100";
 pub const REDUCE_REDUCED: &str = "reduce.reduced";
 /// Span: one whole reduction pass over a report.
 pub const REDUCE_PASS: &str = "reduce.pass";
+/// Event: a finding's reducer panicked and the finding was recorded as
+/// irreducible; the detail names the finding and the panic.
+pub const REDUCE_PANICKED: &str = "reduce.panicked";
 
 /// Counter: subprocess compiler launches.
 pub const SUBPROC_LAUNCHES: &str = "subproc.launches";
@@ -122,8 +125,9 @@ pub const ORACLE_PIPELINE_MEMO_HITS: &str = "oracle_cache.pipeline_memo_hits";
 /// Counter: pass-pipeline executions the memo could not serve.
 pub const ORACLE_PIPELINE_MEMO_MISSES: &str = "oracle_cache.pipeline_memo_misses";
 
-/// Span: one host's slice of a multi-host fleet campaign
-/// (`spe_harness::fleet::run_host`), detail `fleet=<id> host=<h>/<n>`.
+/// Span: one host's slice of a multi-host fleet campaign (a journaled
+/// `spe_harness::Campaign` run with a fleet slot), detail
+/// `fleet=<id> host=<h>/<n>`.
 pub const FLEET_HOST_RUN: &str = "fleet.host_run";
 /// Span: one deterministic merge of host journals into a campaign
 /// report (`spe_harness::fleet::merge_journals`).

@@ -4,13 +4,13 @@
 //! Run with `cargo run --example bug_hunt`.
 
 use spe::core::Algorithm;
-use spe::harness::{run_campaign, CampaignConfig};
+use spe::harness::{Campaign, CampaignConfig};
 use spe::simcc::{Compiler, CompilerId};
 
 fn main() {
     let files = spe::corpus::seeds::all();
     println!("Hunting bugs in {} seed skeletons...\n", files.len());
-    let report = run_campaign(
+    let report = Campaign::default().run(
         &files,
         &CampaignConfig {
             compilers: vec![

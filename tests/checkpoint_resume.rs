@@ -10,8 +10,8 @@ use spe::harness::checkpoint::{
     reduce_findings_checkpointed, resume_campaign, run_campaign_checkpointed, CampaignStatus,
     CheckpointOptions,
 };
-use spe::harness::reduction::{reduce_findings, ReductionOptions};
-use spe::harness::{run_campaign, CampaignConfig, CampaignReport};
+use spe::harness::reduction::ReductionOptions;
+use spe::harness::{Campaign, CampaignConfig, CampaignReport};
 use spe::simcc::{Compiler, CompilerId};
 use std::path::PathBuf;
 
@@ -60,7 +60,7 @@ fn resume_to_completion(path: &PathBuf, workers: usize, mut stop: Option<u64>) -
 fn uninterrupted_checkpointed_run_matches_the_plain_campaign() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     for workers in [1usize, 2, 4, 16] {
         let path = journal_path(&format!("uninterrupted-{workers}"));
         let status = run_campaign_checkpointed(
@@ -87,7 +87,7 @@ fn uninterrupted_checkpointed_run_matches_the_plain_campaign() {
 fn kill_and_resume_is_byte_identical_at_every_worker_count() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     for workers in [1usize, 2, 4, 16] {
         // Kill points: before the first checkpoint of most shards, at a
         // checkpoint boundary (multiples of `every = 8`), mid-interval.
@@ -118,7 +118,7 @@ fn kill_and_resume_is_byte_identical_at_every_worker_count() {
 fn repeated_kills_and_worker_count_changes_still_converge_identically() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     let path = journal_path("repeated-kills");
     let status = run_campaign_checkpointed(
         &files,
@@ -170,7 +170,7 @@ fn repeated_kills_and_worker_count_changes_still_converge_identically() {
 fn truncated_tail_frames_are_recovered_on_resume() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     for cut in [1usize, 7, 40, 200] {
         let path = journal_path(&format!("torn-{cut}"));
         let status = run_campaign_checkpointed(
@@ -224,7 +224,7 @@ fn concurrent_resumes_of_one_journal_are_rejected() {
     );
     drop(held);
     let report = resume_to_completion(&path, 2, None);
-    assert_eq!(report, run_campaign(&files, &config));
+    assert_eq!(report, Campaign::default().run(&files, &config));
     std::fs::remove_file(&path).ok();
 }
 
@@ -259,7 +259,12 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     };
     // Uninterrupted in-memory reference.
     let mut reference = report.clone();
-    reduce_findings(&mut reference, &options, 4);
+    Campaign {
+        workers: 4,
+        ..Campaign::default()
+    }
+    .reduce(&mut reference, &options, None)
+    .expect("in-memory reduction");
     // Checkpointed pass, journal-extended.
     let mut checkpointed = report.clone();
     reduce_findings_checkpointed(&mut checkpointed, &options, 4, &path).expect("reduce");
@@ -318,7 +323,7 @@ proptest! {
         let resume_workers = [1usize, 2, 4, 16][resume_workers_idx];
         let files = generate(&CorpusConfig { files: 2, seed });
         let config = config();
-        let reference = run_campaign(&files, &config);
+        let reference = Campaign::default().run(&files, &config);
         let path = journal_path(&format!("prop-{seed}-{stop}-{every}-{workers}-{resume_workers}"));
         let status = run_campaign_checkpointed(
             &files,

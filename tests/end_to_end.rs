@@ -4,7 +4,7 @@
 use spe::core::{Algorithm, Enumerator, EnumeratorConfig, Granularity, Skeleton};
 use spe::corpus::{generate, seeds, CorpusConfig};
 use spe::harness::triage::{figure10, table4};
-use spe::harness::{run_campaign, CampaignConfig, FindingKind};
+use spe::harness::{Campaign, CampaignConfig, FindingKind};
 use spe::simcc::bugs::GCC_VERSIONS;
 use spe::simcc::{interp, Compiler, CompilerId};
 use std::ops::ControlFlow;
@@ -15,7 +15,7 @@ fn trunk_campaign() -> spe::harness::CampaignReport {
         files: 60,
         seed: 44,
     }));
-    run_campaign(
+    Campaign::default().run(
         &files,
         &CampaignConfig {
             compilers: vec![

@@ -1,9 +1,10 @@
 //! Byte-identity of the incremental (splice-don't-reparse) oracle path.
 //!
-//! The campaign entry points keep the historical round-trip code intact
-//! — render → lex → parse → compile for every variant — and run the
-//! incremental path next to it, so these tests are a real
-//! two-implementation comparison: for every corpus seed and every
+//! The in-process backend (`spe::simcc::backend::SimccBackend`, run as
+//! `Oracle::Backend`) keeps the round trip — render → lex → parse →
+//! compile for every variant — next to the incremental oracle, so these
+//! tests are a real two-implementation comparison: for every corpus
+//! seed and every
 //! enumeration algorithm, campaigns through the splice cache
 //! (`spe::simcc::incremental`) must be **equal in every field** to the
 //! round trip — serial, at 1/2/4/16 workers, in wrong-code and
@@ -14,13 +15,18 @@
 use proptest::prelude::*;
 use spe::core::Algorithm;
 use spe::corpus::{generate, seeds, CorpusConfig};
-use spe::harness::checkpoint::{
-    resume_campaign_with_path, run_campaign_checkpointed_with_path, CheckpointOptions,
-};
-use spe::harness::{
-    run_campaign_parallel_with_path, run_campaign_with_path, CampaignConfig, OraclePath,
-};
+use spe::harness::checkpoint::{run_campaign_checkpointed, CheckpointOptions};
+use spe::harness::{run_campaign_parallel, Campaign, CampaignConfig, Oracle};
+use spe::simcc::backend::SimccBackend;
 use spe::simcc::{Compiler, CompilerId};
+
+/// The round trip: every variant rendered, parsed and compiled.
+fn round_trip() -> Campaign<'static> {
+    Campaign {
+        oracle: Oracle::Backend(&SimccBackend),
+        ..Campaign::default()
+    }
+}
 
 const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::Paper,
@@ -57,20 +63,15 @@ fn incremental_matches_round_trip_on_all_seeds_and_algorithms() {
     for algorithm in ALGORITHMS {
         for check_wrong_code in [true, false] {
             let config = campaign_config(algorithm, check_wrong_code);
-            let round_trip = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
+            let round_trip = round_trip().run(&files, &config);
             assert_eq!(
-                run_campaign_with_path(&files, &config, OraclePath::Incremental),
+                Campaign::default().run(&files, &config),
                 round_trip,
                 "serial diverged: {algorithm:?} wrong_code={check_wrong_code}"
             );
             for workers in [1usize, 2, 4, 16] {
                 assert_eq!(
-                    run_campaign_parallel_with_path(
-                        &files,
-                        &config,
-                        workers,
-                        OraclePath::Incremental
-                    ),
+                    run_campaign_parallel(&files, &config, workers),
                     round_trip,
                     "{workers} workers diverged: {algorithm:?} wrong_code={check_wrong_code}"
                 );
@@ -87,21 +88,10 @@ proptest! {
         let files = generate(&CorpusConfig { files: 3, seed });
         for algorithm in ALGORITHMS {
             let config = campaign_config(algorithm, true);
-            let round_trip = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
-            prop_assert_eq!(
-                &run_campaign_with_path(&files, &config, OraclePath::Incremental),
-                &round_trip
-            );
+            let round_trip = round_trip().run(&files, &config);
+            prop_assert_eq!(&Campaign::default().run(&files, &config), &round_trip);
             for workers in [1usize, 2, 4, 16] {
-                prop_assert_eq!(
-                    &run_campaign_parallel_with_path(
-                        &files,
-                        &config,
-                        workers,
-                        OraclePath::Incremental
-                    ),
-                    &round_trip
-                );
+                prop_assert_eq!(&run_campaign_parallel(&files, &config, workers), &round_trip);
             }
         }
     }
@@ -117,13 +107,13 @@ proptest! {
 fn killed_and_resumed_campaign_alternates_oracle_paths() {
     let files = seeds::all();
     let config = campaign_config(Algorithm::Paper, true);
-    let reference = run_campaign_with_path(&files, &config, OraclePath::RoundTrip);
+    let reference = round_trip().run(&files, &config);
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle-identity");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let journal = dir.join("campaign.journal");
 
-    let mut status = run_campaign_checkpointed_with_path(
+    let mut status = run_campaign_checkpointed(
         &files,
         &config,
         4,
@@ -132,7 +122,6 @@ fn killed_and_resumed_campaign_alternates_oracle_paths() {
             every: 16,
             stop_after: Some(40),
         },
-        OraclePath::Incremental,
     )
     .expect("checkpointed run");
     assert!(status.is_interrupted(), "stop_after should have fired");
@@ -140,21 +129,24 @@ fn killed_and_resumed_campaign_alternates_oracle_paths() {
     while status.is_interrupted() {
         cycles += 1;
         assert!(cycles < 100, "resume never converged");
-        let path = if cycles % 2 == 0 {
-            OraclePath::Incremental
+        let campaign = if cycles % 2 == 0 {
+            Campaign::default()
         } else {
-            OraclePath::RoundTrip
+            round_trip()
         };
-        status = resume_campaign_with_path(
+        status = Campaign {
+            workers: 1 + cycles % 3,
+            ..campaign
+        }
+        .resume(
             &journal,
-            1 + cycles % 3,
             &CheckpointOptions {
                 every: 16,
                 stop_after: Some(60),
             },
-            path,
         )
-        .expect("resume");
+        .expect("resume")
+        .status;
     }
     let report = status.into_report().expect("complete");
     assert_eq!(

@@ -16,16 +16,19 @@
 use proptest::prelude::*;
 use spe::corpus::{generate, seeds, CorpusConfig};
 use spe::harness::checkpoint::{
-    compact_journal, compact_journal_abandoned, resume_campaign, resume_campaign_with_backend,
-    run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
+    compact_journal, compact_journal_abandoned, resume_campaign, run_campaign_checkpointed,
+    CampaignStatus, CheckpointError, CheckpointOptions,
 };
-use spe::harness::orchestrate::{self, FaultPolicy};
+use spe::harness::fleet::{merge_journals, FleetError};
+use spe::harness::reduction::ReductionOptions;
 use spe::harness::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_backend, CampaignConfig,
-    CampaignReport, FindingKind,
+    run_campaign_parallel, Campaign, CampaignConfig, CampaignReport, FaultPolicy, FindingKind,
+    Oracle,
 };
-use spe::persist::{CorruptionReason, JournalIter, JournalReader};
-use spe::simcc::backend::{BackendError, CompilerBackend, SimccBackend};
+use spe::persist::{CorruptionReason, Encoder, Journal, JournalIter, JournalReader};
+use spe::simcc::backend::{
+    BackendError, CompilerBackend, SimccBackend, SIMCC_BACKEND_ID, SIMCC_CONFIG_HASH,
+};
 use spe::simcc::{Compiler, CompilerId, Observation};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -133,11 +136,16 @@ impl CompilerBackend for PanickyBackend {
 fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
     let files = seeds::all();
     let config = config();
+    let panicky = |workers| Campaign {
+        oracle: Oracle::Backend(&PanickyBackend),
+        workers,
+        policy: FaultPolicy::default(),
+    };
     for workers in [1usize, 2, 4, 16] {
         // The in-memory parallel run shares the checkpointed run's job
         // decomposition (shards_per_file = workers), so it is the exact
         // reference for this worker count.
-        let reference = run_campaign_parallel_with_backend(&files, &config, &PanickyBackend, workers);
+        let reference = panicky(workers).run(&files, &config);
         let panicked = reference
             .findings
             .iter()
@@ -150,34 +158,29 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
 
         // Uninterrupted checkpointed run: same quarantine, same report.
         let path = journal_path(&format!("panic-uninterrupted-{workers}"));
-        let outcome = orchestrate::campaign_checkpointed_with_backend(
-            &files,
-            &config,
-            workers,
-            &path,
-            &CheckpointOptions {
-                every: 8,
-                stop_after: None,
-            },
-            &PanickyBackend,
-            &FaultPolicy::default(),
-        )
-        .expect("checkpointed run");
+        let outcome = panicky(workers)
+            .run_journaled(
+                &files,
+                &config,
+                &path,
+                &CheckpointOptions {
+                    every: 8,
+                    stop_after: None,
+                },
+                None,
+            )
+            .expect("checkpointed run");
         assert!(outcome.warnings.is_empty(), "no journal faults injected");
         let report = outcome.into_report().expect("completed");
         assert_eq!(report, reference, "{workers} workers: quarantine diverged");
 
         // Replaying the finished journal decodes the quarantine markers
         // from disk — the JobPanicked finding round-trips.
-        let replayed = resume_campaign_with_backend(
-            &path,
-            &PanickyBackend,
-            workers,
-            &CheckpointOptions::default(),
-        )
-        .expect("replay")
-        .into_report()
-        .expect("finished journal replays");
+        let replayed = panicky(workers)
+            .resume(&path, &CheckpointOptions::default())
+            .expect("replay")
+            .into_report()
+            .expect("finished journal replays");
         assert_eq!(replayed, reference, "{workers} workers: replay diverged");
         std::fs::remove_file(&path).ok();
 
@@ -185,20 +188,19 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
         // the decomposition is pinned by the manifest): the panics
         // re-fire at the same variants and the report cannot drift.
         let path = journal_path(&format!("panic-killed-{workers}"));
-        let status = orchestrate::campaign_checkpointed_with_backend(
-            &files,
-            &config,
-            workers,
-            &path,
-            &CheckpointOptions {
-                every: 4,
-                stop_after: Some(25),
-            },
-            &PanickyBackend,
-            &FaultPolicy::default(),
-        )
-        .expect("checkpointed run")
-        .status;
+        let status = panicky(workers)
+            .run_journaled(
+                &files,
+                &config,
+                &path,
+                &CheckpointOptions {
+                    every: 4,
+                    stop_after: Some(25),
+                },
+                None,
+            )
+            .expect("checkpointed run")
+            .status;
         let resume_workers = [2usize, 4, 16, 1][[1usize, 2, 4, 16]
             .iter()
             .position(|&w| w == workers)
@@ -206,33 +208,95 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
         let report = match status {
             CampaignStatus::Complete(r) => r,
             CampaignStatus::Interrupted => {
-                let mut status = resume_campaign_with_backend(
-                    &path,
-                    &PanickyBackend,
-                    resume_workers,
-                    &CheckpointOptions {
-                        every: 4,
-                        stop_after: None,
-                    },
-                )
-                .expect("resume");
-                while status.is_interrupted() {
-                    status = resume_campaign_with_backend(
+                let mut status = panicky(resume_workers)
+                    .resume(
                         &path,
-                        &PanickyBackend,
-                        resume_workers,
                         &CheckpointOptions {
                             every: 4,
                             stop_after: None,
                         },
                     )
-                    .expect("resume");
+                    .expect("resume")
+                    .status;
+                while status.is_interrupted() {
+                    status = panicky(resume_workers)
+                        .resume(
+                            &path,
+                            &CheckpointOptions {
+                                every: 4,
+                                stop_after: None,
+                            },
+                        )
+                        .expect("resume")
+                        .status;
                 }
                 status.into_report().expect("complete")
             }
         };
         assert_eq!(report, reference, "{workers} workers: kill/resume diverged");
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Observes variants exactly like [`SimccBackend`] but panics on every
+/// single-configuration observation — the reduction stage's probe.
+struct PanickyReducerBackend;
+
+impl CompilerBackend for PanickyReducerBackend {
+    fn id(&self) -> &str {
+        "panicky-reducer"
+    }
+
+    fn config_hash(&self) -> u64 {
+        3
+    }
+
+    fn observe_config(
+        &self,
+        _source: &str,
+        _cc: Compiler,
+        _wrong_code_fuel: Option<u64>,
+    ) -> Result<Observation, BackendError> {
+        panic!("injected panic: reduction probe")
+    }
+
+    fn observe_variant(
+        &self,
+        source: &str,
+        compilers: &[Compiler],
+        wrong_code_fuel: Option<u64>,
+    ) -> Result<Vec<Observation>, BackendError> {
+        SimccBackend.observe_variant(source, compilers, wrong_code_fuel)
+    }
+}
+
+#[test]
+fn panicking_reducers_leave_findings_irreducible_with_a_warning_each() {
+    let files = seeds::all();
+    let config = config();
+    let campaign = Campaign {
+        oracle: Oracle::Backend(&PanickyReducerBackend),
+        workers: 4,
+        ..Campaign::default()
+    };
+    let mut report = campaign.run(&files, &config);
+    assert!(!report.findings.is_empty(), "the seeds expose findings");
+    let options = ReductionOptions {
+        fuel: config.fuel,
+        ..ReductionOptions::default()
+    };
+    let warnings = campaign
+        .reduce(&mut report, &options, None)
+        .expect("an in-memory reduction has no journal to fail");
+    // One warning per finding, in finding order, whatever the worker
+    // that reduced it.
+    assert_eq!(warnings.len(), report.findings.len(), "{warnings:?}");
+    for (warning, finding) in warnings.iter().zip(&report.findings) {
+        assert!(
+            warning.contains("panicked") && warning.contains(&finding.signature),
+            "warning names the finding: {warning}"
+        );
+        assert!(finding.reduced.is_none(), "recorded as irreducible");
     }
 }
 
@@ -251,20 +315,24 @@ fn exhausted_append_retries_degrade_to_checkpointless_completion() {
     // checkpoint append fails, the sink degrades once, and the campaign
     // must still complete in memory with an identical report.
     spe::persist::journal::faults::inject_append_failures(tag, 10_000, 28);
-    let outcome = orchestrate::campaign_checkpointed(
+    let outcome = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
+            checkpoint_interval: None,
+            max_append_retries: 2,
+            retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &path,
         &CheckpointOptions {
             every: 2,
             stop_after: None,
         },
-        &FaultPolicy {
-            checkpoint_interval: None,
-            max_append_retries: 2,
-            retry_backoff: Duration::from_millis(1),
-        },
+        None,
     )
     .expect("journal creation itself is not fault-injected");
     assert_eq!(
@@ -290,17 +358,20 @@ fn exhausted_append_retries_degrade_to_checkpointless_completion() {
     // manifest) and stays resumable; the still-armed injections make the
     // resume degrade the same way, and it recomputes everything.
     assert_iter_matches_reader(&path);
-    let resumed = orchestrate::resume(
-        &path,
-        2,
-        &CheckpointOptions {
-            every: 2,
-            stop_after: None,
-        },
-        &FaultPolicy {
+    let resumed = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
             checkpoint_interval: None,
             max_append_retries: 0,
             retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .resume(
+        &path,
+        &CheckpointOptions {
+            every: 2,
+            stop_after: None,
         },
     )
     .expect("resume");
@@ -323,20 +394,24 @@ fn transient_append_faults_are_retried_without_a_trace() {
     // One EIO burst, shorter than the retry budget: the append must
     // succeed on retry and leave a complete journal behind.
     spe::persist::journal::faults::inject_append_failures(tag, 1, 5);
-    let outcome = orchestrate::campaign_checkpointed(
+    let outcome = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
+            checkpoint_interval: None,
+            max_append_retries: 4,
+            retry_backoff: Duration::from_millis(1),
+        },
+        ..Campaign::default()
+    }
+    .run_journaled(
         &files,
         &config,
-        2,
         &path,
         &CheckpointOptions {
             every: 4,
             stop_after: None,
         },
-        &FaultPolicy {
-            checkpoint_interval: None,
-            max_append_retries: 4,
-            retry_backoff: Duration::from_millis(1),
-        },
+        None,
     )
     .expect("checkpointed run");
     assert!(
@@ -369,7 +444,7 @@ fn first_frame_offsets(path: &Path) -> (u64, u64) {
 fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     // Frame layout: [u32 length | u64 checksum | payload] = 12 header
     // bytes, then the payload.
     const FRAME_HEADER: u64 = 12;
@@ -452,6 +527,91 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
 }
 
 // ---------------------------------------------------------------------
+// Crafted journals: untrusted bytes give typed errors, never panics.
+// ---------------------------------------------------------------------
+
+/// A journal manifest in the `DESIGN.md` §9 schema, hand-encoded so it
+/// can hold bytes no build writes: one gcc-sim 7.0 configuration at
+/// optimization level `opt`, the paper seeds at one shard per file, and
+/// the fleet trailer of host 0 in a one-host fleet (so resume,
+/// compaction and merge all accept the journal's shape).
+fn crafted_manifest(opt: u8) -> Vec<u8> {
+    let files = seeds::all();
+    let mut enc = Encoder::new();
+    enc.usize(1).str("gcc-sim").u32(700).u8(opt);
+    enc.usize(40) // budget
+        .u8(0) // algorithm: paper
+        .bool(true) // wrong-code checks
+        .u64(10_000) // fuel
+        .str(SIMCC_BACKEND_ID)
+        .u64(SIMCC_CONFIG_HASH)
+        .usize(1) // shards per file
+        .usize(files.len());
+    for file in &files {
+        enc.str(&file.name).str(&file.source);
+    }
+    enc.bool(true).u64(0x0c7a).u32(1).u32(0); // fleet 0x0c7a, host 0 of 1
+    enc.finish()
+}
+
+/// A `Progress` record for job 0 carrying one crash finding at
+/// optimization level `opt`.
+fn crafted_progress(opt: u8) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.u8(1) // record tag: progress
+        .u32(0) // job
+        .u64(1) // high-water mark
+        .bool(true) // file processed
+        .u64(1) // variants tested
+        .u64(0) // variants skipped for UB
+        .usize(1); // candidates
+    enc.u8(0) // finding kind: crash
+        .str("gcc-sim")
+        .u32(700)
+        .u8(opt)
+        .str("crafted crash")
+        .opt_str(None)
+        .str("crafted.c")
+        .str("int main() { return 0; }");
+    enc.finish()
+}
+
+#[test]
+fn crafted_optimization_levels_are_refused_with_typed_errors() {
+    for (tag, manifest, record) in [
+        ("crafted-manifest-opt", crafted_manifest(9), None),
+        (
+            "crafted-finding-opt",
+            crafted_manifest(3),
+            Some(crafted_progress(9)),
+        ),
+    ] {
+        let path = journal_path(tag);
+        let mut journal = Journal::create(&path, &manifest).expect("create");
+        if let Some(record) = &record {
+            journal.append(record).expect("append");
+        }
+        drop(journal);
+        let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+            Err(CheckpointError::Foreign(message)) => {
+                assert!(message.contains("-O9"), "{tag} {what}: {message}");
+            }
+            other => panic!("{tag} {what}: expected a Foreign error, got {other:?}"),
+        };
+        refused(
+            "resume",
+            resume_campaign(&path, 2, &CheckpointOptions::default()).map(drop),
+        );
+        refused("compaction", compact_journal(&path).map(drop));
+        match merge_journals(&[&path]) {
+            Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
+            other => panic!("{tag} merge: expected a journal error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
 // Compaction.
 // ---------------------------------------------------------------------
 
@@ -465,7 +625,7 @@ fn compaction_tmp(path: &Path) -> PathBuf {
 fn a_kill_during_compaction_leaves_the_original_resumable() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     let path = journal_path("compact-killed");
     let status = run_campaign_checkpointed(
         &files,
@@ -505,7 +665,7 @@ fn a_kill_during_compaction_leaves_the_original_resumable() {
 fn compaction_folds_frames_and_preserves_resume_identity() {
     let files = seeds::all();
     let config = config();
-    let reference = run_campaign(&files, &config);
+    let reference = Campaign::default().run(&files, &config);
     let path = journal_path("compact-complete");
     let status = run_campaign_checkpointed(
         &files,
@@ -569,7 +729,7 @@ proptest! {
         let workers = [1usize, 2, 4, 16][workers_idx];
         let files = generate(&CorpusConfig { files: 2, seed });
         let config = config();
-        let reference = run_campaign(&files, &config);
+        let reference = Campaign::default().run(&files, &config);
         let path = journal_path(&format!("prop-compact-{seed}-{stop}-{every}-{workers}"));
         let status = run_campaign_checkpointed(
             &files,

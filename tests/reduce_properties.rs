@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use spe::corpus::{generate, CorpusConfig};
-use spe::harness::reduction::{reduce_findings, reproduces, ReductionOptions};
-use spe::harness::{run_campaign, CampaignConfig};
+use spe::harness::reduction::{reproduces, ReductionOptions};
+use spe::harness::{Campaign, CampaignConfig};
 use spe::simcc::{Compiler, CompilerId};
 
 fn campaign_config() -> CampaignConfig {
@@ -30,12 +30,14 @@ proptest! {
     fn reduced_witnesses_are_wellformed_reproducing_and_smaller(seed in 0u64..5_000) {
         let files = generate(&CorpusConfig { files: 3, seed });
         let config = campaign_config();
-        let mut report = run_campaign(&files, &config);
-        reduce_findings(
-            &mut report,
-            &ReductionOptions { fuel: config.fuel, ..ReductionOptions::default() },
-            2,
-        );
+        let mut report = Campaign::default().run(&files, &config);
+        Campaign { workers: 2, ..Campaign::default() }
+            .reduce(
+                &mut report,
+                &ReductionOptions { fuel: config.fuel, ..ReductionOptions::default() },
+                None,
+            )
+            .expect("in-memory reduction");
         for f in &report.findings {
             let reduced = f
                 .reduced
@@ -69,12 +71,14 @@ proptest! {
     fn fingerprint_merges_only_pair_same_family_same_kind(seed in 0u64..5_000) {
         let files = generate(&CorpusConfig { files: 4, seed });
         let config = campaign_config();
-        let mut report = run_campaign(&files, &config);
-        reduce_findings(
-            &mut report,
-            &ReductionOptions { fuel: config.fuel, ..ReductionOptions::default() },
-            4,
-        );
+        let mut report = Campaign::default().run(&files, &config);
+        Campaign { workers: 4, ..Campaign::default() }
+            .reduce(
+                &mut report,
+                &ReductionOptions { fuel: config.fuel, ..ReductionOptions::default() },
+                None,
+            )
+            .expect("in-memory reduction");
         for f in &report.findings {
             let Some(root_sig) = &f.fingerprint_duplicate_of else { continue };
             let root = report
