@@ -1,5 +1,10 @@
 //! Sharded vs serial enumeration: wall-clock scaling at 1/2/4/8 shards.
 //!
+//! Every row prepares the skeleton's space once per iteration and streams
+//! each shard through `ShardedEnumerator::enumerate_shard_prepared` on a
+//! scoped thread of its own (one shard runs on the calling thread), then
+//! asserts that the shards together visited the whole space.
+//!
 //! Two workloads over the paper's Figure 6 skeleton:
 //!
 //! * `enumerate_only` — realize every variant source (cheap per-variant
@@ -8,24 +13,24 @@
 //!   -O3 (the campaign hot path; the per-variant work that parallelism is
 //!   for).
 //!
-//! With one shard the engine takes the thread-free serial path, so the
-//! `shards1` rows are the baseline. On a multi-core host the 4-shard
-//! `enumerate_compile` row lands at a fraction of the 1-shard time
-//! (≥1.5× speedup); on a single hardware thread the rows should stay
-//! within noise of each other, demonstrating that sharding costs nothing.
+//! With one shard no thread is spawned, so the `shards1` rows are the
+//! baseline. On a multi-core host the 4-shard `enumerate_compile` row
+//! lands at a fraction of the 1-shard time (≥1.5× speedup); on a single
+//! hardware thread the rows should stay within noise of each other,
+//! demonstrating that sharding costs nothing.
 //!
 //! A third group, `canonical_constrained`, pins the shard-native walk of
 //! a *constrained multi-group* canonical space (DESIGN §8): a
 //! two-function skeleton with three type groups, two of them constrained
 //! by declaration order and nested scopes. `materialized_serial` is the
 //! serial `Enumerator` (which deliberately materializes every per-group
-//! solution list); the `shardsN` rows run the `ShardedEnumerator` native
-//! path — per-group sizes from the prefix-count DP, mixed-radix boundary
+//! solution list); the `shardsN` rows stream the shards of the native
+//! space — per-group sizes from the prefix-count DP, mixed-radix boundary
 //! unranking, nothing materialized. Baseline recorded in
 //! `BENCH_canonical_constrained.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spe_core::{Algorithm, EnumeratorConfig, ShardedEnumerator, Skeleton};
+use spe_core::{Algorithm, EnumeratorConfig, ShardedEnumerator, Skeleton, Variant};
 use spe_simcc::{Compiler, CompilerId};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +56,32 @@ fn config() -> EnumeratorConfig {
     }
 }
 
+/// Prepares `sk` and streams every shard of the space on its own scoped
+/// thread (a single shard on the calling thread), calling `visit` once
+/// per variant from whichever thread streams it.
+fn stream_all_shards<F>(e: &ShardedEnumerator, sk: &Skeleton, visit: &F)
+where
+    F: Fn(&Variant) + Sync,
+{
+    let space = e.prepare(sk);
+    let stream = |shard: usize| {
+        e.enumerate_shard_prepared(&space, shard, &mut |v| {
+            visit(v);
+            ControlFlow::Continue(())
+        });
+    };
+    if e.shards() == 1 {
+        stream(0);
+        return;
+    }
+    let stream = &stream;
+    std::thread::scope(|scope| {
+        for shard in 0..e.shards() {
+            scope.spawn(move || stream(shard));
+        }
+    });
+}
+
 fn bench_sharded_enumeration(c: &mut Criterion) {
     let sk = Skeleton::from_source(FIGURE_6).expect("builds");
     let mut group = c.benchmark_group("parallel");
@@ -63,10 +94,9 @@ fn bench_sharded_enumeration(c: &mut Criterion) {
             |b, e| {
                 b.iter(|| {
                     let n = AtomicU64::new(0);
-                    e.enumerate(&sk, &|v| {
+                    stream_all_shards(e, &sk, &|v| {
                         criterion::black_box(v.source(&sk));
                         n.fetch_add(1, Ordering::Relaxed);
-                        ControlFlow::Continue(())
                     });
                     assert_eq!(n.into_inner(), 512);
                 })
@@ -82,14 +112,13 @@ fn bench_sharded_enumeration(c: &mut Criterion) {
             |b, e| {
                 b.iter(|| {
                     let compiled = AtomicU64::new(0);
-                    e.enumerate(&sk, &|v| {
+                    stream_all_shards(e, &sk, &|v| {
                         let src = v.source(&sk);
                         if let Ok(prog) = spe_minic::parse(&src) {
                             if cc.compile(&prog).is_ok() {
                                 compiled.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        ControlFlow::Continue(())
                     });
                     criterion::black_box(compiled.into_inner())
                 })
@@ -159,10 +188,9 @@ fn bench_constrained_canonical(c: &mut Criterion) {
             |b, e| {
                 b.iter(|| {
                     let n = AtomicU64::new(0);
-                    e.enumerate(&sk, &|v| {
+                    stream_all_shards(e, &sk, &|v| {
                         criterion::black_box(v.source(&sk));
                         n.fetch_add(1, Ordering::Relaxed);
-                        ControlFlow::Continue(())
                     });
                     assert_eq!(n.into_inner(), total);
                 })

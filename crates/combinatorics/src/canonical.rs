@@ -12,15 +12,14 @@
 //! partition equivalence; see `DESIGN.md` §2 for how it relates to the
 //! paper's algorithm (Example 6: canonical = 35, paper = 36).
 //!
-//! Counting, prefix weighing and unranking of the same sequence —
-//! without enumerating it — live in [`crate::ConstrainedRgs`]: a
-//! memoized DP over RGS prefixes whose pruning is exactly this module's
-//! SDR check (`DESIGN.md §8` states the pruning lemma and the DP).
-//! [`enumerate_canonical_shard`] plus that DP is what lets sharded
-//! canonical enumeration start mid-space in closed form.
+//! Counting and unranking the same sequence — without enumerating it —
+//! live in [`crate::ConstrainedRgs`]: a memoized DP over RGS prefixes
+//! whose pruning is exactly this module's SDR check (`DESIGN.md §8`
+//! states the pruning lemma and the DP). [`enumerate_canonical_from`]
+//! resumes the walk at an unranked solution, which is what lets a shard
+//! of a canonical space start mid-space with nothing before it generated.
 
 use crate::instance::GeneralInstance;
-use crate::shard::RgsShard;
 use spe_bignum::BigUint;
 use std::ops::ControlFlow;
 
@@ -120,74 +119,42 @@ pub fn enumerate_canonical<F>(inst: &GeneralInstance, visit: &mut F) -> ControlF
 where
     F: FnMut(&[usize]) -> ControlFlow<()>,
 {
-    enumerate_canonical_bounded(inst, &[], None, visit)
+    enumerate_canonical_from(inst, &[], visit)
 }
 
-/// Enumerates only the valid partitions whose RGS falls inside `shard`
-/// (see [`crate::shards`]), in lexicographic order. Subtrees outside the
-/// shard's `[start, end)` boundary are pruned before recursion, so the
-/// cost is proportional to the shard, not the whole space — this is how
-/// solution *generation* (not just downstream streaming) parallelizes.
+/// [`enumerate_canonical`] from a lower bound: visits, in the same order,
+/// only the valid partitions whose RGS is lexicographically `>= lower`
+/// (a shorter `lower` bounds the leading elements only). Subtrees below
+/// the bound are pruned before recursion, so the walk costs what it
+/// visits, not the whole space before it.
 ///
-/// `shard` must describe the instance's space: `shard.n ==
-/// inst.num_holes()`. The union over a boundary-chain of shards (as
-/// produced by [`crate::shards`]) is exactly [`enumerate_canonical`]'s
-/// sequence.
+/// With `lower` the solution of rank `i` — from
+/// [`crate::ConstrainedRgs::unrank_u64`] — this yields exactly the
+/// canonical sequence from index `i` on: how a shard of a canonical
+/// space starts mid-space.
 ///
 /// # Examples
 ///
 /// ```
 /// use spe_combinatorics::{
-///     canonical_solutions, canonical_solutions_shard, shards, FlatInstance, FlatScope,
+///     canonical_solutions, enumerate_canonical_from, ConstrainedRgs, FlatInstance, FlatScope,
 /// };
+/// use std::ops::ControlFlow;
 ///
 /// let inst = FlatInstance::new(vec![0, 1, 4], 2, vec![FlatScope { holes: vec![2, 3], vars: 2 }])
 ///     .to_general();
 /// let serial = canonical_solutions(&inst, usize::MAX).0;
-/// let merged: Vec<_> = shards(inst.num_holes(), inst.num_vars, 4)
-///     .iter()
-///     .flat_map(|s| canonical_solutions_shard(&inst, s, usize::MAX).0)
-///     .collect();
-/// assert_eq!(merged, serial);
+/// let lower = ConstrainedRgs::new(&inst).unrank_u64(20);
+/// let mut tail = Vec::new();
+/// enumerate_canonical_from(&inst, &lower, &mut |rgs| {
+///     tail.push(rgs.to_vec());
+///     ControlFlow::Continue(())
+/// });
+/// assert_eq!(tail, serial[20..]);
 /// ```
-pub fn enumerate_canonical_shard<F>(
-    inst: &GeneralInstance,
-    shard: &RgsShard,
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&[usize]) -> ControlFlow<()>,
-{
-    assert_eq!(
-        shard.n,
-        inst.num_holes(),
-        "shard describes a different space"
-    );
-    enumerate_canonical_bounded(inst, &shard.start, shard.end.as_deref(), visit)
-}
-
-/// Collects up to `limit` canonical partitions inside `shard`; the
-/// boolean reports truncation.
-pub fn canonical_solutions_shard(
-    inst: &GeneralInstance,
-    shard: &RgsShard,
-    limit: usize,
-) -> (Vec<Vec<usize>>, bool) {
-    let mut out = Vec::new();
-    let flow = enumerate_canonical_shard(inst, shard, &mut |rgs| {
-        if out.len() >= limit {
-            return ControlFlow::Break(());
-        }
-        out.push(rgs.to_vec());
-        ControlFlow::Continue(())
-    });
-    (out, flow.is_break())
-}
-
-fn enumerate_canonical_bounded<F>(
+pub fn enumerate_canonical_from<F>(
     inst: &GeneralInstance,
     lower: &[usize],
-    upper: Option<&[usize]>,
     visit: &mut F,
 ) -> ControlFlow<()>
 where
@@ -200,72 +167,41 @@ where
     }
     let mut rgs: Vec<usize> = Vec::with_capacity(n);
     let mut blocks: Vec<u128> = Vec::new();
-    let bounds = Bounds { lower, upper };
     rec(
         &hole_masks,
         inst.num_vars,
         &mut rgs,
         &mut blocks,
-        &bounds,
-        !lower.is_empty(),
-        upper.is_some(),
+        lower,
         visit,
     )
 }
 
-/// Shard boundary prefixes constraining the recursive walk. The `on_*`
-/// recursion flags track whether the current prefix still equals the
-/// corresponding boundary prefix (once it diverges, the boundary can no
-/// longer constrain the subtree).
-struct Bounds<'a> {
-    /// Inclusive lower boundary (empty = start of the space).
-    lower: &'a [usize],
-    /// Exclusive upper boundary (`None` = end of the space).
-    upper: Option<&'a [usize]>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The pruned walk below the prefix `rgs`. `lower` is what is left of
+/// the lower bound while the prefix still equals the bound's leading
+/// elements, and empty once the prefix has moved above it (or the bound
+/// is used up): only then may every block choice be taken.
 fn rec<F>(
     hole_masks: &[u128],
     num_vars: usize,
     rgs: &mut Vec<usize>,
     blocks: &mut Vec<u128>,
-    bounds: &Bounds<'_>,
-    on_lower: bool,
-    on_upper: bool,
+    lower: &[usize],
     visit: &mut F,
 ) -> ControlFlow<()>
 where
     F: FnMut(&[usize]) -> ControlFlow<()>,
 {
     let i = rgs.len();
-    // A prefix that has matched the whole exclusive upper boundary heads
-    // a subtree entirely ≥ the boundary: prune it.
-    if on_upper {
-        if let Some(upper) = bounds.upper {
-            if i == upper.len() {
-                return ControlFlow::Continue(());
-            }
-        }
-    }
     if i == hole_masks.len() {
         return visit(rgs);
     }
-    let low = if on_lower && i < bounds.lower.len() {
-        bounds.lower[i]
-    } else {
-        0
-    };
-    let high = match (on_upper, bounds.upper) {
-        // `i < upper.len()` holds here: equality was pruned above.
-        (true, Some(upper)) => upper[i],
-        _ => usize::MAX,
-    };
+    // The bound carries on into a child only along its own digit.
+    let (low, rest) = lower
+        .split_first()
+        .map_or((0, &[][..]), |(&d, rest)| (d, rest));
     // Join an existing block.
-    for b in 0..blocks.len() {
-        if b < low || b > high {
-            continue;
-        }
+    for b in low..blocks.len() {
         let merged = blocks[b] & hole_masks[i];
         if merged == 0 {
             continue;
@@ -274,36 +210,20 @@ where
         blocks[b] = merged;
         if has_sdr(blocks) {
             rgs.push(b);
-            rec(
-                hole_masks,
-                num_vars,
-                rgs,
-                blocks,
-                bounds,
-                on_lower && b == low && i < bounds.lower.len(),
-                on_upper && b == high,
-                visit,
-            )?;
+            let bound = if b == low { rest } else { &[] };
+            rec(hole_masks, num_vars, rgs, blocks, bound, visit)?;
             rgs.pop();
         }
         blocks[b] = saved;
     }
     // Open a new block.
     let b = blocks.len();
-    if b < num_vars && b >= low && b <= high {
+    if b < num_vars && b >= low {
         blocks.push(hole_masks[i]);
         if has_sdr(blocks) {
             rgs.push(b);
-            rec(
-                hole_masks,
-                num_vars,
-                rgs,
-                blocks,
-                bounds,
-                on_lower && b == low && i < bounds.lower.len(),
-                on_upper && b == high,
-                visit,
-            )?;
+            let bound = if b == low { rest } else { &[] };
+            rec(hole_masks, num_vars, rgs, blocks, bound, visit)?;
             rgs.pop();
         }
         blocks.pop();
@@ -428,49 +348,6 @@ mod tests {
                 assignment_for_rgs(&inst, rgs).is_some(),
                 "partition {rgs:?} has no SDR"
             );
-        }
-    }
-
-    #[test]
-    fn shard_union_matches_serial_canonical_enumeration() {
-        // For several shard counts, the union of shard-bounded canonical
-        // enumerations is exactly the serial sequence.
-        let inst = fig7();
-        let serial = canonical_solutions(&inst, usize::MAX).0;
-        for want in [1usize, 2, 3, 4, 8] {
-            let cut = crate::shards(inst.num_holes(), inst.num_vars, want);
-            let merged: Vec<Vec<usize>> = cut
-                .iter()
-                .flat_map(|s| canonical_solutions_shard(&inst, s, usize::MAX).0)
-                .collect();
-            assert_eq!(merged, serial, "{want} shards");
-        }
-    }
-
-    #[test]
-    fn shard_enumeration_prunes_outside_the_boundary() {
-        // Every partition a shard emits must satisfy the shard's own
-        // membership predicate.
-        let inst = fig7();
-        for shard in crate::shards(inst.num_holes(), inst.num_vars, 4) {
-            for rgs in canonical_solutions_shard(&inst, &shard, usize::MAX).0 {
-                assert!(shard.contains(&rgs), "{rgs:?} outside {shard:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_enumeration_on_unscoped_instances() {
-        // Single scope: canonical partitions are all partitions, so shard
-        // unions must reproduce the full Bell-number sequence.
-        for n in 1..7usize {
-            let inst = FlatInstance::unscoped(n, n).to_general();
-            let serial = canonical_solutions(&inst, usize::MAX).0;
-            let merged: Vec<Vec<usize>> = crate::shards(n, n, 3)
-                .iter()
-                .flat_map(|s| canonical_solutions_shard(&inst, s, usize::MAX).0)
-                .collect();
-            assert_eq!(merged, serial, "n = {n}");
         }
     }
 

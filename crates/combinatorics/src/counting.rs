@@ -1,16 +1,14 @@
-//! Exact prefix counting and unranking for **constrained** canonical
-//! spaces.
+//! Exact counting and unranking for **constrained** canonical spaces.
 //!
 //! [`crate::enumerate_canonical`] walks the valid partitions of a
 //! [`GeneralInstance`] — those whose blocks admit a system of distinct
 //! representatives (SDR) — in lexicographic RGS order. For *unconstrained*
 //! instances (every hole sees every variable) the space is plain
-//! `Rgs(n, k)` and closed-form weights exist ([`crate::rgs_completions`],
-//! [`crate::partitions_at_most`], [`crate::rgs_unrank`]). This module
-//! supplies the same three operations — count, prefix weight, unrank —
-//! for arbitrary visibility constraints, which is what lets shards of a
-//! constrained canonical space jump straight to their emission boundary
-//! without materializing any solution list.
+//! `Rgs(n, k)` and closed forms exist ([`crate::partitions_at_most`],
+//! [`crate::rgs_unrank`]). This module supplies the same two operations —
+//! count and unrank — for arbitrary visibility constraints, which is what
+//! lets shards of a constrained canonical space jump straight to their
+//! emission boundary without materializing any solution list.
 //!
 //! The engine is a memoized DP over RGS prefixes (`DESIGN.md §8`): a
 //! prefix is summarized by `(position, multiset of block masks)`, where a
@@ -30,23 +28,17 @@ use crate::instance::GeneralInstance;
 use spe_bignum::BigUint;
 use std::collections::HashMap;
 
-/// Exact counting, unranking and iteration over the *constrained*
-/// canonical space of a [`GeneralInstance`]: the valid partitions of its
-/// holes in lexicographic RGS order — the same sequence
+/// Exact counting and unranking over the *constrained* canonical space
+/// of a [`GeneralInstance`]: the valid partitions of its holes in
+/// lexicographic RGS order — the same sequence
 /// [`crate::enumerate_canonical`] visits.
 ///
 /// One value owns the memoized prefix-count DP; every operation reuses
-/// (and grows) that cache, so interleaving [`total`](Self::total),
-/// [`prefix_completions`](Self::prefix_completions) and
+/// (and grows) that cache, so interleaving [`total`](Self::total) and
 /// [`unrank`](Self::unrank) calls is cheap. On unconstrained instances
 /// the results coincide with the closed forms
-/// ([`crate::partitions_at_most`], [`crate::rgs_completions`],
-/// [`crate::rgs_unrank`]), which the property tests assert.
-///
-/// `ConstrainedRgs` is also an [`Iterator`] over the solutions
-/// (each item produced by unranking the next index — O(n·k) memoized DP
-/// lookups per item); [`skip_to`](Self::skip_to) repositions it
-/// mid-space in closed form, mirroring [`crate::Rgs::skip_to`].
+/// ([`crate::partitions_at_most`], [`crate::rgs_unrank`]), which the
+/// unit tests assert.
 ///
 /// # Examples
 ///
@@ -63,8 +55,8 @@ use std::collections::HashMap;
 /// let mut space = ConstrainedRgs::new(&inst);
 /// assert_eq!(space.total().to_u64(), Some(2));
 /// assert_eq!(space.unrank_u64(1), vec![0, 0, 1]);
-/// // The iterator yields exactly the enumerator's sequence.
-/// let all: Vec<_> = space.collect();
+/// // The ranks follow exactly the enumerator's sequence.
+/// let all: Vec<_> = (0..2).map(|i| space.unrank_u64(i)).collect();
 /// assert_eq!(all, canonical_solutions(&inst, usize::MAX).0);
 /// ```
 #[derive(Debug, Clone)]
@@ -78,12 +70,10 @@ pub struct ConstrainedRgs<'a> {
     states: usize,
     /// Total space size, filled on first use.
     cached_total: Option<BigUint>,
-    /// Iterator cursor: rank of the next solution to yield.
-    cursor: BigUint,
 }
 
 impl<'a> ConstrainedRgs<'a> {
-    /// Creates the counter/iterator for an instance.
+    /// Creates the counter and unranker for an instance.
     ///
     /// # Panics
     ///
@@ -98,28 +88,19 @@ impl<'a> ConstrainedRgs<'a> {
             memo: vec![HashMap::new(); inst.num_holes() + 1],
             states: 0,
             cached_total: None,
-            cursor: BigUint::zero(),
         }
-    }
-
-    /// Number of distinct prefix summaries memoized so far — the DP's
-    /// true cost metric. Grows with the number of distinct block-mask
-    /// multisets the instance's constraint structure can produce, which
-    /// is small for scope-shaped constraints but can be exponential for
-    /// adversarial ones (e.g. dozens of interleaved declaration-order
-    /// prefixes); [`try_total_within`](Self::try_total_within) is the
-    /// bounded entry point for callers that must stay cheap.
-    pub fn states(&self) -> usize {
-        self.states
     }
 
     /// [`total`](Self::total) with a hard ceiling on DP work: returns
     /// `None` (leaving the cache intact for a later retry or a coarser
     /// strategy) once more than `max_states` prefix summaries would be
-    /// memoized. A `Some` result is exact — and guarantees that *every*
-    /// later [`prefix_completions`](Self::prefix_completions) /
-    /// [`unrank`](Self::unrank) call on this instance stays within the
-    /// same state bound, because the full count already visited every
+    /// memoized. The number of summaries — the DP's true cost — grows
+    /// with the distinct block-mask multisets the constraint structure
+    /// can produce: small for scope-shaped constraints, exponential for
+    /// adversarial ones such as dozens of interleaved declaration-order
+    /// prefixes. A `Some` result is exact — and guarantees that *every*
+    /// later [`unrank`](Self::unrank) call on this instance stays within
+    /// the same state bound, because the full count already visited every
     /// reachable summary. This is the gate test sharded enumeration
     /// runs before committing to the shard-native path.
     ///
@@ -153,33 +134,6 @@ impl<'a> ConstrainedRgs<'a> {
     pub fn total(&mut self) -> BigUint {
         self.try_total_within(usize::MAX)
             .expect("unlimited DP cannot bail")
-    }
-
-    /// Number of valid full solutions extending `prefix` (the prefix's
-    /// subtree weight) — the constrained generalization of
-    /// [`crate::rgs_completions`]. A prefix whose blocks already lack an
-    /// SDR weighs exactly zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` is longer than the hole count, violates the
-    /// restricted-growth condition, or names a block `>= num_vars`.
-    ///
-    /// ```
-    /// use spe_combinatorics::{ConstrainedRgs, GeneralInstance};
-    ///
-    /// let inst = GeneralInstance {
-    ///     allowed: vec![vec![0], vec![0], vec![0, 1]],
-    ///     num_vars: 2,
-    /// };
-    /// let mut space = ConstrainedRgs::new(&inst);
-    /// assert_eq!(space.prefix_completions(&[0]).to_u64(), Some(2));
-    /// // Separating holes 0 and 1 leaves no variable for one block.
-    /// assert_eq!(space.prefix_completions(&[0, 1]).to_u64(), Some(0));
-    /// ```
-    pub fn prefix_completions(&mut self, prefix: &[usize]) -> BigUint {
-        let mut blocks = self.replay(prefix);
-        self.completions(prefix.len(), &mut blocks)
     }
 
     /// Returns the solution of the given lexicographic rank, walking the
@@ -238,60 +192,6 @@ impl<'a> ConstrainedRgs<'a> {
         self.unrank(&BigUint::from(index))
     }
 
-    /// Repositions the iterator at the lexicographically smallest valid
-    /// solution `>= prefix` (the prefix padded with zeros); that solution
-    /// is the next item yielded. Computed in closed form by summing the
-    /// weights of the digit choices below the prefix — no solution before
-    /// the boundary is generated. An empty prefix rewinds to the start.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid prefixes, as for
-    /// [`prefix_completions`](Self::prefix_completions).
-    ///
-    /// ```
-    /// use spe_combinatorics::{ConstrainedRgs, GeneralInstance};
-    ///
-    /// let inst = GeneralInstance {
-    ///     allowed: vec![vec![0], vec![0], vec![0, 1]],
-    ///     num_vars: 2,
-    /// };
-    /// let mut space = ConstrainedRgs::new(&inst);
-    /// space.skip_to(&[0, 0, 1]);
-    /// assert_eq!(space.next(), Some(vec![0, 0, 1]));
-    /// assert_eq!(space.next(), None);
-    /// ```
-    pub fn skip_to(&mut self, prefix: &[usize]) {
-        self.cursor = self.rank_of_boundary(prefix);
-    }
-
-    /// Number of valid solutions lexicographically smaller than the
-    /// zero-padded extension of `prefix` — the rank the first in-boundary
-    /// solution would have. Equals [`count`](Self::count) when the whole
-    /// space precedes the boundary.
-    pub fn rank_of_boundary(&mut self, prefix: &[usize]) -> BigUint {
-        // Validate eagerly so errors surface as for prefix_completions.
-        let _ = self.replay(prefix);
-        let mut rank = BigUint::zero();
-        let mut blocks: Vec<u128> = Vec::new();
-        for (i, &digit) in prefix.iter().enumerate() {
-            for d in 0..digit {
-                if let Some(saved) = self.extend(&mut blocks, d, i) {
-                    rank += &self.completions(i + 1, &mut blocks);
-                    Self::retract(&mut blocks, d, saved);
-                }
-            }
-            // Descend along the prefix digit itself; a dead branch means
-            // nothing below the remaining prefix exists, so the rank so
-            // far is already the boundary rank.
-            match self.extend(&mut blocks, digit, i) {
-                Some(_) => {}
-                None => return rank,
-            }
-        }
-        rank
-    }
-
     /// Applies digit `d` for hole `i` to the block stack. Returns the
     /// replaced mask (`Some(previous)` for a join, `Some(0)` for a newly
     /// opened block) or `None` when the move is infeasible (empty merge,
@@ -320,33 +220,6 @@ impl<'a> ConstrainedRgs<'a> {
         } else {
             blocks[d] = saved;
         }
-    }
-
-    /// Replays a prefix into its block-mask stack, validating the
-    /// restricted-growth condition. Digits whose move is infeasible
-    /// (empty merge) still produce a well-defined stack — their subtree
-    /// simply counts zero — so dead prefixes are answerable, not errors.
-    fn replay(&self, prefix: &[usize]) -> Vec<u128> {
-        let n = self.inst.num_holes();
-        assert!(prefix.len() <= n, "prefix longer than the hole count");
-        let mut blocks: Vec<u128> = Vec::new();
-        for (i, &d) in prefix.iter().enumerate() {
-            assert!(
-                d <= blocks.len(),
-                "growth condition violated at position {i}"
-            );
-            assert!(
-                d < self.inst.num_vars,
-                "prefix uses block {d} but the instance has {} variables",
-                self.inst.num_vars
-            );
-            if d < blocks.len() {
-                blocks[d] &= self.masks[i];
-            } else {
-                blocks.push(self.masks[i]);
-            }
-        }
-        blocks
     }
 
     /// The DP: number of valid completions of a prefix summarized by its
@@ -398,41 +271,11 @@ impl<'a> ConstrainedRgs<'a> {
     }
 }
 
-impl Iterator for ConstrainedRgs<'_> {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        let total = self.total();
-        if self.cursor >= total {
-            return None;
-        }
-        let cursor = self.cursor.clone();
-        let item = self.unrank(&cursor);
-        self.cursor += &BigUint::one();
-        Some(item)
-    }
-}
-
-/// Exact number of valid partitions of an instance — one-shot convenience
-/// over [`ConstrainedRgs::total`]. Unlike [`crate::canonical_count`] this
-/// never enumerates: huge constrained spaces are counted through the DP.
-///
-/// ```
-/// use spe_combinatorics::{canonical_count, constrained_count, FlatInstance, FlatScope};
-///
-/// let inst = FlatInstance::new(vec![0, 1, 4], 2, vec![FlatScope { holes: vec![2, 3], vars: 2 }])
-///     .to_general();
-/// assert_eq!(constrained_count(&inst), canonical_count(&inst)); // 35
-/// ```
-pub fn constrained_count(inst: &GeneralInstance) -> BigUint {
-    ConstrainedRgs::new(inst).total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::{FlatInstance, FlatScope};
-    use crate::{canonical_solutions, partitions_at_most, rgs_completions, rgs_unrank, Rgs};
+    use crate::{canonical_solutions, partitions_at_most, rgs_unrank};
 
     fn fig7() -> GeneralInstance {
         FlatInstance::new(
@@ -480,47 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn prefix_completions_generalize_rgs_completions() {
-        // Unconstrained: every prefix's weight is the closed form.
-        let inst = FlatInstance::unscoped(6, 3).to_general();
-        let mut space = ConstrainedRgs::new(&inst);
-        for prefix in Rgs::new(3, 3) {
-            let blocks = crate::rgs_block_count(&prefix);
-            assert_eq!(
-                space.prefix_completions(&prefix),
-                rgs_completions(blocks, 3, 3),
-                "prefix {prefix:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prefix_completions_sum_to_the_parent_weight() {
-        let inst = two_pools();
-        let mut space = ConstrainedRgs::new(&inst);
-        for prefix in [vec![], vec![0], vec![0, 1], vec![0, 0, 1]] {
-            let parent = space.prefix_completions(&prefix);
-            let mut children = BigUint::zero();
-            let max_digit = crate::rgs_block_count(&prefix).min(inst.num_vars - 1);
-            for d in 0..=max_digit {
-                let mut child = prefix.clone();
-                child.push(d);
-                children += &space.prefix_completions(&child);
-            }
-            assert_eq!(parent, children, "prefix {prefix:?}");
-        }
-    }
-
-    #[test]
     fn dead_prefixes_weigh_zero() {
         let inst = GeneralInstance {
             allowed: vec![vec![0], vec![0], vec![0, 1]],
             num_vars: 2,
         };
         let mut space = ConstrainedRgs::new(&inst);
-        // Splitting holes 0 and 1 leaves both blocks needing variable 0.
-        assert!(space.prefix_completions(&[0, 1]).is_zero());
+        // Splitting holes 0 and 1 leaves both blocks needing variable 0,
+        // so no solution starts with the dead prefix [0, 1].
         assert_eq!(space.total().to_u64(), Some(2));
+        assert_eq!(space.unrank_u64(0), vec![0, 0, 0]);
+        assert_eq!(space.unrank_u64(1), vec![0, 0, 1]);
     }
 
     #[test]
@@ -554,59 +367,24 @@ mod tests {
     }
 
     #[test]
-    fn iterator_yields_the_enumerator_sequence() {
-        for inst in [fig7(), two_pools()] {
-            let serial = canonical_solutions(&inst, usize::MAX).0;
-            let mine: Vec<Vec<usize>> = ConstrainedRgs::new(&inst).collect();
-            assert_eq!(mine, serial);
-        }
-    }
-
-    #[test]
-    fn skip_to_resumes_exactly() {
-        let inst = fig7();
-        let serial = canonical_solutions(&inst, usize::MAX).0;
-        for (i, rgs) in serial.iter().enumerate() {
-            let mut space = ConstrainedRgs::new(&inst);
-            space.skip_to(rgs);
-            let tail: Vec<Vec<usize>> = space.collect();
-            assert_eq!(tail, serial[i..].to_vec(), "resumed at {rgs:?}");
-        }
-    }
-
-    #[test]
-    fn skip_to_a_dead_boundary_lands_on_the_next_live_solution() {
-        let inst = GeneralInstance {
-            allowed: vec![vec![0], vec![0], vec![0, 1]],
-            num_vars: 2,
-        };
-        // The prefix [0, 1] is dead (both blocks would need variable 0)
-        // and nothing follows its subtree, so the iterator is exhausted.
-        let mut space = ConstrainedRgs::new(&inst);
-        space.skip_to(&[0, 1]);
-        assert_eq!(space.next(), None);
-    }
-
-    #[test]
     fn empty_and_degenerate_instances() {
         // No holes: exactly the empty partition.
         let empty = GeneralInstance {
             allowed: vec![],
             num_vars: 3,
         };
-        assert_eq!(constrained_count(&empty).to_u64(), Some(1));
         assert_eq!(ConstrainedRgs::new(&empty).total().to_u64(), Some(1));
         // A hole with an empty allowed set: nothing.
         let dead = GeneralInstance {
             allowed: vec![vec![0], vec![]],
             num_vars: 2,
         };
-        assert_eq!(constrained_count(&dead).to_u64(), Some(0));
+        assert_eq!(ConstrainedRgs::new(&dead).total().to_u64(), Some(0));
         // No variables at all.
         let no_vars = GeneralInstance {
             allowed: vec![vec![]],
             num_vars: 0,
         };
-        assert_eq!(constrained_count(&no_vars).to_u64(), Some(0));
+        assert_eq!(ConstrainedRgs::new(&no_vars).total().to_u64(), Some(0));
     }
 }

@@ -17,12 +17,13 @@
 //!   enumeration of valid partitions (one per dependence structure);
 //! * [`enumerate_orbits`] / [`orbit_count`] — one representative per
 //!   compact-α-renaming class (Definition 2 with scopes);
-//! * [`shards`] / [`rgs_completions`] / [`Rgs::skip_to`] — exact
-//!   shard-boundary computation over the RGS space for parallel
-//!   enumeration and mid-space resumption;
-//! * [`ConstrainedRgs`] / [`constrained_count`] — the same counting and
-//!   unranking machinery for *constrained* instances, via a memoized DP
-//!   over RGS prefixes under SDR pruning (`DESIGN.md §8`);
+//! * [`even_ranges`] / [`rgs_unrank`] — the one cut of a variant space:
+//!   near-even emission-index ranges whose starts are reached by exact
+//!   unranking;
+//! * [`ConstrainedRgs`] / [`enumerate_canonical_from`] — counting and
+//!   unranking for *constrained* instances, via a memoized DP over RGS
+//!   prefixes under SDR pruning (`DESIGN.md §8`), and the canonical walk
+//!   resumed at an unranked solution;
 //! * [`brute`] — exponential oracles validating all of the above.
 //!
 //! # Quick start
@@ -57,16 +58,16 @@ pub mod brute;
 
 pub use brute::Fillings;
 pub use canonical::{
-    assignment_for_rgs, canonical_count, canonical_solutions, canonical_solutions_shard,
-    enumerate_canonical, enumerate_canonical_shard, has_sdr, sdr_matching,
+    assignment_for_rgs, canonical_count, canonical_solutions, enumerate_canonical,
+    enumerate_canonical_from, has_sdr, sdr_matching,
 };
 pub use combinations::{binomial, Combinations};
-pub use counting::{constrained_count, ConstrainedRgs};
+pub use counting::ConstrainedRgs;
 pub use instance::{FlatInstance, FlatScope, GeneralInstance, HoleId, PoolRef, ScopedSolution};
 pub use orbit::{enumerate_orbits, orbit_count, orbit_solutions};
 pub use paper::{enumerate_paper, paper_count, paper_solutions};
 pub use rgs::{labels_to_rgs, rgs_block_count, rgs_to_blocks, ExactRgs, Rgs};
-pub use shard::{even_ranges, rgs_completions, rgs_unrank, shards, RgsShard, RgsShardIter};
+pub use shard::{even_ranges, rgs_unrank};
 pub use stirling::{
     bell, partitions_at_most, partitions_at_most_estimate, stirling2, stirling2_clamped,
 };

@@ -50,51 +50,6 @@ impl Rgs {
         }
     }
 
-    /// Repositions the iterator at the lexicographically smallest string
-    /// extending `prefix` (the prefix padded with zeros); that string is
-    /// the next item yielded. Passing an empty prefix rewinds to the start
-    /// of the space. This is the shard-resumption entry point: a worker
-    /// restarts mid-space in O(n) without re-enumerating earlier strings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` is longer than the string length, is not a valid
-    /// restricted growth prefix, or names a block `≥ k`.
-    ///
-    /// ```
-    /// use spe_combinatorics::Rgs;
-    ///
-    /// let mut it = Rgs::new(3, 3);
-    /// it.skip_to(&[0, 1]);
-    /// assert_eq!(it.next(), Some(vec![0, 1, 0]));
-    /// assert_eq!(it.next(), Some(vec![0, 1, 1]));
-    /// ```
-    pub fn skip_to(&mut self, prefix: &[usize]) {
-        let n = self.a.len();
-        assert!(prefix.len() <= n, "prefix longer than the string length");
-        let mut max = 0usize;
-        for (i, &v) in prefix.iter().enumerate() {
-            if i == 0 {
-                assert_eq!(v, 0, "a restricted growth string starts with 0");
-            } else {
-                assert!(v <= max + 1, "growth condition violated at position {i}");
-            }
-            assert!(v < self.k, "prefix uses block {v} but k = {}", self.k);
-            max = max.max(v);
-        }
-        self.a[..prefix.len()].copy_from_slice(prefix);
-        for v in &mut self.a[prefix.len()..] {
-            *v = 0;
-        }
-        let mut running = 0usize;
-        for i in 0..n {
-            running = running.max(self.a[i]);
-            self.prefix_max[i] = running;
-        }
-        self.started = false;
-        self.done = n > 0 && self.k == 0;
-    }
-
     fn advance(&mut self) -> bool {
         let n = self.a.len();
         if n == 0 {
@@ -228,21 +183,6 @@ impl ExactRgs {
             Rgs::new(n, j)
         };
         ExactRgs { inner, j }
-    }
-
-    /// Repositions at the smallest exactly-`j`-block string extending
-    /// `prefix`; see [`Rgs::skip_to`] for the prefix contract. Strings
-    /// before the boundary are skipped without being yielded.
-    ///
-    /// ```
-    /// use spe_combinatorics::ExactRgs;
-    ///
-    /// let mut it = ExactRgs::new(4, 2);
-    /// it.skip_to(&[0, 1]);
-    /// assert_eq!(it.next(), Some(vec![0, 1, 0, 0]));
-    /// ```
-    pub fn skip_to(&mut self, prefix: &[usize]) {
-        self.inner.skip_to(prefix);
     }
 }
 

@@ -1,90 +1,25 @@
-//! Sharding the RGS solution space for parallel enumeration.
+//! Cutting a variant space into contiguous emission-index ranges.
 //!
-//! The solution space of SPE is (per type group) the set of restricted
-//! growth strings of length `n` with at most `k` blocks, in lexicographic
-//! order (§4.1.2 of the paper). Because the order is lexicographic, any
-//! sorted sequence of *boundary prefixes* cuts the space into disjoint,
-//! gap-free, contiguous shards: shard `i` contains exactly the strings
-//! `start_i ≤ s < start_{i+1}` (comparing a string against a boundary by
-//! its leading `len(boundary)` elements).
-//!
-//! Shards are sized near-evenly using exact counting: the number of
-//! completions of a prefix depends only on how many blocks the prefix uses
-//! and how many positions remain ([`rgs_completions`], the same triangular
-//! recurrence behind [`crate::stirling2`]); the weight of the empty prefix
-//! is [`crate::partitions_at_most`]`(n, k)`, which [`shards`] uses as the
-//! total when cutting boundaries.
+//! Workers, fleet hosts and checkpoint resume all cut a skeleton's space
+//! one way: [`even_ranges`] deals the emission indices `0..total` into
+//! near-even contiguous ranges, and a range's first variant is reached by
+//! exact unranking — [`rgs_unrank`] for an unconstrained type group (the
+//! set-partition space `Rgs::new(n, k)` of §4.1.2 of the paper), and
+//! [`crate::ConstrainedRgs::unrank_u64`] for a constrained one. Nothing
+//! before a range start is generated.
 
-use crate::rgs::{rgs_block_count, Rgs};
-use crate::stirling::partitions_at_most;
 use spe_bignum::BigUint;
-
-/// Number of ways to extend a partial RGS into a full one.
-///
-/// A prefix that already uses `blocks_used` distinct values and has
-/// `remaining` positions left (with the global at-most-`k`-blocks bound)
-/// can be completed in `C(remaining, blocks_used)` ways, where
-///
-/// `C(0, m) = 1` and `C(r, m) = m·C(r-1, m) + C(r-1, m+1)` (last term only
-/// while `m < k`).
-///
-/// For the empty prefix this is exactly [`partitions_at_most`]`(n, k)`.
-///
-/// # Examples
-///
-/// ```
-/// use spe_combinatorics::{partitions_at_most, rgs_completions};
-///
-/// assert_eq!(rgs_completions(0, 5, 3), partitions_at_most(5, 3));
-/// assert_eq!(rgs_completions(2, 0, 3).to_u64(), Some(1)); // already complete
-/// assert_eq!(rgs_completions(2, 1, 2).to_u64(), Some(2)); // join block 0 or 1
-/// ```
-pub fn rgs_completions(blocks_used: usize, remaining: usize, k: usize) -> BigUint {
-    assert!(blocks_used <= k, "a valid RGS uses at most k blocks");
-    if k == 0 {
-        // Only the empty string exists.
-        return if remaining == 0 {
-            BigUint::one()
-        } else {
-            BigUint::zero()
-        };
-    }
-    let mut row = completions_row(remaining, k);
-    row.swap_remove(blocks_used)
-}
-
-/// The whole completion row for one `(remaining, k)`: `row[m] = C(remaining,
-/// m)` for `m` in `0..=k`. Callers weighing many prefixes of equal length
-/// (like [`shards`]) compute this once and index per prefix.
-fn completions_row(remaining: usize, k: usize) -> Vec<BigUint> {
-    // dp[m] = C(r, m) for the current r, for m in 0..=k.
-    let mut dp: Vec<BigUint> = vec![BigUint::one(); k + 1];
-    for _r in 1..=remaining {
-        let mut next: Vec<BigUint> = Vec::with_capacity(k + 1);
-        for m in 0..=k {
-            let mut v = dp[m].clone();
-            v.mul_word(m as u64);
-            if m < k {
-                v += &dp[m + 1];
-            }
-            next.push(v);
-        }
-        dp = next;
-    }
-    dp
-}
 
 /// Unranks a lexicographic index into `Rgs::new(n, k)`: returns the
 /// `index`-th restricted growth string (0-based) of length `n` with at
 /// most `k` blocks, in O(n·k) big-integer work.
 ///
-/// This is the digit-by-digit inverse of the [`rgs_completions`] weights:
-/// at each position the candidate digits `0..=blocks_used` are weighed by
-/// the completions of the extended prefix, and the index is walked down
-/// the cumulative weights. Combined with [`crate::Rgs::skip_to`] it turns
-/// any *emission-index* range into an RGS boundary pair, which is how
-/// index-sharded enumeration resumes mid-space without materializing the
-/// prefix.
+/// Each candidate digit is weighed by the number of completions of the
+/// extended prefix: a prefix using `m` blocks with `r` positions left has
+/// `C(r, m)` completions, where `C(0, m) = 1` and
+/// `C(r, m) = m·C(r-1, m) + C(r-1, m+1)` (last term only while `m < k`) —
+/// the triangular recurrence behind [`crate::stirling2`]. The index is
+/// walked down the cumulative weights, so no earlier string is generated.
 ///
 /// # Panics
 ///
@@ -99,21 +34,6 @@ fn completions_row(remaining: usize, k: usize) -> Vec<BigUint> {
 /// for (i, rgs) in serial.iter().enumerate() {
 ///     assert_eq!(&rgs_unrank(5, 3, i as u64), rgs);
 /// }
-/// ```
-///
-/// Turning an emission-index range into a boundary pair and resuming
-/// mid-space — the index-sharding idiom:
-///
-/// ```
-/// use spe_combinatorics::{rgs_unrank, Rgs};
-///
-/// let serial: Vec<Vec<usize>> = Rgs::new(6, 3).collect();
-/// let (lo, hi) = (10u64, 25u64);
-/// let mut it = Rgs::new(6, 3);
-/// it.skip_to(&rgs_unrank(6, 3, lo));            // land on variant #lo
-/// let upper = rgs_unrank(6, 3, hi);             // exclusive boundary
-/// let shard: Vec<Vec<usize>> = it.take_while(|s| *s < upper).collect();
-/// assert_eq!(shard, serial[10..25].to_vec());
 /// ```
 pub fn rgs_unrank(n: usize, k: usize, index: u64) -> Vec<usize> {
     let mut idx = BigUint::from(index);
@@ -160,187 +80,18 @@ pub fn rgs_unrank(n: usize, k: usize, index: u64) -> Vec<usize> {
     out
 }
 
-/// One contiguous slice of the RGS space `Rgs::new(n, k)`.
-///
-/// The shard covers every string `s` with `start ≤ s < end` in
-/// lexicographic order, where boundaries are prefixes compared against the
-/// string's leading elements (`end == None` means "to the end of the
-/// space"). Produced by [`shards`]; iterate with [`RgsShard::iter`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RgsShard {
-    /// String length.
-    pub n: usize,
-    /// Maximum number of blocks.
-    pub k: usize,
-    /// Inclusive lower boundary prefix (empty = start of the space).
-    pub start: Vec<usize>,
-    /// Exclusive upper boundary prefix; `None` for the final shard.
-    pub end: Option<Vec<usize>>,
-    /// Exact number of strings in the shard.
-    pub size: BigUint,
-}
-
-impl RgsShard {
-    /// Streams the shard's strings in lexicographic order.
-    pub fn iter(&self) -> RgsShardIter {
-        let mut inner = Rgs::new(self.n, self.k);
-        inner.skip_to(&self.start);
-        RgsShardIter {
-            inner,
-            end: self.end.clone(),
-            done: false,
-        }
-    }
-
-    /// Whether `rgs` falls inside this shard.
-    pub fn contains(&self, rgs: &[usize]) -> bool {
-        debug_assert_eq!(rgs.len(), self.n);
-        if prefix_cmp(rgs, &self.start) == std::cmp::Ordering::Less {
-            return false;
-        }
-        match &self.end {
-            None => true,
-            Some(end) => prefix_cmp(rgs, end) == std::cmp::Ordering::Less,
-        }
-    }
-}
-
-/// Compares a full string against a boundary prefix: the string's leading
-/// `boundary.len()` elements decide.
-fn prefix_cmp(rgs: &[usize], boundary: &[usize]) -> std::cmp::Ordering {
-    let d = boundary.len().min(rgs.len());
-    rgs[..d].cmp(&boundary[..d])
-}
-
-/// Iterator over one shard; see [`RgsShard::iter`].
-#[derive(Debug, Clone)]
-pub struct RgsShardIter {
-    inner: Rgs,
-    end: Option<Vec<usize>>,
-    done: bool,
-}
-
-impl Iterator for RgsShardIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let rgs = self.inner.next()?;
-        if let Some(end) = &self.end {
-            // Lexicographic order: once past the boundary, everything is.
-            if prefix_cmp(&rgs, end) != std::cmp::Ordering::Less {
-                self.done = true;
-                return None;
-            }
-        }
-        Some(rgs)
-    }
-}
-
-/// Cuts `Rgs::new(n, k)` into at most `want` disjoint contiguous shards of
-/// near-even size.
-///
-/// Boundaries are chosen among prefixes of a fixed depth: the depth grows
-/// until the prefix population is comfortably larger than `want` (or the
-/// whole string is a prefix). Prefix weights come from [`rgs_completions`]
-/// and the total from [`partitions_at_most`], so sizing is exact, not
-/// estimated. Fewer than `want` shards are returned when the space is too
-/// small to cut further; the shards always cover the space exactly.
-///
-/// # Examples
-///
-/// ```
-/// use spe_bignum::BigUint;
-/// use spe_combinatorics::{partitions_at_most, shards};
-///
-/// let cut = shards(8, 4, 4);
-/// let total: BigUint = cut.iter().map(|s| &s.size).sum();
-/// assert_eq!(total, partitions_at_most(8, 4));
-/// ```
-pub fn shards(n: usize, k: usize, want: usize) -> Vec<RgsShard> {
-    let total = partitions_at_most(n as u32, k as u32);
-    let single = || {
-        vec![RgsShard {
-            n,
-            k,
-            start: Vec::new(),
-            end: None,
-            size: total.clone(),
-        }]
-    };
-    if want <= 1 || n == 0 || k == 0 || total <= BigUint::from(want as u64) {
-        return single();
-    }
-    // Pick the boundary depth: deep enough that prefixes outnumber the
-    // requested shard count several times over, for near-even cuts.
-    let oversample = BigUint::from(4u64 * want as u64);
-    let mut depth = 1;
-    while depth < n && partitions_at_most(depth as u32, k as u32) < oversample {
-        depth += 1;
-    }
-    // Weight every prefix of that depth; all prefixes share one
-    // (remaining, k), so the completion row is computed once.
-    let row = completions_row(n - depth, k);
-    let prefixes: Vec<(Vec<usize>, BigUint)> = Rgs::new(depth, k)
-        .map(|p| {
-            let w = row[rgs_block_count(&p)].clone();
-            (p, w)
-        })
-        .collect();
-    debug_assert_eq!(prefixes.iter().map(|(_, w)| w).sum::<BigUint>(), total);
-    // Cut at cumulative-weight targets i·total/want (recomputed only when
-    // a cut advances).
-    let cut_target = |cut: usize| {
-        let mut t = total.clone();
-        t.mul_word(cut as u64);
-        t.divmod_word(want as u64).0
-    };
-    let mut out: Vec<RgsShard> = Vec::with_capacity(want);
-    let mut cum = BigUint::zero();
-    let mut shard_start: Vec<usize> = Vec::new();
-    let mut shard_size = BigUint::zero();
-    let mut next_cut = 1usize;
-    let mut target = cut_target(next_cut);
-    for (prefix, weight) in &prefixes {
-        if next_cut < want && cum >= target && !shard_size.is_zero() {
-            out.push(RgsShard {
-                n,
-                k,
-                start: std::mem::take(&mut shard_start),
-                end: Some(prefix.clone()),
-                size: std::mem::replace(&mut shard_size, BigUint::zero()),
-            });
-            shard_start = prefix.clone();
-            next_cut += 1;
-            target = cut_target(next_cut);
-        }
-        cum += weight;
-        shard_size += weight;
-    }
-    out.push(RgsShard {
-        n,
-        k,
-        start: shard_start,
-        end: None,
-        size: shard_size,
-    });
-    out
-}
-
 /// Deals `0..total` into exactly `parts.max(1)` contiguous, in-order,
 /// near-even ranges (lengths differ by at most one) that cover the space
 /// exactly. Range `i` is `[⌊i·total/parts⌋, ⌊(i+1)·total/parts⌋)`, so
 /// the owner of any index — and the full slice of any part — is O(1)
 /// arithmetic with nothing materialized.
 ///
-/// This is the pure index-space half of multi-host campaign
-/// partitioning (`spe_harness::fleet`): the (file × shard) job space is
-/// flattened file-major into `0..total` and each host owns one range;
-/// within a job, [`shards`]' exact prefix-weight boundaries and the
-/// `skip_to` unranking already make any emission-index sub-range
-/// independently enumerable, so no host touches work outside its slice.
+/// This is the one cut of every index space in the workspace: a
+/// skeleton's emission indices into per-worker shards
+/// (`spe_core::ShardedEnumerator`), and the file-major (file × shard)
+/// job space into per-host slices (`spe_harness::fleet`). A range start
+/// is reached by exact unranking, so no worker or host touches work
+/// outside its slice.
 ///
 /// # Examples
 ///
@@ -363,118 +114,8 @@ pub fn even_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stirling::bell;
-
-    #[test]
-    fn completions_of_empty_prefix_match_partitions_at_most() {
-        for n in 0..9usize {
-            for k in 1..6usize {
-                assert_eq!(
-                    rgs_completions(0, n, k),
-                    partitions_at_most(n as u32, k as u32),
-                    "n={n} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn completions_sum_over_children() {
-        // C(r, m) must equal the sum of completions of all one-step
-        // extensions, which is what the recurrence states.
-        for k in 1..5usize {
-            for m in 0..=k {
-                for r in 1..7usize {
-                    let direct = rgs_completions(m, r, k);
-                    let mut via_children = rgs_completions(m, r - 1, k);
-                    via_children.mul_word(m as u64);
-                    if m < k {
-                        via_children += &rgs_completions(m + 1, r - 1, k);
-                    }
-                    assert_eq!(direct, via_children, "k={k} m={m} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn completions_via_enumeration() {
-        // Extensions of the prefix [0, 1] within Rgs::new(5, 3).
-        let count = Rgs::new(5, 3).filter(|s| s[0] == 0 && s[1] == 1).count();
-        assert_eq!(rgs_completions(2, 3, 3).to_u64(), Some(count as u64));
-    }
-
-    #[test]
-    fn shards_partition_the_space_exactly() {
-        for (n, k, want) in [
-            (6, 3, 1),
-            (6, 3, 2),
-            (6, 3, 4),
-            (7, 7, 8),
-            (5, 2, 3),
-            (8, 4, 16),
-        ] {
-            let cut = shards(n, k, want);
-            let serial: Vec<Vec<usize>> = Rgs::new(n, k).collect();
-            let merged: Vec<Vec<usize>> = cut.iter().flat_map(|s| s.iter()).collect();
-            assert_eq!(merged, serial, "n={n} k={k} want={want}");
-            for s in &cut {
-                assert_eq!(
-                    BigUint::from(s.iter().count()),
-                    s.size,
-                    "declared size is exact for {s:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shards_are_near_even_for_large_spaces() {
-        // Bell(10) = 115975 cut 8 ways: no shard more than ~2x the mean.
-        let cut = shards(10, 10, 8);
-        assert!(cut.len() >= 4, "got {} shards", cut.len());
-        let total = bell(10);
-        let mean = total.divmod_word(cut.len() as u64).0;
-        for s in &cut {
-            let limit = {
-                let mut m = mean.clone();
-                m.mul_word(2);
-                m
-            };
-            assert!(
-                s.size <= limit,
-                "shard too large: {:?} vs mean {mean:?}",
-                s.size
-            );
-        }
-    }
-
-    #[test]
-    fn boundaries_are_strictly_increasing() {
-        let cut = shards(9, 5, 6);
-        for w in cut.windows(2) {
-            assert_eq!(w[0].end.as_ref(), Some(&w[1].start));
-        }
-        for s in &cut {
-            if let Some(end) = &s.end {
-                assert!(s.start < *end || s.start.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn contains_agrees_with_iteration() {
-        let cut = shards(6, 3, 4);
-        for rgs in Rgs::new(6, 3) {
-            let holders: Vec<usize> = cut
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.contains(&rgs))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(holders.len(), 1, "{rgs:?} held by {holders:?}");
-        }
-    }
+    use crate::rgs::Rgs;
+    use crate::stirling::partitions_at_most;
 
     #[test]
     fn unrank_inverts_lexicographic_enumeration() {
@@ -496,12 +137,5 @@ mod tests {
     fn unrank_rejects_out_of_range_indices() {
         let total = partitions_at_most(5, 3).to_u64().expect("small");
         let _ = rgs_unrank(5, 3, total);
-    }
-
-    #[test]
-    fn degenerate_spaces_yield_one_shard() {
-        assert_eq!(shards(0, 3, 4).len(), 1);
-        assert_eq!(shards(3, 0, 4).len(), 1);
-        assert_eq!(shards(2, 1, 4).len(), 1); // only one string exists
     }
 }

@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 use spe_bignum::BigUint;
 use spe_combinatorics::{
-    brute, canonical_count, canonical_solutions, constrained_count, labels_to_rgs, orbit_count,
-    paper_count, paper_solutions, partitions_at_most, rgs_block_count, rgs_completions,
-    rgs_to_blocks, shards, ConstrainedRgs, FlatInstance, FlatScope, Rgs,
+    brute, canonical_count, canonical_solutions, enumerate_canonical_from, labels_to_rgs,
+    orbit_count, paper_count, paper_solutions, partitions_at_most, rgs_block_count, rgs_to_blocks,
+    ConstrainedRgs, FlatInstance, FlatScope, Rgs,
 };
+use std::ops::ControlFlow;
 
 /// Strategy: a small flat instance (global holes/vars plus up to two
 /// scopes) whose naive product stays brute-forceable.
@@ -171,33 +172,6 @@ proptest! {
     }
 
     #[test]
-    fn completions_of_every_prefix_are_exact(n in 1usize..8, k in 1usize..5, depth in 1usize..4) {
-        // rgs_completions must agree with brute enumeration for every
-        // prefix of the given depth, and the empty prefix is Equation (1).
-        let depth = depth.min(n);
-        prop_assert_eq!(rgs_completions(0, n, k), partitions_at_most(n as u32, k as u32));
-        for prefix in Rgs::new(depth, k) {
-            let brute_count = Rgs::new(n, k)
-                .filter(|s| s[..depth] == prefix[..])
-                .count() as u64;
-            let fast = rgs_completions(rgs_block_count(&prefix), n - depth, k);
-            prop_assert_eq!(fast.to_u64(), Some(brute_count), "prefix {:?}", prefix);
-        }
-    }
-
-    #[test]
-    fn shards_cover_the_rgs_space_exactly(n in 0usize..9, k in 1usize..6, want in 1usize..9) {
-        // Union of all shards == the serial lexicographic sequence, with
-        // no duplicates and no gaps, and declared sizes exact.
-        let cut = shards(n, k, want);
-        let merged: Vec<Vec<usize>> = cut.iter().flat_map(|s| s.iter()).collect();
-        let serial: Vec<Vec<usize>> = Rgs::new(n, k).collect();
-        prop_assert_eq!(&merged, &serial);
-        let sized: BigUint = cut.iter().map(|s| &s.size).sum();
-        prop_assert_eq!(sized, BigUint::from(serial.len() as u64));
-    }
-
-    #[test]
     fn even_ranges_partition_the_index_space_exactly(total in 0usize..400, parts in 1usize..12) {
         // Brute-force coverage: every index of 0..total is owned by
         // exactly one range; ranges are in order, contiguous, and
@@ -231,32 +205,6 @@ proptest! {
     }
 
     #[test]
-    fn canonical_shard_union_matches_serial(inst in small_instance(), want in 1usize..6) {
-        // Shard-bounded canonical enumeration covers the serial sequence
-        // exactly, for arbitrary scoped instances and shard counts.
-        use spe_combinatorics::{canonical_solutions, canonical_solutions_shard};
-        let general = inst.to_general();
-        let serial = canonical_solutions(&general, usize::MAX).0;
-        let merged: Vec<Vec<usize>> = shards(general.num_holes(), general.num_vars, want)
-            .iter()
-            .flat_map(|s| canonical_solutions_shard(&general, s, usize::MAX).0)
-            .collect();
-        prop_assert_eq!(merged, serial);
-    }
-
-    #[test]
-    fn skip_to_resumes_exactly_where_serial_left_off(n in 1usize..8, k in 1usize..5, at in 0usize..200) {
-        // Resuming from the prefix of the `at`-th string yields exactly
-        // the serial tail starting at that string.
-        let serial: Vec<Vec<usize>> = Rgs::new(n, k).collect();
-        let at = at % serial.len();
-        let mut resumed = Rgs::new(n, k);
-        resumed.skip_to(&serial[at]);
-        let tail: Vec<Vec<usize>> = resumed.collect();
-        prop_assert_eq!(&tail[..], &serial[at..]);
-    }
-
-    #[test]
     fn single_scope_instances_agree_on_all_semantics(n in 0usize..7, k in 1usize..6) {
         let inst = FlatInstance::unscoped(n, k);
         let c = canonical_count(&inst.to_general());
@@ -273,45 +221,8 @@ proptest! {
         // the exponential oracle on every small constrained instance.
         let general = inst.to_general();
         let brute = brute::count_distinct_partitions(&general) as u64;
-        prop_assert_eq!(constrained_count(&general).to_u64(), Some(brute));
+        prop_assert_eq!(ConstrainedRgs::new(&general).total().to_u64(), Some(brute));
         prop_assert_eq!(canonical_count(&general).to_u64(), Some(brute));
-    }
-
-    #[test]
-    fn constrained_prefix_counts_agree_with_enumeration(
-        inst in small_instance(),
-        depth in 1usize..4,
-    ) {
-        // Group the serial canonical sequence by its depth-d prefixes:
-        // each prefix must weigh exactly its number of completions, and
-        // unseen-but-valid prefixes must weigh zero.
-        let general = inst.to_general();
-        let serial = canonical_solutions(&general, usize::MAX).0;
-        let d = depth.min(general.num_holes());
-        let mut by_prefix: std::collections::BTreeMap<Vec<usize>, u64> =
-            std::collections::BTreeMap::new();
-        for rgs in &serial {
-            *by_prefix.entry(rgs[..d].to_vec()).or_insert(0) += 1;
-        }
-        let mut space = ConstrainedRgs::new(&general);
-        for (prefix, expect) in &by_prefix {
-            prop_assert_eq!(
-                space.prefix_completions(prefix).to_u64(),
-                Some(*expect),
-                "prefix {:?}",
-                prefix
-            );
-        }
-        for prefix in Rgs::new(d, general.num_vars.min(d)) {
-            if !by_prefix.contains_key(&prefix) {
-                prop_assert_eq!(
-                    space.prefix_completions(&prefix).to_u64(),
-                    Some(0),
-                    "dead prefix {:?}",
-                    prefix
-                );
-            }
-        }
     }
 
     #[test]
@@ -326,15 +237,21 @@ proptest! {
     }
 
     #[test]
-    fn constrained_skip_to_resumes_exactly(inst in small_instance(), at in 0usize..64) {
+    fn canonical_walk_from_an_unranked_solution_is_the_serial_tail(inst in small_instance()) {
+        // The step a shard of a canonical space starts with: unrank the
+        // shard's first index, then walk on from that solution. For every
+        // rank the walk must yield exactly the serial sequence's tail.
         let general = inst.to_general();
         let serial = canonical_solutions(&general, usize::MAX).0;
-        if !serial.is_empty() {
-            let at = at % serial.len();
-            let mut space = ConstrainedRgs::new(&general);
-            space.skip_to(&serial[at]);
-            let tail: Vec<Vec<usize>> = space.collect();
-            prop_assert_eq!(tail, serial[at..].to_vec());
+        let mut space = ConstrainedRgs::new(&general);
+        for i in 0..serial.len() {
+            let lower = space.unrank_u64(i as u64);
+            let mut tail: Vec<Vec<usize>> = Vec::new();
+            let _ = enumerate_canonical_from(&general, &lower, &mut |rgs| {
+                tail.push(rgs.to_vec());
+                ControlFlow::Continue(())
+            });
+            prop_assert_eq!(&tail[..], &serial[i..], "resumed at rank {}", i);
         }
     }
 }

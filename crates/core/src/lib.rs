@@ -34,15 +34,14 @@
 
 use spe_bignum::BigUint;
 use spe_combinatorics::{
-    assignment_for_rgs, canonical_solutions, enumerate_canonical_shard, orbit_solutions,
-    paper_solutions, rgs_unrank, ConstrainedRgs, Fillings, GeneralInstance, RgsShard,
+    assignment_for_rgs, canonical_solutions, enumerate_canonical_from, even_ranges,
+    orbit_solutions, paper_solutions, rgs_unrank, ConstrainedRgs, Fillings, GeneralInstance,
 };
 pub use spe_skeleton::{
     Granularity, Hole, NameId, NameTable, RenderTemplate, Skeleton, SkeletonError, TypeGroup, Unit,
 };
 use std::ops::ControlFlow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which enumeration semantics to use. See `DESIGN.md` §2 for the
 /// relationship between the three non-naive variants (on the paper's
@@ -170,7 +169,7 @@ impl Enumerator {
     {
         let (base, fragments, mut truncated) = materialize_fragments(&self.config, sk);
         let total = emission_total(&fragments, self.config.budget, &mut truncated);
-        let (emitted, broke) = stream_index_range(&base, &fragments, 0..total, None, visit);
+        let (emitted, broke) = stream_index_range(&base, &fragments, 0..total, visit);
         EnumerationOutcome {
             emitted,
             truncated: truncated || broke,
@@ -241,11 +240,10 @@ fn emission_total(fragments: &[Vec<Fragment>], budget: usize, truncated: &mut bo
 }
 
 /// Streams the variants with emission indices in `range` through `visit`,
-/// in index order. The mixed-radix decomposition of `range.start` is the
-/// `skip_to(shard_start)` entry point: a worker resumes mid-product in
-/// O(#groups) without touching earlier variants. Returns the number of
-/// variants emitted and whether the visitor (or the shared `stop` flag)
-/// broke the stream.
+/// in index order. The mixed-radix decomposition of `range.start` is
+/// how a shard starts: a worker resumes mid-product in O(#groups)
+/// without touching earlier variants. Returns the number of variants
+/// emitted and whether the visitor broke the stream.
 ///
 /// The hot loop is allocation-free: one `Variant` is set up from `base`
 /// and mutated in place, and advancing the odometer re-applies only the
@@ -254,13 +252,12 @@ fn stream_index_range<F>(
     base: &[NameId],
     fragments: &[Vec<Fragment>],
     range: Range<u64>,
-    stop: Option<&AtomicBool>,
     visit: &mut F,
 ) -> (u64, bool)
 where
     F: FnMut(&Variant) -> ControlFlow<()>,
 {
-    // skip_to: decompose the start index into an odometer cursor.
+    // Decompose the start index into an odometer cursor.
     let mut cursor = vec![0usize; fragments.len()];
     let mut rest = range.start;
     for i in (0..fragments.len()).rev() {
@@ -280,17 +277,9 @@ where
     }
     let mut emitted = 0u64;
     for index in range {
-        if let Some(stop) = stop {
-            if stop.load(Ordering::Relaxed) {
-                return (emitted, true);
-            }
-        }
         variant.index = index;
         emitted += 1;
         if visit(&variant).is_break() {
-            if let Some(stop) = stop {
-                stop.store(true, Ordering::Relaxed);
-            }
             return (emitted, true);
         }
         // Advance the odometer, re-applying only the changed digits.
@@ -361,36 +350,49 @@ fn group_fragments(
     }
 }
 
-/// Sharded parallel enumeration over a skeleton's variant space.
+/// Sharded enumeration over a skeleton's variant space.
 ///
 /// The variant space is the lexicographic Cartesian product of per-group
 /// solution lists, each of which is an RGS-ordered slice of constrained
 /// set-partition space (§4.1.2 of the paper). [`ShardedEnumerator`] cuts
 /// the product's emission-index space `[0, total)` into `K` contiguous,
-/// disjoint, near-even shards — the product-space analogue of cutting the
-/// RGS space by first-block prefix, with boundary weights exact by
-/// construction (see [`spe_combinatorics::shards`] for the single-group
-/// RGS view and its `stirling2`/`partitions_at_most`-based sizing) — and
-/// streams each shard on its own thread via [`std::thread::scope`].
+/// disjoint, near-even shards with [`spe_combinatorics::even_ranges`],
+/// the same cut fleet hosts use for their job slices. A caller
+/// [`prepare`](Self::prepare)s a skeleton's space once and streams any
+/// shard of it, from any thread, through
+/// [`enumerate_shard_prepared`](Self::enumerate_shard_prepared) — the
+/// campaign orchestrator (`spe_harness`) does exactly that, one job per
+/// (file, shard).
 ///
-/// Workers resume mid-space through the mixed-radix `skip_to(shard_start)`
-/// decomposition, so no shard ever touches another shard's variants.
-/// Emission indices are globally stable: variant `i` of a sharded run is
-/// byte-identical to variant `i` of a serial [`Enumerator`] run, which
-/// makes the union of all shards exactly the serial sequence — no
-/// duplicates, no gaps — for every [`Algorithm`] variant.
+/// A shard resumes mid-space through exact unranking of its first
+/// emission index (mixed-radix over the groups, then closed-form or DP
+/// RGS unranking within a group), so no shard ever touches another
+/// shard's variants. Emission indices are globally stable: variant `i`
+/// of a sharded run is byte-identical to variant `i` of a serial
+/// [`Enumerator`] run, which makes the shards, concatenated in order,
+/// exactly the serial sequence — no duplicates, no gaps — for every
+/// [`Algorithm`] variant.
 ///
 /// # Examples
 ///
 /// ```
 /// use spe_core::{Enumerator, EnumeratorConfig, ShardedEnumerator, Skeleton};
+/// use std::ops::ControlFlow;
 ///
 /// let sk = Skeleton::from_source(
 ///     "int main() { int a, b = 1; b = b - a; if (a) a = a - b; return 0; }",
 /// )?;
 /// let serial = Enumerator::new(EnumeratorConfig::default()).collect_sources(&sk);
-/// let sharded = ShardedEnumerator::new(EnumeratorConfig::default(), 4).collect_sources(&sk);
-/// assert_eq!(serial, sharded);
+/// let sharded = ShardedEnumerator::new(EnumeratorConfig::default(), 4);
+/// let space = sharded.prepare(&sk);
+/// let mut merged = Vec::new();
+/// for shard in 0..sharded.shards() {
+///     sharded.enumerate_shard_prepared(&space, shard, &mut |v| {
+///         merged.push(v.source(&sk));
+///         ControlFlow::Continue(())
+///     });
+/// }
+/// assert_eq!(serial, merged);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -418,8 +420,8 @@ pub struct ShardedEnumerator {
 ///   group is unconstrained, through the prefix-count DP
 ///   ([`spe_combinatorics::ConstrainedRgs`], `DESIGN.md §8`) otherwise —
 ///   and shards jump to their emission boundary by per-group mixed-radix
-///   unranking, then walk only their own subtrees through
-///   [`spe_combinatorics::enumerate_canonical_shard`]. Per-shard cost is
+///   unranking, then walk on from there through
+///   [`spe_combinatorics::enumerate_canonical_from`]. Per-shard cost is
 ///   proportional to the shard, not the whole space.
 #[derive(Debug, Clone)]
 pub struct VariantSpace {
@@ -437,9 +439,9 @@ enum SpaceKind {
 
 /// Shard-native canonical space: one entry per type group (in unit
 /// order, matching the materialized fragment order), each holding the
-/// exact size of the group's valid-partition space plus everything
-/// needed to turn an RGS into a rename vector without consulting the
-/// skeleton. The emission-index space is the mixed-radix product of the
+/// budget-capped size of the group's valid-partition space plus
+/// everything needed to turn an RGS into a rename vector without
+/// consulting the skeleton. The emission-index space is the mixed-radix product of the
 /// per-group (budget-capped) sizes, last group least significant —
 /// exactly the product the materialized path enumerates.
 #[derive(Debug, Clone)]
@@ -451,11 +453,10 @@ struct CanonicalNativeSpace {
 #[derive(Debug, Clone)]
 struct NativeGroup {
     general: GeneralInstance,
-    /// Exact (uncapped) size of the group's canonical space.
-    count: BigUint,
     /// The solution-list length the materialized path would produce:
-    /// `min(count, budget at prepare time)`. This group's radix in the
-    /// mixed-radix emission-index space.
+    /// the exact size of the group's canonical space, capped by the
+    /// budget at prepare time. This group's radix in the mixed-radix
+    /// emission-index space.
     size: u64,
     /// Every hole sees the whole variable set: group-local indices
     /// unrank in closed form ([`rgs_unrank`]) and the SDR assignment is
@@ -546,21 +547,16 @@ impl VariantSpace {
     /// Streams the variants with emission indices in `range`, dispatching
     /// to the representation's native walk. Semantics are those of
     /// [`stream_index_range`] for either kind.
-    fn stream_range<F>(
-        &self,
-        range: Range<u64>,
-        stop: Option<&AtomicBool>,
-        visit: &mut F,
-    ) -> (u64, bool)
+    fn stream_range<F>(&self, range: Range<u64>, visit: &mut F) -> (u64, bool)
     where
         F: FnMut(&Variant) -> ControlFlow<()>,
     {
         match &self.kind {
             SpaceKind::Product(fragments) => {
-                stream_index_range(&self.base, fragments, range, stop, visit)
+                stream_index_range(&self.base, fragments, range, visit)
             }
             SpaceKind::CanonicalNative(native) => {
-                stream_canonical_range(native, &self.base, range, stop, visit)
+                stream_canonical_range(native, &self.base, range, visit)
             }
         }
     }
@@ -585,16 +581,19 @@ const NATIVE_COUNT_STATE_LIMIT: usize = 1 << 14;
 /// [`NATIVE_COUNT_STATE_LIMIT`] states. Unconstrained groups (every
 /// hole sees the whole variable set — the Bell-number regime) are sized
 /// in closed form; constrained groups are sized by the prefix-count DP
-/// ([`ConstrainedRgs`]). Returns `None` — materialize instead — when
-/// any group fails either condition. See `DESIGN.md §8` for the gate
-/// conditions and the DP itself.
+/// ([`ConstrainedRgs`]). Returns the space and whether the budget cut
+/// some group's solution stream short (the materialized path's
+/// `truncated` flag), or `None` — materialize instead — when any group
+/// fails either condition. See `DESIGN.md §8` for the gate conditions
+/// and the DP itself.
 fn canonical_native_space(
     config: &EnumeratorConfig,
     sk: &Skeleton,
-) -> Option<CanonicalNativeSpace> {
+) -> Option<(CanonicalNativeSpace, bool)> {
     let units = sk.units(config.granularity);
     let budget = BigUint::from(config.budget as u64);
     let mut groups = Vec::new();
+    let mut truncated = false;
     for u in &units {
         for g in &u.groups {
             let k = g.general.num_vars;
@@ -603,13 +602,13 @@ fn canonical_native_space(
             }
             let count = g.canonical_space_size(NATIVE_COUNT_STATE_LIMIT)?;
             let size = if count > budget {
+                truncated = true;
                 config.budget as u64
             } else {
                 count.to_u64().expect("count <= budget fits u64")
             };
             groups.push(NativeGroup {
                 general: g.general.clone(),
-                count,
                 size,
                 unconstrained: g.is_unconstrained(),
                 holes: g.holes.iter().map(|&h| h as u32).collect(),
@@ -617,7 +616,7 @@ fn canonical_native_space(
             });
         }
     }
-    Some(CanonicalNativeSpace { groups })
+    Some((CanonicalNativeSpace { groups }, truncated))
 }
 
 /// Shard-native streaming of an emission-index range of a canonical
@@ -626,7 +625,7 @@ fn canonical_native_space(
 /// solution by exact unranking (closed form or DP — never by walking
 /// earlier solutions), outer groups advance odometer-style, and the
 /// innermost group's runs are walked natively by
-/// [`enumerate_canonical_shard`] from the unranked lower boundary. Cost
+/// [`enumerate_canonical_from`] from the unranked lower boundary. Cost
 /// is proportional to the shard size (plus O(n·k) boundary unranking per
 /// group), never to the whole space, and no solution list is ever
 /// materialized.
@@ -634,7 +633,6 @@ fn stream_canonical_range<F>(
     native: &CanonicalNativeSpace,
     base: &[NameId],
     range: Range<u64>,
-    stop: Option<&AtomicBool>,
     visit: &mut F,
 ) -> (u64, bool)
 where
@@ -651,21 +649,10 @@ where
     let total_needed = range.end - range.start;
     if groups.is_empty() {
         // No holes: the space is exactly the identity variant.
-        if let Some(stop) = stop {
-            if stop.load(Ordering::Relaxed) {
-                return (0, true);
-            }
-        }
-        let broke = visit(&variant).is_break();
-        if broke {
-            if let Some(stop) = stop {
-                stop.store(true, Ordering::Relaxed);
-            }
-        }
-        return (1, broke);
+        return (1, visit(&variant).is_break());
     }
     // Mixed-radix decomposition of the start index into group-local
-    // solution indices (`skip_to`): last group least significant.
+    // solution indices: last group least significant.
     let mut digits = vec![0u64; groups.len()];
     let mut rest = range.start;
     for (g, group) in groups.iter().enumerate().rev() {
@@ -696,28 +683,12 @@ where
         } else {
             inner.unrank(&mut dps[last], start_digit)
         };
-        let run = RgsShard {
-            n: inner.general.num_holes(),
-            k: inner.general.num_vars,
-            start: lower,
-            end: None,
-            size: inner
-                .count
-                .checked_sub(&BigUint::from(start_digit))
-                .expect("digit indexes into the group's space"),
-        };
         let mut inner_pos = start_digit;
-        let _ = enumerate_canonical_shard(&inner.general, &run, &mut |rgs| {
+        let _ = enumerate_canonical_from(&inner.general, &lower, &mut |rgs| {
             if inner_pos >= inner.size {
                 // The budget capped this group's list: skip the tail,
                 // exactly as the materialized path would.
                 return ControlFlow::Break(());
-            }
-            if let Some(stop) = stop {
-                if stop.load(Ordering::Relaxed) {
-                    broke = true;
-                    return ControlFlow::Break(());
-                }
             }
             inner.apply(rgs, &mut variant.names);
             variant.index = range.start + emitted;
@@ -725,9 +696,6 @@ where
             emitted += 1;
             if visit(&variant).is_break() {
                 broke = true;
-                if let Some(stop) = stop {
-                    stop.store(true, Ordering::Relaxed);
-                }
                 return ControlFlow::Break(());
             }
             if emitted == total_needed {
@@ -784,21 +752,11 @@ impl ShardedEnumerator {
         self.shards
     }
 
-    /// The emission-index ranges of each shard for this skeleton:
+    /// The emission-index ranges of each shard of a prepared space:
     /// `shards()` contiguous, disjoint ranges exactly covering
-    /// `[0, total)`, sized within one variant of each other. Ranges can be
-    /// empty when the space is smaller than the shard count.
-    ///
-    /// Materializes the variant space to size it; callers that also
-    /// stream shards should [`prepare`](Self::prepare) once and use
-    /// [`shard_ranges_prepared`](Self::shard_ranges_prepared) instead of
-    /// paying materialization again here.
-    pub fn shard_ranges(&self, sk: &Skeleton) -> Vec<Range<u64>> {
-        self.shard_ranges_prepared(&self.prepare(sk))
-    }
-
-    /// [`shard_ranges`](Self::shard_ranges) for an already-prepared space
-    /// (no re-materialization).
+    /// `[0, total)`, sized within one variant of each other
+    /// ([`spe_combinatorics::even_ranges`]). Ranges can be empty when the
+    /// space is smaller than the shard count.
     pub fn shard_ranges_prepared(&self, space: &VariantSpace) -> Vec<Range<u64>> {
         self.ranges_for_total(space.total(self.config.budget))
     }
@@ -817,13 +775,7 @@ impl ShardedEnumerator {
     /// exact counts, never the space size.
     pub fn prepare(&self, sk: &Skeleton) -> VariantSpace {
         if self.config.algorithm == Algorithm::Canonical {
-            if let Some(native) = canonical_native_space(&self.config, sk) {
-                // Same meaning as the materialized path's flag: the
-                // budget cut some group's solution stream short.
-                let truncated = native
-                    .groups
-                    .iter()
-                    .any(|g| g.count > BigUint::from(g.size));
+            if let Some((native, truncated)) = canonical_native_space(&self.config, sk) {
                 return VariantSpace {
                     base: base_names(sk),
                     kind: SpaceKind::CanonicalNative(native),
@@ -839,8 +791,10 @@ impl ShardedEnumerator {
         }
     }
 
-    /// Streams one shard of an already-[`prepare`](Self::prepare)d space,
-    /// with the same contract as [`ShardedEnumerator::enumerate_shard`].
+    /// Streams one shard of a prepared space serially through `visit`,
+    /// in emission order. `emitted` counts this shard's variants;
+    /// `truncated` reports the global budget cut or an early break,
+    /// exactly as for [`Enumerator::enumerate`].
     ///
     /// # Panics
     ///
@@ -854,24 +808,16 @@ impl ShardedEnumerator {
     where
         F: FnMut(&Variant) -> ControlFlow<()>,
     {
-        assert!(shard < self.shards, "shard {shard} out of {}", self.shards);
-        let mut truncated = space.truncated;
-        let total = space.total_with(self.config.budget, &mut truncated);
-        let range = self.ranges_for_total(total).swap_remove(shard);
-        let (emitted, broke) = space.stream_range(range, None, visit);
-        EnumerationOutcome {
-            emitted,
-            truncated: truncated || broke,
-        }
+        self.enumerate_shard_resumed_prepared(space, shard, 0, visit)
     }
 
     /// Streams one shard of a prepared space **starting `skip` variants
     /// past the shard's lower boundary** — the checkpoint-resume entry
     /// point (`spe_harness::checkpoint`, `DESIGN.md` §9): a worker that
     /// recorded an emission-index high-water mark re-seeds the shard here
-    /// via the same exact unranking `skip_to` machinery shard starts use
-    /// (mixed-radix odometer decomposition, closed-form or DP RGS
-    /// unranking), so nothing before the mark is re-enumerated.
+    /// via the same exact unranking shard starts use (mixed-radix
+    /// odometer decomposition, closed-form or DP RGS unranking), so
+    /// nothing before the mark is re-enumerated.
     ///
     /// Variants and their global emission indices are byte-identical to
     /// the tail of [`enumerate_shard_prepared`](Self::enumerate_shard_prepared)
@@ -896,129 +842,20 @@ impl ShardedEnumerator {
         let total = space.total_with(self.config.budget, &mut truncated);
         let range = self.ranges_for_total(total).swap_remove(shard);
         let start = range.start.saturating_add(skip).min(range.end);
-        let (emitted, broke) = space.stream_range(start..range.end, None, visit);
+        let (emitted, broke) = space.stream_range(start..range.end, visit);
         EnumerationOutcome {
             emitted,
             truncated: truncated || broke,
         }
     }
 
+    /// The shard ranges of a space emitting `total` variants. `total`
+    /// never exceeds the `usize` budget, so the conversions are exact.
     fn ranges_for_total(&self, total: u64) -> Vec<Range<u64>> {
-        let k = self.shards as u128;
-        let cut = |i: u128| (total as u128 * i / k) as u64;
-        (0..self.shards as u128)
-            .map(|i| cut(i)..cut(i + 1))
+        even_ranges(total as usize, self.shards)
+            .into_iter()
+            .map(|r| r.start as u64..r.end as u64)
             .collect()
-    }
-
-    /// Streams one shard serially through `visit` — the resumption entry
-    /// point for external worker pools (each worker picks a shard index
-    /// and enumerates only that slice). `emitted` counts this shard's
-    /// variants; `truncated` reports the global budget cut or an early
-    /// break, exactly as for [`Enumerator::enumerate`].
-    ///
-    /// Convenience that materializes the space per call: a pool running
-    /// several shards of one skeleton should [`prepare`](Self::prepare)
-    /// once and call
-    /// [`enumerate_shard_prepared`](Self::enumerate_shard_prepared) per
-    /// shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shards()`.
-    pub fn enumerate_shard<F>(
-        &self,
-        sk: &Skeleton,
-        shard: usize,
-        visit: &mut F,
-    ) -> EnumerationOutcome
-    where
-        F: FnMut(&Variant) -> ControlFlow<()>,
-    {
-        self.enumerate_shard_prepared(&self.prepare(sk), shard, visit)
-    }
-
-    /// Enumerates the whole space with one thread per shard.
-    ///
-    /// `visit` observes every variant exactly once, with globally stable
-    /// indices, but *interleaved across shards* — callers needing serial
-    /// order should order by [`Variant::index`] (or use
-    /// [`ShardedEnumerator::collect_sources`], which merges for free).
-    /// `emitted` is the total across shards. A [`ControlFlow::Break`] from
-    /// any shard raises a shared stop flag that halts the others at their
-    /// next variant; unlike the serial enumerator, variants already in
-    /// flight on sibling threads may still be visited.
-    pub fn enumerate<F>(&self, sk: &Skeleton, visit: &F) -> EnumerationOutcome
-    where
-        F: Fn(&Variant) -> ControlFlow<()> + Sync,
-    {
-        let space = self.prepare(sk);
-        let mut truncated = space.truncated;
-        let total = space.total_with(self.config.budget, &mut truncated);
-        if self.shards == 1 || total <= 1 {
-            let (emitted, broke) = space.stream_range(0..total, None, &mut |v| visit(v));
-            return EnumerationOutcome {
-                emitted,
-                truncated: truncated || broke,
-            };
-        }
-        let stop = AtomicBool::new(false);
-        let space = &space;
-        let stop_ref = &stop;
-        let mut emitted = 0u64;
-        let mut broke = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranges_for_total(total)
-                .into_iter()
-                .map(|range| {
-                    scope.spawn(move || {
-                        space.stream_range(range, Some(stop_ref), &mut |v| visit(v))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (shard_emitted, shard_broke) = handle.join().expect("shard worker panicked");
-                emitted += shard_emitted;
-                broke |= shard_broke;
-            }
-        });
-        EnumerationOutcome {
-            emitted,
-            truncated: truncated || broke,
-        }
-    }
-
-    /// Collects realized variant sources using all shards in parallel and
-    /// merges them in shard order — byte-identical to the serial
-    /// [`Enumerator::collect_sources`]. Each worker renders through one
-    /// reusable buffer.
-    pub fn collect_sources(&self, sk: &Skeleton) -> Vec<String> {
-        let space = self.prepare(sk);
-        let mut truncated = space.truncated;
-        let total = space.total_with(self.config.budget, &mut truncated);
-        let space = &space;
-        let ranges = self.ranges_for_total(total);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity((range.end - range.start) as usize);
-                        space.stream_range(range, None, &mut |v| {
-                            out.push(v.source(sk));
-                            ControlFlow::Continue(())
-                        });
-                        out
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(total as usize);
-            for handle in handles {
-                merged.extend(handle.join().expect("shard worker panicked"));
-            }
-            merged
-        })
     }
 }
 
@@ -1285,6 +1122,30 @@ mod tests {
         out
     }
 
+    /// Streams every shard of one prepared space in shard order, as the
+    /// campaign orchestrator does: the concatenated sources plus the
+    /// shards' summed outcome.
+    fn sharded_sources(
+        sharded: &ShardedEnumerator,
+        sk: &Skeleton,
+    ) -> (Vec<String>, EnumerationOutcome) {
+        let space = sharded.prepare(sk);
+        let mut sources = Vec::new();
+        let mut outcome = EnumerationOutcome {
+            emitted: 0,
+            truncated: false,
+        };
+        for shard in 0..sharded.shards() {
+            let o = sharded.enumerate_shard_prepared(&space, shard, &mut |v| {
+                sources.push(v.source(sk));
+                ControlFlow::Continue(())
+            });
+            outcome.emitted += o.emitted;
+            outcome.truncated |= o.truncated;
+        }
+        (sources, outcome)
+    }
+
     fn fig6() -> Skeleton {
         Skeleton::from_source(
             r#"
@@ -1345,7 +1206,7 @@ mod tests {
         let sk = fig1();
         for shards in 1..=9usize {
             let e = ShardedEnumerator::new(EnumeratorConfig::default(), shards);
-            let ranges = e.shard_ranges(&sk);
+            let ranges = e.shard_ranges_prepared(&e.prepare(&sk));
             assert_eq!(ranges.len(), shards);
             assert_eq!(ranges[0].start, 0);
             assert_eq!(ranges[ranges.len() - 1].end, 64);
@@ -1361,35 +1222,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_enumerate_visits_every_variant_once() {
-        use std::sync::Mutex;
-        let sk = fig6();
-        let config = EnumeratorConfig {
-            budget: 1_000_000,
-            ..Default::default()
-        };
-        let serial = serial_sequence(&sk, config);
-        let seen = Mutex::new(Vec::new());
-        let outcome = ShardedEnumerator::new(config, 4).enumerate(&sk, &|v| {
-            seen.lock()
-                .expect("poisoned")
-                .push((v.index, v.source(&sk)));
-            ControlFlow::Continue(())
-        });
-        let mut seen = seen.into_inner().expect("poisoned");
-        seen.sort();
-        assert_eq!(seen, serial);
-        assert_eq!(outcome.emitted, serial.len() as u64);
-        assert!(!outcome.truncated);
-    }
-
-    #[test]
     fn sharded_collect_sources_is_byte_identical_to_serial() {
         for sk in [fig1(), fig6()] {
             let serial = Enumerator::new(EnumeratorConfig::default()).collect_sources(&sk);
             for shards in [2usize, 4, 8] {
-                let merged = ShardedEnumerator::new(EnumeratorConfig::default(), shards)
-                    .collect_sources(&sk);
+                let merged = sharded_sources(
+                    &ShardedEnumerator::new(EnumeratorConfig::default(), shards),
+                    &sk,
+                )
+                .0;
                 assert_eq!(serial, merged, "{shards} shards");
             }
         }
@@ -1404,39 +1245,10 @@ mod tests {
         };
         let serial = Enumerator::new(config).collect_sources(&sk);
         assert_eq!(serial.len(), 10);
-        let sharded = ShardedEnumerator::new(config, 4);
-        assert_eq!(sharded.collect_sources(&sk), serial);
-        let outcome = sharded.enumerate(&sk, &|_| ControlFlow::Continue(()));
+        let (sources, outcome) = sharded_sources(&ShardedEnumerator::new(config, 4), &sk);
+        assert_eq!(sources, serial);
         assert_eq!(outcome.emitted, 10);
         assert!(outcome.truncated);
-    }
-
-    #[test]
-    fn parallel_break_stops_all_shards() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let sk = fig6();
-        let config = EnumeratorConfig {
-            budget: 1_000_000,
-            ..Default::default()
-        };
-        let count = AtomicU64::new(0);
-        let outcome = ShardedEnumerator::new(config, 4).enumerate(&sk, &|_| {
-            if count.fetch_add(1, Ordering::Relaxed) >= 2 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert!(outcome.truncated);
-        // Every shard halts promptly: nothing close to the full space runs.
-        let total = Enumerator::new(config)
-            .enumerate(&sk, &mut |_| ControlFlow::Continue(()))
-            .emitted;
-        assert!(
-            outcome.emitted < total,
-            "break did not stop shards ({} of {total})",
-            outcome.emitted
-        );
     }
 
     #[test]
@@ -1483,13 +1295,13 @@ mod tests {
             };
             let serial = Enumerator::new(config).collect_sources(&sk);
             let sharded = ShardedEnumerator::new(config, 4);
-            assert_eq!(sharded.collect_sources(&sk), serial, "budget {budget}");
+            let (sources, outcome) = sharded_sources(&sharded, &sk);
+            assert_eq!(sources, serial, "budget {budget}");
             assert_eq!(
                 sharded.prepare(&sk).truncated(),
                 budget < 64,
                 "budget {budget}"
             );
-            let outcome = sharded.enumerate(&sk, &|_| ControlFlow::Continue(()));
             assert_eq!(outcome.emitted, serial.len() as u64);
             assert_eq!(outcome.truncated, budget < 64, "budget {budget}");
         }
@@ -1599,12 +1411,8 @@ mod tests {
             for shards in [2usize, 4, 8] {
                 let sharded = ShardedEnumerator::new(config, shards);
                 assert!(sharded.prepare(&sk).is_shard_native());
-                assert_eq!(
-                    sharded.collect_sources(&sk),
-                    serial,
-                    "budget {budget}, {shards} shards"
-                );
-                let outcome = sharded.enumerate(&sk, &|_| ControlFlow::Continue(()));
+                let (sources, outcome) = sharded_sources(&sharded, &sk);
+                assert_eq!(sources, serial, "budget {budget}, {shards} shards");
                 assert_eq!(outcome.emitted, serial.len() as u64, "budget {budget}");
                 assert_eq!(outcome.truncated, budget < full, "budget {budget}");
             }
@@ -1640,7 +1448,7 @@ mod tests {
         );
         let serial = Enumerator::new(config).collect_sources(&sk);
         assert_eq!(serial.len(), 200, "budget-capped");
-        assert_eq!(sharded.collect_sources(&sk), serial);
+        assert_eq!(sharded_sources(&sharded, &sk).0, serial);
         // Both prepare-and-refuse and the fallback must stay far from
         // the uncapped DP's runtime (tens of seconds).
         assert!(
@@ -1700,8 +1508,8 @@ mod tests {
     fn more_shards_than_variants_still_covers_exactly() {
         let sk = Skeleton::from_source("int a, b; void f() { a = b; }").expect("builds");
         let serial = Enumerator::new(EnumeratorConfig::default()).collect_sources(&sk);
-        let merged = ShardedEnumerator::new(EnumeratorConfig::default(), 16).collect_sources(&sk);
-        assert_eq!(serial, merged);
+        let sharded = ShardedEnumerator::new(EnumeratorConfig::default(), 16);
+        assert_eq!(serial, sharded_sources(&sharded, &sk).0);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! per-job state, not the journal size), re-deals only unfinished jobs,
 //! and **re-seeds each shard at its recorded high-water mark** through
 //! [`spe_core::ShardedEnumerator::enumerate_shard_resumed_prepared`] —
-//! the exact-unranking `skip_to` machinery, so no variant before the
-//! mark is ever re-enumerated. [`crate::Campaign::reduce`] extends the
-//! same journal through the post-campaign reduction stage, one witness
-//! per finding, so a resumed pipeline re-reduces only what was lost.
+//! exact unranking of the mark, so no variant before the mark is ever
+//! re-enumerated. [`crate::Campaign::reduce`] extends the same journal
+//! through the post-campaign reduction stage, one witness per finding,
+//! so a resumed pipeline re-reduces only what was lost.
 //!
 //! This module holds the record schema, the replay that folds a
 //! journal into live state, [`compact_journal`] — which folds a long
@@ -424,6 +424,15 @@ impl Manifest {
                 source: dec.str()?,
             });
         }
+        // Every job needs a `u32` id (`Progress` and `JobDone` frames).
+        let jobs = files.len().checked_mul(shards_per_file);
+        if shards_per_file == 0 || jobs.is_none_or(|jobs| jobs as u64 > u64::from(u32::MAX) + 1) {
+            return Err(CheckpointError::Foreign(format!(
+                "job decomposition of {} files × {shards_per_file} shards per file \
+                 is empty or has more jobs than u32 job ids",
+                files.len()
+            )));
+        }
         // Pre-fleet journals end here; the trailer is decoded only when
         // bytes remain, so both generations replay under one schema.
         let fleet = if dec.is_empty() {
@@ -459,6 +468,12 @@ impl Manifest {
             backend_hash,
             fleet,
         })
+    }
+
+    /// Number of (file × shard) jobs; [`decode`](Self::decode) refuses
+    /// decompositions whose job ids would not fit a `u32`.
+    pub(crate) fn job_count(&self) -> usize {
+        self.files.len() * self.shards_per_file
     }
 
     /// Fails with a clear [`CheckpointError::Foreign`] when the journal
@@ -538,7 +553,7 @@ pub(crate) struct Replay {
 impl Replay {
     pub(crate) fn new(header: &[u8]) -> Result<Replay, CheckpointError> {
         let manifest = Manifest::decode(header)?;
-        let job_count = manifest.files.len() * manifest.shards_per_file;
+        let job_count = manifest.job_count();
         Ok(Replay {
             manifest,
             jobs: (0..job_count).map(|_| JobState::default()).collect(),

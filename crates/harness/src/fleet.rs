@@ -6,10 +6,9 @@
 //! partitionable: a [`FleetPlan`] flattens the (file × shard) job space
 //! file-major into `0..jobs` and deals it across `n_hosts` by
 //! [`spe_combinatorics::even_ranges`] — pure index arithmetic, nothing
-//! materialized. Within a job, the shard boundaries and the `skip_to`
-//! exact-unranking machinery already make any emission-index sub-range
-//! independently enumerable, so **no host touches any variant outside
-//! its slice**.
+//! materialized. Within a job, the shard boundaries and exact unranking
+//! already make any emission-index sub-range independently enumerable,
+//! so **no host touches any variant outside its slice**.
 //!
 //! * [`crate::Campaign::run_journaled`] with a fleet slot
 //!   `Some((plan, host_id))` runs one host's slice through the
@@ -431,7 +430,7 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     if !missing.is_empty() {
         return Err(FleetError::MissingHosts { missing, n_hosts });
     }
-    let job_count = manifests[0].0.files.len() * manifests[0].0.shards_per_file;
+    let job_count = manifests[0].0.job_count();
     let ranges = even_ranges(job_count, n_hosts);
     let mut jobs: Vec<JobState> = (0..job_count).map(|_| JobState::default()).collect();
     let mut hosts = Vec::with_capacity(n_hosts);

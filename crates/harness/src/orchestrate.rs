@@ -574,15 +574,13 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     let (file_idx, shard) = (i / shards_per_file, i % shards_per_file);
                     let file = &files[file_idx];
                     let skip = jobs[i].emitted;
-                    let space = prepared[file_idx]
-                        .get_or_init(|| prepare_file(file, shards_per_file, config));
+                    // A job that panics before its first render must not
+                    // quarantine with the previous job's variant.
+                    buf.clear();
                     // Output since the last committed checkpoint (the
                     // journal delta) and since the start of this run
                     // (the in-memory continuation).
-                    let mut delta = ShardOutput {
-                        file_processed: shard == 0 && space.is_some() && skip == 0,
-                        ..ShardOutput::default()
-                    };
+                    let mut delta = ShardOutput::default();
                     let mut cont = ShardOutput::default();
                     let mut emitted = skip;
                     let mut last_commit = skip;
@@ -594,79 +592,85 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     // back to it, so the quarantined job commits only
                     // whole variants — deterministic under resume.
                     let mut rollback = (0usize, 0u64, 0u64);
-                    let panic_payload = if let Some((sk, space)) = space {
+                    let panic_payload = catch_unwind(AssertUnwindSafe(|| {
+                        // Preparing the file is guarded too: it panics
+                        // on a type group wider than the 128-variable
+                        // constraint masks. A panicking init leaves the
+                        // cell empty, so each of the file's jobs retries
+                        // and is quarantined alike.
+                        let Some((sk, space)) = prepared[file_idx]
+                            .get_or_init(|| prepare_file(file, shards_per_file, config))
+                        else {
+                            return;
+                        };
+                        delta.file_processed = shard == 0 && skip == 0;
                         let enumerator = crate::campaign_enumerator(config, shards_per_file);
                         // The job's oracle (and its splice cache) is
-                        // built lazily from the job's first variant
-                        // inside the panic guard and dropped at job end
-                        // — cached AST state cannot outlive the job or
-                        // leak into a quarantined sibling.
+                        // built lazily from the job's first variant and
+                        // dropped at job end — cached AST state cannot
+                        // outlive the job or leak into a quarantined
+                        // sibling.
                         let mut job_oracle = oracle.job(sk);
-                        catch_unwind(AssertUnwindSafe(|| {
-                            enumerator.enumerate_shard_resumed_prepared(
-                                space,
-                                shard,
-                                skip,
-                                &mut |variant| {
-                                    if stop.load(Ordering::Relaxed) {
+                        enumerator.enumerate_shard_resumed_prepared(
+                            space,
+                            shard,
+                            skip,
+                            &mut |variant| {
+                                if stop.load(Ordering::Relaxed) {
+                                    killed = true;
+                                    return ControlFlow::Break(());
+                                }
+                                variant.render_into(sk, &mut buf);
+                                if let Err(e) = job_oracle.process_variant(
+                                    variant, file, &buf, config, &mut delta, telemetry,
+                                ) {
+                                    // Backend machinery failure:
+                                    // quarantine the job (degraded
+                                    // finding + JobDone below) and
+                                    // let the campaign continue.
+                                    delta.candidates.push(quarantine_finding(
+                                        FindingKind::BackendDegraded,
+                                        file,
+                                        shard,
+                                        &buf,
+                                        config,
+                                        &e.what,
+                                    ));
+                                    return ControlFlow::Break(());
+                                }
+                                emitted += 1;
+                                rollback = (
+                                    delta.candidates.len(),
+                                    delta.variants_tested,
+                                    delta.variants_ub_skipped,
+                                );
+                                if let Some(limit) = stop_after {
+                                    if processed.fetch_add(1, Ordering::Relaxed) + 1 >= limit {
+                                        // Simulated kill: drop the
+                                        // uncommitted delta on the
+                                        // floor.
+                                        stop.store(true, Ordering::Relaxed);
+                                        telemetry.event(names::ORCH_KILLED, "stop_after reached");
                                         killed = true;
                                         return ControlFlow::Break(());
                                     }
-                                    variant.render_into(sk, &mut buf);
-                                    if let Err(e) = job_oracle.process_variant(
-                                        variant, file, &buf, config, &mut delta, telemetry,
-                                    ) {
-                                        // Backend machinery failure:
-                                        // quarantine the job (degraded
-                                        // finding + JobDone below) and
-                                        // let the campaign continue.
-                                        delta.candidates.push(quarantine_finding(
-                                            FindingKind::BackendDegraded,
-                                            file,
-                                            shard,
-                                            &buf,
-                                            config,
-                                            &e.what,
-                                        ));
-                                        return ControlFlow::Break(());
-                                    }
-                                    emitted += 1;
-                                    rollback = (
-                                        delta.candidates.len(),
-                                        delta.variants_tested,
-                                        delta.variants_ub_skipped,
-                                    );
-                                    if let Some(limit) = stop_after {
-                                        if processed.fetch_add(1, Ordering::Relaxed) + 1 >= limit {
-                                            // Simulated kill: drop the
-                                            // uncommitted delta on the
-                                            // floor.
-                                            stop.store(true, Ordering::Relaxed);
-                                            telemetry
-                                                .event(names::ORCH_KILLED, "stop_after reached");
-                                            killed = true;
-                                            return ControlFlow::Break(());
-                                        }
-                                    }
-                                    let count_due = emitted - last_commit >= every;
-                                    let time_due = emitted > last_commit
-                                        && sink.policy.checkpoint_interval.is_some_and(|interval| {
-                                            last_commit_at.elapsed() >= interval
-                                        });
-                                    if count_due || time_due {
-                                        sink.commit(i, emitted, &mut delta, &mut cont);
-                                        last_commit = emitted;
-                                        last_commit_at = Instant::now();
-                                        rollback = (0, 0, 0);
-                                    }
-                                    ControlFlow::Continue(())
-                                },
-                            );
-                        }))
-                        .err()
-                    } else {
-                        None
-                    };
+                                }
+                                let count_due = emitted - last_commit >= every;
+                                let time_due = emitted > last_commit
+                                    && sink.policy.checkpoint_interval.is_some_and(|interval| {
+                                        last_commit_at.elapsed() >= interval
+                                    });
+                                if count_due || time_due {
+                                    sink.commit(i, emitted, &mut delta, &mut cont);
+                                    last_commit = emitted;
+                                    last_commit_at = Instant::now();
+                                    rollback = (0, 0, 0);
+                                }
+                                ControlFlow::Continue(())
+                            },
+                        );
+                    }))
+                    .err();
                     if let Some(payload) = panic_payload {
                         // Roll back any half-processed variant, then
                         // quarantine: the panic marker is committed with

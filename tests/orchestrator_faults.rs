@@ -14,7 +14,7 @@
 //! serial run.
 
 use proptest::prelude::*;
-use spe::corpus::{generate, seeds, CorpusConfig};
+use spe::corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe::harness::checkpoint::{
     compact_journal, compact_journal_abandoned, resume_campaign, run_campaign_checkpointed,
     CampaignStatus, CheckpointError, CheckpointOptions,
@@ -300,6 +300,63 @@ fn panicking_reducers_leave_findings_irreducible_with_a_warning_each() {
     }
 }
 
+/// A file whose one `int` type group has 130 variables: wider than the
+/// 128-variable constraint masks the canonical and orbit algorithms
+/// build, so preparing its variant space panics.
+fn wide_type_group_file() -> TestFile {
+    let mut source = String::new();
+    for i in 0..130 {
+        source.push_str(&format!("int g{i};\n"));
+    }
+    source.push_str("int main() { g0 = g1 + g129; return g0; }\n");
+    TestFile {
+        name: "wide.c".into(),
+        source,
+    }
+}
+
+#[test]
+fn a_file_that_panics_in_preparation_is_quarantined_per_job() {
+    let normal = seeds::all()
+        .into_iter()
+        .find(|f| f.name == "seeds/figure12b.c")
+        .expect("seed");
+    let wide = wide_type_group_file();
+    for algorithm in [spe::core::Algorithm::Canonical, spe::core::Algorithm::Orbit] {
+        let config = CampaignConfig {
+            algorithm,
+            ..config()
+        };
+        for workers in [1usize, 2, 4] {
+            let campaign = Campaign {
+                workers,
+                ..Campaign::default()
+            };
+            let alone = campaign.run(std::slice::from_ref(&normal), &config);
+            // The normal file's jobs run first, so a worker reaches the
+            // wide file with a rendered variant still in its buffer.
+            let mixed = campaign.run(&[normal.clone(), wide.clone()], &config);
+            let (quarantined, rest): (Vec<_>, Vec<_>) = mixed
+                .findings
+                .into_iter()
+                .partition(|f| f.file == wide.name);
+            let what = format!("{algorithm:?} at {workers} workers");
+            assert_eq!(quarantined.len(), workers, "{what}: one per job");
+            for f in &quarantined {
+                assert_eq!(f.kind, FindingKind::JobPanicked, "{what}");
+                assert!(f.reproducer.is_empty(), "{what}: {}", f.reproducer);
+            }
+            let rest = CampaignReport {
+                findings: rest,
+                files_processed: mixed.files_processed,
+                variants_tested: mixed.variants_tested,
+                variants_ub_skipped: mixed.variants_ub_skipped,
+            };
+            assert_eq!(rest, alone, "{what}: the normal file's report moved");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Journal append faults.
 // ---------------------------------------------------------------------
@@ -532,10 +589,10 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
 
 /// A journal manifest in the `DESIGN.md` §9 schema, hand-encoded so it
 /// can hold bytes no build writes: one gcc-sim 7.0 configuration at
-/// optimization level `opt`, the paper seeds at one shard per file, and
-/// the fleet trailer of host 0 in a one-host fleet (so resume,
-/// compaction and merge all accept the journal's shape).
-fn crafted_manifest(opt: u8) -> Vec<u8> {
+/// optimization level `opt`, the paper seeds at `shards_per_file` shards
+/// per file, and the fleet trailer of host 0 in a one-host fleet (so
+/// resume, compaction and merge all accept the journal's shape).
+fn crafted_manifest(opt: u8, shards_per_file: usize) -> Vec<u8> {
     let files = seeds::all();
     let mut enc = Encoder::new();
     enc.usize(1).str("gcc-sim").u32(700).u8(opt);
@@ -545,7 +602,7 @@ fn crafted_manifest(opt: u8) -> Vec<u8> {
         .u64(10_000) // fuel
         .str(SIMCC_BACKEND_ID)
         .u64(SIMCC_CONFIG_HASH)
-        .usize(1) // shards per file
+        .usize(shards_per_file)
         .usize(files.len());
     for file in &files {
         enc.str(&file.name).str(&file.source);
@@ -579,10 +636,10 @@ fn crafted_progress(opt: u8) -> Vec<u8> {
 #[test]
 fn crafted_optimization_levels_are_refused_with_typed_errors() {
     for (tag, manifest, record) in [
-        ("crafted-manifest-opt", crafted_manifest(9), None),
+        ("crafted-manifest-opt", crafted_manifest(9, 1), None),
         (
             "crafted-finding-opt",
-            crafted_manifest(3),
+            crafted_manifest(3, 1),
             Some(crafted_progress(9)),
         ),
     ] {
@@ -606,6 +663,35 @@ fn crafted_optimization_levels_are_refused_with_typed_errors() {
         match merge_journals(&[&path]) {
             Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
             other => panic!("{tag} merge: expected a journal error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn crafted_shard_counts_are_refused_with_typed_errors() {
+    // No jobs at all, and more jobs than the frames' u32 job ids can name
+    // (an overflowing product among them): each would otherwise complete
+    // empty, overflow, or try to allocate per-job state for them all.
+    let files = seeds::all().len();
+    for shards_per_file in [0usize, 1 << 40, usize::MAX] {
+        let path = journal_path(&format!("crafted-shards-{shards_per_file}"));
+        Journal::create(&path, &crafted_manifest(3, shards_per_file)).expect("create");
+        let decomposition = format!("{files} files × {shards_per_file} shards per file");
+        let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+            Err(CheckpointError::Foreign(message)) => {
+                assert!(message.contains(&decomposition), "{what}: {message}");
+            }
+            other => panic!("{decomposition} {what}: expected a Foreign error, got {other:?}"),
+        };
+        refused(
+            "resume",
+            resume_campaign(&path, 2, &CheckpointOptions::default()).map(drop),
+        );
+        refused("compaction", compact_journal(&path).map(drop));
+        match merge_journals(&[&path]) {
+            Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
+            other => panic!("{decomposition} merge: expected a journal error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }

@@ -76,7 +76,17 @@ fn sharded_rendering_is_byte_identical_to_serial_for_every_seed() {
         for algorithm in ALGORITHMS {
             let serial = Enumerator::new(config(algorithm)).collect_sources(&sk);
             for shards in [2usize, 4] {
-                let merged = ShardedEnumerator::new(config(algorithm), shards).collect_sources(&sk);
+                // Every shard of one prepared space, concatenated in shard
+                // order — what the campaign orchestrator streams.
+                let sharded = ShardedEnumerator::new(config(algorithm), shards);
+                let space = sharded.prepare(&sk);
+                let mut merged = Vec::new();
+                for shard in 0..shards {
+                    sharded.enumerate_shard_prepared(&space, shard, &mut |v| {
+                        merged.push(v.source(&sk));
+                        ControlFlow::Continue(())
+                    });
+                }
                 assert_eq!(
                     merged, serial,
                     "seed {} under {algorithm:?} with {shards} shards",
