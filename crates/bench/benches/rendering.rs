@@ -1,19 +1,16 @@
-//! Variant rendering: legacy AST re-walk vs template-compiled splice.
+//! Variant rendering through the template-compiled splice.
 //!
 //! Workloads over the paper's Figure 6 skeleton (Naive enumeration — the
 //! largest space, 512 variants):
 //!
-//! * `legacy_realize` — the pre-template path per variant: build an
-//!   occurrence-keyed map of owned name strings, then re-walk the whole
-//!   AST through the printer;
 //! * `template_render` — compile the render template once, then realize
 //!   each variant as a segment/slot splice into one reused buffer (zero
 //!   per-variant heap allocation);
 //! * `template_render_sharded/shardsN` — the same splice fanned over
 //!   1/2/4/8 shards with a per-shard buffer, the campaign hot path.
 //!
-//! The acceptance bar for this pipeline is ≥ 3× variants/sec over the
-//! legacy path single-threaded; shards then multiply on top.
+//! `BENCH_render.json` records these rows against the AST re-walk they
+//! replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spe_core::{Algorithm, Enumerator, EnumeratorConfig, ShardedEnumerator, Skeleton};
@@ -48,20 +45,6 @@ fn bench_rendering(c: &mut Criterion) {
     sk.template(); // compile outside the timed region, as campaigns do
     let mut group = c.benchmark_group("rendering");
     group.sample_size(20);
-
-    group.bench_function("legacy_realize", |b| {
-        let e = Enumerator::new(config());
-        b.iter(|| {
-            let mut n = 0u64;
-            e.enumerate(&sk, &mut |v| {
-                let src = sk.realize(&sk.rename_map(&v.names));
-                criterion::black_box(&src);
-                n += 1;
-                ControlFlow::Continue(())
-            });
-            assert_eq!(n, VARIANTS);
-        })
-    });
 
     group.bench_function("template_render", |b| {
         let e = Enumerator::new(config());

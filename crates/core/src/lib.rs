@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_bignum::BigUint;
 use spe_combinatorics::{

@@ -6,6 +6,8 @@
 //! `bin/all` regenerates everything and emits the Markdown recorded in
 //! `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 use spe_bignum::BigUint;
 use spe_core::{naive_count, spe_count, Granularity, Skeleton};
 use spe_corpus::{generate, seeds, stats, CorpusConfig, TestFile};
@@ -449,9 +451,9 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
         matches!(first, CampaignStatus::Interrupted),
         "the kill budget must preempt the campaign"
     );
-    let journal_records = spe_persist::JournalReader::read(&path)
+    let journal_records = spe_persist::JournalIter::open(&path)
+        .and_then(|records| records.collect::<Result<Vec<_>, _>>())
         .expect("journal readable")
-        .records
         .len();
     t.row(&[
         "run until kill".to_string(),

@@ -587,13 +587,25 @@ impl Replay {
                 let state = self.jobs.get_mut(job).ok_or_else(|| {
                     CheckpointError::Foreign(format!("job {job} out of {job_count}"))
                 })?;
-                state.emitted = dec.u64()?;
+                let mark = dec.u64()?;
                 let mut delta = ShardOutput {
                     file_processed: dec.bool()?,
                     variants_tested: dec.u64()?,
                     variants_ub_skipped: dec.u64()?,
                     ..ShardOutput::default()
                 };
+                // A frame counts the variants of `[previous mark, mark)`
+                // only, so its mark never moves back, and stays put only
+                // on frames that count no variant. A replayed copy of a
+                // frame (its checksum is valid) breaks this.
+                let counts = delta.variants_tested != 0 || delta.variants_ub_skipped != 0;
+                if mark < state.emitted || (mark == state.emitted && counts) {
+                    return Err(CheckpointError::Foreign(format!(
+                        "a progress frame of job {job} moves its mark from {} to {mark}",
+                        state.emitted
+                    )));
+                }
+                state.emitted = mark;
                 for _ in 0..dec.usize()? {
                     delta.candidates.push(decode_finding(&mut dec)?);
                 }

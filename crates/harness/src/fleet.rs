@@ -20,7 +20,7 @@
 //!   (host journals **are** campaign journals), on any worker count,
 //!   any number of times.
 //! * [`merge_journals`] streams every host journal
-//!   ([`spe_persist::JournalSet`]), validates that the manifests
+//!   ([`spe_persist::JournalIter`]), validates that the manifests
 //!   describe one fleet (refusing mixed fleets, duplicate host ids, and
 //!   missing hosts with an error naming the gap), and folds the
 //!   replayed Progress/JobDone/quarantine frames into one
@@ -44,7 +44,7 @@
 use crate::checkpoint::{CheckpointError, FleetStamp, JobState, Manifest, Replay};
 use crate::{merge_outputs, CampaignReport};
 use spe_combinatorics::even_ranges;
-use spe_persist::{JournalError, JournalSet, TailCorruption};
+use spe_persist::{JournalError, JournalIter, TailCorruption};
 use spe_telemetry::{names, Timer};
 use std::fmt;
 use std::ops::Range;
@@ -365,14 +365,19 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     if paths.is_empty() {
         return Err(FleetError::NoJournals);
     }
-    let mut set = JournalSet::open(paths)?;
+    // All-or-nothing: the first journal that fails to open aborts the
+    // merge, its error naming the path.
+    let mut journals = paths
+        .iter()
+        .map(JournalIter::open)
+        .collect::<Result<Vec<_>, _>>()?;
     // Decode every manifest and validate fleet agreement before folding
     // any records: a merge must refuse a bad set, not half-apply it.
-    let mut manifests = Vec::with_capacity(set.len());
-    for i in 0..set.len() {
-        let manifest = Manifest::decode(set.header(i))?;
+    let mut manifests = Vec::with_capacity(journals.len());
+    for journal in &journals {
+        let manifest = Manifest::decode(journal.header())?;
         let stamp = manifest.fleet.ok_or_else(|| FleetError::NotAFleetJournal {
-            path: set.path(i).to_path_buf(),
+            path: journal.path().to_path_buf(),
         })?;
         manifests.push((manifest, stamp));
     }
@@ -390,12 +395,12 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     for (i, (manifest, stamp)) in manifests.iter_mut().enumerate().skip(1) {
         if stamp.fleet_id != stamp0.fleet_id || stamp.n_hosts != stamp0.n_hosts {
             return Err(FleetError::MixedFleets {
-                path: set.path(i).to_path_buf(),
+                path: journals[i].path().to_path_buf(),
                 detail: format!(
                     "it pins fleet {:#018x} with {} hosts; {} pins fleet {:#018x} with {} hosts",
                     stamp.fleet_id,
                     stamp.n_hosts,
-                    set.path(0).display(),
+                    journals[0].path().display(),
                     stamp0.fleet_id,
                     stamp0.n_hosts
                 ),
@@ -403,11 +408,11 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
         }
         if normalized_key(manifest) != key0 {
             return Err(FleetError::MixedFleets {
-                path: set.path(i).to_path_buf(),
+                path: journals[i].path().to_path_buf(),
                 detail: format!(
                     "same fleet id, but its manifest (configuration, corpus, decomposition, \
                      or backend) differs from {}",
-                    set.path(0).display()
+                    journals[0].path().display()
                 ),
             });
         }
@@ -420,8 +425,8 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
         if let Some(first) = journal_of_host[h] {
             return Err(FleetError::DuplicateHost {
                 host: h,
-                first: set.path(first).to_path_buf(),
-                second: set.path(i).to_path_buf(),
+                first: journals[first].path().to_path_buf(),
+                second: journals[i].path().to_path_buf(),
             });
         }
         journal_of_host[h] = Some(i);
@@ -436,17 +441,18 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     let mut hosts = Vec::with_capacity(n_hosts);
     for (h, owned) in ranges.into_iter().enumerate() {
         let i = journal_of_host[h].expect("no host is missing");
-        let mut replay = Replay::new(set.header(i))?;
-        for rec in set.records(i) {
+        let journal = &mut journals[i];
+        let mut replay = Replay::new(journal.header())?;
+        for rec in &mut *journal {
             replay.apply(&rec.map_err(CheckpointError::Journal)?)?;
         }
         // A single-host resume truncates a torn tail and recomputes the
         // lost work; a merge cannot recompute another host's slice, so
         // any invalid tail is fatal here — named, not silently dropped.
-        if let Some(&corruption) = set.corruption(i) {
+        if let Some(&corruption) = journal.corruption() {
             return Err(FleetError::TailCorruption {
                 host: h,
-                path: set.path(i).to_path_buf(),
+                path: journal.path().to_path_buf(),
                 corruption,
             });
         }
@@ -455,14 +461,14 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
                 if !job.done {
                     return Err(FleetError::HostIncomplete {
                         host: h,
-                        path: set.path(i).to_path_buf(),
+                        path: journal.path().to_path_buf(),
                         job: j,
                     });
                 }
             } else if job.done || !job.is_empty() {
                 return Err(FleetError::ForeignJob {
                     host: h,
-                    path: set.path(i).to_path_buf(),
+                    path: journal.path().to_path_buf(),
                     job: j,
                 });
             }
@@ -477,7 +483,7 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
         }
         hosts.push(HostSummary {
             host_id: h,
-            path: set.path(i).to_path_buf(),
+            path: journal.path().to_path_buf(),
             jobs: owned,
             frames: replay.frames,
             variants_tested,

@@ -272,13 +272,13 @@ impl ShardOutput {
 #[derive(Clone, Copy, Default)]
 pub enum Oracle<'a> {
     /// The in-process simulator through a per-job splice cache
-    /// ([`spe_simcc::incremental`]): each (file, shard) job parses its
-    /// first rendered variant once and splices every later variant's
-    /// name bindings into the cached AST, memoizing pass-pipeline results
-    /// across configurations. The default, and an order of magnitude
-    /// faster than the round trip on enumeration-heavy campaigns. Its
-    /// journals record [`SimccBackend`]'s identity, so they resume under
-    /// either oracle.
+    /// ([`spe_simcc::incremental`]): each (file, shard) job clones the
+    /// skeleton's program once and splices every variant's name bindings
+    /// into it, with no parse, memoizing pass-pipeline results across
+    /// configurations. The default, and an order of magnitude faster
+    /// than the round trip on enumeration-heavy campaigns. Its journals
+    /// record [`SimccBackend`]'s identity, so they resume under either
+    /// oracle.
     #[default]
     Incremental,
     /// Any [`CompilerBackend`]: every rendered variant goes to
@@ -312,8 +312,8 @@ impl<'a> Oracle<'a> {
         JobOracle {
             sk,
             route: match self {
-                Oracle::Incremental => None,
-                Oracle::Backend(backend) => Some(Route::Backend(backend)),
+                Oracle::Incremental => Route::Cache(None),
+                Oracle::Backend(backend) => Route::Backend(backend),
             },
             prev: Vec::new(),
             changed: Vec::new(),
@@ -475,32 +475,27 @@ fn emit_observations(
 
 /// Where one job's variants go.
 enum Route<'s> {
-    /// The splice cache, anchored on the job's first rendered variant.
-    Cache(Box<CachedOracle>),
-    /// Every variant through a backend: the campaign's own, or
-    /// [`SimccBackend`] (the round trip) for an incremental job whose
-    /// first variant could not anchor a cache.
+    /// The splice cache of an [`Oracle::Incremental`] job, built at the
+    /// job's first variant.
+    Cache(Option<Box<CachedOracle>>),
+    /// Every variant through the campaign's [`Oracle::Backend`].
     Backend(&'s dyn CompilerBackend),
 }
 
 /// An [`Oracle`] bound to one (file, shard) job. On
-/// [`Oracle::Incremental`] it holds one [`CachedOracle`] anchored on the
-/// job's first rendered variant, plus the previous variant's bindings
-/// for hole-delta computation.
+/// [`Oracle::Incremental`] it holds one [`CachedOracle`] over a clone of
+/// the skeleton's program, plus the previous variant's bindings for
+/// hole-delta computation.
 ///
-/// The cache parses the *first variant the job processes* (not the
-/// skeleton's normalized program), so the cached AST is exactly what the
-/// round trip would parse for it; every later variant differs only in
-/// identifier spellings at hole slots, which is precisely what
-/// [`CachedOracle::observe_variant`] splices (see
-/// [`spe_simcc::incremental`] for the identity argument). If the first
-/// variant does not parse, or a hole cannot be mapped into the parsed
-/// AST, the whole job takes the round trip through [`SimccBackend`] —
-/// identical behavior by construction.
+/// Parsing a rendered variant gives back the skeleton's program with
+/// the hole identifiers renamed (`tests/render_equivalence.rs` pins
+/// this), and the cache's first observation resplices every hole. So
+/// each variant is observed on exactly the AST the round trip would
+/// parse for it (see [`spe_simcc::incremental`] for the identity
+/// argument), without parsing anything.
 pub(crate) struct JobOracle<'s> {
     sk: &'s Skeleton,
-    /// `None` until an incremental job's first variant picks the route.
-    route: Option<Route<'s>>,
+    route: Route<'s>,
     /// The previous variant's hole bindings — the delta baseline.
     prev: Vec<NameId>,
     /// Scratch: indices of holes whose binding changed since `prev`.
@@ -532,28 +527,18 @@ impl JobOracle<'_> {
         telemetry: &dyn TelemetrySink,
     ) -> Result<(), BackendError> {
         let sk = self.sk;
-        let route = self.route.get_or_insert_with(|| {
-            // An unparsable first render (then every variant is equally
-            // unparsable and the round trip skips them all) or an
-            // unmappable hole sends the whole job round-trip.
-            spe_minic::parse(src)
-                .ok()
-                .and_then(|prog| {
-                    let occs: Vec<_> = sk.hole_occs().collect();
-                    CachedOracle::new(
-                        prog,
-                        &occs,
-                        &config.compilers,
-                        config.check_wrong_code,
-                        config.fuel,
-                    )
-                })
-                .map_or(Route::Backend(&SimccBackend), |cache| {
-                    Route::Cache(Box::new(cache))
-                })
-        });
-        let cache = match route {
-            Route::Cache(cache) => cache,
+        let cache = match &mut self.route {
+            Route::Cache(cache) => cache.get_or_insert_with(|| {
+                let occs: Vec<_> = sk.hole_occs().collect();
+                let cache = CachedOracle::new(
+                    sk.program().clone(),
+                    &occs,
+                    &config.compilers,
+                    config.check_wrong_code,
+                    config.fuel,
+                );
+                Box::new(cache.expect("every hole is an identifier use site of its skeleton"))
+            }),
             Route::Backend(backend) => {
                 let backend = *backend;
                 return process_timed(telemetry, out, |out| {

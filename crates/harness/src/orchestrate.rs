@@ -606,7 +606,7 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                         delta.file_processed = shard == 0 && skip == 0;
                         let enumerator = crate::campaign_enumerator(config, shards_per_file);
                         // The job's oracle (and its splice cache) is
-                        // built lazily from the job's first variant and
+                        // built lazily at the job's first variant and
                         // dropped at job end — cached AST state cannot
                         // outlive the job or leak into a quarantined
                         // sibling.

@@ -9,6 +9,7 @@ use spe_harness::checkpoint::{
 };
 use spe_harness::fleet::{merge_journals, FleetError};
 use spe_harness::{Campaign, CampaignConfig, CampaignStatus, CheckpointError, FleetPlan};
+use spe_persist::JournalError;
 use spe_simcc::{Compiler, CompilerId};
 use std::path::{Path, PathBuf};
 
@@ -219,6 +220,16 @@ fn non_fleet_and_incomplete_journals_are_refused() {
         Err(FleetError::NotAFleetJournal { path }) => assert_eq!(path, single),
         other => panic!("expected NotAFleetJournal, got {other:?}"),
     }
+    // A file that is not a journal at all: refused before any manifest
+    // is decoded, naming the file.
+    let junk = dir.join("not-a.journal");
+    std::fs::write(&junk, b"not a journal at all").expect("write");
+    match merge_journals(&[&single, &junk]) {
+        Err(FleetError::Checkpoint(CheckpointError::Journal(JournalError::BadMagic { path }))) => {
+            assert_eq!(path, junk);
+        }
+        other => panic!("expected BadMagic for {junk:?}, got {other:?}"),
+    }
     // A fleet whose host 1 was killed and never resumed.
     let plan = FleetPlan::new(0x1c0, 2, 2);
     let done = dir.join("host-0.journal");
@@ -280,13 +291,15 @@ fn compaction_preserves_the_fleet_manifest_verbatim_and_merge_identity() {
     let plan = FleetPlan::new(0xc09ac7, 3, 2);
     let paths = complete_fleet(&plan, &files, &config, &dir);
     for path in &paths {
-        let header_before = spe_persist::JournalReader::read(path)
-            .expect("journal readable")
-            .header;
+        let header = || {
+            spe_persist::JournalIter::open(path)
+                .expect("journal readable")
+                .header()
+                .to_vec()
+        };
+        let header_before = header();
         compact_journal(path).expect("compaction");
-        let header_after = spe_persist::JournalReader::read(path)
-            .expect("journal readable")
-            .header;
+        let header_after = header();
         assert_eq!(
             header_after, header_before,
             "compaction must copy the manifest (fleet stamp included) byte-verbatim"

@@ -1,12 +1,11 @@
-//! Pretty-printer for mini-C, with optional occurrence renaming.
+//! Pretty-printer for mini-C, plain or as a render template.
 //!
-//! Printing with a rename map is how skeleton variants are *realized*:
-//! every variable use site ([`crate::ast::OccId`]) can be redirected to a
-//! different (visible, type-compatible) variable name while declarations
-//! stay fixed.
+//! [`print_template`] is how skeleton variants are *realized*: it splits
+//! every variable use site ([`crate::ast::OccId`]) out of the printed
+//! text, so a renderer can splice a different (visible, type-compatible)
+//! variable name into each while declarations stay fixed.
 
 use crate::ast::*;
-use std::collections::HashMap;
 
 /// Prints a program back to compilable mini-C source.
 ///
@@ -20,27 +19,9 @@ use std::collections::HashMap;
 /// assert_eq!(spe_minic::print_program(&reparsed), printed); // fixpoint
 /// ```
 pub fn print_program(p: &Program) -> String {
-    print_renamed(p, &HashMap::new())
-}
-
-/// Prints a program, substituting the name of every occurrence present in
-/// `rename`. Occurrences not in the map keep their original names.
-///
-/// ```
-/// use std::collections::HashMap;
-/// use spe_minic::ast::OccId;
-///
-/// let prog = spe_minic::parse("int a, b; void f() { a = b; }").unwrap();
-/// let mut rename = HashMap::new();
-/// rename.insert(OccId(0), "b".to_string()); // first use site: a -> b
-/// let out = spe_minic::print_renamed(&prog, &rename);
-/// assert!(out.contains("b = b;"));
-/// ```
-pub fn print_renamed(p: &Program, rename: &HashMap<OccId, String>) -> String {
     let mut pr = Printer {
         out: String::new(),
         indent: 0,
-        rename,
         template: None,
     };
     for item in &p.items {
@@ -92,11 +73,9 @@ pub enum TemplatePiece {
 /// assert_eq!(rebuilt, print_program(&prog));
 /// ```
 pub fn print_template(p: &Program) -> Vec<TemplatePiece> {
-    let empty = HashMap::new();
     let mut pr = Printer {
         out: String::new(),
         indent: 0,
-        rename: &empty,
         template: Some(Vec::new()),
     };
     for item in &p.items {
@@ -107,16 +86,15 @@ pub fn print_template(p: &Program) -> Vec<TemplatePiece> {
     pieces
 }
 
-struct Printer<'a> {
+struct Printer {
     out: String,
     indent: usize,
-    rename: &'a HashMap<OccId, String>,
     /// When set, occurrence names are diverted into pieces instead of
     /// `out` (which then only accumulates the text since the last piece).
     template: Option<Vec<TemplatePiece>>,
 }
 
-impl Printer<'_> {
+impl Printer {
     fn pad(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
@@ -348,8 +326,7 @@ impl Printer<'_> {
                         name: id.name.clone(),
                     });
                 } else {
-                    let name = self.rename.get(&id.occ).unwrap_or(&id.name);
-                    self.out.push_str(name);
+                    self.out.push_str(&id.name);
                 }
             }
             ExprKind::Unary(op, inner) => {
@@ -486,6 +463,19 @@ fn base_of(ty: &Type) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Prints `p` with the use sites in `rename` renamed, by rewriting a
+    /// clone of the AST: the re-walk template substitution must match.
+    fn rewalk(p: &Program, rename: &HashMap<OccId, String>) -> String {
+        let mut p = p.clone();
+        p.for_each_ident_mut(&mut |id| {
+            if let Some(name) = rename.get(&id.occ) {
+                id.name.clone_from(name);
+            }
+        });
+        print_program(&p)
+    }
     use crate::parse;
 
     fn roundtrip(src: &str) {
@@ -550,7 +540,7 @@ mod tests {
         let mut map = HashMap::new();
         map.insert(OccId(1), "a".to_string());
         map.insert(OccId(2), "b".to_string());
-        let s = print_renamed(&p, &map);
+        let s = rewalk(&p, &map);
         assert!(s.contains("a = a + b;"), "got: {s}");
         assert!(s.contains("int a, b;"), "declarations must not change: {s}");
     }
@@ -590,7 +580,7 @@ mod tests {
                 TemplatePiece::Occ { occ, name } => map.get(occ).unwrap_or(name).clone(),
             })
             .collect();
-        assert_eq!(spliced, print_renamed(&p, &map));
+        assert_eq!(spliced, rewalk(&p, &map));
     }
 
     #[test]

@@ -25,19 +25,17 @@
 //! length or checksum test and is dropped on read, so the journal's
 //! valid prefix is always a consistent campaign state.
 //!
-//! Two readers share the validation logic: [`JournalReader`]
-//! materializes the whole valid prefix (fine for tests and small
-//! journals), while [`JournalIter`] streams one frame at a time — replay
-//! memory bounded by the largest frame, not the journal — and can carry
-//! the writer lock from scan into append ([`JournalIter::into_appender`])
-//! or into a compaction rewrite committed by [`journal::promote`]'s
-//! atomic rename (`DESIGN.md` §11).
+//! [`JournalIter`] is the one reader: it streams one frame at a time,
+//! so replay memory is bounded by the largest frame, not the journal.
+//! It can carry the writer lock from scan into append
+//! ([`JournalIter::into_appender`]) or into a compaction rewrite
+//! committed by [`journal::promote`]'s atomic rename (`DESIGN.md` §11).
 //!
 //! The example below is the runnable form of the `DESIGN.md` §9 format
 //! walkthrough (CI runs it as a doctest):
 //!
 //! ```
-//! use spe_persist::journal::{Journal, JournalReader};
+//! use spe_persist::journal::{Journal, JournalIter};
 //!
 //! let dir = std::env::temp_dir().join(format!("spe-journal-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir)?;
@@ -56,29 +54,28 @@
 //! drop(f);
 //!
 //! // Read: the valid prefix survives, the torn tail is reported + dropped.
-//! let contents = JournalReader::read(&path)?;
-//! assert_eq!(contents.header, b"manifest: files, config, shards");
-//! assert_eq!(contents.records.len(), 2);
-//! assert!(contents.truncated_tail);
+//! let mut iter = JournalIter::open(&path)?;
+//! assert_eq!(iter.header(), b"manifest: files, config, shards");
+//! assert_eq!((&mut iter).collect::<Result<Vec<_>, _>>()?.len(), 2);
+//! assert!(iter.truncated_tail());
 //!
-//! // Re-opening for append truncates the torn tail first, so new records
-//! // land on a frame boundary.
-//! let mut j = Journal::open_append(&path)?;
+//! // Re-opening for append under the writer lock truncates the torn
+//! // tail first, so new records land on a frame boundary.
+//! let mut j = JournalIter::open_locked(&path)?.into_appender()?;
 //! j.append(b"progress: job 1, emitted 512")?;
-//! let contents = JournalReader::read(&path)?;
-//! assert_eq!(contents.records.len(), 3);
-//! assert!(!contents.truncated_tail);
+//! drop(j);
+//! let mut iter = JournalIter::open(&path)?;
+//! assert_eq!((&mut iter).count(), 3);
+//! assert!(!iter.truncated_tail());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod journal;
 
 pub use codec::{DecodeError, Decoder, Encoder};
-pub use journal::{
-    CorruptionReason, Journal, JournalContents, JournalError, JournalIter, JournalReader,
-    JournalSet, TailCorruption,
-};
+pub use journal::{CorruptionReason, Journal, JournalError, JournalIter, TailCorruption};

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_minic::ast::Program;
 use std::fmt;

@@ -5,6 +5,7 @@
 //! Markdown for `EXPERIMENTS.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_bignum::BigUint;
 

@@ -13,13 +13,11 @@
 //!   subprocess backend (process pool, per-job timeouts, exit-code /
 //!   signal / stderr triage, sandboxed scratch dirs — `DESIGN.md` §10).
 //!
-//! Backends are discovered through a [`BackendRegistry`] keyed on the
-//! backend's stable [`CompilerBackend::id`]: adding a backend is one
-//! implementing type plus one [`BackendRegistry::register`] call (the
-//! Trident lowering idiom — one trait, one factory, one registration).
-//! Checkpoint journals record the id together with
-//! [`CompilerBackend::config_hash`], so a resumed campaign can *refuse*
-//! to continue under a different oracle instead of silently diverging.
+//! A backend is a value: construct it and hand it to a campaign.
+//! Checkpoint journals record its stable [`CompilerBackend::id`]
+//! together with [`CompilerBackend::config_hash`], so a resumed
+//! campaign can *refuse* to continue under a different oracle instead
+//! of silently diverging.
 //!
 //! # Verdicts vs. failures
 //!
@@ -144,7 +142,7 @@ pub trait CompilerBackend: Send + Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimccBackend;
 
-/// The registry id (and manifest backend id) of [`SimccBackend`].
+/// The manifest backend id of [`SimccBackend`].
 pub const SIMCC_BACKEND_ID: &str = "simcc";
 
 /// The configuration hash of [`SimccBackend`] — the backend is a pure
@@ -198,139 +196,11 @@ impl CompilerBackend for SimccBackend {
         // Parse once, evaluate the reference interpreter at most once —
         // and only for a configuration that compiled, so `reference_ub`
         // skip flags are set exactly where a compiled run is compared.
-        let mut reference: Option<Result<crate::interp::Execution, crate::interp::Ub>> = None;
-        let mut out = Vec::with_capacity(compilers.len());
-        for cc in compilers {
-            out.push(match cc.compile(&prog) {
-                Err(crate::CompileError::Ice(ice)) => Observation {
-                    ice: Some(ice),
-                    ..Observation::default()
-                },
-                Err(crate::CompileError::Unsupported(_)) => Observation {
-                    unsupported: true,
-                    ..Observation::default()
-                },
-                Ok(compiled) => {
-                    let mut obs = Observation {
-                        miscompiled_by: compiled.miscompiled_by.clone(),
-                        slow_compile: compiled.slow_compile_bugs.clone(),
-                        ..Observation::default()
-                    };
-                    if let Some(fuel) = wrong_code_fuel {
-                        if reference.is_none() {
-                            reference =
-                                Some(crate::interp::run(&prog, crate::reference_limits(fuel)));
-                        }
-                        match reference.as_ref().expect("just set") {
-                            Err(_) => obs.reference_ub = true,
-                            Ok(expected) => {
-                                obs.divergence =
-                                    crate::divergence_from_reference(&compiled, expected, fuel);
-                                obs.wrong_code = obs.divergence.is_some();
-                            }
-                        }
-                    }
-                    obs
-                }
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// A backend constructor: builds a boxed backend from an opaque options
-/// string (each backend documents its own syntax; [`SimccBackend`]
-/// ignores it).
-pub type BackendFactory = fn(&str) -> Result<Box<dyn CompilerBackend>, BackendError>;
-
-/// A factory registry of compiler backends, keyed on backend id.
-///
-/// Adding a backend to a tool is one registration:
-///
-/// ```
-/// use spe_simcc::backend::{BackendRegistry, BackendError, CompilerBackend};
-///
-/// let mut registry = BackendRegistry::builtin(); // "simcc" pre-registered
-/// registry
-///     .register("null", |_opts| {
-///         #[derive(Debug)]
-///         struct Null;
-///         impl CompilerBackend for Null {
-///             fn id(&self) -> &str { "null" }
-///             fn config_hash(&self) -> u64 { 0 }
-///             fn observe_config(
-///                 &self,
-///                 _source: &str,
-///                 _cc: spe_simcc::Compiler,
-///                 _fuel: Option<u64>,
-///             ) -> Result<spe_simcc::Observation, BackendError> {
-///                 Ok(spe_simcc::Observation::default())
-///             }
-///         }
-///         Ok(Box::new(Null))
-///     })
-///     .expect("fresh id");
-/// let backend = registry.create("null", "").expect("registered");
-/// assert_eq!(backend.id(), "null");
-/// assert!(registry.ids().any(|id| id == "simcc"));
-/// ```
-#[derive(Default)]
-pub struct BackendRegistry {
-    entries: Vec<(&'static str, BackendFactory)>,
-}
-
-impl BackendRegistry {
-    /// An empty registry.
-    pub fn new() -> BackendRegistry {
-        BackendRegistry::default()
-    }
-
-    /// A registry with the built-in [`SimccBackend`] registered under
-    /// [`SIMCC_BACKEND_ID`].
-    pub fn builtin() -> BackendRegistry {
-        let mut r = BackendRegistry::new();
-        r.register(SIMCC_BACKEND_ID, |_opts| Ok(Box::new(SimccBackend)))
-            .expect("empty registry");
-        r
-    }
-
-    /// Registers a factory under `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when `id` is already taken — ids are the resume
-    /// compatibility key, so shadowing one would be a correctness bug.
-    pub fn register(&mut self, id: &'static str, factory: BackendFactory) -> Result<(), BackendError> {
-        if self.entries.iter().any(|(known, _)| *known == id) {
-            return Err(BackendError::new(format!(
-                "backend id {id:?} already registered"
-            )));
-        }
-        self.entries.push((id, factory));
-        Ok(())
-    }
-
-    /// Instantiates the backend registered under `id` with `options`.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] for an unknown id (the message lists the known
-    /// ones) or when the factory rejects `options`.
-    pub fn create(&self, id: &str, options: &str) -> Result<Box<dyn CompilerBackend>, BackendError> {
-        match self.entries.iter().find(|(known, _)| *known == id) {
-            Some((_, factory)) => factory(options),
-            None => {
-                let known: Vec<&str> = self.entries.iter().map(|(id, _)| *id).collect();
-                Err(BackendError::new(format!(
-                    "unknown backend {id:?} (registered: {known:?})"
-                )))
-            }
-        }
-    }
-
-    /// The registered backend ids, in registration order.
-    pub fn ids(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|(id, _)| *id)
+        let mut reference = None;
+        Ok(compilers
+            .iter()
+            .map(|cc| cc.observe_with_reference(&prog, wrong_code_fuel, &mut reference))
+            .collect())
     }
 }
 
@@ -409,24 +279,6 @@ mod tests {
             .observe_config("int main( {", compilers[0], None)
             .expect("skip, not a failure");
         assert!(single.unsupported);
-    }
-
-    #[test]
-    fn registry_creates_and_rejects() {
-        let registry = BackendRegistry::builtin();
-        let backend = registry.create("simcc", "").expect("builtin");
-        assert_eq!(backend.id(), SIMCC_BACKEND_ID);
-        assert_eq!(backend.config_hash(), SIMCC_CONFIG_HASH);
-        let err = match registry.create("no-such-backend", "") {
-            Err(e) => e,
-            Ok(_) => panic!("unknown id must not resolve"),
-        };
-        assert!(err.what.contains("simcc"), "error lists known ids: {err}");
-        let mut registry = registry;
-        let err = registry
-            .register("simcc", |_| Ok(Box::new(SimccBackend)))
-            .expect_err("duplicate id");
-        assert!(err.what.contains("already registered"));
     }
 
     #[test]

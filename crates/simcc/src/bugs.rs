@@ -170,15 +170,6 @@ impl BugSpec {
     pub fn fires_at(&self, opt: u8) -> bool {
         opt >= self.min_opt
     }
-
-    /// All versions from `versions` affected by this bug.
-    pub fn affected_versions(&self, versions: &[u32]) -> Vec<u32> {
-        versions
-            .iter()
-            .copied()
-            .filter(|&v| self.live_in(v))
-            .collect()
-    }
 }
 
 /// GCC-sim version numbers (440 = 4.4, 485 = 4.8.5, 500/520 = 5.x,
@@ -230,16 +221,6 @@ pub fn registry() -> Vec<BugSpec> {
         BugSpec { id: "clang-deep-expr", compiler: "clang-sim", component: MiddleEnd, kind: Performance, priority: P4, pass: "fold", min_opt: 1, introduced: 350, fixed: None, trigger: DeepExpression(10) },
         BugSpec { id: "clang-distinct5", compiler: "clang-sim", component: RtlOptimization, kind: Crash("Assertion `!NodePtr->isKnownSentinel()' failed in ilist_iterator"), priority: P3, pass: "regalloc", min_opt: 2, introduced: 360, fixed: None, trigger: DistinctVars(5) },
     ]
-}
-
-/// Evaluates whether `trigger` matches the program.
-///
-/// Single-use convenience over [`scan_facts`]: walks the whole AST for
-/// one answer. Callers evaluating many triggers against the same
-/// program (the compiler does — one per live bug) should scan once and
-/// query the returned [`TriggerFacts`] instead.
-pub fn trigger_matches(trigger: Trigger, p: &Program) -> bool {
-    scan_facts(p).matches(trigger)
 }
 
 /// Walks `p` once and collects every structural fact the [`Trigger`]
@@ -717,7 +698,7 @@ mod tests {
     use spe_minic::parse;
 
     fn matches(trigger: Trigger, src: &str) -> bool {
-        trigger_matches(trigger, &parse(src).expect("parses"))
+        scan_facts(&parse(src).expect("parses")).matches(trigger)
     }
 
     #[test]
@@ -879,6 +860,5 @@ mod tests {
             .expect("present");
         assert!(lra.live_in(485));
         assert!(!lra.live_in(600), "fixed in 600");
-        assert_eq!(lra.affected_versions(GCC_VERSIONS), vec![485, 500, 520]);
     }
 }

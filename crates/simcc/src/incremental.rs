@@ -4,8 +4,8 @@
 //! digit — one hole bound to a different (already-declared) variable.
 //! The round-trip oracle nevertheless pays print → lex → parse for every
 //! variant, then rediscovers the program's structural facts once per
-//! compiler configuration. This module caches the parsed AST once per
-//! skeleton and *splices* each variant's name bindings directly into it,
+//! compiler configuration. This module caches one AST per skeleton and
+//! *splices* each variant's name bindings directly into it,
 //! the way `RenderTemplate` splices strings into a compiled template:
 //!
 //! * [`CachedOracle`] holds one parsed program plus a direct mutable
@@ -29,9 +29,11 @@
 //! how an identifier is spelled. Two renders of the same skeleton
 //! differ only in identifier tokens at hole slots, and the parser
 //! assigns `OccId`/`ExprId` in source order, which those substitutions
-//! cannot change. Hence `parse(render(variant))` equals the cached
-//! `parse(render(first_variant))` with the hole identifiers rewritten —
-//! exactly what [`CachedOracle::observe_variant`] computes. The
+//! cannot change. Hence `parse(render(variant))` equals the skeleton's
+//! own program with the hole identifiers rewritten
+//! (`tests/render_equivalence.rs` checks this on every variant it
+//! renders) — exactly what [`CachedOracle::observe_variant`] computes
+//! from a clone of that program. The
 //! `tests/oracle_identity.rs` suite pins this end to end: campaign
 //! reports through this path are byte-identical to the round-trip
 //! oracle at every worker count, including kill/resume cycles.
@@ -66,8 +68,8 @@ pub struct CacheStats {
     /// rewritten).
     pub splice_delta: u64,
     /// Variants that paid a full resplice of every hole: the first
-    /// variant after construction or [`CachedOracle::reconfigure`],
-    /// callers not supplying a delta, and post-panic self-heals.
+    /// variant after construction, callers not supplying a delta, and
+    /// post-panic self-heals.
     pub splice_full: u64,
     /// Pass-pipeline (optimize + lower) results served from the
     /// within-variant memo.
@@ -99,8 +101,7 @@ struct SplicedAst {
 impl SplicedAst {
     /// Builds the spliceable AST; `hole_occs[h]` is the use-site
     /// occurrence filled by names`[h]`. Returns `None` when some hole
-    /// occurrence has no identifier in the program (a caller bug — the
-    /// oracle then falls back to round-trip processing).
+    /// occurrence has no identifier in the program (a caller bug).
     fn new(program: Program, hole_occs: &[OccId]) -> Option<SplicedAst> {
         let mut this = SplicedAst {
             program,
@@ -130,6 +131,7 @@ impl SplicedAst {
     }
 
     /// Rebinds hole `hole` to `name`.
+    #[allow(unsafe_code)]
     fn set(&mut self, hole: usize, name: &str) {
         let slot = self.slots[hole];
         // SAFETY: see the struct-level argument; `&mut self` guarantees
@@ -171,8 +173,8 @@ struct CompilerSlot {
 /// compiler matrix.
 ///
 /// Intended lifecycle (what the campaign harness does): build one per
-/// (file, shard) job from the job's first rendered variant, feed every
-/// subsequent variant through [`CachedOracle::observe_variant`] with
+/// (file, shard) job from a clone of the skeleton's program, feed every
+/// variant through [`CachedOracle::observe_variant`] with
 /// the hole delta, and drop it at the job boundary — so work stealing,
 /// checkpoint/resume and panic quarantine see exactly the state they
 /// would under the round-trip oracle.
@@ -200,14 +202,14 @@ pub struct CachedOracle {
 }
 
 impl CachedOracle {
-    /// Builds an incremental oracle over `program` (the parse of a
-    /// skeleton's rendered variant) whose hole `h` is the identifier at
-    /// occurrence `hole_occs[h]`.
+    /// Builds an incremental oracle over `program` — a skeleton's
+    /// program, or the parse of one of its rendered variants, which
+    /// differs only in hole spellings — whose hole `h` is the identifier
+    /// at occurrence `hole_occs[h]`. The first observed variant
+    /// resplices every hole.
     ///
     /// Returns `None` if some hole occurrence is not an identifier use
-    /// site of `program` — callers should fall back to the round-trip
-    /// path (with sources rendered by `spe-skeleton` templates this
-    /// cannot happen).
+    /// site of `program` (a skeleton's own hole occurrences always are).
     pub fn new(
         program: Program,
         hole_occs: &[OccId],
@@ -215,19 +217,25 @@ impl CachedOracle {
         check_wrong_code: bool,
         fuel: u64,
     ) -> Option<CachedOracle> {
-        let mut this = CachedOracle {
+        Some(CachedOracle {
             ast: SplicedAst::new(program, hole_occs)?,
-            compilers: Vec::new(),
-            check_wrong_code: false,
-            fuel: 0,
+            compilers: compilers
+                .iter()
+                .map(|&compiler| CompilerSlot {
+                    live: compiler.live_bugs(),
+                    compiler,
+                })
+                .collect(),
+            check_wrong_code,
+            fuel,
             obs: Vec::new(),
             pipeline: Vec::new(),
             coverage: Coverage::new(),
-            in_flight: false,
+            // The first variant resplices every hole: there is no delta
+            // baseline yet.
+            in_flight: true,
             stats: CacheStats::default(),
-        };
-        this.reconfigure(compilers, check_wrong_code, fuel);
-        Some(this)
+        })
     }
 
     /// Number of holes the cached AST was built with; every
@@ -240,28 +248,6 @@ impl CachedOracle {
     /// Cumulative cache-effectiveness counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Re-points the oracle at a different campaign configuration
-    /// (compiler matrix, wrong-code mode, fuel), evicting every
-    /// memoized result: pipeline keys do not encode fuel or compiler
-    /// versions, so results memoized under the old configuration must
-    /// never serve the new one. The next variant pays a full resplice.
-    pub fn reconfigure(&mut self, compilers: &[Compiler], check_wrong_code: bool, fuel: u64) {
-        self.compilers = compilers
-            .iter()
-            .map(|&compiler| CompilerSlot {
-                live: compiler.live_bugs(),
-                compiler,
-            })
-            .collect();
-        self.check_wrong_code = check_wrong_code;
-        self.fuel = fuel;
-        self.pipeline.clear();
-        self.obs.clear();
-        // Force the next splice to rewrite every hole: memoized results
-        // are gone and the caller's delta baseline no longer applies.
-        self.in_flight = true;
     }
 
     /// Observes one variant — `names[h]` is the spelling bound to hole
@@ -523,42 +509,6 @@ mod tests {
         assert_eq!(fresh.observe_variant(&v1, None), &first[..]);
     }
 
-    /// `reconfigure` must evict memoized pipeline/divergence results:
-    /// the memo key does not encode fuel or compiler versions, so a
-    /// stale entry would serve wrong verdicts under the new config.
-    #[test]
-    fn reconfigure_evicts_memoized_results() {
-        // A loop that terminates but needs real fuel: with a tiny fuel
-        // the reference hits the limit (UB-skip), flipping verdicts.
-        let src = "int g = 2; int main() { int s = 0; for (int i = 0; i < 40; i++) s += g; return s; }";
-        let prog = parse(src).expect("parses");
-        let holes = all_occs(&prog);
-        let compilers = wc_compilers();
-        let mut cache =
-            CachedOracle::new(prog.clone(), &holes, &compilers, true, 100_000).expect("builds");
-        let names = spellings(&prog);
-        let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let generous = cache.observe_variant(&refs, None).to_vec();
-        assert!(generous.iter().all(|o| !o.reference_ub));
-
-        cache.reconfigure(&compilers, true, 10);
-        let starved = cache.observe_variant(&refs, None).to_vec();
-        let mut fresh = CachedOracle::new(prog, &holes, &compilers, true, 10).expect("builds");
-        assert_eq!(
-            starved,
-            fresh.observe_variant(&refs, None),
-            "post-reconfigure observations must match a fresh oracle"
-        );
-        assert_ne!(generous, starved, "fuel change must be observable");
-
-        // Narrowing the compiler matrix reshapes the observation vector.
-        cache.reconfigure(&compilers[..1], true, 100_000);
-        assert_eq!(cache.observe_variant(&refs, None).len(), 1);
-    }
-
-    /// A panicking splice (names slice shorter than the hole count)
-    /// must not leak a half-spliced AST into the next observation: the
-    /// oracle detects the unfinished call and resplices every hole.
     #[test]
     fn poisoned_splice_self_heals() {
         let src = "int a, b, c; int main() { a = b + c; return a; }";

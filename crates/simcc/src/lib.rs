@@ -33,6 +33,7 @@
 //! binaries (the `spe-subproc` crate) through one interface.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod bugs;
@@ -328,30 +329,10 @@ pub fn reference_limits(fuel: u64) -> interp::Limits {
     }
 }
 
-/// Differential verdict: whether running `compiled` (with the campaign's
+/// Differential verdict: *how* running `image` (with the campaign's
 /// `4 * fuel` VM allowance) disagrees with the UB-free reference
-/// execution `expected` — by exit code, output, or a runtime trap.
-pub fn differs_from_reference(
-    compiled: &Compiled,
-    expected: &interp::Execution,
-    fuel: u64,
-) -> bool {
-    divergence_from_reference(compiled, expected, fuel).is_some()
-}
-
-/// [`differs_from_reference`], classified: *how* the compiled image
-/// disagreed with the reference, `None` when the executions agree.
-pub fn divergence_from_reference(
-    compiled: &Compiled,
-    expected: &interp::Execution,
-    fuel: u64,
-) -> Option<Divergence> {
-    divergence_from_image(&compiled.image, expected, fuel)
-}
-
-/// [`divergence_from_reference`] on a bare VM image — the form the
-/// incremental oracle memoizes (it caches images per pass-pipeline key
-/// rather than whole [`Compiled`] values).
+/// execution `expected` — by exit code, output, or a runtime trap —
+/// or `None` when the executions agree.
 pub fn divergence_from_image(
     image: &vm::Image,
     expected: &interp::Execution,
@@ -375,6 +356,18 @@ impl Compiler {
     /// fields are observed — the cheap mode for crash and performance
     /// oracles.
     pub fn observe(&self, p: &Program, wrong_code_fuel: Option<u64>) -> Observation {
+        self.observe_with_reference(p, wrong_code_fuel, &mut None)
+    }
+
+    /// [`Compiler::observe`] with the reference execution of `p` kept in
+    /// `reference`: run by the first configuration that compiles, and
+    /// reused by every later configuration observing the same program.
+    pub(crate) fn observe_with_reference(
+        &self,
+        p: &Program,
+        wrong_code_fuel: Option<u64>,
+        reference: &mut Option<Result<interp::Execution, interp::Ub>>,
+    ) -> Observation {
         match self.compile(p) {
             Err(CompileError::Ice(ice)) => Observation {
                 ice: Some(ice),
@@ -391,11 +384,10 @@ impl Compiler {
                     ..Observation::default()
                 };
                 if let Some(fuel) = wrong_code_fuel {
-                    match interp::run(p, reference_limits(fuel)) {
+                    match reference.get_or_insert_with(|| interp::run(p, reference_limits(fuel))) {
                         Err(_) => obs.reference_ub = true,
                         Ok(expected) => {
-                            obs.divergence =
-                                divergence_from_reference(&compiled, &expected, fuel);
+                            obs.divergence = divergence_from_image(&compiled.image, expected, fuel);
                             obs.wrong_code = obs.divergence.is_some();
                         }
                     }

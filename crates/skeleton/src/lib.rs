@@ -14,9 +14,10 @@
 //!    by variable type (the type-aware compact α-renaming of §3.2.2);
 //! 3. each [`TypeGroup`] carries both the exact [`GeneralInstance`] and
 //!    the paper's normal-form [`FlatInstance`];
-//! 4. [`Skeleton::realize`] turns an enumerator solution back into
-//!    compilable source by renaming use sites (declarations stay fixed;
-//!    see `DESIGN.md` §2 on why this realization is faithful).
+//! 4. [`Skeleton::render`] turns an enumerator solution back into
+//!    compilable source by renaming use sites through the compiled
+//!    [`RenderTemplate`] (declarations stay fixed; see `DESIGN.md` §2 on
+//!    why this realization is faithful).
 //!
 //! # Examples
 //!
@@ -35,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use spe_combinatorics::{FlatInstance, FlatScope, GeneralInstance, PoolRef, ScopedSolution};
 use spe_minic::ast::{OccId, Program, Type};
@@ -534,26 +536,6 @@ impl Skeleton {
         self.template().render(names, &self.names)
     }
 
-    /// Converts a full hole-indexed rename vector into the legacy
-    /// occurrence-keyed string map accepted by [`realize`](Self::realize).
-    /// Only needed to cross-check the template path against the printer.
-    pub fn rename_map(&self, names: &[NameId]) -> HashMap<OccId, String> {
-        assert_eq!(names.len(), self.holes.len(), "one name per hole");
-        self.holes
-            .iter()
-            .zip(names)
-            .map(|(h, &n)| (h.occ, self.names.name(n).to_string()))
-            .collect()
-    }
-
-    /// Emits source with the given use-site renaming by re-walking the
-    /// AST — the legacy realization path, kept as the differential oracle
-    /// for the template renderer. Maps from several groups can be merged
-    /// into one before calling.
-    pub fn realize(&self, rename: &HashMap<OccId, String>) -> String {
-        spe_minic::print_renamed(&self.program, rename)
-    }
-
     /// Emits the original source (identity realization).
     pub fn source(&self) -> String {
         spe_minic::print_program(&self.program)
@@ -568,6 +550,23 @@ mod tests {
 
     fn sk(src: &str) -> Skeleton {
         Skeleton::from_source(src).expect("skeleton builds")
+    }
+
+    /// Prints the variant whose hole `h` is filled with `names[h]` by
+    /// renaming a clone of the AST: the re-walk the template must match.
+    fn rewalk(s: &Skeleton, names: &[NameId]) -> String {
+        let occ_names: HashMap<OccId, &str> = s
+            .hole_occs()
+            .zip(names)
+            .map(|(occ, &n)| (occ, s.names().name(n)))
+            .collect();
+        let mut p = s.program().clone();
+        p.for_each_ident_mut(&mut |id| {
+            if let Some(name) = occ_names.get(&id.occ) {
+                id.name = name.to_string();
+            }
+        });
+        spe_minic::print_program(&p)
     }
 
     /// Expands a group's rename pairs into a full hole-indexed name
@@ -714,7 +713,7 @@ mod tests {
         for sol in &sols {
             let names = apply(&s, &s.rename_for_solution(g, sol));
             s.render_into(&names, &mut buf);
-            assert_eq!(buf, s.realize(&s.rename_map(&names)), "template drifted");
+            assert_eq!(buf, rewalk(&s, &names), "template drifted");
         }
     }
 

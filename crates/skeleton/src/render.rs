@@ -10,8 +10,8 @@
 //! ([`RenderTemplate::render_into`]) — no AST traversal, no per-occurrence
 //! `String` clones and no per-variant heap allocation.
 //!
-//! Output is byte-identical to the legacy
-//! [`print_renamed`](spe_minic::print_renamed) path by construction: the
+//! Output is byte-identical to printing the AST with the holes renamed
+//! ([`print_program`](spe_minic::print_program)) by construction: the
 //! template's pieces come from the very same printer traversal.
 
 use spe_minic::ast::OccId;

@@ -10,12 +10,11 @@
 //! interned into a [`NameTable`], and realizing a partition is a
 //! segment/slot splice into a reusable buffer
 //! ([`WhileSkeleton::render_rgs_into`]) — no per-variant occurrence map,
-//! no AST rebuild. The legacy AST path
-//! ([`WhileSkeleton::realize_rgs`]) is kept as the differential oracle;
-//! both emit byte-identical source by construction.
+//! no AST rebuild. `tests/while_generality.rs` checks every rendered
+//! variant against an AST rebuild, byte for byte.
 
 use crate::render::{NameId, NameTable, RenderTemplate, TemplatePart};
-use spe_combinatorics::{labels_to_rgs, rgs_to_blocks, FlatInstance};
+use spe_combinatorics::{labels_to_rgs, FlatInstance};
 use spe_while::{WOcc, WParseError, WPiece, WProgram};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -190,35 +189,6 @@ impl WhileSkeleton {
         self.render_rgs_into(rgs, &mut names, &mut out);
         out
     }
-
-    /// Realizes a partition (RGS over the holes) as a program by
-    /// rebuilding the AST through an occurrence map: block `j` is filled
-    /// with the `j`-th variable name.
-    ///
-    /// The legacy realization path, kept as the differential oracle for
-    /// the template renderer ([`WhileSkeleton::render_rgs`] — byte
-    /// identical via `to_string`); enumeration consumers should render
-    /// through the template and re-parse when they need an AST.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the RGS length differs from the hole count or uses more
-    /// blocks than there are variables.
-    pub fn realize_rgs(&self, rgs: &[usize]) -> WProgram {
-        assert_eq!(rgs.len(), self.occs.len(), "RGS must cover all holes");
-        let blocks = rgs_to_blocks(rgs);
-        assert!(
-            blocks.len() <= self.variables.len(),
-            "more blocks than variables"
-        );
-        let mut map: HashMap<WOcc, String> = HashMap::new();
-        for (b, members) in blocks.iter().enumerate() {
-            for &m in members {
-                map.insert(self.occs[m], self.variables[b].clone());
-            }
-        }
-        self.program.realize(&map)
-    }
 }
 
 #[cfg(test)]
@@ -256,31 +226,6 @@ mod tests {
     fn template_has_one_slot_per_hole() {
         let w = fig5();
         assert_eq!(w.template().num_slots(), w.num_holes());
-    }
-
-    #[test]
-    fn rendered_variants_match_the_legacy_oracle_byte_for_byte() {
-        // The template splice must agree with the AST-rebuild path on
-        // every variant of several skeletons.
-        let srcs = [
-            "a := 10; b := 1; while a do a := a - b",
-            "i := 0; s := 0; while i < 3 do begin s := s + i; i := i + 1 end",
-            "x := 3; if x < 5 and not (x = 2) then y := 1 else y := 2",
-        ];
-        for src in srcs {
-            let w = WhileSkeleton::from_source(src).expect("parses");
-            let k = w.variables().len();
-            let mut names = Vec::new();
-            let mut out = String::new();
-            for rgs in Rgs::new(w.num_holes(), k) {
-                w.render_rgs_into(&rgs, &mut names, &mut out);
-                assert_eq!(
-                    out,
-                    w.realize_rgs(&rgs).to_string(),
-                    "template drifted on {src} at {rgs:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -331,12 +276,6 @@ mod tests {
         }
         assert_eq!(names.capacity(), name_cap, "name buffer reallocated");
         assert_eq!(out.capacity(), out_cap, "output buffer reallocated");
-    }
-
-    #[test]
-    #[should_panic(expected = "RGS must cover all holes")]
-    fn realize_rejects_short_rgs() {
-        let _ = fig5().realize_rgs(&[0, 1]);
     }
 
     #[test]

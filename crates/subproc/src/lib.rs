@@ -61,9 +61,10 @@
 //!   [`SubprocConfig::timeout`] of wall clock; on expiry it is killed
 //!   and reaped, counted by [`SubprocStats::timeouts`].
 //! * **Scratch isolation** — each job runs in its own directory,
-//!   removed on clean verdicts and preserved (and logged, up to
-//!   [`SubprocConfig::max_preserved`]) when the compiler faulted, so
-//!   crash artifacts survive for debugging.
+//!   removed on clean verdicts and preserved (up to
+//!   [`SubprocConfig::max_preserved`], each reported as a telemetry
+//!   event) when the compiler faulted, so crash artifacts survive for
+//!   debugging.
 //! * **Bounded retries** — transient classes (spawn failure, timeout)
 //!   are retried up to [`SubprocConfig::retries`] times; persistent
 //!   timeout becomes a slow-compile verdict, persistent spawn failure a
@@ -71,8 +72,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
-use spe_simcc::backend::{intern, BackendError, BackendRegistry, CompilerBackend};
+use spe_simcc::backend::{intern, BackendError, CompilerBackend};
 use spe_simcc::{Compiler, Divergence, Ice, Observation};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
@@ -80,7 +82,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Registry id of [`SubprocBackend`].
+/// The manifest backend id of [`SubprocBackend`].
 pub const SUBPROC_BACKEND_ID: &str = "subproc";
 
 /// Configuration of a [`SubprocBackend`].
@@ -325,11 +327,16 @@ impl SubprocBackend {
     }
 
     /// Keeps a faulted job's scratch directory for debugging (bounded
-    /// by `max_preserved`), logging where it went.
+    /// by `max_preserved`), reporting where it went as a
+    /// [`SUBPROC_PRESERVED`](spe_telemetry::names::SUBPROC_PRESERVED)
+    /// event.
     fn preserve(&self, job: &Path, why: &str) {
         let mut preserved = self.preserved.lock().expect("poisoned");
         if preserved.len() < self.config.max_preserved {
-            eprintln!("spe-subproc: preserving scratch {} ({why})", job.display());
+            spe_telemetry::global().event(
+                spe_telemetry::names::SUBPROC_PRESERVED,
+                &format!("{} ({why})", job.display()),
+            );
             preserved.push(job.to_path_buf());
         } else {
             let _ = std::fs::remove_dir_all(job);
@@ -503,46 +510,6 @@ impl Drop for SubprocBackend {
     }
 }
 
-/// Registers the `"subproc"` factory. Factory options are
-/// whitespace-separated: optional leading `timeout_ms=<n>`,
-/// `retries=<n>`, `procs=<n>` settings, then the command and its fixed
-/// arguments — e.g. `"timeout_ms=5000 retries=2 /usr/bin/mycc --spe"`.
-///
-/// # Errors
-///
-/// [`BackendError`] when `"subproc"` is already registered.
-pub fn register(registry: &mut BackendRegistry) -> Result<(), BackendError> {
-    registry.register(SUBPROC_BACKEND_ID, |opts| {
-        let mut config_keys = Vec::new();
-        let mut command = Vec::new();
-        for token in opts.split_whitespace() {
-            if command.is_empty() && token.contains('=') {
-                config_keys.push(token.to_string());
-            } else {
-                command.push(token.to_string());
-            }
-        }
-        let mut config = SubprocConfig::new(command);
-        for kv in config_keys {
-            let (key, value) = kv.split_once('=').expect("filtered above");
-            let parse = |what: &str| {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| BackendError::new(format!("bad {what}: {value:?}")))
-            };
-            match key {
-                "timeout_ms" => config.timeout = Duration::from_millis(parse("timeout_ms")?),
-                "retries" => config.retries = parse("retries")? as u32,
-                "procs" => config.max_processes = parse("procs")?.max(1) as usize,
-                other => {
-                    return Err(BackendError::new(format!("unknown option {other:?}")));
-                }
-            }
-        }
-        Ok(Box::new(SubprocBackend::new(config)?))
-    })
-}
-
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -651,16 +618,6 @@ mod tests {
             "abnormal exit 134" // capital-A Assertion is not in the pattern list
         );
         assert_eq!(crash_signature(3, "quiet\n"), "abnormal exit 3");
-    }
-
-    #[test]
-    fn factory_parses_options_and_rejects_nonsense() {
-        let mut registry = BackendRegistry::new();
-        register(&mut registry).expect("fresh id");
-        assert!(registry.create("subproc", "timeout_ms=250 retries=3 /bin/true -x").is_ok());
-        assert!(registry.create("subproc", "").is_err()); // no command
-        assert!(registry.create("subproc", "frobnicate=1 /bin/true").is_err());
-        assert!(registry.create("subproc", "timeout_ms=banana /bin/true").is_err());
     }
 
     #[test]

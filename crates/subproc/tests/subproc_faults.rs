@@ -13,7 +13,9 @@ use spe_harness::checkpoint::{resume_campaign, CheckpointOptions};
 use spe_harness::{Campaign, CampaignConfig, FindingKind, Oracle};
 use spe_simcc::backend::CompilerBackend;
 use spe_simcc::{Compiler, CompilerId, Divergence};
+use spe_telemetry::{names, Recorder, Sink};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A throwaway directory under the target tmpdir, fresh per test.
@@ -66,16 +68,44 @@ fn crash_stderr_line_becomes_the_ice_signature() {
         "echo 'cc1plus: internal compiler error: injected fault' >&2\nexit 4",
     );
     let backend = backend_in(&dir, &script, |_| {});
-    let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
-    let ice = obs.ice.expect("abnormal exit is an ICE verdict");
+    // The process-global sink sees sibling tests' events too, so the
+    // detail is matched against this backend's own scratch path.
+    let recorder = Arc::new(Recorder::new());
+    let events = Arc::new(Events::default());
+    let prev = spe_telemetry::install_recorder(recorder.clone(), vec![events.clone()]);
+    let obs = backend.observe_config(TRIVIAL, cc(), None);
+    spe_telemetry::uninstall_recorder(prev);
+    let ice = obs
+        .expect("verdict")
+        .ice
+        .expect("abnormal exit is an ICE verdict");
     assert_eq!(ice.signature, "cc1plus: internal compiler error: injected fault");
     assert_eq!(ice.bug_id, ice.signature, "triage line doubles as dedup id");
+    let preserved = backend.stats().preserved;
     assert_eq!(
-        backend.stats().preserved.len(),
+        preserved.len(),
         1,
         "faulted job's scratch dir is preserved for debugging"
     );
-    assert!(backend.stats().preserved[0].exists());
+    assert!(preserved[0].exists());
+    assert!(recorder.counter_value(names::SUBPROC_PRESERVED) >= 1);
+    let detail = format!("{} (compiler fault)", preserved[0].display());
+    assert!(
+        events.0.lock().expect("poisoned").contains(&detail),
+        "the preservation is reported as telemetry naming the path and reason"
+    );
+}
+
+/// Keeps the detail of every `subproc.preserved` event.
+#[derive(Default)]
+struct Events(Mutex<Vec<String>>);
+
+impl Sink for Events {
+    fn event(&self, name: &str, detail: &str) {
+        if name == names::SUBPROC_PRESERVED {
+            self.0.lock().expect("poisoned").push(detail.to_string());
+        }
+    }
 }
 
 #[test]

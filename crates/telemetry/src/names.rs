@@ -106,6 +106,9 @@ pub const SUBPROC_RETRIES: &str = "subproc.retries";
 pub const SUBPROC_TIMEOUTS: &str = "subproc.timeouts";
 /// Counter: configs quarantined after retry exhaustion.
 pub const SUBPROC_QUARANTINES: &str = "subproc.quarantines";
+/// Event: a faulted job's scratch directory was kept for debugging;
+/// the detail is its path and the reason.
+pub const SUBPROC_PRESERVED: &str = "subproc.preserved";
 /// Histogram: wall-clock of one subprocess run (ns), including
 /// spawn, drain, and reap.
 pub const SUBPROC_RUN_NS: &str = "subproc.run_ns";

@@ -29,6 +29,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -104,16 +106,6 @@ impl WProgram {
             visit_stmt(s, f);
         }
     }
-
-    /// Renames occurrences according to `map` (occ → new name), producing
-    /// the realized program. Occurrences absent from the map keep their
-    /// names.
-    pub fn realize(&self, map: &std::collections::HashMap<WOcc, String>) -> WProgram {
-        WProgram {
-            stmts: self.stmts.iter().map(|s| rename_stmt(s, map)).collect(),
-            max_occ: self.max_occ,
-        }
-    }
 }
 
 fn visit_aexpr<'s, F: FnMut(&'s str, WOcc)>(e: &'s AExpr, f: &mut F) {
@@ -165,58 +157,6 @@ fn visit_stmt<'s, F: FnMut(&'s str, WOcc)>(s: &'s WStmt, f: &mut F) {
                 visit_stmt(s, f);
             }
         }
-    }
-}
-
-type RenameMap = std::collections::HashMap<WOcc, String>;
-
-fn rename_aexpr(e: &AExpr, map: &RenameMap) -> AExpr {
-    match e {
-        AExpr::Var(n, o) => AExpr::Var(map.get(o).cloned().unwrap_or_else(|| n.clone()), *o),
-        AExpr::Num(v) => AExpr::Num(*v),
-        AExpr::Op(c, a, b) => AExpr::Op(
-            *c,
-            Box::new(rename_aexpr(a, map)),
-            Box::new(rename_aexpr(b, map)),
-        ),
-    }
-}
-
-fn rename_bexpr(e: &BExpr, map: &RenameMap) -> BExpr {
-    match e {
-        BExpr::Const(v) => BExpr::Const(*v),
-        BExpr::Not(b) => BExpr::Not(Box::new(rename_bexpr(b, map))),
-        BExpr::Logic(and, a, b) => BExpr::Logic(
-            *and,
-            Box::new(rename_bexpr(a, map)),
-            Box::new(rename_bexpr(b, map)),
-        ),
-        BExpr::Rel(op, a, b) => BExpr::Rel(
-            op,
-            Box::new(rename_aexpr(a, map)),
-            Box::new(rename_aexpr(b, map)),
-        ),
-        BExpr::Truthy(a) => BExpr::Truthy(Box::new(rename_aexpr(a, map))),
-    }
-}
-
-fn rename_stmt(s: &WStmt, map: &RenameMap) -> WStmt {
-    match s {
-        WStmt::Assign(n, o, e) => WStmt::Assign(
-            map.get(o).cloned().unwrap_or_else(|| n.clone()),
-            *o,
-            rename_aexpr(e, map),
-        ),
-        WStmt::Skip => WStmt::Skip,
-        WStmt::While(b, body) => WStmt::While(
-            rename_bexpr(b, map),
-            body.iter().map(|s| rename_stmt(s, map)).collect(),
-        ),
-        WStmt::If(b, t, e) => WStmt::If(
-            rename_bexpr(b, map),
-            t.iter().map(|s| rename_stmt(s, map)).collect(),
-            e.iter().map(|s| rename_stmt(s, map)).collect(),
-        ),
     }
 }
 
@@ -870,7 +810,6 @@ fn eval_b(e: &BExpr, state: &WState) -> Result<bool, WRuntimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn parses_and_prints_figure5() {
@@ -945,18 +884,6 @@ mod tests {
     fn overflow_is_an_error() {
         let p = parse("x := 2; while true do x := x * x").expect("parses");
         assert!(interpret(&p, 10_000).is_err());
-    }
-
-    #[test]
-    fn realize_renames_occurrences() {
-        let p = parse("a := 1; b := a").expect("parses");
-        // Occurrences: a(0), b(1), a(2).
-        let mut map = HashMap::new();
-        map.insert(WOcc(0), "b".to_string());
-        map.insert(WOcc(1), "a".to_string());
-        map.insert(WOcc(2), "b".to_string());
-        let r = p.realize(&map);
-        assert_eq!(r.to_string(), "b := 1;\na := b");
     }
 
     #[test]

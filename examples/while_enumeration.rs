@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for rgs in Rgs::new(n, k) {
         // Variants are realized through the compiled render template
         // (segment/slot splice into reused buffers) and re-parsed for
-        // execution; `realize_rgs` survives as the differential oracle.
+        // execution.
         sk.render_rgs_into(&rgs, &mut names, &mut rendered);
         let variant = spe::while_lang::parse(&rendered)?;
         if shown < 3 {

@@ -3,6 +3,8 @@
 //! See the workspace `README.md` for an overview; the examples under
 //! `examples/` and integration tests under `tests/` exercise this API.
 
+#![forbid(unsafe_code)]
+
 pub use spe_bignum as bignum;
 pub use spe_combinatorics as combinatorics;
 pub use spe_core as core;

@@ -216,8 +216,7 @@ fn concurrent_resumes_of_one_journal_are_rejected() {
     assert!(status.is_interrupted());
     // A stale writer still holds the journal (a racing resume, a hung
     // process): the second resume must fail fast, not interleave frames.
-    let contents = spe::persist::JournalReader::read(&path).expect("readable");
-    let held = spe::persist::Journal::open_append_with(&path, &contents).expect("lock");
+    let held = spe::persist::JournalIter::open_locked(&path).expect("lock");
     assert!(
         resume_campaign(&path, 2, &CheckpointOptions::default()).is_err(),
         "resume under a held journal lock must be rejected"

@@ -23,9 +23,9 @@ use spe::harness::fleet::{merge_journals, FleetError};
 use spe::harness::reduction::ReductionOptions;
 use spe::harness::{
     run_campaign_parallel, Campaign, CampaignConfig, CampaignReport, FaultPolicy, FindingKind,
-    Oracle,
+    FleetPlan, Oracle,
 };
-use spe::persist::{CorruptionReason, Encoder, Journal, JournalIter, JournalReader};
+use spe::persist::{CorruptionReason, Decoder, Encoder, Journal, JournalIter};
 use spe::simcc::backend::{
     BackendError, CompilerBackend, SimccBackend, SIMCC_BACKEND_ID, SIMCC_CONFIG_HASH,
 };
@@ -51,25 +51,6 @@ fn journal_path(tag: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("orchestrator-faults");
     std::fs::create_dir_all(&dir).expect("tmpdir");
     dir.join(format!("{tag}.journal"))
-}
-
-/// Streaming and materializing readers must agree exactly — header,
-/// records, valid prefix length, and tail verdict — on healthy,
-/// truncated, and bit-flipped journals alike.
-fn assert_iter_matches_reader(path: &Path) {
-    let contents = JournalReader::read(path).expect("materialized read");
-    let mut iter = JournalIter::open(path).expect("streaming open");
-    assert_eq!(iter.header(), contents.header.as_slice(), "headers differ");
-    let records: Vec<Vec<u8>> = (&mut iter)
-        .collect::<Result<_, _>>()
-        .expect("streamed records");
-    assert_eq!(records, contents.records, "record sequences differ");
-    assert_eq!(iter.valid_len(), contents.valid_len, "valid prefixes differ");
-    assert_eq!(
-        iter.truncated_tail(),
-        contents.truncated_tail,
-        "tail verdicts differ"
-    );
 }
 
 fn resume_to_completion(path: &Path, workers: usize) -> CampaignReport {
@@ -414,7 +395,6 @@ fn exhausted_append_retries_degrade_to_checkpointless_completion() {
     // The journal kept its last committed state (here: just the
     // manifest) and stays resumable; the still-armed injections make the
     // resume degrade the same way, and it recomputes everything.
-    assert_iter_matches_reader(&path);
     let resumed = Campaign {
         workers: 2,
         policy: FaultPolicy {
@@ -540,7 +520,6 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
     );
     assert_eq!(corruption.reason, CorruptionReason::ChecksumMismatch);
     assert!(iter.truncated_tail(), "bytes after the flip are dropped");
-    assert_iter_matches_reader(&path);
     drop(iter);
     let report = resume_to_completion(&path, 4);
     assert_eq!(report, reference, "bit-flipped journal resume diverged");
@@ -576,7 +555,6 @@ fn mid_journal_bit_flips_are_triaged_and_resume_recovers_the_prefix() {
         "length flips triage as oversized: {:?}",
         corruption.reason
     );
-    assert_iter_matches_reader(&path);
     drop(iter);
     let report = resume_to_completion(&path, 4);
     assert_eq!(report, reference, "length-flipped journal resume diverged");
@@ -697,6 +675,92 @@ fn crafted_shard_counts_are_refused_with_typed_errors() {
     }
 }
 
+/// Whether `record` is a `Progress` frame that counts variants.
+fn counts_variants(record: &[u8]) -> bool {
+    let mut dec = Decoder::new(record);
+    // Progress layout (`DESIGN.md` §9): tag 1, job, mark, file
+    // processed, variants tested, ...
+    let tag = dec.u8();
+    let _ = (dec.u32(), dec.u64(), dec.bool());
+    matches!(tag, Ok(1)) && dec.u64().is_ok_and(|tested| tested > 0)
+}
+
+/// Appends a byte-for-byte copy of the journal's last `Progress` frame
+/// that counts variants; the copy's checksum is valid.
+fn duplicate_last_progress(path: &Path) {
+    let frame = JournalIter::open(path)
+        .expect("open")
+        .map(|record| record.expect("valid frame"))
+        .filter(|record| counts_variants(record))
+        .last()
+        .expect("a progress frame counts variants");
+    let mut journal = JournalIter::open_locked(path)
+        .and_then(JournalIter::into_appender)
+        .expect("reopen for appending");
+    journal.append(&frame).expect("append");
+}
+
+#[test]
+fn duplicated_progress_frames_are_refused_not_replayed_twice() {
+    let files = seeds::all();
+    let config = config();
+    let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+        Err(CheckpointError::Foreign(message)) => {
+            assert!(
+                message.contains("job ") && message.contains("moves its mark"),
+                "{what}: {message}"
+            );
+        }
+        other => panic!("{what}: expected a Foreign error, got {other:?}"),
+    };
+
+    // A killed campaign: replaying the copy would count its variants
+    // twice.
+    let path = journal_path("duplicated-progress");
+    let status = run_campaign_checkpointed(
+        &files,
+        &config,
+        1,
+        &path,
+        &CheckpointOptions {
+            every: 8,
+            stop_after: Some(60),
+        },
+    )
+    .expect("checkpointed run");
+    assert!(status.is_interrupted());
+    duplicate_last_progress(&path);
+    refused(
+        "resume",
+        resume_campaign(&path, 1, &CheckpointOptions::default()).map(drop),
+    );
+    refused("compaction", compact_journal(&path).map(drop));
+    std::fs::remove_file(&path).ok();
+
+    // A finished fleet host journal.
+    let path = journal_path("duplicated-progress-host");
+    let status = Campaign::default()
+        .run_journaled(
+            &files,
+            &config,
+            &path,
+            &CheckpointOptions {
+                every: 8,
+                stop_after: None,
+            },
+            Some((FleetPlan::new(0xd0b1e, 1, 1), 0)),
+        )
+        .expect("host runs")
+        .status;
+    assert!(matches!(status, CampaignStatus::Complete(_)));
+    duplicate_last_progress(&path);
+    match merge_journals(&[&path]) {
+        Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
+        other => panic!("merge: expected a journal error, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------
 // Compaction.
 // ---------------------------------------------------------------------
@@ -775,7 +839,6 @@ fn compaction_folds_frames_and_preserves_resume_identity() {
         !compaction_tmp(&path).exists(),
         "the tmp file was renamed over the original"
     );
-    assert_iter_matches_reader(&path);
 
     // Compaction is idempotent: the live state is already one frame per
     // job, so a second pass folds nothing further.
@@ -802,9 +865,7 @@ proptest! {
 
     /// The compaction property: for random corpora, kill points and
     /// cadences, kill → compact → resume(s) → completion reproduces the
-    /// uninterrupted serial report byte-for-byte — and the streaming
-    /// reader agrees with the materializing reader on every journal the
-    /// sequence produces.
+    /// uninterrupted serial report byte-for-byte.
     #[test]
     fn compaction_preserves_kill_resume_identity(
         seed in 0u64..2_000,
@@ -827,10 +888,8 @@ proptest! {
         let report = match status {
             CampaignStatus::Complete(r) => r,
             CampaignStatus::Interrupted => {
-                assert_iter_matches_reader(&path);
                 let before = compact_journal(&path).expect("compaction");
                 prop_assert!(before.frames_after <= before.frames_before);
-                assert_iter_matches_reader(&path);
                 resume_to_completion(&path, workers)
             }
         };

@@ -1,8 +1,8 @@
 //! Resume memory is bounded by **live job state**, not journal size:
 //! the resume path replays through the streaming [`JournalIter`], so a
 //! multi-thousand-frame journal must replay in a small, flat footprint,
-//! while materializing the same journal through [`JournalReader::read`]
-//! necessarily allocates it whole.
+//! while collecting the same journal's records into memory necessarily
+//! allocates it whole.
 //!
 //! One test, alone in its binary: the measurement uses a process-global
 //! counting allocator, and sibling tests would pollute the peaks.
@@ -11,7 +11,7 @@ use spe::harness::checkpoint::{
     resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
 };
 use spe::harness::CampaignConfig;
-use spe::persist::{JournalIter, JournalReader};
+use spe::persist::JournalIter;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -109,9 +109,14 @@ fn streaming_resume_stays_flat_over_a_multi_thousand_frame_journal() {
     let journal_bytes = std::fs::metadata(&path).expect("metadata").len() as usize;
 
     // Materializing the journal allocates at least the whole record set.
-    let (contents, read_peak) = measure(|| JournalReader::read(&path).expect("read"));
-    assert_eq!(contents.records.len(), frames);
-    drop(contents);
+    let (records, read_peak) = measure(|| {
+        JournalIter::open(&path)
+            .expect("open")
+            .collect::<Result<Vec<_>, _>>()
+            .expect("read")
+    });
+    assert_eq!(records.len(), frames);
+    drop(records);
 
     // The streaming resume replays the same frames with a peak bounded
     // by live job state (one job here), far under both the materialized
