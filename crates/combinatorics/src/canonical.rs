@@ -13,8 +13,8 @@
 //! paper's algorithm (Example 6: canonical = 35, paper = 36).
 //!
 //! Counting and unranking the same sequence — without enumerating it —
-//! live in [`crate::ConstrainedRgs`]: a memoized DP over RGS prefixes
-//! whose pruning is exactly this module's SDR check (`DESIGN.md §8`
+//! live in [`crate::ConstrainedRgs`]: a memoized, capped DP over RGS
+//! prefixes whose pruning is exactly this module's SDR check (`DESIGN.md §8`
 //! states the pruning lemma and the DP). [`enumerate_canonical_from`]
 //! resumes the walk at an unranked solution, which is what lets a shard
 //! of a canonical space start mid-space with nothing before it generated.
@@ -22,6 +22,76 @@
 use crate::instance::GeneralInstance;
 use spe_bignum::BigUint;
 use std::ops::ControlFlow;
+
+/// The mask width: variable ids, and with them the blocks of any SDR,
+/// number at most 128.
+const WIDTH: usize = 128;
+
+/// The empty entry of [`Matching`]'s arrays. Block and variable ids stay
+/// below [`WIDTH`], so they fit a `u8` beside it.
+const NONE: u8 = u8::MAX;
+
+/// A matching of blocks to variables on fixed [`WIDTH`]-entry arrays:
+/// block `b` holds variable `var_of_block[b]` and variable `v` is held by
+/// block `block_of_var[v]`, either being [`NONE`] when unmatched. It
+/// holds no heap memory, so matching allocates nothing.
+struct Matching {
+    var_of_block: [u8; WIDTH],
+    block_of_var: [u8; WIDTH],
+}
+
+impl Matching {
+    fn new() -> Matching {
+        Matching {
+            var_of_block: [NONE; WIDTH],
+            block_of_var: [NONE; WIDTH],
+        }
+    }
+
+    /// Matches the blocks of `masks` from scratch, in index order, or
+    /// returns `None` when they admit no SDR. More blocks than
+    /// [`WIDTH`] never do: they would need more variables than a mask has.
+    fn of(masks: &[u128]) -> Option<Matching> {
+        if masks.len() > WIDTH {
+            return None;
+        }
+        let mut m = Matching::new();
+        (0..masks.len()).all(|b| m.augment(masks, b)).then_some(m)
+    }
+
+    /// One augmenting-path search from the unmatched block `b`. On
+    /// failure the matching is left exactly as it was.
+    fn augment(&mut self, masks: &[u128], b: usize) -> bool {
+        self.search(masks, b, &mut 0)
+    }
+
+    fn search(&mut self, masks: &[u128], b: usize, visited: &mut u128) -> bool {
+        let mut m = masks[b] & !*visited;
+        while m != 0 {
+            // Highest set bit first: prefer local variables.
+            let v = 127 - m.leading_zeros() as usize;
+            m &= !(1u128 << v);
+            *visited |= 1u128 << v;
+            let holder = self.block_of_var[v];
+            if holder == NONE || self.search(masks, holder as usize, visited) {
+                self.assign(b, v as u8);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn assign(&mut self, b: usize, v: u8) {
+        self.var_of_block[b] = v;
+        self.block_of_var[v as usize] = b as u8;
+    }
+
+    /// Unmatches the matched block `b`, freeing its variable.
+    fn release(&mut self, b: usize) {
+        let v = std::mem::replace(&mut self.var_of_block[b], NONE);
+        self.block_of_var[v as usize] = NONE;
+    }
+}
 
 /// Returns `true` if the block constraint masks admit a system of distinct
 /// representatives, via augmenting-path bipartite matching.
@@ -38,7 +108,7 @@ use std::ops::ControlFlow;
 /// assert!(!has_sdr(&[0b0]));
 /// ```
 pub fn has_sdr(masks: &[u128]) -> bool {
-    sdr_matching(masks).is_some()
+    Matching::of(masks).is_some()
 }
 
 /// Computes a system of distinct representatives for the block masks:
@@ -50,52 +120,11 @@ pub fn has_sdr(masks: &[u128]) -> bool {
 /// [`crate::FlatInstance::to_general`]) are preferred — producing the
 /// "most local" realization the paper's examples use.
 pub fn sdr_matching(masks: &[u128]) -> Option<Vec<usize>> {
-    let mut var_of_block: Vec<Option<usize>> = vec![None; masks.len()];
-    let mut block_of_var: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-
-    fn try_assign(
-        b: usize,
-        masks: &[u128],
-        visited: &mut u128,
-        var_of_block: &mut [Option<usize>],
-        block_of_var: &mut std::collections::HashMap<usize, usize>,
-    ) -> bool {
-        let mut m = masks[b] & !*visited;
-        while m != 0 {
-            // Highest set bit first: prefer local variables.
-            let v = 127 - m.leading_zeros() as usize;
-            m &= !(1u128 << v);
-            *visited |= 1u128 << v;
-            let displaced = block_of_var.get(&v).copied();
-            match displaced {
-                None => {
-                    var_of_block[b] = Some(v);
-                    block_of_var.insert(v, b);
-                    return true;
-                }
-                Some(other) => {
-                    if try_assign(other, masks, visited, var_of_block, block_of_var) {
-                        var_of_block[b] = Some(v);
-                        block_of_var.insert(v, b);
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    for b in 0..masks.len() {
-        let mut visited = 0u128;
-        if !try_assign(b, masks, &mut visited, &mut var_of_block, &mut block_of_var) {
-            return None;
-        }
-    }
+    let m = Matching::of(masks)?;
     Some(
-        var_of_block
-            .into_iter()
-            .map(|v| v.expect("assigned"))
+        m.var_of_block[..masks.len()]
+            .iter()
+            .map(|&v| v as usize)
             .collect(),
     )
 }
@@ -129,7 +158,7 @@ where
 /// visits, not the whole space before it.
 ///
 /// With `lower` the solution of rank `i` — from
-/// [`crate::ConstrainedRgs::unrank_u64`] — this yields exactly the
+/// [`crate::ConstrainedRgs::unrank`] — this yields exactly the
 /// canonical sequence from index `i` on: how a shard of a canonical
 /// space starts mid-space.
 ///
@@ -144,7 +173,7 @@ where
 /// let inst = FlatInstance::new(vec![0, 1, 4], 2, vec![FlatScope { holes: vec![2, 3], vars: 2 }])
 ///     .to_general();
 /// let serial = canonical_solutions(&inst, usize::MAX).0;
-/// let lower = ConstrainedRgs::new(&inst).unrank_u64(20);
+/// let lower = ConstrainedRgs::new(&inst, u64::MAX).unrank(20);
 /// let mut tail = Vec::new();
 /// enumerate_canonical_from(&inst, &lower, &mut |rgs| {
 ///     tail.push(rgs.to_vec());
@@ -169,9 +198,10 @@ where
     let mut blocks: Vec<u128> = Vec::new();
     rec(
         &hole_masks,
-        inst.num_vars,
+        inst.num_vars.min(WIDTH),
         &mut rgs,
         &mut blocks,
+        &mut Matching::new(),
         lower,
         visit,
     )
@@ -181,11 +211,21 @@ where
 /// the lower bound while the prefix still equals the bound's leading
 /// elements, and empty once the prefix has moved above it (or the bound
 /// is used up): only then may every block choice be taken.
+///
+/// `matching` saturates `blocks` on entry and exit, and is carried
+/// across the recursion instead of re-matched at each node. A child
+/// changes one block, so with every other block matched, one augmenting
+/// search from that block decides whether the child still has an SDR
+/// (Berge's theorem). Backtracking only widens masks, which keeps the
+/// matching valid. Which SDR is held never changes a pruning decision,
+/// so the visit sequence is that of a from-scratch [`has_sdr`] at every
+/// node.
 fn rec<F>(
     hole_masks: &[u128],
     num_vars: usize,
     rgs: &mut Vec<usize>,
     blocks: &mut Vec<u128>,
+    matching: &mut Matching,
     lower: &[usize],
     visit: &mut F,
 ) -> ControlFlow<()>
@@ -208,11 +248,18 @@ where
         }
         let saved = blocks[b];
         blocks[b] = merged;
-        if has_sdr(blocks) {
+        let held = matching.var_of_block[b];
+        let matched = merged & (1u128 << held) != 0 || {
+            matching.release(b);
+            matching.augment(blocks, b)
+        };
+        if matched {
             rgs.push(b);
             let bound = if b == low { rest } else { &[] };
-            rec(hole_masks, num_vars, rgs, blocks, bound, visit)?;
+            rec(hole_masks, num_vars, rgs, blocks, matching, bound, visit)?;
             rgs.pop();
+        } else {
+            matching.assign(b, held);
         }
         blocks[b] = saved;
     }
@@ -220,11 +267,12 @@ where
     let b = blocks.len();
     if b < num_vars && b >= low {
         blocks.push(hole_masks[i]);
-        if has_sdr(blocks) {
+        if matching.augment(blocks, b) {
             rgs.push(b);
             let bound = if b == low { rest } else { &[] };
-            rec(hole_masks, num_vars, rgs, blocks, bound, visit)?;
+            rec(hole_masks, num_vars, rgs, blocks, matching, bound, visit)?;
             rgs.pop();
+            matching.release(b);
         }
         blocks.pop();
     }

@@ -1,4 +1,4 @@
-//! Exact counting and unranking for **constrained** canonical spaces.
+//! Capped counting and unranking for **constrained** canonical spaces.
 //!
 //! [`crate::enumerate_canonical`] walks the valid partitions of a
 //! [`GeneralInstance`] — those whose blocks admit a system of distinct
@@ -22,19 +22,25 @@
 //!    grows, so an SDR failure at a prefix is *hereditary* — no
 //!    completion can restore it — letting the DP close those subtrees
 //!    with an exact count of zero (the SDR-pruning lemma).
+//!
+//! Counts saturate at a cap chosen by the caller: a state stops summing
+//! its children once its sum reaches the cap, so the DP expands only
+//! what a caller that needs at most `cap` solutions can reach.
 
 use crate::canonical::has_sdr;
 use crate::instance::GeneralInstance;
-use spe_bignum::BigUint;
 use std::collections::HashMap;
 
-/// Exact counting and unranking over the *constrained* canonical space
+/// Capped counting and unranking over the *constrained* canonical space
 /// of a [`GeneralInstance`]: the valid partitions of its holes in
 /// lexicographic RGS order — the same sequence
 /// [`crate::enumerate_canonical`] visits.
 ///
-/// One value owns the memoized prefix-count DP; every operation reuses
-/// (and grows) that cache, so interleaving [`total`](Self::total) and
+/// Every count is `min(exact, cap)`: exact below the cap given to
+/// [`new`](Self::new), and equal to it once the exact count reaches it.
+/// Every rank below [`total`](Self::total) unranks exactly. One value
+/// owns the memoized prefix-count DP; every operation reuses (and grows)
+/// that cache, so interleaving [`total`](Self::total) and
 /// [`unrank`](Self::unrank) calls is cheap. On unconstrained instances
 /// the results coincide with the closed forms
 /// ([`crate::partitions_at_most`], [`crate::rgs_unrank`]), which the
@@ -52,39 +58,46 @@ use std::collections::HashMap;
 ///     allowed: vec![vec![0], vec![0], vec![0, 1]],
 ///     num_vars: 2,
 /// };
-/// let mut space = ConstrainedRgs::new(&inst);
-/// assert_eq!(space.total().to_u64(), Some(2));
-/// assert_eq!(space.unrank_u64(1), vec![0, 0, 1]);
+/// let mut space = ConstrainedRgs::new(&inst, u64::MAX);
+/// assert_eq!(space.total(), 2);
+/// assert_eq!(space.unrank(1), vec![0, 0, 1]);
 /// // The ranks follow exactly the enumerator's sequence.
-/// let all: Vec<_> = (0..2).map(|i| space.unrank_u64(i)).collect();
+/// let all: Vec<_> = (0..2).map(|i| space.unrank(i)).collect();
 /// assert_eq!(all, canonical_solutions(&inst, usize::MAX).0);
+/// // A cap below the exact count saturates it.
+/// assert_eq!(ConstrainedRgs::new(&inst, 1).total(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConstrainedRgs<'a> {
     inst: &'a GeneralInstance,
     /// `masks[i]` — allowed-variable bitmask of hole `i`.
     masks: Vec<u128>,
+    /// Where counts saturate.
+    cap: u64,
     /// DP cache, one map per prefix length: `memo[pos][sorted masks]`.
-    memo: Vec<HashMap<Vec<u128>, BigUint>>,
+    memo: Vec<HashMap<Vec<u128>, u64>>,
     /// Number of memoized states across all positions.
     states: usize,
     /// Total space size, filled on first use.
-    cached_total: Option<BigUint>,
+    cached_total: Option<u64>,
 }
 
 impl<'a> ConstrainedRgs<'a> {
-    /// Creates the counter and unranker for an instance.
+    /// Creates the counter and unranker for an instance, with counts
+    /// saturating at `cap`. A caller that needs ranks below `c` passes
+    /// at least `c`; with `u64::MAX` every count below `u64::MAX` is exact.
     ///
     /// # Panics
     ///
     /// Panics if the instance uses variable ids `>= 128` (the mask
     /// width); SPE type groups within the paper's 10K-variant budget are
     /// far smaller.
-    pub fn new(inst: &'a GeneralInstance) -> ConstrainedRgs<'a> {
+    pub fn new(inst: &'a GeneralInstance, cap: u64) -> ConstrainedRgs<'a> {
         let masks = (0..inst.num_holes()).map(|i| inst.mask(i)).collect();
         ConstrainedRgs {
             inst,
             masks,
+            cap,
             memo: vec![HashMap::new(); inst.num_holes() + 1],
             states: 0,
             cached_total: None,
@@ -96,32 +109,33 @@ impl<'a> ConstrainedRgs<'a> {
     /// strategy) once more than `max_states` prefix summaries would be
     /// memoized. The number of summaries — the DP's true cost — grows
     /// with the distinct block-mask multisets the constraint structure
-    /// can produce: small for scope-shaped constraints, exponential for
-    /// adversarial ones such as dozens of interleaved declaration-order
-    /// prefixes. A `Some` result is exact — and guarantees that *every*
-    /// later [`unrank`](Self::unrank) call on this instance stays within
-    /// the same state bound, because the full count already visited every
-    /// reachable summary. This is the gate test sharded enumeration
-    /// runs before committing to the shard-native path.
+    /// can produce, up to where the cap stops the expansion. A `Some`
+    /// result guarantees that *every* later [`unrank`](Self::unrank)
+    /// call on this value stays within the same state bound: unranking
+    /// reads only states the count already memoized (`DESIGN.md §8`).
+    /// This is the gate test sharded enumeration runs before committing
+    /// to the shard-native path.
     ///
     /// ```
     /// use spe_combinatorics::{ConstrainedRgs, FlatInstance};
     ///
     /// let inst = FlatInstance::unscoped(8, 4).to_general();
-    /// let mut space = ConstrainedRgs::new(&inst);
-    /// assert!(space.try_total_within(10_000).is_some());
-    /// assert!(ConstrainedRgs::new(&inst).try_total_within(2).is_none());
+    /// let mut space = ConstrainedRgs::new(&inst, u64::MAX);
+    /// assert_eq!(space.try_total_within(10_000), Some(2795));
+    /// assert!(ConstrainedRgs::new(&inst, u64::MAX).try_total_within(2).is_none());
+    /// // A small cap needs only a few states.
+    /// assert_eq!(ConstrainedRgs::new(&inst, 10).try_total_within(20), Some(10));
     /// ```
-    pub fn try_total_within(&mut self, max_states: usize) -> Option<BigUint> {
-        if let Some(t) = &self.cached_total {
-            return Some(t.clone());
+    pub fn try_total_within(&mut self, max_states: usize) -> Option<u64> {
+        if let Some(t) = self.cached_total {
+            return Some(t);
         }
         let t = self.completions_within(0, &mut Vec::new(), max_states)?;
-        self.cached_total = Some(t.clone());
+        self.cached_total = Some(t);
         Some(t)
     }
 
-    /// Exact number of valid partitions of the instance — the
+    /// Number of valid partitions of the instance, capped — the
     /// constrained generalization of [`crate::partitions_at_most`]`(n, k)`.
     ///
     /// ```
@@ -129,9 +143,12 @@ impl<'a> ConstrainedRgs<'a> {
     ///
     /// // Unconstrained: the closed form.
     /// let free = FlatInstance::unscoped(6, 3).to_general();
-    /// assert_eq!(ConstrainedRgs::new(&free).total(), partitions_at_most(6, 3));
+    /// assert_eq!(
+    ///     partitions_at_most(6, 3).to_u64(),
+    ///     Some(ConstrainedRgs::new(&free, u64::MAX).total())
+    /// );
     /// ```
-    pub fn total(&mut self) -> BigUint {
+    pub fn total(&mut self) -> u64 {
         self.try_total_within(usize::MAX)
             .expect("unlimited DP cannot bail")
     }
@@ -145,25 +162,24 @@ impl<'a> ConstrainedRgs<'a> {
     /// Panics if `index >= self.total()`.
     ///
     /// ```
-    /// use spe_bignum::BigUint;
     /// use spe_combinatorics::{canonical_solutions, ConstrainedRgs, FlatInstance, FlatScope};
     ///
     /// // Figure 7 of the paper: a constrained two-scope instance.
     /// let inst = FlatInstance::new(vec![0, 1, 4], 2, vec![FlatScope { holes: vec![2, 3], vars: 2 }])
     ///     .to_general();
     /// let serial = canonical_solutions(&inst, usize::MAX).0;
-    /// let mut space = ConstrainedRgs::new(&inst);
-    /// for (i, rgs) in serial.iter().enumerate() {
-    ///     assert_eq!(&space.unrank(&BigUint::from(i as u64)), rgs);
+    /// let mut space = ConstrainedRgs::new(&inst, 21);
+    /// for (i, rgs) in serial.iter().take(21).enumerate() {
+    ///     assert_eq!(&space.unrank(i as u64), rgs);
     /// }
     /// ```
-    pub fn unrank(&mut self, index: &BigUint) -> Vec<usize> {
+    pub fn unrank(&mut self, index: u64) -> Vec<usize> {
         assert!(
-            *index < self.total(),
+            index < self.total(),
             "index out of range for the constrained space"
         );
         let n = self.inst.num_holes();
-        let mut idx = index.clone();
+        let mut idx = index;
         let mut blocks: Vec<u128> = Vec::new();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -179,17 +195,12 @@ impl<'a> ConstrainedRgs<'a> {
                     placed = true;
                     break;
                 }
-                idx = idx.checked_sub(&w).expect("cumulative weights cover idx");
+                idx -= w;
                 Self::retract(&mut blocks, d, saved);
             }
             assert!(placed, "index out of range at position {i}");
         }
         out
-    }
-
-    /// [`unrank`](Self::unrank) for a machine-word index.
-    pub fn unrank_u64(&mut self, index: u64) -> Vec<usize> {
-        self.unrank(&BigUint::from(index))
     }
 
     /// Applies digit `d` for hole `i` to the block stack. Returns the
@@ -222,11 +233,11 @@ impl<'a> ConstrainedRgs<'a> {
         }
     }
 
-    /// The DP: number of valid completions of a prefix summarized by its
-    /// position and block-mask stack. `blocks` is restored before
-    /// returning. Memoized per position on the *sorted* mask vector —
-    /// see the module docs for why the summary is sound.
-    fn completions(&mut self, pos: usize, blocks: &mut Vec<u128>) -> BigUint {
+    /// The DP: the capped number of valid completions of a prefix
+    /// summarized by its position and block-mask stack. `blocks` is
+    /// restored before returning. Memoized per position on the *sorted*
+    /// mask vector — see the module docs for why the summary is sound.
+    fn completions(&mut self, pos: usize, blocks: &mut Vec<u128>) -> u64 {
         self.completions_within(pos, blocks, usize::MAX)
             .expect("unlimited DP cannot bail")
     }
@@ -239,11 +250,11 @@ impl<'a> ConstrainedRgs<'a> {
         pos: usize,
         blocks: &mut Vec<u128>,
         max_states: usize,
-    ) -> Option<BigUint> {
+    ) -> Option<u64> {
         let mut key: Vec<u128> = blocks.clone();
         key.sort_unstable();
-        if let Some(hit) = self.memo[pos].get(&key) {
-            return Some(hit.clone());
+        if let Some(&hit) = self.memo[pos].get(&key) {
+            return Some(hit);
         }
         if self.states >= max_states {
             return None;
@@ -251,22 +262,27 @@ impl<'a> ConstrainedRgs<'a> {
         let value = if blocks.contains(&0) || !has_sdr(blocks) {
             // SDR-pruning lemma: masks only shrink, so the failure is
             // hereditary and the whole subtree is invalid.
-            BigUint::zero()
+            0
         } else if pos == self.inst.num_holes() {
-            BigUint::one()
+            self.cap.min(1)
         } else {
-            let mut sum = BigUint::zero();
+            let mut sum = 0u64;
+            // Children past the one that brings the sum to the cap are
+            // never expanded: no rank below the cap reaches them.
             for d in 0..=blocks.len() {
+                if sum == self.cap {
+                    break;
+                }
                 if let Some(saved) = self.extend(blocks, d, pos) {
                     let child = self.completions_within(pos + 1, blocks, max_states);
                     Self::retract(blocks, d, saved);
-                    sum += &child?;
+                    sum = sum.saturating_add(child?).min(self.cap);
                 }
             }
             sum
         };
         self.states += 1;
-        self.memo[pos].insert(key, value.clone());
+        self.memo[pos].insert(key, value);
         Some(value)
     }
 }
@@ -302,8 +318,8 @@ mod tests {
         for inst in [fig7(), two_pools()] {
             let serial = canonical_solutions(&inst, usize::MAX).0;
             assert_eq!(
-                ConstrainedRgs::new(&inst).total().to_u64(),
-                Some(serial.len() as u64)
+                ConstrainedRgs::new(&inst, u64::MAX).total(),
+                serial.len() as u64
             );
         }
     }
@@ -314,8 +330,8 @@ mod tests {
             for k in 1..5usize {
                 let inst = FlatInstance::unscoped(n, k).to_general();
                 assert_eq!(
-                    ConstrainedRgs::new(&inst).total(),
-                    partitions_at_most(n as u32, k as u32),
+                    partitions_at_most(n as u32, k as u32).to_u64(),
+                    Some(ConstrainedRgs::new(&inst, u64::MAX).total()),
                     "n={n} k={k}"
                 );
             }
@@ -328,21 +344,21 @@ mod tests {
             allowed: vec![vec![0], vec![0], vec![0, 1]],
             num_vars: 2,
         };
-        let mut space = ConstrainedRgs::new(&inst);
+        let mut space = ConstrainedRgs::new(&inst, u64::MAX);
         // Splitting holes 0 and 1 leaves both blocks needing variable 0,
         // so no solution starts with the dead prefix [0, 1].
-        assert_eq!(space.total().to_u64(), Some(2));
-        assert_eq!(space.unrank_u64(0), vec![0, 0, 0]);
-        assert_eq!(space.unrank_u64(1), vec![0, 0, 1]);
+        assert_eq!(space.total(), 2);
+        assert_eq!(space.unrank(0), vec![0, 0, 0]);
+        assert_eq!(space.unrank(1), vec![0, 0, 1]);
     }
 
     #[test]
     fn unrank_inverts_canonical_enumeration() {
         for inst in [fig7(), two_pools()] {
             let serial = canonical_solutions(&inst, usize::MAX).0;
-            let mut space = ConstrainedRgs::new(&inst);
+            let mut space = ConstrainedRgs::new(&inst, u64::MAX);
             for (i, rgs) in serial.iter().enumerate() {
-                assert_eq!(&space.unrank_u64(i as u64), rgs, "rank {i}");
+                assert_eq!(&space.unrank(i as u64), rgs, "rank {i}");
             }
         }
     }
@@ -350,10 +366,10 @@ mod tests {
     #[test]
     fn unrank_matches_rgs_unrank_when_unconstrained() {
         let inst = FlatInstance::unscoped(7, 4).to_general();
-        let mut space = ConstrainedRgs::new(&inst);
-        let total = space.total().to_u64().expect("small");
+        let mut space = ConstrainedRgs::new(&inst, u64::MAX);
+        let total = space.total();
         for i in 0..total {
-            assert_eq!(space.unrank_u64(i), rgs_unrank(7, 4, i), "rank {i}");
+            assert_eq!(space.unrank(i), rgs_unrank(7, 4, i), "rank {i}");
         }
     }
 
@@ -361,9 +377,9 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn unrank_rejects_out_of_range_indices() {
         let inst = fig7();
-        let mut space = ConstrainedRgs::new(&inst);
-        let total = space.total().to_u64().expect("small");
-        let _ = space.unrank_u64(total);
+        let mut space = ConstrainedRgs::new(&inst, u64::MAX);
+        let total = space.total();
+        let _ = space.unrank(total);
     }
 
     #[test]
@@ -373,18 +389,18 @@ mod tests {
             allowed: vec![],
             num_vars: 3,
         };
-        assert_eq!(ConstrainedRgs::new(&empty).total().to_u64(), Some(1));
+        assert_eq!(ConstrainedRgs::new(&empty, u64::MAX).total(), 1);
         // A hole with an empty allowed set: nothing.
         let dead = GeneralInstance {
             allowed: vec![vec![0], vec![]],
             num_vars: 2,
         };
-        assert_eq!(ConstrainedRgs::new(&dead).total().to_u64(), Some(0));
+        assert_eq!(ConstrainedRgs::new(&dead, u64::MAX).total(), 0);
         // No variables at all.
         let no_vars = GeneralInstance {
             allowed: vec![vec![]],
             num_vars: 0,
         };
-        assert_eq!(ConstrainedRgs::new(&no_vars).total().to_u64(), Some(0));
+        assert_eq!(ConstrainedRgs::new(&no_vars, u64::MAX).total(), 0);
     }
 }

@@ -20,10 +20,10 @@
 //! * [`even_ranges`] / [`rgs_unrank`] — the one cut of a variant space:
 //!   near-even emission-index ranges whose starts are reached by exact
 //!   unranking;
-//! * [`ConstrainedRgs`] / [`enumerate_canonical_from`] — counting and
-//!   unranking for *constrained* instances, via a memoized DP over RGS
-//!   prefixes under SDR pruning (`DESIGN.md §8`), and the canonical walk
-//!   resumed at an unranked solution;
+//! * [`ConstrainedRgs`] / [`enumerate_canonical_from`] — capped counting
+//!   and unranking for *constrained* instances, via a memoized DP over
+//!   RGS prefixes under SDR pruning (`DESIGN.md §8`), and the canonical
+//!   walk resumed at an unranked solution;
 //! * [`brute`] — exponential oracles validating all of the above.
 //!
 //! # Quick start

@@ -5,7 +5,7 @@
 //! near-even contiguous ranges, and a range's first variant is reached by
 //! exact unranking — [`rgs_unrank`] for an unconstrained type group (the
 //! set-partition space `Rgs::new(n, k)` of §4.1.2 of the paper), and
-//! [`crate::ConstrainedRgs::unrank_u64`] for a constrained one. Nothing
+//! [`crate::ConstrainedRgs::unrank`] for a constrained one. Nothing
 //! before a range start is generated.
 
 use spe_bignum::BigUint;

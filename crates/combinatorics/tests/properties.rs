@@ -5,8 +5,9 @@ use spe_bignum::BigUint;
 use spe_combinatorics::{
     brute, canonical_count, canonical_solutions, enumerate_canonical_from, labels_to_rgs,
     orbit_count, paper_count, paper_solutions, partitions_at_most, rgs_block_count, rgs_to_blocks,
-    ConstrainedRgs, FlatInstance, FlatScope, Rgs,
+    sdr_matching, ConstrainedRgs, FlatInstance, FlatScope, GeneralInstance, Rgs,
 };
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 /// Strategy: a small flat instance (global holes/vars plus up to two
@@ -32,6 +33,89 @@ fn small_instance() -> impl Strategy<Value = FlatInstance> {
         .prop_filter("keep the naive product brute-forceable", |inst| {
             inst.naive_count() <= BigUint::from(4000u64)
         })
+}
+
+/// Strategy: a general instance — 1 to 6 variables, 0 to 9 holes, each
+/// hole allowed an arbitrary (sometimes empty) subset of the variables.
+/// Unlike scope-shaped flat instances, these include the
+/// declaration-order prefixes of real type groups.
+fn general_instance() -> impl Strategy<Value = GeneralInstance> {
+    (
+        1usize..7,
+        proptest::collection::vec(0u64..64, 0..10),
+        0usize..20, // the hole left with no variable, if it exists
+    )
+        .prop_map(|(num_vars, sets, dead)| {
+            let full = (1u64 << num_vars) - 1;
+            let allowed = sets
+                .into_iter()
+                .enumerate()
+                .map(|(hole, set)| {
+                    let set = if hole == dead { 0 } else { 1 + set % full };
+                    (0..num_vars).filter(|v| set >> v & 1 == 1).collect()
+                })
+                .collect();
+            GeneralInstance { allowed, num_vars }
+        })
+        .prop_filter("keep the naive product small", |inst| {
+            inst.naive_count() <= BigUint::from(4000u64)
+        })
+}
+
+/// The augmenting-path matcher as it was first written, on a `HashMap`:
+/// blocks in index order, candidate variables from the highest id down.
+/// The reference the allocation-free matcher must reproduce exactly.
+fn reference_sdr_matching(masks: &[u128]) -> Option<Vec<usize>> {
+    fn try_assign(
+        b: usize,
+        masks: &[u128],
+        visited: &mut u128,
+        var_of_block: &mut [Option<usize>],
+        block_of_var: &mut HashMap<usize, usize>,
+    ) -> bool {
+        let mut m = masks[b] & !*visited;
+        while m != 0 {
+            let v = 127 - m.leading_zeros() as usize;
+            m &= !(1u128 << v);
+            *visited |= 1u128 << v;
+            let displaced = block_of_var.get(&v).copied();
+            let free = match displaced {
+                None => true,
+                Some(other) => try_assign(other, masks, visited, var_of_block, block_of_var),
+            };
+            if free {
+                var_of_block[b] = Some(v);
+                block_of_var.insert(v, b);
+                return true;
+            }
+        }
+        false
+    }
+
+    let mut var_of_block: Vec<Option<usize>> = vec![None; masks.len()];
+    let mut block_of_var: HashMap<usize, usize> = HashMap::new();
+    for b in 0..masks.len() {
+        let mut visited = 0u128;
+        if !try_assign(b, masks, &mut visited, &mut var_of_block, &mut block_of_var) {
+            return None;
+        }
+    }
+    Some(
+        var_of_block
+            .into_iter()
+            .map(|v| v.expect("assigned"))
+            .collect(),
+    )
+}
+
+/// The block masks of a partition: each block's allowed variables are
+/// those every member hole allows.
+fn block_masks(inst: &GeneralInstance, rgs: &[usize]) -> Vec<u128> {
+    let mut masks = vec![u128::MAX; rgs_block_count(rgs)];
+    for (hole, &b) in rgs.iter().enumerate() {
+        masks[b] &= inst.mask(hole);
+    }
+    masks
 }
 
 proptest! {
@@ -221,37 +305,70 @@ proptest! {
         // the exponential oracle on every small constrained instance.
         let general = inst.to_general();
         let brute = brute::count_distinct_partitions(&general) as u64;
-        prop_assert_eq!(ConstrainedRgs::new(&general).total().to_u64(), Some(brute));
+        prop_assert_eq!(ConstrainedRgs::new(&general, u64::MAX).total(), brute);
         prop_assert_eq!(canonical_count(&general).to_u64(), Some(brute));
     }
 
     #[test]
-    fn constrained_unrank_inverts_the_canonical_sequence(inst in small_instance()) {
-        let general = inst.to_general();
-        let serial = canonical_solutions(&general, usize::MAX).0;
-        let mut space = ConstrainedRgs::new(&general);
-        prop_assert_eq!(space.total().to_u64(), Some(serial.len() as u64));
-        for (i, rgs) in serial.iter().enumerate() {
-            prop_assert_eq!(&space.unrank_u64(i as u64), rgs, "rank {}", i);
+    fn constrained_unrank_inverts_the_canonical_sequence(
+        inst in small_instance(),
+        general in general_instance(),
+    ) {
+        // At every cap the DP's total is `min(exact, cap)`, and every
+        // rank below it unranks to the enumerator's solution of that rank.
+        for general in [inst.to_general(), general] {
+            let serial = canonical_solutions(&general, usize::MAX).0;
+            let exact = serial.len() as u64;
+            for cap in [1, 2, exact, exact + 1, u64::MAX] {
+                let mut space = ConstrainedRgs::new(&general, cap);
+                let total = space.total();
+                prop_assert_eq!(total, exact.min(cap), "cap {}", cap);
+                for i in 0..total {
+                    prop_assert_eq!(&space.unrank(i), &serial[i as usize], "cap {}, rank {}", cap, i);
+                }
+            }
         }
     }
 
     #[test]
-    fn canonical_walk_from_an_unranked_solution_is_the_serial_tail(inst in small_instance()) {
+    fn canonical_walk_from_an_unranked_solution_is_the_serial_tail(
+        inst in small_instance(),
+        general in general_instance(),
+    ) {
         // The step a shard of a canonical space starts with: unrank the
         // shard's first index, then walk on from that solution. For every
         // rank the walk must yield exactly the serial sequence's tail.
-        let general = inst.to_general();
-        let serial = canonical_solutions(&general, usize::MAX).0;
-        let mut space = ConstrainedRgs::new(&general);
-        for i in 0..serial.len() {
-            let lower = space.unrank_u64(i as u64);
-            let mut tail: Vec<Vec<usize>> = Vec::new();
-            let _ = enumerate_canonical_from(&general, &lower, &mut |rgs| {
-                tail.push(rgs.to_vec());
-                ControlFlow::Continue(())
-            });
-            prop_assert_eq!(&tail[..], &serial[i..], "resumed at rank {}", i);
+        for general in [inst.to_general(), general] {
+            let serial = canonical_solutions(&general, usize::MAX).0;
+            let mut space = ConstrainedRgs::new(&general, u64::MAX);
+            for i in 0..serial.len() {
+                let lower = space.unrank(i as u64);
+                let mut tail: Vec<Vec<usize>> = Vec::new();
+                let _ = enumerate_canonical_from(&general, &lower, &mut |rgs| {
+                    tail.push(rgs.to_vec());
+                    ControlFlow::Continue(())
+                });
+                prop_assert_eq!(&tail[..], &serial[i..], "resumed at rank {}", i);
+            }
         }
+    }
+
+    #[test]
+    fn sdr_matching_is_the_reference_matching(
+        masks in proptest::collection::vec(0u128..64, 0..10),
+        shift in 0u32..123,
+    ) {
+        // Six variables anywhere in the mask width, so zero masks and
+        // more blocks than variables both occur.
+        let masks: Vec<u128> = masks.into_iter().map(|m| m << shift).collect();
+        prop_assert_eq!(sdr_matching(&masks), reference_sdr_matching(&masks));
+    }
+
+    #[test]
+    fn canonical_walk_is_the_rgs_space_filtered_by_the_reference(inst in general_instance()) {
+        let expected: Vec<Vec<usize>> = Rgs::new(inst.num_holes(), inst.num_vars)
+            .filter(|rgs| reference_sdr_matching(&block_masks(&inst, rgs)).is_some())
+            .collect();
+        prop_assert_eq!(canonical_solutions(&inst, usize::MAX).0, expected);
     }
 }

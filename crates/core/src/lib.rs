@@ -36,7 +36,8 @@
 use spe_bignum::BigUint;
 use spe_combinatorics::{
     assignment_for_rgs, canonical_solutions, enumerate_canonical_from, even_ranges,
-    orbit_solutions, paper_solutions, rgs_unrank, ConstrainedRgs, Fillings, GeneralInstance,
+    orbit_solutions, paper_solutions, partitions_at_most, rgs_unrank, ConstrainedRgs, Fillings,
+    GeneralInstance,
 };
 pub use spe_skeleton::{
     Granularity, Hole, NameId, NameTable, RenderTemplate, Skeleton, SkeletonError, TypeGroup, Unit,
@@ -413,12 +414,13 @@ pub struct ShardedEnumerator {
 ///   general case: the paper, orbit and naive algorithms, and canonical
 ///   groups beyond the 128-variable mask width);
 /// * **canonical shard-native** — for [`Algorithm::Canonical`] whenever
-///   every type group admits *cheap* exact prefix counts (`num_vars <=
-///   128` and the counting DP within the crate-internal state limit),
-///   *including constrained, multi-group skeletons*: no solution list is
-///   materialized at all. Each group's space is sized exactly — in
-///   closed form ([`spe_combinatorics::partitions_at_most`]) when the
-///   group is unconstrained, through the prefix-count DP
+///   every type group admits *cheap* budget-capped prefix counts
+///   (`num_vars <= 128` and the counting DP, capped at `budget + 1`,
+///   within the crate-internal state limit), *including constrained,
+///   multi-group skeletons*: no solution list is materialized at all.
+///   Each group's space is sized up to the budget — in closed form
+///   ([`spe_combinatorics::partitions_at_most`]) when the group is
+///   unconstrained, through the capped prefix-count DP
 ///   ([`spe_combinatorics::ConstrainedRgs`], `DESIGN.md §8`) otherwise —
 ///   and shards jump to their emission boundary by per-group mixed-radix
 ///   unranking, then walk on from there through
@@ -459,6 +461,10 @@ struct NativeGroup {
     /// budget at prepare time. This group's radix in the mixed-radix
     /// emission-index space.
     size: u64,
+    /// The count cap the gate sized a constrained group with
+    /// (`budget + 1`). Stream unrankers use it too, so they visit only
+    /// the DP states the gate's state bound already covered.
+    cap: u64,
     /// Every hole sees the whole variable set: group-local indices
     /// unrank in closed form ([`rgs_unrank`]) and the SDR assignment is
     /// the top-`m`-ascending rule; otherwise the prefix-count DP
@@ -477,8 +483,8 @@ impl NativeGroup {
         if self.unconstrained {
             rgs_unrank(self.general.num_holes(), self.general.num_vars, index)
         } else {
-            dp.get_or_insert_with(|| ConstrainedRgs::new(&self.general))
-                .unrank_u64(index)
+            dp.get_or_insert_with(|| ConstrainedRgs::new(&self.general, self.cap))
+                .unrank(index)
         }
     }
 
@@ -565,34 +571,38 @@ impl VariantSpace {
 
 /// Per-group ceiling on constrained-counting DP states before
 /// [`canonical_native_space`] gives up and the enumerator falls back to
-/// the materialized path. The DP's state count tracks the number of
-/// distinct block-mask multisets the constraint structure can produce:
-/// small for scope-shaped constraints (the corpus regime), but
-/// exponential for adversarial shapes like dozens of interleaved
-/// declaration-order prefixes — where budget-capped materialized
-/// enumeration stays cheap and must remain the path taken. A successful
-/// in-limit count also bounds every later boundary unrank (the count
-/// visits every reachable DP state), so the gate decision covers stream
-/// time too.
+/// the materialized path. The DP counts up to `budget + 1` and expands
+/// no state past the point where that cap is reached, so its state count
+/// tracks the distinct block-mask multisets the constraint structure
+/// produces within the budget's reach: small for the corpus, even for
+/// shapes such as dozens of interleaved declaration-order prefixes whose
+/// exact count would need far more states. A successful in-limit count
+/// also bounds every later boundary unrank (unranking at the same cap
+/// reads only states the count memoized), so the gate decision covers
+/// stream time too.
 const NATIVE_COUNT_STATE_LIMIT: usize = 1 << 14;
 
 /// Builds the shard-native canonical representation when every type
-/// group admits *cheap* exact prefix counts: group variables fit the
-/// 128-bit constraint masks and the counting DP stays within
-/// [`NATIVE_COUNT_STATE_LIMIT`] states. Unconstrained groups (every
-/// hole sees the whole variable set — the Bell-number regime) are sized
-/// in closed form; constrained groups are sized by the prefix-count DP
-/// ([`ConstrainedRgs`]). Returns the space and whether the budget cut
-/// some group's solution stream short (the materialized path's
-/// `truncated` flag), or `None` — materialize instead — when any group
-/// fails either condition. See `DESIGN.md §8` for the gate conditions
-/// and the DP itself.
+/// group admits *cheap* capped prefix counts: group variables fit the
+/// 128-bit constraint masks and the counting DP, capped at `budget + 1`,
+/// stays within [`NATIVE_COUNT_STATE_LIMIT`] states. Unconstrained
+/// groups (every hole sees the whole variable set — the Bell-number
+/// regime) are sized in closed form; constrained groups are sized by the
+/// capped prefix-count DP ([`ConstrainedRgs`]). The cap is one past the
+/// budget because a space of exactly `budget` solutions is not truncated
+/// and a larger one is: a count of `budget + 1` tells them apart, and
+/// nothing beyond it matters. Returns the space
+/// and whether the budget cut some group's solution stream short (the
+/// materialized path's `truncated` flag), or `None` — materialize
+/// instead — when any group fails either condition. See `DESIGN.md §8`
+/// for the gate conditions and the DP itself.
 fn canonical_native_space(
     config: &EnumeratorConfig,
     sk: &Skeleton,
 ) -> Option<(CanonicalNativeSpace, bool)> {
     let units = sk.units(config.granularity);
-    let budget = BigUint::from(config.budget as u64);
+    let budget = config.budget as u64;
+    let cap = budget.saturating_add(1);
     let mut groups = Vec::new();
     let mut truncated = false;
     for u in &units {
@@ -601,17 +611,20 @@ fn canonical_native_space(
             if k == 0 || k > 128 {
                 return None;
             }
-            let count = g.canonical_space_size(NATIVE_COUNT_STATE_LIMIT)?;
-            let size = if count > budget {
-                truncated = true;
-                config.budget as u64
+            let unconstrained = g.is_unconstrained();
+            let count = if unconstrained {
+                partitions_at_most(g.general.num_holes() as u32, k as u32)
+                    .to_u64()
+                    .map_or(cap, |c| c.min(cap))
             } else {
-                count.to_u64().expect("count <= budget fits u64")
+                ConstrainedRgs::new(&g.general, cap).try_total_within(NATIVE_COUNT_STATE_LIMIT)?
             };
+            truncated |= count > budget;
             groups.push(NativeGroup {
                 general: g.general.clone(),
-                size,
-                unconstrained: g.is_unconstrained(),
+                size: count.min(budget),
+                cap,
+                unconstrained,
                 holes: g.holes.iter().map(|&h| h as u32).collect(),
                 var_names: g.vars.iter().map(|&v| sk.var_name(v)).collect(),
             });
@@ -773,7 +786,7 @@ impl ShardedEnumerator {
     /// counting-DP state limit — constrained and multi-group skeletons
     /// included) nothing is materialized: shards later enumerate their
     /// own slice natively, so preparation costs only the per-group
-    /// exact counts, never the space size.
+    /// counts, each capped one past the budget, never the space size.
     pub fn prepare(&self, sk: &Skeleton) -> VariantSpace {
         if self.config.algorithm == Algorithm::Canonical {
             if let Some((native, truncated)) = canonical_native_space(&self.config, sk) {
@@ -895,26 +908,6 @@ pub fn naive_count(sk: &Skeleton, granularity: Granularity) -> BigUint {
         }
     }
     acc
-}
-
-/// Count of canonical (valid-partition) variants, computed by capped
-/// enumeration. Returns `(count, exceeded)` where `exceeded` means the
-/// cap was hit and the count is a lower bound.
-pub fn canonical_count_capped(
-    sk: &Skeleton,
-    granularity: Granularity,
-    cap: usize,
-) -> (BigUint, bool) {
-    let mut acc = BigUint::one();
-    let mut exceeded = false;
-    for u in sk.units(granularity) {
-        for g in &u.groups {
-            let (sols, truncated) = canonical_solutions(&g.general, cap);
-            exceeded |= truncated;
-            acc *= &BigUint::from(sols.len());
-        }
-    }
-    (acc, exceeded)
 }
 
 #[cfg(test)]
@@ -1084,17 +1077,6 @@ mod tests {
             .expect("builds");
         // Each type group: 2 holes over 2 vars -> 2; product 4.
         assert_eq!(spe_count(&sk, Granularity::Intra).to_u64(), Some(4));
-    }
-
-    #[test]
-    fn canonical_capped_count() {
-        let sk = fig1();
-        let (count, exceeded) = canonical_count_capped(&sk, Granularity::Intra, 10_000);
-        assert_eq!(count.to_u64(), Some(64));
-        assert!(!exceeded);
-        let (count, exceeded) = canonical_count_capped(&sk, Granularity::Intra, 10);
-        assert_eq!(count.to_u64(), Some(10));
-        assert!(exceeded);
     }
 
     #[test]
@@ -1421,12 +1403,13 @@ mod tests {
     }
 
     #[test]
-    fn pathological_constraint_structures_fall_back_to_materialization() {
+    fn pathological_constraint_structures_take_the_capped_native_path() {
         // Dozens of interleaved declaration-order prefixes give every
         // hole a distinct allowed set; the exact-counting DP's state
-        // space explodes while budget-capped materialized enumeration
-        // stays cheap. The gate must detect this and fall back — and
-        // the fallback must still be byte-identical across shards.
+        // space explodes (past 16K states), while the DP capped one past
+        // the budget needs about a hundred. The gate must size it that
+        // way and take the native path — which must still be
+        // byte-identical across shards.
         let mut body = String::new();
         for i in 0..24 {
             body.push_str(&format!("int v{i}; v{i} = {i};\n"));
@@ -1444,19 +1427,65 @@ mod tests {
         let sharded = ShardedEnumerator::new(config, 4);
         let space = sharded.prepare(&sk);
         assert!(
-            !space.is_shard_native(),
-            "the gate must refuse DP-hostile instances"
+            space.is_shard_native(),
+            "the capped count must stay within the gate's state limit"
         );
         let serial = Enumerator::new(config).collect_sources(&sk);
         assert_eq!(serial.len(), 200, "budget-capped");
         assert_eq!(sharded_sources(&sharded, &sk).0, serial);
-        // Both prepare-and-refuse and the fallback must stay far from
-        // the uncapped DP's runtime (tens of seconds).
+        // Prepare and the shard walks must stay far from the uncapped
+        // DP's runtime (tens of seconds).
         assert!(
             start.elapsed() < std::time::Duration::from_secs(10),
             "fallback took {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn single_constrained_group_truncates_exactly_at_the_cap_boundary() {
+        // One type group, constrained by declaration order, so no
+        // product cap can hide the group's truncation flag: only a count
+        // capped one past the budget tells a space of exactly `budget`
+        // variants from a larger one.
+        let sk = Skeleton::from_source(
+            "void f() { int a; a = 1; int b; b = a; a = b; int c; c = a + b; b = c; }",
+        )
+        .expect("builds");
+        let units = sk.units(Granularity::Intra);
+        let groups: Vec<_> = units.iter().flat_map(|u| u.groups.iter()).collect();
+        assert_eq!(groups.len(), 1);
+        assert!(!groups[0].is_unconstrained());
+        let config = |budget| EnumeratorConfig {
+            algorithm: Algorithm::Canonical,
+            budget,
+            ..Default::default()
+        };
+        let n = Enumerator::new(config(1_000_000))
+            .collect_sources(&sk)
+            .len();
+        assert_eq!(n, 3767);
+        for budget in [1, n - 1, n, n + 1] {
+            let mut serial = Vec::new();
+            let serial_outcome = Enumerator::new(config(budget)).enumerate(&sk, &mut |v| {
+                serial.push(v.source(&sk));
+                ControlFlow::Continue(())
+            });
+            assert_eq!(serial_outcome.truncated, budget < n, "budget {budget}");
+            for shards in [1usize, 2] {
+                let sharded = ShardedEnumerator::new(config(budget), shards);
+                let space = sharded.prepare(&sk);
+                assert!(space.is_shard_native());
+                assert_eq!(
+                    space.truncated(),
+                    serial_outcome.truncated,
+                    "budget {budget}"
+                );
+                let (sources, outcome) = sharded_sources(&sharded, &sk);
+                assert_eq!(outcome, serial_outcome, "budget {budget}, {shards} shards");
+                assert_eq!(sources, serial, "budget {budget}, {shards} shards");
+            }
+        }
     }
 
     #[test]

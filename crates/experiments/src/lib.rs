@@ -359,8 +359,8 @@ pub fn parallel_speedup(scale: Scale, worker_counts: &[usize]) -> Table {
 }
 
 /// Campaign scaling under `Algorithm::Canonical`, where every corpus
-/// skeleton with cheap exact prefix counts takes the shard-native
-/// enumeration path — per-group spaces sized by the counting DP, no
+/// skeleton with cheap budget-capped prefix counts takes the shard-native
+/// enumeration path — per-group spaces sized by the capped counting DP, no
 /// solution list materialized (`DESIGN.md §8`). Same contract as
 /// [`parallel_speedup`]: reports must stay byte-identical to the serial
 /// campaign at every worker count, here with the native walk feeding

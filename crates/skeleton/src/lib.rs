@@ -146,32 +146,6 @@ impl TypeGroup {
         let k = self.general.num_vars;
         self.general.allowed.iter().all(|a| a.len() == k)
     }
-
-    /// Exact size of the group's canonical solution space (the number of
-    /// valid partitions of its holes), without enumerating it: the
-    /// closed form for unconstrained groups, the prefix-count DP
-    /// otherwise. This is the per-group radix of the mixed-radix
-    /// emission-index space that sharded canonical enumeration cuts.
-    ///
-    /// Returns `None` when counting would exceed `max_states` DP states
-    /// ([`spe_combinatorics::ConstrainedRgs::try_total_within`]):
-    /// adversarial constraint structures (e.g. dozens of interleaved
-    /// declaration-order prefixes) can make the exact count
-    /// exponentially stateful even when budget-capped enumeration stays
-    /// cheap, and callers like the shard-native gate must detect that
-    /// and fall back rather than hang. Unconstrained groups always
-    /// answer. A `Some` here also bounds every later unrank on the same
-    /// instance, since the full count visits every reachable DP state.
-    pub fn canonical_space_size(&self, max_states: usize) -> Option<spe_bignum::BigUint> {
-        if self.is_unconstrained() {
-            Some(spe_combinatorics::partitions_at_most(
-                self.general.num_holes() as u32,
-                self.general.num_vars as u32,
-            ))
-        } else {
-            spe_combinatorics::ConstrainedRgs::new(&self.general).try_total_within(max_states)
-        }
-    }
 }
 
 /// An enumeration unit: the holes of one function (intra) or of the whole
@@ -800,31 +774,16 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_detection_and_space_size() {
-        // Figure 1: both variables function-top — unconstrained, Bell
-        // regime, closed-form size.
+    fn unconstrained_detection() {
+        // Figure 1: both variables function-top — unconstrained, the
+        // Bell regime.
         let s = sk("int main() { int a, b = 1; b = b - a; if (a) a = a - b; return 0; }");
         let units = s.units(Granularity::Intra);
-        let g = &units[0].groups[0];
-        assert!(g.is_unconstrained());
-        assert_eq!(
-            g.canonical_space_size(usize::MAX),
-            Some(spe_combinatorics::partitions_at_most(7, 2))
-        );
-        // Unconstrained groups never consult the DP, so any state budget
-        // answers.
-        assert!(g.canonical_space_size(0).is_some());
-        // Declaration order constrains the first hole — DP-sized.
+        assert!(units[0].groups[0].is_unconstrained());
+        // Declaration order constrains the first hole.
         let s = sk("void f() { int a; a = 1; int b; b = a; }");
         let units = s.units(Granularity::Intra);
-        let g = &units[0].groups[0];
-        assert!(!g.is_unconstrained());
-        assert_eq!(
-            g.canonical_space_size(usize::MAX),
-            Some(canonical_count(&g.general))
-        );
-        // A starved state budget reports "too stateful to count".
-        assert_eq!(g.canonical_space_size(0), None);
+        assert!(!units[0].groups[0].is_unconstrained());
     }
 
     #[test]
