@@ -1,7 +1,15 @@
 //! Benchmarks for the compiler-under-test pipeline and the differential
-//! harness hot path.
+//! harness hot path, and the per-file set-up a campaign pays before its
+//! first variant.
+//!
+//! The `per_file` group times each set-up step over the first
+//! [`PER_FILE_FILES`] files `spe_corpus::generate` makes at seed 1 (the
+//! `breadth` shape: small files, small spaces); divide a row by that
+//! count for the cost per file. `BENCH_per_file.json` records the rows.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use spe_core::{Algorithm, EnumeratorConfig, ShardedEnumerator, Skeleton};
+use spe_corpus::{generate, CorpusConfig};
 use spe_simcc::{interp, Compiler, CompilerId};
 
 const PROGRAM: &str = r#"
@@ -41,5 +49,65 @@ fn bench_compile(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compile);
+/// Files per `per_file` iteration.
+const PER_FILE_FILES: usize = 200;
+
+fn bench_per_file(c: &mut Criterion) {
+    const SAMPLES: usize = 10;
+    let files = generate(&CorpusConfig {
+        files: PER_FILE_FILES,
+        seed: 1,
+    });
+    let skeletons: Vec<Skeleton> = files
+        .iter()
+        .map(|f| Skeleton::from_source(&f.source).expect("generated files analyze"))
+        .collect();
+    let sharded = ShardedEnumerator::new(
+        EnumeratorConfig {
+            algorithm: Algorithm::Paper,
+            budget: 50,
+            ..Default::default()
+        },
+        2,
+    );
+    let mut group = c.benchmark_group("per_file");
+    group.sample_size(SAMPLES);
+    group.bench_function("parse", |b| {
+        b.iter(|| {
+            for f in &files {
+                black_box(spe_minic::parse(&f.source).expect("parses"));
+            }
+        })
+    });
+    group.bench_function("skeleton", |b| {
+        b.iter(|| {
+            for f in &files {
+                black_box(Skeleton::from_source(&f.source).expect("analyzes"));
+            }
+        })
+    });
+    group.bench_function("prepare", |b| {
+        b.iter(|| {
+            for sk in &skeletons {
+                black_box(sharded.prepare(sk));
+            }
+        })
+    });
+    // The template is built once per skeleton, on first use: every
+    // iteration takes its own fresh copies, built and dropped untimed.
+    let mut fresh: Vec<Vec<Skeleton>> = (0..=SAMPLES).map(|_| skeletons.clone()).collect();
+    let mut used = Vec::with_capacity(fresh.len());
+    group.bench_function("template", |b| {
+        b.iter(|| {
+            let batch = fresh.pop().expect("one fresh batch per iteration");
+            for sk in &batch {
+                black_box(sk.template());
+            }
+            used.push(batch);
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_compile, bench_per_file);
 criterion_main!(benches);

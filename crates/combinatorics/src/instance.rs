@@ -242,6 +242,57 @@ impl ScopedSolution {
     }
 }
 
+/// A [`ScopedSolution`] rebuilt in place for every solution a walk emits.
+/// Block buffers outlive the solutions that use them, so a walk
+/// allocates only while its largest solution so far grows.
+#[derive(Debug)]
+pub(crate) struct SolutionBuf {
+    /// The solution under construction, handed to visitors.
+    pub(crate) sol: ScopedSolution,
+    /// Cleared buffers of blocks the current solution does not use.
+    spare: Vec<Vec<HoleId>>,
+}
+
+impl SolutionBuf {
+    pub(crate) fn new() -> SolutionBuf {
+        SolutionBuf {
+            sol: ScopedSolution {
+                blocks: Vec::new(),
+                pools: Vec::new(),
+            },
+            spare: Vec::new(),
+        }
+    }
+
+    /// Empties the solution, keeping its block buffers.
+    pub(crate) fn clear(&mut self) {
+        self.spare.extend(self.sol.blocks.drain(..).map(|mut b| {
+            b.clear();
+            b
+        }));
+        self.sol.pools.clear();
+    }
+
+    /// Appends the blocks of the RGS `rgs` over `holes` (`holes[i]` joins
+    /// block `rgs[i]`), in block order, as [`crate::rgs_to_blocks`] lists
+    /// them. Pools are the caller's to push.
+    pub(crate) fn push_blocks(&mut self, rgs: &[usize], holes: &[HoleId]) {
+        let first = self.sol.blocks.len();
+        for (&b, &h) in rgs.iter().zip(holes) {
+            // An RGS opens block `b` exactly when `b` equals the count so far.
+            if first + b == self.sol.blocks.len() {
+                self.sol.blocks.push(self.spare.pop().unwrap_or_default());
+            }
+            self.sol.blocks[first + b].push(h);
+        }
+    }
+
+    /// Gives every block without a pool yet the pool `pool`.
+    pub(crate) fn pool_rest(&mut self, pool: PoolRef) {
+        self.sol.pools.resize(self.sol.blocks.len(), pool);
+    }
+}
+
 /// The general SPE partition instance of §4.2.1: each hole has an explicit
 /// allowed-variable set. This form also expresses nested scopes and
 /// type-compatibility constraints.

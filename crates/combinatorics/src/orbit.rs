@@ -13,8 +13,7 @@
 //! against brute force.
 
 use crate::canonical::enumerate_canonical;
-use crate::instance::{FlatInstance, PoolRef, ScopedSolution};
-use crate::rgs_to_blocks;
+use crate::instance::{FlatInstance, HoleId, PoolRef, ScopedSolution, SolutionBuf};
 use spe_bignum::BigUint;
 use std::ops::ControlFlow;
 
@@ -37,6 +36,7 @@ where
     F: FnMut(&ScopedSolution) -> ControlFlow<()>,
 {
     let general = inst.to_general();
+    let holes: Vec<HoleId> = (0..general.num_holes()).collect();
     // Scope membership for pool feasibility: hole -> Some(scope index).
     let mut scope_of_hole: Vec<Option<usize>> = vec![None; general.num_holes()];
     for (si, s) in inst.scopes().iter().enumerate() {
@@ -44,58 +44,51 @@ where
             scope_of_hole[h] = Some(si);
         }
     }
+    let global = (inst.global_vars() > 0).then_some(PoolRef::Global);
+    let mut buf = SolutionBuf::new();
+    // Feasible pools per block: the global pool, then the block's scope.
+    let mut feasible: Vec<[Option<PoolRef>; 2]> = Vec::new();
     enumerate_canonical(&general, &mut |rgs| {
-        let blocks = rgs_to_blocks(rgs);
-        // Feasible pools per block.
-        let feasible: Vec<Vec<PoolRef>> = blocks
-            .iter()
-            .map(|b| {
-                let mut pools = Vec::new();
-                if inst.global_vars() > 0 {
-                    pools.push(PoolRef::Global);
-                }
-                let first = scope_of_hole[b[0]];
-                if let Some(si) = first {
-                    if b.iter().all(|&h| scope_of_hole[h] == Some(si)) {
-                        pools.push(PoolRef::Local(si));
-                    }
-                }
-                pools
-            })
-            .collect();
-        assign_pools(inst, &blocks, &feasible, 0, &mut Vec::new(), visit)
+        buf.clear();
+        buf.push_blocks(rgs, &holes);
+        feasible.clear();
+        feasible.extend(buf.sol.blocks.iter().map(|b| {
+            let local = scope_of_hole[b[0]]
+                .filter(|&si| b.iter().all(|&h| scope_of_hole[h] == Some(si)))
+                .map(PoolRef::Local);
+            [global, local]
+        }));
+        assign_pools(inst, &feasible, &mut buf.sol, visit)
     })
 }
 
+/// Chooses a pool for each block of `sol` past those it has, in every
+/// feasible way, and visits each complete choice.
 fn assign_pools<F>(
     inst: &FlatInstance,
-    blocks: &[Vec<usize>],
-    feasible: &[Vec<PoolRef>],
-    idx: usize,
-    chosen: &mut Vec<PoolRef>,
+    feasible: &[[Option<PoolRef>; 2]],
+    sol: &mut ScopedSolution,
     visit: &mut F,
 ) -> ControlFlow<()>
 where
     F: FnMut(&ScopedSolution) -> ControlFlow<()>,
 {
-    if idx == blocks.len() {
-        return visit(&ScopedSolution {
-            blocks: blocks.to_vec(),
-            pools: chosen.clone(),
-        });
+    let idx = sol.pools.len();
+    if idx == sol.blocks.len() {
+        return visit(sol);
     }
-    for &pool in &feasible[idx] {
+    for pool in feasible[idx].into_iter().flatten() {
         let capacity = match pool {
             PoolRef::Global => inst.global_vars(),
             PoolRef::Local(s) => inst.scopes()[s].vars,
         };
-        let used = chosen.iter().filter(|&&p| p == pool).count();
+        let used = sol.pools.iter().filter(|&&p| p == pool).count();
         if used >= capacity {
             continue;
         }
-        chosen.push(pool);
-        assign_pools(inst, blocks, feasible, idx + 1, chosen, visit)?;
-        chosen.pop();
+        sol.pools.push(pool);
+        assign_pools(inst, feasible, sol, visit)?;
+        sol.pools.pop();
     }
     ControlFlow::Continue(())
 }

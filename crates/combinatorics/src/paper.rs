@@ -23,8 +23,8 @@
 //! different pool assignment; the `canonical` and `orbit` modules provide
 //! the two mathematically tight alternatives.
 
-use crate::instance::{FlatInstance, PoolRef, ScopedSolution};
-use crate::{partitions_at_most, rgs_to_blocks, stirling2_clamped, Combinations, ExactRgs, Rgs};
+use crate::instance::{FlatInstance, HoleId, PoolRef, ScopedSolution, SolutionBuf};
+use crate::{partitions_at_most, stirling2_clamped, Combinations, ExactRgs, Rgs};
 use spe_bignum::BigUint;
 use std::ops::ControlFlow;
 
@@ -53,16 +53,16 @@ where
     }
     let order = inst.normal_form();
     let kg = inst.global_vars();
+    let mut buf = SolutionBuf::new();
 
     // Phase 1: S'_f — all holes, at most |v^g| blocks, all pools global.
     if kg > 0 || order.is_empty() {
-        for rgs in Rgs::new(order.len(), kg.max(usize::from(order.is_empty()))) {
-            let blocks: Vec<Vec<usize>> = rgs_to_blocks(&rgs)
-                .into_iter()
-                .map(|b| b.iter().map(|&i| order[i]).collect())
-                .collect();
-            let pools = vec![PoolRef::Global; blocks.len()];
-            visit(&ScopedSolution { blocks, pools })?;
+        let mut rgs = Rgs::new(order.len(), kg.max(usize::from(order.is_empty())));
+        while let Some(a) = rgs.next_in_place() {
+            buf.clear();
+            buf.push_blocks(a, &order);
+            buf.pool_rest(PoolRef::Global);
+            visit(&buf.sol)?;
         }
     }
 
@@ -70,102 +70,104 @@ where
     if inst.scopes().is_empty() {
         return ControlFlow::Continue(());
     }
-    let mut promoted: Vec<usize> = Vec::new();
-    let mut locals: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-    partition_scope(inst, 0, &mut promoted, &mut locals, visit)
+    ScopeWalk {
+        inst,
+        global: inst.global_holes().to_vec(),
+        locals: vec![(Vec::new(), Vec::new()); inst.scopes().len()],
+        buf,
+    }
+    .partition_scope(0, visit)
 }
 
-fn partition_scope<F>(
-    inst: &FlatInstance,
-    scope_idx: usize,
-    promoted: &mut Vec<usize>,
-    locals: &mut Vec<(usize, Vec<Vec<usize>>)>,
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&ScopedSolution) -> ControlFlow<()>,
-{
-    if scope_idx == inst.scopes().len() {
-        return emit_with_globals(inst, promoted, locals, visit);
-    }
-    let scope = &inst.scopes()[scope_idx];
-    let u = scope.holes.len();
-    debug_assert!(u >= 1, "normalization removes empty scopes");
-    // Paper line 2: k ∈ [0, u-1] — promote every *proper* subset.
-    for p in 0..u {
-        for combo in Combinations::new(u, p) {
-            let chosen: Vec<usize> = combo.iter().map(|&i| scope.holes[i]).collect();
-            let rest: Vec<usize> = (0..u)
-                .filter(|i| !combo.contains(i))
-                .map(|i| scope.holes[i])
-                .collect();
-            promoted.extend_from_slice(&chosen);
-            // Paper lines 7-8: j ∈ [1, v], PARTITIONS'(rest, j).
-            let max_j = scope.vars.min(rest.len());
-            for j in 1..=max_j {
-                for lrgs in ExactRgs::new(rest.len(), j) {
-                    let blocks: Vec<Vec<usize>> = rgs_to_blocks(&lrgs)
-                        .into_iter()
-                        .map(|b| b.iter().map(|&i| rest[i]).collect())
-                        .collect();
-                    locals.push((scope_idx, blocks));
-                    partition_scope(inst, scope_idx + 1, promoted, locals, visit)?;
-                    locals.pop();
+/// The state of phase 2, in buffers reused across every solution.
+struct ScopeWalk<'a> {
+    inst: &'a FlatInstance,
+    /// The global holes, then the holes promoted from the scopes so far.
+    global: Vec<HoleId>,
+    /// Per scope, once the walk has reached it: the holes it keeps local
+    /// and their partition, as an RGS over them.
+    locals: Vec<(Vec<HoleId>, Vec<usize>)>,
+    buf: SolutionBuf,
+}
+
+impl ScopeWalk<'_> {
+    fn partition_scope<F>(&mut self, scope_idx: usize, visit: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&ScopedSolution) -> ControlFlow<()>,
+    {
+        let inst = self.inst;
+        if scope_idx == inst.scopes().len() {
+            return self.emit_with_globals(visit);
+        }
+        let scope = &inst.scopes()[scope_idx];
+        let u = scope.holes.len();
+        debug_assert!(u >= 1, "normalization removes empty scopes");
+        // Paper line 2: k ∈ [0, u-1] — promote every *proper* subset.
+        for p in 0..u {
+            for combo in Combinations::new(u, p) {
+                let promoted_from = self.global.len();
+                self.global.extend(combo.iter().map(|&i| scope.holes[i]));
+                let rest = &mut self.locals[scope_idx].0;
+                rest.clear();
+                rest.extend(
+                    (0..u)
+                        .filter(|i| !combo.contains(i))
+                        .map(|i| scope.holes[i]),
+                );
+                let n_rest = rest.len();
+                // Paper lines 7-8: j ∈ [1, v], PARTITIONS'(rest, j).
+                for j in 1..=scope.vars.min(n_rest) {
+                    let mut lrgs = ExactRgs::new(n_rest, j);
+                    while let Some(a) = lrgs.next_in_place() {
+                        let rgs = &mut self.locals[scope_idx].1;
+                        rgs.clear();
+                        rgs.extend_from_slice(a);
+                        self.partition_scope(scope_idx + 1, visit)?;
+                    }
                 }
+                self.global.truncate(promoted_from);
             }
-            promoted.truncate(promoted.len() - chosen.len());
         }
+        ControlFlow::Continue(())
     }
-    ControlFlow::Continue(())
-}
 
-fn emit_with_globals<F>(
-    inst: &FlatInstance,
-    promoted: &[usize],
-    locals: &[(usize, Vec<Vec<usize>>)],
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&ScopedSolution) -> ControlFlow<()>,
-{
-    let mut g: Vec<usize> = inst.global_holes().to_vec();
-    g.extend_from_slice(promoted);
-    // Paper line 14: PARTITIONS'(G, |v^g|) with the clamping convention.
-    let j = inst.global_vars().min(g.len());
-    if g.is_empty() {
-        // One empty global partition.
-        return emit_solution(&[], locals, visit);
-    }
-    if j == 0 {
-        return ControlFlow::Continue(());
-    }
-    for grgs in ExactRgs::new(g.len(), j) {
-        let blocks: Vec<Vec<usize>> = rgs_to_blocks(&grgs)
-            .into_iter()
-            .map(|b| b.iter().map(|&i| g[i]).collect())
-            .collect();
-        emit_solution(&blocks, locals, visit)?;
-    }
-    ControlFlow::Continue(())
-}
-
-fn emit_solution<F>(
-    global_blocks: &[Vec<usize>],
-    locals: &[(usize, Vec<Vec<usize>>)],
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&ScopedSolution) -> ControlFlow<()>,
-{
-    let mut blocks: Vec<Vec<usize>> = global_blocks.to_vec();
-    let mut pools: Vec<PoolRef> = vec![PoolRef::Global; blocks.len()];
-    for (scope_idx, lblocks) in locals {
-        for b in lblocks {
-            blocks.push(b.clone());
-            pools.push(PoolRef::Local(*scope_idx));
+    fn emit_with_globals<F>(&mut self, visit: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&ScopedSolution) -> ControlFlow<()>,
+    {
+        let g = self.global.len();
+        // Paper line 14: PARTITIONS'(G, |v^g|) with the clamping convention.
+        let j = self.inst.global_vars().min(g);
+        if g == 0 {
+            // One empty global partition.
+            return self.emit(&[], visit);
         }
+        if j == 0 {
+            return ControlFlow::Continue(());
+        }
+        let mut grgs = ExactRgs::new(g, j);
+        while let Some(a) = grgs.next_in_place() {
+            self.emit(a, visit)?;
+        }
+        ControlFlow::Continue(())
     }
-    visit(&ScopedSolution { blocks, pools })
+
+    /// Emits the global blocks of `global_rgs`, then every scope's local
+    /// blocks.
+    fn emit<F>(&mut self, global_rgs: &[usize], visit: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&ScopedSolution) -> ControlFlow<()>,
+    {
+        let buf = &mut self.buf;
+        buf.clear();
+        buf.push_blocks(global_rgs, &self.global);
+        buf.pool_rest(PoolRef::Global);
+        for (scope_idx, (rest, rgs)) in self.locals.iter().enumerate() {
+            buf.push_blocks(rgs, rest);
+            buf.pool_rest(PoolRef::Local(scope_idx));
+        }
+        visit(&buf.sol)
+    }
 }
 
 /// Collects the paper enumeration into a vector, stopping after `limit`

@@ -74,25 +74,40 @@ impl Rgs {
         }
         false
     }
+
+    /// Moves to the next string in place (the first call lands on the
+    /// first string); `false` once exhausted.
+    fn step(&mut self) -> bool {
+        if self.done {
+            return false;
+        }
+        if !self.started {
+            self.started = true;
+            return true;
+        }
+        if !self.advance() {
+            self.done = true;
+        }
+        !self.done
+    }
+
+    /// Number of blocks the current string uses.
+    fn blocks(&self) -> usize {
+        self.prefix_max.last().map_or(0, |m| m + 1)
+    }
+
+    /// [`Iterator::next`] without the copy: advances in place and borrows
+    /// the new string.
+    pub(crate) fn next_in_place(&mut self) -> Option<&[usize]> {
+        self.step().then_some(&self.a)
+    }
 }
 
 impl Iterator for Rgs {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            return Some(self.a.clone());
-        }
-        if self.advance() {
-            Some(self.a.clone())
-        } else {
-            self.done = true;
-            None
-        }
+        self.next_in_place().map(<[usize]>::to_vec)
     }
 }
 
@@ -184,15 +199,24 @@ impl ExactRgs {
         };
         ExactRgs { inner, j }
     }
+
+    /// [`Iterator::next`] without the copy: advances in place and borrows
+    /// the new string.
+    pub(crate) fn next_in_place(&mut self) -> Option<&[usize]> {
+        while self.inner.step() {
+            if self.inner.blocks() == self.j {
+                return Some(&self.inner.a);
+            }
+        }
+        None
+    }
 }
 
 impl Iterator for ExactRgs {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        self.inner
-            .by_ref()
-            .find(|rgs| rgs_block_count(rgs) == self.j)
+        self.next_in_place().map(<[usize]>::to_vec)
     }
 }
 

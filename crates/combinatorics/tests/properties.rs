@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use spe_bignum::BigUint;
 use spe_combinatorics::{
-    brute, canonical_count, canonical_solutions, enumerate_canonical_from, labels_to_rgs,
-    orbit_count, paper_count, paper_solutions, partitions_at_most, rgs_block_count, rgs_to_blocks,
-    sdr_matching, ConstrainedRgs, FlatInstance, FlatScope, GeneralInstance, Rgs,
+    brute, canonical_count, canonical_solutions, enumerate_canonical, enumerate_canonical_from,
+    labels_to_rgs, orbit_count, orbit_solutions, paper_count, paper_solutions, partitions_at_most,
+    rgs_block_count, rgs_to_blocks, sdr_matching, Combinations, ConstrainedRgs, ExactRgs,
+    FlatInstance, FlatScope, GeneralInstance, PoolRef, Rgs, ScopedSolution,
 };
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -106,6 +107,155 @@ fn reference_sdr_matching(masks: &[u128]) -> Option<Vec<usize>> {
             .map(|v| v.expect("assigned"))
             .collect(),
     )
+}
+
+/// The paper's enumeration as first written: every solution's blocks
+/// collected afresh from `rgs_to_blocks`, and every local block cloned
+/// again on emission. The reference the buffer-reusing walk must
+/// reproduce solution for solution.
+fn reference_paper_solutions(inst: &FlatInstance) -> Vec<ScopedSolution> {
+    fn blocks_over(rgs: &[usize], holes: &[usize]) -> Vec<Vec<usize>> {
+        rgs_to_blocks(rgs)
+            .into_iter()
+            .map(|b| b.iter().map(|&i| holes[i]).collect())
+            .collect()
+    }
+    fn emit(
+        global_blocks: &[Vec<usize>],
+        locals: &[(usize, Vec<Vec<usize>>)],
+        out: &mut Vec<ScopedSolution>,
+    ) {
+        let mut blocks: Vec<Vec<usize>> = global_blocks.to_vec();
+        let mut pools = vec![PoolRef::Global; blocks.len()];
+        for (scope_idx, lblocks) in locals {
+            for b in lblocks {
+                blocks.push(b.clone());
+                pools.push(PoolRef::Local(*scope_idx));
+            }
+        }
+        out.push(ScopedSolution { blocks, pools });
+    }
+    fn partition_scope(
+        inst: &FlatInstance,
+        scope_idx: usize,
+        promoted: &mut Vec<usize>,
+        locals: &mut Vec<(usize, Vec<Vec<usize>>)>,
+        out: &mut Vec<ScopedSolution>,
+    ) {
+        if scope_idx == inst.scopes().len() {
+            let mut g: Vec<usize> = inst.global_holes().to_vec();
+            g.extend_from_slice(promoted);
+            let j = inst.global_vars().min(g.len());
+            if g.is_empty() {
+                emit(&[], locals, out);
+            } else if j > 0 {
+                for grgs in ExactRgs::new(g.len(), j) {
+                    emit(&blocks_over(&grgs, &g), locals, out);
+                }
+            }
+            return;
+        }
+        let scope = &inst.scopes()[scope_idx];
+        let u = scope.holes.len();
+        for p in 0..u {
+            for combo in Combinations::new(u, p) {
+                let chosen: Vec<usize> = combo.iter().map(|&i| scope.holes[i]).collect();
+                let rest: Vec<usize> = (0..u)
+                    .filter(|i| !combo.contains(i))
+                    .map(|i| scope.holes[i])
+                    .collect();
+                promoted.extend_from_slice(&chosen);
+                for j in 1..=scope.vars.min(rest.len()) {
+                    for lrgs in ExactRgs::new(rest.len(), j) {
+                        locals.push((scope_idx, blocks_over(&lrgs, &rest)));
+                        partition_scope(inst, scope_idx + 1, promoted, locals, out);
+                        locals.pop();
+                    }
+                }
+                promoted.truncate(promoted.len() - chosen.len());
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    if inst.is_unsatisfiable() {
+        return out;
+    }
+    let order = inst.normal_form();
+    let kg = inst.global_vars();
+    if kg > 0 || order.is_empty() {
+        for rgs in Rgs::new(order.len(), kg.max(usize::from(order.is_empty()))) {
+            let blocks = blocks_over(&rgs, &order);
+            let pools = vec![PoolRef::Global; blocks.len()];
+            out.push(ScopedSolution { blocks, pools });
+        }
+    }
+    if !inst.scopes().is_empty() {
+        partition_scope(inst, 0, &mut Vec::new(), &mut Vec::new(), &mut out);
+    }
+    out
+}
+
+/// Orbit enumeration as first written: fresh blocks and feasible-pool
+/// lists per partition, and every representative cloned at its leaf.
+fn reference_orbit_solutions(inst: &FlatInstance) -> Vec<ScopedSolution> {
+    fn assign_pools(
+        inst: &FlatInstance,
+        blocks: &[Vec<usize>],
+        feasible: &[Vec<PoolRef>],
+        chosen: &mut Vec<PoolRef>,
+        out: &mut Vec<ScopedSolution>,
+    ) {
+        let idx = chosen.len();
+        if idx == blocks.len() {
+            out.push(ScopedSolution {
+                blocks: blocks.to_vec(),
+                pools: chosen.clone(),
+            });
+            return;
+        }
+        for &pool in &feasible[idx] {
+            let capacity = match pool {
+                PoolRef::Global => inst.global_vars(),
+                PoolRef::Local(s) => inst.scopes()[s].vars,
+            };
+            if chosen.iter().filter(|&&p| p == pool).count() < capacity {
+                chosen.push(pool);
+                assign_pools(inst, blocks, feasible, chosen, out);
+                chosen.pop();
+            }
+        }
+    }
+
+    let general = inst.to_general();
+    let mut scope_of_hole: Vec<Option<usize>> = vec![None; general.num_holes()];
+    for (si, s) in inst.scopes().iter().enumerate() {
+        for &h in &s.holes {
+            scope_of_hole[h] = Some(si);
+        }
+    }
+    let mut out = Vec::new();
+    let _ = enumerate_canonical(&general, &mut |rgs| {
+        let blocks = rgs_to_blocks(rgs);
+        let feasible: Vec<Vec<PoolRef>> = blocks
+            .iter()
+            .map(|b| {
+                let mut pools = Vec::new();
+                if inst.global_vars() > 0 {
+                    pools.push(PoolRef::Global);
+                }
+                if let Some(si) = scope_of_hole[b[0]] {
+                    if b.iter().all(|&h| scope_of_hole[h] == Some(si)) {
+                        pools.push(PoolRef::Local(si));
+                    }
+                }
+                pools
+            })
+            .collect();
+        assign_pools(inst, &blocks, &feasible, &mut Vec::new(), &mut out);
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 /// The block masks of a partition: each block's allowed variables are
@@ -362,6 +512,20 @@ proptest! {
         // more blocks than variables both occur.
         let masks: Vec<u128> = masks.into_iter().map(|m| m << shift).collect();
         prop_assert_eq!(sdr_matching(&masks), reference_sdr_matching(&masks));
+    }
+
+    #[test]
+    fn paper_walk_reuses_buffers_without_changing_a_solution(inst in small_instance()) {
+        let (sols, truncated) = paper_solutions(&inst, usize::MAX);
+        prop_assert!(!truncated);
+        prop_assert_eq!(sols, reference_paper_solutions(&inst));
+    }
+
+    #[test]
+    fn orbit_walk_reuses_buffers_without_changing_a_solution(inst in small_instance()) {
+        let (sols, truncated) = orbit_solutions(&inst, usize::MAX);
+        prop_assert!(!truncated);
+        prop_assert_eq!(sols, reference_orbit_solutions(&inst));
     }
 
     #[test]

@@ -35,9 +35,9 @@
 
 use spe_bignum::BigUint;
 use spe_combinatorics::{
-    assignment_for_rgs, canonical_solutions, enumerate_canonical_from, even_ranges,
-    orbit_solutions, paper_solutions, partitions_at_most, rgs_unrank, ConstrainedRgs, Fillings,
-    GeneralInstance,
+    assignment_for_rgs, canonical_solutions, enumerate_canonical_from, enumerate_orbits,
+    enumerate_paper, even_ranges, partitions_at_most, rgs_unrank, ConstrainedRgs, Fillings,
+    GeneralInstance, ScopedSolution,
 };
 pub use spe_skeleton::{
     Granularity, Hole, NameId, NameTable, RenderTemplate, Skeleton, SkeletonError, TypeGroup, Unit,
@@ -189,21 +189,53 @@ impl Enumerator {
     }
 }
 
-/// A per-group rename fragment: `(hole index, chosen name)` pairs covering
-/// exactly that group's holes. Fragments of different groups touch
+/// One type group's rename fragments (its solutions, renamed), stored
+/// flat: solution `i` fills hole `holes[j]` with
+/// `names[i * holes.len() + j]`. Fragments of different groups touch
 /// disjoint holes, so applying one per group yields a full variant.
-type Fragment = Vec<(u32, NameId)>;
+#[derive(Debug, Clone)]
+struct Fragments {
+    /// Hole index (into [`Skeleton::holes`]) of each group position.
+    holes: Vec<u32>,
+    names: Vec<NameId>,
+    /// Number of solutions.
+    len: usize,
+}
+
+impl Fragments {
+    fn new(g: &TypeGroup) -> Fragments {
+        Fragments {
+            holes: g.holes.iter().map(|&h| h as u32).collect(),
+            names: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Appends a solution; `fill` writes its name for each group position.
+    fn push(&mut self, fill: impl FnOnce(&mut [NameId])) {
+        let at = self.names.len();
+        self.names.resize(at + self.holes.len(), NameId::default());
+        fill(&mut self.names[at..]);
+        self.len += 1;
+    }
+
+    /// Solution `i`'s names, by group position.
+    fn row(&self, i: usize) -> &[NameId] {
+        let k = self.holes.len();
+        &self.names[i * k..(i + 1) * k]
+    }
+
+    /// Overwrites solution `i`'s holes in a full rename vector.
+    fn apply(&self, i: usize, names: &mut [NameId]) {
+        for (&h, &n) in self.holes.iter().zip(self.row(i)) {
+            names[h as usize] = n;
+        }
+    }
+}
 
 /// The identity filling: every hole keeps its original variable's name.
 fn base_names(sk: &Skeleton) -> Vec<NameId> {
     sk.holes().iter().map(|h| sk.var_name(h.var)).collect()
-}
-
-/// Overwrites the fragment's holes in a full rename vector.
-fn apply_fragment(names: &mut [NameId], fragment: &Fragment) {
-    for &(h, n) in fragment {
-        names[h as usize] = n;
-    }
 }
 
 /// Materializes the per-group rename fragments for a skeleton, each capped
@@ -213,12 +245,11 @@ fn apply_fragment(names: &mut [NameId], fragment: &Fragment) {
 fn materialize_fragments(
     config: &EnumeratorConfig,
     sk: &Skeleton,
-) -> (Vec<NameId>, Vec<Vec<Fragment>>, bool) {
+) -> (Vec<NameId>, Vec<Fragments>, bool) {
     let units = sk.units(config.granularity);
-    let groups: Vec<&TypeGroup> = units.iter().flat_map(|u| u.groups.iter()).collect();
     let mut truncated = false;
-    let mut fragments: Vec<Vec<Fragment>> = Vec::with_capacity(groups.len());
-    for g in &groups {
+    let mut fragments = Vec::new();
+    for g in units.iter().flat_map(|u| &u.groups) {
         let (frags, t) = group_fragments(config, sk, g);
         truncated |= t;
         fragments.push(frags);
@@ -230,10 +261,10 @@ fn materialize_fragments(
 /// capped by the budget (the cap sets `truncated`). A group with zero
 /// solutions — which never happens for well-formed skeletons, since each
 /// hole's original variable is allowed — collapses the product to zero.
-fn emission_total(fragments: &[Vec<Fragment>], budget: usize, truncated: &mut bool) -> u64 {
+fn emission_total(fragments: &[Fragments], budget: usize, truncated: &mut bool) -> u64 {
     let product: u128 = fragments
         .iter()
-        .map(|f| f.len() as u128)
+        .map(|f| f.len as u128)
         .fold(1u128, u128::saturating_mul);
     if product > budget as u128 {
         *truncated = true;
@@ -252,7 +283,7 @@ fn emission_total(fragments: &[Vec<Fragment>], budget: usize, truncated: &mut bo
 /// fragments whose digit changed.
 fn stream_index_range<F>(
     base: &[NameId],
-    fragments: &[Vec<Fragment>],
+    fragments: &[Fragments],
     range: Range<u64>,
     visit: &mut F,
 ) -> (u64, bool)
@@ -263,7 +294,7 @@ where
     let mut cursor = vec![0usize; fragments.len()];
     let mut rest = range.start;
     for i in (0..fragments.len()).rev() {
-        let size = fragments[i].len() as u64;
+        let size = fragments[i].len as u64;
         if size == 0 {
             return (0, false);
         }
@@ -275,7 +306,7 @@ where
         names: base.to_vec(),
     };
     for (frags, &c) in fragments.iter().zip(&cursor) {
-        apply_fragment(&mut variant.names, &frags[c]);
+        frags.apply(c, &mut variant.names);
     }
     let mut emitted = 0u64;
     for index in range {
@@ -289,67 +320,68 @@ where
         while i > 0 {
             i -= 1;
             cursor[i] += 1;
-            if cursor[i] < fragments[i].len() {
-                apply_fragment(&mut variant.names, &fragments[i][cursor[i]]);
+            if cursor[i] < fragments[i].len {
+                fragments[i].apply(cursor[i], &mut variant.names);
                 break;
             }
             cursor[i] = 0;
-            apply_fragment(&mut variant.names, &fragments[i][0]);
+            fragments[i].apply(0, &mut variant.names);
         }
     }
     (emitted, false)
 }
 
-fn group_fragments(
-    config: &EnumeratorConfig,
-    sk: &Skeleton,
-    g: &TypeGroup,
-) -> (Vec<Fragment>, bool) {
+/// A group's solution list under `config`, renamed and capped by the
+/// budget, and whether the budget cut it short.
+fn group_fragments(config: &EnumeratorConfig, sk: &Skeleton, g: &TypeGroup) -> (Fragments, bool) {
     let budget = config.budget;
-    match config.algorithm {
-        Algorithm::Paper => {
-            let (sols, truncated) = paper_solutions(&g.flat, budget);
-            (
-                sols.iter().map(|s| sk.rename_for_solution(g, s)).collect(),
-                truncated,
-            )
-        }
-        Algorithm::Orbit => {
-            let (sols, truncated) = orbit_solutions(&g.flat, budget);
-            (
-                sols.iter().map(|s| sk.rename_for_solution(g, s)).collect(),
-                truncated,
-            )
+    let mut frags = Fragments::new(g);
+    let truncated = match config.algorithm {
+        Algorithm::Paper | Algorithm::Orbit => {
+            // Rename each solution as the walk emits it; the walk reuses
+            // its solution buffers, so nothing is copied but the names.
+            let mut rename = |s: &ScopedSolution| {
+                if frags.len >= budget {
+                    return ControlFlow::Break(());
+                }
+                frags.push(|row| sk.solution_names_into(g, s, row));
+                ControlFlow::Continue(())
+            };
+            let flow = if config.algorithm == Algorithm::Paper {
+                enumerate_paper(&g.flat, &mut rename)
+            } else {
+                enumerate_orbits(&g.flat, &mut rename)
+            };
+            flow.is_break()
         }
         Algorithm::Canonical => {
             let (rgss, truncated) = canonical_solutions(&g.general, budget);
-            (
-                rgss.iter()
-                    .filter_map(|r| sk.rename_for_rgs(g, r))
-                    .collect(),
-                truncated,
-            )
+            for rename in rgss.iter().filter_map(|r| sk.rename_for_rgs(g, r)) {
+                frags.push(|row| {
+                    for (name, (_, n)) in row.iter_mut().zip(rename) {
+                        *name = n;
+                    }
+                });
+            }
+            truncated
         }
         Algorithm::Naive => {
-            let mut out = Vec::new();
             let mut truncated = false;
             for filling in Fillings::new(&g.general) {
-                if out.len() >= budget {
+                if frags.len >= budget {
                     truncated = true;
                     break;
                 }
-                let frag: Fragment = filling
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &var_idx)| {
-                        (g.holes[pos] as u32, sk.var_name(g.vars[var_idx]))
-                    })
-                    .collect();
-                out.push(frag);
+                frags.push(|row| {
+                    for (name, &var_idx) in row.iter_mut().zip(&filling) {
+                        *name = sk.var_name(g.vars[var_idx]);
+                    }
+                });
             }
-            (out, truncated)
+            truncated
         }
-    }
+    };
+    (frags, truncated)
 }
 
 /// Sharded enumeration over a skeleton's variant space.
@@ -436,7 +468,7 @@ pub struct VariantSpace {
 
 #[derive(Debug, Clone)]
 enum SpaceKind {
-    Product(Vec<Vec<Fragment>>),
+    Product(Vec<Fragments>),
     CanonicalNative(CanonicalNativeSpace),
 }
 
@@ -1540,6 +1572,56 @@ mod tests {
         let serial = Enumerator::new(EnumeratorConfig::default()).collect_sources(&sk);
         let sharded = ShardedEnumerator::new(EnumeratorConfig::default(), 16);
         assert_eq!(serial, sharded_sources(&sharded, &sk).0);
+    }
+
+    #[test]
+    fn streamed_paper_and_orbit_fragments_match_the_collected_solutions() {
+        // Renaming each solution inside the walk must give exactly the
+        // fragments of the collected solution list, cut at the budget the
+        // same way, on every group of a multi-group skeleton.
+        use spe_combinatorics::{orbit_solutions, paper_solutions};
+        let sk = constrained_multi_group();
+        let units = sk.units(Granularity::Intra);
+        let groups: Vec<&TypeGroup> = units.iter().flat_map(|u| &u.groups).collect();
+        assert_eq!(groups.len(), 3);
+        assert!(groups.iter().any(|g| !g.flat.scopes().is_empty()));
+        for algorithm in [Algorithm::Paper, Algorithm::Orbit] {
+            let collect = |g: &TypeGroup, budget| match algorithm {
+                Algorithm::Paper => paper_solutions(&g.flat, budget),
+                _ => orbit_solutions(&g.flat, budget),
+            };
+            for g in &groups {
+                let n = collect(g, usize::MAX).0.len();
+                assert!(n >= 2, "{algorithm:?}: a group of {n} solutions");
+                for budget in [n - 1, n, n + 1] {
+                    let config = EnumeratorConfig {
+                        algorithm,
+                        budget,
+                        ..Default::default()
+                    };
+                    let (sols, truncated) = collect(g, budget);
+                    assert_eq!(truncated, budget < n);
+                    let renamed: Vec<Vec<(u32, NameId)>> =
+                        sols.iter().map(|s| sk.rename_for_solution(g, s)).collect();
+                    let (frags, streamed_truncated) = group_fragments(&config, &sk, g);
+                    let streamed: Vec<Vec<(u32, NameId)>> = (0..frags.len)
+                        .map(|i| {
+                            frags
+                                .holes
+                                .iter()
+                                .copied()
+                                .zip(frags.row(i).to_vec())
+                                .collect()
+                        })
+                        .collect();
+                    assert_eq!(
+                        (streamed, streamed_truncated),
+                        (renamed, truncated),
+                        "{algorithm:?} at budget {budget} of {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

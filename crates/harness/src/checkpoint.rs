@@ -49,7 +49,6 @@ use spe_simcc::{bugs, Compiler, CompilerId};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// Errors of checkpointed runs and resumes.
 #[derive(Debug)]
@@ -169,11 +168,9 @@ fn algorithm_tag(a: Algorithm) -> u8 {
 /// record triage classes (crash-signature lines, signal names) as bug
 /// ids, which no registry can enumerate up front.
 fn intern_bug_id(id: &str) -> Result<&'static str, CheckpointError> {
-    static IDS: OnceLock<Vec<&'static str>> = OnceLock::new();
-    Ok(IDS
-        .get_or_init(|| bugs::registry().iter().map(|b| b.id).collect())
+    Ok(bugs::registry()
         .iter()
-        .copied()
+        .map(|b| b.id)
         .find(|&known| known == id)
         .unwrap_or_else(|| spe_simcc::backend::intern(id)))
 }

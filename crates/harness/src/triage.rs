@@ -93,12 +93,7 @@ pub struct Figure10 {
 
 /// The distinct root-cause bugs behind a family's findings.
 pub fn root_causes<'r>(report: &CampaignReport, family: &str) -> Vec<&'r BugSpec> {
-    let regs: &'static Vec<BugSpec> = {
-        // registry() allocates; leak one copy for 'static metadata refs.
-        use std::sync::OnceLock;
-        static REGS: OnceLock<Vec<BugSpec>> = OnceLock::new();
-        REGS.get_or_init(registry)
-    };
+    let regs = registry();
     let mut ids: Vec<&'static str> = report
         .for_family(family)
         .filter(|f| f.duplicate_of.is_none())

@@ -40,18 +40,30 @@ pub enum BaseType {
     Struct(String),
 }
 
+impl BaseType {
+    /// The keyword that spells this base type; a struct's tag follows
+    /// its `struct` keyword.
+    pub fn keyword(&self) -> &'static str {
+        match self {
+            BaseType::Void => "void",
+            BaseType::Char => "char",
+            BaseType::Int => "int",
+            BaseType::UInt => "unsigned",
+            BaseType::Long => "long",
+            BaseType::Float => "float",
+            BaseType::Double => "double",
+            BaseType::Struct(_) => "struct",
+        }
+    }
+}
+
 impl fmt::Display for BaseType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaseType::Void => f.write_str("void"),
-            BaseType::Char => f.write_str("char"),
-            BaseType::Int => f.write_str("int"),
-            BaseType::UInt => f.write_str("unsigned"),
-            BaseType::Long => f.write_str("long"),
-            BaseType::Float => f.write_str("float"),
-            BaseType::Double => f.write_str("double"),
-            BaseType::Struct(n) => write!(f, "struct {n}"),
+        f.write_str(self.keyword())?;
+        if let BaseType::Struct(n) = self {
+            write!(f, " {n}")?;
         }
+        Ok(())
     }
 }
 

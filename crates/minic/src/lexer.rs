@@ -1,4 +1,11 @@
 //! Lexer for mini-C.
+//!
+//! [`lex`] turns source text into [`Token`]s that borrow from it:
+//! identifiers, keywords and string-literal bodies are `&'src str`
+//! slices of the input, so lexing allocates only the token vector, and
+//! the parser copies out just the names it stores in the AST.
+//! Punctuators are matched on bytes, longest first (three bytes, then
+//! two, then one).
 
 use std::fmt;
 
@@ -18,23 +25,27 @@ impl fmt::Display for Pos {
 }
 
 /// Token kinds produced by the lexer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+///
+/// Identifier and string-literal tokens borrow their text from the
+/// source (`'src`), so lexing allocates nothing per token: the parser
+/// copies out only the names it stores in the AST.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'src> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Character literal.
     Char(u8),
     /// String literal (body, escapes kept verbatim).
-    Str(String),
+    Str(&'src str),
     /// Any punctuation / operator, e.g. `"+="`, `"{"`.
     Punct(&'static str),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -47,11 +58,11 @@ impl fmt::Display for Tok {
     }
 }
 
-/// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A token with its source position; its text borrows from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token's kind and payload.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Where it starts.
     pub pos: Pos,
 }
@@ -73,16 +84,57 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-const PUNCTS3: &[&str] = &["<<=", ">>="];
-const PUNCTS2: &[&str] = &[
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "->", "++", "--",
-];
-const PUNCTS1: &[&str] = &[
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "~", "&", "|", "^", "(", ")", "{", "}", "[", "]",
-    ";", ",", "?", ":", ".",
-];
+/// The punctuator at the start of `rest`, longest match first: three
+/// bytes, then two, then one.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    Some(match rest {
+        [b'<', b'<', b'=', ..] => "<<=",
+        [b'>', b'>', b'=', ..] => ">>=",
+        [b'<', b'<', ..] => "<<",
+        [b'>', b'>', ..] => ">>",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b'=', b'=', ..] => "==",
+        [b'!', b'=', ..] => "!=",
+        [b'&', b'&', ..] => "&&",
+        [b'|', b'|', ..] => "||",
+        [b'+', b'=', ..] => "+=",
+        [b'-', b'=', ..] => "-=",
+        [b'*', b'=', ..] => "*=",
+        [b'/', b'=', ..] => "/=",
+        [b'%', b'=', ..] => "%=",
+        [b'-', b'>', ..] => "->",
+        [b'+', b'+', ..] => "++",
+        [b'-', b'-', ..] => "--",
+        [b'+', ..] => "+",
+        [b'-', ..] => "-",
+        [b'*', ..] => "*",
+        [b'/', ..] => "/",
+        [b'%', ..] => "%",
+        [b'<', ..] => "<",
+        [b'>', ..] => ">",
+        [b'=', ..] => "=",
+        [b'!', ..] => "!",
+        [b'~', ..] => "~",
+        [b'&', ..] => "&",
+        [b'|', ..] => "|",
+        [b'^', ..] => "^",
+        [b'(', ..] => "(",
+        [b')', ..] => ")",
+        [b'{', ..] => "{",
+        [b'}', ..] => "}",
+        [b'[', ..] => "[",
+        [b']', ..] => "]",
+        [b';', ..] => ";",
+        [b',', ..] => ",",
+        [b'?', ..] => "?",
+        [b':', ..] => ":",
+        [b'.', ..] => ".",
+        _ => return None,
+    })
+}
 
-/// Lexes mini-C source into tokens.
+/// Lexes mini-C source into tokens that borrow their text from `src`.
 ///
 /// Line (`//`) and block (`/* */`) comments are skipped; preprocessor
 /// lines (starting with `#`) are skipped wholesale, matching how the
@@ -98,9 +150,9 @@ const PUNCTS1: &[&str] = &[
 /// use spe_minic::lexer::{lex, Tok};
 /// let toks = lex("int a = 1; // x").unwrap();
 /// assert_eq!(toks.len(), 6); // int a = 1 ; EOF
-/// assert_eq!(toks[0].tok, Tok::Ident("int".into()));
+/// assert_eq!(toks[0].tok, Tok::Ident("int"));
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
@@ -195,7 +247,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     bump!();
                 }
                 out.push(Token {
-                    tok: Tok::Ident(src[start..i].to_string()),
+                    tok: Tok::Ident(&src[start..i]),
                     pos,
                 });
             }
@@ -250,40 +302,30 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         pos,
                     });
                 }
-                let body = src[start..i].to_string();
+                let body = &src[start..i];
                 bump!();
                 out.push(Token {
                     tok: Tok::Str(body),
                     pos,
                 });
             }
-            _ => {
-                let rest = &src[i..];
-                let mut matched = None;
-                for p in PUNCTS3.iter().chain(PUNCTS2).chain(PUNCTS1) {
-                    if rest.starts_with(p) {
-                        matched = Some(*p);
-                        break;
-                    }
+            _ => match punct(&bytes[i..]) {
+                Some(p) => {
+                    // Punctuators hold no newline: only the column moves.
+                    i += p.len();
+                    col += p.len() as u32;
+                    out.push(Token {
+                        tok: Tok::Punct(p),
+                        pos,
+                    });
                 }
-                match matched {
-                    Some(p) => {
-                        for _ in 0..p.len() {
-                            bump!();
-                        }
-                        out.push(Token {
-                            tok: Tok::Punct(p),
-                            pos,
-                        });
-                    }
-                    None => {
-                        return Err(LexError {
-                            message: format!("unexpected byte {:?}", c as char),
-                            pos,
-                        })
-                    }
+                None => {
+                    return Err(LexError {
+                        message: format!("unexpected byte {:?}", c as char),
+                        pos,
+                    })
                 }
-            }
+            },
         }
     }
     out.push(Token {
@@ -322,7 +364,7 @@ fn unescape(esc: u8) -> u8 {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src)
             .expect("lexes")
             .into_iter()
@@ -335,8 +377,8 @@ mod tests {
         assert_eq!(
             kinds("int a=1;"),
             vec![
-                Tok::Ident("int".into()),
-                Tok::Ident("a".into()),
+                Tok::Ident("int"),
+                Tok::Ident("a"),
                 Tok::Punct("="),
                 Tok::Int(1),
                 Tok::Punct(";"),
@@ -350,11 +392,11 @@ mod tests {
         assert_eq!(
             kinds("a<<=b >>= c << >> <= >= == != && || ++ -- ->"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Punct("<<="),
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Punct(">>="),
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Punct("<<"),
                 Tok::Punct(">>"),
                 Tok::Punct("<="),
@@ -376,8 +418,8 @@ mod tests {
         assert_eq!(
             kinds("#include <stdio.h>\nint /* hi */ x; // done"),
             vec![
-                Tok::Ident("int".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("int"),
+                Tok::Ident("x"),
                 Tok::Punct(";"),
                 Tok::Eof,
             ]
@@ -399,7 +441,7 @@ mod tests {
             vec![
                 Tok::Char(b'a'),
                 Tok::Char(b'\n'),
-                Tok::Str("hi\\n".into()),
+                Tok::Str("hi\\n"),
                 Tok::Eof
             ]
         );

@@ -9,8 +9,8 @@
 //! * [`sema`] — scope tree, declaration resolution, and per-use-site
 //!   visible/type-compatible variable sets (the hole variable sets `v_i`);
 //! * [`printer`] — source emission, plain or as a template with every use
-//!   site split out, which is how enumerated skeleton variants are
-//!   realized as compilable programs.
+//!   site marked, which is how enumerated skeleton variants are realized
+//!   as compilable programs.
 //!
 //! The subset covers the constructs in all of the paper's figures:
 //! globals, pointers, arrays, structs, `if`/`while`/`for`/`do`, `goto` and
@@ -38,5 +38,5 @@ pub mod sema;
 
 pub use ast::Program;
 pub use parser::{parse, ParseError};
-pub use printer::{print_program, print_template, TemplatePiece};
+pub use printer::{print_program, print_template, PrintTemplate};
 pub use sema::{analyze, SemaError, SymbolTable};

@@ -59,19 +59,19 @@ const TYPE_KEYWORDS: &[&str] = &[
 ];
 const DECL_QUALIFIERS: &[&str] = &["static", "extern", "const", "volatile", "register"];
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     at: usize,
     next_occ: u32,
     next_expr: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Tok<'src> {
         &self.tokens[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'src> {
         &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].tok
     }
 
@@ -79,12 +79,11 @@ impl Parser {
         self.tokens[self.at].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.at].tok.clone();
+    /// Moves past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -112,7 +111,7 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+        if matches!(self.peek(), Tok::Ident(s) if *s == kw) {
             self.bump();
             true
         } else {
@@ -121,15 +120,14 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        matches!(self.peek(), Tok::Ident(s) if *s == kw)
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
+        match *self.peek() {
             Tok::Ident(s) => {
-                let s = s.clone();
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
@@ -379,22 +377,19 @@ impl Parser {
 
     fn starts_decl(&self) -> bool {
         match self.peek() {
-            Tok::Ident(s) => {
-                TYPE_KEYWORDS.contains(&s.as_str()) || DECL_QUALIFIERS.contains(&s.as_str())
-            }
+            Tok::Ident(s) => TYPE_KEYWORDS.contains(s) || DECL_QUALIFIERS.contains(s),
             _ => false,
         }
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         // Label?
-        if let (Tok::Ident(name), Tok::Punct(":")) = (self.peek(), self.peek2()) {
-            if !TYPE_KEYWORDS.contains(&name.as_str()) && !is_stmt_keyword(name) {
-                let name = name.clone();
+        if let (&Tok::Ident(name), Tok::Punct(":")) = (self.peek(), self.peek2()) {
+            if !TYPE_KEYWORDS.contains(&name) && !is_stmt_keyword(name) {
                 self.bump();
                 self.bump();
                 let inner = self.stmt()?;
-                return Ok(Stmt::Label(name, Box::new(inner)));
+                return Ok(Stmt::Label(name.to_string(), Box::new(inner)));
             }
         }
         if self.eat_punct("{") {
@@ -601,7 +596,7 @@ impl Parser {
     }
 
     fn is_type_start(&self) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if TYPE_KEYWORDS.contains(&s.as_str()))
+        matches!(self.peek(), Tok::Ident(s) if TYPE_KEYWORDS.contains(s))
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
@@ -665,7 +660,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(self.new_expr(ExprKind::IntLit(v)))
@@ -676,7 +671,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(self.new_expr(ExprKind::StrLit(s)))
+                Ok(self.new_expr(ExprKind::StrLit(s.to_string())))
             }
             Tok::Punct("(") => {
                 self.bump();
@@ -698,10 +693,13 @@ impl Parser {
                         }
                         self.expect_punct(")")?;
                     }
-                    Ok(self.new_expr(ExprKind::Call(name, args)))
+                    Ok(self.new_expr(ExprKind::Call(name.to_string(), args)))
                 } else {
                     let occ = self.new_occ();
-                    Ok(self.new_expr(ExprKind::Ident(Ident { name, occ })))
+                    Ok(self.new_expr(ExprKind::Ident(Ident {
+                        name: name.to_string(),
+                        occ,
+                    })))
                 }
             }
             other => self.err(format!("expected expression, found {other}")),

@@ -1,11 +1,16 @@
 //! Pretty-printer for mini-C, plain or as a render template.
 //!
-//! [`print_template`] is how skeleton variants are *realized*: it splits
-//! every variable use site ([`crate::ast::OccId`]) out of the printed
-//! text, so a renderer can splice a different (visible, type-compatible)
+//! [`print_template`] is how skeleton variants are *realized*: it marks
+//! every variable use site ([`crate::ast::OccId`]) in the printed text,
+//! so a renderer can splice a different (visible, type-compatible)
 //! variable name into each while declarations stay fixed.
+//!
+//! Both forms write straight into one output buffer: printing allocates
+//! only that buffer (and, for a template, its site list).
 
 use crate::ast::*;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Prints a program back to compilable mini-C source.
 ///
@@ -19,85 +24,98 @@ use crate::ast::*;
 /// assert_eq!(spe_minic::print_program(&reparsed), printed); // fixpoint
 /// ```
 pub fn print_program(p: &Program) -> String {
-    let mut pr = Printer {
-        out: String::new(),
-        indent: 0,
-        template: None,
-    };
-    for item in &p.items {
-        pr.item(item);
-    }
-    pr.out
+    Printer::print(p, None).out
 }
 
-/// One piece of a print *template*: either literal source text or the site
-/// of a renameable variable occurrence (with its original name).
+/// A program printed as a render *template*: [`print_program`]'s text
+/// plus the place of every variable use site in it.
 ///
-/// Concatenating every piece — substituting each [`TemplatePiece::Occ`]
-/// with its original name — reproduces [`print_program`] byte for byte,
-/// because the template printer shares the exact same traversal and only
-/// diverts occurrence names into their own pieces.
+/// The text is byte-identical to [`print_program`]'s, because both share
+/// one traversal; the template printer only records where each
+/// occurrence's name lands.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TemplatePiece {
-    /// Literal text between occurrences (possibly empty).
-    Text(String),
-    /// A variable use site: downstream renderers splice the variant's
-    /// chosen name here.
-    Occ {
-        /// The occurrence id of the use site.
-        occ: OccId,
-        /// The variable name the original program uses here.
-        name: String,
-    },
+pub struct PrintTemplate {
+    /// The printed program.
+    pub text: String,
+    /// Every use site in print order: its occurrence id and the byte
+    /// range of its (original) name in `text`. Downstream renderers
+    /// splice a variant's chosen name there.
+    pub sites: Vec<(OccId, Range<usize>)>,
 }
 
-/// Prints a program into template pieces: the static text of the program
-/// with every variable use site split out as a [`TemplatePiece::Occ`].
+/// Prints a program as a template: its text with every variable use site
+/// marked.
 ///
 /// This is the compile-once half of fast variant rendering: walk the AST
 /// once here, then realize any number of renamings by splicing names
-/// between the static pieces, with no further AST traversal.
+/// between the static spans, with no further AST traversal.
 ///
 /// ```
-/// use spe_minic::{parse, print_program, print_template, TemplatePiece};
+/// use spe_minic::{parse, print_program, print_template};
 ///
 /// let prog = parse("int a, b; void f() { a = b; }").unwrap();
-/// let pieces = print_template(&prog);
-/// let rebuilt: String = pieces
-///     .iter()
-///     .map(|p| match p {
-///         TemplatePiece::Text(t) => t.as_str(),
-///         TemplatePiece::Occ { name, .. } => name.as_str(),
-///     })
-///     .collect();
-/// assert_eq!(rebuilt, print_program(&prog));
+/// let t = print_template(&prog);
+/// assert_eq!(t.text, print_program(&prog));
+/// let names: Vec<&str> = t.sites.iter().map(|(_, r)| &t.text[r.clone()]).collect();
+/// assert_eq!(names, ["a", "b"]);
 /// ```
-pub fn print_template(p: &Program) -> Vec<TemplatePiece> {
-    let mut pr = Printer {
-        out: String::new(),
-        indent: 0,
-        template: Some(Vec::new()),
-    };
-    for item in &p.items {
-        pr.item(item);
+pub fn print_template(p: &Program) -> PrintTemplate {
+    let pr = Printer::print(p, Some(Vec::new()));
+    PrintTemplate {
+        text: pr.out,
+        sites: pr.sites.unwrap_or_default(),
     }
-    let mut pieces = pr.template.expect("template mode");
-    pieces.push(TemplatePiece::Text(pr.out));
-    pieces
 }
+
+/// Use sites with the byte range of each one's name, in print order.
+type Sites = Vec<(OccId, Range<usize>)>;
 
 struct Printer {
     out: String,
     indent: usize,
-    /// When set, occurrence names are diverted into pieces instead of
-    /// `out` (which then only accumulates the text since the last piece).
-    template: Option<Vec<TemplatePiece>>,
+    /// When set, every occurrence's place in `out` is recorded here.
+    sites: Option<Sites>,
 }
 
 impl Printer {
+    fn print(p: &Program, sites: Option<Sites>) -> Printer {
+        let mut pr = Printer {
+            out: String::new(),
+            indent: 0,
+            sites,
+        };
+        for item in &p.items {
+            pr.item(item);
+        }
+        pr
+    }
+
     fn pad(&mut self) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
+        }
+    }
+
+    fn stars(&mut self, n: u8) {
+        for _ in 0..n {
+            self.out.push('*');
+        }
+    }
+
+    /// `[n]` for an array dimension.
+    fn array(&mut self, n: Option<u64>) {
+        if let Some(n) = n {
+            // Writing into a `String` cannot fail.
+            let _ = write!(self.out, "[{n}]");
+        }
+    }
+
+    /// The base type's spelling, e.g. `int` or `struct s`.
+    fn base(&mut self, ty: &Type) {
+        self.out.push_str(ty.base.keyword());
+        if let BaseType::Struct(name) = &ty.base {
+            self.out.push(' ');
+            self.out.push_str(name);
         }
     }
 
@@ -108,7 +126,9 @@ impl Printer {
                 self.out.push('\n');
             }
             Item::Struct(s) => {
-                self.out.push_str(&format!("struct {} {{\n", s.name));
+                self.out.push_str("struct ");
+                self.out.push_str(&s.name);
+                self.out.push_str(" {\n");
                 self.indent += 1;
                 for f in &s.fields {
                     self.pad();
@@ -122,9 +142,9 @@ impl Printer {
                 if f.is_static {
                     self.out.push_str("static ");
                 }
-                self.out.push_str(&base_of(&f.ret));
+                self.base(&f.ret);
                 self.out.push(' ');
-                self.out.push_str(&"*".repeat(f.ret.pointers as usize));
+                self.stars(f.ret.pointers);
                 self.out.push_str(&f.name);
                 self.out.push('(');
                 if f.params.is_empty() {
@@ -134,13 +154,11 @@ impl Printer {
                         if i > 0 {
                             self.out.push_str(", ");
                         }
-                        self.out.push_str(&base_of(&p.ty));
+                        self.base(&p.ty);
                         self.out.push(' ');
-                        self.out.push_str(&"*".repeat(p.ty.pointers as usize));
+                        self.stars(p.ty.pointers);
                         self.out.push_str(&p.name);
-                        if let Some(n) = p.ty.array {
-                            self.out.push_str(&format!("[{n}]"));
-                        }
+                        self.array(p.ty.array);
                     }
                 }
                 self.out.push_str(") {\n");
@@ -156,17 +174,15 @@ impl Printer {
 
     fn decl_line(&mut self, decls: &[VarDeclarator]) {
         debug_assert!(!decls.is_empty(), "empty declaration");
-        self.out.push_str(&base_of(&decls[0].ty));
+        self.base(&decls[0].ty);
         self.out.push(' ');
         for (i, d) in decls.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            self.out.push_str(&"*".repeat(d.ty.pointers as usize));
+            self.stars(d.ty.pointers);
             self.out.push_str(&d.name);
-            if let Some(n) = d.ty.array {
-                self.out.push_str(&format!("[{n}]"));
-            }
+            self.array(d.ty.array);
             if let Some(init) = &d.init {
                 self.out.push_str(" = ");
                 self.expr(init, 1);
@@ -176,13 +192,11 @@ impl Printer {
     }
 
     fn declarator_full(&mut self, d: &VarDeclarator) {
-        self.out.push_str(&base_of(&d.ty));
+        self.base(&d.ty);
         self.out.push(' ');
-        self.out.push_str(&"*".repeat(d.ty.pointers as usize));
+        self.stars(d.ty.pointers);
         self.out.push_str(&d.name);
-        if let Some(n) = d.ty.array {
-            self.out.push_str(&format!("[{n}]"));
-        }
+        self.array(d.ty.array);
     }
 
     fn stmt(&mut self, s: &Stmt) {
@@ -280,11 +294,14 @@ impl Printer {
             }
             Stmt::Goto(l) => {
                 self.pad();
-                self.out.push_str(&format!("goto {l};\n"));
+                self.out.push_str("goto ");
+                self.out.push_str(l);
+                self.out.push_str(";\n");
             }
             Stmt::Label(l, inner) => {
                 self.pad();
-                self.out.push_str(&format!("{l}:\n"));
+                self.out.push_str(l);
+                self.out.push_str(":\n");
                 self.stmt(inner);
             }
             Stmt::Empty => {
@@ -315,18 +332,25 @@ impl Printer {
             self.out.push('(');
         }
         match &e.kind {
-            ExprKind::IntLit(v) => self.out.push_str(&v.to_string()),
-            ExprKind::CharLit(c) => self.out.push_str(&format!("'{}'", escape_char(*c))),
-            ExprKind::StrLit(s) => self.out.push_str(&format!("\"{s}\"")),
+            ExprKind::IntLit(v) => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(self.out, "{v}");
+            }
+            ExprKind::CharLit(c) => {
+                self.out.push('\'');
+                escape_char(*c, &mut self.out);
+                self.out.push('\'');
+            }
+            ExprKind::StrLit(s) => {
+                self.out.push('"');
+                self.out.push_str(s);
+                self.out.push('"');
+            }
             ExprKind::Ident(id) => {
-                if let Some(pieces) = &mut self.template {
-                    pieces.push(TemplatePiece::Text(std::mem::take(&mut self.out)));
-                    pieces.push(TemplatePiece::Occ {
-                        occ: id.occ,
-                        name: id.name.clone(),
-                    });
-                } else {
-                    self.out.push_str(&id.name);
+                let start = self.out.len();
+                self.out.push_str(&id.name);
+                if let Some(sites) = &mut self.sites {
+                    sites.push((id.occ, start..self.out.len()));
                 }
             }
             ExprKind::Unary(op, inner) => {
@@ -344,12 +368,16 @@ impl Printer {
             ExprKind::Binary(op, a, b) => {
                 let p = op.precedence() + 2;
                 self.expr(a, p);
-                self.out.push_str(&format!(" {} ", op.as_str()));
+                self.out.push(' ');
+                self.out.push_str(op.as_str());
+                self.out.push(' ');
                 self.expr(b, p + 1);
             }
             ExprKind::Assign(op, a, b) => {
                 self.expr(a, 13);
-                self.out.push_str(&format!(" {} ", op.as_str()));
+                self.out.push(' ');
+                self.out.push_str(op.as_str());
+                self.out.push(' ');
                 self.expr(b, 1);
             }
             ExprKind::Ternary(c, t, els) => {
@@ -394,10 +422,10 @@ impl Printer {
             }
             ExprKind::Cast(ty, inner) => {
                 self.out.push('(');
-                self.out.push_str(&base_of(ty));
+                self.base(ty);
                 if ty.pointers > 0 {
                     self.out.push(' ');
-                    self.out.push_str(&"*".repeat(ty.pointers as usize));
+                    self.stars(ty.pointers);
                 }
                 self.out.push(')');
                 self.expr(inner, 13);
@@ -443,21 +471,23 @@ fn merges(op: &str, inner: &Expr) -> bool {
     }
 }
 
-fn escape_char(c: u8) -> String {
+/// Writes the body of a character literal for `c`.
+fn escape_char(c: u8, out: &mut String) {
     match c {
-        b'\n' => "\\n".into(),
-        b'\t' => "\\t".into(),
-        b'\r' => "\\r".into(),
-        0 => "\\0".into(),
-        b'\\' => "\\\\".into(),
-        b'\'' => "\\'".into(),
-        c if c.is_ascii_graphic() || c == b' ' => (c as char).to_string(),
-        c => format!("\\x{c:02x}"),
+        b'\n' => out.push_str("\\n"),
+        b'\t' => out.push_str("\\t"),
+        b'\r' => out.push_str("\\r"),
+        0 => out.push_str("\\0"),
+        b'\\' => out.push_str("\\\\"),
+        b'\'' => out.push_str("\\'"),
+        c if c.is_ascii_graphic() || c == b' ' => out.push(c as char),
+        c => {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\x");
+            out.push(HEX[usize::from(c >> 4)] as char);
+            out.push(HEX[usize::from(c & 15)] as char);
+        }
     }
-}
-
-fn base_of(ty: &Type) -> String {
-    ty.base.to_string()
 }
 
 #[cfg(test)]
@@ -545,6 +575,20 @@ mod tests {
         assert!(s.contains("int a, b;"), "declarations must not change: {s}");
     }
 
+    /// Splices `map`'s names into a template's sites; unmapped sites
+    /// keep their original names.
+    fn splice(t: &PrintTemplate, map: &HashMap<OccId, String>) -> String {
+        let mut out = String::new();
+        let mut at = 0;
+        for (occ, range) in &t.sites {
+            out.push_str(&t.text[at..range.start]);
+            out.push_str(map.get(occ).map_or(&t.text[range.clone()], String::as_str));
+            at = range.end;
+        }
+        out.push_str(&t.text[at..]);
+        out
+    }
+
     #[test]
     fn template_pieces_reassemble_to_print_program() {
         let sources = [
@@ -555,15 +599,16 @@ mod tests {
         ];
         for src in sources {
             let p = parse(src).expect("parses");
-            let pieces = print_template(&p);
-            let rebuilt: String = pieces
-                .iter()
-                .map(|piece| match piece {
-                    TemplatePiece::Text(t) => t.as_str(),
-                    TemplatePiece::Occ { name, .. } => name.as_str(),
-                })
-                .collect();
-            assert_eq!(rebuilt, print_program(&p), "template drifted for {src}");
+            let t = print_template(&p);
+            assert_eq!(t.text, print_program(&p), "template drifted for {src}");
+            let mut names = HashMap::new();
+            p.clone().for_each_ident_mut(&mut |id| {
+                names.insert(id.occ, id.name.clone());
+            });
+            assert_eq!(t.sites.len(), names.len(), "one site per use");
+            for (occ, range) in &t.sites {
+                assert_eq!(&t.text[range.clone()], names[occ], "site of {occ:?}");
+            }
         }
     }
 
@@ -573,14 +618,7 @@ mod tests {
         let mut map = HashMap::new();
         map.insert(OccId(1), "a".to_string());
         map.insert(OccId(2), "b".to_string());
-        let spliced: String = print_template(&p)
-            .iter()
-            .map(|piece| match piece {
-                TemplatePiece::Text(t) => t.clone(),
-                TemplatePiece::Occ { occ, name } => map.get(occ).unwrap_or(name).clone(),
-            })
-            .collect();
-        assert_eq!(spliced, rewalk(&p, &map));
+        assert_eq!(splice(&print_template(&p), &map), rewalk(&p, &map));
     }
 
     #[test]

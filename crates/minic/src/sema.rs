@@ -110,7 +110,9 @@ pub struct SymbolTable {
     scopes: Vec<Scope>,
     vars: Vec<VarInfo>,
     occs: Vec<OccInfo>,
-    occ_index: HashMap<OccId, usize>,
+    /// `name_shared[v]`: another variable declares `v`'s name too. Only
+    /// such variables can shadow or be shadowed.
+    name_shared: Vec<bool>,
     functions: Vec<String>,
 }
 
@@ -133,11 +135,6 @@ impl SymbolTable {
     /// Function names, indexed by the `func` fields.
     pub fn functions(&self) -> &[String] {
         &self.functions
-    }
-
-    /// Looks up a use site by its AST occurrence id.
-    pub fn occurrence(&self, occ: OccId) -> Option<&OccInfo> {
-        self.occ_index.get(&occ).map(|&i| &self.occs[i])
     }
 
     /// A variable's info.
@@ -167,22 +164,22 @@ impl SymbolTable {
     /// same name at that point. This is the hole variable set `v_i` of the
     /// paper, before type filtering.
     pub fn visible_vars(&self, occ: &OccInfo) -> Vec<VarId> {
-        let mut out = Vec::new();
-        let mut taken: HashMap<&str, ()> = HashMap::new();
-        let mut cur = Some(occ.scope);
-        while let Some(sid) = cur {
-            let scope = &self.scopes[sid.0];
-            // Innermost-first; within a scope, later declarations shadow
-            // nothing (names are unique per scope in valid C), so order is
-            // irrelevant apart from the seq check.
+        let capacity = self.chain(occ.scope).map(|s| s.vars.len()).sum();
+        let mut out: Vec<VarId> = Vec::with_capacity(capacity);
+        // Innermost-first, so the first variable taken for a name is the
+        // one not shadowed; within a scope, later declarations shadow
+        // nothing (names are unique per scope in valid C). Only a name
+        // declared more than once needs the check.
+        for scope in self.chain(occ.scope) {
             for &vid in &scope.vars {
                 let v = &self.vars[vid.0];
-                if v.seq < occ.seq && !taken.contains_key(v.name.as_str()) {
-                    taken.insert(v.name.as_str(), ());
+                if v.seq < occ.seq
+                    && (!self.name_shared[vid.0]
+                        || !out.iter().any(|o| self.vars[o.0].name == v.name))
+                {
                     out.push(vid);
                 }
             }
-            cur = scope.parent;
         }
         out.sort_unstable();
         out
@@ -193,10 +190,27 @@ impl SymbolTable {
     /// paper's type-aware compact α-renaming (§3.2.2).
     pub fn compatible_vars(&self, occ: &OccInfo) -> Vec<VarId> {
         let want = &self.var(occ.var).ty;
-        self.visible_vars(occ)
-            .into_iter()
-            .filter(|&v| self.var(v).ty.renaming_compatible(want))
-            .collect()
+        let mut vars = self.visible_vars(occ);
+        vars.retain(|&v| self.var(v).ty.renaming_compatible(want));
+        vars
+    }
+
+    /// `scope` and the scopes enclosing it, innermost first.
+    fn chain(&self, scope: ScopeId) -> impl Iterator<Item = &Scope> + '_ {
+        std::iter::successors(Some(&self.scopes[scope.0]), |s| {
+            s.parent.map(|p| &self.scopes[p.0])
+        })
+    }
+
+    /// The variable `name` denotes at sequence point `seq` in `scope`:
+    /// the innermost declaration of it made before that point.
+    fn lookup(&self, name: &str, scope: ScopeId, seq: u32) -> Option<VarId> {
+        self.chain(scope).find_map(|s| {
+            s.vars.iter().copied().find(|v| {
+                let v = &self.vars[v.0];
+                v.name == name && v.seq < seq
+            })
+        })
     }
 }
 
@@ -226,7 +240,7 @@ pub fn analyze(p: &Program) -> Result<SymbolTable, SemaError> {
             }],
             vars: Vec::new(),
             occs: Vec::new(),
-            occ_index: HashMap::new(),
+            name_shared: Vec::new(),
             functions: Vec::new(),
         },
         seq: 0,
@@ -257,7 +271,24 @@ pub fn analyze(p: &Program) -> Result<SymbolTable, SemaError> {
             }
         }
     }
-    Ok(a.table)
+    let mut table = a.table;
+    table.name_shared = shared_names(&table.vars);
+    Ok(table)
+}
+
+/// Flags every variable whose name another variable declares too.
+fn shared_names(vars: &[VarInfo]) -> Vec<bool> {
+    let mut first: HashMap<&str, usize> = HashMap::with_capacity(vars.len());
+    let mut shared = vec![false; vars.len()];
+    for (i, v) in vars.iter().enumerate() {
+        if let Some(&j) = first.get(v.name.as_str()) {
+            shared[i] = true;
+            shared[j] = true;
+        } else {
+            first.insert(&v.name, i);
+        }
+    }
+    shared
 }
 
 struct Analyzer {
@@ -400,31 +431,21 @@ impl Analyzer {
     fn resolve(&mut self, id: &Ident, scope: ScopeId) -> Result<(), SemaError> {
         self.seq += 1;
         let seq = self.seq;
-        // Walk the scope chain innermost-first; pick the first matching
-        // name already declared (seq check enforces textual order).
-        let mut cur = Some(scope);
-        while let Some(sid) = cur {
-            let vars = self.table.scopes[sid.0].vars.clone();
-            for vid in vars {
-                let v = &self.table.vars[vid.0];
-                if v.name == id.name && v.seq < seq {
-                    let occ = OccInfo {
-                        occ: id.occ,
-                        var: vid,
-                        scope,
-                        func: self.current_func,
-                        seq,
-                    };
-                    self.table.occ_index.insert(id.occ, self.table.occs.len());
-                    self.table.occs.push(occ);
-                    return Ok(());
-                }
-            }
-            cur = self.table.scopes[sid.0].parent;
-        }
-        Err(SemaError {
-            message: format!("use of undeclared variable `{}`", id.name),
-        })
+        // The seq check enforces textual order.
+        let var = self
+            .table
+            .lookup(&id.name, scope, seq)
+            .ok_or_else(|| SemaError {
+                message: format!("use of undeclared variable `{}`", id.name),
+            })?;
+        self.table.occs.push(OccInfo {
+            occ: id.occ,
+            var,
+            scope,
+            func: self.current_func,
+            seq,
+        });
+        Ok(())
     }
 }
 
@@ -488,6 +509,32 @@ mod tests {
         let vis = t.visible_vars(occ);
         assert_eq!(vis.len(), 1, "outer x is shadowed");
         assert_eq!(t.var(occ.var).kind, VarKind::Local);
+    }
+
+    #[test]
+    fn a_name_declared_in_two_functions_shadows_nothing() {
+        let t =
+            table("int g; void f() { int x; x = g; } void h() { int x; x = g; { int x; x = 1; } }");
+        let names = |occ: &OccInfo| -> Vec<(String, Option<usize>)> {
+            t.visible_vars(occ)
+                .into_iter()
+                .map(|v| (t.var(v).name.clone(), t.var(v).func))
+                .collect()
+        };
+        let g = ("g".to_string(), None);
+        // `x = g` in f, then in h: each sees its own x and the global.
+        assert_eq!(
+            names(&t.occurrences()[0]),
+            [g.clone(), ("x".into(), Some(0))]
+        );
+        assert_eq!(
+            names(&t.occurrences()[2]),
+            [g.clone(), ("x".into(), Some(1))]
+        );
+        // The block's x hides h's.
+        let inner = &t.occurrences()[4];
+        assert_eq!(names(inner), [g, ("x".into(), Some(1))]);
+        assert_eq!(t.visible_vars(inner), [VarId(0), inner.var]);
     }
 
     #[test]

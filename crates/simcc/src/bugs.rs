@@ -179,13 +179,14 @@ pub const GCC_VERSIONS: &[u32] = &[440, 485, 500, 520, 600, 700];
 /// trunk).
 pub const CLANG_VERSIONS: &[u32] = &[350, 360, 370, 380, 390];
 
-/// The full registry of seeded defects.
-pub fn registry() -> Vec<BugSpec> {
+/// The full registry of seeded defects: one table, built at compile
+/// time and shared by every caller.
+pub fn registry() -> &'static [BugSpec] {
     use BugKind::*;
     use Component::*;
     use Priority::*;
     use Trigger::*;
-    vec![
+    static REGISTRY: &[BugSpec] = &[
         // ---- GCC-sim: long-latent wrong code & crashes ---------------
         BugSpec { id: "gcc-69951", compiler: "gcc-sim", component: RtlOptimization, kind: WrongCode, priority: P2, pass: "alias", min_opt: 1, introduced: 440, fixed: None, trigger: AliasedPointerStores },
         BugSpec { id: "gcc-69801", compiler: "gcc-sim", component: MiddleEnd, kind: Crash("internal compiler error: in operand_equal_p, at fold-const.c:2838"), priority: P1, pass: "fold", min_opt: 0, introduced: 600, fixed: None, trigger: TernaryIdenticalArms },
@@ -220,7 +221,8 @@ pub fn registry() -> Vec<BugSpec> {
         BugSpec { id: "clang-subself-wc", compiler: "clang-sim", component: TreeOptimization, kind: WrongCode, priority: P2, pass: "fold", min_opt: 2, introduced: 380, fixed: None, trigger: SubSelf },
         BugSpec { id: "clang-deep-expr", compiler: "clang-sim", component: MiddleEnd, kind: Performance, priority: P4, pass: "fold", min_opt: 1, introduced: 350, fixed: None, trigger: DeepExpression(10) },
         BugSpec { id: "clang-distinct5", compiler: "clang-sim", component: RtlOptimization, kind: Crash("Assertion `!NodePtr->isKnownSentinel()' failed in ilist_iterator"), priority: P3, pass: "regalloc", min_opt: 2, introduced: 360, fixed: None, trigger: DistinctVars(5) },
-    ]
+    ];
+    REGISTRY
 }
 
 /// Walks `p` once and collects every structural fact the [`Trigger`]
@@ -833,7 +835,7 @@ mod tests {
         let regs = registry();
         assert!(regs.len() >= 30, "expected a rich bug registry");
         let mut ids = std::collections::HashSet::new();
-        for b in &regs {
+        for b in regs {
             assert!(ids.insert(b.id), "duplicate bug id {}", b.id);
             assert!(b.min_opt <= 3);
             assert!(

@@ -165,7 +165,7 @@ struct PipeEntry {
 /// One compiler configuration with its live-bug set resolved once.
 struct CompilerSlot {
     compiler: Compiler,
-    live: Vec<BugSpec>,
+    live: Vec<&'static BugSpec>,
 }
 
 /// The incremental oracle for one skeleton: a cached AST spliced per
@@ -222,7 +222,7 @@ impl CachedOracle {
             compilers: compilers
                 .iter()
                 .map(|&compiler| CompilerSlot {
-                    live: compiler.live_bugs(),
+                    live: compiler.live().collect(),
                     compiler,
                 })
                 .collect(),

@@ -190,12 +190,14 @@ impl Compiler {
     /// The seeded defects live in this compiler at this optimization
     /// level.
     pub fn live_bugs(&self) -> Vec<BugSpec> {
-        registry()
-            .into_iter()
-            .filter(|b| {
-                b.compiler == self.id.family && b.live_in(self.id.version) && b.fires_at(self.opt)
-            })
-            .collect()
+        self.live().cloned().collect()
+    }
+
+    /// [`Self::live_bugs`] as references into the registry.
+    pub(crate) fn live(&self) -> impl Iterator<Item = &'static BugSpec> + '_ {
+        registry().iter().filter(|b| {
+            b.compiler == self.id.family && b.live_in(self.id.version) && b.fires_at(self.opt)
+        })
     }
 
     /// Compiles a program: structural bug diagnosis, optimization
@@ -209,14 +211,10 @@ impl Compiler {
         let mut coverage = Coverage::new();
         structural_coverage(p, &mut coverage);
 
-        let live = self.live_bugs();
         // One structural scan answers every live trigger (previously
         // each trigger re-walked the whole AST).
         let facts = bugs::scan_facts(p);
-        let triggered: Vec<&BugSpec> = live
-            .iter()
-            .filter(|b| facts.matches(b.trigger))
-            .collect();
+        let triggered: Vec<&BugSpec> = self.live().filter(|b| facts.matches(b.trigger)).collect();
         if let Some(crash) = triggered.iter().find_map(|b| match b.kind {
             BugKind::Crash(sig) => Some(Ice {
                 bug_id: b.id,

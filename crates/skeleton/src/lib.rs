@@ -41,7 +41,7 @@
 use spe_combinatorics::{FlatInstance, FlatScope, GeneralInstance, PoolRef, ScopedSolution};
 use spe_minic::ast::{OccId, Program, Type};
 use spe_minic::sema::{ScopeKind, SymbolTable, VarId, VarKind};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -283,6 +283,14 @@ impl Skeleton {
 
     /// Splits the holes into enumeration units at the given granularity.
     pub fn units(&self, granularity: Granularity) -> Vec<Unit> {
+        // Per variable, worked out once: its type's name (groups are
+        // ordered by it) and whether it joins a unit's global pool.
+        let vars = self.table.vars();
+        let type_names: Vec<String> = vars.iter().map(|v| v.ty.to_string()).collect();
+        let pool_global: Vec<bool> = vars
+            .iter()
+            .map(|v| self.is_pool_global(v.id, granularity))
+            .collect();
         let mut by_unit: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
         for (i, h) in self.holes.iter().enumerate() {
             let key = match granularity {
@@ -293,9 +301,19 @@ impl Skeleton {
         }
         by_unit
             .into_iter()
-            .map(|(func, hole_ids)| Unit {
-                func,
-                groups: self.build_groups(&hole_ids, granularity),
+            .map(|(func, hole_ids)| {
+                let mut by_type: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+                for hi in hole_ids {
+                    let var = self.holes[hi].var;
+                    by_type.entry(&type_names[var.0]).or_default().push(hi);
+                }
+                Unit {
+                    func,
+                    groups: by_type
+                        .into_values()
+                        .map(|holes| self.type_group(holes, &pool_global))
+                        .collect(),
+                }
             })
             .collect()
     }
@@ -314,101 +332,86 @@ impl Skeleton {
         }
     }
 
-    fn build_groups(&self, hole_ids: &[usize], granularity: Granularity) -> Vec<TypeGroup> {
-        let mut by_type: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for &hi in hole_ids {
-            let ty = &self.table.var(self.holes[hi].var).ty;
-            by_type.entry(ty.to_string()).or_default().push(hi);
-        }
-        let mut out = Vec::new();
-        for (_, holes) in by_type {
-            let ty = self.table.var(self.holes[holes[0]].var).ty.clone();
-            // Variable universe of the group.
-            let mut vars: Vec<VarId> = holes
-                .iter()
-                .flat_map(|&hi| self.holes[hi].allowed.iter().copied())
-                .collect();
-            vars.sort_unstable();
-            vars.dedup();
-            let var_index: HashMap<VarId, usize> =
-                vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    /// The type group of `holes` (one unit's holes of one type, in source
+    /// order); `pool_global[v]` says whether variable `v` is in the
+    /// unit's global pool.
+    fn type_group(&self, holes: Vec<usize>, pool_global: &[bool]) -> TypeGroup {
+        let ty = self.table.var(self.holes[holes[0]].var).ty.clone();
+        // Variable universe of the group.
+        let mut vars: Vec<VarId> = holes
+            .iter()
+            .flat_map(|&hi| self.holes[hi].allowed.iter().copied())
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
 
-            // Exact instance.
-            let allowed: Vec<Vec<usize>> = holes
-                .iter()
-                .map(|&hi| {
-                    let mut a: Vec<usize> = self.holes[hi]
-                        .allowed
-                        .iter()
-                        .map(|v| var_index[v])
-                        .collect();
-                    a.sort_unstable();
-                    a
-                })
-                .collect();
-            let general = GeneralInstance {
-                allowed: allowed.clone(),
-                num_vars: vars.len(),
-            };
-
-            // Flat (normal form) instance: pool split per granularity,
-            // flat scopes keyed by the non-global portion of each hole's
-            // allowed set.
-            let global_pool: Vec<VarId> = vars
-                .iter()
-                .copied()
-                .filter(|&v| self.is_pool_global(v, granularity))
-                .collect();
-            let mut scope_keys: Vec<Vec<VarId>> = Vec::new();
-            let mut scope_holes: Vec<Vec<usize>> = Vec::new();
-            let mut global_holes: Vec<usize> = Vec::new();
-            let mut flat_exact = true;
-            for (pos, &hi) in holes.iter().enumerate() {
-                let h = &self.holes[hi];
-                let locals: Vec<VarId> = h
+        // Exact instance. Allowed sets are sorted, and so are their
+        // positions in the sorted universe.
+        let allowed: Vec<Vec<usize>> = holes
+            .iter()
+            .map(|&hi| {
+                self.holes[hi]
                     .allowed
                     .iter()
-                    .copied()
-                    .filter(|&v| !self.is_pool_global(v, granularity))
-                    .collect();
-                // Exactness: the hole must see the whole global pool.
-                let globals_seen = h.allowed.len() - locals.len();
-                if globals_seen != global_pool.len() {
-                    flat_exact = false;
-                }
-                if locals.is_empty() {
-                    global_holes.push(pos);
-                } else {
-                    match scope_keys.iter().position(|k| *k == locals) {
-                        Some(s) => scope_holes[s].push(pos),
-                        None => {
-                            scope_keys.push(locals);
-                            scope_holes.push(vec![pos]);
-                        }
+                    .map(|v| vars.partition_point(|x| x < v))
+                    .collect()
+            })
+            .collect();
+        let general = GeneralInstance {
+            allowed,
+            num_vars: vars.len(),
+        };
+
+        // Flat (normal form) instance: pool split per granularity,
+        // flat scopes keyed by the non-global portion of each hole's
+        // allowed set.
+        let global_pool: Vec<VarId> = vars.iter().copied().filter(|v| pool_global[v.0]).collect();
+        let mut scope_keys: Vec<Vec<VarId>> = Vec::new();
+        let mut scope_holes: Vec<Vec<usize>> = Vec::new();
+        let mut global_holes: Vec<usize> = Vec::new();
+        let mut flat_exact = true;
+        for (pos, &hi) in holes.iter().enumerate() {
+            let allowed = &self.holes[hi].allowed;
+            let locals = || allowed.iter().copied().filter(|v| !pool_global[v.0]);
+            // Exactness: the hole must see the whole global pool.
+            let globals_seen = allowed.iter().filter(|v| pool_global[v.0]).count();
+            if globals_seen != global_pool.len() {
+                flat_exact = false;
+            }
+            if globals_seen == allowed.len() {
+                global_holes.push(pos);
+            } else {
+                match scope_keys
+                    .iter()
+                    .position(|k| k.iter().copied().eq(locals()))
+                {
+                    Some(s) => scope_holes[s].push(pos),
+                    None => {
+                        scope_keys.push(locals().collect());
+                        scope_holes.push(vec![pos]);
                     }
                 }
             }
-            let scopes: Vec<FlatScope> = scope_keys
-                .iter()
-                .zip(&scope_holes)
-                .map(|(k, hs)| FlatScope {
-                    holes: hs.clone(),
-                    vars: k.len(),
-                })
-                .collect();
-            let flat = FlatInstance::new(global_holes, global_pool.len(), scopes);
-            out.push(TypeGroup {
-                ty,
-                holes,
-                vars,
-                general,
-                flat,
-                flat_global_vars: global_pool,
-                flat_scope_vars: scope_keys,
-                flat_exact,
-            });
         }
-        out
+        let scopes: Vec<FlatScope> = scope_keys
+            .iter()
+            .zip(scope_holes)
+            .map(|(k, holes)| FlatScope {
+                holes,
+                vars: k.len(),
+            })
+            .collect();
+        let flat = FlatInstance::new(global_holes, global_pool.len(), scopes);
+        TypeGroup {
+            ty,
+            holes,
+            vars,
+            general,
+            flat,
+            flat_global_vars: global_pool,
+            flat_scope_vars: scope_keys,
+            flat_exact,
+        }
     }
 
     /// The interned candidate-name table (all declared variable names).
@@ -426,64 +429,77 @@ impl Skeleton {
     /// renders are pure segment/slot splices.
     pub fn template(&self) -> &RenderTemplate {
         self.template.get_or_init(|| {
-            let hole_of_occ: HashMap<OccId, u32> = self
-                .holes
-                .iter()
-                .enumerate()
-                .map(|(i, h)| (h.occ, i as u32))
-                .collect();
-            // The table is frozen after construction, so every original
-            // name is already interned; `lookup` cannot miss.
-            RenderTemplate::from_pieces(
-                spe_minic::print_template(&self.program),
-                &hole_of_occ,
-                |name| self.names.lookup(name).expect("declared names interned"),
-            )
+            // Each use site's hole and original name (its variable's),
+            // indexed by occurrence id.
+            let len = self.holes.iter().map(|h| h.occ.0 as usize + 1).max();
+            let mut slot_of_occ = vec![None; len.unwrap_or(0)];
+            for (i, h) in self.holes.iter().enumerate() {
+                slot_of_occ[h.occ.0 as usize] = Some((i as u32, self.var_name(h.var)));
+            }
+            RenderTemplate::from_print(spe_minic::print_template(&self.program), |occ| {
+                slot_of_occ.get(occ.0 as usize).copied().flatten()
+            })
         })
     }
 
-    /// Builds the flat rename vector realizing a paper/orbit solution of
-    /// `group`: blocks drawing from the global pool get distinct global
-    /// variables in block order; blocks of flat scope `s` get distinct
-    /// variables of that scope. Each entry is `(hole index, chosen name)`,
-    /// covering exactly the group's holes.
+    /// Writes the names realizing a paper/orbit solution of `group` into
+    /// `row`, one per group position: `row[pos]` fills hole
+    /// `group.holes[pos]`. Blocks drawing from the global pool get
+    /// distinct global variables in block order; blocks of flat scope `s`
+    /// get distinct variables of that scope.
     ///
     /// # Panics
     ///
     /// Panics if the solution's blocks/pools are inconsistent with the
-    /// group (more blocks in a pool than it has variables).
+    /// group (more blocks in a pool than it has variables), or if `row`
+    /// is shorter than the group.
+    pub fn solution_names_into(
+        &self,
+        group: &TypeGroup,
+        solution: &ScopedSolution,
+        row: &mut [NameId],
+    ) {
+        let mut next_global = 0usize;
+        for (i, (block, &pool)) in solution.blocks.iter().zip(&solution.pools).enumerate() {
+            let var = match pool {
+                PoolRef::Global => {
+                    next_global += 1;
+                    group.flat_global_vars[next_global - 1]
+                }
+                PoolRef::Local(s) => {
+                    // The scope's earlier blocks took its first variables.
+                    let taken = solution.pools[..i].iter().filter(|&&p| p == pool).count();
+                    group.flat_scope_vars[s][taken]
+                }
+            };
+            let name = self.var_name(var);
+            for &pos in block {
+                row[pos] = name;
+            }
+        }
+    }
+
+    /// [`Self::solution_names_into`] as a flat rename vector: one
+    /// `(hole index, chosen name)` entry per group hole, in position
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::solution_names_into`].
     pub fn rename_for_solution(
         &self,
         group: &TypeGroup,
         solution: &ScopedSolution,
     ) -> Vec<(u32, NameId)> {
-        let mut next_global = 0usize;
-        let mut next_local: Vec<usize> = vec![0; group.flat_scope_vars.len()];
-        let mut rename = Vec::with_capacity(group.holes.len());
-        for (block, pool) in solution.blocks.iter().zip(&solution.pools) {
-            let var = match pool {
-                PoolRef::Global => {
-                    let v = group.flat_global_vars[next_global];
-                    next_global += 1;
-                    v
-                }
-                PoolRef::Local(s) => {
-                    let v = group.flat_scope_vars[*s][next_local[*s]];
-                    next_local[*s] += 1;
-                    v
-                }
-            };
-            let name = self.var_name(var);
-            for &pos in block {
-                rename.push((group.holes[pos] as u32, name));
-            }
-        }
-        rename
+        let mut row = vec![NameId::default(); group.holes.len()];
+        self.solution_names_into(group, solution, &mut row);
+        group.holes.iter().map(|&h| h as u32).zip(row).collect()
     }
 
     /// Builds the flat rename vector realizing a canonical-partition
-    /// solution (an RGS over the group's holes), using an SDR assignment.
-    /// Returns `None` if the partition has no valid assignment.
+    /// solution (an RGS over the group's holes), using an SDR assignment:
+    /// one `(hole index, chosen name)` entry per group hole, in position
+    /// order. Returns `None` if the partition has no valid assignment.
     pub fn rename_for_rgs(&self, group: &TypeGroup, rgs: &[usize]) -> Option<Vec<(u32, NameId)>> {
         let assign = spe_combinatorics::assignment_for_rgs(&group.general, rgs)?;
         Some(
@@ -521,6 +537,7 @@ mod tests {
     use super::*;
     use spe_bignum::BigUint;
     use spe_combinatorics::{canonical_count, paper_count};
+    use std::collections::HashMap;
 
     fn sk(src: &str) -> Skeleton {
         Skeleton::from_source(src).expect("skeleton builds")

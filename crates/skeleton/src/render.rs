@@ -12,10 +12,10 @@
 //!
 //! Output is byte-identical to printing the AST with the holes renamed
 //! ([`print_program`](spe_minic::print_program)) by construction: the
-//! template's pieces come from the very same printer traversal.
+//! template's text and sites come from the very same printer traversal.
 
 use spe_minic::ast::OccId;
-use spe_minic::TemplatePiece;
+use spe_minic::PrintTemplate;
 use std::collections::HashMap;
 
 /// An interned variable name. The numeric value indexes the owning
@@ -88,10 +88,9 @@ impl NameTable {
     }
 }
 
-/// One input piece for [`RenderTemplate::from_parts`] — the
-/// backend-agnostic template alphabet (mini-C templates come from
-/// [`spe_minic::print_template`], WHILE templates from
-/// [`spe_while::print_template`]; both lower to this).
+/// One input piece for [`RenderTemplate::from_parts`], the WHILE
+/// template alphabet ([`spe_while::print_template`] lowers to it; mini-C
+/// templates come from [`spe_minic::print_template`] in one buffer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TemplatePart {
     /// Literal text between holes (possibly empty).
@@ -122,9 +121,10 @@ struct Slot {
 ///
 /// Layout: `segments.len() == slots.len() + 1`, and the rendered output is
 /// `seg[0] name[0] seg[1] name[1] … seg[n]`. Static text is stored as byte
-/// ranges into one flat buffer, so rendering touches exactly two
-/// allocations total (the template and the caller's output buffer) no
-/// matter how many variants are realized.
+/// ranges into one flat buffer (which may also hold text between
+/// segments, such as a slot's original name), so rendering touches
+/// exactly two allocations total (the template and the caller's output
+/// buffer) no matter how many variants are realized.
 #[derive(Debug, Clone)]
 pub struct RenderTemplate {
     /// All static text, concatenated.
@@ -148,14 +148,14 @@ impl RenderTemplate {
             match part {
                 TemplatePart::Text(t) => text.push_str(&t),
                 TemplatePart::Slot { hole, default } => {
-                    let end = u32::try_from(text.len()).expect("template under 4 GiB");
+                    let end = offset(text.len());
                     segments.push((seg_start, end));
                     seg_start = end;
                     slots.push(Slot { hole, default });
                 }
             }
         }
-        segments.push((seg_start, u32::try_from(text.len()).expect("under 4 GiB")));
+        segments.push((seg_start, offset(text.len())));
         RenderTemplate {
             text,
             segments,
@@ -163,27 +163,32 @@ impl RenderTemplate {
         }
     }
 
-    /// Compiles a template from mini-C printer pieces.
+    /// Compiles a template from a mini-C print template, keeping its text
+    /// as the template's one buffer.
     ///
-    /// `hole_of_occ` maps a use-site occurrence to its hole index;
-    /// occurrences without a hole (never produced by well-formed
-    /// skeletons) are frozen into static text with their original names.
-    /// `intern` resolves each occurrence's original name to an id.
-    pub(crate) fn from_pieces(
-        pieces: Vec<TemplatePiece>,
-        hole_of_occ: &HashMap<OccId, u32>,
-        mut intern: impl FnMut(&str) -> NameId,
+    /// `slot_of` gives a use site's hole index and original (interned)
+    /// name; sites without a hole (never produced by well-formed
+    /// skeletons) stay static text with their original names.
+    pub(crate) fn from_print(
+        printed: PrintTemplate,
+        mut slot_of: impl FnMut(OccId) -> Option<(u32, NameId)>,
     ) -> RenderTemplate {
-        RenderTemplate::from_parts(pieces.into_iter().map(|piece| match piece {
-            TemplatePiece::Text(t) => TemplatePart::Text(t),
-            TemplatePiece::Occ { occ, name } => match hole_of_occ.get(&occ) {
-                Some(&hole) => TemplatePart::Slot {
-                    hole,
-                    default: intern(&name),
-                },
-                None => TemplatePart::Text(name),
-            },
-        }))
+        let mut segments = Vec::with_capacity(printed.sites.len() + 1);
+        let mut slots = Vec::with_capacity(printed.sites.len());
+        let mut seg_start = 0u32;
+        for (occ, range) in &printed.sites {
+            if let Some((hole, default)) = slot_of(*occ) {
+                segments.push((seg_start, offset(range.start)));
+                slots.push(Slot { hole, default });
+                seg_start = offset(range.end);
+            }
+        }
+        segments.push((seg_start, offset(printed.text.len())));
+        RenderTemplate {
+            text: printed.text,
+            segments,
+            slots,
+        }
     }
 
     /// Number of hole slots.
@@ -225,6 +230,11 @@ impl RenderTemplate {
     }
 }
 
+/// A byte offset into a template's text.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("template under 4 GiB")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,24 +254,52 @@ mod tests {
         assert_eq!(t.lookup("absent"), None);
     }
 
+    /// A print template over `parts`: literal text, or `(occ, name)` for
+    /// a use site.
+    fn printed(parts: &[Result<&str, (u32, &str)>]) -> PrintTemplate {
+        let mut t = PrintTemplate {
+            text: String::new(),
+            sites: Vec::new(),
+        };
+        for part in parts {
+            match *part {
+                Ok(text) => t.text.push_str(text),
+                Err((occ, name)) => {
+                    let start = t.text.len();
+                    t.text.push_str(name);
+                    t.sites.push((OccId(occ), start..t.text.len()));
+                }
+            }
+        }
+        t
+    }
+
+    /// Compiles `t` with `holes[occ] = hole`, interning original names.
+    fn compile(
+        t: PrintTemplate,
+        holes: &HashMap<OccId, u32>,
+        table: &mut NameTable,
+    ) -> RenderTemplate {
+        let defaults: HashMap<OccId, NameId> = t
+            .sites
+            .iter()
+            .map(|(occ, r)| (*occ, table.intern(&t.text[r.clone()])))
+            .collect();
+        RenderTemplate::from_print(t, |occ| holes.get(&occ).map(|&h| (h, defaults[&occ])))
+    }
+
     #[test]
     fn template_splices_segments_and_slots() {
         let mut table = NameTable::new();
-        let pieces = vec![
-            TemplatePiece::Text("int f() { return ".into()),
-            TemplatePiece::Occ {
-                occ: OccId(0),
-                name: "a".into(),
-            },
-            TemplatePiece::Text(" + ".into()),
-            TemplatePiece::Occ {
-                occ: OccId(1),
-                name: "b".into(),
-            },
-            TemplatePiece::Text("; }".into()),
-        ];
+        let t = printed(&[
+            Ok("int f() { return "),
+            Err((0, "a")),
+            Ok(" + "),
+            Err((1, "b")),
+            Ok("; }"),
+        ]);
         let holes: HashMap<OccId, u32> = [(OccId(0), 0), (OccId(1), 1)].into();
-        let tpl = RenderTemplate::from_pieces(pieces, &holes, |n| table.intern(n));
+        let tpl = compile(t, &holes, &mut table);
         assert_eq!(tpl.num_slots(), 2);
         let mut out = String::new();
         tpl.render_into(&[], &table, &mut out);
@@ -275,14 +313,8 @@ mod tests {
     #[test]
     fn occ_without_hole_freezes_to_static_text() {
         let mut table = NameTable::new();
-        let pieces = vec![
-            TemplatePiece::Occ {
-                occ: OccId(7),
-                name: "ghost".into(),
-            },
-            TemplatePiece::Text(" = 0;".into()),
-        ];
-        let tpl = RenderTemplate::from_pieces(pieces, &HashMap::new(), |n| table.intern(n));
+        let t = printed(&[Err((7, "ghost")), Ok(" = 0;")]);
+        let tpl = compile(t, &HashMap::new(), &mut table);
         assert_eq!(tpl.num_slots(), 0);
         let mut out = String::from("stale");
         tpl.render_into(&[], &table, &mut out);
@@ -294,16 +326,9 @@ mod tests {
         let mut table = NameTable::new();
         let long = table.intern("somewhat_long_variable");
         let short = table.intern("v");
-        let pieces = vec![
-            TemplatePiece::Text("x = ".into()),
-            TemplatePiece::Occ {
-                occ: OccId(0),
-                name: "v".into(),
-            },
-            TemplatePiece::Text(";".into()),
-        ];
+        let t = printed(&[Ok("x = "), Err((0, "v")), Ok(";")]);
         let holes: HashMap<OccId, u32> = [(OccId(0), 0)].into();
-        let tpl = RenderTemplate::from_pieces(pieces, &holes, |n| table.intern(n));
+        let tpl = compile(t, &holes, &mut table);
         let mut out = String::new();
         tpl.render_into(&[long], &table, &mut out); // warm-up sets capacity
         let cap = out.capacity();

@@ -92,8 +92,8 @@ fn digest_case(h: &mut Fnv, p: &Program, opt: u8, wrong_code: Vec<&BugSpec>) {
 
 #[test]
 fn execution_layer_matches_its_golden_digest() {
-    let bugs: Vec<BugSpec> = registry()
-        .into_iter()
+    let bugs: Vec<&BugSpec> = registry()
+        .iter()
         .filter(|b| b.kind == BugKind::WrongCode && b.id != "gcc-samevar6-wc")
         .collect();
     assert_eq!(bugs.len(), 4, "wrong-code registry changed");
@@ -105,7 +105,7 @@ fn execution_layer_matches_its_golden_digest() {
         h.write(format!("{:?}", interp::run(p, reference_limits(20_000))).as_bytes());
         for opt in 0..=3 {
             digest_case(&mut h, p, opt, Vec::new());
-            for bug in &bugs {
+            for &bug in &bugs {
                 digest_case(&mut h, p, opt, vec![bug]);
             }
         }
