@@ -573,6 +573,11 @@ impl JobOracle<'_> {
                     names::ORACLE_PIPELINE_MEMO_MISSES,
                     stats.pipeline_memo_misses - last.pipeline_memo_misses,
                 ),
+                (
+                    names::ORACLE_REFERENCE_MEMO_HITS,
+                    stats.reference_memo_hits - last.reference_memo_hits,
+                ),
+                (names::ORACLE_REFERENCE_RUNS, stats.reference_runs - last.reference_runs),
             ] {
                 if delta > 0 {
                     telemetry.counter(name, delta);

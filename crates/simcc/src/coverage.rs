@@ -32,20 +32,42 @@ pub const PASS_POINTS: &[(&str, u32)] = &[
 ];
 
 /// A set of hit coverage points.
+///
+/// [`Coverage::new`] records; [`Coverage::off`] records nothing, for
+/// the compilations whose coverage no caller reads (every campaign
+/// observation). Only `coverage_probe` (Figure 9) and the tests record.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coverage {
     hits: HashSet<(&'static str, u32)>,
+    off: bool,
 }
 
 impl Coverage {
-    /// Creates an empty coverage map.
+    /// Creates an empty coverage map that records every hit.
     pub fn new() -> Coverage {
         Coverage::default()
+    }
+
+    /// A coverage map that records nothing: [`Coverage::hit`] returns at
+    /// once, and the passes skip the work that only computes points.
+    pub fn off() -> Coverage {
+        Coverage {
+            hits: HashSet::new(),
+            off: true,
+        }
+    }
+
+    /// Whether hits are recorded (false for [`Coverage::off`]).
+    pub fn is_recording(&self) -> bool {
+        !self.off
     }
 
     /// Records that `point` of `pass` executed. Unknown passes or points
     /// beyond the declared count are ignored (defensive).
     pub fn hit(&mut self, pass: &'static str, point: u32) {
+        if self.off {
+            return;
+        }
         if PASS_POINTS.iter().any(|&(p, n)| p == pass && point < n) {
             self.hits.insert((pass, point));
         }
@@ -110,6 +132,15 @@ mod tests {
         c.hit("nonexistent", 0);
         c.hit("fold", 9999);
         assert_eq!(c.points_hit(), 0);
+    }
+
+    #[test]
+    fn off_records_nothing() {
+        let mut c = Coverage::off();
+        c.hit("fold", 0);
+        assert!(!c.is_recording());
+        assert_eq!(c.points_hit(), 0);
+        assert!(Coverage::new().is_recording());
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //!   from the configuration, so gcc-sim `-O0` and clang-sim `-O0`
 //!   usually collapse to one pipeline execution, and so do their
 //!   differential VM runs.
+//! * Reference runs are memoized *across* the job's variants, filed in a
+//!   decision tree under the holes each run read
+//!   ([`interp::run_logged`]): a variant that agrees with an earlier run
+//!   on every hole that run read gets that run's result without
+//!   running. The passes and the VM read the whole program, so only
+//!   the reference is memoized this way.
 //!
 //! # Why splicing is identity-preserving
 //!
@@ -76,6 +82,10 @@ pub struct CacheStats {
     pub pipeline_memo_hits: u64,
     /// Pass-pipeline executions that actually ran.
     pub pipeline_memo_misses: u64,
+    /// Reference results served from the job's reference memo.
+    pub reference_memo_hits: u64,
+    /// Reference-interpreter runs that actually ran.
+    pub reference_runs: u64,
 }
 
 /// A parsed program with a raw mutable handle to each hole's
@@ -96,6 +106,9 @@ struct SplicedAst {
     program: Program,
     /// Hole-indexed pointers to each hole's `Ident::name`.
     slots: Vec<*mut String>,
+    /// Occurrence-indexed hole numbers, [`interp::NOT_A_HOLE`] where an
+    /// occurrence is no hole: the map a logged reference run reads.
+    occ_hole: Vec<usize>,
 }
 
 impl SplicedAst {
@@ -103,18 +116,19 @@ impl SplicedAst {
     /// occurrence filled by names`[h]`. Returns `None` when some hole
     /// occurrence has no identifier in the program (a caller bug).
     fn new(program: Program, hole_occs: &[OccId]) -> Option<SplicedAst> {
+        let mut occ_hole = vec![interp::NOT_A_HOLE; program.max_occ as usize];
+        for (h, occ) in hole_occs.iter().enumerate() {
+            *occ_hole.get_mut(occ.0 as usize)? = h;
+        }
         let mut this = SplicedAst {
             program,
             slots: vec![std::ptr::null_mut(); hole_occs.len()],
+            occ_hole,
         };
-        let mut occ_to_hole = vec![usize::MAX; this.program.max_occ as usize];
-        for (h, occ) in hole_occs.iter().enumerate() {
-            *occ_to_hole.get_mut(occ.0 as usize)? = h;
-        }
-        let slots = &mut this.slots;
+        let (slots, occ_hole) = (&mut this.slots, &this.occ_hole);
         this.program.for_each_ident_mut(&mut |id| {
-            if let Some(&h) = occ_to_hole.get(id.occ.0 as usize) {
-                if h != usize::MAX {
+            if let Some(&h) = occ_hole.get(id.occ.0 as usize) {
+                if h != interp::NOT_A_HOLE {
                     slots[h] = &mut id.name as *mut String;
                 }
             }
@@ -162,6 +176,119 @@ struct PipeEntry {
     divergence: Option<Option<Divergence>>,
 }
 
+/// Most nodes one job's [`ReferenceMemo`] keeps. Past it the memo stops
+/// filing new runs, which costs speed and never changes a result.
+const REFERENCE_MEMO_NODES: usize = 16_384;
+
+/// The reference results of one job's variants, as a decision tree over
+/// `(hole, spelling)` in the order runs first read their holes.
+///
+/// Within a job, variants differ only in hole spellings, and the
+/// interpreter is deterministic. So the first hole a run reads is the
+/// same for every variant, the next one depends only on the spelling
+/// read there, and so on: a run that read holes h1…hk takes the same
+/// steps for every variant that agrees with it at h1…hk. Each root-to-
+/// leaf path is one such run, and its leaf holds the run's result.
+///
+/// The vectors start empty, so a job that never runs the reference
+/// (every compile-only job) allocates nothing here.
+#[derive(Default)]
+struct ReferenceMemo {
+    /// The tree; node 0 is the root once a run is filed.
+    nodes: Vec<MemoNode>,
+    /// The holes the latest fresh run read.
+    reads: interp::HoleReads,
+}
+
+enum MemoNode {
+    /// Runs that reach this node read `hole` next; one edge per spelling
+    /// seen there, to the node of the runs that read that spelling.
+    Read { hole: usize, edges: Vec<(Box<str>, usize)> },
+    /// Runs that reach this node read no further hole and end so.
+    Done(Result<interp::Execution, interp::Ub>),
+}
+
+impl ReferenceMemo {
+    /// The reference result of the variant spelled `names`: from the
+    /// tree when an earlier run read only holes it agrees on, otherwise
+    /// from a fresh logged run, which is then filed.
+    fn run(
+        &mut self,
+        prog: &Program,
+        occ_hole: &[usize],
+        names: &[&str],
+        limits: interp::Limits,
+        stats: &mut CacheStats,
+    ) -> Result<interp::Execution, interp::Ub> {
+        if let Some(result) = self.lookup(names) {
+            stats.reference_memo_hits += 1;
+            return result.clone();
+        }
+        stats.reference_runs += 1;
+        let result = interp::run_logged(prog, limits, occ_hole, &mut self.reads);
+        self.file(names, &result);
+        result
+    }
+
+    fn lookup(&self, names: &[&str]) -> Option<&Result<interp::Execution, interp::Ub>> {
+        let mut at = 0;
+        loop {
+            match self.nodes.get(at)? {
+                MemoNode::Done(result) => return Some(result),
+                MemoNode::Read { hole, edges } => {
+                    let spelling = names[*hole];
+                    at = edges.iter().find(|(s, _)| **s == *spelling)?.1;
+                }
+            }
+        }
+    }
+
+    /// Files the fresh run just made on `names`, whose reads are in
+    /// `self.reads`: follows the path the tree already has for them and
+    /// grows a new branch where it ends.
+    fn file(&mut self, names: &[&str], result: &Result<interp::Execution, interp::Ub>) {
+        let order = self.reads.order();
+        // The node whose read has no edge for this spelling yet (none
+        // for an empty tree), and the reads after it.
+        let (fork, rest) = if self.nodes.is_empty() {
+            (None, order)
+        } else {
+            let mut at = 0;
+            let mut reads = order.iter();
+            loop {
+                let MemoNode::Read { hole, edges } = &self.nodes[at] else {
+                    return; // a filed run already ends here
+                };
+                if reads.next() != Some(hole) {
+                    debug_assert!(false, "runs disagree on the hole read next");
+                    return;
+                }
+                match edges.iter().find(|(s, _)| **s == *names[*hole]) {
+                    Some(&(_, next)) => at = next,
+                    None => break (Some(at), reads.as_slice()),
+                }
+            }
+        };
+        if self.nodes.len() + rest.len() + 1 > REFERENCE_MEMO_NODES {
+            return;
+        }
+        if let Some(at) = fork {
+            let next = self.nodes.len();
+            if let MemoNode::Read { hole, edges } = &mut self.nodes[at] {
+                edges.push((names[*hole].into(), next));
+            }
+        }
+        for &hole in rest {
+            let next = self.nodes.len() + 1;
+            self.nodes.push(MemoNode::Read {
+                hole,
+                edges: vec![(names[hole].into(), next)],
+            });
+        }
+        self.nodes.push(MemoNode::Done(result.clone()));
+    }
+}
+
 /// One compiler configuration with its live-bug set resolved once.
 struct CompilerSlot {
     compiler: Compiler,
@@ -192,9 +319,8 @@ pub struct CachedOracle {
     obs: Vec<Observation>,
     /// Reused per-variant pipeline memo.
     pipeline: Vec<(PipeKey, PipeEntry)>,
-    /// Write-only coverage scratch for the passes (observations do not
-    /// carry coverage).
-    coverage: Coverage,
+    /// Reference results across the job's variants.
+    reference_memo: ReferenceMemo,
     /// True while an `observe_variant` call is running; still true on
     /// entry means the previous call panicked partway.
     in_flight: bool,
@@ -230,7 +356,7 @@ impl CachedOracle {
             fuel,
             obs: Vec::new(),
             pipeline: Vec::new(),
-            coverage: Coverage::new(),
+            reference_memo: ReferenceMemo::default(),
             // The first variant resplices every hole: there is no delta
             // baseline yet.
             in_flight: true,
@@ -266,24 +392,7 @@ impl CachedOracle {
     /// a delta index is out of range; the oracle self-heals on the next
     /// call.
     pub fn observe_variant(&mut self, names: &[&str], changed: Option<&[usize]>) -> &[Observation] {
-        let must_full = self.in_flight;
-        self.in_flight = true;
-        match changed {
-            Some(delta) if !must_full => {
-                for &h in delta {
-                    self.ast.set(h, names[h]);
-                }
-                self.stats.splice_delta += 1;
-            }
-            _ => {
-                let holes = self.ast.slots.len();
-                for (h, name) in names.iter().enumerate().take(holes) {
-                    self.ast.set(h, name);
-                }
-                self.stats.splice_full += 1;
-            }
-        }
-
+        self.splice(names, changed);
         self.obs.clear();
         self.pipeline.clear();
         let prog = self.ast.program();
@@ -351,7 +460,7 @@ impl CachedOracle {
                     let mut ctx = passes::PassCtx {
                         opt,
                         wrong_code: wc_specs,
-                        coverage: &mut self.coverage,
+                        coverage: &mut Coverage::off(),
                         miscompiled_by: Vec::new(),
                     };
                     let optimized = passes::optimize(prog, &mut ctx);
@@ -379,7 +488,13 @@ impl CachedOracle {
             };
             if check_wrong_code {
                 if reference.is_none() {
-                    reference = Some(interp::run(prog, reference_limits(fuel)));
+                    reference = Some(self.reference_memo.run(
+                        prog,
+                        &self.ast.occ_hole,
+                        names,
+                        reference_limits(fuel),
+                        &mut self.stats,
+                    ));
                 }
                 match reference.as_ref().expect("just set") {
                     Err(_) => obs.reference_ub = true,
@@ -401,6 +516,55 @@ impl CachedOracle {
         }
         self.in_flight = false;
         &self.obs
+    }
+
+    /// The reference interpreter's result on the variant spelled
+    /// `names`, spliced in as [`CachedOracle::observe_variant`] splices
+    /// it: the verdict that oracle's wrong-code check starts from. It
+    /// comes from the job's reference memo when an earlier run read
+    /// only holes this variant agrees on.
+    ///
+    /// # Panics
+    ///
+    /// As [`CachedOracle::observe_variant`].
+    pub fn reference(
+        &mut self,
+        names: &[&str],
+        changed: Option<&[usize]>,
+    ) -> Result<interp::Execution, interp::Ub> {
+        self.splice(names, changed);
+        let result = self.reference_memo.run(
+            self.ast.program(),
+            &self.ast.occ_hole,
+            names,
+            reference_limits(self.fuel),
+            &mut self.stats,
+        );
+        self.in_flight = false;
+        result
+    }
+
+    /// Binds the holes to `names` (only the `changed` ones when the
+    /// previous call finished) and marks the oracle in flight; the caller
+    /// clears the mark when it is done.
+    fn splice(&mut self, names: &[&str], changed: Option<&[usize]>) {
+        let must_full = self.in_flight;
+        self.in_flight = true;
+        match changed {
+            Some(delta) if !must_full => {
+                for &h in delta {
+                    self.ast.set(h, names[h]);
+                }
+                self.stats.splice_delta += 1;
+            }
+            _ => {
+                let holes = self.ast.slots.len();
+                for (h, name) in names.iter().enumerate().take(holes) {
+                    self.ast.set(h, name);
+                }
+                self.stats.splice_full += 1;
+            }
+        }
     }
 }
 

@@ -8,13 +8,18 @@
 //! The runtime model is deliberately simple: every scalar is an `i64`;
 //! pointers are `(variable, element offset)` handles; arrays are
 //! fixed-size cell vectors. Detected UB: uninitialized reads, division by
-//! zero, signed overflow, out-of-bounds accesses, null dereferences and
-//! call-depth/fuel exhaustion.
+//! zero, signed overflow, out-of-bounds accesses, null dereferences,
+//! loops that provably cannot exit, and call-depth/fuel exhaustion.
 //!
 //! Names are borrowed from the program: scopes are one stack of
 //! `(&str, slot)` bindings searched newest first, and every object's
 //! cells live back to back in one vector, so declaring or looking up a
 //! variable allocates nothing.
+//!
+//! Every read of a use site's spelling goes through one accessor, so
+//! [`run_logged`] can report which holes a run read, in first-read
+//! order. A run is a function of those spellings alone: the incremental
+//! oracle files reference results under them (DESIGN §13).
 
 use crate::newest;
 use spe_minic::ast::*;
@@ -55,6 +60,13 @@ pub enum Ub {
     BadDeref,
     /// The program exceeded its fuel (possible non-termination).
     FuelExhausted,
+    /// A loop whose condition held cannot exit: the condition has no
+    /// side effect and reads no variable that the body or step writes
+    /// or declares, and they contain no `break`, `return`, `goto`,
+    /// label, call, pointer, array or member access, and no write but to
+    /// a name. Found at the loop's head after [`LOOP_CHECK_AT`]
+    /// iterations instead of by burning all the fuel.
+    NonTerminating,
     /// Call stack too deep.
     StackOverflow,
     /// Construct outside the executable subset (e.g. structs).
@@ -74,6 +86,7 @@ impl fmt::Display for Ub {
             Ub::OutOfBounds(n) => write!(f, "out-of-bounds access on `{n}`"),
             Ub::BadDeref => f.write_str("invalid pointer dereference"),
             Ub::FuelExhausted => f.write_str("fuel exhausted (possible non-termination)"),
+            Ub::NonTerminating => f.write_str("loop cannot exit (non-termination)"),
             Ub::StackOverflow => f.write_str("call stack overflow"),
             Ub::Unsupported(w) => write!(f, "unsupported construct: {w}"),
             Ub::UnknownFunction(n) => write!(f, "call to unknown function `{n}`"),
@@ -128,28 +141,85 @@ impl Default for Limits {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run(p: &Program, limits: Limits) -> Result<Execution, Ub> {
-    let mut interp = Interp {
-        program: p,
-        slots: Vec::new(),
-        cells: Vec::new(),
-        globals: Vec::new(),
-        locals: Vec::new(),
-        frame: 0,
-        scope: 0,
-        fuel: limits.fuel,
-        max_depth: limits.max_depth,
-        output: Vec::new(),
-    };
-    interp.init_globals()?;
-    let main = p.function("main").ok_or(Ub::NoMain)?;
-    let ret = interp.call(main, Vec::new(), 0)?;
-    Ok(Execution {
-        exit_code: match ret {
-            Some(Value::Int(v)) => v & 0xff, // exit codes are 8-bit
-            _ => 0,
-        },
-        output: interp.output,
-    })
+    Interp::new(p, limits, None).main()
+}
+
+/// Iterations a loop activation runs before its head checks whether the
+/// loop can exit at all ([`Ub::NonTerminating`]); loops that finish
+/// sooner pay nothing for the check.
+pub const LOOP_CHECK_AT: u32 = 64;
+
+/// Marks an occurrence that is no hole in [`run_logged`]'s map.
+pub const NOT_A_HOLE: usize = usize::MAX;
+
+/// The holes one [`run_logged`] run read, each once, in the order it
+/// first read them.
+#[derive(Debug, Clone, Default)]
+pub struct HoleReads {
+    order: Vec<usize>,
+    /// `seen[h]`: hole `h` is in `order`.
+    seen: Vec<bool>,
+}
+
+impl HoleReads {
+    /// The hole indices, in first-read order.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    fn clear(&mut self) {
+        for &h in &self.order {
+            self.seen[h] = false;
+        }
+        self.order.clear();
+    }
+
+    fn read(&mut self, hole: usize) {
+        if hole >= self.seen.len() {
+            self.seen.resize(hole + 1, false);
+        }
+        if !self.seen[hole] {
+            self.seen[hole] = true;
+            self.order.push(hole);
+        }
+    }
+}
+
+/// [`run`], logging into `reads` the holes the run reads: `occ_hole[o]`
+/// is the hole filled at occurrence `o`, or [`NOT_A_HOLE`]. Two programs
+/// that differ only in hole spellings, and agree on the spellings of the
+/// holes one of them read, take the same steps and give the same result.
+///
+/// # Errors
+///
+/// As [`run`].
+///
+/// # Examples
+///
+/// ```
+/// use spe_simcc::interp::{run_logged, HoleReads, Limits};
+/// let p = spe_minic::parse("int main() { int a = 1, b = 0; return b ? b : a; }")?;
+/// // The use sites are occurrences 0, 1 and 2, each its own hole; the
+/// // run never reads the `b` of the arm it does not take.
+/// let mut reads = HoleReads::default();
+/// assert_eq!(run_logged(&p, Limits::default(), &[0, 1, 2], &mut reads)?.exit_code, 1);
+/// assert_eq!(reads.order(), &[0, 2]);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn run_logged(
+    p: &Program,
+    limits: Limits,
+    occ_hole: &[usize],
+    reads: &mut HoleReads,
+) -> Result<Execution, Ub> {
+    reads.clear();
+    Interp::new(p, limits, Some(ReadLog { occ_hole, reads })).main()
+}
+
+/// Where a logged run records the holes it reads.
+struct ReadLog<'p> {
+    occ_hole: &'p [usize],
+    reads: &'p mut HoleReads,
 }
 
 /// A storage slot: a named object of `len` cells starting at `start` in
@@ -163,6 +233,7 @@ struct Slot<'p> {
 
 struct Interp<'p> {
     program: &'p Program,
+    log: Option<ReadLog<'p>>,
     slots: Vec<Slot<'p>>,
     /// The cells of every slot, in slot order.
     cells: Vec<Option<Value>>,
@@ -178,6 +249,10 @@ struct Interp<'p> {
     fuel: u64,
     max_depth: usize,
     output: Vec<String>,
+    /// Each checked loop's [`Interp::cannot_exit`] verdict. It depends
+    /// only on the program and its spellings, so one check serves the
+    /// whole run.
+    verdicts: Vec<(&'p Stmt, bool)>,
 }
 
 enum Flow<'p> {
@@ -189,6 +264,48 @@ enum Flow<'p> {
 }
 
 impl<'p> Interp<'p> {
+    fn new(program: &'p Program, limits: Limits, log: Option<ReadLog<'p>>) -> Interp<'p> {
+        Interp {
+            program,
+            log,
+            slots: Vec::new(),
+            cells: Vec::new(),
+            globals: Vec::new(),
+            locals: Vec::new(),
+            frame: 0,
+            scope: 0,
+            fuel: limits.fuel,
+            max_depth: limits.max_depth,
+            output: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    fn main(mut self) -> Result<Execution, Ub> {
+        self.init_globals()?;
+        let main = self.program.function("main").ok_or(Ub::NoMain)?;
+        let ret = self.call(main, Vec::new(), 0)?;
+        Ok(Execution {
+            exit_code: match ret {
+                Some(Value::Int(v)) => v & 0xff, // exit codes are 8-bit
+                _ => 0,
+            },
+            output: self.output,
+        })
+    }
+
+    /// The spelling of use site `id`. Every read of an identifier's name
+    /// goes through here, so a logged run records each hole it reads.
+    fn name(&mut self, id: &'p Ident) -> &'p str {
+        if let Some(log) = &mut self.log {
+            match log.occ_hole.get(id.occ.0 as usize) {
+                Some(&h) if h != NOT_A_HOLE => log.reads.read(h),
+                _ => {}
+            }
+        }
+        &id.name
+    }
+
     fn burn(&mut self) -> Result<(), Ub> {
         if self.fuel == 0 {
             return Err(Ub::FuelExhausted);
@@ -315,7 +432,7 @@ impl<'p> Interp<'p> {
             self.cells[self.slots[slot].start] = Some(arg);
             self.bind(&param.name, slot);
         }
-        let flow = self.run_body(&f.body, depth)?;
+        let flow = self.run_body(&f.body, None, depth)?;
         self.locals.truncate(self.frame);
         (self.frame, self.scope) = caller;
         match flow {
@@ -326,28 +443,67 @@ impl<'p> Interp<'p> {
     }
 
     /// Runs a statement list with label support: a `goto` unwinds to the
-    /// nearest list containing the label and resumes there.
-    fn run_body(&mut self, stmts: &'p [Stmt], depth: usize) -> Result<Flow<'p>, Ub> {
-        let mut idx = 0usize;
-        'outer: loop {
-            while idx < stmts.len() {
-                let flow = self.stmt(&stmts[idx], depth)?;
-                match flow {
-                    Flow::Normal => idx += 1,
-                    Flow::Goto(label) => {
-                        // Do we define the label at this level?
-                        for (i, s) in stmts.iter().enumerate() {
-                            if stmt_defines_label(s, label) {
-                                idx = i;
-                                continue 'outer;
-                            }
-                        }
-                        return Ok(Flow::Goto(label));
+    /// nearest list containing the label and enters it there. With
+    /// `entry`, the list itself is entered at that label.
+    fn run_body(
+        &mut self,
+        stmts: &'p [Stmt],
+        mut entry: Option<&'p str>,
+        depth: usize,
+    ) -> Result<Flow<'p>, Ub> {
+        let mut idx = match entry {
+            Some(label) => label_index(stmts, label).unwrap_or(stmts.len()),
+            None => 0,
+        };
+        while idx < stmts.len() {
+            let flow = match entry.take() {
+                Some(label) => self.enter(&stmts[idx], label, depth)?,
+                None => self.stmt(&stmts[idx], depth)?,
+            };
+            match flow {
+                Flow::Normal => idx += 1,
+                Flow::Goto(label) => match label_index(stmts, label) {
+                    Some(i) => {
+                        idx = i;
+                        entry = Some(label);
                     }
-                    other => return Ok(other),
-                }
+                    None => return Ok(Flow::Goto(label)),
+                },
+                other => return Ok(other),
             }
-            return Ok(Flow::Normal);
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// Runs `s`, which defines `label`, from that label, as a `goto`
+    /// does: into the branch or the body that holds it, without testing
+    /// the condition on the way in. A loop entered this way then goes
+    /// on as usual. Declarations the jump skips stay unbound.
+    fn enter(&mut self, s: &'p Stmt, label: &'p str, depth: usize) -> Result<Flow<'p>, Ub> {
+        self.burn()?;
+        match s {
+            Stmt::Label(l, inner) if l == label => self.stmt(inner, depth),
+            Stmt::Label(_, inner) => self.enter(inner, label, depth),
+            Stmt::Block(body) => {
+                let outer = self.open_scope();
+                let flow = self.run_body(body, Some(label), depth)?;
+                self.close_scope(outer);
+                Ok(flow)
+            }
+            Stmt::If(_, t, e) => match e {
+                Some(e) if !stmt_defines_label(t, label) => self.enter(e, label, depth),
+                _ => self.enter(t, label, depth),
+            },
+            Stmt::While(c, body) => self.run_while(s, c, body, Some(label), depth),
+            Stmt::DoWhile(body, c) => self.run_do_while(s, body, c, Some(label), depth),
+            Stmt::For(_, cond, step, body) => {
+                let outer = self.open_scope();
+                let flow = self.run_for(s, cond.as_ref(), step.as_ref(), body, Some(label), depth)?;
+                self.close_scope(outer);
+                Ok(flow)
+            }
+            // `label_index` picks only statements that define the label.
+            _ => Err(Ub::Unsupported(format!("goto to unknown label `{label}`"))),
         }
     }
 
@@ -364,7 +520,7 @@ impl<'p> Interp<'p> {
             }
             Stmt::Block(body) => {
                 let outer = self.open_scope();
-                let flow = self.run_body(body, depth)?;
+                let flow = self.run_body(body, None, depth)?;
                 self.close_scope(outer);
                 Ok(flow)
             }
@@ -378,34 +534,8 @@ impl<'p> Interp<'p> {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::While(c, body) => {
-                loop {
-                    self.burn()?;
-                    if !self.truthy(c, depth)? {
-                        break;
-                    }
-                    match self.stmt(body, depth)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        other => return Ok(other),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::DoWhile(body, c) => {
-                loop {
-                    self.burn()?;
-                    match self.stmt(body, depth)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        other => return Ok(other),
-                    }
-                    if !self.truthy(c, depth)? {
-                        break;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            Stmt::While(c, body) => self.run_while(s, c, body, None, depth),
+            Stmt::DoWhile(body, c) => self.run_do_while(s, body, c, None, depth),
             Stmt::For(init, cond, step, body) => {
                 let outer = self.open_scope();
                 match init {
@@ -415,30 +545,9 @@ impl<'p> Interp<'p> {
                     }
                     None => {}
                 }
-                let mut result = Flow::Normal;
-                loop {
-                    self.burn()?;
-                    let go = match cond {
-                        Some(c) => self.truthy(c, depth)?,
-                        None => true,
-                    };
-                    if !go {
-                        break;
-                    }
-                    match self.stmt(body, depth)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        other => {
-                            result = other;
-                            break;
-                        }
-                    }
-                    if let Some(st) = step {
-                        self.eval(st, depth)?;
-                    }
-                }
+                let flow = self.run_for(s, cond.as_ref(), step.as_ref(), body, None, depth)?;
                 self.close_scope(outer);
-                Ok(result)
+                Ok(flow)
             }
             Stmt::Return(e) => {
                 let v = match e {
@@ -453,6 +562,254 @@ impl<'p> Interp<'p> {
             Stmt::Label(_, inner) => self.stmt(inner, depth),
             Stmt::Empty => Ok(Flow::Normal),
         }
+    }
+
+    /// `while (c) body`, entered at `entry` inside the body when a
+    /// `goto` jumps there.
+    fn run_while(
+        &mut self,
+        s: &'p Stmt,
+        c: &'p Expr,
+        body: &'p Stmt,
+        mut entry: Option<&'p str>,
+        depth: usize,
+    ) -> Result<Flow<'p>, Ub> {
+        let mut held = 0;
+        loop {
+            let flow = match entry.take() {
+                Some(label) => self.enter(body, label, depth)?,
+                None => {
+                    self.burn()?;
+                    if !self.truthy(c, depth)? {
+                        break;
+                    }
+                    self.condition_held(s, &mut held)?;
+                    self.stmt(body, depth)?
+                }
+            };
+            match flow {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                other => return Ok(other),
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// `do body while (c);`, entered at `entry` inside the body when a
+    /// `goto` jumps there.
+    fn run_do_while(
+        &mut self,
+        s: &'p Stmt,
+        body: &'p Stmt,
+        c: &'p Expr,
+        mut entry: Option<&'p str>,
+        depth: usize,
+    ) -> Result<Flow<'p>, Ub> {
+        let mut held = 0;
+        loop {
+            let flow = match entry.take() {
+                Some(label) => self.enter(body, label, depth)?,
+                None => {
+                    self.burn()?;
+                    self.stmt(body, depth)?
+                }
+            };
+            match flow {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                other => return Ok(other),
+            }
+            if !self.truthy(c, depth)? {
+                break;
+            }
+            self.condition_held(s, &mut held)?;
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// The loop of `for (init; cond; step) body`, after `init` and inside
+    /// the scope it opened; entered at `entry` inside the body when a
+    /// `goto` jumps there.
+    fn run_for(
+        &mut self,
+        s: &'p Stmt,
+        cond: Option<&'p Expr>,
+        step: Option<&'p Expr>,
+        body: &'p Stmt,
+        mut entry: Option<&'p str>,
+        depth: usize,
+    ) -> Result<Flow<'p>, Ub> {
+        let mut held = 0;
+        loop {
+            let flow = match entry.take() {
+                Some(label) => self.enter(body, label, depth)?,
+                None => {
+                    self.burn()?;
+                    if let Some(c) = cond {
+                        if !self.truthy(c, depth)? {
+                            break;
+                        }
+                    }
+                    self.condition_held(s, &mut held)?;
+                    self.stmt(body, depth)?
+                }
+            };
+            match flow {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                other => return Ok(other),
+            }
+            if let Some(st) = step {
+                self.eval(st, depth)?;
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// Counts one more time loop `s`'s condition held in this activation;
+    /// at the [`LOOP_CHECK_AT`]th, stops the run if the loop cannot exit.
+    fn condition_held(&mut self, s: &'p Stmt, held: &mut u32) -> Result<(), Ub> {
+        *held += 1;
+        if *held == LOOP_CHECK_AT && self.cannot_exit(s) {
+            return Err(Ub::NonTerminating);
+        }
+        Ok(())
+    }
+
+    /// Whether loop `s`, at a head where its condition held, can never
+    /// leave the loop: the rule [`Ub::NonTerminating`] states. The check
+    /// is a may-write analysis of the body and the step. Nothing in them
+    /// can exit, and without calls or pointer, array or member access
+    /// they change only the variables they name. So a condition that
+    /// reads none of those names keeps its value, and holds forever.
+    /// Every use-site spelling the check inspects goes through
+    /// [`Interp::name`], so a logged run records the holes the verdict
+    /// depends on.
+    fn cannot_exit(&mut self, s: &'p Stmt) -> bool {
+        if let Some(&(_, verdict)) = self.verdicts.iter().find(|(l, _)| std::ptr::eq(*l, s)) {
+            return verdict;
+        }
+        let (cond, step, body) = match s {
+            Stmt::While(c, b) | Stmt::DoWhile(b, c) => (Some(c), None, b),
+            Stmt::For(_, c, st, b) => (c.as_ref(), st.as_ref(), b),
+            _ => return false,
+        };
+        let mut reads = Vec::new();
+        let mut writes = Vec::new();
+        let verdict = cond.is_none_or(|c| self.pure_reads(c, &mut reads))
+            && step.is_none_or(|st| self.expr_writes(st, &mut writes))
+            && self.stmt_writes(body, &mut writes)
+            && !reads.iter().any(|r| writes.contains(r));
+        self.verdicts.push((s, verdict));
+        verdict
+    }
+
+    /// Collects the names `e` reads; false if evaluating `e` could write
+    /// anything or read through a pointer, array or member.
+    fn pure_reads(&mut self, e: &'p Expr, reads: &mut Vec<&'p str>) -> bool {
+        match &e.kind {
+            ExprKind::IntLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_) => true,
+            ExprKind::Ident(id) => {
+                let name = self.name(id);
+                reads.push(name);
+                true
+            }
+            ExprKind::Unary(
+                UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::Deref | UnaryOp::Addr,
+                _,
+            ) => false,
+            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => self.pure_reads(a, reads),
+            ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+                self.pure_reads(a, reads) && self.pure_reads(b, reads)
+            }
+            ExprKind::Ternary(c, t, f) => {
+                self.pure_reads(c, reads) && self.pure_reads(t, reads) && self.pure_reads(f, reads)
+            }
+            ExprKind::Post(..)
+            | ExprKind::Assign(..)
+            | ExprKind::Call(..)
+            | ExprKind::Index(..)
+            | ExprKind::Member(..) => false,
+        }
+    }
+
+    /// Collects the names `e` writes; false if `e` calls anything,
+    /// touches a pointer, array or member, or writes other than by a
+    /// direct assignment or `++`/`--` to a name.
+    fn expr_writes(&mut self, e: &'p Expr, writes: &mut Vec<&'p str>) -> bool {
+        match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Ident(_) => true,
+            ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, target)
+            | ExprKind::Post(_, target) => self.written_name(target, writes),
+            ExprKind::Assign(_, target, value) => {
+                self.written_name(target, writes) && self.expr_writes(value, writes)
+            }
+            ExprKind::Unary(UnaryOp::Deref | UnaryOp::Addr, _) => false,
+            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => self.expr_writes(a, writes),
+            ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+                self.expr_writes(a, writes) && self.expr_writes(b, writes)
+            }
+            ExprKind::Ternary(c, t, f) => {
+                self.expr_writes(c, writes)
+                    && self.expr_writes(t, writes)
+                    && self.expr_writes(f, writes)
+            }
+            ExprKind::Call(..) | ExprKind::Index(..) | ExprKind::Member(..) => false,
+        }
+    }
+
+    /// Collects the name an assignment or `++`/`--` writes; false unless
+    /// the target is a bare name.
+    fn written_name(&mut self, target: &'p Expr, writes: &mut Vec<&'p str>) -> bool {
+        match &target.kind {
+            ExprKind::Ident(id) => {
+                let name = self.name(id);
+                writes.push(name);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Collects the names statement `s` writes or declares; false if `s`
+    /// could leave the loop or write other than by name (see
+    /// [`Interp::expr_writes`]).
+    fn stmt_writes(&mut self, s: &'p Stmt, writes: &mut Vec<&'p str>) -> bool {
+        match s {
+            Stmt::Expr(e) => self.expr_writes(e, writes),
+            Stmt::Decl(decls) => self.decl_writes(decls, writes),
+            Stmt::Block(body) => body.iter().all(|s| self.stmt_writes(s, writes)),
+            Stmt::If(c, t, e) => {
+                self.expr_writes(c, writes)
+                    && self.stmt_writes(t, writes)
+                    && e.as_deref().is_none_or(|e| self.stmt_writes(e, writes))
+            }
+            Stmt::While(c, b) | Stmt::DoWhile(b, c) => {
+                self.expr_writes(c, writes) && self.stmt_writes(b, writes)
+            }
+            Stmt::For(init, c, st, b) => {
+                (match init {
+                    Some(ForInit::Decl(decls)) => self.decl_writes(decls, writes),
+                    Some(ForInit::Expr(e)) => self.expr_writes(e, writes),
+                    None => true,
+                }) && c.as_ref().is_none_or(|c| self.expr_writes(c, writes))
+                    && st.as_ref().is_none_or(|st| self.expr_writes(st, writes))
+                    && self.stmt_writes(b, writes)
+            }
+            Stmt::Continue | Stmt::Empty => true,
+            Stmt::Return(_) | Stmt::Break | Stmt::Goto(_) | Stmt::Label(..) => false,
+        }
+    }
+
+    fn decl_writes(&mut self, decls: &'p [VarDeclarator], writes: &mut Vec<&'p str>) -> bool {
+        decls.iter().all(|d| {
+            writes.push(&d.name);
+            d.init.as_ref().is_none_or(|i| self.expr_writes(i, writes))
+        })
     }
 
     fn truthy(&mut self, e: &'p Expr, depth: usize) -> Result<bool, Ub> {
@@ -471,9 +828,10 @@ impl<'p> Interp<'p> {
     fn lvalue(&mut self, e: &'p Expr, depth: usize) -> Result<PtrTarget, Ub> {
         match &e.kind {
             ExprKind::Ident(id) => {
+                let name = self.name(id);
                 let slot = self
-                    .lookup(&id.name)
-                    .ok_or_else(|| Ub::UnknownFunction(id.name.clone()))?;
+                    .lookup(name)
+                    .ok_or_else(|| Ub::UnknownFunction(name.to_string()))?;
                 Ok(PtrTarget { slot, offset: 0 })
             }
             ExprKind::Unary(UnaryOp::Deref, inner) => match self.eval(inner, depth)? {
@@ -503,7 +861,8 @@ impl<'p> Interp<'p> {
     /// Array-to-pointer decay for `a[i]` and `p[i]`.
     fn lvalue_or_ptr(&mut self, e: &'p Expr, depth: usize) -> Result<PtrTarget, Ub> {
         if let ExprKind::Ident(id) = &e.kind {
-            if let Some(slot) = self.lookup(&id.name) {
+            let name = self.name(id);
+            if let Some(slot) = self.lookup(name) {
                 if self.slots[slot].len > 1 {
                     return Ok(PtrTarget { slot, offset: 0 });
                 }
@@ -552,9 +911,10 @@ impl<'p> Interp<'p> {
             ExprKind::CharLit(c) => Ok(Value::Int(*c as i64)),
             ExprKind::StrLit(_) => Ok(Value::Int(0)), // only as printf fmt
             ExprKind::Ident(id) => {
+                let name = self.name(id);
                 let slot = self
-                    .lookup(&id.name)
-                    .ok_or_else(|| Ub::UnknownFunction(id.name.clone()))?;
+                    .lookup(name)
+                    .ok_or_else(|| Ub::UnknownFunction(name.to_string()))?;
                 if self.slots[slot].len > 1 {
                     // Array decays to pointer.
                     return Ok(Value::Ptr(PtrTarget { slot, offset: 0 }));
@@ -755,6 +1115,11 @@ impl<'p> Interp<'p> {
     }
 }
 
+/// The index of the statement of `stmts` that defines `label`.
+fn label_index(stmts: &[Stmt], label: &str) -> Option<usize> {
+    stmts.iter().position(|s| stmt_defines_label(s, label))
+}
+
 fn stmt_defines_label(s: &Stmt, label: &str) -> bool {
     match s {
         Stmt::Label(l, inner) => l == label || stmt_defines_label(inner, label),
@@ -930,10 +1295,113 @@ mod tests {
 
     #[test]
     fn nontermination_exhausts_fuel() {
+        // The body writes the condition's variable, so the head check
+        // cannot prove the loop endless: it runs out of fuel.
         assert_eq!(
-            run_src("int main() { while (1) ; return 0; }"),
+            run_src("int main() { int x = 1; while (x) x = 1; return 0; }"),
             Err(Ub::FuelExhausted)
         );
+    }
+
+    #[test]
+    fn loops_that_cannot_exit_stop_at_their_head() {
+        for src in [
+            "int main() { while (1) ; return 0; }",
+            "int main() { for (;;) {} return 0; }",
+            "int main() { int x = 1, y = 0; while (x > 0) { y++; if (y) continue; } return y; }",
+            "int main() { int x = 1, y = 0; do { y = y + 1; } while (x); return y; }",
+            "int g = 1; int main() { int i = 0; for (int n = 0; g; n++) { i = i + 1; } return i; }",
+        ] {
+            assert_eq!(run_src(src), Err(Ub::NonTerminating), "{src}");
+        }
+    }
+
+    #[test]
+    fn the_head_check_proves_nothing_it_cannot() {
+        // Loops that exit after the check are not stopped.
+        assert_eq!(
+            run_src("int main() { int i = 0; while (i < 100) i++; return i; }"),
+            Ok(Execution {
+                exit_code: 100,
+                output: Vec::new()
+            })
+        );
+        assert_eq!(
+            run_src("int main() { int i = 0; while (1) { i++; if (i == 100) break; } return i; }")
+                .map(|e| e.exit_code),
+            Ok(100)
+        );
+        assert_eq!(
+            run_src("int main() { int x = 1, i = 0; int *p = &x; while (x) { i++; if (i == 90) *p = 0; } return i; }")
+                .map(|e| e.exit_code),
+            Ok(90)
+        );
+        // Endless, but outside the rule: a call in the body, and a body
+        // that declares the name the condition reads.
+        for src in [
+            r#"int main() { int x = 1; while (x) printf("."); return 0; }"#,
+            "int main() { int x = 1; while (x) { int x = 0; } return 0; }",
+        ] {
+            assert_eq!(run_src(src), Err(Ub::FuelExhausted), "{src}");
+        }
+    }
+
+    #[test]
+    fn logged_runs_record_the_holes_they_read() {
+        // Use sites: `x` (occurrence 0), `y` (1), `x` (2) and `y` (3).
+        // All but occurrence 1 are holes, numbered 0, 1 and 2.
+        let p = parse("int main() { int x = 0, y = 0; while (x) y++; return x + y; }")
+            .expect("parses");
+        let occ_hole = [0, NOT_A_HOLE, 1, 2];
+        let mut reads = HoleReads::default();
+        let got = run_logged(&p, Limits::default(), &occ_hole, &mut reads);
+        assert_eq!(got, run(&p, Limits::default()));
+        assert_eq!(reads.order(), &[0, 1, 2]);
+        // The buffer is reset per run.
+        let _ = run_logged(&p, Limits::default(), &occ_hole, &mut reads);
+        assert_eq!(reads.order(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn the_head_check_logs_the_names_it_inspects() {
+        // The run never reaches `y = 1`, but the check compares the
+        // written `y` with the condition's `x`. Both holes decide the
+        // verdict (spelled `x`, the loop could exit), so both are logged.
+        let p = parse("int main() { int x = 1, y = 0; while (x) if (0) y = 1; return 0; }")
+            .expect("parses");
+        let mut reads = HoleReads::default();
+        let got = run_logged(&p, Limits::default(), &[0, 1], &mut reads);
+        assert_eq!(got, Err(Ub::NonTerminating));
+        assert_eq!(reads.order(), &[0, 1]);
+    }
+
+    /// `goto` into a nested statement, against the unoptimized VM and the
+    /// exit code gcc 12 gives at -O0.
+    #[test]
+    fn goto_enters_nested_statements_at_the_label() {
+        for (src, gcc) in [
+            ("int main() { int x = 0; goto l; if (x) { l: x = 5; } return x; }", 5),
+            (
+                "int main() { int x = 3; goto l; if (x) x = 7; else { x = x * 2; l: x = x + 1; } return x; }",
+                4,
+            ),
+            ("int main() { int x = 0; goto l; while (x) { l: x = 5; break; } return x; }", 5),
+            (
+                "int main() { int s = 0, i = 0; goto l; for (i = 10; i < 13; i++) { l: s = s + i; } return s; }",
+                78,
+            ),
+            (
+                "int main() { int n = 0; goto l; do { n = n + 10; l: n = n + 1; } while (n < 30); return n; }",
+                34,
+            ),
+            ("int main() { int x = 1; goto l; { x = 10; l: x = x + 2; } return x; }", 3),
+        ] {
+            let p = parse(src).expect("parses");
+            let image = crate::vm::lower(&p).expect("lowers");
+            let vm = crate::vm::execute(&image, 80_000).expect("runs").exit_code;
+            assert_eq!(vm, gcc, "vm: {src}");
+            assert_eq!(run(&p, Limits::default()).map(|e| e.exit_code), Ok(gcc), "{src}");
+        }
     }
 
     #[test]

@@ -139,8 +139,6 @@ impl std::error::Error for CompileError {}
 pub struct Compiled {
     /// The executable image.
     pub image: vm::Image,
-    /// Coverage recorded during compilation.
-    pub coverage: Coverage,
     /// Ids of wrong-code defects whose rewrite applied (ground truth for
     /// triage tests; the harness discovers miscompiles differentially).
     pub miscompiled_by: Vec<&'static str>,
@@ -201,16 +199,14 @@ impl Compiler {
     }
 
     /// Compiles a program: structural bug diagnosis, optimization
-    /// pipeline, lowering.
+    /// pipeline, lowering. Records no coverage: [`coverage_probe`] is
+    /// the one compilation whose coverage is read.
     ///
     /// # Errors
     ///
     /// [`CompileError::Ice`] when a seeded crash defect triggers;
     /// [`CompileError::Unsupported`] for non-lowerable constructs.
     pub fn compile(&self, p: &Program) -> Result<Compiled, CompileError> {
-        let mut coverage = Coverage::new();
-        structural_coverage(p, &mut coverage);
-
         // One structural scan answers every live trigger (previously
         // each trigger re-walked the whole AST).
         let facts = bugs::scan_facts(p);
@@ -239,25 +235,15 @@ impl Compiler {
         let mut ctx = passes::PassCtx {
             opt: self.opt,
             wrong_code,
-            coverage: &mut coverage,
+            coverage: &mut Coverage::off(),
             miscompiled_by: Vec::new(),
         };
         let optimized = passes::optimize(p, &mut ctx);
         let miscompiled_by = std::mem::take(&mut ctx.miscompiled_by);
-
-        coverage.hit("lower", 0);
         let image = vm::lower(&optimized).map_err(|e| CompileError::Unsupported(e.0))?;
-        coverage.hit("regalloc", 0);
-        coverage.hit("emit", 0);
-        // Backend coverage scales with code-size buckets.
-        let size_bucket = (image.instrs.len() / 16).min(5) as u32;
-        coverage.hit("lower", 1 + size_bucket);
-        coverage.hit("regalloc", 1 + size_bucket.min(6));
-        coverage.hit("emit", 1 + size_bucket.min(4));
 
         Ok(Compiled {
             image,
-            coverage,
             miscompiled_by,
             slow_compile_bugs,
         })
@@ -413,6 +399,7 @@ pub fn coverage_probe(p: &Program, opt: u8) -> Coverage {
     if let Ok(image) = vm::lower(&optimized) {
         coverage.hit("regalloc", 0);
         coverage.hit("emit", 0);
+        // Backend coverage scales with code-size buckets.
         let size_bucket = (image.instrs.len() / 16).min(5) as u32;
         coverage.hit("lower", 1 + size_bucket);
         coverage.hit("regalloc", 1 + size_bucket.min(6));
@@ -809,17 +796,24 @@ mod tests {
     }
 
     #[test]
-    fn coverage_reported_per_compilation() {
-        let cc = Compiler::new(CompilerId::gcc(440), 3);
+    fn a_goto_into_a_branch_is_no_wrong_code() {
+        // gcc -O0 and the VM exit 5; a reference that re-tested `if (x)`
+        // exited 0 and made this a wrong-code finding with no defect.
+        let p = parse("int main() { int x = 0; goto l; if (x) { l: x = 5; } return x; }")
+            .expect("parses");
+        let obs = Compiler::new(CompilerId::gcc(485), 0).observe(&p, Some(20_000));
+        assert!(!obs.reference_ub && !obs.wrong_code, "{obs:?}");
+    }
+
+    #[test]
+    fn coverage_reported_per_probe() {
         let p1 = parse("int main() { return 0; }").expect("parses");
         let p2 = parse(
             "int g; int main() { int *p = &g; for (int i = 0; i < 3; i++) *p += i ? 1 : 2; return g; }",
         )
         .expect("parses");
-        let c1 = cc.compile(&p1).expect("compiles");
-        let c2 = cc.compile(&p2).expect("compiles");
         assert!(
-            c2.coverage.points_hit() > c1.coverage.points_hit(),
+            coverage_probe(&p2, 3).points_hit() > coverage_probe(&p1, 3).points_hit(),
             "richer programs cover more of the compiler"
         );
     }

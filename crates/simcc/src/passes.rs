@@ -24,7 +24,7 @@ pub struct PassCtx<'a> {
     pub opt: u8,
     /// Active wrong-code bugs (crash bugs abort before the pipeline).
     pub wrong_code: Vec<&'a BugSpec>,
-    /// Coverage accumulator.
+    /// Coverage accumulator ([`Coverage::off`] when no caller reads it).
     pub coverage: &'a mut Coverage,
     /// Ids of wrong-code bugs whose rewrite actually applied.
     pub miscompiled_by: Vec<&'static str>,
@@ -171,7 +171,9 @@ fn multiplicity_coverage(e: &Expr, coverage: &mut Coverage) {
 }
 
 fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
-    multiplicity_coverage(e, ctx.coverage);
+    if ctx.coverage.is_recording() {
+        multiplicity_coverage(e, ctx.coverage);
+    }
     match &mut e.kind {
         ExprKind::Binary(op, a, b) => {
             let op = *op;

@@ -127,6 +127,12 @@ pub const ORACLE_SPLICE_MISSES: &str = "oracle_cache.splice_misses";
 pub const ORACLE_PIPELINE_MEMO_HITS: &str = "oracle_cache.pipeline_memo_hits";
 /// Counter: pass-pipeline executions the memo could not serve.
 pub const ORACLE_PIPELINE_MEMO_MISSES: &str = "oracle_cache.pipeline_memo_misses";
+/// Counter: reference results served from the incremental oracle's
+/// per-job reference memo (an earlier run of the job read only holes
+/// the variant agrees on).
+pub const ORACLE_REFERENCE_MEMO_HITS: &str = "oracle_cache.reference_memo_hits";
+/// Counter: reference-interpreter runs the memo could not serve.
+pub const ORACLE_REFERENCE_RUNS: &str = "oracle_cache.reference_runs";
 
 /// Span: one host's slice of a multi-host fleet campaign (a journaled
 /// `spe_harness::Campaign` run with a fleet slot), detail

@@ -21,8 +21,11 @@ use spe::simcc::coverage::Coverage;
 use spe::simcc::{interp, passes, reference_limits, vm};
 use std::ops::ControlFlow;
 
-/// The digest recorded before the execution layer was last rewritten.
-const GOLDEN: u64 = 0x8abb_d63d_9750_f45b;
+/// The digest recorded when the reference interpreter learned to stop
+/// loops that cannot exit (`Ub::NonTerminating`): 6 of the 1003 reference
+/// runs changed from `FuelExhausted` to `NonTerminating`, and nothing
+/// else moved. Before that it was `0x8abb_d63d_9750_f45b`.
+const GOLDEN: u64 = 0x3b68_7f07_f7e1_9617;
 
 struct Fnv(u64);
 

@@ -178,6 +178,14 @@ fn incremental_oracle_attribution_is_per_variant() {
         recorder.counter_value(names::ORACLE_PIPELINE_MEMO_HITS) > 0,
         "same-opt configurations never shared a pipeline run"
     );
+    assert!(
+        recorder.counter_value(names::ORACLE_REFERENCE_RUNS) > 0,
+        "the reference interpreter never ran"
+    );
+    assert!(
+        recorder.counter_value(names::ORACLE_REFERENCE_MEMO_HITS) > 0,
+        "no variant's reference came from the job's reference memo"
+    );
 }
 
 proptest! {
