@@ -23,7 +23,8 @@
 //! journal into live state, [`compact_journal`] — which folds a long
 //! journal's superseded `Progress` frames into one frame per job via a
 //! crash-safe write-new → fsync → atomic-rename rewrite
-//! ([`spe_persist::journal::promote`]; `DESIGN.md` §11) — and the
+//! ([`spe_persist::journal::promote`]; `DESIGN.md` §11) and leaves a
+//! journal with nothing to fold untouched — and the
 //! [`run_campaign_checkpointed`], [`resume_campaign`] and
 //! [`reduce_findings_checkpointed`] shorthands.
 //!
@@ -146,8 +147,6 @@ impl CampaignStatus {
 // ---------------------------------------------------------------------
 
 const REC_PROGRESS: u8 = 1;
-const REC_JOB_DONE: u8 = 2;
-const REC_CAMPAIGN_DONE: u8 = 3;
 const REC_REDUCED: u8 = 4;
 const REC_REDUCTION_OPTIONS: u8 = 5;
 
@@ -242,13 +241,20 @@ fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
     ))
 }
 
-/// One `Progress` frame: the job's new high-water mark plus exactly the
-/// output delta of the variants it covers, in one atomic payload.
-pub(crate) fn encode_progress(job: usize, emitted: u64, delta: &ShardOutput) -> Vec<u8> {
+/// One `Progress` frame: the job's new high-water mark, whether the job
+/// ends with it, and exactly the output delta of the variants it covers,
+/// in one atomic payload.
+pub(crate) fn encode_progress(
+    job: usize,
+    emitted: u64,
+    done: bool,
+    delta: &ShardOutput,
+) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.u8(REC_PROGRESS)
         .u32(job as u32)
         .u64(emitted)
+        .bool(done)
         .bool(delta.file_processed)
         .u64(delta.variants_tested)
         .u64(delta.variants_ub_skipped)
@@ -256,20 +262,6 @@ pub(crate) fn encode_progress(job: usize, emitted: u64, delta: &ShardOutput) -> 
     for f in &delta.candidates {
         encode_finding(&mut enc, f);
     }
-    enc.finish()
-}
-
-/// One `JobDone` frame.
-pub(crate) fn encode_job_done(job: usize) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.u8(REC_JOB_DONE).u32(job as u32);
-    enc.finish()
-}
-
-/// One `CampaignDone` frame.
-pub(crate) fn encode_campaign_done() -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.u8(REC_CAMPAIGN_DONE);
     enc.finish()
 }
 
@@ -383,9 +375,6 @@ impl Manifest {
         for f in &self.files {
             enc.str(&f.name).str(&f.source);
         }
-        // Fleet trailer, after every historical field: single-host
-        // journals written before the fleet layer decode unchanged
-        // (`decode` only reads the trailer when bytes remain).
         match &self.fleet {
             Some(s) => {
                 enc.bool(true).u64(s.fleet_id).u32(s.n_hosts).u32(s.host_id);
@@ -421,7 +410,7 @@ impl Manifest {
                 source: dec.str()?,
             });
         }
-        // Every job needs a `u32` id (`Progress` and `JobDone` frames).
+        // Every job needs a `u32` id (`Progress` frames).
         let jobs = files.len().checked_mul(shards_per_file);
         if shards_per_file == 0 || jobs.is_none_or(|jobs| jobs as u64 > u64::from(u32::MAX) + 1) {
             return Err(CheckpointError::Foreign(format!(
@@ -430,11 +419,7 @@ impl Manifest {
                 files.len()
             )));
         }
-        // Pre-fleet journals end here; the trailer is decoded only when
-        // bytes remain, so both generations replay under one schema.
-        let fleet = if dec.is_empty() {
-            None
-        } else if dec.bool()? {
+        let fleet = if dec.bool()? {
             let stamp = FleetStamp {
                 fleet_id: dec.u64()?,
                 n_hosts: dec.u32()?,
@@ -509,7 +494,8 @@ pub(crate) struct JobState {
     pub(crate) emitted: u64,
     /// Accumulated output of those variants, in emission order.
     pub(crate) partial: ShardOutput,
-    /// Whether the job finished in an earlier run.
+    /// Whether the job's final frame was replayed (or, on a fleet host,
+    /// the job lies outside the host's slice).
     pub(crate) done: bool,
 }
 
@@ -534,7 +520,6 @@ impl JobState {
 pub(crate) struct Replay {
     pub(crate) manifest: Manifest,
     pub(crate) jobs: Vec<JobState>,
-    pub(crate) campaign_done: bool,
     /// Record frames folded so far.
     pub(crate) frames: u64,
     /// Per-finding reduction results recorded so far, keyed by finding
@@ -554,7 +539,6 @@ impl Replay {
         Ok(Replay {
             manifest,
             jobs: (0..job_count).map(|_| JobState::default()).collect(),
-            campaign_done: false,
             frames: 0,
             reduced: HashMap::new(),
             reduction_options: None,
@@ -585,6 +569,7 @@ impl Replay {
                     CheckpointError::Foreign(format!("job {job} out of {job_count}"))
                 })?;
                 let mark = dec.u64()?;
+                let done = dec.bool()?;
                 let mut delta = ShardOutput {
                     file_processed: dec.bool()?,
                     variants_tested: dec.u64()?,
@@ -602,26 +587,20 @@ impl Replay {
                         state.emitted
                     )));
                 }
+                // A job's final frame is its last: anything after it
+                // would add to a finished job's output.
+                if state.done {
+                    return Err(CheckpointError::Foreign(format!(
+                        "a progress frame of job {job} follows the job's final frame"
+                    )));
+                }
                 state.emitted = mark;
+                state.done = done;
                 for _ in 0..dec.usize()? {
                     delta.candidates.push(decode_finding(&mut dec)?);
                 }
                 dec.expect_empty()?;
                 state.partial.absorb(delta);
-            }
-            REC_JOB_DONE => {
-                let job = dec.u32()? as usize;
-                self.jobs
-                    .get_mut(job)
-                    .ok_or_else(|| {
-                        CheckpointError::Foreign(format!("job {job} out of {job_count}"))
-                    })?
-                    .done = true;
-                dec.expect_empty()?;
-            }
-            REC_CAMPAIGN_DONE => {
-                self.campaign_done = true;
-                dec.expect_empty()?;
             }
             REC_REDUCED => {
                 let finding = dec.u32()?;
@@ -712,7 +691,7 @@ pub struct CompactStats {
     /// Record frames in the journal's valid prefix before compaction.
     pub frames_before: u64,
     /// Record frames after (one `Progress` per job with state, plus the
-    /// done/reduction markers).
+    /// reduction records).
     pub frames_after: u64,
     /// Bytes of the valid prefix before compaction.
     pub bytes_before: u64,
@@ -721,12 +700,13 @@ pub struct CompactStats {
 }
 
 /// Compacts the journal at `path`: folds every superseded `Progress`
-/// frame into **one frame per job** (plus the done markers and the
-/// reduction records), so a journal that grew by one frame per
-/// checkpoint cadence interval shrinks to the size of its live state.
-/// Resuming from the compacted journal is **byte-identical** to
-/// resuming from the original — replay of either produces the same
-/// per-job high-water marks and partial outputs.
+/// frame into **one frame per job** (plus the reduction records), so a
+/// journal that grew by one frame per checkpoint cadence interval
+/// shrinks to the size of its live state. Resuming from the compacted
+/// journal is **byte-identical** to resuming from the original — replay
+/// of either produces the same per-job high-water marks, partial outputs
+/// and done flags. A journal that is already that size and has no torn
+/// tail is left untouched: its stats report no change.
 ///
 /// Crash safety (`DESIGN.md` §11): the compacted journal is written to
 /// a sibling `*.compact-tmp` file, fsync'd, and atomically renamed over
@@ -779,6 +759,19 @@ fn compact_inner(path: &Path, promote: bool) -> Result<CompactStats, CheckpointE
 fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, CheckpointError> {
     let (replay, iter) = Replay::open(path)?;
     let bytes_before = iter.valid_len();
+    let frames_after = (replay.jobs.iter().filter(|job| !job.is_empty()).count()
+        + usize::from(replay.reduction_options.is_some())
+        + replay.reduced.len()) as u64;
+    // Nothing to fold and nothing to drop: the rewrite would replay to
+    // the same state from as many frames, so skip it.
+    if frames_after == replay.frames && !iter.truncated_tail() {
+        return Ok(CompactStats {
+            frames_before: replay.frames,
+            frames_after,
+            bytes_before,
+            bytes_after: bytes_before,
+        });
+    }
     let tmp = match path.file_name() {
         Some(name) => {
             let mut t = name.to_os_string();
@@ -795,24 +788,13 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
     // re-encode the manifest, or a build with a drifted encoder could
     // silently rewrite what the campaign pinned.
     let mut out = Journal::create(&tmp, iter.header())?;
-    let mut frames_after = 0u64;
     for (i, job) in replay.jobs.iter().enumerate() {
         if !job.is_empty() {
-            out.append(&encode_progress(i, job.emitted, &job.partial))?;
-            frames_after += 1;
+            out.append(&encode_progress(i, job.emitted, job.done, &job.partial))?;
         }
-        if job.done {
-            out.append(&encode_job_done(i))?;
-            frames_after += 1;
-        }
-    }
-    if replay.campaign_done {
-        out.append(&encode_campaign_done())?;
-        frames_after += 1;
     }
     if let Some(options) = &replay.reduction_options {
         out.append(&encode_reduction_options(options))?;
-        frames_after += 1;
     }
     // Reduced records re-land in finding order (the HashMap dropped the
     // original append order; any order replays identically, a fixed one
@@ -821,7 +803,6 @@ fn compact_scan_rewrite(path: &Path, promote: bool) -> Result<CompactStats, Chec
     reduced.sort_by_key(|&(&idx, _)| idx);
     for (&idx, (signature, witness)) in reduced {
         out.append(&encode_reduced(idx as usize, signature, witness))?;
-        frames_after += 1;
     }
     drop(out); // every append was fsync'd; release the tmp writer lock
     let bytes_after = std::fs::metadata(&tmp)

@@ -23,7 +23,7 @@
 //!   ([`spe_persist::JournalIter`]), validates that the manifests
 //!   describe one fleet (refusing mixed fleets, duplicate host ids, and
 //!   missing hosts with an error naming the gap), and folds the
-//!   replayed Progress/JobDone/quarantine frames into one
+//!   replayed `Progress` frames (quarantines included) into one
 //!   [`CampaignReport`] **byte-identical** to an uninterrupted
 //!   single-host run of the same configuration.
 //!

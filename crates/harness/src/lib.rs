@@ -120,8 +120,8 @@ pub enum FindingKind {
     /// A worker **panicked** while processing the (file, shard) job —
     /// a poisoned variant tripping a bug in the enumeration or oracle
     /// machinery. The job is rolled back to its last fully-processed
-    /// variant and quarantined with this durable marker (committed with
-    /// the job's completion record, so a resume skips it instead of
+    /// variant and quarantined with this durable marker (committed in
+    /// the job's final journal frame, so a resume skips it instead of
     /// re-tripping the panic). Like [`FindingKind::BackendDegraded`],
     /// it is an infrastructure record, not a compiler bug report:
     /// triage tables exclude it and the reduction stage skips it.

@@ -9,8 +9,8 @@
 //! * **Panic isolation** — each (file, shard) job runs under
 //!   [`std::panic::catch_unwind`]. A panicking job is rolled back to its
 //!   last fully-processed variant, quarantined as a durable
-//!   [`crate::FindingKind::JobPanicked`] finding (committed together
-//!   with the job's completion record, so a resume skips it), and the
+//!   [`crate::FindingKind::JobPanicked`] finding (committed in the
+//!   job's final frame, so a resume skips it), and the
 //!   pool carries on — one poisoned variant cannot take down a
 //!   multi-day campaign or wedge its siblings.
 //! * **Time-based checkpoint cadence** — in addition to the
@@ -36,8 +36,8 @@
 //! injected-fault suite (`tests/orchestrator_faults.rs`) pin all of it.
 
 use crate::checkpoint::{
-    encode_campaign_done, encode_job_done, encode_progress, replay_reduction, CampaignStatus,
-    CheckpointError, CheckpointOptions, JobState, Manifest, Replay,
+    encode_progress, replay_reduction, CampaignStatus, CheckpointError, CheckpointOptions,
+    JobState, Manifest, Replay,
 };
 use crate::fleet::{mark_foreign_jobs_done, FleetPlan};
 use crate::reduction::{attach_and_dedup, reduce_missing, ReductionOptions};
@@ -303,17 +303,14 @@ impl Campaign<'_> {
         }
         replay.manifest.check_backend(self.oracle.backend())?;
         let Replay {
-            manifest,
-            mut jobs,
-            campaign_done,
-            ..
+            manifest, mut jobs, ..
         } = replay;
         if let Some(stamp) = manifest.fleet {
             // A host journal records frames only for its own slice; the
             // jobs outside it are re-marked done, as on the first run.
             mark_foreign_jobs_done(&mut jobs, stamp)?;
         }
-        if campaign_done {
+        if jobs.iter().all(|job| job.done) {
             // Nothing to recompute: fold the recorded outputs directly.
             let report = merge_outputs(jobs.into_iter().map(|j| j.partial).collect());
             return Ok(Outcome {
@@ -428,12 +425,8 @@ impl Sink<'_> {
 
     /// Appends one frame with bounded-backoff retry; on exhaustion,
     /// degrades the sink (once, with a warning) instead of failing the
-    /// campaign.
-    fn append(&self, what: &str, payload: &[u8]) {
-        let Some(journal) = &self.journal else { return };
-        if self.degraded.load(Ordering::Relaxed) {
-            return;
-        }
+    /// campaign. Called only while the sink is [`active`](Self::active).
+    fn append(&self, journal: &Mutex<Journal>, payload: &[u8]) {
         let mut backoff = self.policy.retry_backoff;
         let mut attempt = 0u32;
         loop {
@@ -450,11 +443,12 @@ impl Sink<'_> {
                 }
                 Err(e) => {
                     if !self.degraded.swap(true, Ordering::Relaxed) {
-                        self.telemetry.event(names::JOURNAL_DEGRADED, what);
+                        self.telemetry
+                            .event(names::JOURNAL_DEGRADED, "progress checkpoint");
                         self.warnings.lock().expect("poisoned").push(format!(
-                            "checkpointing disabled: {what} failed after {attempt} retries: {e}; \
-                             the campaign continues in memory and the journal stays resumable \
-                             at its last committed state"
+                            "checkpointing disabled: progress checkpoint failed after \
+                             {attempt} retries: {e}; the campaign continues in memory and \
+                             the journal stays resumable at its last committed state"
                         ));
                     }
                     return;
@@ -465,14 +459,22 @@ impl Sink<'_> {
 
     /// Commits a `Progress` frame for `[last mark, emitted)` — the
     /// high-water mark plus exactly the candidates and counters of the
-    /// variants it covers, one atomic frame — then drains the delta
-    /// into the run's in-memory continuation. The drain happens whether
-    /// or not the append reached the journal: the report never depends
-    /// on checkpoint health.
-    fn commit(&self, job: usize, emitted: u64, delta: &mut ShardOutput, cont: &mut ShardOutput) {
-        if self.active() {
+    /// variants it covers, one atomic frame, marked `done` when it is
+    /// the job's final frame — then drains the delta into the run's
+    /// in-memory continuation. The drain happens whether or not the
+    /// append reached the journal: the report never depends on
+    /// checkpoint health.
+    fn commit(
+        &self,
+        job: usize,
+        emitted: u64,
+        done: bool,
+        delta: &mut ShardOutput,
+        cont: &mut ShardOutput,
+    ) {
+        if let Some(journal) = self.journal.as_ref().filter(|_| self.active()) {
             let timer = Timer::start(self.telemetry);
-            self.append("progress checkpoint", &encode_progress(job, emitted, delta));
+            self.append(journal, &encode_progress(job, emitted, done, delta));
             if self.telemetry.enabled() {
                 self.telemetry
                     .span(names::ORCH_CHECKPOINT, "", timer.stop_nanos());
@@ -625,9 +627,10 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                                     variant, file, &buf, config, &mut delta, telemetry,
                                 ) {
                                     // Backend machinery failure:
-                                    // quarantine the job (degraded
-                                    // finding + JobDone below) and
-                                    // let the campaign continue.
+                                    // quarantine the job (the degraded
+                                    // finding lands in its final frame
+                                    // below) and let the campaign
+                                    // continue.
                                     delta.candidates.push(quarantine_finding(
                                         FindingKind::BackendDegraded,
                                         file,
@@ -655,13 +658,18 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                                         return ControlFlow::Break(());
                                     }
                                 }
+                                // The wall-clock cadence reads the
+                                // clock only while a journal takes
+                                // frames: without one a commit just
+                                // moves the delta.
                                 let count_due = emitted - last_commit >= every;
                                 let time_due = emitted > last_commit
+                                    && sink.active()
                                     && sink.policy.checkpoint_interval.is_some_and(|interval| {
                                         last_commit_at.elapsed() >= interval
                                     });
                                 if count_due || time_due {
-                                    sink.commit(i, emitted, &mut delta, &mut cont);
+                                    sink.commit(i, emitted, false, &mut delta, &mut cont);
                                     last_commit = emitted;
                                     last_commit_at = Instant::now();
                                     rollback = (0, 0, 0);
@@ -673,9 +681,9 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     .err();
                     if let Some(payload) = panic_payload {
                         // Roll back any half-processed variant, then
-                        // quarantine: the panic marker is committed with
-                        // the job's completion record, so a resume skips
-                        // this job instead of re-tripping the panic.
+                        // quarantine: the panic marker is committed in
+                        // the job's final frame, so a resume skips this
+                        // job instead of re-tripping the panic.
                         delta.candidates.truncate(rollback.0);
                         delta.variants_tested = rollback.1;
                         delta.variants_ub_skipped = rollback.2;
@@ -692,19 +700,10 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     if killed {
                         return;
                     }
-                    // Commit the tail delta (skipped when nothing
-                    // accrued since the last checkpoint — an empty
-                    // `Progress` replays as a no-op, so eliding it saves
-                    // an fsync without changing resume semantics) and
-                    // the job's completion.
-                    let dirty = emitted != last_commit
-                        || delta.file_processed
-                        || delta.variants_tested != 0
-                        || !delta.candidates.is_empty();
-                    if dirty {
-                        sink.commit(i, emitted, &mut delta, &mut cont);
-                    }
-                    sink.append("job completion record", &encode_job_done(i));
+                    // The job's final frame: the tail delta, marked
+                    // done (written even when the delta is empty, since
+                    // it carries the completion).
+                    sink.commit(i, emitted, true, &mut delta, &mut cont);
                     continuations.lock().expect("poisoned")[i] = Some(cont);
                     if telemetry.enabled() {
                         telemetry.span(
@@ -727,7 +726,6 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
             warnings: warnings.into_inner().expect("poisoned"),
         };
     }
-    sink.append("campaign completion record", &encode_campaign_done());
     let continuations = continuations.into_inner().expect("poisoned");
     let outputs = jobs
         .into_iter()

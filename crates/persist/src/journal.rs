@@ -3,7 +3,7 @@
 //! File layout (`DESIGN.md` §9):
 //!
 //! ```text
-//! "SPEJRNL\x01"                 8-byte magic, last byte = format version
+//! "SPEJRNL\x02"                 8-byte magic, last byte = format version
 //! frame(header payload)          caller-defined manifest bytes
 //! frame(record payload) ...      zero or more records
 //!
@@ -37,8 +37,9 @@ use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every journal file; the final byte is the format
-/// version.
-pub const MAGIC: [u8; 8] = *b"SPEJRNL\x01";
+/// version. A journal of any other version is refused at open with
+/// [`JournalError::BadMagic`].
+pub const MAGIC: [u8; 8] = *b"SPEJRNL\x02";
 
 /// Frame header size: u32 length + u64 checksum.
 const FRAME_HEADER: usize = 4 + 8;
@@ -969,7 +970,7 @@ mod tests {
         let path = temp_path("version.journal");
         Journal::create(&path, b"h").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[7] = 0x02; // future format version
+        bytes[7] = MAGIC[7] + 1; // future format version
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read(&path), Err(JournalError::BadMagic { .. })));
     }

@@ -44,7 +44,7 @@
 //! // Create: magic + version + one header frame, fsync'd.
 //! let mut j = Journal::create(&path, b"manifest: files, config, shards")?;
 //! j.append(b"progress: job 0, emitted 1024, 2 findings")?;
-//! j.append(b"job-done: job 0")?;
+//! j.append(b"progress: job 0, emitted 1500, done")?;
 //! drop(j);
 //!
 //! // Simulate a crash mid-append: a torn half-frame at the tail.

@@ -25,7 +25,7 @@ use spe::harness::{
     run_campaign_parallel, Campaign, CampaignConfig, CampaignReport, FaultPolicy, FindingKind,
     FleetPlan, Oracle,
 };
-use spe::persist::{CorruptionReason, Decoder, Encoder, Journal, JournalIter};
+use spe::persist::{CorruptionReason, Decoder, Encoder, Journal, JournalError, JournalIter};
 use spe::simcc::backend::{
     BackendError, CompilerBackend, SimccBackend, SIMCC_BACKEND_ID, SIMCC_CONFIG_HASH,
 };
@@ -596,6 +596,7 @@ fn crafted_progress(opt: u8) -> Vec<u8> {
     enc.u8(1) // record tag: progress
         .u32(0) // job
         .u64(1) // high-water mark
+        .bool(false) // done
         .bool(true) // file processed
         .u64(1) // variants tested
         .u64(0) // variants skipped for UB
@@ -678,10 +679,10 @@ fn crafted_shard_counts_are_refused_with_typed_errors() {
 /// Whether `record` is a `Progress` frame that counts variants.
 fn counts_variants(record: &[u8]) -> bool {
     let mut dec = Decoder::new(record);
-    // Progress layout (`DESIGN.md` §9): tag 1, job, mark, file
+    // Progress layout (`DESIGN.md` §9): tag 1, job, mark, done, file
     // processed, variants tested, ...
     let tag = dec.u8();
-    let _ = (dec.u32(), dec.u64(), dec.bool());
+    let _ = (dec.u32(), dec.u64(), dec.bool(), dec.bool());
     matches!(tag, Ok(1)) && dec.u64().is_ok_and(|tested| tested > 0)
 }
 
@@ -758,6 +759,105 @@ fn duplicated_progress_frames_are_refused_not_replayed_twice() {
         Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
         other => panic!("merge: expected a journal error, got {other:?}"),
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Appends `record` to the journal at `path` as one valid frame.
+fn append_record(path: &Path, record: &[u8]) {
+    let mut journal = JournalIter::open_locked(path)
+        .and_then(JournalIter::into_appender)
+        .expect("reopen for appending");
+    journal.append(record).expect("append");
+}
+
+/// A finished one-host fleet journal of the paper seeds, so that
+/// resume, compaction and merge all accept its shape.
+fn finished_host_journal(tag: &str) -> PathBuf {
+    let path = journal_path(tag);
+    let status = Campaign::default()
+        .run_journaled(
+            &seeds::all(),
+            &config(),
+            &path,
+            &CheckpointOptions {
+                every: 8,
+                stop_after: None,
+            },
+            Some((FleetPlan::new(0xf1a1, 1, 1), 0)),
+        )
+        .expect("host runs")
+        .status;
+    assert!(matches!(status, CampaignStatus::Complete(_)));
+    path
+}
+
+#[test]
+fn a_frame_after_a_jobs_final_frame_is_refused() {
+    // Job 0's mark moves forward and the frame counts one variant, so
+    // only the job's finished state can refuse it.
+    let mut enc = Encoder::new();
+    enc.u8(1) // record tag: progress
+        .u32(0) // job
+        .u64(1_000_000) // high-water mark
+        .bool(false) // done
+        .bool(false) // file processed
+        .u64(1) // variants tested
+        .u64(0) // variants skipped for UB
+        .usize(0); // candidates
+    let path = finished_host_journal("after-final-frame");
+    append_record(&path, &enc.finish());
+    let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+        Err(CheckpointError::Foreign(message)) => {
+            assert!(
+                message.contains("job 0") && message.contains("final frame"),
+                "{what}: {message}"
+            );
+        }
+        other => panic!("{what}: expected a Foreign error, got {other:?}"),
+    };
+    refused(
+        "resume",
+        resume_campaign(&path, 1, &CheckpointOptions::default()).map(drop),
+    );
+    refused("compaction", compact_journal(&path).map(drop));
+    match merge_journals(&[&path]) {
+        Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
+        other => panic!("merge: expected a journal error, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn version_1_journals_are_refused_naming_their_path() {
+    let path = finished_host_journal("format-version-1");
+    let mut bytes = std::fs::read(&path).expect("journal bytes");
+    assert_eq!(
+        &bytes[..8],
+        b"SPEJRNL\x02",
+        "journals are written at version 2"
+    );
+    bytes[7] = 1;
+    std::fs::write(&path, &bytes).expect("write a version-1 journal");
+    let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+        Err(CheckpointError::Journal(JournalError::BadMagic { path: named })) => {
+            assert_eq!(named, path, "{what}");
+        }
+        other => panic!("{what}: expected BadMagic, got {other:?}"),
+    };
+    refused(
+        "resume",
+        resume_campaign(&path, 1, &CheckpointOptions::default()).map(drop),
+    );
+    refused("compaction", compact_journal(&path).map(drop));
+    match merge_journals(&[&path]) {
+        Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
+        other => panic!("merge: expected a journal error, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        bytes,
+        "a refused journal is left as it was"
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -842,22 +942,344 @@ fn compaction_folds_frames_and_preserves_resume_identity() {
 
     // Compaction is idempotent: the live state is already one frame per
     // job, so a second pass folds nothing further.
+    let compacted = std::fs::read(&path).expect("journal bytes");
     let again = compact_journal(&path).expect("re-compaction");
     assert_eq!(
         again.frames_after, again.frames_before,
         "a compacted journal is a fixed point: {again:?}"
     );
+    // With nothing to fold it is not rewritten at all: even a
+    // compaction that stops before its rename leaves no tmp file.
+    assert_eq!(again.bytes_after, again.bytes_before, "{again:?}");
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        compacted,
+        "a journal with nothing to fold is left untouched"
+    );
+    let skipped = compact_journal_abandoned(&path).expect("abandoned re-compaction");
+    assert_eq!(skipped, again, "the same scan, the same stats");
+    assert!(
+        !compaction_tmp(&path).exists(),
+        "no tmp file is written for a journal with nothing to fold"
+    );
+    // A torn tail is still cut away by a rewrite.
+    let mut torn = compacted.clone();
+    torn.extend_from_slice(&[0x2a, 0, 0, 0, 0xde, 0xad]);
+    std::fs::write(&path, &torn).expect("write torn journal");
+    let cut = compact_journal(&path).expect("compacting a torn tail");
+    assert_eq!(cut.frames_after, cut.frames_before, "{cut:?}");
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        compacted,
+        "the rewrite drops the torn tail"
+    );
 
     let report = resume_to_completion(&path, 4);
     assert_eq!(report, reference, "post-compaction resume diverged");
 
-    // Compacting the *finished* journal keeps the completion marker:
+    // Compacting the *finished* journal keeps every job's done flag:
     // replay still short-circuits without recomputing.
     let stats = compact_journal(&path).expect("compacting a finished journal");
     assert!(stats.frames_after <= stats.frames_before);
     let replayed = resume_to_completion(&path, 4);
     assert_eq!(replayed, reference, "compacted finished journal diverged");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_finished_job_is_one_journal_frame() {
+    let files = seeds::all();
+    let config = config();
+    let campaign = Campaign {
+        workers: 2,
+        policy: FaultPolicy {
+            checkpoint_interval: None,
+            ..FaultPolicy::default()
+        },
+        ..Campaign::default()
+    };
+    let reference = campaign.run(&files, &config);
+    let path = journal_path("one-frame-per-job");
+    // No job of the paper seeds reaches `every` variants (the budget is
+    // 40), so each job writes only its final frame.
+    let report = campaign
+        .run_journaled(
+            &files,
+            &config,
+            &path,
+            &CheckpointOptions {
+                every: 1 << 20,
+                stop_after: None,
+            },
+            None,
+        )
+        .expect("checkpointed run")
+        .into_report()
+        .expect("completed");
+    assert_eq!(report, reference);
+    let mut jobs: Vec<u32> = JournalIter::open(&path)
+        .expect("open")
+        .map(|record| {
+            let record = record.expect("valid frame");
+            // Progress layout (`DESIGN.md` §9): tag 1, job, mark, done.
+            let mut dec = Decoder::new(&record);
+            assert!(matches!(dec.u8(), Ok(1)), "a progress frame");
+            let job = dec.u32().expect("job");
+            dec.u64().expect("mark");
+            assert!(matches!(dec.bool(), Ok(true)), "job {job}'s frame is final");
+            job
+        })
+        .collect();
+    jobs.sort_unstable();
+    let all: Vec<u32> = (0..files.len() as u32 * 2).collect();
+    assert_eq!(jobs, all, "exactly one record frame per job");
+    let stats = compact_journal(&path).expect("compaction");
+    assert_eq!(stats.frames_after, stats.frames_before, "{stats:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+// ---------------------------------------------------------------------
+// Journal mutations: cuts, lying lengths, trailing garbage, replayed
+// frames and bit flips.
+// ---------------------------------------------------------------------
+
+/// Frame layout: [u32 length | u64 checksum | payload].
+const FRAME_HEADER: u64 = 12;
+
+/// The finished journal the mutation tests start from — the paper seeds
+/// on 2 workers, a `Progress` frame every 4 variants — with its bytes,
+/// the offset where each record frame starts plus the end offset, and
+/// the reference report of the in-memory run.
+struct Finished {
+    bytes: Vec<u8>,
+    boundaries: Vec<u64>,
+    reference: CampaignReport,
+}
+
+fn finished_journal(tag: &str) -> Finished {
+    let files = seeds::all();
+    let config = config();
+    let path = journal_path(tag);
+    let status = run_campaign_checkpointed(
+        &files,
+        &config,
+        2,
+        &path,
+        &CheckpointOptions {
+            every: 4,
+            stop_after: None,
+        },
+    )
+    .expect("checkpointed run");
+    assert!(matches!(status, CampaignStatus::Complete(_)));
+    let mut iter = JournalIter::open(&path).expect("open");
+    let mut boundaries = vec![iter.valid_len()];
+    while let Some(record) = iter.next() {
+        record.expect("valid frame");
+        boundaries.push(iter.valid_len());
+    }
+    let bytes = std::fs::read(&path).expect("journal bytes");
+    std::fs::remove_file(&path).ok();
+    Finished {
+        bytes,
+        boundaries,
+        reference: Campaign {
+            workers: 2,
+            ..Campaign::default()
+        }
+        .run(&files, &config),
+    }
+}
+
+fn resume_once(path: &Path) -> Result<Option<CampaignReport>, CheckpointError> {
+    resume_campaign(
+        path,
+        2,
+        &CheckpointOptions {
+            every: 4,
+            stop_after: None,
+        },
+    )
+    .map(CampaignStatus::into_report)
+}
+
+/// Every frame boundary, one byte into every record frame's header, and
+/// one byte into every record frame's payload.
+fn cut_points(boundaries: &[u64]) -> Vec<u64> {
+    let mut cuts = boundaries.to_vec();
+    for &start in &boundaries[..boundaries.len() - 1] {
+        cuts.extend([start + 1, start + FRAME_HEADER + 1]);
+    }
+    cuts
+}
+
+#[test]
+fn every_cut_of_a_finished_journal_resumes_and_compacts_to_the_reference() {
+    let finished = finished_journal("cut-sweep-fixture");
+    assert!(finished.boundaries.len() > 24, "several frames per job");
+    let path = journal_path("cut-sweep");
+    for cut in cut_points(&finished.boundaries) {
+        let prefix = &finished.bytes[..usize::try_from(cut).expect("offset fits")];
+        std::fs::write(&path, prefix).expect("write cut journal");
+        let resumed = resume_once(&path).expect("resume");
+        assert_eq!(
+            resumed.as_ref(),
+            Some(&finished.reference),
+            "cut at {cut}: resume"
+        );
+        std::fs::write(&path, prefix).expect("write cut journal");
+        compact_journal(&path).expect("compaction");
+        let resumed = resume_once(&path).expect("resume after compaction");
+        assert_eq!(
+            resumed.as_ref(),
+            Some(&finished.reference),
+            "cut at {cut}: compaction, then resume"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Applies mutation `kind` to a copy of `finished`'s bytes: 0 overwrites
+/// a frame's length field with `value`, 1 appends `garbage`, 2 appends a
+/// copy of a record frame, 3 flips one bit past the magic. `pick`
+/// chooses the frame or the bit.
+fn mutate(finished: &Finished, kind: usize, pick: u64, value: u64, garbage: &[u8]) -> Vec<u8> {
+    let mut bytes = finished.bytes.clone();
+    let b = &finished.boundaries;
+    let records = (b.len() - 1) as u64;
+    let offset = |at: u64| usize::try_from(at).expect("offset fits");
+    match kind {
+        0 => {
+            // The header frame starts right after the 8-byte magic.
+            let frame = pick % (records + 1);
+            let start = offset(if frame == 0 { 8 } else { b[frame as usize - 1] });
+            bytes[start..start + 4].copy_from_slice(&(value as u32).to_le_bytes());
+        }
+        1 => bytes.extend_from_slice(garbage),
+        2 => {
+            let i = (pick % records) as usize;
+            let frame = finished.bytes[offset(b[i])..offset(b[i + 1])].to_vec();
+            bytes.extend_from_slice(&frame);
+        }
+        _ => {
+            let at = 8 + offset(pick % (bytes.len() as u64 - 8));
+            bytes[at] ^= 1 << (value % 8);
+        }
+    }
+    bytes
+}
+
+/// Runs `attempt` under `catch_unwind`: it must not panic, and must give
+/// a typed error or the reference report.
+fn typed_error_or_reference(
+    what: &str,
+    reference: &CampaignReport,
+    attempt: impl FnOnce() -> Result<Option<CampaignReport>, CheckpointError>,
+) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt)) {
+        Err(_) => panic!("{what} panicked"),
+        Ok(Ok(report)) => assert_eq!(report.as_ref(), Some(reference), "{what}"),
+        Ok(Err(_typed)) => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One mutation of a finished journal — a lying frame length,
+    /// trailing garbage, a replayed copy of a record frame or one flipped
+    /// bit — never makes resume or compaction panic or report anything
+    /// but the reference: each gives a typed error or the reference.
+    #[test]
+    fn mutated_journals_give_typed_errors_or_the_reference(
+        kind in 0usize..4,
+        pick in 0u64..u64::MAX,
+        value in 0u64..u64::MAX,
+        garbage in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 1..65),
+    ) {
+        static FINISHED: std::sync::OnceLock<Finished> = std::sync::OnceLock::new();
+        let finished = FINISHED.get_or_init(|| finished_journal("mutation-fixture"));
+        let mutated = mutate(finished, kind, pick, value, &garbage);
+        let what = format!("mutation {kind} (pick {pick}, value {value})");
+        let path = journal_path("mutation");
+        std::fs::write(&path, &mutated).expect("write mutated journal");
+        typed_error_or_reference(&format!("resume after {what}"), &finished.reference, || {
+            resume_once(&path)
+        });
+        std::fs::write(&path, &mutated).expect("write mutated journal");
+        typed_error_or_reference(
+            &format!("compaction, then resume, after {what}"),
+            &finished.reference,
+            || {
+                compact_journal(&path)?;
+                resume_once(&path)
+            },
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn fleet_merges_refuse_trailing_garbage_and_a_repeated_last_frame() {
+    let files = seeds::all();
+    let config = config();
+    let campaign = Campaign {
+        workers: 2,
+        ..Campaign::default()
+    };
+    let plan = FleetPlan::new(0xf1ee7, 2, 2);
+    let paths: Vec<PathBuf> = (0..plan.n_hosts)
+        .map(|host| {
+            let path = journal_path(&format!("mutated-fleet-host-{host}"));
+            let status = campaign
+                .run_journaled(
+                    &files,
+                    &config,
+                    &path,
+                    &CheckpointOptions {
+                        every: 4,
+                        stop_after: None,
+                    },
+                    Some((plan, host)),
+                )
+                .expect("host runs")
+                .status;
+            assert!(matches!(status, CampaignStatus::Complete(_)));
+            path
+        })
+        .collect();
+    assert_eq!(
+        merge_journals(&paths).expect("merge"),
+        campaign.run(&files, &config)
+    );
+    let pristine = std::fs::read(&paths[1]).expect("journal bytes");
+
+    let mut garbage = pristine.clone();
+    garbage.extend_from_slice(b"\x07 trailing garbage");
+    std::fs::write(&paths[1], &garbage).expect("write host journal");
+    match merge_journals(&paths) {
+        Err(FleetError::TailCorruption { host, path, .. }) => {
+            assert_eq!((host, &path), (1, &paths[1]));
+        }
+        other => panic!("expected TailCorruption naming host 1, got {other:?}"),
+    }
+
+    std::fs::write(&paths[1], &pristine).expect("write host journal");
+    let last = JournalIter::open(&paths[1])
+        .expect("open")
+        .map(|record| record.expect("valid frame"))
+        .last()
+        .expect("a record frame");
+    append_record(&paths[1], &last);
+    match merge_journals(&paths) {
+        Err(FleetError::Checkpoint(CheckpointError::Foreign(message))) => {
+            assert!(message.contains("job "), "{message}");
+        }
+        other => panic!("expected a Foreign refusal, got {other:?}"),
+    }
+    for path in &paths {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 proptest! {
