@@ -288,7 +288,8 @@ pub struct HostSummary {
     pub frames: u64,
     /// Variants the host tested.
     pub variants_tested: u64,
-    /// Candidate findings the host committed (pre-dedup).
+    /// Candidate findings the host's journal stores: each job's first
+    /// per (compiler family, signature), before the campaign-wide dedup.
     pub candidates: usize,
 }
 

@@ -47,7 +47,7 @@ use spe_simcc::backend::{intern, BackendError, CompilerBackend, SimccBackend};
 use spe_simcc::incremental::{CacheStats, CachedOracle};
 use spe_simcc::{Compiler, CompilerId, Observation};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 pub mod checkpoint;
 pub mod coverage_run;
@@ -237,14 +237,16 @@ impl CampaignReport {
     }
 }
 
-/// Raw results of one (file, shard) work item before deduplication:
-/// candidate findings in emission order plus counter deltas.
+/// Raw results of one (file, shard) work item before the campaign-wide
+/// deduplication: candidate findings in emission order plus counter
+/// deltas.
 #[derive(Debug, Default)]
 struct ShardOutput {
     /// Whether the file parsed and analyzed (reported by shard 0 only).
     file_processed: bool,
-    /// Candidate findings in variant/compiler emission order, not yet
-    /// deduplicated (`duplicate_of` is always `None` here).
+    /// Candidate findings in variant/compiler emission order: the job's
+    /// first per [`CandidateKey`], plus its quarantine record if any
+    /// (`duplicate_of` is always `None` here).
     candidates: Vec<Finding>,
     variants_tested: u64,
     variants_ub_skipped: u64,
@@ -301,11 +303,12 @@ impl<'a> Oracle<'a> {
         }
     }
 
-    /// This oracle bound to one (file, shard) job. Created at the job's
-    /// start and dropped at its end, so cached AST state can never cross
-    /// a job boundary (work stealing, checkpoint/resume, and panic
-    /// quarantine all see exactly the state the round trip would).
-    pub(crate) fn job<'s>(self, sk: &'s Skeleton) -> JobOracle<'s>
+    /// This oracle bound to one (file, shard) job whose committed prefix
+    /// (empty on a fresh job) is `replayed`. Created at the job's start
+    /// and dropped at its end, so cached AST state can never cross a job
+    /// boundary (work stealing, checkpoint/resume, and panic quarantine
+    /// all see exactly the state the round trip would).
+    pub(crate) fn job<'s>(self, sk: &'s Skeleton, replayed: &'s ShardOutput) -> JobOracle<'s>
     where
         'a: 's,
     {
@@ -315,12 +318,101 @@ impl<'a> Oracle<'a> {
                 Oracle::Incremental => Route::Cache(None),
                 Oracle::Backend(backend) => Route::Backend(backend),
             },
+            // A resumed job keeps what its uninterrupted run would keep:
+            // nothing its replayed prefix already holds.
+            seen: replayed
+                .candidates
+                .iter()
+                .filter_map(CandidateKey::of)
+                .collect(),
             prev: Vec::new(),
             changed: Vec::new(),
             spellings: Vec::new(),
             last_stats: CacheStats::default(),
         }
     }
+}
+
+/// What a candidate finding is deduplicated on within its job. Equal keys
+/// mean an equal `(compiler family, signature)` — what [`record`] keeps
+/// the first finding of — so a job that keeps only its first candidate
+/// per key hands `record` every finding it would keep (`DESIGN.md` §9).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum CandidateKey<'a> {
+    /// `(family, crash signature)`.
+    Crash(&'a str, &'a str),
+    /// `(family, opt)`: the signature names both and nothing else.
+    Performance(&'a str, u8),
+    /// `(family, opt)`: the signature also names the file, which is the
+    /// job's.
+    WrongCode(&'a str, u8),
+}
+
+impl<'a> CandidateKey<'a> {
+    /// The key of a replayed candidate; `None` for the quarantine
+    /// records, which are never deduplicated.
+    fn of(f: &'a Finding) -> Option<CandidateKey<'a>> {
+        let family = f.compiler.family;
+        match f.kind {
+            FindingKind::Crash => Some(CandidateKey::Crash(family, &f.signature)),
+            FindingKind::Performance => Some(CandidateKey::Performance(family, f.opt)),
+            FindingKind::WrongCode => Some(CandidateKey::WrongCode(family, f.opt)),
+            FindingKind::BackendDegraded | FindingKind::JobPanicked => None,
+        }
+    }
+
+    /// The kind of the candidates with this key.
+    fn kind(self) -> FindingKind {
+        match self {
+            CandidateKey::Crash(..) => FindingKind::Crash,
+            CandidateKey::Performance(..) => FindingKind::Performance,
+            CandidateKey::WrongCode(..) => FindingKind::WrongCode,
+        }
+    }
+
+    /// The signature of a candidate with this key found in `file`.
+    fn signature(self, file: &str) -> String {
+        match self {
+            CandidateKey::Crash(_, signature) => signature.to_owned(),
+            CandidateKey::Performance(family, opt) => {
+                format!("compile time blow-up in {family} at -O{opt}")
+            }
+            CandidateKey::WrongCode(family, opt) => {
+                format!("wrong code: {family} at -O{opt} on {file}")
+            }
+        }
+    }
+}
+
+/// A variant's source text as its findings read it: rendered into the
+/// worker's buffer on first read, so a variant that keeps no candidate
+/// is never rendered on [`Oracle::Incremental`].
+struct VariantText<'a> {
+    sk: &'a Skeleton,
+    names: &'a [NameId],
+    buf: &'a mut String,
+    rendered: bool,
+}
+
+impl VariantText<'_> {
+    fn text(&mut self) -> &str {
+        if !self.rendered {
+            self.sk.render_into(self.names, self.buf);
+            self.rendered = true;
+        }
+        self.buf
+    }
+}
+
+/// What one variant's observations fired, whether or not its job kept
+/// the candidates: telemetry reads this, so `oracle_ns.<verdict>` and
+/// `campaign.candidates` do not depend on the job decomposition.
+#[derive(Default)]
+struct Fired {
+    /// The kind of the first candidate in emission order.
+    first: Option<FindingKind>,
+    /// Candidates fired, kept or not.
+    candidates: u64,
 }
 
 /// Runs one per-variant oracle invocation `f`, recording its latency
@@ -331,16 +423,12 @@ impl<'a> Oracle<'a> {
 fn process_timed(
     telemetry: &dyn TelemetrySink,
     out: &mut ShardOutput,
-    f: impl FnOnce(&mut ShardOutput) -> Result<(), BackendError>,
+    f: impl FnOnce(&mut ShardOutput) -> Result<Fired, BackendError>,
 ) -> Result<(), BackendError> {
     if !telemetry.enabled() {
-        return f(out);
+        return f(out).map(drop);
     }
-    let before = (
-        out.candidates.len(),
-        out.variants_tested,
-        out.variants_ub_skipped,
-    );
+    let before = (out.variants_tested, out.variants_ub_skipped);
     let timer = Timer::start(telemetry);
     let result = f(out);
     let nanos = timer.stop_nanos();
@@ -348,52 +436,48 @@ fn process_timed(
     // lands in; a variant producing several findings is classified
     // by its first in emission order.
     match &result {
-        Ok(()) => {
-            let verdict = if let Some(f) = out.candidates.get(before.0) {
-                match f.kind {
-                    FindingKind::WrongCode => names::ORACLE_NS_WRONG_CODE,
-                    FindingKind::Performance => names::ORACLE_NS_PERFORMANCE,
-                    _ => names::ORACLE_NS_CRASH,
-                }
-            } else if out.variants_ub_skipped > before.2 {
-                names::ORACLE_NS_UB_SKIP
-            } else if out.variants_tested > before.1 {
-                names::ORACLE_NS_CLEAN
-            } else {
-                names::ORACLE_NS_UNSUPPORTED
+        Ok(fired) => {
+            let verdict = match fired.first {
+                Some(FindingKind::WrongCode) => names::ORACLE_NS_WRONG_CODE,
+                Some(FindingKind::Performance) => names::ORACLE_NS_PERFORMANCE,
+                Some(_) => names::ORACLE_NS_CRASH,
+                None if out.variants_ub_skipped > before.1 => names::ORACLE_NS_UB_SKIP,
+                None if out.variants_tested > before.0 => names::ORACLE_NS_CLEAN,
+                None => names::ORACLE_NS_UNSUPPORTED,
             };
             telemetry.histogram(verdict, nanos);
         }
         Err(_) => telemetry.counter(names::DEGRADED, 1),
     }
-    telemetry.counter(names::VARIANTS, out.variants_tested - before.1);
-    let candidates = (out.candidates.len() - before.0) as u64;
+    telemetry.counter(names::VARIANTS, out.variants_tested - before.0);
+    let candidates = result.as_ref().map_or(0, |fired| fired.candidates);
     if candidates > 0 {
         telemetry.counter(names::CANDIDATES, candidates);
     }
-    let ub = out.variants_ub_skipped - before.2;
+    let ub = out.variants_ub_skipped - before.1;
     if ub > 0 {
         telemetry.counter(names::UB_SKIPS, ub);
     }
-    result
+    result.map(drop)
 }
 
 /// One rendered variant through a [`CompilerBackend`]: one
 /// `observe_variant` call, findings constructed by
 /// [`emit_observations`].
-fn process_variant_backend(
+fn process_variant_backend<'s>(
     file: &TestFile,
-    src: &str,
+    src: &mut VariantText<'_>,
     config: &CampaignConfig,
     backend: &dyn CompilerBackend,
+    seen: &mut HashSet<CandidateKey<'s>>,
     out: &mut ShardOutput,
-) -> Result<(), BackendError> {
+) -> Result<Fired, BackendError> {
     let fuel = config.check_wrong_code.then_some(config.fuel);
-    let observations = backend.observe_variant(src, &config.compilers, fuel)?;
+    let observations = backend.observe_variant(src.text(), &config.compilers, fuel)?;
     if observations.is_empty() {
         // Not a testable program for this backend (parse failure):
         // skipped without counting.
-        return Ok(());
+        return Ok(Fired::default());
     }
     if observations.len() != config.compilers.len() {
         return Err(BackendError::new(format!(
@@ -403,74 +487,73 @@ fn process_variant_backend(
             config.compilers.len()
         )));
     }
-    emit_observations(file, src, config, &observations, out);
-    Ok(())
+    Ok(emit_observations(
+        file,
+        src,
+        config,
+        &observations,
+        seen,
+        out,
+    ))
 }
 
-/// Turns per-configuration [`Observation`]s into findings and counter
-/// deltas: per configuration in order, a crash, else one performance
-/// finding per slow-compile bug and then wrong code. The one place that
-/// builds compiler findings, shared by every oracle route.
-fn emit_observations(
+/// Turns per-configuration [`Observation`]s into candidate findings and
+/// counter deltas: per configuration in order, a crash, else one
+/// performance candidate per slow-compile bug and then wrong code. A
+/// candidate is kept only when `seen`, the keys of the job's kept
+/// candidates, holds none equal to its own, and only a kept candidate
+/// reads `src`. The one place that builds compiler findings, shared by
+/// every oracle route.
+fn emit_observations<'s>(
     file: &TestFile,
-    src: &str,
+    src: &mut VariantText<'_>,
     config: &CampaignConfig,
     observations: &[Observation],
+    seen: &mut HashSet<CandidateKey<'s>>,
     out: &mut ShardOutput,
-) {
-    for (cc, obs) in config.compilers.iter().zip(observations) {
-        out.variants_tested += 1;
-        let finding = |kind, signature, bug_id| {
-            Finding::new(
-                kind,
+) -> Fired {
+    let mut fired = Fired::default();
+    let mut fire = |out: &mut ShardOutput, cc: &Compiler, key: CandidateKey<'s>, bug_id| {
+        fired.first.get_or_insert(key.kind());
+        fired.candidates += 1;
+        if seen.insert(key) {
+            out.candidates.push(Finding::new(
+                key.kind(),
                 cc.id(),
                 cc.opt(),
-                signature,
+                key.signature(&file.name),
                 bug_id,
                 file.name.clone(),
-                src.to_string(),
-            )
-        };
-        if let Some(ice) = &obs.ice {
-            out.candidates.push(finding(
-                FindingKind::Crash,
-                ice.signature.to_string(),
-                Some(ice.bug_id),
+                src.text().to_owned(),
             ));
+        }
+    };
+    for (cc, obs) in config.compilers.iter().zip(observations) {
+        out.variants_tested += 1;
+        let family = cc.id().family;
+        if let Some(ice) = &obs.ice {
+            let key = CandidateKey::Crash(family, ice.signature);
+            fire(out, cc, key, Some(ice.bug_id));
             continue;
         }
         if obs.unsupported {
             continue;
         }
         for slow in &obs.slow_compile {
-            out.candidates.push(finding(
-                FindingKind::Performance,
-                format!(
-                    "compile time blow-up in {} at -O{}",
-                    cc.id().family,
-                    cc.opt()
-                ),
-                Some(slow),
-            ));
+            let key = CandidateKey::Performance(family, cc.opt());
+            fire(out, cc, key, Some(slow));
         }
         if config.check_wrong_code {
             if obs.reference_ub {
                 // UB or non-termination: skip, per §5.4.
                 out.variants_ub_skipped += 1;
             } else if obs.wrong_code {
-                out.candidates.push(finding(
-                    FindingKind::WrongCode,
-                    format!(
-                        "wrong code: {} at -O{} on {}",
-                        cc.id().family,
-                        cc.opt(),
-                        file.name
-                    ),
-                    obs.miscompiled_by.first().copied(),
-                ));
+                let key = CandidateKey::WrongCode(family, cc.opt());
+                fire(out, cc, key, obs.miscompiled_by.first().copied());
             }
         }
     }
+    fired
 }
 
 /// Where one job's variants go.
@@ -482,10 +565,10 @@ enum Route<'s> {
     Backend(&'s dyn CompilerBackend),
 }
 
-/// An [`Oracle`] bound to one (file, shard) job. On
-/// [`Oracle::Incremental`] it holds one [`CachedOracle`] over a clone of
-/// the skeleton's program, plus the previous variant's bindings for
-/// hole-delta computation.
+/// An [`Oracle`] bound to one (file, shard) job, with the keys of the
+/// job's kept candidates. On [`Oracle::Incremental`] it holds one
+/// [`CachedOracle`] over a clone of the skeleton's program, plus the
+/// previous variant's bindings for hole-delta computation.
 ///
 /// Parsing a rendered variant gives back the skeleton's program with
 /// the hole identifiers renamed (`tests/render_equivalence.rs` pins
@@ -496,6 +579,9 @@ enum Route<'s> {
 pub(crate) struct JobOracle<'s> {
     sk: &'s Skeleton,
     route: Route<'s>,
+    /// Keys of the candidates the job holds, its replayed prefix's
+    /// included; it lives for the whole job, across cadence commits.
+    seen: HashSet<CandidateKey<'s>>,
     /// The previous variant's hole bindings — the delta baseline.
     prev: Vec<NameId>,
     /// Scratch: indices of holes whose binding changed since `prev`.
@@ -507,26 +593,35 @@ pub(crate) struct JobOracle<'s> {
 }
 
 impl JobOracle<'_> {
-    /// Runs every compiler configuration over one rendered variant,
-    /// appending candidate findings and counter deltas to `out`, with
-    /// one `oracle_ns.<verdict>` histogram sample (plus the
-    /// `oracle_cache.*` counters on the splice cache) when `telemetry`
-    /// is enabled.
+    /// Runs every compiler configuration over one variant, appending the
+    /// candidates the job keeps and counter deltas to `out`, with one
+    /// `oracle_ns.<verdict>` histogram sample (plus the `oracle_cache.*`
+    /// counters on the splice cache) when `telemetry` is enabled. The
+    /// variant is rendered into `buf` before it is observed on
+    /// [`Oracle::Backend`], and on [`Oracle::Incremental`] only when a
+    /// kept candidate reads it.
     ///
     /// # Errors
     ///
-    /// [`BackendError`] when the backend machinery failed; the caller
-    /// quarantines the job.
+    /// [`BackendError`] when the backend machinery failed, with the
+    /// variant rendered in `buf`; the caller quarantines the job.
     pub(crate) fn process_variant(
         &mut self,
         variant: &Variant,
         file: &TestFile,
-        src: &str,
+        buf: &mut String,
         config: &CampaignConfig,
         out: &mut ShardOutput,
         telemetry: &dyn TelemetrySink,
     ) -> Result<(), BackendError> {
         let sk = self.sk;
+        let mut src = VariantText {
+            sk,
+            names: &variant.names,
+            buf,
+            rendered: false,
+        };
+        let seen = &mut self.seen;
         let cache = match &mut self.route {
             Route::Cache(cache) => cache.get_or_insert_with(|| {
                 let occs: Vec<_> = sk.hole_occs().collect();
@@ -541,8 +636,11 @@ impl JobOracle<'_> {
             }),
             Route::Backend(backend) => {
                 let backend = *backend;
+                // The backend reads every variant: render it outside the
+                // timed observation, as for any oracle input.
+                src.text();
                 return process_timed(telemetry, out, |out| {
-                    process_variant_backend(file, src, config, backend, out)
+                    process_variant_backend(file, &mut src, config, backend, seen, out)
                 });
             }
         };
@@ -556,8 +654,14 @@ impl JobOracle<'_> {
         let (spellings, changed) = (&self.spellings, &self.changed);
         process_timed(telemetry, out, |out| {
             let observations = cache.observe_variant(spellings, Some(changed));
-            emit_observations(file, src, config, observations, out);
-            Ok(())
+            Ok(emit_observations(
+                file,
+                &mut src,
+                config,
+                observations,
+                seen,
+                out,
+            ))
         })?;
         if telemetry.enabled() {
             let stats = cache.stats();
@@ -653,10 +757,10 @@ fn campaign_enumerator(config: &CampaignConfig, shards_per_file: usize) -> Shard
 /// not depend on worker count, completion order, or kill/resume history.
 fn merge_outputs(outputs: Vec<ShardOutput>) -> CampaignReport {
     let mut report = CampaignReport::default();
-    // (family, signature) -> index into findings.
-    let mut seen_signatures: HashMap<(String, String), usize> = HashMap::new();
+    // (family, signature) of every finding reported.
+    let mut seen_signatures: HashSet<(&'static str, String)> = HashSet::new();
     // (family, bug id) -> first signature.
-    let mut seen_bugs: HashMap<(String, &'static str), String> = HashMap::new();
+    let mut seen_bugs: HashMap<(&'static str, &'static str), String> = HashMap::new();
     for out in outputs {
         report.files_processed += usize::from(out.file_processed);
         report.variants_tested += out.variants_tested;
@@ -685,32 +789,31 @@ pub fn run_campaign_parallel(
     .run(files, config)
 }
 
+/// Reports `finding` unless one with an equal `(family, signature)` was
+/// reported before it, linking it to the first signature reported for
+/// its `(family, bug id)`. Families compare by content: replayed findings
+/// carry interned copies.
 fn record(
     report: &mut CampaignReport,
-    seen_signatures: &mut HashMap<(String, String), usize>,
-    seen_bugs: &mut HashMap<(String, &'static str), String>,
+    seen_signatures: &mut HashSet<(&'static str, String)>,
+    seen_bugs: &mut HashMap<(&'static str, &'static str), String>,
     mut finding: Finding,
 ) {
-    let key = (
-        finding.compiler.family.to_string(),
-        finding.signature.clone(),
-    );
-    if seen_signatures.contains_key(&key) {
+    let family = finding.compiler.family;
+    if !seen_signatures.insert((family, finding.signature.clone())) {
         return; // already reported under this signature
     }
     if let Some(bug) = finding.bug_id {
-        let bkey = (finding.compiler.family.to_string(), bug);
-        match seen_bugs.get(&bkey) {
+        match seen_bugs.get(&(family, bug)) {
             Some(first_sig) if *first_sig != finding.signature => {
                 finding.duplicate_of = Some(first_sig.clone());
             }
             Some(_) => {}
             None => {
-                seen_bugs.insert(bkey, finding.signature.clone());
+                seen_bugs.insert((family, bug), finding.signature.clone());
             }
         }
     }
-    seen_signatures.insert(key, report.findings.len());
     report.findings.push(finding);
 }
 
@@ -818,6 +921,95 @@ mod tests {
             report.variants_ub_skipped > 0,
             "some variants divide by zero"
         );
+    }
+
+    /// Each job's stored candidates, replayed from the journal at `path`.
+    fn stored_candidates(path: &std::path::Path) -> Vec<Vec<Finding>> {
+        let (replay, _lock) = checkpoint::Replay::open(path).expect("replay");
+        replay
+            .jobs
+            .into_iter()
+            .map(|job| job.partial.candidates)
+            .collect()
+    }
+
+    #[test]
+    fn a_job_stores_one_candidate_per_signature_across_kill_and_resume() {
+        let mut files = seeds::all();
+        files.extend(spe_corpus::generate(&spe_corpus::CorpusConfig {
+            files: 6,
+            seed: 7,
+        }));
+        let config = CampaignConfig {
+            compilers: vec![
+                Compiler::new(CompilerId::gcc(700), 0),
+                Compiler::new(CompilerId::gcc(700), 3),
+                Compiler::new(CompilerId::clang(390), 3),
+            ],
+            budget: 60,
+            algorithm: Algorithm::Paper,
+            check_wrong_code: true,
+            fuel: 10_000,
+        };
+        let dir = std::env::temp_dir().join(format!("spe-harness-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        // One worker over a one-host plan of two shards per file: jobs
+        // are dealt in order, so a kill lands at the same variant on
+        // every run.
+        let plan = Some((FleetPlan::new(1, 1, 2), 0));
+        let run = |path: &std::path::Path, stop_after| {
+            let options = CheckpointOptions {
+                every: 4,
+                stop_after,
+            };
+            Campaign::default()
+                .run_journaled(&files, &config, path, &options, plan)
+                .expect("journaled run")
+                .status
+        };
+
+        let finished = dir.join("finished.journal");
+        assert!(!run(&finished, None).is_interrupted());
+        let reference = stored_candidates(&finished);
+        for (job, candidates) in reference.iter().enumerate() {
+            let mut keys: Vec<_> = candidates
+                .iter()
+                .map(|f| (f.compiler.family, f.signature.as_str()))
+                .collect();
+            let stored = keys.len();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), stored, "job {job} stores a signature twice");
+        }
+
+        let mut resumed_mid_job = 0;
+        for stop_after in [200, 290, 410, 470] {
+            let killed = dir.join(format!("killed-{stop_after}.journal"));
+            assert!(run(&killed, Some(stop_after)).is_interrupted());
+            let (replay, lock) = checkpoint::Replay::open(&killed).expect("replay");
+            resumed_mid_job += replay
+                .jobs
+                .iter()
+                .filter(|job| !job.done && !job.partial.candidates.is_empty())
+                .count();
+            drop((replay, lock));
+            let resumed = Campaign::default()
+                .resume(&killed, &CheckpointOptions::default())
+                .expect("resume");
+            assert!(!resumed.status.is_interrupted());
+            let stored = stored_candidates(&killed);
+            for (job, (got, want)) in stored.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    got, want,
+                    "killed after {stop_after} variants: resumed job {job} stores other candidates"
+                );
+            }
+        }
+        assert!(
+            resumed_mid_job > 0,
+            "no kill left a job with stored candidates unfinished"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

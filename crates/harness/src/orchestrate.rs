@@ -46,6 +46,7 @@ use crate::{
     merge_outputs, prepare_file, quarantine_finding, CampaignConfig, CampaignReport, FindingKind,
     Oracle, ShardOutput,
 };
+use spe_core::NameId;
 use spe_corpus::TestFile;
 use spe_persist::{Journal, JournalError};
 use spe_telemetry::{names, Sink as TelemetrySink, Timer};
@@ -559,6 +560,10 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
             let jobs = &jobs;
             scope.spawn(move || {
                 let mut buf = String::new();
+                // The variant in hand, kept outside the unwind boundary
+                // as its names: a panicking job renders its reproducer
+                // from them.
+                let mut in_hand: Vec<NameId> = Vec::new();
                 while let Some((i, stolen)) = queue.pop_from(w) {
                     if stop.load(Ordering::Relaxed) {
                         return;
@@ -576,9 +581,9 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     let (file_idx, shard) = (i / shards_per_file, i % shards_per_file);
                     let file = &files[file_idx];
                     let skip = jobs[i].emitted;
-                    // A job that panics before its first render must not
-                    // quarantine with the previous job's variant.
-                    buf.clear();
+                    // A job that panics before its first variant must
+                    // not quarantine with the previous job's variant.
+                    let mut started = false;
                     // Output since the last committed checkpoint (the
                     // journal delta) and since the start of this run
                     // (the in-memory continuation).
@@ -612,7 +617,7 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                         // dropped at job end — cached AST state cannot
                         // outlive the job or leak into a quarantined
                         // sibling.
-                        let mut job_oracle = oracle.job(sk);
+                        let mut job_oracle = oracle.job(sk, &jobs[i].partial);
                         enumerator.enumerate_shard_resumed_prepared(
                             space,
                             shard,
@@ -622,9 +627,10 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                                     killed = true;
                                     return ControlFlow::Break(());
                                 }
-                                variant.render_into(sk, &mut buf);
+                                in_hand.clone_from(&variant.names);
+                                started = true;
                                 if let Err(e) = job_oracle.process_variant(
-                                    variant, file, &buf, config, &mut delta, telemetry,
+                                    variant, file, &mut buf, config, &mut delta, telemetry,
                                 ) {
                                     // Backend machinery failure:
                                     // quarantine the job (the degraded
@@ -687,6 +693,21 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                         delta.candidates.truncate(rollback.0);
                         delta.variants_tested = rollback.1;
                         delta.variants_ub_skipped = rollback.2;
+                        // The reproducer is the variant the panic hit,
+                        // on either route: empty before the job's first
+                        // variant, or when its render panics too.
+                        let rendered = started
+                            && catch_unwind(AssertUnwindSafe(|| {
+                                let (sk, _) = prepared[file_idx]
+                                    .get()
+                                    .and_then(Option::as_ref)
+                                    .expect("a variant in hand comes from its prepared file");
+                                sk.render_into(&in_hand, &mut buf);
+                            }))
+                            .is_ok();
+                        if !rendered {
+                            buf.clear();
+                        }
                         delta.candidates.push(quarantine_finding(
                             FindingKind::JobPanicked,
                             file,

@@ -79,11 +79,15 @@ pub enum JournalError {
         /// The offending file.
         path: PathBuf,
     },
-    /// The file ends before a complete header frame — created by a crash
-    /// during [`Journal::create`]; there is no state to resume from.
+    /// The file has no valid header frame — it ends before one (a crash
+    /// during [`Journal::create`]) or the header frame fails validation;
+    /// there is no state to resume from.
     NoHeader {
         /// The offending file.
         path: PathBuf,
+        /// Why the header frame failed validation; `None` when the file
+        /// ends cleanly after the magic.
+        corruption: Option<TailCorruption>,
     },
     /// Another process (or another `Journal` in this process) holds the
     /// journal open for appending. Writers take an exclusive OS-level
@@ -117,8 +121,12 @@ impl fmt::Display for JournalError {
                 "{} is not a journal (bad magic or version)",
                 path.display()
             ),
-            JournalError::NoHeader { path } => {
-                write!(f, "journal {} has no complete header frame", path.display())
+            JournalError::NoHeader { path, corruption } => {
+                write!(f, "journal {} has no complete header frame", path.display())?;
+                match corruption {
+                    Some(c) => write!(f, ": {c}"),
+                    None => Ok(()),
+                }
             }
             JournalError::Busy { path } => {
                 write!(f, "journal {} is locked by another writer", path.display())
@@ -525,6 +533,7 @@ impl JournalIter {
             }
             Ok(None) => Err(JournalError::NoHeader {
                 path: path.to_path_buf(),
+                corruption: iter.corruption,
             }),
             Err(e) => Err(e),
         }
@@ -918,8 +927,41 @@ mod tests {
         std::fs::write(&path, b"not a journal at all").unwrap();
         assert!(matches!(read(&path), Err(JournalError::BadMagic { .. })));
         std::fs::write(&path, MAGIC).unwrap();
-        assert!(matches!(read(&path), Err(JournalError::NoHeader { .. })));
+        assert!(matches!(
+            read(&path),
+            Err(JournalError::NoHeader {
+                corruption: None,
+                ..
+            })
+        ));
         assert!(reopen(&path).is_err());
+    }
+
+    #[test]
+    fn a_corrupt_header_frame_is_triaged_not_read_as_missing() {
+        let path = temp_path("corrupt-header.journal");
+        drop(Journal::create(&path, b"manifest").unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        // One bit of the manifest payload, past the magic and the
+        // frame's length and checksum.
+        bytes[MAGIC.len() + FRAME_HEADER] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read(&path).unwrap_err();
+        let expected = TailCorruption {
+            offset: MAGIC.len() as u64,
+            reason: CorruptionReason::ChecksumMismatch,
+        };
+        match &err {
+            JournalError::NoHeader { corruption, .. } => {
+                assert_eq!(*corruption, Some(expected));
+            }
+            other => panic!("expected NoHeader, got {other:?}"),
+        }
+        let text = err.to_string();
+        assert!(
+            text.contains("checksum mismatch at byte offset 8"),
+            "the error names the damage: {text}"
+        );
     }
 
     #[test]

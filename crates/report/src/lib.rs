@@ -277,7 +277,8 @@ pub struct FleetHostRow {
     pub frames: u64,
     /// Variants the host's slice tested.
     pub variants_tested: u64,
-    /// Candidate findings the host's slice committed (pre-dedup).
+    /// Candidate findings the host's journal stores: each job's first
+    /// per (compiler family, signature), before the campaign-wide dedup.
     pub candidates: usize,
 }
 

@@ -31,7 +31,7 @@ pub const ORCH_KILLED: &str = "orchestrate.killed";
 
 /// Counter: variants actually tested by the oracle.
 pub const VARIANTS: &str = "campaign.variants_tested";
-/// Counter: candidate findings emitted (pre-dedup).
+/// Counter: candidate findings fired, before any dedup.
 pub const CANDIDATES: &str = "campaign.candidates";
 /// Counter: variants skipped because the reference execution hit UB.
 pub const UB_SKIPS: &str = "campaign.ub_skipped";

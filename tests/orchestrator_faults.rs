@@ -136,6 +136,16 @@ fn panicking_jobs_are_quarantined_and_survive_kill_resume() {
             panicked > 0,
             "the poisoned predicate must fire at {workers} workers for this test to mean anything"
         );
+        // Each quarantine reproduces the variant its panic hit.
+        for f in &reference.findings {
+            if f.kind == FindingKind::JobPanicked {
+                assert!(
+                    poisoned(&f.reproducer),
+                    "{workers} workers: {} quarantined a variant that does not panic",
+                    f.signature
+                );
+            }
+        }
 
         // Uninterrupted checkpointed run: same quarantine, same report.
         let path = journal_path(&format!("panic-uninterrupted-{workers}"));

@@ -128,6 +128,21 @@ fn instrumented_kill_resume_cycle_is_byte_identical() {
     }
 }
 
+/// A wrong-code campaign on which every verdict class occurs.
+fn attribution_config() -> CampaignConfig {
+    CampaignConfig {
+        compilers: vec![
+            Compiler::new(CompilerId::gcc(700), 0),
+            Compiler::new(CompilerId::gcc(700), 3),
+            Compiler::new(CompilerId::clang(390), 3),
+        ],
+        budget: 200,
+        algorithm: spe::core::Algorithm::Paper,
+        check_wrong_code: true,
+        fuel: 10_000,
+    }
+}
+
 /// Per-verdict attribution survives the incremental (batched) oracle
 /// path: the default campaign entry points run on the splice cache, yet
 /// every variant must still land exactly one sample in its verdict's
@@ -139,17 +154,7 @@ fn instrumented_kill_resume_cycle_is_byte_identical() {
 fn incremental_oracle_attribution_is_per_variant() {
     let _guard = TELEMETRY_LOCK.lock().unwrap();
     let files = workload(7);
-    let config = CampaignConfig {
-        compilers: vec![
-            Compiler::new(CompilerId::gcc(700), 0),
-            Compiler::new(CompilerId::gcc(700), 3),
-            Compiler::new(CompilerId::clang(390), 3),
-        ],
-        budget: 200,
-        algorithm: spe::core::Algorithm::Paper,
-        check_wrong_code: true,
-        fuel: 10_000,
-    };
+    let config = attribution_config();
     let (_report, recorder) = with_recorder(|| run_campaign_parallel(&files, &config, 4));
     let snap = recorder.snapshot();
     let count = |verdict: &str| {
@@ -186,6 +191,39 @@ fn incremental_oracle_attribution_is_per_variant() {
         recorder.counter_value(names::ORACLE_REFERENCE_MEMO_HITS) > 0,
         "no variant's reference came from the job's reference memo"
     );
+}
+
+/// Telemetry counts what fired, not what a job kept: a job stores only
+/// its first candidate per (family, signature), and which candidates
+/// those are depends on how files are cut into jobs. The candidate
+/// counter and every verdict histogram must not.
+#[test]
+fn fired_candidates_and_verdicts_do_not_depend_on_the_job_decomposition() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let files = workload(7);
+    let config = attribution_config();
+    let counts = |workers: usize| {
+        let (_report, recorder) = with_recorder(|| run_campaign_parallel(&files, &config, workers));
+        let snap = recorder.snapshot();
+        let verdicts: Vec<u64> = names::ORACLE_VERDICTS
+            .iter()
+            .map(|v| {
+                snap.histograms
+                    .get(&format!("{}{v}", names::ORACLE_NS_PREFIX))
+                    .map_or(0, |h| h.count)
+            })
+            .collect();
+        (recorder.counter_value(names::CANDIDATES), verdicts)
+    };
+    let serial = counts(1);
+    assert!(serial.0 > 0, "no candidate fired");
+    for workers in [2usize, 4] {
+        assert_eq!(
+            counts(workers),
+            serial,
+            "{workers} workers: (campaign.candidates, oracle_ns counts) moved"
+        );
+    }
 }
 
 proptest! {
