@@ -169,9 +169,10 @@ impl Enumerator {
     where
         F: FnMut(&Variant) -> ControlFlow<()>,
     {
-        let (base, fragments, mut truncated) = materialize_fragments(&self.config, sk);
-        let total = emission_total(&fragments, self.config.budget, &mut truncated);
-        let (emitted, broke) = stream_index_range(&base, &fragments, 0..total, visit);
+        let space = VariantSpace::listed(&self.config, sk, &sk.units(self.config.granularity));
+        let mut truncated = space.truncated;
+        let total = space.total_with(self.config.budget, &mut truncated);
+        let (emitted, broke) = space.stream_range(0..total, visit);
         EnumerationOutcome {
             emitted,
             truncated: truncated || broke,
@@ -231,104 +232,6 @@ impl Fragments {
             names[h as usize] = n;
         }
     }
-}
-
-/// The identity filling: every hole keeps its original variable's name.
-fn base_names(sk: &Skeleton) -> Vec<NameId> {
-    sk.holes().iter().map(|h| sk.var_name(h.var)).collect()
-}
-
-/// Materializes the per-group rename fragments for a skeleton, each capped
-/// by the budget (if a single group exceeds it, the product does too).
-/// Returns the identity name vector, the fragment lists (one per type
-/// group, in unit order) and whether any group was truncated.
-fn materialize_fragments(
-    config: &EnumeratorConfig,
-    sk: &Skeleton,
-) -> (Vec<NameId>, Vec<Fragments>, bool) {
-    let units = sk.units(config.granularity);
-    let mut truncated = false;
-    let mut fragments = Vec::new();
-    for g in units.iter().flat_map(|u| &u.groups) {
-        let (frags, t) = group_fragments(config, sk, g);
-        truncated |= t;
-        fragments.push(frags);
-    }
-    (base_names(sk), fragments, truncated)
-}
-
-/// Number of variants to emit: the Cartesian product of fragment sizes,
-/// capped by the budget (the cap sets `truncated`). A group with zero
-/// solutions — which never happens for well-formed skeletons, since each
-/// hole's original variable is allowed — collapses the product to zero.
-fn emission_total(fragments: &[Fragments], budget: usize, truncated: &mut bool) -> u64 {
-    let product: u128 = fragments
-        .iter()
-        .map(|f| f.len as u128)
-        .fold(1u128, u128::saturating_mul);
-    if product > budget as u128 {
-        *truncated = true;
-    }
-    product.min(budget as u128) as u64
-}
-
-/// Streams the variants with emission indices in `range` through `visit`,
-/// in index order. The mixed-radix decomposition of `range.start` is
-/// how a shard starts: a worker resumes mid-product in O(#groups)
-/// without touching earlier variants. Returns the number of variants
-/// emitted and whether the visitor broke the stream.
-///
-/// The hot loop is allocation-free: one `Variant` is set up from `base`
-/// and mutated in place, and advancing the odometer re-applies only the
-/// fragments whose digit changed.
-fn stream_index_range<F>(
-    base: &[NameId],
-    fragments: &[Fragments],
-    range: Range<u64>,
-    visit: &mut F,
-) -> (u64, bool)
-where
-    F: FnMut(&Variant) -> ControlFlow<()>,
-{
-    // Decompose the start index into an odometer cursor.
-    let mut cursor = vec![0usize; fragments.len()];
-    let mut rest = range.start;
-    for i in (0..fragments.len()).rev() {
-        let size = fragments[i].len as u64;
-        if size == 0 {
-            return (0, false);
-        }
-        cursor[i] = (rest % size) as usize;
-        rest /= size;
-    }
-    let mut variant = Variant {
-        index: range.start,
-        names: base.to_vec(),
-    };
-    for (frags, &c) in fragments.iter().zip(&cursor) {
-        frags.apply(c, &mut variant.names);
-    }
-    let mut emitted = 0u64;
-    for index in range {
-        variant.index = index;
-        emitted += 1;
-        if visit(&variant).is_break() {
-            return (emitted, true);
-        }
-        // Advance the odometer, re-applying only the changed digits.
-        let mut i = fragments.len();
-        while i > 0 {
-            i -= 1;
-            cursor[i] += 1;
-            if cursor[i] < fragments[i].len {
-                fragments[i].apply(cursor[i], &mut variant.names);
-                break;
-            }
-            cursor[i] = 0;
-            fragments[i].apply(0, &mut variant.names);
-        }
-    }
-    (emitted, false)
 }
 
 /// A group's solution list under `config`, renamed and capped by the
@@ -440,58 +343,57 @@ pub struct ShardedEnumerator {
 /// `VariantSpace` can feed any number of shard streams, from any thread,
 /// without repeating that work.
 ///
-/// Two representations exist behind one interface:
+/// The space is the identity filling plus one solution space per type
+/// group, and every stream runs one mixed-radix odometer over those
+/// groups. A group space comes in two kinds:
 ///
-/// * **product** — every per-group solution list materialized (the
-///   general case: the paper, orbit and naive algorithms, and canonical
-///   groups beyond the 128-variable mask width);
-/// * **canonical shard-native** — for [`Algorithm::Canonical`] whenever
-///   every type group admits *cheap* budget-capped prefix counts
-///   (`num_vars <= 128` and the counting DP, capped at `budget + 1`,
-///   within the crate-internal state limit), *including constrained,
-///   multi-group skeletons*: no solution list is materialized at all.
-///   Each group's space is sized up to the budget — in closed form
-///   ([`spe_combinatorics::partitions_at_most`]) when the group is
-///   unconstrained, through the capped prefix-count DP
-///   ([`spe_combinatorics::ConstrainedRgs`], `DESIGN.md §8`) otherwise —
-///   and shards jump to their emission boundary by per-group mixed-radix
-///   unranking, then walk on from there through
-///   [`spe_combinatorics::enumerate_canonical_from`]. Per-shard cost is
-///   proportional to the shard, not the whole space.
+/// * **listed** — the group's solution list, materialized and capped by
+///   the budget. The paper, orbit and naive algorithms list every group,
+///   and so does the serial [`Enumerator`];
+/// * **shard-native** — for [`Algorithm::Canonical`], a group that
+///   admits *cheap* budget-capped prefix counts (`num_vars <= 128` and
+///   the counting DP, capped at `budget + 1`, within the crate-internal
+///   state limit) is only sized: in closed form
+///   ([`spe_combinatorics::partitions_at_most`]) when unconstrained,
+///   through the capped prefix-count DP
+///   ([`spe_combinatorics::ConstrainedRgs`], `DESIGN.md §8`) otherwise.
+///   A stream lands on a solution by exact unranking and walks on from
+///   there through [`spe_combinatorics::enumerate_canonical_from`], so
+///   per-shard cost is proportional to the shard, not the whole space.
+///
+/// The choice is all-or-nothing: `prepare` makes every group of a
+/// canonical space shard-native when every group qualifies —
+/// constrained, multi-group skeletons included — and lists every group
+/// otherwise.
 #[derive(Debug, Clone)]
 pub struct VariantSpace {
     /// The identity filling, also the scratch-vector prototype.
     base: Vec<NameId>,
-    kind: SpaceKind,
+    /// One space per type group, in unit order; the last group is the
+    /// odometer's least significant digit.
+    groups: Vec<GroupSpace>,
     truncated: bool,
+    /// Whether `prepare`'s canonical gate engaged.
+    native: bool,
 }
 
+/// One type group's solution space. Both kinds apply the same solutions
+/// in the same order with the same names.
 #[derive(Debug, Clone)]
-enum SpaceKind {
-    Product(Vec<Fragments>),
-    CanonicalNative(CanonicalNativeSpace),
+enum GroupSpace {
+    Listed(Fragments),
+    Native(NativeGroup),
 }
 
-/// Shard-native canonical space: one entry per type group (in unit
-/// order, matching the materialized fragment order), each holding the
-/// budget-capped size of the group's valid-partition space plus
+/// A shard-native canonical group: its budget-capped size plus
 /// everything needed to turn an RGS into a rename vector without
-/// consulting the skeleton. The emission-index space is the mixed-radix product of the
-/// per-group (budget-capped) sizes, last group least significant —
-/// exactly the product the materialized path enumerates.
-#[derive(Debug, Clone)]
-struct CanonicalNativeSpace {
-    groups: Vec<NativeGroup>,
-}
-
-/// One type group of a [`CanonicalNativeSpace`].
+/// consulting the skeleton.
 #[derive(Debug, Clone)]
 struct NativeGroup {
     general: GeneralInstance,
-    /// The solution-list length the materialized path would produce:
-    /// the exact size of the group's canonical space, capped by the
-    /// budget at prepare time. This group's radix in the mixed-radix
-    /// emission-index space.
+    /// The solution-list length the listed group would have: the exact
+    /// size of the group's canonical space, capped by the budget at
+    /// prepare time.
     size: u64,
     /// The count cap the gate sized a constrained group with
     /// (`budget + 1`). Stream unrankers use it too, so they visit only
@@ -544,31 +446,132 @@ impl NativeGroup {
     }
 }
 
+impl GroupSpace {
+    /// Number of solutions: this group's radix in the emission-index
+    /// space.
+    fn size(&self) -> u64 {
+        match self {
+            GroupSpace::Listed(list) => list.len as u64,
+            GroupSpace::Native(group) => group.size,
+        }
+    }
+
+    /// Lands this group's holes on solution `i`: a list lookup, or
+    /// closed-form or DP unranking. `dp` is the stream's unranker slot
+    /// for this group, which only a constrained native group fills.
+    fn seek<'a>(&'a self, dp: &mut Option<ConstrainedRgs<'a>>, i: u64, names: &mut [NameId]) {
+        match self {
+            GroupSpace::Listed(list) => list.apply(i as usize, names),
+            GroupSpace::Native(group) => group.apply(&group.unrank(dp, i), names),
+        }
+    }
+
+    /// Applies solutions `from..size` to `variant` in order, calling
+    /// `step` after each, and returns `Break` as soon as `step` does.
+    /// A native group unranks `from` once and walks on from there.
+    fn walk<'a, S>(
+        &'a self,
+        dp: &mut Option<ConstrainedRgs<'a>>,
+        from: u64,
+        variant: &mut Variant,
+        step: &mut S,
+    ) -> ControlFlow<()>
+    where
+        S: FnMut(&mut Variant) -> ControlFlow<()>,
+    {
+        match self {
+            GroupSpace::Listed(list) => {
+                for i in from as usize..list.len {
+                    list.apply(i, &mut variant.names);
+                    step(variant)?;
+                }
+                ControlFlow::Continue(())
+            }
+            GroupSpace::Native(group) => {
+                let lower = if from == 0 {
+                    Vec::new()
+                } else {
+                    group.unrank(dp, from)
+                };
+                let mut left = group.size - from;
+                let mut flow = ControlFlow::Continue(());
+                let _ = enumerate_canonical_from(&group.general, &lower, &mut |rgs| {
+                    if left == 0 {
+                        // The budget capped this group's list: skip the
+                        // tail, exactly as the listed group does.
+                        return ControlFlow::Break(());
+                    }
+                    left -= 1;
+                    group.apply(rgs, &mut variant.names);
+                    flow = step(variant);
+                    flow
+                });
+                flow
+            }
+        }
+    }
+}
+
+/// A stream's position in one group: its current solution and the
+/// group's DP unranker, built on first use.
+struct Cursor<'a> {
+    digit: u64,
+    dp: Option<ConstrainedRgs<'a>>,
+}
+
 impl VariantSpace {
+    /// A space of `groups`, each paired with whether the budget cut its
+    /// solutions short.
+    fn new(
+        sk: &Skeleton,
+        groups: impl IntoIterator<Item = (GroupSpace, bool)>,
+        native: bool,
+    ) -> VariantSpace {
+        let mut space = VariantSpace {
+            // The identity filling: every hole keeps its variable's name.
+            base: sk.holes().iter().map(|h| sk.var_name(h.var)).collect(),
+            groups: Vec::new(),
+            truncated: false,
+            native,
+        };
+        for (group, truncated) in groups {
+            space.groups.push(group);
+            space.truncated |= truncated;
+        }
+        space
+    }
+
+    /// The all-listed space: every group's solution list materialized,
+    /// each capped by the budget (if a single group exceeds it, the
+    /// product does too).
+    fn listed(config: &EnumeratorConfig, sk: &Skeleton, units: &[Unit]) -> VariantSpace {
+        let groups = units.iter().flat_map(|u| &u.groups).map(|g| {
+            let (list, truncated) = group_fragments(config, sk, g);
+            (GroupSpace::Listed(list), truncated)
+        });
+        VariantSpace::new(sk, groups, false)
+    }
+
     /// Number of variants that enumeration will emit under `budget`.
     pub fn total(&self, budget: usize) -> u64 {
         let mut truncated = self.truncated;
         self.total_with(budget, &mut truncated)
     }
 
+    /// The product of the group sizes, capped by the budget (the cap sets
+    /// `truncated`). A group with no solutions, which a well-formed
+    /// skeleton never has since each hole's own variable is allowed,
+    /// collapses the product to zero.
     fn total_with(&self, budget: usize, truncated: &mut bool) -> u64 {
-        match &self.kind {
-            SpaceKind::Product(fragments) => emission_total(fragments, budget, truncated),
-            SpaceKind::CanonicalNative(native) => {
-                // Same cap rule as `emission_total`: per-group sizes were
-                // already clamped at prepare time, the product is clamped
-                // here.
-                let product: u128 = native
-                    .groups
-                    .iter()
-                    .map(|g| g.size as u128)
-                    .fold(1u128, u128::saturating_mul);
-                if product > budget as u128 {
-                    *truncated = true;
-                }
-                product.min(budget as u128) as u64
-            }
+        let product: u128 = self
+            .groups
+            .iter()
+            .map(|g| g.size() as u128)
+            .fold(1u128, u128::saturating_mul);
+        if product > budget as u128 {
+            *truncated = true;
         }
+        product.min(budget as u128) as u64
     }
 
     /// Whether any group's solution list was cut short by the budget.
@@ -580,201 +583,133 @@ impl VariantSpace {
     /// i.e. no per-group solution list was (or will be) materialized and
     /// shards index the space by exact counting alone.
     pub fn is_shard_native(&self) -> bool {
-        matches!(self.kind, SpaceKind::CanonicalNative(_))
+        self.native
     }
 
-    /// Streams the variants with emission indices in `range`, dispatching
-    /// to the representation's native walk. Semantics are those of
-    /// [`stream_index_range`] for either kind.
+    /// Streams the variants with emission indices in `range` through
+    /// `visit`, in index order, by one mixed-radix odometer over the
+    /// groups, last group least significant. The digits of `range.start`
+    /// seek every group to its solution, so a shard starts mid-space
+    /// without touching earlier variants. The innermost group then walks
+    /// its solutions; each time it wraps, the outer digits carry and only
+    /// the groups whose digit changed seek again. One `Variant` is
+    /// mutated in place across the whole stream. Returns the number of
+    /// variants emitted and whether the visitor broke the stream.
     fn stream_range<F>(&self, range: Range<u64>, visit: &mut F) -> (u64, bool)
     where
         F: FnMut(&Variant) -> ControlFlow<()>,
     {
-        match &self.kind {
-            SpaceKind::Product(fragments) => {
-                stream_index_range(&self.base, fragments, range, visit)
+        if range.is_empty() {
+            return (0, false);
+        }
+        let mut variant = Variant {
+            index: range.start,
+            names: self.base.clone(),
+        };
+        let Some((inner, outer)) = self.groups.split_last() else {
+            // No holes: the space is exactly the identity variant.
+            return (1, visit(&variant).is_break());
+        };
+        let mut cursors: Vec<Cursor> = (0..self.groups.len())
+            .map(|_| Cursor { digit: 0, dp: None })
+            .collect();
+        // The start index's digits. A non-empty range lies inside the
+        // product, so no group size is zero.
+        let mut rest = range.start;
+        for (group, at) in self.groups.iter().zip(&mut cursors).rev() {
+            at.digit = rest % group.size();
+            rest /= group.size();
+        }
+        let (inner_at, outer_at) = cursors.split_last_mut().expect("one cursor per group");
+        for (group, at) in outer.iter().zip(outer_at.iter_mut()) {
+            group.seek(&mut at.dp, at.digit, &mut variant.names);
+        }
+        let wanted = range.end - range.start;
+        let mut emitted = 0u64;
+        let mut broke = false;
+        'odometer: loop {
+            let flow = inner.walk(&mut inner_at.dp, inner_at.digit, &mut variant, &mut |v| {
+                v.index = range.start + emitted;
+                emitted += 1;
+                broke = visit(v).is_break();
+                if broke || emitted == wanted {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            if flow.is_break() {
+                return (emitted, broke);
             }
-            SpaceKind::CanonicalNative(native) => {
-                stream_canonical_range(native, &self.base, range, visit)
+            // The innermost group wrapped: carry into the outer digits.
+            inner_at.digit = 0;
+            for (group, at) in outer.iter().zip(outer_at.iter_mut()).rev() {
+                at.digit = (at.digit + 1) % group.size();
+                group.seek(&mut at.dp, at.digit, &mut variant.names);
+                if at.digit != 0 {
+                    continue 'odometer;
+                }
             }
+            // The whole product is exhausted; only reachable when the
+            // range overshoots the space.
+            return (emitted, false);
         }
     }
 }
 
 /// Per-group ceiling on constrained-counting DP states before
-/// [`canonical_native_space`] gives up and the enumerator falls back to
-/// the materialized path. The DP counts up to `budget + 1` and expands
-/// no state past the point where that cap is reached, so its state count
-/// tracks the distinct block-mask multisets the constraint structure
-/// produces within the budget's reach: small for the corpus, even for
-/// shapes such as dozens of interleaved declaration-order prefixes whose
-/// exact count would need far more states. A successful in-limit count
-/// also bounds every later boundary unrank (unranking at the same cap
-/// reads only states the count memoized), so the gate decision covers
-/// stream time too.
+/// [`native_group`] gives up and `prepare` lists every group instead.
+/// The DP counts up to `budget + 1` and expands no state past the point
+/// where that cap is reached, so its state count tracks the distinct
+/// block-mask multisets the constraint structure produces within the
+/// budget's reach: small for the corpus, even for shapes such as dozens
+/// of interleaved declaration-order prefixes whose exact count would
+/// need far more states. A successful in-limit count also bounds every
+/// later boundary unrank (unranking at the same cap reads only states
+/// the count memoized), so the gate decision covers stream time too.
 const NATIVE_COUNT_STATE_LIMIT: usize = 1 << 14;
 
-/// Builds the shard-native canonical representation when every type
-/// group admits *cheap* capped prefix counts: group variables fit the
-/// 128-bit constraint masks and the counting DP, capped at `budget + 1`,
-/// stays within [`NATIVE_COUNT_STATE_LIMIT`] states. Unconstrained
-/// groups (every hole sees the whole variable set — the Bell-number
-/// regime) are sized in closed form; constrained groups are sized by the
-/// capped prefix-count DP ([`ConstrainedRgs`]). The cap is one past the
-/// budget because a space of exactly `budget` solutions is not truncated
-/// and a larger one is: a count of `budget + 1` tells them apart, and
-/// nothing beyond it matters. Returns the space
-/// and whether the budget cut some group's solution stream short (the
-/// materialized path's `truncated` flag), or `None` — materialize
-/// instead — when any group fails either condition. See `DESIGN.md §8`
-/// for the gate conditions and the DP itself.
-fn canonical_native_space(
+/// Sizes one type group shard-natively when it admits *cheap* capped
+/// prefix counts: its variables fit the 128-bit constraint masks and the
+/// counting DP, capped at `budget + 1`, stays within
+/// [`NATIVE_COUNT_STATE_LIMIT`] states. An unconstrained group (every
+/// hole sees the whole variable set — the Bell-number regime) is sized
+/// in closed form, a constrained one by the capped prefix-count DP
+/// ([`ConstrainedRgs`]). The cap is one past the budget because a space
+/// of exactly `budget` solutions is not truncated and a larger one is: a
+/// count of `budget + 1` tells them apart, and nothing beyond it
+/// matters. Returns the group and whether the budget cuts its solutions
+/// short (the listed group's `truncated` flag), or `None` when the group
+/// fails either condition. See `DESIGN.md §8` for the gate conditions
+/// and the DP itself.
+fn native_group(
     config: &EnumeratorConfig,
     sk: &Skeleton,
-) -> Option<(CanonicalNativeSpace, bool)> {
-    let units = sk.units(config.granularity);
+    g: &TypeGroup,
+) -> Option<(NativeGroup, bool)> {
     let budget = config.budget as u64;
     let cap = budget.saturating_add(1);
-    let mut groups = Vec::new();
-    let mut truncated = false;
-    for u in &units {
-        for g in &u.groups {
-            let k = g.general.num_vars;
-            if k == 0 || k > 128 {
-                return None;
-            }
-            let unconstrained = g.is_unconstrained();
-            let count = if unconstrained {
-                partitions_at_most(g.general.num_holes() as u32, k as u32)
-                    .to_u64()
-                    .map_or(cap, |c| c.min(cap))
-            } else {
-                ConstrainedRgs::new(&g.general, cap).try_total_within(NATIVE_COUNT_STATE_LIMIT)?
-            };
-            truncated |= count > budget;
-            groups.push(NativeGroup {
-                general: g.general.clone(),
-                size: count.min(budget),
-                cap,
-                unconstrained,
-                holes: g.holes.iter().map(|&h| h as u32).collect(),
-                var_names: g.vars.iter().map(|&v| sk.var_name(v)).collect(),
-            });
-        }
+    let k = g.general.num_vars;
+    if k == 0 || k > 128 {
+        return None;
     }
-    Some((CanonicalNativeSpace { groups }, truncated))
-}
-
-/// Shard-native streaming of an emission-index range of a canonical
-/// product space. The range start is decomposed mixed-radix into
-/// per-group solution indices; every group lands on its boundary
-/// solution by exact unranking (closed form or DP — never by walking
-/// earlier solutions), outer groups advance odometer-style, and the
-/// innermost group's runs are walked natively by
-/// [`enumerate_canonical_from`] from the unranked lower boundary. Cost
-/// is proportional to the shard size (plus O(n·k) boundary unranking per
-/// group), never to the whole space, and no solution list is ever
-/// materialized.
-fn stream_canonical_range<F>(
-    native: &CanonicalNativeSpace,
-    base: &[NameId],
-    range: Range<u64>,
-    visit: &mut F,
-) -> (u64, bool)
-where
-    F: FnMut(&Variant) -> ControlFlow<()>,
-{
-    if range.start >= range.end {
-        return (0, false);
-    }
-    let groups = &native.groups;
-    let mut variant = Variant {
-        index: range.start,
-        names: base.to_vec(),
+    let unconstrained = g.is_unconstrained();
+    let count = if unconstrained {
+        partitions_at_most(g.general.num_holes() as u32, k as u32)
+            .to_u64()
+            .map_or(cap, |c| c.min(cap))
+    } else {
+        ConstrainedRgs::new(&g.general, cap).try_total_within(NATIVE_COUNT_STATE_LIMIT)?
     };
-    let total_needed = range.end - range.start;
-    if groups.is_empty() {
-        // No holes: the space is exactly the identity variant.
-        return (1, visit(&variant).is_break());
-    }
-    // Mixed-radix decomposition of the start index into group-local
-    // solution indices: last group least significant.
-    let mut digits = vec![0u64; groups.len()];
-    let mut rest = range.start;
-    for (g, group) in groups.iter().enumerate().rev() {
-        if group.size == 0 {
-            return (0, false);
-        }
-        digits[g] = rest % group.size;
-        rest /= group.size;
-    }
-    // Lazily-built DP unrankers, one per constrained group.
-    let mut dps: Vec<Option<ConstrainedRgs<'_>>> = groups.iter().map(|_| None).collect();
-    let last = groups.len() - 1;
-    // Land every outer group on its boundary solution; the innermost
-    // group's position is the lower bound of its first native walk.
-    for g in 0..last {
-        let rgs = groups[g].unrank(&mut dps[g], digits[g]);
-        groups[g].apply(&rgs, &mut variant.names);
-    }
-    let mut emitted = 0u64;
-    let mut broke = false;
-    loop {
-        // One run of the innermost group: from its current digit to the
-        // end of its (budget-capped) solution list, bounded by the range.
-        let inner = &groups[last];
-        let start_digit = digits[last];
-        let lower = if start_digit == 0 {
-            Vec::new()
-        } else {
-            inner.unrank(&mut dps[last], start_digit)
-        };
-        let mut inner_pos = start_digit;
-        let _ = enumerate_canonical_from(&inner.general, &lower, &mut |rgs| {
-            if inner_pos >= inner.size {
-                // The budget capped this group's list: skip the tail,
-                // exactly as the materialized path would.
-                return ControlFlow::Break(());
-            }
-            inner.apply(rgs, &mut variant.names);
-            variant.index = range.start + emitted;
-            inner_pos += 1;
-            emitted += 1;
-            if visit(&variant).is_break() {
-                broke = true;
-                return ControlFlow::Break(());
-            }
-            if emitted == total_needed {
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        if broke || emitted == total_needed {
-            debug_assert!(
-                broke || emitted == range.end - range.start,
-                "shard emitted {emitted} of {range:?}"
-            );
-            return (emitted, broke);
-        }
-        // The innermost group wrapped: advance the outer odometer,
-        // re-unranking only the groups whose digit changed.
-        digits[last] = 0;
-        let mut g = last;
-        loop {
-            if g == 0 {
-                // The whole product is exhausted; only reachable when the
-                // caller's range overshoots the space.
-                return (emitted, broke);
-            }
-            g -= 1;
-            digits[g] = (digits[g] + 1) % groups[g].size;
-            let rgs = groups[g].unrank(&mut dps[g], digits[g]);
-            groups[g].apply(&rgs, &mut variant.names);
-            if digits[g] != 0 {
-                break;
-            }
-        }
-    }
+    let group = NativeGroup {
+        general: g.general.clone(),
+        size: count.min(budget),
+        cap,
+        unconstrained,
+        holes: g.holes.iter().map(|&h| h as u32).collect(),
+        var_names: g.vars.iter().map(|&v| sk.var_name(v)).collect(),
+    };
+    Some((group, count > budget))
 }
 
 impl ShardedEnumerator {
@@ -807,34 +742,36 @@ impl ShardedEnumerator {
         self.ranges_for_total(space.total(self.config.budget))
     }
 
-    /// Materializes the skeleton's variant space once, for repeated (or
-    /// cross-thread) shard streaming without re-materializing per shard —
+    /// Builds the skeleton's variant space once, for repeated (or
+    /// cross-thread) shard streaming without rebuilding it per shard —
     /// the worker-pool entry point: prepare per file, then stream any
     /// shard from any thread via
     /// [`ShardedEnumerator::enumerate_shard_prepared`].
     ///
-    /// For [`Algorithm::Canonical`] on qualifying skeletons (every type
-    /// group within the 128-variable constraint-mask width and the
-    /// counting-DP state limit — constrained and multi-group skeletons
-    /// included) nothing is materialized: shards later enumerate their
-    /// own slice natively, so preparation costs only the per-group
-    /// counts, each capped one past the budget, never the space size.
+    /// For [`Algorithm::Canonical`], each type group goes through the
+    /// native gate (the 128-variable constraint-mask width and the
+    /// counting-DP state limit). When every group passes — constrained and
+    /// multi-group skeletons included — nothing is materialized: shards
+    /// later walk their own slice natively, so preparation costs only the
+    /// per-group counts, each capped one past the budget, never the space
+    /// size. When any group fails, every group is listed, as for the other
+    /// algorithms.
     pub fn prepare(&self, sk: &Skeleton) -> VariantSpace {
+        let units = sk.units(self.config.granularity);
         if self.config.algorithm == Algorithm::Canonical {
-            if let Some((native, truncated)) = canonical_native_space(&self.config, sk) {
-                return VariantSpace {
-                    base: base_names(sk),
-                    kind: SpaceKind::CanonicalNative(native),
-                    truncated,
-                };
+            let native: Option<Vec<_>> = units
+                .iter()
+                .flat_map(|u| &u.groups)
+                .map(|g| {
+                    let (group, truncated) = native_group(&self.config, sk, g)?;
+                    Some((GroupSpace::Native(group), truncated))
+                })
+                .collect();
+            if let Some(groups) = native {
+                return VariantSpace::new(sk, groups, true);
             }
         }
-        let (base, fragments, truncated) = materialize_fragments(&self.config, sk);
-        VariantSpace {
-            base,
-            kind: SpaceKind::Product(fragments),
-            truncated,
-        }
+        VariantSpace::listed(&self.config, sk, &units)
     }
 
     /// Streams one shard of a prepared space serially through `visit`,
@@ -1523,45 +1460,106 @@ mod tests {
     #[test]
     fn resumed_shard_stream_is_the_tail_of_the_full_shard() {
         // The checkpoint-resume entry point must reproduce exactly the
-        // suffix of each shard — same sources, same global emission
-        // indices — for every skip offset, on materialized and
-        // shard-native spaces alike.
-        for (sk, algorithm) in [
-            (fig1(), Algorithm::Paper),
-            (fig6(), Algorithm::Naive),
-            (constrained_multi_group(), Algorithm::Canonical),
+        // serial tail of each shard — same names, same global emission
+        // indices — at every shard count and every skip offset, on listed
+        // and shard-native spaces alike. Resuming at every offset starts
+        // the odometer at every position of the space, and the tails cross
+        // every carry between outer groups of either kind.
+        let cases = [
+            (fig1(), Algorithm::Paper, 1_000_000),
+            (fig6(), Algorithm::Naive, 1_000_000),
+            (constrained_multi_group(), Algorithm::Paper, 1_000_000),
+            (constrained_multi_group(), Algorithm::Canonical, 1_000_000),
+            // Group sizes 2, 187 and 5: the budget cuts the product
+            // partway through the middle and the innermost group.
+            (constrained_multi_group(), Algorithm::Canonical, 503),
+        ];
+        for (sk, algorithm, budget) in cases {
+            let config = EnumeratorConfig {
+                algorithm,
+                budget,
+                ..Default::default()
+            };
+            let mut serial: Vec<Variant> = Vec::new();
+            let serial_outcome = Enumerator::new(config).enumerate(&sk, &mut |v| {
+                serial.push(v.clone());
+                ControlFlow::Continue(())
+            });
+            assert_eq!(serial_outcome.truncated, budget == 503);
+            for shards in 1..=8usize {
+                let sharded = ShardedEnumerator::new(config, shards);
+                let space = sharded.prepare(&sk);
+                assert_eq!(space.is_shard_native(), algorithm == Algorithm::Canonical);
+                let ranges = sharded.shard_ranges_prepared(&space);
+                for (shard, range) in ranges.into_iter().enumerate() {
+                    let len = range.end - range.start;
+                    for skip in 0..=len + 1 {
+                        // Compared in place: the tails hold millions of
+                        // variants in all.
+                        let mut next = (range.start + skip.min(len)) as usize;
+                        let outcome = sharded.enumerate_shard_resumed_prepared(
+                            &space,
+                            shard,
+                            skip,
+                            &mut |v| {
+                                assert_eq!(
+                                    Some(v),
+                                    serial[..range.end as usize].get(next),
+                                    "{algorithm:?} budget {budget}: \
+                                     shard {shard} of {shards}, skip {skip}"
+                                );
+                                next += 1;
+                                ControlFlow::Continue(())
+                            },
+                        );
+                        assert_eq!(next, range.end as usize, "{algorithm:?} skip {skip}");
+                        assert_eq!(outcome.emitted, len - skip.min(len));
+                        assert_eq!(outcome.truncated, serial_outcome.truncated);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_skeleton_without_holes_emits_its_identity_once() {
+        // No holes means no type groups: the odometer has no digit, and
+        // the space is the identity variant alone. Only the canonical
+        // gate engages, as on any canonical space whose groups all pass.
+        let sk = Skeleton::from_source("int main() { return 0; }").expect("builds");
+        assert!(sk.holes().is_empty());
+        let identity = vec![(0, sk.source())];
+        for algorithm in [
+            Algorithm::Paper,
+            Algorithm::Canonical,
+            Algorithm::Orbit,
+            Algorithm::Naive,
         ] {
             let config = EnumeratorConfig {
                 algorithm,
-                budget: 1_000_000,
                 ..Default::default()
             };
-            let sharded = ShardedEnumerator::new(config, 4);
-            let space = sharded.prepare(&sk);
-            for shard in 0..4 {
-                let mut full: Vec<(u64, String)> = Vec::new();
-                sharded.enumerate_shard_prepared(&space, shard, &mut |v| {
-                    full.push((v.index, v.source(&sk)));
-                    ControlFlow::Continue(())
-                });
-                for skip in [0usize, 1, full.len() / 2, full.len().saturating_sub(1), full.len(), full.len() + 5] {
-                    let mut resumed: Vec<(u64, String)> = Vec::new();
-                    let outcome = sharded.enumerate_shard_resumed_prepared(
-                        &space,
-                        shard,
-                        skip as u64,
-                        &mut |v| {
-                            resumed.push((v.index, v.source(&sk)));
-                            ControlFlow::Continue(())
-                        },
-                    );
-                    assert_eq!(
-                        resumed,
-                        full[skip.min(full.len())..],
-                        "{algorithm:?} shard {shard} skip {skip}"
-                    );
-                    assert_eq!(outcome.emitted, resumed.len() as u64);
+            assert_eq!(serial_sequence(&sk, config), identity, "{algorithm:?}");
+            for shards in 1..=4 {
+                let sharded = ShardedEnumerator::new(config, shards);
+                let space = sharded.prepare(&sk);
+                assert_eq!(
+                    space.is_shard_native(),
+                    algorithm == Algorithm::Canonical,
+                    "{algorithm:?}"
+                );
+                let mut union: Vec<(u64, String)> = Vec::new();
+                let mut emitted = 0;
+                for shard in 0..shards {
+                    let outcome = sharded.enumerate_shard_prepared(&space, shard, &mut |v| {
+                        union.push((v.index, v.source(&sk)));
+                        ControlFlow::Continue(())
+                    });
+                    assert!(!outcome.truncated);
+                    emitted += outcome.emitted;
                 }
+                assert_eq!(union, identity, "{algorithm:?}, {shards} shards");
+                assert_eq!(emitted, 1);
             }
         }
     }

@@ -579,12 +579,19 @@ impl Replay {
                 // A frame counts the variants of `[previous mark, mark)`
                 // only, so its mark never moves back, and stays put only
                 // on frames that count no variant. A replayed copy of a
-                // frame (its checksum is valid) breaks this.
-                let counts = delta.variants_tested != 0 || delta.variants_ub_skipped != 0;
-                if mark < state.emitted || (mark == state.emitted && counts) {
+                // frame (its checksum is valid) breaks this. Every
+                // variant skipped for UB was also tested.
+                let counted = delta.variants_tested.max(delta.variants_ub_skipped);
+                if mark < state.emitted {
                     return Err(CheckpointError::Foreign(format!(
-                        "a progress frame of job {job} moves its mark from {} to {mark}",
+                        "a progress frame of job {job} moves its mark back from {} to {mark}",
                         state.emitted
+                    )));
+                }
+                if mark == state.emitted && counted != 0 {
+                    return Err(CheckpointError::Foreign(format!(
+                        "a progress frame of job {job} counts {counted} variants \
+                         at its unmoved mark {mark}"
                     )));
                 }
                 // A job's final frame is its last: anything after it

@@ -547,7 +547,7 @@ fn emit_observations<'s>(
             if obs.reference_ub {
                 // UB or non-termination: skip, per §5.4.
                 out.variants_ub_skipped += 1;
-            } else if obs.wrong_code {
+            } else if obs.wrong_code() {
                 let key = CandidateKey::WrongCode(family, cc.opt());
                 fire(out, cc, key, obs.miscompiled_by.first().copied());
             }

@@ -112,7 +112,7 @@ fn verdict_matches(finding: &Finding, obs: &Observation) -> bool {
             None => obs.ice.is_none() && !obs.slow_compile.is_empty(),
         },
         FindingKind::WrongCode => {
-            obs.wrong_code
+            obs.wrong_code()
                 && match finding.bug_id {
                     Some(bug) => obs.miscompiled_by.contains(&bug),
                     None => obs.miscompiled_by.is_empty(),

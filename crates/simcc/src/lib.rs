@@ -270,13 +270,20 @@ pub struct Observation {
     /// The reference interpreter hit undefined behaviour or ran out of
     /// fuel, so the differential verdict is vacuous (§5.4's skip rule).
     pub reference_ub: bool,
-    /// Differential mismatch against the reference on a UB-free input
-    /// (exit code, output, or a runtime trap of the compiled image).
-    pub wrong_code: bool,
-    /// How the compiled image diverged when [`Observation::wrong_code`]
-    /// is set (`None` otherwise) — the observable divergence class the
-    /// harness's trigger-aware duplicate folding keys on.
+    /// How the compiled image diverged from the reference on a UB-free
+    /// input (`None` when it agreed, or when no verdict was taken) — the
+    /// observable divergence class the harness's trigger-aware duplicate
+    /// folding keys on.
     pub divergence: Option<Divergence>,
+}
+
+impl Observation {
+    /// Differential mismatch against the reference on a UB-free input
+    /// (exit code, output, or a runtime trap of the compiled image):
+    /// some [`Observation::divergence`] was seen.
+    pub fn wrong_code(&self) -> bool {
+        self.divergence.is_some()
+    }
 }
 
 /// The observable way a compiled image disagreed with the UB-free
@@ -372,7 +379,6 @@ impl Compiler {
                         Err(_) => obs.reference_ub = true,
                         Ok(expected) => {
                             obs.divergence = divergence_from_image(&compiled.image, expected, fuel);
-                            obs.wrong_code = obs.divergence.is_some();
                         }
                     }
                 }
@@ -773,7 +779,7 @@ mod tests {
                 .expect("parses");
         let obs = Compiler::new(CompilerId::gcc(700), 2).observe(&fig3, None);
         assert_eq!(obs.ice.as_ref().map(|i| i.bug_id), Some("gcc-69801"));
-        assert!(!obs.wrong_code);
+        assert!(!obs.wrong_code());
 
         // Differential observation reproduces the Figure 2 miscompile.
         let fig2 =
@@ -781,18 +787,18 @@ mod tests {
                 .expect("parses");
         let obs = Compiler::new(CompilerId::gcc(485), 2).observe(&fig2, Some(50_000));
         assert!(obs.ice.is_none());
-        assert!(obs.wrong_code, "exit code mismatch observed");
+        assert!(obs.wrong_code(), "exit code mismatch observed");
         assert!(obs.miscompiled_by.contains(&"gcc-69951"));
 
         // Compile-only mode leaves the differential fields untouched.
         let obs = Compiler::new(CompilerId::gcc(485), 2).observe(&fig2, None);
-        assert!(!obs.wrong_code && !obs.reference_ub);
+        assert!(!obs.wrong_code() && !obs.reference_ub);
 
         // UB variants are marked vacuous, not wrong.
         let ub = parse("int main() { int a = 0, b = 4; b = b / a; return b; }").expect("parses");
         let obs = Compiler::new(CompilerId::gcc(440), 1).observe(&ub, Some(10_000));
         assert!(obs.reference_ub);
-        assert!(!obs.wrong_code);
+        assert!(!obs.wrong_code());
     }
 
     #[test]
@@ -802,7 +808,7 @@ mod tests {
         let p = parse("int main() { int x = 0; goto l; if (x) { l: x = 5; } return x; }")
             .expect("parses");
         let obs = Compiler::new(CompilerId::gcc(485), 0).observe(&p, Some(20_000));
-        assert!(!obs.reference_ub && !obs.wrong_code, "{obs:?}");
+        assert!(!obs.reference_ub && !obs.wrong_code(), "{obs:?}");
     }
 
     #[test]

@@ -404,7 +404,6 @@ impl SubprocBackend {
                     RunReport::Exited { .. } => None,
                 };
                 Observation {
-                    wrong_code: divergence.is_some(),
                     divergence,
                     ..Observation::default()
                 }

@@ -202,7 +202,7 @@ fn protocol_divergences_map_onto_wrong_code_classes() {
             .observe_config(TRIVIAL, cc(), Some(10_000))
             .expect("verdict");
         assert_eq!(obs.divergence, expected, "fixture {name}");
-        assert_eq!(obs.wrong_code, expected.is_some(), "fixture {name}");
+        assert_eq!(obs.wrong_code(), expected.is_some(), "fixture {name}");
         assert!(obs.ice.is_none(), "fixture {name}");
     }
 }
@@ -232,7 +232,7 @@ fn flaky_hang_heals_within_the_retry_budget() {
         .observe_config(TRIVIAL, cc(), Some(10_000))
         .expect("verdict");
     assert!(
-        obs.slow_compile.is_empty() && obs.ice.is_none() && !obs.wrong_code,
+        obs.slow_compile.is_empty() && obs.ice.is_none() && !obs.wrong_code(),
         "retry should have produced the clean second-run verdict, got {obs:?}"
     );
     let stats = backend.stats();

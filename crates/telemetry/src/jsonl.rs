@@ -182,11 +182,12 @@ impl<'a> Cursor<'a> {
                                 .s
                                 .get(self.i + 1..self.i + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            let code = hex.iter().try_fold(0u32, |code, &b| {
+                                let digit = (b as char).to_digit(16).ok_or("bad \\u escape")?;
+                                Ok::<_, &str>(code << 4 | digit)
+                            })?;
                             out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
                             self.i += 4;
                         }
@@ -322,5 +323,6 @@ mod tests {
         assert!(parse_line("{\"t_ns\":1,\"kind\":\"nope\",\"name\":\"x\"}").is_err());
         assert!(parse_line("{\"t_ns\":1,\"kind\":\"event\",\"name\":\"x\"} junk").is_err());
         assert!(parse_line("{\"t_ns\":1,\"kind\":\"event\",\"name\":\"x\",\"zzz\":2}").is_err());
+        assert!(parse_line(r#"{"t_ns":1,"kind":"event","name":"\u+041"}"#).is_err());
     }
 }

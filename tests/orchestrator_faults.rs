@@ -686,90 +686,122 @@ fn crafted_shard_counts_are_refused_with_typed_errors() {
     }
 }
 
-/// Whether `record` is a `Progress` frame that counts variants.
-fn counts_variants(record: &[u8]) -> bool {
+/// The job of `record` when it is a `Progress` frame that counts
+/// variants.
+fn counting_job(record: &[u8]) -> Option<u32> {
     let mut dec = Decoder::new(record);
     // Progress layout (`DESIGN.md` §9): tag 1, job, mark, done, file
     // processed, variants tested, ...
-    let tag = dec.u8();
-    let _ = (dec.u32(), dec.u64(), dec.bool(), dec.bool());
-    matches!(tag, Ok(1)) && dec.u64().is_ok_and(|tested| tested > 0)
+    let tag = dec.u8().ok()?;
+    let job = dec.u32().ok()?;
+    let _ = (dec.u64(), dec.bool(), dec.bool());
+    (tag == 1 && dec.u64().ok()? > 0).then_some(job)
+}
+
+/// The journal's `Progress` frames that count variants, in order, each
+/// with its job.
+fn counting_frames(path: &Path) -> Vec<(u32, Vec<u8>)> {
+    JournalIter::open(path)
+        .expect("open")
+        .map(|record| record.expect("valid frame"))
+        .filter_map(|record| Some((counting_job(&record)?, record)))
+        .collect()
 }
 
 /// Appends a byte-for-byte copy of the journal's last `Progress` frame
-/// that counts variants; the copy's checksum is valid.
+/// that counts variants; the copy's checksum is valid, and its mark is
+/// the mark its job has reached.
 fn duplicate_last_progress(path: &Path) {
-    let frame = JournalIter::open(path)
-        .expect("open")
-        .map(|record| record.expect("valid frame"))
-        .filter(|record| counts_variants(record))
-        .last()
+    let (_, frame) = counting_frames(path)
+        .pop()
         .expect("a progress frame counts variants");
-    let mut journal = JournalIter::open_locked(path)
-        .and_then(JournalIter::into_appender)
-        .expect("reopen for appending");
-    journal.append(&frame).expect("append");
+    append_record(path, &frame);
+}
+
+/// Appends a copy of a job's first counting frame after the job's later
+/// ones, so that the copy's mark lies behind the job's.
+fn append_an_earlier_progress(path: &Path) {
+    let frames = counting_frames(path);
+    let (_, earlier) = frames
+        .iter()
+        .find(|(job, _)| frames.iter().filter(|(other, _)| other == job).count() > 1)
+        .expect("a job with two counting frames");
+    append_record(path, earlier);
 }
 
 #[test]
 fn duplicated_progress_frames_are_refused_not_replayed_twice() {
     let files = seeds::all();
     let config = config();
-    let refused = |what: &str, result: Result<(), CheckpointError>| match result {
+    // A copy of a job's last counting frame would count its variants
+    // again at the mark that frame set; a copy of an earlier one would
+    // move the job's mark back. Each refusal says which it is.
+    let unmoved = "at its unmoved mark";
+    let moved_back = "moves its mark back from";
+    let refused = |wording: &str, what: &str, result: Result<(), CheckpointError>| match result {
         Err(CheckpointError::Foreign(message)) => {
             assert!(
-                message.contains("job ") && message.contains("moves its mark"),
+                message.contains("job ") && message.contains(wording),
                 "{what}: {message}"
             );
         }
         other => panic!("{what}: expected a Foreign error, got {other:?}"),
     };
-
-    // A killed campaign: replaying the copy would count its variants
-    // twice.
-    let path = journal_path("duplicated-progress");
-    let status = run_campaign_checkpointed(
-        &files,
-        &config,
-        1,
-        &path,
-        &CheckpointOptions {
-            every: 8,
-            stop_after: Some(60),
-        },
-    )
-    .expect("checkpointed run");
-    assert!(status.is_interrupted());
-    duplicate_last_progress(&path);
-    refused(
-        "resume",
-        resume_campaign(&path, 1, &CheckpointOptions::default()).map(drop),
-    );
-    refused("compaction", compact_journal(&path).map(drop));
-    std::fs::remove_file(&path).ok();
-
-    // A finished fleet host journal.
-    let path = journal_path("duplicated-progress-host");
-    let status = Campaign::default()
-        .run_journaled(
+    for (tag, append, wording) in [
+        ("duplicated", duplicate_last_progress as fn(&Path), unmoved),
+        ("earlier", append_an_earlier_progress, moved_back),
+    ] {
+        // A killed campaign: replaying the copy would count its variants
+        // twice.
+        let path = journal_path(&format!("{tag}-progress"));
+        let status = run_campaign_checkpointed(
             &files,
             &config,
+            1,
             &path,
             &CheckpointOptions {
                 every: 8,
-                stop_after: None,
+                stop_after: Some(60),
             },
-            Some((FleetPlan::new(0xd0b1e, 1, 1), 0)),
         )
-        .expect("host runs")
-        .status;
-    assert!(matches!(status, CampaignStatus::Complete(_)));
-    duplicate_last_progress(&path);
-    match merge_journals(&[&path]) {
-        Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
-        other => panic!("merge: expected a journal error, got {other:?}"),
+        .expect("checkpointed run");
+        assert!(status.is_interrupted());
+        append(&path);
+        refused(
+            wording,
+            &format!("{tag} resume"),
+            resume_campaign(&path, 1, &CheckpointOptions::default()).map(drop),
+        );
+        refused(
+            wording,
+            &format!("{tag} compaction"),
+            compact_journal(&path).map(drop),
+        );
+        std::fs::remove_file(&path).ok();
+
+        // A finished fleet host journal.
+        let path = journal_path(&format!("{tag}-progress-host"));
+        let status = Campaign::default()
+            .run_journaled(
+                &files,
+                &config,
+                &path,
+                &CheckpointOptions {
+                    every: 8,
+                    stop_after: None,
+                },
+                Some((FleetPlan::new(0xd0b1e, 1, 1), 0)),
+            )
+            .expect("host runs")
+            .status;
+        assert!(matches!(status, CampaignStatus::Complete(_)));
+        append(&path);
+        match merge_journals(&[&path]) {
+            Err(FleetError::Checkpoint(e)) => refused(wording, &format!("{tag} merge"), Err(e)),
+            other => panic!("{tag} merge: expected a journal error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// Appends `record` to the journal at `path` as one valid frame.
