@@ -586,7 +586,8 @@ pub(crate) struct JobOracle<'s> {
     prev: Vec<NameId>,
     /// Scratch: indices of holes whose binding changed since `prev`.
     changed: Vec<usize>,
-    /// Scratch: the current variant's spellings, hole-indexed.
+    /// The current variant's spellings, hole-indexed: only the
+    /// changed holes' entries are rewritten per variant.
     spellings: Vec<&'s str>,
     /// Stats snapshot at the last telemetry emission.
     last_stats: CacheStats,
@@ -644,13 +645,15 @@ impl JobOracle<'_> {
                 });
             }
         };
-        self.spellings.clear();
-        let table = sk.names();
-        for &id in &variant.names {
-            self.spellings.push(table.name(id));
-        }
         variant.changed_holes_into(&self.prev, &mut self.changed);
         self.prev.clone_from(&variant.names);
+        // `changed` lists every hole when the hole count changes, so only
+        // the holes it lists need a new spelling.
+        let table = sk.names();
+        self.spellings.resize(variant.names.len(), "");
+        for &h in &self.changed {
+            self.spellings[h] = table.name(variant.names[h]);
+        }
         let (spellings, changed) = (&self.spellings, &self.changed);
         process_timed(telemetry, out, |out| {
             let observations = cache.observe_variant(spellings, Some(changed));

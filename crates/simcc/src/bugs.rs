@@ -12,6 +12,9 @@
 
 use spe_minic::ast::*;
 
+mod plan;
+pub(crate) use plan::FactPlan;
+
 /// Compiler component a bug lives in (Figure 10(d) categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
@@ -228,8 +231,8 @@ pub fn registry() -> &'static [BugSpec] {
 /// Walks `p` once and collects every structural fact the [`Trigger`]
 /// vocabulary can ask about.
 ///
-/// The facts borrow identifier names from the program, so the program
-/// must outlive them; scanning allocates only a few reusable scratch
+/// The scan borrows identifier names from the program, so the program
+/// must outlive it; scanning allocates only a few reusable scratch
 /// buffers regardless of program size.
 pub fn scan_facts(p: &Program) -> TriggerFacts<'_> {
     let mut m = TriggerFacts::default();
@@ -237,8 +240,34 @@ pub fn scan_facts(p: &Program) -> TriggerFacts<'_> {
     m
 }
 
-impl<'p> TriggerFacts<'p> {
-    /// Whether `trigger` matches the scanned program.
+/// The value of every fact the [`Trigger`] vocabulary reads, however it
+/// was computed: by [`scan_facts`] on a whole program, or by a fact plan
+/// from a variant's hole bindings
+/// ([`CachedOracle::facts`](crate::incremental::CachedOracle::facts)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Facts {
+    ternary_identical: bool,
+    self_assignment: bool,
+    sub_self: bool,
+    max_same_var: usize,
+    max_distinct_vars: usize,
+    backward_goto: bool,
+    goto_into_branch: bool,
+    aliased_pointer_stores: bool,
+    self_indexed_array: bool,
+    decl_after_label_back_goto: bool,
+    decrementing_outer_loop: bool,
+    variable_shift: bool,
+    comma_in_call: bool,
+    max_expr_depth: usize,
+    div_by_self: bool,
+    uses_struct: bool,
+    addr_of_global: bool,
+    call_in_loop_cond: bool,
+}
+
+impl Facts {
+    /// Whether `trigger` matches the program these facts describe.
     pub fn matches(&self, trigger: Trigger) -> bool {
         match trigger {
             Trigger::TernaryIdenticalArms => self.ternary_identical,
@@ -263,29 +292,19 @@ impl<'p> TriggerFacts<'p> {
     }
 }
 
+impl TriggerFacts<'_> {
+    /// Whether `trigger` matches the scanned program.
+    pub fn matches(&self, trigger: Trigger) -> bool {
+        self.facts.matches(trigger)
+    }
+}
+
 /// Structural facts collected in one AST walk, borrowing identifier
 /// names from the scanned program. Build with [`scan_facts`], query
 /// with [`TriggerFacts::matches`].
 #[derive(Debug, Default)]
 pub struct TriggerFacts<'p> {
-    ternary_identical: bool,
-    self_assignment: bool,
-    sub_self: bool,
-    max_same_var: usize,
-    max_distinct_vars: usize,
-    backward_goto: bool,
-    goto_into_branch: bool,
-    aliased_pointer_stores: bool,
-    self_indexed_array: bool,
-    decl_after_label_back_goto: bool,
-    decrementing_outer_loop: bool,
-    variable_shift: bool,
-    comma_in_call: bool,
-    max_expr_depth: usize,
-    div_by_self: bool,
-    uses_struct: bool,
-    addr_of_global: bool,
-    call_in_loop_cond: bool,
+    facts: Facts,
     globals: Vec<&'p str>,
     next_branch: usize,
     name_scratch: Vec<&'p str>,
@@ -331,12 +350,12 @@ impl<'p> TriggerFacts<'p> {
     fn scan(&mut self, p: &'p Program) {
         for item in &p.items {
             match item {
-                Item::Struct(_) => self.uses_struct = true,
+                Item::Struct(_) => self.facts.uses_struct = true,
                 Item::Global(decls) => {
                     for d in decls {
                         self.globals.push(d.name.as_str());
                         if let Some(init) = &d.init {
-                            self.expr(init, false);
+                            self.expr(init);
                         }
                     }
                 }
@@ -351,7 +370,7 @@ impl<'p> TriggerFacts<'p> {
                         Self::decl_after_label(
                             &f.body,
                             &mut after_label,
-                            &mut self.decl_after_label_back_goto,
+                            &mut self.facts.decl_after_label_back_goto,
                         );
                     }
                 }
@@ -406,7 +425,7 @@ impl<'p> TriggerFacts<'p> {
                                     }
                                 }
                             }
-                            self.expr(init, loop_depth > 0);
+                            self.expr(init);
                         }
                     }
                 }
@@ -419,7 +438,7 @@ impl<'p> TriggerFacts<'p> {
                             }
                         }
                     }
-                    self.expr(e, loop_depth > 0);
+                    self.expr(e);
                 }
                 Stmt::Label(name, inner) => {
                     labels.push((name.as_str(), in_branch));
@@ -434,16 +453,16 @@ impl<'p> TriggerFacts<'p> {
                 }
                 Stmt::Goto(name) => {
                     if let Some((_, label_branch)) = labels.iter().find(|(l, _)| *l == name.as_str()) {
-                        self.backward_goto = true;
+                        self.facts.backward_goto = true;
                         *saw_back_goto = true;
                         if *label_branch != 0 && *label_branch != in_branch {
-                            self.goto_into_branch = true;
+                            self.facts.goto_into_branch = true;
                         }
                     }
                 }
                 Stmt::Block(b) => self.stmts(b, labels, saw_back_goto, in_branch, loop_depth),
                 Stmt::If(c, t, e) => {
-                    self.expr(c, loop_depth > 0);
+                    self.expr(c);
                     self.next_branch += 1;
                     let then_id = self.next_branch;
                     self.stmts(
@@ -490,11 +509,11 @@ impl<'p> TriggerFacts<'p> {
                         Some(ForInit::Decl(ds)) => {
                             for d in ds {
                                 if let Some(i) = &d.init {
-                                    self.expr(i, loop_depth > 0);
+                                    self.expr(i);
                                 }
                             }
                         }
-                        Some(ForInit::Expr(e)) => self.expr(e, loop_depth > 0),
+                        Some(ForInit::Expr(e)) => self.expr(e),
                         None => {}
                     }
                     if let Some(c) = cond {
@@ -504,9 +523,9 @@ impl<'p> TriggerFacts<'p> {
                         // `for (;; p1--)` with an inner loop: the
                         // decrementing-outer-loop pattern.
                         if loop_depth == 0 && Self::is_decrement(st) && Self::contains_loop(b) {
-                            self.decrementing_outer_loop = true;
+                            self.facts.decrementing_outer_loop = true;
                         }
-                        self.expr(st, true);
+                        self.expr(st);
                     }
                     self.stmts(
                         std::slice::from_ref(b),
@@ -516,7 +535,7 @@ impl<'p> TriggerFacts<'p> {
                         loop_depth + 1,
                     );
                 }
-                Stmt::Return(Some(e)) => self.expr(e, loop_depth > 0),
+                Stmt::Return(Some(e)) => self.expr(e),
                 _ => {}
             }
         }
@@ -529,7 +548,7 @@ impl<'p> TriggerFacts<'p> {
                     && stored_through.contains(p1)
                     && stored_through.contains(p2)
                 {
-                    self.aliased_pointer_stores = true;
+                    self.facts.aliased_pointer_stores = true;
                 }
             }
         }
@@ -556,12 +575,12 @@ impl<'p> TriggerFacts<'p> {
 
     fn expr_in_loop_cond(&mut self, e: &'p Expr) {
         if contains_call(e) {
-            self.call_in_loop_cond = true;
+            self.facts.call_in_loop_cond = true;
         }
-        self.expr(e, true);
+        self.expr(e);
     }
 
-    fn expr(&mut self, e: &'p Expr, _in_loop: bool) {
+    fn expr(&mut self, e: &'p Expr) {
         // Per-expression variable statistics, via a reused scratch
         // buffer of borrowed names (this is the compile hot path).
         let mut sorted = std::mem::take(&mut self.name_scratch);
@@ -580,57 +599,57 @@ impl<'p> TriggerFacts<'p> {
             }
             max_same = max_same.max(run);
         }
-        self.max_same_var = self.max_same_var.max(max_same);
+        self.facts.max_same_var = self.facts.max_same_var.max(max_same);
         sorted.dedup();
-        self.max_distinct_vars = self.max_distinct_vars.max(sorted.len());
+        self.facts.max_distinct_vars = self.facts.max_distinct_vars.max(sorted.len());
         self.name_scratch = sorted;
-        self.max_expr_depth = self.max_expr_depth.max(expr_depth(e));
+        self.facts.max_expr_depth = self.facts.max_expr_depth.max(expr_depth(e));
         self.expr_patterns(e);
     }
 
     fn expr_patterns(&mut self, e: &'p Expr) {
         match &e.kind {
             ExprKind::Ternary(_, t, els) if exprs_equal(t, els) => {
-                self.ternary_identical = true;
+                self.facts.ternary_identical = true;
             }
             ExprKind::Assign(AssignOp::Assign, lhs, rhs) if exprs_equal(lhs, rhs) => {
-                self.self_assignment = true;
+                self.facts.self_assignment = true;
             }
             ExprKind::Binary(BinaryOp::Sub, a, b)
                 if !matches!(a.kind, ExprKind::IntLit(_)) && exprs_equal(a, b) =>
             {
-                self.sub_self = true;
+                self.facts.sub_self = true;
             }
             ExprKind::Binary(BinaryOp::Div | BinaryOp::Rem, a, b) if exprs_equal(a, b) => {
-                self.div_by_self = true;
+                self.facts.div_by_self = true;
             }
             ExprKind::Binary(BinaryOp::Shl | BinaryOp::Shr, _, amount)
                 if !matches!(amount.kind, ExprKind::IntLit(_) | ExprKind::CharLit(_)) =>
             {
-                self.variable_shift = true;
+                self.facts.variable_shift = true;
             }
             ExprKind::Unary(UnaryOp::Addr, inner) => {
                 if let ExprKind::Ident(id) = &inner.kind {
                     if self.globals.contains(&id.name.as_str()) {
-                        self.addr_of_global = true;
+                        self.facts.addr_of_global = true;
                     }
                 }
             }
             ExprKind::Call(_, args) => {
                 for a in args {
                     if matches!(a.kind, ExprKind::Comma(_, _)) {
-                        self.comma_in_call = true;
+                        self.facts.comma_in_call = true;
                     }
                 }
             }
-            ExprKind::Index(_, idx) if !self.self_indexed_array => {
+            ExprKind::Index(_, idx) if !self.facts.self_indexed_array => {
                 let mut names = std::mem::take(&mut self.name_scratch);
                 names.clear();
                 idx.for_each_ident(&mut |id| names.push(id.name.as_str()));
                 names.sort_unstable();
                 for w in names.windows(2) {
                     if w[0] == w[1] {
-                        self.self_indexed_array = true;
+                        self.facts.self_indexed_array = true;
                     }
                 }
                 self.name_scratch = names;
@@ -828,6 +847,82 @@ mod tests {
             Trigger::CallInLoopCond,
             "int k(void) { return 0; } void f() { while (k()) ; }"
         ));
+    }
+
+    // The scan's quirks, pinned: a per-job fact plan must copy each.
+
+    #[test]
+    fn addr_of_global_reads_the_globals_declared_so_far_and_ignores_scopes() {
+        // A local `g` shadows the global, yet `&g` still counts.
+        assert!(matches(
+            Trigger::AddrOfGlobal,
+            "int g; void f() { int g = 0; int *p = &g; }"
+        ));
+        // A global declared after the function does not.
+        assert!(!matches(
+            Trigger::AddrOfGlobal,
+            "void f() { int g = 0; int *p = &g; } int g;"
+        ));
+    }
+
+    #[test]
+    fn an_init_list_in_a_loop_condition_is_no_call() {
+        let src = "int a; void f() { while (__init_list(a)) ; }";
+        assert!(!matches(Trigger::CallInLoopCond, src));
+        let src = "int k(int x) { return x; } int a; void f() { while (k(__init_list(a))) ; }";
+        assert!(matches(Trigger::CallInLoopCond, src));
+    }
+
+    #[test]
+    fn sub_self_skips_only_an_integer_literal_left_operand() {
+        assert!(!matches(Trigger::SubSelf, "int y; void f() { y = 1 - 1; }"));
+        assert!(matches(
+            Trigger::SubSelf,
+            "int y; void f() { y = 'a' - 'a'; }"
+        ));
+        assert!(matches(
+            Trigger::DivBySelf,
+            "int y; void f() { y = 1 / 1; }"
+        ));
+    }
+
+    #[test]
+    fn variable_statistics_count_per_expression_and_per_declarator() {
+        let src = "int x; void f() { int a = x + x, b = x + x; }";
+        assert!(matches(Trigger::SameVarTimes(2), src));
+        assert!(!matches(Trigger::SameVarTimes(3), src));
+        let src = "int x, y, z; void f() { if (x + y) z = x; }";
+        assert!(matches(Trigger::DistinctVars(2), src));
+        assert!(!matches(Trigger::DistinctVars(3), src));
+        assert!(!matches(Trigger::SameVarTimes(3), src));
+    }
+
+    #[test]
+    fn a_for_initializer_after_a_label_is_no_declaration() {
+        let src = "void f() { l: for (int i = 0; i < 1; i++) ; goto l; }";
+        assert!(matches(Trigger::BackwardGoto, src));
+        assert!(!matches(Trigger::DeclAfterLabelWithBackGoto, src));
+        let src = "void f() { l: ; int i = 0; goto l; }";
+        assert!(matches(Trigger::DeclAfterLabelWithBackGoto, src));
+    }
+
+    #[test]
+    fn a_store_counts_only_as_a_whole_statement_in_the_pointers_list() {
+        let store = |body: &str| {
+            let src = format!("int a; void f() {{ int *p = &a, *q = &a; {body} }}");
+            matches(Trigger::AliasedPointerStores, &src)
+        };
+        assert!(store("*p = 1; *q = 2;"));
+        assert!(store("*p += 1; *q = 2;"));
+        // Inside a comma, an assignment, a branch or a block: no store.
+        assert!(!store("*p = 1, *q = 2;"));
+        assert!(!store("a = *p = 1; *q = 2;"));
+        assert!(!store("if (a) *p = 1; *q = 2;"));
+        assert!(!store("{ *p = 1; } *q = 2;"));
+        assert!(!store("l: *p = 1; *q = 2;"));
+        // The pointers must be declared in the list that stores.
+        let src = "int a; void f() { int *p = &a; { int *q = &a; *p = 1; *q = 2; } }";
+        assert!(!matches(Trigger::AliasedPointerStores, src));
     }
 
     #[test]

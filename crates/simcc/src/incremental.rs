@@ -10,10 +10,14 @@
 //!
 //! * [`CachedOracle`] holds one parsed program plus a direct mutable
 //!   handle to every hole's identifier. Observing a variant rewrites
-//!   only the changed bindings (`O(changed)`, typically one string) and
-//!   re-derives observations with **one** structural-fact scan shared
-//!   across the whole compiler matrix — the round-trip path scans once
-//!   per live bug per compiler.
+//!   only the changed bindings (`O(changed)`, typically one string).
+//! * Trigger facts are planned once per job, by one walk that mirrors
+//!   [`scan_facts`](crate::bugs::scan_facts): the facts no name can
+//!   change are constants, and every other fact reads a few name slots,
+//!   evaluated per variant on job-local name ids
+//!   ([`CachedOracle::facts`]). One evaluation serves the whole compiler
+//!   matrix with no AST walk; the round-trip path scans the whole
+//!   program once per compiler.
 //! * Pass-pipeline results (optimize + lower) are memoized *within* a
 //!   variant across configurations that share an optimization level and
 //!   triggered wrong-code set: `passes::optimize` reads nothing else
@@ -56,7 +60,7 @@
 //! harness reads in that mode is exact. With `check_wrong_code == true`
 //! observations are field-for-field equal to [`Compiler::observe`].
 
-use crate::bugs::{self, BugKind, BugSpec};
+use crate::bugs::{BugKind, BugSpec, FactPlan, Facts};
 use crate::coverage::Coverage;
 use crate::{
     divergence_from_image, interp, passes, reference_limits, vm, Compiler, Divergence, Ice,
@@ -312,6 +316,8 @@ struct CompilerSlot {
 /// resplices every hole from scratch, ignoring the caller's delta.
 pub struct CachedOracle {
     ast: SplicedAst,
+    /// The trigger facts of the variant the AST holds.
+    plan: FactPlan,
     compilers: Vec<CompilerSlot>,
     check_wrong_code: bool,
     fuel: u64,
@@ -343,8 +349,10 @@ impl CachedOracle {
         check_wrong_code: bool,
         fuel: u64,
     ) -> Option<CachedOracle> {
+        let ast = SplicedAst::new(program, hole_occs)?;
         Some(CachedOracle {
-            ast: SplicedAst::new(program, hole_occs)?,
+            plan: FactPlan::new(&ast.program, &ast.occ_hole, hole_occs.len()),
+            ast,
             compilers: compilers
                 .iter()
                 .map(|&compiler| CompilerSlot {
@@ -396,8 +404,8 @@ impl CachedOracle {
         self.obs.clear();
         self.pipeline.clear();
         let prog = self.ast.program();
-        // One structural scan serves every trigger of every compiler.
-        let facts = bugs::scan_facts(prog);
+        // One plan evaluation serves every trigger of every compiler.
+        let facts = self.plan.facts();
         let check_wrong_code = self.check_wrong_code;
         let fuel = self.fuel;
         // The reference executes lazily, at most once per variant — the
@@ -543,6 +551,21 @@ impl CachedOracle {
         result
     }
 
+    /// The trigger facts of the variant spelled `names`, spliced in as
+    /// [`CachedOracle::observe_variant`] splices it: what that oracle's
+    /// triggers are matched against. They come from the job's fact plan,
+    /// not from a scan of the program.
+    ///
+    /// # Panics
+    ///
+    /// As [`CachedOracle::observe_variant`].
+    pub fn facts(&mut self, names: &[&str], changed: Option<&[usize]>) -> Facts {
+        self.splice(names, changed);
+        let facts = self.plan.facts();
+        self.in_flight = false;
+        facts
+    }
+
     /// Binds the holes to `names` (only the `changed` ones when the
     /// previous call finished) and marks the oracle in flight; the caller
     /// clears the mark when it is done.
@@ -552,24 +575,31 @@ impl CachedOracle {
         match changed {
             Some(delta) if !must_full => {
                 for &h in delta {
-                    self.ast.set(h, names[h]);
+                    self.bind(h, names[h]);
                 }
                 self.stats.splice_delta += 1;
             }
             _ => {
                 let holes = self.ast.slots.len();
                 for (h, name) in names.iter().enumerate().take(holes) {
-                    self.ast.set(h, name);
+                    self.bind(h, name);
                 }
                 self.stats.splice_full += 1;
             }
         }
+    }
+
+    /// Rebinds hole `hole` to `name` in the AST and in the fact plan.
+    fn bind(&mut self, hole: usize, name: &str) {
+        self.ast.set(hole, name);
+        self.plan.bind(hole, name);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bugs::{self, Trigger};
     use crate::CompilerId;
     use spe_minic::parse;
 
@@ -734,6 +764,62 @@ mod tests {
                     assert_eq!(obs.unsupported, full.unsupported, "{src}");
                 }
                 assert!(!obs.wrong_code() && !obs.reference_ub);
+            }
+        }
+    }
+
+    /// A skeleton makes every use site a hole, but the oracle takes any
+    /// subset: a use site outside it keeps its spelling, and a hole
+    /// spelled alike names the same variable. For every spelling of
+    /// every hole, the planned facts match a scan of the renamed program.
+    #[test]
+    fn planned_facts_compare_holes_with_fixed_names_by_spelling() {
+        let srcs = [
+            "int x, y, g; void f() { int *p = &x, *q = &y; *p = x - x; *q = y / x; g = x ? y + y : y + x; }",
+            "int a, b; void f() { int *p = &a, *q = &a; *p = 1; *q = 2; b = a; a = a + b + a; }",
+            "int u[4], i, j; void f() { u[i + j] = i; int *r = &j; } int k;",
+        ];
+        let mut triggers: Vec<Trigger> = bugs::registry().iter().map(|b| b.trigger).collect();
+        for n in 1..=6 {
+            triggers.extend([Trigger::SameVarTimes(n), Trigger::DistinctVars(n)]);
+        }
+        for src in srcs {
+            let prog = parse(src).expect("parses");
+            // Every other use site is a hole.
+            let holes: Vec<OccId> = all_occs(&prog).into_iter().step_by(2).collect();
+            let spelled: Vec<String> = spellings(&prog);
+            let mut pool = spelled.clone();
+            pool.sort();
+            pool.dedup();
+            let base: Vec<String> = spelled.iter().step_by(2).cloned().collect();
+            let mut cache =
+                CachedOracle::new(prog.clone(), &holes, &wc_compilers(), false, 0).expect("builds");
+            let mut prev = base.clone();
+            for h in 0..holes.len() {
+                for cand in &pool {
+                    let mut names = base.clone();
+                    names[h] = cand.clone();
+                    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                    let changed: Vec<usize> =
+                        (0..holes.len()).filter(|&i| names[i] != prev[i]).collect();
+                    let planned = cache.facts(&refs, Some(&changed));
+                    prev = names.clone();
+                    let mut renamed = prog.clone();
+                    renamed.for_each_ident_mut(&mut |id| {
+                        if let Some(k) = holes.iter().position(|&o| o == id.occ) {
+                            id.name = names[k].clone();
+                        }
+                    });
+                    let scanned = bugs::scan_facts(&renamed);
+                    for &t in &triggers {
+                        assert_eq!(
+                            planned.matches(t),
+                            scanned.matches(t),
+                            "{t:?} with hole {h} spelled {cand}: {}",
+                            spe_minic::print_program(&renamed)
+                        );
+                    }
+                }
             }
         }
     }

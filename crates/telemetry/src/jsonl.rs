@@ -222,7 +222,8 @@ impl<'a> Cursor<'a> {
 }
 
 /// Parses one line written by [`JsonlSink`], validating the record
-/// shape (known `kind`, mandatory `t_ns`/`name`, no unknown keys).
+/// shape (known `kind`, mandatory `t_ns`/`name`, no unknown or repeated
+/// keys).
 pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
     let mut c = Cursor {
         s: line.trim_end().as_bytes(),
@@ -236,27 +237,38 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
         detail: None,
         value: None,
     };
-    let (mut saw_t, mut saw_kind, mut saw_name) = (false, false, false);
+    // One bit per key read: `t_ns`, `kind`, `name`, `detail`, `value`.
+    let mut seen = 0u8;
     loop {
         let key = c.string()?;
         c.eat(b':')?;
-        match key.as_str() {
+        let bit = match key.as_str() {
             "t_ns" => {
                 rec.t_ns = u64::try_from(c.number()?).map_err(|_| "negative t_ns")?;
-                saw_t = true;
+                1
             }
             "kind" => {
                 rec.kind = c.string()?;
-                saw_kind = true;
+                2
             }
             "name" => {
                 rec.name = c.string()?;
-                saw_name = true;
+                4
             }
-            "detail" => rec.detail = Some(c.string()?),
-            "value" => rec.value = Some(c.number()?),
+            "detail" => {
+                rec.detail = Some(c.string()?);
+                8
+            }
+            "value" => {
+                rec.value = Some(c.number()?);
+                16
+            }
             other => return Err(format!("unknown key {other:?}")),
+        };
+        if seen & bit != 0 {
+            return Err(format!("repeated key {key:?}"));
         }
+        seen |= bit;
         match c.peek() {
             Some(b',') => c.i += 1,
             Some(b'}') => break,
@@ -267,7 +279,7 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
     if c.i != c.s.len() {
         return Err("trailing bytes after record".into());
     }
-    if !(saw_t && saw_kind && saw_name) {
+    if seen & 7 != 7 {
         return Err("missing t_ns/kind/name".into());
     }
     if !matches!(
@@ -282,6 +294,83 @@ pub fn parse_line(line: &str) -> Result<TraceRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Lines [`JsonlSink`] writes: every kind, escapes, multi-byte UTF-8.
+    fn written_lines() -> &'static [String] {
+        static LINES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        LINES.get_or_init(|| {
+            let dir = std::env::temp_dir().join(format!(
+                "spe-telemetry-jsonl-mutation-{}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("trace.jsonl");
+            {
+                let sink = JsonlSink::create(&path).unwrap();
+                sink.event("orchestrate.killed", "stop_after=5");
+                sink.span("orchestrate.job", "file=0 shard=1", 873_211);
+                sink.span("no.detail", "", 1);
+                sink.counter("campaign.variants_tested", u64::MAX);
+                sink.gauge("orchestrate.queue_depth", i64::MIN);
+                sink.histogram("oracle_ns.clean", 42);
+                sink.event("weird \"name\"\n\\", "tab\there \u{1} é → 𝄞");
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            text.lines().map(str::to_owned).collect()
+        })
+    }
+
+    /// Parses mutated bytes as a reader of untrusted traces would: any
+    /// invalid UTF-8 replaced, then one line. A panic fails the test; a
+    /// record or an error are both answers.
+    fn parse_bytes(bytes: &[u8]) -> Result<TraceRecord, String> {
+        parse_line(&String::from_utf8_lossy(bytes))
+    }
+
+    #[test]
+    fn every_truncation_of_a_written_line_parses_or_errs() {
+        for line in written_lines() {
+            assert!(parse_line(line).is_ok(), "{line}");
+            for cut in 0..line.len() {
+                assert!(
+                    parse_bytes(&line.as_bytes()[..cut]).is_err(),
+                    "{line} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn a_written_line_with_one_flipped_bit_parses_or_errs(
+            pick in 0usize..64,
+            at in 0usize..4096,
+            bit in 0u8..8,
+        ) {
+            let lines = written_lines();
+            let mut bytes = lines[pick % lines.len()].clone().into_bytes();
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            let _ = parse_bytes(&bytes);
+        }
+
+        #[test]
+        fn a_written_line_with_inserted_bytes_parses_or_errs(
+            pick in 0usize..64,
+            at in 0usize..4096,
+            inserted in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 1..17),
+        ) {
+            let lines = written_lines();
+            let mut bytes = lines[pick % lines.len()].clone().into_bytes();
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, inserted);
+            let _ = parse_bytes(&bytes);
+        }
+    }
 
     #[test]
     fn writes_and_parses_roundtrip() {
@@ -324,5 +413,27 @@ mod tests {
         assert!(parse_line("{\"t_ns\":1,\"kind\":\"event\",\"name\":\"x\"} junk").is_err());
         assert!(parse_line("{\"t_ns\":1,\"kind\":\"event\",\"name\":\"x\",\"zzz\":2}").is_err());
         assert!(parse_line(r#"{"t_ns":1,"kind":"event","name":"\u+041"}"#).is_err());
+        for (key, line) in [
+            ("t_ns", r#"{"t_ns":1,"t_ns":3,"kind":"span","name":"x"}"#),
+            (
+                "kind",
+                r#"{"t_ns":1,"kind":"span","kind":"event","name":"x"}"#,
+            ),
+            ("name", r#"{"t_ns":1,"kind":"event","name":"x","name":"y"}"#),
+            (
+                "detail",
+                r#"{"t_ns":1,"kind":"event","name":"x","detail":"d","detail":"e"}"#,
+            ),
+            (
+                "value",
+                r#"{"t_ns":1,"kind":"span","name":"x","value":2,"value":3}"#,
+            ),
+        ] {
+            assert_eq!(
+                parse_line(line),
+                Err(format!("repeated key {key:?}")),
+                "{line}"
+            );
+        }
     }
 }
