@@ -164,7 +164,10 @@ fn bench_constrained_canonical(c: &mut Criterion) {
     // The workload only measures what it claims if the gate engages and
     // the space is non-trivial.
     let space = ShardedEnumerator::new(config, 2).prepare(&sk);
-    assert!(space.is_shard_native(), "constrained native gate must engage");
+    assert!(
+        space.is_shard_native(),
+        "constrained native gate must engage"
+    );
     let total = space.total(config.budget);
     assert!(total > 500, "space too small to measure: {total}");
     let mut group = c.benchmark_group("canonical_constrained");
@@ -200,5 +203,9 @@ fn bench_constrained_canonical(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sharded_enumeration, bench_constrained_canonical);
+criterion_group!(
+    benches,
+    bench_sharded_enumeration,
+    bench_constrained_canonical
+);
 criterion_main!(benches);

@@ -104,8 +104,9 @@ fn bench_reduction(c: &mut Criterion) {
     let wrong = one_of(FindingKind::WrongCode);
     group.bench_function("reduce_one_crash", |b| {
         b.iter(|| {
-            let mut oracle =
-                |p: &spe_minic::Program| spe_harness::reduction::reproduces(&crash, p, options.fuel);
+            let mut oracle = |p: &spe_minic::Program| {
+                spe_harness::reduction::reproduces(&crash, p, options.fuel)
+            };
             criterion::black_box(
                 spe_reduce::reduce(&crash.reproducer, &options.reduce, &mut oracle)
                     .expect("reduces")
@@ -115,8 +116,9 @@ fn bench_reduction(c: &mut Criterion) {
     });
     group.bench_function("reduce_one_wrong_code", |b| {
         b.iter(|| {
-            let mut oracle =
-                |p: &spe_minic::Program| spe_harness::reduction::reproduces(&wrong, p, options.fuel);
+            let mut oracle = |p: &spe_minic::Program| {
+                spe_harness::reduction::reproduces(&wrong, p, options.fuel)
+            };
             criterion::black_box(
                 spe_reduce::reduce(&wrong.reproducer, &options.reduce, &mut oracle)
                     .expect("reduces")

@@ -38,7 +38,10 @@ use spe_bignum::BigUint;
 pub fn rgs_unrank(n: usize, k: usize, index: u64) -> Vec<usize> {
     let mut idx = BigUint::from(index);
     if n == 0 || k == 0 {
-        assert!(n == 0 && idx.is_zero(), "index out of range for empty space");
+        assert!(
+            n == 0 && idx.is_zero(),
+            "index out of range for empty space"
+        );
         return Vec::new();
     }
     // rows[r][m] = C(r, m): completions of a prefix with m blocks used and

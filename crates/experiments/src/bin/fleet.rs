@@ -51,7 +51,10 @@ fn plan() -> FleetPlan {
 }
 
 fn journal_path(host: usize) -> PathBuf {
-    std::env::temp_dir().join(format!("spe-fleet-demo-{}-host{host}.journal", parent_pid()))
+    std::env::temp_dir().join(format!(
+        "spe-fleet-demo-{}-host{host}.journal",
+        parent_pid()
+    ))
 }
 
 /// Children receive the parent's pid so every process of one demo run
@@ -70,7 +73,10 @@ fn child(args: &[String]) -> ! {
             .position(|a| a == flag)
             .map(|i| args[i + 1].clone())
     };
-    let host: usize = get("--host").expect("--host <id>").parse().expect("host id");
+    let host: usize = get("--host")
+        .expect("--host <id>")
+        .parse()
+        .expect("host id");
     let workers: usize = get("--workers").map_or(1, |w| w.parse().expect("worker count"));
     let options = CheckpointOptions {
         every: 16,
@@ -106,7 +112,12 @@ fn child(args: &[String]) -> ! {
 fn spawn_host(host: usize, workers: usize, extra: &[&str]) -> i32 {
     let exe = std::env::current_exe().expect("own path");
     let status = Command::new(exe)
-        .args(["--host", &host.to_string(), "--workers", &workers.to_string()])
+        .args([
+            "--host",
+            &host.to_string(),
+            "--workers",
+            &workers.to_string(),
+        ])
         .args(extra)
         .env("SPE_FLEET_DEMO_PID", std::process::id().to_string())
         .status()
@@ -187,12 +198,10 @@ fn main() {
         .iter()
         .map(|h| FleetHostRow {
             host_id: h.host_id,
-            journal: h
-                .path
-                .file_name()
-                .map_or_else(|| h.path.display().to_string(), |n| {
-                    n.to_string_lossy().into_owned()
-                }),
+            journal: h.path.file_name().map_or_else(
+                || h.path.display().to_string(),
+                |n| n.to_string_lossy().into_owned(),
+            ),
             jobs_start: h.jobs.start,
             jobs_end: h.jobs.end,
             frames: h.frames,

@@ -429,7 +429,9 @@ pub fn resume_demo(scale: Scale, workers: usize) -> Table {
         "Identical to uninterrupted",
     ];
     let mut t = Table::new(
-        format!("Checkpointed campaign: kill after ~{stop_after} variants, resume ({workers} workers)"),
+        format!(
+            "Checkpointed campaign: kill after ~{stop_after} variants, resume ({workers} workers)"
+        ),
         &headers,
     );
     let (first, first_time) = phase("run_until_kill", || {

@@ -214,7 +214,11 @@ impl fmt::Display for FleetError {
                 path.display()
             ),
             FleetError::MixedFleets { path, detail } => {
-                write!(f, "{} belongs to a different fleet: {detail}", path.display())
+                write!(
+                    f,
+                    "{} belongs to a different fleet: {detail}",
+                    path.display()
+                )
             }
             FleetError::DuplicateHost {
                 host,
@@ -432,7 +436,9 @@ fn merge_inner<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
         }
         journal_of_host[h] = Some(i);
     }
-    let missing: Vec<usize> = (0..n_hosts).filter(|&h| journal_of_host[h].is_none()).collect();
+    let missing: Vec<usize> = (0..n_hosts)
+        .filter(|&h| journal_of_host[h].is_none())
+        .collect();
     if !missing.is_empty() {
         return Err(FleetError::MissingHosts { missing, n_hosts });
     }

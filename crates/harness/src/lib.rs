@@ -670,8 +670,14 @@ impl JobOracle<'_> {
             let stats = cache.stats();
             let last = std::mem::replace(&mut self.last_stats, stats);
             for (name, delta) in [
-                (names::ORACLE_SPLICE_HITS, stats.splice_delta - last.splice_delta),
-                (names::ORACLE_SPLICE_MISSES, stats.splice_full - last.splice_full),
+                (
+                    names::ORACLE_SPLICE_HITS,
+                    stats.splice_delta - last.splice_delta,
+                ),
+                (
+                    names::ORACLE_SPLICE_MISSES,
+                    stats.splice_full - last.splice_full,
+                ),
                 (
                     names::ORACLE_PIPELINE_MEMO_HITS,
                     stats.pipeline_memo_hits - last.pipeline_memo_hits,
@@ -684,7 +690,10 @@ impl JobOracle<'_> {
                     names::ORACLE_REFERENCE_MEMO_HITS,
                     stats.reference_memo_hits - last.reference_memo_hits,
                 ),
-                (names::ORACLE_REFERENCE_RUNS, stats.reference_runs - last.reference_runs),
+                (
+                    names::ORACLE_REFERENCE_RUNS,
+                    stats.reference_runs - last.reference_runs,
+                ),
             ] {
                 if delta > 0 {
                     telemetry.counter(name, delta);

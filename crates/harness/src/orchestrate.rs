@@ -524,7 +524,10 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
     let dealt = pending.len();
     let queue = WorkQueue::new(pending, workers);
     if telemetry.enabled() {
-        telemetry.gauge(names::ORCH_JOBS, i64::try_from(jobs.len()).unwrap_or(i64::MAX));
+        telemetry.gauge(
+            names::ORCH_JOBS,
+            i64::try_from(jobs.len()).unwrap_or(i64::MAX),
+        );
         telemetry.span(
             names::ORCH_DEAL,
             &format!("jobs={dealt} workers={workers}"),

@@ -130,7 +130,12 @@ fn verdict_matches(finding: &Finding, obs: &Observation) -> bool {
 /// mid-reduction — the candidate shrink is conservatively treated as
 /// non-reproducing, so reduction never commits a witness it could not
 /// re-check.
-fn observe_oracle(finding: &Finding, p: &Program, fuel: u64, oracle: Oracle<'_>) -> Option<Observation> {
+fn observe_oracle(
+    finding: &Finding,
+    p: &Program,
+    fuel: u64,
+    oracle: Oracle<'_>,
+) -> Option<Observation> {
     let cc = Compiler::new(finding.compiler, finding.opt);
     let wrong_code_fuel = (finding.kind == FindingKind::WrongCode).then_some(fuel);
     match oracle {
@@ -308,7 +313,10 @@ pub(crate) fn reduce_missing(
 ///    cross-file duplicates whose witnesses ddmin to *different* minimal
 ///    programs of one root cause (different fingerprints, same observed
 ///    divergence class and bug-site statement shape).
-pub(crate) fn attach_and_dedup(report: &mut CampaignReport, witnesses: Vec<Option<ReducedWitness>>) {
+pub(crate) fn attach_and_dedup(
+    report: &mut CampaignReport,
+    witnesses: Vec<Option<ReducedWitness>>,
+) {
     let mut seen: HashMap<(String, FindingKind, String), String> = HashMap::new();
     for (finding, witness) in report.findings.iter_mut().zip(witnesses) {
         finding.reduced = witness;

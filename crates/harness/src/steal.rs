@@ -188,7 +188,10 @@ mod tests {
                 let popped = &popped;
                 scope.spawn(move || {
                     while let Some(j) = q.pop(w) {
-                        assert!(seen.lock().expect("poisoned").insert(j), "job {j} duplicated");
+                        assert!(
+                            seen.lock().expect("poisoned").insert(j),
+                            "job {j} duplicated"
+                        );
                         popped.fetch_add(1, Ordering::Relaxed);
                         if j % 7 == 0 {
                             std::thread::yield_now(); // uneven job cost

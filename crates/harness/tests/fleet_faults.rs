@@ -186,7 +186,10 @@ fn journals_from_a_different_fleet_or_config_are_refused() {
     match merge_journals(&[&a[0], &b[1]]) {
         Err(FleetError::MixedFleets { path, detail }) => {
             assert_eq!(path, b[1]);
-            assert!(detail.contains("bbbb") && detail.contains("aaaa"), "{detail}");
+            assert!(
+                detail.contains("bbbb") && detail.contains("aaaa"),
+                "{detail}"
+            );
         }
         other => panic!("expected MixedFleets, got {other:?}"),
     }

@@ -522,11 +522,7 @@ impl Stmt {
             }
             Stmt::Return(Some(e)) => e.for_each_ident_mut(f),
             Stmt::Label(_, inner) => inner.for_each_ident_mut(f),
-            Stmt::Return(None)
-            | Stmt::Break
-            | Stmt::Continue
-            | Stmt::Goto(_)
-            | Stmt::Empty => {}
+            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Goto(_) | Stmt::Empty => {}
         }
     }
 }

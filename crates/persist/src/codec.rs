@@ -143,12 +143,16 @@ impl<'a> Decoder<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a `u64` written by [`Encoder::usize`] back into a `usize`.

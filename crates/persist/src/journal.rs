@@ -276,8 +276,14 @@ impl Journal {
             telemetry.histogram(names::JOURNAL_APPEND_NS, write_ns);
             telemetry.histogram(names::JOURNAL_FSYNC_NS, sync_timer.stop_nanos());
             telemetry.counter(names::JOURNAL_APPENDS, 1);
-            telemetry.counter(names::JOURNAL_APPENDED_BYTES, (FRAME_HEADER + payload.len()) as u64);
-            telemetry.gauge(names::JOURNAL_LEN_BYTES, i64::try_from(self.len).unwrap_or(i64::MAX));
+            telemetry.counter(
+                names::JOURNAL_APPENDED_BYTES,
+                (FRAME_HEADER + payload.len()) as u64,
+            );
+            telemetry.gauge(
+                names::JOURNAL_LEN_BYTES,
+                i64::try_from(self.len).unwrap_or(i64::MAX),
+            );
         }
         Ok(())
     }

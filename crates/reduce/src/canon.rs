@@ -61,7 +61,10 @@ fn reserved_names(p: &Program) -> HashSet<String> {
     fn stmts(s: &Stmt, out: &mut HashSet<String>) {
         match s {
             Stmt::Expr(e) | Stmt::Return(Some(e)) => exprs(e, out),
-            Stmt::Decl(ds) => ds.iter().filter_map(|d| d.init.as_ref()).for_each(|e| exprs(e, out)),
+            Stmt::Decl(ds) => ds
+                .iter()
+                .filter_map(|d| d.init.as_ref())
+                .for_each(|e| exprs(e, out)),
             Stmt::Block(b) => b.iter().for_each(|s| stmts(s, out)),
             Stmt::If(c, t, e) => {
                 exprs(c, out);
@@ -255,11 +258,7 @@ fn label_map(body: &[Stmt], reserved: &HashSet<String>) -> HashMap<String, Strin
     map
 }
 
-fn declarators(
-    ds: &[VarDeclarator],
-    scopes: &mut Scopes,
-    namer: &mut Namer,
-) -> Vec<VarDeclarator> {
+fn declarators(ds: &[VarDeclarator], scopes: &mut Scopes, namer: &mut Namer) -> Vec<VarDeclarator> {
     ds.iter()
         .map(|d| {
             // C's declaration point precedes the initializer, so the
@@ -339,16 +338,12 @@ fn expr(e: &Expr, scopes: &Scopes) -> Expr {
         ExprKind::Unary(op, a) => ExprKind::Unary(*op, Box::new(expr(a, scopes))),
         ExprKind::Post(op, a) => ExprKind::Post(*op, Box::new(expr(a, scopes))),
         ExprKind::Cast(ty, a) => ExprKind::Cast(ty.clone(), Box::new(expr(a, scopes))),
-        ExprKind::Binary(op, a, b) => ExprKind::Binary(
-            *op,
-            Box::new(expr(a, scopes)),
-            Box::new(expr(b, scopes)),
-        ),
-        ExprKind::Assign(op, a, b) => ExprKind::Assign(
-            *op,
-            Box::new(expr(a, scopes)),
-            Box::new(expr(b, scopes)),
-        ),
+        ExprKind::Binary(op, a, b) => {
+            ExprKind::Binary(*op, Box::new(expr(a, scopes)), Box::new(expr(b, scopes)))
+        }
+        ExprKind::Assign(op, a, b) => {
+            ExprKind::Assign(*op, Box::new(expr(a, scopes)), Box::new(expr(b, scopes)))
+        }
         ExprKind::Index(a, b) => {
             ExprKind::Index(Box::new(expr(a, scopes)), Box::new(expr(b, scopes)))
         }
@@ -360,10 +355,9 @@ fn expr(e: &Expr, scopes: &Scopes) -> Expr {
             Box::new(expr(t, scopes)),
             Box::new(expr(e2, scopes)),
         ),
-        ExprKind::Call(name, args) => ExprKind::Call(
-            name.clone(),
-            args.iter().map(|a| expr(a, scopes)).collect(),
-        ),
+        ExprKind::Call(name, args) => {
+            ExprKind::Call(name.clone(), args.iter().map(|a| expr(a, scopes)).collect())
+        }
         ExprKind::Member(a, field, arrow) => {
             ExprKind::Member(Box::new(expr(a, scopes)), field.clone(), *arrow)
         }
@@ -421,7 +415,8 @@ mod tests {
 
     #[test]
     fn struct_fields_stay_fixed() {
-        let out = canon("struct s { int field; }; struct s g; int main() { g.field = 1; return 0; }");
+        let out =
+            canon("struct s { int field; }; struct s g; int main() { g.field = 1; return 0; }");
         assert!(out.contains(".field"), "{out}");
         assert!(out.contains("struct s"), "{out}");
     }

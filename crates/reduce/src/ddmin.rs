@@ -105,9 +105,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u32> = (0..16).collect();
-        let out = ddmin(items, &mut |s| {
-            [2u32, 7, 11].iter().all(|x| s.contains(x))
-        });
+        let out = ddmin(items, &mut |s| [2u32, 7, 11].iter().all(|x| s.contains(x)));
         assert_eq!(out, vec![2, 7, 11]);
     }
 

@@ -250,9 +250,7 @@ fn replace_node(e: &mut Expr, next: &mut usize, target: usize, new: &Expr) -> bo
                 || replace_node(t, next, target, new)
                 || replace_node(e2, next, target, new)
         }
-        ExprKind::Call(_, args) => args
-            .iter_mut()
-            .any(|a| replace_node(a, next, target, new)),
+        ExprKind::Call(_, args) => args.iter_mut().any(|a| replace_node(a, next, target, new)),
         ExprKind::Member(a, _, _) => replace_node(a, next, target, new),
         _ => false,
     }
@@ -429,10 +427,9 @@ mod tests {
 
     #[test]
     fn folds_irrelevant_operands_to_literals() {
-        let out = run(
-            "int x, y; int main() { x = x / x + y; return 0; }",
-            |p| print_program(p).contains("x / x"),
-        );
+        let out = run("int x, y; int main() { x = x / x + y; return 0; }", |p| {
+            print_program(p).contains("x / x")
+        });
         assert!(out.contains("x / x"), "{out}");
         assert!(!out.contains("+ y"), "{out}");
     }

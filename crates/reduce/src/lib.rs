@@ -312,8 +312,12 @@ int main() {
     return c;
 }
 ";
-        let r = reduce(src, &ReduceConfig::default(), &mut contains_oracle("a = a;"))
-            .expect("reduces");
+        let r = reduce(
+            src,
+            &ReduceConfig::default(),
+            &mut contains_oracle("a = a;"),
+        )
+        .expect("reduces");
         assert!(r.witness.contains("a = a;"), "witness:\n{}", r.witness);
         assert!(!r.witness.contains("c - b"), "witness:\n{}", r.witness);
         assert!(r.reduced_bytes < r.original_bytes);
@@ -326,8 +330,12 @@ int main() {
         // An already-minimal program cannot grow (canonicalization is
         // rejected when it would lengthen the witness).
         let src = "int z;\nint main() {\n    z = z;\n    return 0;\n}\n";
-        let r = reduce(src, &ReduceConfig::default(), &mut contains_oracle("z = z;"))
-            .expect("reduces");
+        let r = reduce(
+            src,
+            &ReduceConfig::default(),
+            &mut contains_oracle("z = z;"),
+        )
+        .expect("reduces");
         assert!(r.reduced_bytes <= src.len());
         assert!(r.witness.contains("z = z;"));
     }
@@ -343,10 +351,18 @@ int main() {
     return d;
 }
 ";
-        let one = reduce(src, &ReduceConfig::default(), &mut contains_oracle("a = a;"))
-            .expect("reduces");
-        let two = reduce(src, &ReduceConfig::default(), &mut contains_oracle("a = a;"))
-            .expect("reduces");
+        let one = reduce(
+            src,
+            &ReduceConfig::default(),
+            &mut contains_oracle("a = a;"),
+        )
+        .expect("reduces");
+        let two = reduce(
+            src,
+            &ReduceConfig::default(),
+            &mut contains_oracle("a = a;"),
+        )
+        .expect("reduces");
         assert_eq!(one, two);
     }
 
@@ -369,7 +385,11 @@ int main() {
         )
         .expect("reduces");
         assert!(r.witness.contains("a = a;"));
-        assert!(r.oracle_calls <= 4, "budget respected, got {}", r.oracle_calls);
+        assert!(
+            r.oracle_calls <= 4,
+            "budget respected, got {}",
+            r.oracle_calls
+        );
     }
 
     #[test]

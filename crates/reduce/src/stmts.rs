@@ -79,11 +79,7 @@ fn find_in_list<'a>(
     None
 }
 
-fn find_in_stmt<'a>(
-    s: &'a mut Stmt,
-    next: &mut usize,
-    target: usize,
-) -> Option<&'a mut Vec<Stmt>> {
+fn find_in_stmt<'a>(s: &'a mut Stmt, next: &mut usize, target: usize) -> Option<&'a mut Vec<Stmt>> {
     match s {
         Stmt::Block(b) => find_in_list(b, next, target),
         Stmt::If(_, t, e) => {

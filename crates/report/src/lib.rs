@@ -330,7 +330,10 @@ pub fn fleet_provenance_table(title: impl Into<String>, rows: &[FleetHostRow]) -
         format!("{} journals", rows.len()),
         format!("{jobs} jobs"),
         rows.iter().map(|r| r.frames).sum::<u64>().to_string(),
-        rows.iter().map(|r| r.variants_tested).sum::<u64>().to_string(),
+        rows.iter()
+            .map(|r| r.variants_tested)
+            .sum::<u64>()
+            .to_string(),
         rows.iter().map(|r| r.candidates).sum::<usize>().to_string(),
     ]);
     t

@@ -192,7 +192,10 @@ impl CompilerBackend for SimccBackend {
             telemetry.counter(spe_telemetry::names::SIMCC_PARSE_REJECTS, 1);
             return Ok(Vec::new());
         };
-        telemetry.counter(spe_telemetry::names::SIMCC_OBSERVATIONS, compilers.len() as u64);
+        telemetry.counter(
+            spe_telemetry::names::SIMCC_OBSERVATIONS,
+            compilers.len() as u64,
+        );
         // Parse once, evaluate the reference interpreter at most once —
         // and only for a configuration that compiled, so `reference_ub`
         // skip flags are set exactly where a compiled run is compared.

@@ -452,7 +452,9 @@ impl<'p> TriggerFacts<'p> {
                     );
                 }
                 Stmt::Goto(name) => {
-                    if let Some((_, label_branch)) = labels.iter().find(|(l, _)| *l == name.as_str()) {
+                    if let Some((_, label_branch)) =
+                        labels.iter().find(|(l, _)| *l == name.as_str())
+                    {
                         self.facts.backward_goto = true;
                         *saw_back_goto = true;
                         if *label_branch != 0 && *label_branch != in_branch {

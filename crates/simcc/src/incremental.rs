@@ -207,7 +207,10 @@ struct ReferenceMemo {
 enum MemoNode {
     /// Runs that reach this node read `hole` next; one edge per spelling
     /// seen there, to the node of the runs that read that spelling.
-    Read { hole: usize, edges: Vec<(Box<str>, usize)> },
+    Read {
+        hole: usize,
+        edges: Vec<(Box<str>, usize)>,
+    },
     /// Runs that reach this node read no further hole and end so.
     Done(Result<interp::Execution, interp::Ub>),
 }
@@ -635,7 +638,8 @@ mod tests {
     /// source observes (wrong-code mode — field-for-field equality).
     #[test]
     fn splice_matches_reparse_on_every_hole() {
-        let base = "int a = 0, b = 0; int main() { int *p = &a, *q = &a; *p = 1; *q = 2; return a; }";
+        let base =
+            "int a = 0, b = 0; int main() { int *p = &a, *q = &a; *p = 1; *q = 2; return a; }";
         let prog = parse(base).expect("parses");
         let holes = all_occs(&prog);
         let compilers = wc_compilers();
@@ -667,16 +671,18 @@ mod tests {
                 let mut names = prev.clone();
                 names[h] = cand.to_string();
                 let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-                let changed: Vec<usize> = (0..holes.len())
-                    .filter(|&i| names[i] != prev[i])
-                    .collect();
+                let changed: Vec<usize> =
+                    (0..holes.len()).filter(|&i| names[i] != prev[i]).collect();
                 let got = cache.observe_variant(&refs, Some(&changed)).to_vec();
                 assert_eq!(got, fresh(&names), "hole {h} -> {cand}");
                 prev = names;
             }
         }
         assert!(cache.stats().splice_delta > 0);
-        assert!(cache.stats().pipeline_memo_hits > 0, "O0 pair must collapse");
+        assert!(
+            cache.stats().pipeline_memo_hits > 0,
+            "O0 pair must collapse"
+        );
     }
 
     /// Replaying the same variant after unrelated observations yields
@@ -697,8 +703,7 @@ mod tests {
         let _ = cache.observe_variant(&v2, None).to_vec();
         let again = cache.observe_variant(&v1, None).to_vec();
         assert_eq!(first, again, "revisited variant diverged");
-        let mut fresh =
-            CachedOracle::new(prog, &holes, &compilers, true, 20_000).expect("builds");
+        let mut fresh = CachedOracle::new(prog, &holes, &compilers, true, 20_000).expect("builds");
         assert_eq!(fresh.observe_variant(&v1, None), &first[..]);
     }
 
@@ -726,7 +731,9 @@ mod tests {
         // `good`, which is a lie after the partial splice — the oracle
         // must ignore it and resplice everything.
         let nothing_changed: Vec<usize> = Vec::new();
-        let healed = cache.observe_variant(&good, Some(&nothing_changed)).to_vec();
+        let healed = cache
+            .observe_variant(&good, Some(&nothing_changed))
+            .to_vec();
         assert_eq!(healed, expected, "stale AST state leaked past a panic");
         let mut fresh = CachedOracle::new(prog, &holes, &compilers, true, 20_000).expect("builds");
         assert_eq!(fresh.observe_variant(&good, None), &expected[..]);

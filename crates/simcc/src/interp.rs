@@ -498,7 +498,8 @@ impl<'p> Interp<'p> {
             Stmt::DoWhile(body, c) => self.run_do_while(s, body, c, Some(label), depth),
             Stmt::For(_, cond, step, body) => {
                 let outer = self.open_scope();
-                let flow = self.run_for(s, cond.as_ref(), step.as_ref(), body, Some(label), depth)?;
+                let flow =
+                    self.run_for(s, cond.as_ref(), step.as_ref(), body, Some(label), depth)?;
                 self.close_scope(outer);
                 Ok(flow)
             }
@@ -1350,8 +1351,8 @@ mod tests {
     fn logged_runs_record_the_holes_they_read() {
         // Use sites: `x` (occurrence 0), `y` (1), `x` (2) and `y` (3).
         // All but occurrence 1 are holes, numbered 0, 1 and 2.
-        let p = parse("int main() { int x = 0, y = 0; while (x) y++; return x + y; }")
-            .expect("parses");
+        let p =
+            parse("int main() { int x = 0, y = 0; while (x) y++; return x + y; }").expect("parses");
         let occ_hole = [0, NOT_A_HOLE, 1, 2];
         let mut reads = HoleReads::default();
         let got = run_logged(&p, Limits::default(), &occ_hole, &mut reads);

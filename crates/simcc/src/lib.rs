@@ -774,9 +774,10 @@ mod tests {
     #[test]
     fn observe_matches_compile_and_differential_run() {
         // Crash observation (no fuel needed).
-        let fig3 =
-            parse("int d, e, b, c; int main(void) { e ? (d==0 ? b : c) : (d==0 ? b : c); return 0; }")
-                .expect("parses");
+        let fig3 = parse(
+            "int d, e, b, c; int main(void) { e ? (d==0 ? b : c) : (d==0 ? b : c); return 0; }",
+        )
+        .expect("parses");
         let obs = Compiler::new(CompilerId::gcc(700), 2).observe(&fig3, None);
         assert_eq!(obs.ice.as_ref().map(|i| i.bug_id), Some("gcc-69801"));
         assert!(!obs.wrong_code());

@@ -219,11 +219,7 @@ impl Skeleton {
             })
             .collect();
         let mut names = NameTable::new();
-        let var_names = table
-            .vars()
-            .iter()
-            .map(|v| names.intern(&v.name))
-            .collect();
+        let var_names = table.vars().iter().map(|v| names.intern(&v.name)).collect();
         Ok(Skeleton {
             program,
             table,

@@ -114,15 +114,17 @@ impl WhileSkeleton {
                 .map(|(i, &o)| (o, i as u32))
                 .collect();
             RenderTemplate::from_parts(spe_while::print_template(&self.program).into_iter().map(
-                |piece| match piece {
-                    WPiece::Text(t) => TemplatePart::Text(t),
-                    WPiece::Occ { occ, name } => TemplatePart::Slot {
-                        hole: hole_of_occ[&occ],
-                        default: self
-                            .table
-                            .lookup(&name)
-                            .expect("every occurrence names a known variable"),
-                    },
+                |piece| {
+                    match piece {
+                        WPiece::Text(t) => TemplatePart::Text(t),
+                        WPiece::Occ { occ, name } => TemplatePart::Slot {
+                            hole: hole_of_occ[&occ],
+                            default: self
+                                .table
+                                .lookup(&name)
+                                .expect("every occurrence names a known variable"),
+                        },
+                    }
                 },
             ))
         })

@@ -21,7 +21,7 @@
 //!   once, then behave; needs `FAKECC_STATE` pointing at a writable
 //!   directory shared across attempts).
 
-use spe_simcc::{Compiler, CompileError, CompilerId};
+use spe_simcc::{CompileError, Compiler, CompilerId};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -345,12 +345,7 @@ impl SubprocBackend {
 
     /// Triage of a completed (non-timed-out) child. Every outcome is a
     /// verdict; see the crate-level table.
-    fn triage(
-        &self,
-        source: &str,
-        outcome: &Outcome,
-        wrong_code_fuel: Option<u64>,
-    ) -> Observation {
+    fn triage(&self, source: &str, outcome: &Outcome, wrong_code_fuel: Option<u64>) -> Observation {
         if let Some(signal) = status_signal(&outcome.status) {
             return ice_observation(intern(&format!(
                 "signal {signal} ({})",

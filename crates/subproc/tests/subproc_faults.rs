@@ -79,7 +79,10 @@ fn crash_stderr_line_becomes_the_ice_signature() {
         .expect("verdict")
         .ice
         .expect("abnormal exit is an ICE verdict");
-    assert_eq!(ice.signature, "cc1plus: internal compiler error: injected fault");
+    assert_eq!(
+        ice.signature,
+        "cc1plus: internal compiler error: injected fault"
+    );
     assert_eq!(ice.bug_id, ice.signature, "triage line doubles as dedup id");
     let preserved = backend.stats().preserved;
     assert_eq!(
@@ -113,7 +116,9 @@ fn quiet_abnormal_exit_is_an_ice_keyed_on_the_exit_code() {
     let dir = fixture_dir("quiet-exit");
     let script = write_script(&dir, "cc", "exit 7");
     let backend = backend_in(&dir, &script, |_| {});
-    let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), None)
+        .expect("verdict");
     assert_eq!(obs.ice.expect("ICE").signature, "abnormal exit 7");
 }
 
@@ -122,7 +127,9 @@ fn exit_one_is_a_rejected_program_not_a_bug() {
     let dir = fixture_dir("rejected");
     let script = write_script(&dir, "cc", "echo 'unsupported construct' >&2\nexit 1");
     let backend = backend_in(&dir, &script, |_| {});
-    let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), None)
+        .expect("verdict");
     assert!(obs.unsupported);
     assert!(obs.ice.is_none());
     assert!(
@@ -137,7 +144,9 @@ fn signal_death_is_an_ice_naming_the_signal() {
     let dir = fixture_dir("sigsegv");
     let script = write_script(&dir, "cc", "kill -SEGV $$");
     let backend = backend_in(&dir, &script, |_| {});
-    let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), None)
+        .expect("verdict");
     assert_eq!(obs.ice.expect("ICE").signature, "signal 11 (SIGSEGV)");
 }
 
@@ -150,13 +159,19 @@ fn hang_is_killed_at_the_timeout_and_triaged_slow_compile() {
         c.timeout = Duration::from_millis(200);
     });
     let started = Instant::now();
-    let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), None)
+        .expect("verdict");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "child was not killed at the 200ms timeout"
     );
     assert!(obs.ice.is_none());
-    assert_eq!(obs.slow_compile.len(), 1, "timeout is a slow-compile verdict");
+    assert_eq!(
+        obs.slow_compile.len(),
+        1,
+        "timeout is a slow-compile verdict"
+    );
     assert!(obs.slow_compile[0].contains("timeout"));
     let stats = backend.stats();
     assert_eq!(stats.timeouts, 1);
@@ -174,7 +189,9 @@ fn garbage_and_truncated_stdout_are_ices() {
     ] {
         let script = write_script(&dir, name, body);
         let backend = backend_in(&dir, &script, |_| {});
-        let obs = backend.observe_config(TRIVIAL, cc(), None).expect("verdict");
+        let obs = backend
+            .observe_config(TRIVIAL, cc(), None)
+            .expect("verdict");
         assert_eq!(
             obs.ice.expect("garbage is an ICE verdict").signature,
             "garbage stdout",
@@ -191,7 +208,11 @@ fn protocol_divergences_map_onto_wrong_code_classes() {
     let dir = fixture_dir("divergence");
     let cases = [
         ("exitcode", "echo 'exit 3'", Some(Divergence::ExitCode)),
-        ("output", "printf 'exit 0\\nsurprise\\n'", Some(Divergence::Output)),
+        (
+            "output",
+            "printf 'exit 0\\nsurprise\\n'",
+            Some(Divergence::Output),
+        ),
         ("trap", "echo 'trap'", Some(Divergence::Trap)),
         ("honest", "echo 'exit 0'", None),
     ];
@@ -255,7 +276,10 @@ fn successful_jobs_leave_no_scratch_behind() {
     let leftovers: Vec<_> = std::fs::read_dir(backend.scratch_base())
         .expect("scratch base")
         .collect();
-    assert!(leftovers.is_empty(), "scratch dirs left behind: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "scratch dirs left behind: {leftovers:?}"
+    );
 }
 
 #[test]
@@ -307,7 +331,13 @@ fn flaky_backend_campaign_terminates_with_quarantined_jobs() {
     // plain in-process resume must be refused, not silently mixed.
     let journal = dir.join("campaign.journal");
     let status = on_backend(2)
-        .run_journaled(&files, &config, &journal, &CheckpointOptions::default(), None)
+        .run_journaled(
+            &files,
+            &config,
+            &journal,
+            &CheckpointOptions::default(),
+            None,
+        )
         .expect("campaign completes despite the degraded backend");
     let report = status.into_report().expect("complete, not interrupted");
     assert!(report

@@ -199,12 +199,18 @@ fn recorder_cell() -> &'static RwLock<Option<Arc<Recorder>>> {
 /// Instrumented code captures [`global`] once per scope, so a swap
 /// takes effect for scopes entered after it returns.
 pub fn install(sink: Arc<dyn Sink>) -> Arc<dyn Sink> {
-    std::mem::replace(&mut *global_cell().write().unwrap_or_else(|e| e.into_inner()), sink)
+    std::mem::replace(
+        &mut *global_cell().write().unwrap_or_else(|e| e.into_inner()),
+        sink,
+    )
 }
 
 /// The process-global sink — [`NullSink`] until [`install`] is called.
 pub fn global() -> Arc<dyn Sink> {
-    global_cell().read().unwrap_or_else(|e| e.into_inner()).clone()
+    global_cell()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone()
 }
 
 /// Installs `recorder` as both the process-global sink and the
@@ -227,7 +233,10 @@ pub fn install_recorder(recorder: Arc<Recorder>, extra: Vec<Arc<dyn Sink>>) -> A
 /// back phase spans and end-of-run summaries without threading a
 /// handle through library code.
 pub fn recorder() -> Option<Arc<Recorder>> {
-    recorder_cell().read().unwrap_or_else(|e| e.into_inner()).clone()
+    recorder_cell()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .clone()
 }
 
 /// Clears the process-global recorder handle and restores `prev` as

@@ -101,11 +101,7 @@ impl Recorder {
 
     fn with_slot(&self, name: &str, make: impl FnOnce() -> Slot, apply: impl Fn(&Slot)) {
         let shard = &self.shards[(fnv1a(name) % MAP_SHARDS as u64) as usize];
-        if let Some(slot) = shard
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
+        if let Some(slot) = shard.read().unwrap_or_else(|e| e.into_inner()).get(name) {
             apply(slot);
             return;
         }
@@ -314,7 +310,13 @@ pub struct Snapshot {
 
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == ':' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 

@@ -43,8 +43,16 @@ fn progress_line(recorder: &Recorder) -> String {
     let snap = recorder.snapshot();
     let count = |n: &str| snap.counters.get(n).copied().unwrap_or(0);
     let mut line = String::from("spe:");
-    let jobs = snap.gauges.get(names::ORCH_JOBS).map(|g| g.max).unwrap_or(0);
-    line.push_str(&format!(" jobs {}/{}", count(names::ORCH_JOBS_DONE), jobs.max(0)));
+    let jobs = snap
+        .gauges
+        .get(names::ORCH_JOBS)
+        .map(|g| g.max)
+        .unwrap_or(0);
+    line.push_str(&format!(
+        " jobs {}/{}",
+        count(names::ORCH_JOBS_DONE),
+        jobs.max(0)
+    ));
     line.push_str(&format!(" | variants {}", count(names::VARIANTS)));
     line.push_str(&format!(" | candidates {}", count(names::CANDIDATES)));
     if let Some(depth) = snap.gauges.get(names::ORCH_QUEUE_DEPTH) {
@@ -60,7 +68,10 @@ fn progress_line(recorder: &Recorder) -> String {
     let total: u64 = oracle.iter().map(|h| h.count).sum();
     if total > 0 {
         let sum: u64 = oracle.iter().map(|h| h.sum).sum();
-        line.push_str(&format!(" | oracle mean {:.1}µs", sum as f64 / total as f64 / 1e3));
+        line.push_str(&format!(
+            " | oracle mean {:.1}µs",
+            sum as f64 / total as f64 / 1e3
+        ));
     }
     line
 }
@@ -94,13 +105,14 @@ impl Telemetry {
     pub fn install_from_env() -> Telemetry {
         let recorder = Arc::new(Recorder::new());
         let mut extra: Vec<Arc<dyn Sink>> = Vec::new();
-        let trace = std::env::var_os("SPE_TRACE").and_then(|p| {
-            match JsonlSink::create(&p) {
-                Ok(sink) => Some(Arc::new(sink)),
-                Err(e) => {
-                    eprintln!("spe-telemetry: cannot open trace {}: {e}", PathBuf::from(p).display());
-                    None
-                }
+        let trace = std::env::var_os("SPE_TRACE").and_then(|p| match JsonlSink::create(&p) {
+            Ok(sink) => Some(Arc::new(sink)),
+            Err(e) => {
+                eprintln!(
+                    "spe-telemetry: cannot open trace {}: {e}",
+                    PathBuf::from(p).display()
+                );
+                None
             }
         });
         if let Some(t) = &trace {
@@ -167,7 +179,10 @@ impl Drop for Telemetry {
         if let Some(path) = &self.metrics_path {
             let text = self.recorder.snapshot().to_prometheus("spe");
             if let Err(e) = std::fs::write(path, text) {
-                eprintln!("spe-telemetry: cannot write metrics {}: {e}", path.display());
+                eprintln!(
+                    "spe-telemetry: cannot write metrics {}: {e}",
+                    path.display()
+                );
             }
         }
         if self.summary {

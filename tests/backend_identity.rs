@@ -286,10 +286,11 @@ fn journaled_reduction_through_the_backend_matches_and_refuses_a_foreign_one() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let journal = dir.join("campaign.journal");
-    let report = run_campaign_checkpointed(&files, &config, 2, &journal, &CheckpointOptions::default())
-        .expect("checkpointed run")
-        .into_report()
-        .expect("complete");
+    let report =
+        run_campaign_checkpointed(&files, &config, 2, &journal, &CheckpointOptions::default())
+            .expect("checkpointed run")
+            .into_report()
+            .expect("complete");
     let in_process = reduced(Campaign::default(), &report, &options, None).expect("no journal");
 
     // A backend with a foreign identity may not extend a "simcc" journal.
@@ -300,7 +301,10 @@ fn journaled_reduction_through_the_backend_matches_and_refuses_a_foreign_one() {
     };
     match reduced(dummy, &report, &options, Some(&journal)) {
         Err(CheckpointError::Foreign(message)) => {
-            assert!(message.contains("dummy"), "refusal names the backend: {message}");
+            assert!(
+                message.contains("dummy"),
+                "refusal names the backend: {message}"
+            );
         }
         other => panic!("expected a Foreign refusal, got {other:?}"),
     }

@@ -241,16 +241,11 @@ fn checkpointed_reduction_replays_witnesses_and_stays_identical() {
     let files = seeds::all();
     let config = config();
     let path = journal_path("reduction");
-    let report = run_campaign_checkpointed(
-        &files,
-        &config,
-        2,
-        &path,
-        &CheckpointOptions::default(),
-    )
-    .expect("campaign")
-    .into_report()
-    .expect("completed");
+    let report =
+        run_campaign_checkpointed(&files, &config, 2, &path, &CheckpointOptions::default())
+            .expect("campaign")
+            .into_report()
+            .expect("completed");
     assert!(!report.findings.is_empty());
     let options = ReductionOptions {
         fuel: config.fuel,

@@ -55,8 +55,8 @@ fn check_native_and_identical(name: &str, sk: &Skeleton, cfg: EnumeratorConfig) 
 fn corpus_seed_skeletons_take_the_native_path_and_match_serial() {
     let mut multi_group = 0usize;
     for file in spe::corpus::seeds::all() {
-        let sk = Skeleton::from_source(&file.source)
-            .unwrap_or_else(|e| panic!("{}: {e}", file.name));
+        let sk =
+            Skeleton::from_source(&file.source).unwrap_or_else(|e| panic!("{}: {e}", file.name));
         let groups: usize = sk
             .units(Granularity::Intra)
             .iter()
@@ -73,10 +73,7 @@ fn corpus_seed_skeletons_take_the_native_path_and_match_serial() {
 
 #[test]
 fn generated_corpus_skeletons_take_the_native_path_and_match_serial() {
-    let files = spe::corpus::generate(&spe::corpus::CorpusConfig {
-        files: 40,
-        seed: 7,
-    });
+    let files = spe::corpus::generate(&spe::corpus::CorpusConfig { files: 40, seed: 7 });
     let mut constrained_multi_group = 0usize;
     for file in &files {
         let Ok(sk) = Skeleton::from_source(&file.source) else {

@@ -122,7 +122,10 @@ fn memoized_reference_results_equal_fresh_runs() {
         let files = corpus(seed, 60);
         for shards in [1, 2] {
             let (hits, runs) = memo_matches_fresh_runs(&files, shards);
-            assert!(hits > 0 && runs > 0, "seed {seed}: {hits} hits, {runs} runs");
+            assert!(
+                hits > 0 && runs > 0,
+                "seed {seed}: {hits} hits, {runs} runs"
+            );
         }
     }
 }
@@ -153,7 +156,11 @@ fn non_terminating_verdicts_hold_on_the_unoptimized_vm() {
             // Unoptimized: no pass runs, so nothing can delete the loop.
             let image = vm::lower(&p).expect("a program the reference runs lowers");
             let run = vm::execute(&image, FUEL * 4);
-            assert!(run.is_err(), "{}: the VM finished {run:?}:\n{src}", file.name);
+            assert!(
+                run.is_err(),
+                "{}: the VM finished {run:?}:\n{src}",
+                file.name
+            );
         });
     }
     assert!(proved > 0, "no variant ended NonTerminating");

@@ -46,7 +46,10 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let baseline = CURRENT.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     let result = f();
-    (result, PEAK.load(Ordering::Relaxed).saturating_sub(baseline))
+    (
+        result,
+        PEAK.load(Ordering::Relaxed).saturating_sub(baseline),
+    )
 }
 
 /// A straight-line program with eight candidate variables feeding many
@@ -121,9 +124,8 @@ fn streaming_resume_stays_flat_over_a_multi_thousand_frame_journal() {
     // The streaming resume replays the same frames with a peak bounded
     // by live job state (one job here), far under both the materialized
     // read and the journal's own size.
-    let (resumed, resume_peak) = measure(|| {
-        resume_campaign(&path, 1, &CheckpointOptions::default()).expect("resume")
-    });
+    let (resumed, resume_peak) =
+        measure(|| resume_campaign(&path, 1, &CheckpointOptions::default()).expect("resume"));
     let report = match resumed {
         CampaignStatus::Complete(report) => report,
         CampaignStatus::Interrupted => panic!("finished journal replays to completion"),

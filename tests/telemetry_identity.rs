@@ -84,10 +84,8 @@ fn instrumented_kill_resume_cycle_is_byte_identical() {
             std::process::id()
         ));
         let (report, recorder) = with_recorder(|| {
-            let stop_after = (reference.variants_tested
-                / config.compilers.len().max(1) as u64
-                / 2)
-            .max(1);
+            let stop_after =
+                (reference.variants_tested / config.compilers.len().max(1) as u64 / 2).max(1);
             let status = run_campaign_checkpointed(
                 &files,
                 &config,
@@ -177,8 +175,15 @@ fn incremental_oracle_attribution_is_per_variant() {
     // variant is one verdict sample (no fallback on this corpus).
     let hits = recorder.counter_value(names::ORACLE_SPLICE_HITS);
     let misses = recorder.counter_value(names::ORACLE_SPLICE_MISSES);
-    assert!(hits > misses, "delta splices must dominate: {hits} vs {misses}");
-    assert_eq!(hits + misses, samples, "every sample came off the splice cache");
+    assert!(
+        hits > misses,
+        "delta splices must dominate: {hits} vs {misses}"
+    );
+    assert_eq!(
+        hits + misses,
+        samples,
+        "every sample came off the splice cache"
+    );
     assert!(
         recorder.counter_value(names::ORACLE_PIPELINE_MEMO_HITS) > 0,
         "same-opt configurations never shared a pipeline run"
