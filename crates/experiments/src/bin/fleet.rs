@@ -13,7 +13,7 @@
 
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::{compact_journal, CampaignStatus, CheckpointOptions};
-use spe_harness::fleet::{merge_journals_detailed, FleetPlan};
+use spe_harness::fleet::{merge_journals, FleetPlan};
 use spe_harness::{run_campaign_parallel, Campaign, CampaignConfig};
 use spe_report::{fleet_provenance_table, FleetHostRow};
 use spe_simcc::{Compiler, CompilerId};
@@ -181,7 +181,7 @@ fn main() {
 
     let paths: Vec<PathBuf> = (0..N_HOSTS).map(journal_path).collect();
     let (merged, _) = spe_experiments::phase("merge", || {
-        merge_journals_detailed(&paths).expect("host journals merge")
+        merge_journals(&paths).expect("host journals merge")
     });
     assert_eq!(
         merged.report, reference,

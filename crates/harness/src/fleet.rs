@@ -25,7 +25,8 @@
 //!   missing hosts with an error naming the gap), and folds the
 //!   replayed `Progress` frames (quarantines included) into one
 //!   [`CampaignReport`] **byte-identical** to an uninterrupted
-//!   single-host run of the same configuration.
+//!   single-host run of the same configuration, returned with each
+//!   host's provenance ([`MergedFleet`]).
 //!
 //! **Why the merge is deterministic.** Host `h` owns the contiguous job
 //! range `even_ranges(jobs, n_hosts)[h]`; the ranges partition the job
@@ -314,12 +315,14 @@ pub struct MergedFleet {
     pub hosts: Vec<HostSummary>,
 }
 
-/// Merges one fleet's host journals into the campaign report —
-/// **byte-identical** to an uninterrupted single-host run of the same
-/// corpus, configuration and `shards_per_file`, including
-/// `BackendDegraded`/`JobPanicked` quarantines and all dedup folds
-/// (the trigger-aware reduction folds then run over the merged finding
-/// set exactly as over a single-host report).
+/// Merges one fleet's host journals into the campaign report, with the
+/// per-host provenance kept ([`MergedFleet`]). The report
+/// ([`MergedFleet::report`]) is **byte-identical** to an uninterrupted
+/// single-host run of the same corpus, configuration and
+/// `shards_per_file`, including `BackendDegraded`/`JobPanicked`
+/// quarantines and all dedup folds (the trigger-aware reduction folds
+/// then run over the merged finding set exactly as over a single-host
+/// report).
 ///
 /// Order of `paths` does not matter; hosts are folded in host-id order.
 ///
@@ -329,17 +332,7 @@ pub struct MergedFleet {
 /// hosts are refused with errors naming the gap; a torn-tail host
 /// journal is triaged as [`FleetError::TailCorruption`] naming the
 /// offending host.
-pub fn merge_journals<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignReport, FleetError> {
-    merge_journals_detailed(paths).map(|m| m.report)
-}
-
-/// [`merge_journals`] with the per-host provenance kept
-/// ([`MergedFleet`]).
-///
-/// # Errors
-///
-/// As [`merge_journals`].
-pub fn merge_journals_detailed<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
+pub fn merge_journals<P: AsRef<Path>>(paths: &[P]) -> Result<MergedFleet, FleetError> {
     let telemetry = spe_telemetry::global();
     let timer = Timer::start(&*telemetry);
     let result = merge_inner(paths);

@@ -61,9 +61,7 @@ pub mod triage;
 pub use checkpoint::{
     resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointError, CheckpointOptions,
 };
-pub use fleet::{
-    merge_journals, merge_journals_detailed, FleetError, FleetPlan, HostSummary, MergedFleet,
-};
+pub use fleet::{merge_journals, FleetError, FleetPlan, HostSummary, MergedFleet};
 pub use orchestrate::{Campaign, FaultPolicy, Outcome};
 pub use reduction::ReducedWitness;
 

@@ -117,7 +117,7 @@ fn killed_hosts_resume_on_different_worker_counts_byte_identically() {
         })
         .collect();
     assert_eq!(
-        merge_journals(&paths).expect("merge"),
+        merge_journals(&paths).expect("merge").report,
         reference,
         "kill/resume history leaked into the merged report"
     );
@@ -275,7 +275,7 @@ fn non_fleet_and_incomplete_journals_are_refused() {
         Ok(CampaignStatus::Complete(_))
     ));
     assert_eq!(
-        merge_journals(&[&done, &dead]).expect("merge"),
+        merge_journals(&[&done, &dead]).expect("merge").report,
         spe_harness::run_campaign_parallel(&files, &config, 2)
     );
     let no_paths: [&Path; 0] = [];
@@ -309,7 +309,7 @@ fn compaction_preserves_the_fleet_manifest_verbatim_and_merge_identity() {
         );
     }
     assert_eq!(
-        merge_journals(&paths).expect("merge"),
+        merge_journals(&paths).expect("merge").report,
         reference,
         "compact-then-merge diverged"
     );

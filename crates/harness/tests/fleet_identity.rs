@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use spe_corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe_harness::checkpoint::CheckpointOptions;
-use spe_harness::fleet::{merge_journals, merge_journals_detailed};
+use spe_harness::fleet::merge_journals;
 use spe_harness::reduction::ReductionOptions;
 use spe_harness::{
     run_campaign_parallel, Campaign, CampaignConfig, CampaignStatus, FleetPlan, Oracle,
@@ -85,11 +85,11 @@ fn merged_fleet_is_byte_identical_to_serial_for_every_host_count() {
         let dir = journal_dir(&format!("identity-{n_hosts}"));
         let plan = FleetPlan::new(0xf1ee7 + n_hosts as u64, n_hosts, shards_per_file);
         let paths = run_fleet(&plan, &files, &config, &dir);
-        let merged = merge_journals(&paths).expect("merge");
+        let merged = merge_journals(&paths).expect("merge").report;
         assert_eq!(merged, reference, "{n_hosts}-host fleet diverged");
         // Journal order must not matter: hosts fold in id order.
         let reversed: Vec<_> = paths.iter().rev().collect();
-        assert_eq!(merge_journals(&reversed).expect("merge"), reference);
+        assert_eq!(merge_journals(&reversed).expect("merge").report, reference);
     }
 }
 
@@ -105,7 +105,7 @@ fn merged_fleet_matches_on_the_paper_seed_corpus() {
     let dir = journal_dir("identity-seeds");
     let plan = FleetPlan::new(0x5eed, 3, 2);
     let paths = run_fleet(&plan, &files, &config, &dir);
-    let merged = merge_journals_detailed(&paths).expect("merge");
+    let merged = merge_journals(&paths).expect("merge");
     assert_eq!(merged.report, reference);
     // Provenance bookkeeping agrees with the merged report.
     assert_eq!(merged.n_hosts, 3);
@@ -146,7 +146,7 @@ fn hosts_may_mix_oracle_paths_without_changing_the_merge() {
             path
         })
         .collect();
-    assert_eq!(merge_journals(&paths).expect("merge"), reference);
+    assert_eq!(merge_journals(&paths).expect("merge").report, reference);
 }
 
 #[test]
@@ -157,7 +157,7 @@ fn reduction_folds_are_identical_on_merged_and_serial_reports() {
     let dir = journal_dir("identity-reduce");
     let plan = FleetPlan::new(0x4ed0ce, 2, 2);
     let paths = run_fleet(&plan, &files, &config, &dir);
-    let mut merged = merge_journals(&paths).expect("merge");
+    let mut merged = merge_journals(&paths).expect("merge").report;
     let options = ReductionOptions {
         fuel: config.fuel,
         ..ReductionOptions::default()
@@ -268,7 +268,7 @@ fn panic_quarantines_survive_the_fleet_merge_byte_identically() {
             path
         })
         .collect();
-    assert_eq!(merge_journals(&paths).expect("merge"), reference);
+    assert_eq!(merge_journals(&paths).expect("merge").report, reference);
 }
 
 proptest! {
@@ -297,7 +297,7 @@ proptest! {
         ));
         let plan = FleetPlan::new(seed ^ 0xdeb5, n_hosts, shards_per_file);
         let paths = run_fleet(&plan, &files, &config, &dir);
-        prop_assert_eq!(merge_journals(&paths).expect("merge"), reference);
+        prop_assert_eq!(merge_journals(&paths).expect("merge").report, reference);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -304,7 +304,7 @@ impl TriggerFacts<'_> {
 /// with [`TriggerFacts::matches`].
 #[derive(Debug, Default)]
 pub struct TriggerFacts<'p> {
-    facts: Facts,
+    pub(crate) facts: Facts,
     globals: Vec<&'p str>,
     next_branch: usize,
     name_scratch: Vec<&'p str>,

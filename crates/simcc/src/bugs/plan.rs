@@ -122,6 +122,8 @@ pub(crate) struct FactPlan {
     pairs: Vec<(Slot, Slot)>,
     /// The name id each slot holds now.
     ids: Vec<u32>,
+    /// How many slots are holes: the first ones.
+    holes: usize,
     names: Interner,
     /// By name id: the position of the first global declarator with that
     /// name, `u32::MAX` for none.
@@ -153,13 +155,24 @@ impl FactPlan {
         b.finish()
     }
 
-    /// Binds hole `hole` to `name`.
-    pub(crate) fn bind(&mut self, hole: usize, name: &str) {
+    /// Binds hole `hole` to `name`, and says whether its name id changed.
+    pub(crate) fn bind(&mut self, hole: usize, name: &str) -> bool {
         let id = self.names.intern(name);
-        self.ids[hole] = id;
         if self.counts.len() <= id as usize {
             self.counts.resize(id as usize + 1, 0);
         }
+        std::mem::replace(&mut self.ids[hole], id) != id
+    }
+
+    /// How many holes the plan binds.
+    pub(crate) fn holes(&self) -> usize {
+        self.holes
+    }
+
+    /// The name id each hole holds now, hole-indexed (fixed names
+    /// follow): two holes hold one id exactly when they are spelled alike.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// The facts of the variant the holes are bound to now.
@@ -608,6 +621,7 @@ impl<'p> Builder<'p> {
             slots: self.slots,
             pairs: self.pairs,
             ids,
+            holes: self.holes,
             counts: vec![0; self.names.len()],
             names: self.names,
             global_rank,

@@ -5,19 +5,21 @@
 //! The round-trip oracle nevertheless pays print → lex → parse for every
 //! variant, then rediscovers the program's structural facts once per
 //! compiler configuration. This module caches one AST per skeleton and
-//! *splices* each variant's name bindings directly into it,
-//! the way `RenderTemplate` splices strings into a compiled template:
+//! *splices* each variant's name bindings into it, the way
+//! `RenderTemplate` splices strings into a compiled template:
 //!
-//! * [`CachedOracle`] holds one parsed program plus a direct mutable
-//!   handle to every hole's identifier. Observing a variant rewrites
-//!   only the changed bindings (`O(changed)`, typically one string).
+//! * [`CachedOracle`] keeps one name state per variant: a job-local name
+//!   id per hole, held by the fact plan. Observing a variant rebinds
+//!   only the changed holes' ids (`O(changed)`). The cached AST is
+//!   respelled from the bindings by one safe walk over its identifiers,
+//!   and only when a reader needs the tree (the pass pipeline, or a
+//!   reference-memo miss) and some hole changed since the last walk.
 //! * Trigger facts are planned once per job, by one walk that mirrors
 //!   [`scan_facts`](crate::bugs::scan_facts): the facts no name can
 //!   change are constants, and every other fact reads a few name slots,
-//!   evaluated per variant on job-local name ids
-//!   ([`CachedOracle::facts`]). One evaluation serves the whole compiler
-//!   matrix with no AST walk; the round-trip path scans the whole
-//!   program once per compiler.
+//!   evaluated per variant on the name ids ([`CachedOracle::facts`]).
+//!   One evaluation serves the whole compiler matrix with no AST walk;
+//!   the round-trip path scans the whole program once per compiler.
 //! * Pass-pipeline results (optimize + lower) are memoized *within* a
 //!   variant across configurations that share an optimization level and
 //!   triggered wrong-code set: `passes::optimize` reads nothing else
@@ -25,11 +27,11 @@
 //!   usually collapse to one pipeline execution, and so do their
 //!   differential VM runs.
 //! * Reference runs are memoized *across* the job's variants, filed in a
-//!   decision tree under the holes each run read
+//!   decision tree under the name ids of the holes each run read
 //!   ([`interp::run_logged`]): a variant that agrees with an earlier run
 //!   on every hole that run read gets that run's result without
-//!   running. The passes and the VM read the whole program, so only
-//!   the reference is memoized this way.
+//!   running, and without reading the tree. The passes and the VM read
+//!   the whole program, so only the reference is memoized this way.
 //!
 //! # Why splicing is identity-preserving
 //!
@@ -60,11 +62,10 @@
 //! harness reads in that mode is exact. With `check_wrong_code == true`
 //! observations are field-for-field equal to [`Compiler::observe`].
 
-use crate::bugs::{BugKind, BugSpec, FactPlan, Facts};
-use crate::coverage::Coverage;
+use crate::bugs::{BugSpec, FactPlan, Facts};
 use crate::{
-    divergence_from_image, interp, passes, reference_limits, vm, Compiler, Divergence, Ice,
-    Observation,
+    divergence_from_image, interp, optimize_and_lower, reference_limits, triggered, vm, Compiler,
+    Divergence, Observation,
 };
 use spe_minic::ast::{OccId, Program};
 
@@ -74,10 +75,10 @@ use spe_minic::ast::{OccId, Program};
 /// `oracle_cache.*` telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Variants spliced through the delta path (only changed holes
-    /// rewritten).
+    /// Variants bound through the delta path (only changed holes
+    /// rebound).
     pub splice_delta: u64,
-    /// Variants that paid a full resplice of every hole: the first
+    /// Variants that paid a full rebinding of every hole: the first
     /// variant after construction, callers not supplying a delta, and
     /// post-panic self-heals.
     pub splice_full: u64,
@@ -92,82 +93,65 @@ pub struct CacheStats {
     pub reference_runs: u64,
 }
 
-/// A parsed program with a raw mutable handle to each hole's
-/// identifier, so a variant's bindings splice in without reprinting or
-/// reparsing anything.
-///
-/// Safety argument for the `*mut String` slots: each points at the
-/// `Ident::name` of one hole, collected from a single mutable walk at
-/// construction. Those `String` objects live inside heap allocations
-/// owned by the program's `Vec`/`Box` nodes, so moving the
-/// `SplicedAst` (or the `Program` struct inside it) never moves them;
-/// they stay valid because the AST is never structurally mutated after
-/// construction — the only writes ever performed are through the slots
-/// themselves, behind `&mut self`, which cannot overlap the shared
-/// `&Program` reads ([`SplicedAst::program`]) the oracle performs
-/// between splices.
+/// A parsed program whose holes are respelled on demand.
 struct SplicedAst {
     program: Program,
-    /// Hole-indexed pointers to each hole's `Ident::name`.
-    slots: Vec<*mut String>,
     /// Occurrence-indexed hole numbers, [`interp::NOT_A_HOLE`] where an
-    /// occurrence is no hole: the map a logged reference run reads.
+    /// occurrence is no hole: the map the respelling walk and a logged
+    /// reference run read.
     occ_hole: Vec<usize>,
+    /// Some hole was rebound since the last whole walk, so the tree may
+    /// spell an older variant. Only a finished walk clears it: a walk cut
+    /// short by a panic leaves the tree stale for the next reader.
+    stale: bool,
 }
 
 impl SplicedAst {
     /// Builds the spliceable AST; `hole_occs[h]` is the use-site
     /// occurrence filled by names`[h]`. Returns `None` when some hole
     /// occurrence has no identifier in the program (a caller bug).
-    fn new(program: Program, hole_occs: &[OccId]) -> Option<SplicedAst> {
+    fn new(mut program: Program, hole_occs: &[OccId]) -> Option<SplicedAst> {
         let mut occ_hole = vec![interp::NOT_A_HOLE; program.max_occ as usize];
         for (h, occ) in hole_occs.iter().enumerate() {
             *occ_hole.get_mut(occ.0 as usize)? = h;
         }
-        let mut this = SplicedAst {
+        let mut found = 0;
+        program.for_each_ident_mut(&mut |id| found += hole_at(&occ_hole, id.occ).map_or(0, |_| 1));
+        (found == hole_occs.len()).then_some(SplicedAst {
             program,
-            slots: vec![std::ptr::null_mut(); hole_occs.len()],
             occ_hole,
-        };
-        let (slots, occ_hole) = (&mut this.slots, &this.occ_hole);
-        this.program.for_each_ident_mut(&mut |id| {
-            if let Some(&h) = occ_hole.get(id.occ.0 as usize) {
-                if h != interp::NOT_A_HOLE {
-                    slots[h] = &mut id.name as *mut String;
+            stale: false,
+        })
+    }
+
+    /// The tree with hole `h` spelled `names[h]`, respelled by one walk
+    /// when it is stale.
+    fn spelled(&mut self, names: &[&str]) -> &SplicedAst {
+        if self.stale {
+            let occ_hole = &self.occ_hole;
+            self.program.for_each_ident_mut(&mut |id| {
+                if let Some(h) = hole_at(occ_hole, id.occ) {
+                    names[h].clone_into(&mut id.name);
                 }
-            }
-        });
-        if this.slots.iter().any(|p| p.is_null()) {
-            return None;
+            });
+            self.stale = false;
         }
-        Some(this)
+        self
     }
+}
 
-    /// The current program (the last spliced variant).
-    fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Rebinds hole `hole` to `name`.
-    #[allow(unsafe_code)]
-    fn set(&mut self, hole: usize, name: &str) {
-        let slot = self.slots[hole];
-        // SAFETY: see the struct-level argument; `&mut self` guarantees
-        // no `&Program` reference is live across this write.
-        unsafe {
-            let s = &mut *slot;
-            if s.as_str() != name {
-                s.clear();
-                s.push_str(name);
-            }
-        }
-    }
+/// The hole filled at occurrence `occ`, if any.
+fn hole_at(occ_hole: &[usize], occ: OccId) -> Option<usize> {
+    occ_hole
+        .get(occ.0 as usize)
+        .copied()
+        .filter(|&h| h != interp::NOT_A_HOLE)
 }
 
 /// Per-variant memo key: optimization level plus the ordered set of
 /// triggered wrong-code defects — the only inputs `passes::optimize`
 /// reads from a configuration.
-type PipeKey = (u8, Vec<&'static str>);
+type PipeKey = (u8, Vec<&'static BugSpec>);
 
 /// Memoized outcome of one optimize + lower pipeline execution.
 struct PipeEntry {
@@ -185,14 +169,14 @@ struct PipeEntry {
 const REFERENCE_MEMO_NODES: usize = 16_384;
 
 /// The reference results of one job's variants, as a decision tree over
-/// `(hole, spelling)` in the order runs first read their holes.
+/// `(hole, name id)` in the order runs first read their holes.
 ///
 /// Within a job, variants differ only in hole spellings, and the
 /// interpreter is deterministic. So the first hole a run reads is the
-/// same for every variant, the next one depends only on the spelling
-/// read there, and so on: a run that read holes h1…hk takes the same
-/// steps for every variant that agrees with it at h1…hk. Each root-to-
-/// leaf path is one such run, and its leaf holds the run's result.
+/// same for every variant, the next one depends only on the name read
+/// there, and so on: a run that read holes h1…hk takes the same steps
+/// for every variant that agrees with it at h1…hk. Each root-to-leaf
+/// path is one such run, and its leaf holds the run's result.
 ///
 /// The vectors start empty, so a job that never runs the reference
 /// (every compile-only job) allocates nothing here.
@@ -205,58 +189,59 @@ struct ReferenceMemo {
 }
 
 enum MemoNode {
-    /// Runs that reach this node read `hole` next; one edge per spelling
-    /// seen there, to the node of the runs that read that spelling.
+    /// Runs that reach this node read `hole` next; one edge per name id
+    /// seen there, to the node of the runs that read that name.
     Read {
         hole: usize,
-        edges: Vec<(Box<str>, usize)>,
+        edges: Vec<(u32, usize)>,
     },
     /// Runs that reach this node read no further hole and end so.
     Done(Result<interp::Execution, interp::Ub>),
 }
 
 impl ReferenceMemo {
-    /// The reference result of the variant spelled `names`: from the
-    /// tree when an earlier run read only holes it agrees on, otherwise
-    /// from a fresh logged run, which is then filed.
+    /// The reference result of the variant whose hole `h` holds name id
+    /// `ids[h]` and is spelled `names[h]`: from the tree when an earlier
+    /// run read only holes it agrees on, otherwise from a fresh logged
+    /// run on the respelled `ast`, which is then filed.
     fn run(
         &mut self,
-        prog: &Program,
-        occ_hole: &[usize],
+        ids: &[u32],
+        ast: &mut SplicedAst,
         names: &[&str],
         limits: interp::Limits,
         stats: &mut CacheStats,
     ) -> Result<interp::Execution, interp::Ub> {
-        if let Some(result) = self.lookup(names) {
+        if let Some(result) = self.lookup(ids) {
             stats.reference_memo_hits += 1;
             return result.clone();
         }
         stats.reference_runs += 1;
-        let result = interp::run_logged(prog, limits, occ_hole, &mut self.reads);
-        self.file(names, &result);
+        let ast = ast.spelled(names);
+        let result = interp::run_logged(&ast.program, limits, &ast.occ_hole, &mut self.reads);
+        self.file(ids, &result);
         result
     }
 
-    fn lookup(&self, names: &[&str]) -> Option<&Result<interp::Execution, interp::Ub>> {
+    fn lookup(&self, ids: &[u32]) -> Option<&Result<interp::Execution, interp::Ub>> {
         let mut at = 0;
         loop {
             match self.nodes.get(at)? {
                 MemoNode::Done(result) => return Some(result),
                 MemoNode::Read { hole, edges } => {
-                    let spelling = names[*hole];
-                    at = edges.iter().find(|(s, _)| **s == *spelling)?.1;
+                    at = edges.iter().find(|&&(id, _)| id == ids[*hole])?.1;
                 }
             }
         }
     }
 
-    /// Files the fresh run just made on `names`, whose reads are in
+    /// Files the fresh run just made on `ids`, whose reads are in
     /// `self.reads`: follows the path the tree already has for them and
     /// grows a new branch where it ends.
-    fn file(&mut self, names: &[&str], result: &Result<interp::Execution, interp::Ub>) {
+    fn file(&mut self, ids: &[u32], result: &Result<interp::Execution, interp::Ub>) {
         let order = self.reads.order();
-        // The node whose read has no edge for this spelling yet (none
-        // for an empty tree), and the reads after it.
+        // The node whose read has no edge for this name yet (none for an
+        // empty tree), and the reads after it.
         let (fork, rest) = if self.nodes.is_empty() {
             (None, order)
         } else {
@@ -270,7 +255,7 @@ impl ReferenceMemo {
                     debug_assert!(false, "runs disagree on the hole read next");
                     return;
                 }
-                match edges.iter().find(|(s, _)| **s == *names[*hole]) {
+                match edges.iter().find(|&&(id, _)| id == ids[*hole]) {
                     Some(&(_, next)) => at = next,
                     None => break (Some(at), reads.as_slice()),
                 }
@@ -282,14 +267,14 @@ impl ReferenceMemo {
         if let Some(at) = fork {
             let next = self.nodes.len();
             if let MemoNode::Read { hole, edges } = &mut self.nodes[at] {
-                edges.push((names[*hole].into(), next));
+                edges.push((ids[*hole], next));
             }
         }
         for &hole in rest {
             let next = self.nodes.len() + 1;
             self.nodes.push(MemoNode::Read {
                 hole,
-                edges: vec![(names[hole].into(), next)],
+                edges: vec![(ids[hole], next)],
             });
         }
         self.nodes.push(MemoNode::Done(result.clone()));
@@ -313,13 +298,15 @@ struct CompilerSlot {
 /// checkpoint/resume and panic quarantine see exactly the state they
 /// would under the round-trip oracle.
 ///
-/// The oracle is panic-self-healing: if a previous
-/// [`CachedOracle::observe_variant`] unwound mid-splice (leaving some
-/// holes rebound and others not), the next call detects it and
-/// resplices every hole from scratch, ignoring the caller's delta.
+/// The oracle is panic-self-healing. If a previous call unwound while
+/// it rebound holes (leaving some rebound and others not), the next
+/// call detects it and rebinds every hole, ignoring the caller's delta.
+/// If it unwound while respelling the tree, the tree stays stale and the
+/// next reader walks it again.
 pub struct CachedOracle {
     ast: SplicedAst,
-    /// The trigger facts of the variant the AST holds.
+    /// The trigger facts of the variant the holes are bound to, and the
+    /// name id each hole holds.
     plan: FactPlan,
     compilers: Vec<CompilerSlot>,
     check_wrong_code: bool,
@@ -330,7 +317,7 @@ pub struct CachedOracle {
     pipeline: Vec<(PipeKey, PipeEntry)>,
     /// Reference results across the job's variants.
     reference_memo: ReferenceMemo,
-    /// True while an `observe_variant` call is running; still true on
+    /// True while a call is binding or reading the variant; still true on
     /// entry means the previous call panicked partway.
     in_flight: bool,
     stats: CacheStats,
@@ -341,7 +328,7 @@ impl CachedOracle {
     /// program, or the parse of one of its rendered variants, which
     /// differs only in hole spellings — whose hole `h` is the identifier
     /// at occurrence `hole_occs[h]`. The first observed variant
-    /// resplices every hole.
+    /// rebinds every hole.
     ///
     /// Returns `None` if some hole occurrence is not an identifier use
     /// site of `program` (a skeleton's own hole occurrences always are).
@@ -368,7 +355,7 @@ impl CachedOracle {
             obs: Vec::new(),
             pipeline: Vec::new(),
             reference_memo: ReferenceMemo::default(),
-            // The first variant resplices every hole: there is no delta
+            // The first variant rebinds every hole: there is no delta
             // baseline yet.
             in_flight: true,
             stats: CacheStats::default(),
@@ -379,7 +366,7 @@ impl CachedOracle {
     /// [`CachedOracle::observe_variant`] call must supply exactly this
     /// many names.
     pub fn num_holes(&self) -> usize {
-        self.ast.slots.len()
+        self.plan.holes()
     }
 
     /// Cumulative cache-effectiveness counters.
@@ -392,95 +379,61 @@ impl CachedOracle {
     /// in configuration order (the same shape
     /// `backend::CompilerBackend::observe_variant` returns).
     ///
-    /// With `changed: Some(delta)` only the listed holes are respliced;
+    /// With `changed: Some(delta)` only the listed holes are rebound;
     /// the caller guarantees every other hole's binding is unchanged
     /// since the previous call (`spe_core::Variant::changed_holes_into`
-    /// computes exactly this delta). `None` resplices every hole.
+    /// computes exactly this delta). `None` rebinds every hole.
     ///
     /// # Panics
     ///
-    /// Panics if `names` is shorter than [`CachedOracle::num_holes`] or
-    /// a delta index is out of range; the oracle self-heals on the next
-    /// call.
+    /// Panics if a delta index is out of range of `names`, or if `names`
+    /// is shorter than [`CachedOracle::num_holes`] and the variant's tree
+    /// is read; the oracle self-heals on the next call.
     pub fn observe_variant(&mut self, names: &[&str], changed: Option<&[usize]>) -> &[Observation] {
         self.splice(names, changed);
         self.obs.clear();
         self.pipeline.clear();
-        let prog = self.ast.program();
         // One plan evaluation serves every trigger of every compiler.
         let facts = self.plan.facts();
-        let check_wrong_code = self.check_wrong_code;
-        let fuel = self.fuel;
         // The reference executes lazily, at most once per variant — the
         // same schedule as the harness's round-trip path.
         let mut reference: Option<Result<interp::Execution, interp::Ub>> = None;
         for slot in &self.compilers {
-            let opt = slot.compiler.opt();
-            let mut crash: Option<Ice> = None;
-            let mut slow: Vec<&'static str> = Vec::new();
-            let mut wc_ids: Vec<&'static str> = Vec::new();
-            let mut wc_specs: Vec<&BugSpec> = Vec::new();
-            for b in &slot.live {
-                if !facts.matches(b.trigger) {
+            let (slow, wrong_code) = match triggered(slot.live.iter().copied(), &facts) {
+                Ok(verdict) => verdict,
+                Err(ice) => {
+                    self.obs.push(Observation {
+                        ice: Some(ice),
+                        ..Observation::default()
+                    });
                     continue;
                 }
-                match b.kind {
-                    BugKind::Crash(signature) => {
-                        crash = Some(Ice {
-                            bug_id: b.id,
-                            signature,
-                            pass: b.pass,
-                        });
-                        // First triggered crash wins, exactly like
-                        // `Compiler::compile`; later performance /
-                        // wrong-code matches are unobservable.
-                        break;
-                    }
-                    BugKind::Performance => slow.push(b.id),
-                    BugKind::WrongCode => {
-                        wc_ids.push(b.id);
-                        wc_specs.push(b);
-                    }
-                }
-            }
-            if let Some(ice) = crash {
-                self.obs.push(Observation {
-                    ice: Some(ice),
-                    ..Observation::default()
-                });
-                continue;
-            }
-            if !check_wrong_code && slow.is_empty() {
+            };
+            if !self.check_wrong_code && slow.is_empty() {
                 // Nothing the compile-only harness reads can differ
                 // from default — skip the pipeline entirely (the
                 // crash-only fast path that buys the 10×).
                 self.obs.push(Observation::default());
                 continue;
             }
-            let idx = match self
-                .pipeline
-                .iter()
-                .position(|(k, _)| k.0 == opt && k.1 == wc_ids)
-            {
+            let opt = slot.compiler.opt();
+            let idx = match self.pipeline.iter().position(|((o, wc), _)| {
+                *o == opt && wc.iter().map(|b| b.id).eq(wrong_code.iter().map(|b| b.id))
+            }) {
                 Some(i) => {
                     self.stats.pipeline_memo_hits += 1;
                     i
                 }
                 None => {
                     self.stats.pipeline_memo_misses += 1;
-                    let mut ctx = passes::PassCtx {
-                        opt,
-                        wrong_code: wc_specs,
-                        coverage: &mut Coverage::off(),
-                        miscompiled_by: Vec::new(),
-                    };
-                    let optimized = passes::optimize(prog, &mut ctx);
+                    let prog = &self.ast.spelled(names).program;
+                    let (image, miscompiled_by) = optimize_and_lower(prog, opt, wrong_code.clone());
                     let entry = PipeEntry {
-                        image: vm::lower(&optimized).ok(),
-                        miscompiled_by: ctx.miscompiled_by,
+                        image: image.ok(),
+                        miscompiled_by,
                         divergence: None,
                     };
-                    self.pipeline.push(((opt, wc_ids), entry));
+                    self.pipeline.push(((opt, wrong_code), entry));
                     self.pipeline.len() - 1
                 }
             };
@@ -497,28 +450,22 @@ impl CachedOracle {
                 slow_compile: slow,
                 ..Observation::default()
             };
-            if check_wrong_code {
-                if reference.is_none() {
-                    reference = Some(self.reference_memo.run(
-                        prog,
-                        &self.ast.occ_hole,
+            if self.check_wrong_code {
+                let reference = reference.get_or_insert_with(|| {
+                    self.reference_memo.run(
+                        self.plan.ids(),
+                        &mut self.ast,
                         names,
-                        reference_limits(fuel),
+                        reference_limits(self.fuel),
                         &mut self.stats,
-                    ));
-                }
-                match reference.as_ref().expect("just set") {
+                    )
+                });
+                match reference {
                     Err(_) => obs.reference_ub = true,
                     Ok(expected) => {
-                        let divergence = match entry.divergence {
-                            Some(d) => d,
-                            None => {
-                                let d = divergence_from_image(image, expected, fuel);
-                                entry.divergence = Some(d);
-                                d
-                            }
-                        };
-                        obs.divergence = divergence;
+                        obs.divergence = *entry.divergence.get_or_insert_with(|| {
+                            divergence_from_image(image, expected, self.fuel)
+                        });
                     }
                 }
             }
@@ -529,10 +476,10 @@ impl CachedOracle {
     }
 
     /// The reference interpreter's result on the variant spelled
-    /// `names`, spliced in as [`CachedOracle::observe_variant`] splices
-    /// it: the verdict that oracle's wrong-code check starts from. It
-    /// comes from the job's reference memo when an earlier run read
-    /// only holes this variant agrees on.
+    /// `names`, bound as [`CachedOracle::observe_variant`] binds it:
+    /// the verdict that oracle's wrong-code check starts from. It comes
+    /// from the job's reference memo when an earlier run read only holes
+    /// this variant agrees on.
     ///
     /// # Panics
     ///
@@ -544,8 +491,8 @@ impl CachedOracle {
     ) -> Result<interp::Execution, interp::Ub> {
         self.splice(names, changed);
         let result = self.reference_memo.run(
-            self.ast.program(),
-            &self.ast.occ_hole,
+            self.plan.ids(),
+            &mut self.ast,
             names,
             reference_limits(self.fuel),
             &mut self.stats,
@@ -554,8 +501,8 @@ impl CachedOracle {
         result
     }
 
-    /// The trigger facts of the variant spelled `names`, spliced in as
-    /// [`CachedOracle::observe_variant`] splices it: what that oracle's
+    /// The trigger facts of the variant spelled `names`, bound as
+    /// [`CachedOracle::observe_variant`] binds it: what that oracle's
     /// triggers are matched against. They come from the job's fact plan,
     /// not from a scan of the program.
     ///
@@ -570,32 +517,26 @@ impl CachedOracle {
     }
 
     /// Binds the holes to `names` (only the `changed` ones when the
-    /// previous call finished) and marks the oracle in flight; the caller
-    /// clears the mark when it is done.
+    /// previous call finished), marks the tree stale when a binding
+    /// changed, and marks the oracle in flight; the caller clears that
+    /// mark when it is done.
     fn splice(&mut self, names: &[&str], changed: Option<&[usize]>) {
         let must_full = self.in_flight;
         self.in_flight = true;
         match changed {
             Some(delta) if !must_full => {
                 for &h in delta {
-                    self.bind(h, names[h]);
+                    self.ast.stale |= self.plan.bind(h, names[h]);
                 }
                 self.stats.splice_delta += 1;
             }
             _ => {
-                let holes = self.ast.slots.len();
-                for (h, name) in names.iter().enumerate().take(holes) {
-                    self.bind(h, name);
+                for (h, name) in names.iter().enumerate().take(self.plan.holes()) {
+                    self.ast.stale |= self.plan.bind(h, name);
                 }
                 self.stats.splice_full += 1;
             }
         }
-    }
-
-    /// Rebinds hole `hole` to `name` in the AST and in the fact plan.
-    fn bind(&mut self, hole: usize, name: &str) {
-        self.ast.set(hole, name);
-        self.plan.bind(hole, name);
     }
 }
 
@@ -707,36 +648,72 @@ mod tests {
         assert_eq!(fresh.observe_variant(&v1, None), &first[..]);
     }
 
+    /// A panic while binding or while respelling the tree self-heals on
+    /// the next call. Both hole numberings run: along the walk, a walk
+    /// that panics at the last hole has written every other one; against
+    /// it, the walk panics at its first hole, before it writes any.
     #[test]
     fn poisoned_splice_self_heals() {
         let src = "int a, b, c; int main() { a = b + c; return a; }";
         let prog = parse(src).expect("parses");
-        let holes = all_occs(&prog);
         let compilers = wc_compilers();
-        let mut cache =
-            CachedOracle::new(prog.clone(), &holes, &compilers, true, 20_000).expect("builds");
-        let n = holes.len();
-        let good: Vec<&str> = vec!["b"; n];
-        let expected = cache.observe_variant(&good, None).to_vec();
+        let along = all_occs(&prog);
+        let against: Vec<OccId> = along.iter().rev().copied().collect();
+        for holes in [along, against] {
+            let oracle = || {
+                CachedOracle::new(prog.clone(), &holes, &compilers, true, 20_000).expect("builds")
+            };
+            let mut cache = oracle();
+            let n = holes.len();
+            let good: Vec<&str> = vec!["b"; n];
+            let expected = cache.observe_variant(&good, None).to_vec();
+            let poison = |cache: &mut CachedOracle, delta: &[usize]| {
+                let short: Vec<&str> = vec!["c"; n - 1];
+                let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    cache.observe_variant(&short, Some(delta));
+                }));
+                assert!(poisoned.is_err(), "short names slice must panic");
+            };
 
-        // Poison: mutate some bindings, then panic mid-splice.
-        let all: Vec<usize> = (0..n).collect();
-        let short: Vec<&str> = vec!["c"; n - 1];
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.observe_variant(&short, Some(&all));
-        }));
-        assert!(poisoned.is_err(), "short names slice must panic");
+            // Poison: mutate some bindings, then panic mid-splice.
+            let all: Vec<usize> = (0..n).collect();
+            poison(&mut cache, &all);
 
-        // Self-heal: the caller's delta claims nothing changed since
-        // `good`, which is a lie after the partial splice — the oracle
-        // must ignore it and resplice everything.
-        let nothing_changed: Vec<usize> = Vec::new();
-        let healed = cache
-            .observe_variant(&good, Some(&nothing_changed))
-            .to_vec();
-        assert_eq!(healed, expected, "stale AST state leaked past a panic");
-        let mut fresh = CachedOracle::new(prog, &holes, &compilers, true, 20_000).expect("builds");
-        assert_eq!(fresh.observe_variant(&good, None), &expected[..]);
+            // Self-heal: the caller's delta claims nothing changed since
+            // `good`, which is a lie after the partial splice — the oracle
+            // must ignore it and rebind everything.
+            let healed = cache.observe_variant(&good, Some(&[])).to_vec();
+            assert_eq!(healed, expected, "stale AST state leaked past a panic");
+
+            // Poison the respelling walk instead: the delta names only
+            // holes the short slice covers, so binding finishes and the
+            // walk over the tree panics at the last hole.
+            let in_range: Vec<usize> = (0..n - 1).collect();
+            let bound = cache.stats().splice_delta;
+            poison(&mut cache, &in_range);
+            assert_eq!(cache.stats().splice_delta, bound + 1, "binding finished");
+            let healed = cache.observe_variant(&good, Some(&[])).to_vec();
+            assert_eq!(healed, expected, "a walk cut short left the tree fresh");
+            assert_eq!(oracle().observe_variant(&good, None), &expected[..]);
+
+            // Once more, healed with the names the cut-short call bound:
+            // no binding changes, so only the stale flag makes the next
+            // reader walk the tree.
+            poison(&mut cache, &in_range);
+            let mut same = vec!["c"; n - 1];
+            same.push("b");
+            let healed = cache.observe_variant(&same, Some(&[])).to_vec();
+            let mut renamed = prog.clone();
+            renamed.for_each_ident_mut(&mut |id| {
+                let h = holes.iter().position(|&o| o == id.occ).expect("a hole");
+                id.name = same[h].to_string();
+            });
+            assert_eq!(
+                spe_minic::print_program(&cache.ast.program),
+                spe_minic::print_program(&renamed)
+            );
+            assert_eq!(oracle().observe_variant(&same, None), &healed[..]);
+        }
     }
 
     /// Compile-only mode: the fields the harness reads (`ice`,

@@ -33,7 +33,7 @@
 //! binaries (the `spe-subproc` crate) through one interface.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod bugs;
@@ -43,7 +43,7 @@ pub mod interp;
 pub mod passes;
 pub mod vm;
 
-use bugs::{registry, BugKind, BugSpec};
+use bugs::{registry, BugKind, BugSpec, Facts};
 use coverage::Coverage;
 use spe_minic::ast::Program;
 use std::fmt;
@@ -207,47 +207,59 @@ impl Compiler {
     /// [`CompileError::Ice`] when a seeded crash defect triggers;
     /// [`CompileError::Unsupported`] for non-lowerable constructs.
     pub fn compile(&self, p: &Program) -> Result<Compiled, CompileError> {
-        // One structural scan answers every live trigger (previously
-        // each trigger re-walked the whole AST).
-        let facts = bugs::scan_facts(p);
-        let triggered: Vec<&BugSpec> = self.live().filter(|b| facts.matches(b.trigger)).collect();
-        if let Some(crash) = triggered.iter().find_map(|b| match b.kind {
-            BugKind::Crash(sig) => Some(Ice {
-                bug_id: b.id,
-                signature: sig,
-                pass: b.pass,
-            }),
-            _ => None,
-        }) {
-            return Err(CompileError::Ice(crash));
-        }
-        let slow_compile_bugs: Vec<&'static str> = triggered
-            .iter()
-            .filter(|b| matches!(b.kind, BugKind::Performance))
-            .map(|b| b.id)
-            .collect();
-        let wrong_code: Vec<&BugSpec> = triggered
-            .iter()
-            .copied()
-            .filter(|b| matches!(b.kind, BugKind::WrongCode))
-            .collect();
-
-        let mut ctx = passes::PassCtx {
-            opt: self.opt,
-            wrong_code,
-            coverage: &mut Coverage::off(),
-            miscompiled_by: Vec::new(),
-        };
-        let optimized = passes::optimize(p, &mut ctx);
-        let miscompiled_by = std::mem::take(&mut ctx.miscompiled_by);
-        let image = vm::lower(&optimized).map_err(|e| CompileError::Unsupported(e.0))?;
-
+        let (slow_compile_bugs, wrong_code) =
+            triggered(self.live(), &bugs::scan_facts(p).facts).map_err(CompileError::Ice)?;
+        let (image, miscompiled_by) = optimize_and_lower(p, self.opt, wrong_code);
         Ok(Compiled {
-            image,
+            image: image?,
             miscompiled_by,
             slow_compile_bugs,
         })
     }
+}
+
+/// What a configuration's `live` defects make of a program with these
+/// `facts`: the first triggered crash, or else the ids of the triggered
+/// performance defects and the triggered wrong-code defects, in `live`
+/// order.
+pub(crate) fn triggered(
+    live: impl IntoIterator<Item = &'static BugSpec>,
+    facts: &Facts,
+) -> Result<(Vec<&'static str>, Vec<&'static BugSpec>), Ice> {
+    let (mut slow, mut wrong_code) = (Vec::new(), Vec::new());
+    for b in live.into_iter().filter(|b| facts.matches(b.trigger)) {
+        match b.kind {
+            BugKind::Crash(signature) => {
+                return Err(Ice {
+                    bug_id: b.id,
+                    signature,
+                    pass: b.pass,
+                })
+            }
+            BugKind::Performance => slow.push(b.id),
+            BugKind::WrongCode => wrong_code.push(b),
+        }
+    }
+    Ok((slow, wrong_code))
+}
+
+/// Optimizes `p` at `opt` with the `wrong_code` defects armed, then
+/// lowers it: the image, or [`CompileError::Unsupported`], and the ids
+/// of the defects whose rewrite applied. Records no coverage.
+pub(crate) fn optimize_and_lower(
+    p: &Program,
+    opt: u8,
+    wrong_code: Vec<&BugSpec>,
+) -> (Result<vm::Image, CompileError>, Vec<&'static str>) {
+    let mut ctx = passes::PassCtx {
+        opt,
+        wrong_code,
+        coverage: &mut Coverage::off(),
+        miscompiled_by: Vec::new(),
+    };
+    let image =
+        vm::lower(&passes::optimize(p, &mut ctx)).map_err(|e| CompileError::Unsupported(e.0));
+    (image, ctx.miscompiled_by)
 }
 
 /// The bug-relevant outcome of compiling (and, differentially, running)

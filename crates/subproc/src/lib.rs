@@ -584,6 +584,76 @@ fn parse_protocol(stdout: &str) -> Option<RunReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Protocol outputs a fixture prints: both verdicts, with and without
+    /// output lines, CRLF endings, extreme codes and multi-byte UTF-8.
+    const PROTOCOL_OUTPUTS: &[&str] = &[
+        "exit 0\n",
+        "exit 42\nhello\nworld\n",
+        "exit -9223372036854775808\n1,2\n",
+        "exit 9223372036854775807\r\nfmt:1,2\r\n",
+        "exit 3\n\n\nno newline",
+        "exit 7\nπ → 𝄞\n",
+        "trap\n",
+        "trap\nleftover output\n",
+    ];
+
+    /// Parses mutated bytes as the backend reads stdout, except that
+    /// invalid UTF-8 is replaced rather than dropped, which reaches more
+    /// strings. A panic fails the test. A report must come only from a
+    /// first line that reads `trap`, or `exit ` and an `i64`, up to
+    /// trailing whitespace, and carry that `i64`.
+    fn check_bytes(bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
+        let first = text.split('\n').next().unwrap_or("").trim_end();
+        let code = first.strip_prefix("exit ").map(|n| n.trim().parse::<i64>());
+        match parse_protocol(&text) {
+            None => {}
+            Some(RunReport::Trapped) => assert_eq!(first, "trap", "{text:?}"),
+            Some(RunReport::Exited { code: got, .. }) => {
+                assert_eq!(code, Some(Ok(got)), "{text:?}")
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_protocol_output_is_refused_or_well_formed() {
+        for out in PROTOCOL_OUTPUTS {
+            assert!(parse_protocol(out).is_some(), "{out:?}");
+            for cut in 0..out.len() {
+                check_bytes(&out.as_bytes()[..cut]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn a_protocol_output_with_one_flipped_bit_is_refused_or_well_formed(
+            pick in 0usize..64,
+            at in 0usize..4096,
+            bit in 0u8..8,
+        ) {
+            let mut bytes = PROTOCOL_OUTPUTS[pick % PROTOCOL_OUTPUTS.len()].as_bytes().to_vec();
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            check_bytes(&bytes);
+        }
+
+        #[test]
+        fn a_protocol_output_with_inserted_bytes_is_refused_or_well_formed(
+            pick in 0usize..64,
+            at in 0usize..4096,
+            inserted in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 1..17),
+        ) {
+            let mut bytes = PROTOCOL_OUTPUTS[pick % PROTOCOL_OUTPUTS.len()].as_bytes().to_vec();
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, inserted);
+            check_bytes(&bytes);
+        }
+    }
 
     #[test]
     fn protocol_parses_exit_trap_and_rejects_garbage() {

@@ -1291,7 +1291,7 @@ fn fleet_merges_refuse_trailing_garbage_and_a_repeated_last_frame() {
         })
         .collect();
     assert_eq!(
-        merge_journals(&paths).expect("merge"),
+        merge_journals(&paths).expect("merge").report,
         campaign.run(&files, &config)
     );
     let pristine = std::fs::read(&paths[1]).expect("journal bytes");
