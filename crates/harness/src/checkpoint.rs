@@ -913,3 +913,98 @@ pub(crate) fn replay_reduction(
     }
     Ok((slots, Some(journal)))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A two-file manifest with the given fleet trailer.
+    fn manifest(fleet: Option<FleetStamp>) -> Manifest {
+        Manifest {
+            config: CampaignConfig {
+                compilers: vec![
+                    Compiler::new(CompilerId::gcc(700), 2),
+                    Compiler::new(CompilerId::clang(390), 0),
+                ],
+                budget: 50,
+                algorithm: Algorithm::Canonical,
+                check_wrong_code: true,
+                fuel: 20_000,
+            },
+            shards_per_file: 2,
+            files: spe_corpus::seeds::all().into_iter().take(2).collect(),
+            backend_id: "simcc".into(),
+            backend_hash: 0x5eed,
+            fleet,
+        }
+    }
+
+    /// Decodes mutated manifest bytes. A panic fails the test; a
+    /// manifest that decodes must carry a valid stamp and re-encode to
+    /// exactly `bytes`. Returns the refusal otherwise.
+    fn decode(bytes: &[u8]) -> Option<CheckpointError> {
+        let decoded = catch_unwind(AssertUnwindSafe(|| Manifest::decode(bytes)))
+            .unwrap_or_else(|_| panic!("decode panicked on {bytes:?}"));
+        let manifest = match decoded {
+            Ok(manifest) => manifest,
+            Err(e) => return Some(e),
+        };
+        if let Some(s) = manifest.fleet {
+            assert!(s.n_hosts >= 1 && s.host_id < s.n_hosts, "{s:?}");
+        }
+        assert_eq!(
+            manifest.encode(),
+            bytes,
+            "decoded, but re-encodes otherwise"
+        );
+        None
+    }
+
+    #[test]
+    fn every_mutation_of_the_fleet_trailer_is_refused_or_re_encodes_exactly() {
+        let start = manifest(None).encode().len() - 1;
+        let (mut decoded, mut refused_stamps) = (0usize, 0usize);
+        let mut tally = |refusal: Option<CheckpointError>| match refusal {
+            None => decoded += 1,
+            Some(CheckpointError::Foreign(what)) if what.starts_with("fleet stamp names host") => {
+                refused_stamps += 1
+            }
+            Some(_) => {}
+        };
+        let stamp = FleetStamp {
+            fleet_id: 0xf1ee_7000_0000_0001,
+            n_hosts: 3,
+            host_id: 1,
+        };
+        for fleet in [Some(stamp), None] {
+            let bytes = manifest(fleet).encode();
+            assert!(decode(&bytes).is_none(), "the unmutated manifest decodes");
+            for cut in start..bytes.len() {
+                tally(decode(&bytes[..cut]));
+            }
+            for at in start..bytes.len() {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= 1 << bit;
+                    tally(decode(&flipped));
+                }
+            }
+            for at in start..=bytes.len() {
+                for len in 1..=16u8 {
+                    let n = usize::from(len);
+                    for inserted in [vec![0; n], vec![1; n], vec![0xff; n], (1..=len).collect()] {
+                        let mut grown = bytes.clone();
+                        grown.splice(at..at, inserted);
+                        tally(decode(&grown));
+                    }
+                }
+            }
+        }
+        assert!(decoded > 0, "some mutations leave a valid manifest");
+        assert!(
+            refused_stamps > 0,
+            "some mutations name a host outside the fleet"
+        );
+    }
+}

@@ -26,6 +26,13 @@
 //!   [`Outcome::warnings`] entry instead of aborting — the journal keeps
 //!   its last committed state and remains resumable.
 //!
+//! A file's skeleton and prepared variant space live only while that
+//! file's jobs run. The first of its jobs to start prepares them into an
+//! entry that its sibling shards share by [`Arc`], and the job that
+//! finishes the file's last pending job of the run drops the entry, so
+//! a run's memory is bounded by its live jobs, not by its corpus
+//! (`tests/campaign_memory.rs`).
+//!
 //! The full failure taxonomy — compiler *verdict* vs backend *machinery
 //! error* vs worker *panic* vs *journal fault*, and which layer absorbs
 //! each — is laid out in `DESIGN.md` §11. Determinism is unchanged from
@@ -55,7 +62,7 @@ use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How the orchestrator responds to infrastructure faults — checkpoint
@@ -485,6 +492,21 @@ impl Sink<'_> {
     }
 }
 
+/// A file's skeleton and prepared variant space, computed once by
+/// whichever of its jobs gets there first (`None` when the file does not
+/// parse). A preparation that panics leaves the cell empty.
+type Prepared = OnceLock<Option<(spe_core::Skeleton, spe_core::VariantSpace)>>;
+
+/// One file's share of a run: how many of its dealt jobs have not
+/// finished, and — while any has started — the [`Prepared`] entry they
+/// hold. The job that brings `pending` to zero clears the entry, so the
+/// file's state is freed with its last job, not with the run.
+#[derive(Default)]
+struct FileSlot {
+    pending: usize,
+    entry: Option<Arc<Prepared>>,
+}
+
 /// Extracts a printable message from a [`catch_unwind`] payload.
 pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
     payload
@@ -522,6 +544,15 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
     let deal_timer = Timer::start(telemetry);
     let pending: Vec<usize> = (0..jobs.len()).filter(|&i| !jobs[i].done).collect();
     let dealt = pending.len();
+    // Only the jobs this run deals count: a resume's finished jobs and
+    // a fleet host's foreign ones are already `done`.
+    let mut slots: Vec<Mutex<FileSlot>> = (0..files.len()).map(|_| Mutex::default()).collect();
+    for &i in &pending {
+        slots[i / shards_per_file]
+            .get_mut()
+            .expect("poisoned")
+            .pending += 1;
+    }
     let queue = WorkQueue::new(pending, workers);
     if telemetry.enabled() {
         telemetry.gauge(
@@ -548,10 +579,6 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
     // replayed partials afterwards.
     let continuations: Mutex<Vec<Option<ShardOutput>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
-    // Per-file skeleton + materialized variant space, computed once by
-    // whichever worker reaches the file first and shared by the rest.
-    let prepared: Vec<OnceLock<Option<(spe_core::Skeleton, spe_core::VariantSpace)>>> =
-        (0..files.len()).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
             let queue = &queue;
@@ -559,7 +586,7 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
             let stop = &stop;
             let processed = &processed;
             let continuations = &continuations;
-            let prepared = &prepared;
+            let slots = &slots;
             let jobs = &jobs;
             scope.spawn(move || {
                 let mut buf = String::new();
@@ -584,6 +611,15 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     let (file_idx, shard) = (i / shards_per_file, i % shards_per_file);
                     let file = &files[file_idx];
                     let skip = jobs[i].emitted;
+                    // The file's shared entry, made by the first of its
+                    // jobs to start.
+                    let entry = Arc::clone(
+                        slots[file_idx]
+                            .lock()
+                            .expect("poisoned")
+                            .entry
+                            .get_or_insert_with(Default::default),
+                    );
                     // A job that panics before its first variant must
                     // not quarantine with the previous job's variant.
                     let mut started = false;
@@ -608,8 +644,8 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                         // constraint masks. A panicking init leaves the
                         // cell empty, so each of the file's jobs retries
                         // and is quarantined alike.
-                        let Some((sk, space)) = prepared[file_idx]
-                            .get_or_init(|| prepare_file(file, shards_per_file, config))
+                        let Some((sk, space)) =
+                            entry.get_or_init(|| prepare_file(file, shards_per_file, config))
                         else {
                             return;
                         };
@@ -701,7 +737,7 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                         // variant, or when its render panics too.
                         let rendered = started
                             && catch_unwind(AssertUnwindSafe(|| {
-                                let (sk, _) = prepared[file_idx]
+                                let (sk, _) = entry
                                     .get()
                                     .and_then(Option::as_ref)
                                     .expect("a variant in hand comes from its prepared file");
@@ -724,6 +760,16 @@ fn run(campaign: &Campaign<'_>, spec: Spec<'_>) -> Outcome {
                     if killed {
                         return;
                     }
+                    // The file's last job clears its slot; the skeleton
+                    // and space go when this worker drops `entry`.
+                    {
+                        let mut slot = slots[file_idx].lock().expect("poisoned");
+                        slot.pending -= 1;
+                        if slot.pending == 0 {
+                            slot.entry = None;
+                        }
+                    }
+                    drop(entry);
                     // The job's final frame: the tail delta, marked
                     // done (written even when the delta is empty, since
                     // it carries the completion).

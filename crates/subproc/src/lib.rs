@@ -276,15 +276,17 @@ impl SubprocBackend {
         self.launches.fetch_add(1, Ordering::Relaxed);
         telemetry.counter(spe_telemetry::names::SUBPROC_LAUNCHES, 1);
         // Reader threads keep both pipes drained so a chatty child can
-        // never deadlock against a full pipe buffer.
+        // never deadlock against a full pipe buffer. Bytes that are not
+        // UTF-8 are replaced, not dropped: only the protocol's first line
+        // decides "garbage stdout", and a crash line on stderr keeps its
+        // text.
         let drain = |stream: Option<Box<dyn std::io::Read + Send>>| {
             std::thread::spawn(move || {
-                let mut s = String::new();
+                let mut bytes = Vec::new();
                 if let Some(mut r) = stream {
-                    // Non-UTF-8 chatter is garbage; triage handles it.
-                    let _ = r.read_to_string(&mut s);
+                    let _ = r.read_to_end(&mut bytes);
                 }
-                s
+                String::from_utf8_lossy(&bytes).into_owned()
             })
         };
         let out = drain(
@@ -599,9 +601,8 @@ mod tests {
         "trap\nleftover output\n",
     ];
 
-    /// Parses mutated bytes as the backend reads stdout, except that
-    /// invalid UTF-8 is replaced rather than dropped, which reaches more
-    /// strings. A panic fails the test. A report must come only from a
+    /// Parses mutated bytes as the backend reads stdout, invalid UTF-8
+    /// replaced. A panic fails the test. A report must come only from a
     /// first line that reads `trap`, or `exit ` and an `i64`, up to
     /// trailing whitespace, and carry that `i64`.
     fn check_bytes(bytes: &[u8]) {

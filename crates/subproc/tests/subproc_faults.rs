@@ -201,6 +201,38 @@ fn garbage_and_truncated_stdout_are_ices() {
 }
 
 #[test]
+fn stdout_that_is_not_utf8_is_compared_not_garbage() {
+    // The protocol line is well formed; the output line is byte 0xff.
+    // The reference for TRIVIAL prints nothing, so the run diverges.
+    let dir = fixture_dir("stdout-not-utf8");
+    let script = write_script(&dir, "cc", "printf 'exit 0\\n\\377\\n'");
+    let backend = backend_in(&dir, &script, |_| {});
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), Some(10_000))
+        .expect("verdict");
+    assert!(obs.ice.is_none(), "{:?}", obs.ice);
+    assert_eq!(obs.divergence, Some(Divergence::Output));
+}
+
+#[test]
+fn a_crash_line_that_is_not_utf8_keeps_its_signature() {
+    let dir = fixture_dir("stderr-not-utf8");
+    let script = write_script(
+        &dir,
+        "cc",
+        "printf 'cc1: internal compiler error: in \\377\\n' >&2\nexit 4",
+    );
+    let backend = backend_in(&dir, &script, |_| {});
+    let obs = backend
+        .observe_config(TRIVIAL, cc(), None)
+        .expect("verdict");
+    assert_eq!(
+        obs.ice.expect("abnormal exit is an ICE verdict").signature,
+        "cc1: internal compiler error: in \u{fffd}"
+    );
+}
+
+#[test]
 fn protocol_divergences_map_onto_wrong_code_classes() {
     // Reference for TRIVIAL: exit 0, no output. Each lying compiler
     // must surface as wrong code with the precise divergence class the

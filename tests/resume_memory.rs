@@ -4,53 +4,18 @@
 //! while collecting the same journal's records into memory necessarily
 //! allocates it whole.
 //!
-//! One test, alone in its binary: the measurement uses a process-global
-//! counting allocator, and sibling tests would pollute the peaks.
+//! One test, alone in its binary: the measurement uses the
+//! process-global counting allocator of `tests/counting`, and sibling
+//! tests would pollute the peaks.
 
+mod counting;
+
+use counting::measure;
 use spe::harness::checkpoint::{
     resume_campaign, run_campaign_checkpointed, CampaignStatus, CheckpointOptions,
 };
 use spe::harness::CampaignConfig;
 use spe::persist::JournalIter;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Wraps the system allocator with live/peak byte counters.
-struct Counting;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(p, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` and returns its result plus the peak allocation (in bytes)
-/// above the live baseline at entry.
-fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let baseline = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(baseline, Ordering::Relaxed);
-    let result = f();
-    (
-        result,
-        PEAK.load(Ordering::Relaxed).saturating_sub(baseline),
-    )
-}
 
 /// A straight-line program with eight candidate variables feeding many
 /// holes: its canonical variant space dwarfs any budget this test uses,
