@@ -69,6 +69,4 @@ pub use orbit::{enumerate_orbits, orbit_count, orbit_solutions};
 pub use paper::{enumerate_paper, paper_count, paper_solutions};
 pub use rgs::{labels_to_rgs, rgs_block_count, rgs_to_blocks, ExactRgs, Rgs};
 pub use shard::{even_ranges, rgs_unrank};
-pub use stirling::{
-    bell, partitions_at_most, partitions_at_most_estimate, stirling2, stirling2_clamped,
-};
+pub use stirling::{bell, partitions_at_most, stirling2, stirling2_clamped};

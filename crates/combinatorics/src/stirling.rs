@@ -123,25 +123,6 @@ pub fn bell(n: u32) -> BigUint {
     partitions_at_most(n, n)
 }
 
-/// Floating-point estimate of `Σ_{i=1}^{k} {n i}` via the asymptotic
-/// `{n k} ~ k^n / k!` used in the paper's Equation (2). Useful for quick
-/// magnitude estimates; exact values should use [`partitions_at_most`].
-///
-/// ```
-/// use spe_combinatorics::partitions_at_most_estimate;
-/// let est = partitions_at_most_estimate(20, 3);
-/// assert!(est > 0.0);
-/// ```
-pub fn partitions_at_most_estimate(n: u32, k: u32) -> f64 {
-    let mut acc = 0.0f64;
-    let mut factorial = 1.0f64;
-    for i in 1..=k.max(1) {
-        factorial *= i as f64;
-        acc += (i as f64).powi(n as i32) / factorial;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,18 +188,5 @@ mod tests {
         // {100 50} is astronomically large; just sanity-check magnitude.
         let v = stirling2(100, 50);
         assert!(v.log10() > 80.0);
-    }
-
-    #[test]
-    fn estimate_tracks_exact_for_moderate_n() {
-        for (n, k) in [(10u32, 2u32), (15, 3), (20, 4)] {
-            let exact = partitions_at_most(n, k).to_f64();
-            let est = partitions_at_most_estimate(n, k);
-            let ratio = est / exact;
-            assert!(
-                (0.5..2.0).contains(&ratio),
-                "estimate off at ({n},{k}): {est} vs {exact}"
-            );
-        }
     }
 }

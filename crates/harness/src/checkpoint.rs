@@ -166,24 +166,24 @@ fn algorithm_tag(a: Algorithm) -> u8 {
 /// otherwise through the process-wide interner — external backends
 /// record triage classes (crash-signature lines, signal names) as bug
 /// ids, which no registry can enumerate up front.
-fn intern_bug_id(id: &str) -> Result<&'static str, CheckpointError> {
-    Ok(bugs::registry()
+fn intern_bug_id(id: &str) -> &'static str {
+    bugs::registry()
         .iter()
         .map(|b| b.id)
         .find(|&known| known == id)
-        .unwrap_or_else(|| spe_simcc::backend::intern(id)))
+        .unwrap_or_else(|| spe_simcc::backend::intern(id))
 }
 
 /// As [`intern_bug_id`]: the built-in simulator families keep their
 /// canonical statics, external families go through the interner.
-fn intern_family(family: &str, version: u32) -> Result<CompilerId, CheckpointError> {
+fn intern_family(family: &str, version: u32) -> CompilerId {
     match family {
-        "gcc-sim" => Ok(CompilerId::gcc(version)),
-        "clang-sim" => Ok(CompilerId::clang(version)),
-        other => Ok(CompilerId {
+        "gcc-sim" => CompilerId::gcc(version),
+        "clang-sim" => CompilerId::clang(version),
+        other => CompilerId {
             family: spe_simcc::backend::intern(other),
             version,
-        }),
+        },
     }
 }
 
@@ -221,13 +221,10 @@ fn decode_finding(dec: &mut Decoder) -> Result<Finding, CheckpointError> {
         _ => return Err(CheckpointError::Foreign("finding kind tag".into())),
     };
     let family = dec.str()?;
-    let compiler = intern_family(&family, dec.u32()?)?;
+    let compiler = intern_family(&family, dec.u32()?);
     let opt = decode_opt(dec)?;
     let signature = dec.str()?;
-    let bug_id = match dec.opt_str()? {
-        Some(id) => Some(intern_bug_id(&id)?),
-        None => None,
-    };
+    let bug_id = dec.opt_str()?.map(|id| intern_bug_id(&id));
     // Candidates are checkpointed pre-merge: dedup links and reduced
     // witnesses are recomputed deterministically downstream.
     Ok(Finding::new(
@@ -391,7 +388,7 @@ impl Manifest {
         let mut compilers = Vec::new();
         for _ in 0..dec.usize()? {
             let family = dec.str()?;
-            let id = intern_family(&family, dec.u32()?)?;
+            let id = intern_family(&family, dec.u32()?);
             compilers.push(Compiler::new(id, decode_opt(&mut dec)?));
         }
         let budget = dec.usize()?;
@@ -618,7 +615,13 @@ impl Replay {
                     None
                 };
                 dec.expect_empty()?;
-                self.reduced.insert(finding, (signature, witness));
+                // Each finding's witness is written once, so a second
+                // record (valid checksum and all) is not this writer's.
+                if self.reduced.insert(finding, (signature, witness)).is_some() {
+                    return Err(CheckpointError::Foreign(format!(
+                        "a second reduction record for finding {finding}"
+                    )));
+                }
             }
             REC_REDUCTION_OPTIONS => {
                 let options = ReductionOptions {
@@ -630,7 +633,13 @@ impl Replay {
                     },
                 };
                 dec.expect_empty()?;
-                self.reduction_options = Some(options);
+                // Written only when none is recorded: witnesses recorded
+                // under one set of options must not resume under another.
+                if self.reduction_options.replace(options).is_some() {
+                    return Err(CheckpointError::Foreign(
+                        "a second reduction-options record".into(),
+                    ));
+                }
             }
             _ => return Err(CheckpointError::Foreign("record tag".into())),
         }

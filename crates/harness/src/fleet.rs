@@ -100,14 +100,6 @@ impl FleetPlan {
         even_ranges(self.job_count(files), self.n_hosts.max(1))[host_id].clone()
     }
 
-    /// The host that owns `job` (inverse of [`FleetPlan::host_jobs`]).
-    /// `None` when `job` is out of range.
-    pub fn owner_of(&self, job: usize, files: usize) -> Option<usize> {
-        even_ranges(self.job_count(files), self.n_hosts.max(1))
-            .iter()
-            .position(|r| r.contains(&job))
-    }
-
     /// The manifest stamp of host `host_id`, refused when the host is
     /// outside the plan.
     pub(crate) fn stamp(&self, host_id: usize) -> Result<FleetStamp, CheckpointError> {

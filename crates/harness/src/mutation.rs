@@ -8,7 +8,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use spe_minic::ast::{Program, Stmt};
+use spe_minic::ast::{Item, Node, Program, Stmt};
+use std::ops::ControlFlow;
 
 /// Generates up to `n_variants` mutants of `src`, each deleting up to
 /// `delete` expression statements. Returns fewer variants when the
@@ -68,64 +69,46 @@ fn count_deletable(p: &Program) -> usize {
 }
 
 fn count_stmt(s: &Stmt, n: &mut usize) {
-    match s {
-        Stmt::Expr(_) => *n += 1,
-        Stmt::Block(b) => b.iter().for_each(|s| count_stmt(s, n)),
-        Stmt::If(_, t, e) => {
-            count_stmt(t, n);
-            if let Some(e) = e {
-                count_stmt(e, n);
-            }
-        }
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => count_stmt(b, n),
-        Stmt::Label(_, inner) => count_stmt(inner, n),
-        _ => {}
+    if let Stmt::Expr(_) = s {
+        *n += 1;
     }
+    let _ = s.children(|c| {
+        if let Node::Stmt(c) = c {
+            count_stmt(c, n);
+        }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 fn delete_statements(p: &Program, kill: &[usize]) -> Program {
     let mut counter = 0usize;
     let mut prog = p.clone();
     for item in &mut prog.items {
-        if let spe_minic::ast::Item::Func(f) = item {
-            f.body = f
-                .body
-                .iter()
-                .map(|s| rewrite(s, kill, &mut counter))
-                .collect();
+        if let Item::Func(f) = item {
+            f.body
+                .iter_mut()
+                .for_each(|s| rewrite(s, kill, &mut counter));
         }
     }
     prog
 }
 
-fn rewrite(s: &Stmt, kill: &[usize], counter: &mut usize) -> Stmt {
-    match s {
-        Stmt::Expr(_) => {
-            let idx = *counter;
-            *counter += 1;
-            if kill.contains(&idx) {
-                Stmt::Empty
-            } else {
-                s.clone()
-            }
+/// Empties the expression statements under `s` whose index (in the
+/// order [`count_stmt`] counts them) is in `kill`.
+fn rewrite(s: &mut Stmt, kill: &[usize], counter: &mut usize) {
+    if let Stmt::Expr(_) = s {
+        if kill.contains(counter) {
+            *s = Stmt::Empty;
         }
-        Stmt::Block(b) => Stmt::Block(b.iter().map(|s| rewrite(s, kill, counter)).collect()),
-        Stmt::If(c, t, e) => Stmt::If(
-            c.clone(),
-            Box::new(rewrite(t, kill, counter)),
-            e.as_ref().map(|e| Box::new(rewrite(e, kill, counter))),
-        ),
-        Stmt::While(c, b) => Stmt::While(c.clone(), Box::new(rewrite(b, kill, counter))),
-        Stmt::DoWhile(b, c) => Stmt::DoWhile(Box::new(rewrite(b, kill, counter)), c.clone()),
-        Stmt::For(i, c, st, b) => Stmt::For(
-            i.clone(),
-            c.clone(),
-            st.clone(),
-            Box::new(rewrite(b, kill, counter)),
-        ),
-        Stmt::Label(l, inner) => Stmt::Label(l.clone(), Box::new(rewrite(inner, kill, counter))),
-        other => other.clone(),
+        *counter += 1;
+        return;
     }
+    let _ = s.children_mut(|c| {
+        if let Node::Stmt(c) = c {
+            rewrite(c, kill, counter);
+        }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 #[cfg(test)]

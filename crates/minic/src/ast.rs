@@ -6,8 +6,30 @@
 //! operator, calls, and compound assignment. Every *use* of a variable is
 //! an [`ExprKind::Ident`] carrying a unique [`OccId`] — the raw material
 //! for skeleton extraction.
+//!
+//! # One enumeration of a node's children
+//!
+//! Which children a node has, and in what order, is decided here and
+//! nowhere else. [`Expr::children`] calls a visitor on an expression's
+//! direct sub-expressions in evaluation order; [`Stmt::children`] calls
+//! it on a statement's direct children in source order, each a
+//! [`Node`]: a sub-statement or an expression (a condition, step, value
+//! or declarator initializer). The visitor returns a [`ControlFlow`]: a
+//! `Break` stops the enumeration and is returned, so a search or a
+//! check that fails stops at its first hit. Each has a `_mut` twin with
+//! the same order, and each pair is generated from one exhaustive
+//! `match` with no wildcard arm, so a new node kind breaks the build in
+//! this module and nowhere else. A walk that only descends — the
+//! variable-use visitors below, sema's expression resolver, the
+//! trigger-fact scan, the coverage probe, the pass pipeline's analyses,
+//! the reducer and the mutation baseline — keeps its per-kind logic and
+//! leaves the descent to these enumerations. Walks whose per-kind logic
+//! *is* the behaviour (the printer, the parser, tree comparison, the
+//! interpreter, rewrites that skip store targets) keep their own
+//! `match`.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Unique id of a variable occurrence (use site), assigned by the parser
 /// in source order.
@@ -352,34 +374,68 @@ pub enum ExprKind {
     Comma(Box<Expr>, Box<Expr>),
 }
 
-impl Expr {
-    /// Visits every variable use site in evaluation order.
-    pub fn for_each_ident<'a, F: FnMut(&'a Ident)>(&'a self, f: &mut F) {
-        match &self.kind {
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_) => {}
-            ExprKind::Ident(id) => f(id),
-            ExprKind::Unary(_, e) | ExprKind::Post(_, e) | ExprKind::Cast(_, e) => {
-                e.for_each_ident(f)
-            }
+/// The one enumeration of an expression's direct sub-expressions, for
+/// [`Expr::children`] and [`Expr::children_mut`].
+macro_rules! expr_children {
+    ($kind:expr, $f:ident) => {
+        match $kind {
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Ident(_) => ControlFlow::Continue(()),
+            ExprKind::Unary(_, a)
+            | ExprKind::Post(_, a)
+            | ExprKind::Cast(_, a)
+            | ExprKind::Member(a, _, _) => $f(a),
             ExprKind::Binary(_, a, b)
             | ExprKind::Assign(_, a, b)
             | ExprKind::Index(a, b)
             | ExprKind::Comma(a, b) => {
-                a.for_each_ident(f);
-                b.for_each_ident(f);
+                $f(a)?;
+                $f(b)
             }
             ExprKind::Ternary(c, t, e) => {
-                c.for_each_ident(f);
-                t.for_each_ident(f);
-                e.for_each_ident(f);
+                $f(c)?;
+                $f(t)?;
+                $f(e)
             }
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    a.for_each_ident(f);
-                }
-            }
-            ExprKind::Member(e, _, _) => e.for_each_ident(f),
+            ExprKind::Call(_, args) => args.into_iter().try_for_each($f),
         }
+    };
+}
+
+impl Expr {
+    /// Calls `f` on each direct sub-expression in evaluation order: the
+    /// operand of a unary, postfix, cast or member expression; `a, b` of
+    /// a binary, assignment, index or comma expression; `c, t, e` of a
+    /// ternary; a call's arguments; none for literals and identifiers.
+    /// The first `Break` that `f` returns ends the visit and is returned.
+    #[inline]
+    pub fn children<'a, B>(
+        &'a self,
+        mut f: impl FnMut(&'a Expr) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        expr_children!(&self.kind, f)
+    }
+
+    /// Mutable counterpart of [`Expr::children`], in the same order.
+    #[inline]
+    pub fn children_mut<'a, B>(
+        &'a mut self,
+        mut f: impl FnMut(&'a mut Expr) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        expr_children!(&mut self.kind, f)
+    }
+
+    /// Visits every variable use site in evaluation order.
+    pub fn for_each_ident<'a, F: FnMut(&'a Ident)>(&'a self, f: &mut F) {
+        if let ExprKind::Ident(id) = &self.kind {
+            return f(id);
+        }
+        let _ = self.children(|c| {
+            c.for_each_ident(f);
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// Mutable counterpart of [`Expr::for_each_ident`]: visits every
@@ -387,31 +443,13 @@ impl Expr {
     /// caller can rewrite the spelled name in place (the splice seam of
     /// the incremental oracle).
     pub fn for_each_ident_mut<F: FnMut(&mut Ident)>(&mut self, f: &mut F) {
-        match &mut self.kind {
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_) => {}
-            ExprKind::Ident(id) => f(id),
-            ExprKind::Unary(_, e) | ExprKind::Post(_, e) | ExprKind::Cast(_, e) => {
-                e.for_each_ident_mut(f)
-            }
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                a.for_each_ident_mut(f);
-                b.for_each_ident_mut(f);
-            }
-            ExprKind::Ternary(c, t, e) => {
-                c.for_each_ident_mut(f);
-                t.for_each_ident_mut(f);
-                e.for_each_ident_mut(f);
-            }
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    a.for_each_ident_mut(f);
-                }
-            }
-            ExprKind::Member(e, _, _) => e.for_each_ident_mut(f),
+        if let ExprKind::Ident(id) = &mut self.kind {
+            return f(id);
         }
+        let _ = self.children_mut(|c| {
+            c.for_each_ident_mut(f);
+            ControlFlow::<()>::Continue(())
+        });
     }
 }
 
@@ -467,63 +505,112 @@ pub enum Stmt {
     Empty,
 }
 
-impl Stmt {
-    /// Visits every variable use site under this statement in source
-    /// order with mutable access (see [`Program::for_each_ident_mut`]).
-    pub fn for_each_ident_mut<F: FnMut(&mut Ident)>(&mut self, f: &mut F) {
-        match self {
-            Stmt::Expr(e) => e.for_each_ident_mut(f),
-            Stmt::Decl(decls) => {
-                for d in decls {
-                    if let Some(init) = &mut d.init {
-                        init.for_each_ident_mut(f);
+/// A direct child of a statement: `Node<&Stmt, &Expr>` from
+/// [`Stmt::children`], `Node<&mut Stmt, &mut Expr>` from
+/// [`Stmt::children_mut`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Node<S, E> {
+    /// A sub-statement.
+    Stmt(S),
+    /// An expression: a condition, step, value or initializer.
+    Expr(E),
+}
+
+/// The one enumeration of a statement's direct children, for
+/// [`Stmt::children`] and [`Stmt::children_mut`].
+macro_rules! stmt_children {
+    ($stmt:expr, $f:ident) => {
+        match $stmt {
+            Stmt::Expr(e) | Stmt::Return(Some(e)) => $f(Node::Expr(e)),
+            Stmt::Decl(ds) => {
+                for d in ds {
+                    if let VarDeclarator { init: Some(e), .. } = d {
+                        $f(Node::Expr(e))?;
                     }
                 }
+                ControlFlow::Continue(())
             }
-            Stmt::Block(b) => {
-                for s in b {
-                    s.for_each_ident_mut(f);
-                }
-            }
+            Stmt::Block(b) => b.into_iter().try_for_each(|s| $f(Node::Stmt(s))),
             Stmt::If(c, t, e) => {
-                c.for_each_ident_mut(f);
-                t.for_each_ident_mut(f);
-                if let Some(e) = e {
-                    e.for_each_ident_mut(f);
+                $f(Node::Expr(c))?;
+                $f(Node::Stmt(t))?;
+                match e {
+                    Some(e) => $f(Node::Stmt(e)),
+                    None => ControlFlow::Continue(()),
                 }
             }
             Stmt::While(c, b) => {
-                c.for_each_ident_mut(f);
-                b.for_each_ident_mut(f);
+                $f(Node::Expr(c))?;
+                $f(Node::Stmt(b))
             }
             Stmt::DoWhile(b, c) => {
-                b.for_each_ident_mut(f);
-                c.for_each_ident_mut(f);
+                $f(Node::Stmt(b))?;
+                $f(Node::Expr(c))
             }
-            Stmt::For(init, cond, step, b) => {
+            Stmt::For(init, c, st, b) => {
                 match init {
                     Some(ForInit::Decl(ds)) => {
                         for d in ds {
-                            if let Some(i) = &mut d.init {
-                                i.for_each_ident_mut(f);
+                            if let VarDeclarator { init: Some(e), .. } = d {
+                                $f(Node::Expr(e))?;
                             }
                         }
                     }
-                    Some(ForInit::Expr(e)) => e.for_each_ident_mut(f),
+                    Some(ForInit::Expr(e)) => $f(Node::Expr(e))?,
                     None => {}
                 }
-                if let Some(c) = cond {
-                    c.for_each_ident_mut(f);
+                if let Some(c) = c {
+                    $f(Node::Expr(c))?;
                 }
-                if let Some(st) = step {
-                    st.for_each_ident_mut(f);
+                if let Some(st) = st {
+                    $f(Node::Expr(st))?;
                 }
-                b.for_each_ident_mut(f);
+                $f(Node::Stmt(b))
             }
-            Stmt::Return(Some(e)) => e.for_each_ident_mut(f),
-            Stmt::Label(_, inner) => inner.for_each_ident_mut(f),
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Goto(_) | Stmt::Empty => {}
+            Stmt::Label(_, s) => $f(Node::Stmt(s)),
+            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Goto(_) | Stmt::Empty => {
+                ControlFlow::Continue(())
+            }
         }
+    };
+}
+
+impl Stmt {
+    /// Calls `f` on each direct child in source order: a declaration's
+    /// initializers; an `if`'s condition, then- and else-branch; a
+    /// `while`'s condition, then its body; a `do`'s body, then its
+    /// condition; a `for`'s initializer (declarator initializers or an
+    /// expression), condition, step and body; a block's statements; a
+    /// label's statement; an expression statement's expression and a
+    /// `return`'s value. The first `Break` that `f` returns ends the
+    /// visit and is returned.
+    #[inline]
+    pub fn children<'a, B>(
+        &'a self,
+        mut f: impl FnMut(Node<&'a Stmt, &'a Expr>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        stmt_children!(self, f)
+    }
+
+    /// Mutable counterpart of [`Stmt::children`], in the same order.
+    #[inline]
+    pub fn children_mut<'a, B>(
+        &'a mut self,
+        mut f: impl FnMut(Node<&'a mut Stmt, &'a mut Expr>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        stmt_children!(self, f)
+    }
+
+    /// Visits every variable use site under this statement in source
+    /// order with mutable access (see [`Program::for_each_ident_mut`]).
+    pub fn for_each_ident_mut<F: FnMut(&mut Ident)>(&mut self, f: &mut F) {
+        let _ = self.children_mut(|c| {
+            match c {
+                Node::Stmt(s) => s.for_each_ident_mut(f),
+                Node::Expr(e) => e.for_each_ident_mut(f),
+            }
+            ControlFlow::<()>::Continue(())
+        });
     }
 }
 

@@ -10,6 +10,7 @@
 use crate::ast::*;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Identifier of a scope in the [`SymbolTable`]'s scope tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -400,32 +401,14 @@ impl Analyzer {
     }
 
     fn expr(&mut self, e: &Expr, scope: ScopeId) -> Result<(), SemaError> {
-        match &e.kind {
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_) => Ok(()),
-            ExprKind::Ident(id) => self.resolve(id, scope),
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => {
-                self.expr(a, scope)
-            }
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                self.expr(a, scope)?;
-                self.expr(b, scope)
-            }
-            ExprKind::Ternary(c, t, els) => {
-                self.expr(c, scope)?;
-                self.expr(t, scope)?;
-                self.expr(els, scope)
-            }
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    self.expr(a, scope)?;
-                }
-                Ok(())
-            }
-            ExprKind::Member(a, _, _) => self.expr(a, scope),
+        if let ExprKind::Ident(id) = &e.kind {
+            return self.resolve(id, scope);
         }
+        let first_error = e.children(|c| match self.expr(c, scope) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(err) => ControlFlow::Break(err),
+        });
+        first_error.break_value().map_or(Ok(()), Err)
     }
 
     fn resolve(&mut self, id: &Ident, scope: ScopeId) -> Result<(), SemaError> {

@@ -20,7 +20,11 @@
 //!    and the drop point is triaged as a [`TailCorruption`] carrying
 //!    the frame's byte offset and the reason its validation failed;
 //! 3. **Durability**: [`Journal::append`] flushes and fsyncs before
-//!    returning, so an acknowledged record survives power loss.
+//!    returning, so an acknowledged record survives power loss. An
+//!    append that fails leaves the committed prefix unchanged, byte for
+//!    byte: the file is cut back to it before the error returns, so a
+//!    retry cannot write its frame twice (and if the cut fails too, the
+//!    journal refuses every later append).
 //!
 //! [`JournalIter`] is the one reader. It **streams** one frame at a
 //! time, so replaying a multi-GB campaign journal needs memory
@@ -150,9 +154,10 @@ impl std::error::Error for JournalError {
 /// crate's own corruption tests) must provoke `ENOSPC`/`EIO`-style
 /// append failures deterministically, which no real filesystem does on
 /// cue. An injection arms the **next `count` appends whose journal path
-/// contains `path_contains`** to fail with the given OS error before
-/// touching the file — the journal's committed prefix is untouched,
-/// exactly like a real failed write. Scoping by path substring keeps
+/// contains `path_contains`** to fail with the given OS error after the
+/// frame is written, where a failed fsync strikes, so every injected
+/// fault exercises [`Journal::append`]'s cut back to the committed
+/// prefix. Scoping by path substring keeps
 /// concurrently running tests (one process, many journals) from
 /// consuming each other's faults.
 #[doc(hidden)]
@@ -203,8 +208,12 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     /// File length after the last acknowledged append (the gauge the
-    /// telemetry sink reports as journal growth).
+    /// telemetry sink reports as journal growth, and the length a failed
+    /// append is cut back to).
     len: u64,
+    /// A failed append's bytes could not be cut off: every later append
+    /// is refused.
+    torn: bool,
 }
 
 impl Journal {
@@ -246,6 +255,7 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             len,
+            torn: false,
         })
     }
 
@@ -254,22 +264,34 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`JournalError::Io`] when the write or sync fails; the
-    /// journal's committed prefix is unaffected (a partial frame at the
-    /// tail is dropped on the next read).
+    /// Returns [`JournalError::Io`] when the write or sync fails. The
+    /// file is then cut back to the committed prefix, byte for byte, so
+    /// a retried append writes its frame once. If that cut fails too,
+    /// this and every later append is refused, rather than written after
+    /// bytes the journal could not remove.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        if let Some(injected) = faults::take(&self.path) {
-            return Err(JournalError::io("append", &self.path, injected));
+        if self.torn {
+            return Err(JournalError::io(
+                "append",
+                &self.path,
+                io::Error::other("an earlier failed append could not be rolled back"),
+            ));
         }
         let telemetry = spe_telemetry::global();
         let write_timer = spe_telemetry::Timer::start(&*telemetry);
-        write_frame(&mut self.file, payload)
-            .map_err(|e| JournalError::io("append", &self.path, e))?;
+        let written =
+            write_frame(&mut self.file, payload).and_then(|()| match faults::take(&self.path) {
+                Some(injected) => Err(injected),
+                None => Ok(()),
+            });
+        if let Err(e) = written {
+            return Err(self.roll_back("append", e));
+        }
         let write_ns = write_timer.stop_nanos();
         let sync_timer = spe_telemetry::Timer::start(&*telemetry);
-        self.file
-            .sync_data()
-            .map_err(|e| JournalError::io("fsync", &self.path, e))?;
+        if let Err(e) = self.file.sync_data() {
+            return Err(self.roll_back("fsync", e));
+        }
         self.len += (FRAME_HEADER + payload.len()) as u64;
         if telemetry.enabled() {
             use spe_telemetry::names;
@@ -288,16 +310,19 @@ impl Journal {
         Ok(())
     }
 
-    /// The journal's file length in bytes after the last acknowledged
-    /// append (committed prefix only — a torn tail from a failed
-    /// append is not counted).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
-
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Cuts the file back to the last acknowledged length and seeks
+    /// there after a failed append; returns `cause` as the append's
+    /// error. When the cut fails as well, the journal is marked torn.
+    fn roll_back(&mut self, op: &'static str, cause: io::Error) -> JournalError {
+        let len = self.len;
+        let cut = self
+            .file
+            .set_len(len)
+            .and_then(|()| self.file.seek(SeekFrom::Start(len)));
+        if cut.is_err() {
+            self.torn = true;
+        }
+        JournalError::io(op, &self.path, cause)
     }
 }
 
@@ -616,6 +641,7 @@ impl JournalIter {
             file,
             path,
             len: self.valid_len,
+            torn: false,
         })
     }
 

@@ -21,9 +21,10 @@
 //! preserved, and the canonical witness keeps reproducing.
 
 use spe_minic::ast::{
-    Expr, ExprKind, ForInit, Function, Item, Param, Program, Stmt, StructDef, VarDeclarator,
+    Expr, ExprKind, ForInit, Function, Item, Node, Param, Program, Stmt, StructDef, VarDeclarator,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Names the canonical namer must never produce: everything that is not a
 /// variable (callees, function and struct names) plus the language's
@@ -35,82 +36,33 @@ fn reserved_names(p: &Program) -> HashSet<String> {
         "else", "while", "for", "do", "return", "break", "continue", "goto", "sizeof",
     ];
     let mut out: HashSet<String> = KEYWORDS.iter().map(|s| s.to_string()).collect();
-    fn exprs(e: &Expr, out: &mut HashSet<String>) {
-        if let ExprKind::Call(name, _) = &e.kind {
-            out.insert(name.clone());
-        }
-        match &e.kind {
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => exprs(a, out),
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                exprs(a, out);
-                exprs(b, out);
-            }
-            ExprKind::Ternary(c, t, e2) => {
-                exprs(c, out);
-                exprs(t, out);
-                exprs(e2, out);
-            }
-            ExprKind::Call(_, args) => args.iter().for_each(|a| exprs(a, out)),
-            ExprKind::Member(a, _, _) => exprs(a, out),
-            _ => {}
-        }
-    }
-    fn stmts(s: &Stmt, out: &mut HashSet<String>) {
-        match s {
-            Stmt::Expr(e) | Stmt::Return(Some(e)) => exprs(e, out),
-            Stmt::Decl(ds) => ds
-                .iter()
-                .filter_map(|d| d.init.as_ref())
-                .for_each(|e| exprs(e, out)),
-            Stmt::Block(b) => b.iter().for_each(|s| stmts(s, out)),
-            Stmt::If(c, t, e) => {
-                exprs(c, out);
-                stmts(t, out);
-                if let Some(e) = e {
-                    stmts(e, out);
+    fn walk(c: Node<&Stmt, &Expr>, out: &mut HashSet<String>) -> ControlFlow<()> {
+        match c {
+            Node::Stmt(s) => s.children(|c| walk(c, out)),
+            Node::Expr(e) => {
+                if let ExprKind::Call(name, _) = &e.kind {
+                    out.insert(name.clone());
                 }
+                e.children(|c| walk(Node::Expr(c), out))
             }
-            Stmt::While(c, b) | Stmt::DoWhile(b, c) => {
-                exprs(c, out);
-                stmts(b, out);
-            }
-            Stmt::For(init, cond, step, b) => {
-                match init {
-                    Some(ForInit::Decl(ds)) => ds
-                        .iter()
-                        .filter_map(|d| d.init.as_ref())
-                        .for_each(|e| exprs(e, out)),
-                    Some(ForInit::Expr(e)) => exprs(e, out),
-                    None => {}
-                }
-                if let Some(c) = cond {
-                    exprs(c, out);
-                }
-                if let Some(st) = step {
-                    exprs(st, out);
-                }
-                stmts(b, out);
-            }
-            Stmt::Label(_, inner) => stmts(inner, out),
-            _ => {}
         }
     }
     for item in &p.items {
         match item {
             Item::Func(f) => {
                 out.insert(f.name.clone());
-                f.body.iter().for_each(|s| stmts(s, &mut out));
+                for s in &f.body {
+                    let _ = walk(Node::Stmt(s), &mut out);
+                }
             }
             Item::Struct(s) => {
                 out.insert(s.name.clone());
             }
-            Item::Global(ds) => ds
-                .iter()
-                .filter_map(|d| d.init.as_ref())
-                .for_each(|e| exprs(e, &mut out)),
+            Item::Global(ds) => {
+                for e in ds.iter().filter_map(|d| d.init.as_ref()) {
+                    let _ = walk(Node::Expr(e), &mut out);
+                }
+            }
         }
     }
     out
@@ -222,27 +174,21 @@ pub fn canonicalize(p: &Program) -> Program {
 
 /// Canonical names for a function's labels, in definition order.
 fn label_map(body: &[Stmt], reserved: &HashSet<String>) -> HashMap<String, String> {
-    fn collect(s: &Stmt, out: &mut Vec<String>) {
-        match s {
-            Stmt::Label(l, inner) => {
-                if !out.contains(l) {
-                    out.push(l.clone());
-                }
-                collect(inner, out);
+    fn collect(s: &Stmt, out: &mut Vec<String>) -> ControlFlow<()> {
+        if let Stmt::Label(l, _) = s {
+            if !out.contains(l) {
+                out.push(l.clone());
             }
-            Stmt::Block(b) => b.iter().for_each(|s| collect(s, out)),
-            Stmt::If(_, t, e) => {
-                collect(t, out);
-                if let Some(e) = e {
-                    collect(e, out);
-                }
-            }
-            Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => collect(b, out),
-            _ => {}
         }
+        s.children(|c| match c {
+            Node::Stmt(c) => collect(c, out),
+            Node::Expr(_) => ControlFlow::Continue(()),
+        })
     }
     let mut defined = Vec::new();
-    body.iter().for_each(|s| collect(s, &mut defined));
+    for s in body {
+        let _ = collect(s, &mut defined);
+    }
     let mut map = HashMap::new();
     let mut i = 0usize;
     for old in defined {

@@ -15,7 +15,8 @@
 //! entirely: declarator initializers and `for` conditions/steps.
 
 use crate::{printed_len, Shrinker};
-use spe_minic::ast::{Expr, ExprKind, ForInit, Item, Program, Stmt};
+use spe_minic::ast::{Expr, ExprKind, ForInit, Item, Node, Program, Stmt};
+use std::ops::ControlFlow;
 
 /// Runs the expression-level passes once.
 pub(crate) fn reduce(p: &mut Program, sh: &mut Shrinker) {
@@ -63,86 +64,18 @@ fn find_in_stmts<'a>(
     next: &mut usize,
     target: usize,
 ) -> Option<&'a mut Expr> {
-    for s in stmts.iter_mut() {
-        if let Some(found) = find_in_stmt(s, next, target) {
-            return Some(found);
-        }
-    }
-    None
+    stmts.iter_mut().find_map(|s| find_in_stmt(s, next, target))
 }
 
 fn find_in_stmt<'a>(s: &'a mut Stmt, next: &mut usize, target: usize) -> Option<&'a mut Expr> {
-    match s {
-        Stmt::Expr(e) => claim(e, next, target),
-        Stmt::Decl(decls) => {
-            for d in decls {
-                if let Some(init) = &mut d.init {
-                    if let Some(found) = claim(init, next, target) {
-                        return Some(found);
-                    }
-                }
-            }
-            None
-        }
-        Stmt::Block(b) => find_in_stmts(b, next, target),
-        Stmt::If(c, t, e) => {
-            if let Some(found) = claim(c, next, target) {
-                return Some(found);
-            }
-            if let Some(found) = find_in_stmt(t, next, target) {
-                return Some(found);
-            }
-            match e {
-                Some(e) => find_in_stmt(e, next, target),
-                None => None,
-            }
-        }
-        Stmt::While(c, b) => {
-            if let Some(found) = claim(c, next, target) {
-                return Some(found);
-            }
-            find_in_stmt(b, next, target)
-        }
-        Stmt::DoWhile(b, c) => {
-            if let Some(found) = find_in_stmt(b, next, target) {
-                return Some(found);
-            }
-            claim(c, next, target)
-        }
-        Stmt::For(init, cond, step, b) => {
-            match init {
-                Some(ForInit::Decl(ds)) => {
-                    for d in ds {
-                        if let Some(i) = &mut d.init {
-                            if let Some(found) = claim(i, next, target) {
-                                return Some(found);
-                            }
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => {
-                    if let Some(found) = claim(e, next, target) {
-                        return Some(found);
-                    }
-                }
-                None => {}
-            }
-            if let Some(c) = cond {
-                if let Some(found) = claim(c, next, target) {
-                    return Some(found);
-                }
-            }
-            if let Some(st) = step {
-                if let Some(found) = claim(st, next, target) {
-                    return Some(found);
-                }
-            }
-            find_in_stmt(b, next, target)
-        }
-        Stmt::Return(Some(e)) => claim(e, next, target),
-        Stmt::Label(_, inner) => find_in_stmt(inner, next, target),
-        _ => None,
-    }
+    s.children_mut(|c| {
+        let found = match c {
+            Node::Stmt(s) => find_in_stmt(s, next, target),
+            Node::Expr(e) => claim(e, next, target),
+        };
+        found.map_or(ControlFlow::Continue(()), ControlFlow::Break)
+    })
+    .break_value()
 }
 
 fn count_slots(p: &mut Program) -> usize {
@@ -169,97 +102,45 @@ fn count_slots(p: &mut Program) -> usize {
 // Node addressing within one expression (pre-order).
 // ---------------------------------------------------------------------
 
-fn children(e: &Expr) -> Vec<&Expr> {
-    match &e.kind {
-        ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => vec![a],
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => vec![a, b],
-        ExprKind::Ternary(c, t, e2) => vec![c, t, e2],
-        ExprKind::Call(_, args) => args.iter().collect(),
-        ExprKind::Member(a, _, _) => vec![a],
-        _ => Vec::new(),
-    }
-}
-
 fn node_count(e: &Expr) -> usize {
-    1 + children(e).iter().map(|c| node_count(c)).sum::<usize>()
+    let mut n = 1;
+    let _ = e.children(|c| {
+        n += node_count(c);
+        ControlFlow::<()>::Continue(())
+    });
+    n
 }
 
-fn node_at<'a>(e: &'a Expr, next: &mut usize, target: usize) -> Option<&'a Expr> {
+/// Breaks with the node whose pre-order id is `target`.
+fn node_at<'a>(e: &'a Expr, next: &mut usize, target: usize) -> ControlFlow<&'a Expr> {
     let id = *next;
     *next += 1;
     if id == target {
-        return Some(e);
+        return ControlFlow::Break(e);
     }
-    match &e.kind {
-        ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => {
-            node_at(a, next, target)
-        }
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => {
-            if let Some(found) = node_at(a, next, target) {
-                return Some(found);
-            }
-            node_at(b, next, target)
-        }
-        ExprKind::Ternary(c, t, e2) => {
-            if let Some(found) = node_at(c, next, target) {
-                return Some(found);
-            }
-            if let Some(found) = node_at(t, next, target) {
-                return Some(found);
-            }
-            node_at(e2, next, target)
-        }
-        ExprKind::Call(_, args) => {
-            for a in args {
-                if let Some(found) = node_at(a, next, target) {
-                    return Some(found);
-                }
-            }
-            None
-        }
-        ExprKind::Member(a, _, _) => node_at(a, next, target),
-        _ => None,
-    }
+    e.children(|c| node_at(c, next, target))
 }
 
-fn replace_node(e: &mut Expr, next: &mut usize, target: usize, new: &Expr) -> bool {
+/// Replaces the node whose pre-order id is `target` with `new`, and
+/// breaks once it has.
+fn replace_node(e: &mut Expr, next: &mut usize, target: usize, new: &Expr) -> ControlFlow<()> {
     let id = *next;
     *next += 1;
     if id == target {
         *e = new.clone();
-        return true;
+        return ControlFlow::Break(());
     }
-    match &mut e.kind {
-        ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => {
-            replace_node(a, next, target, new)
-        }
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => {
-            replace_node(a, next, target, new) || replace_node(b, next, target, new)
-        }
-        ExprKind::Ternary(c, t, e2) => {
-            replace_node(c, next, target, new)
-                || replace_node(t, next, target, new)
-                || replace_node(e2, next, target, new)
-        }
-        ExprKind::Call(_, args) => args.iter_mut().any(|a| replace_node(a, next, target, new)),
-        ExprKind::Member(a, _, _) => replace_node(a, next, target, new),
-        _ => false,
-    }
+    e.children_mut(|c| replace_node(c, next, target, new))
 }
 
 /// Replacement candidates for one node, most aggressive first: each
 /// direct sub-expression, then the literal `0`.
 fn candidates(node: &Expr) -> Vec<Expr> {
-    let mut out: Vec<Expr> = children(node).into_iter().cloned().collect();
+    let mut out = Vec::new();
+    let _ = node.children(|c| {
+        out.push(c.clone());
+        ControlFlow::<()>::Continue(())
+    });
     if !matches!(node.kind, ExprKind::IntLit(_)) {
         out.push(Expr {
             id: node.id,
@@ -281,11 +162,13 @@ fn simplify_slots(p: &mut Program, sh: &mut Shrinker) {
         'outer: for slot in 0..count_slots(p) {
             let expr = find_slot(p, slot).expect("slot < count").clone();
             for node_idx in 0..node_count(&expr) {
-                let node = node_at(&expr, &mut 0, node_idx).expect("node < count");
+                let node = node_at(&expr, &mut 0, node_idx)
+                    .break_value()
+                    .expect("node < count");
                 for cand in candidates(node) {
                     let mut cand_p = p.clone();
                     let slot_expr = find_slot(&mut cand_p, slot).expect("same shape");
-                    assert!(replace_node(slot_expr, &mut 0, node_idx, &cand));
+                    assert!(replace_node(slot_expr, &mut 0, node_idx, &cand).is_break());
                     if printed_len(&cand_p) <= before && sh.accepts(&cand_p) {
                         *p = cand_p;
                         changed = true;

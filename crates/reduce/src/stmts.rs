@@ -17,7 +17,8 @@
 
 use crate::ddmin::ddmin;
 use crate::{printed_len, Shrinker};
-use spe_minic::ast::{Item, Program, Stmt};
+use spe_minic::ast::{Item, Node, Program, Stmt};
+use std::ops::ControlFlow;
 
 /// Runs all statement-level passes once.
 pub(crate) fn reduce(p: &mut Program, sh: &mut Shrinker) {
@@ -80,23 +81,16 @@ fn find_in_list<'a>(
 }
 
 fn find_in_stmt<'a>(s: &'a mut Stmt, next: &mut usize, target: usize) -> Option<&'a mut Vec<Stmt>> {
-    match s {
-        Stmt::Block(b) => find_in_list(b, next, target),
-        Stmt::If(_, t, e) => {
-            if let Some(found) = find_in_stmt(t, next, target) {
-                return Some(found);
-            }
-            match e {
-                Some(e) => find_in_stmt(e, next, target),
-                None => None,
-            }
-        }
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => {
-            find_in_stmt(b, next, target)
-        }
-        Stmt::Label(_, inner) => find_in_stmt(inner, next, target),
-        _ => None,
+    if let Stmt::Block(b) = s {
+        return find_in_list(b, next, target);
     }
+    s.children_mut(|c| match c {
+        Node::Stmt(s) => {
+            find_in_stmt(s, next, target).map_or(ControlFlow::Continue(()), ControlFlow::Break)
+        }
+        Node::Expr(_) => ControlFlow::Continue(()),
+    })
+    .break_value()
 }
 
 fn count_lists(p: &mut Program) -> usize {

@@ -11,6 +11,7 @@
 //! trunk experiment (§5.3).
 
 use spe_minic::ast::*;
+use std::ops::ControlFlow;
 
 mod plan;
 pub(crate) use plan::FactPlan;
@@ -381,23 +382,16 @@ impl<'p> TriggerFacts<'p> {
     fn decl_after_label(stmts: &[Stmt], after_label: &mut bool, found: &mut bool) {
         for s in stmts {
             match s {
-                Stmt::Label(_, inner) => {
-                    *after_label = true;
-                    Self::decl_after_label(std::slice::from_ref(inner), after_label, found);
-                }
+                Stmt::Label(..) => *after_label = true,
                 Stmt::Decl(_) if *after_label => *found = true,
-                Stmt::Block(b) => Self::decl_after_label(b, after_label, found),
-                Stmt::If(_, t, e) => {
-                    Self::decl_after_label(std::slice::from_ref(t), after_label, found);
-                    if let Some(e) = e {
-                        Self::decl_after_label(std::slice::from_ref(e), after_label, found);
-                    }
-                }
-                Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => {
-                    Self::decl_after_label(std::slice::from_ref(b), after_label, found);
-                }
                 _ => {}
             }
+            let _ = s.children(|c| {
+                if let Node::Stmt(c) = c {
+                    Self::decl_after_label(std::slice::from_ref(c), after_label, found);
+                }
+                ControlFlow::<()>::Continue(())
+            });
         }
     }
 
@@ -564,15 +558,12 @@ impl<'p> TriggerFacts<'p> {
     }
 
     fn contains_loop(s: &Stmt) -> bool {
-        match s {
-            Stmt::While(..) | Stmt::DoWhile(..) | Stmt::For(..) => true,
-            Stmt::Block(b) => b.iter().any(Self::contains_loop),
-            Stmt::If(_, t, e) => {
-                Self::contains_loop(t) || e.as_ref().is_some_and(|e| Self::contains_loop(e))
-            }
-            Stmt::Label(_, inner) => Self::contains_loop(inner),
-            _ => false,
-        }
+        matches!(s, Stmt::While(..) | Stmt::DoWhile(..) | Stmt::For(..))
+            || s.children(|c| match c {
+                Node::Stmt(c) if Self::contains_loop(c) => ControlFlow::Break(()),
+                _ => ControlFlow::Continue(()),
+            })
+            .is_break()
     }
 
     fn expr_in_loop_cond(&mut self, e: &'p Expr) {
@@ -658,61 +649,30 @@ impl<'p> TriggerFacts<'p> {
             }
             _ => {}
         }
-        // Recurse.
-        match &e.kind {
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => {
-                self.expr_patterns(a)
-            }
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                self.expr_patterns(a);
-                self.expr_patterns(b);
-            }
-            ExprKind::Ternary(c, t, els) => {
-                self.expr_patterns(c);
-                self.expr_patterns(t);
-                self.expr_patterns(els);
-            }
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    self.expr_patterns(a);
-                }
-            }
-            ExprKind::Member(a, _, _) => self.expr_patterns(a),
-            _ => {}
-        }
+        let _ = e.children(|c| {
+            self.expr_patterns(c);
+            ControlFlow::<()>::Continue(())
+        });
     }
 }
 
 fn contains_call(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Call(name, _) if name != "__init_list" => true,
-        ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => contains_call(a),
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => contains_call(a) || contains_call(b),
-        ExprKind::Ternary(c, t, e2) => contains_call(c) || contains_call(t) || contains_call(e2),
-        ExprKind::Call(_, args) => args.iter().any(contains_call),
-        ExprKind::Member(a, _, _) => contains_call(a),
-        _ => false,
+    fn search(e: &Expr) -> ControlFlow<()> {
+        match &e.kind {
+            ExprKind::Call(name, _) if name != "__init_list" => ControlFlow::Break(()),
+            _ => e.children(search),
+        }
     }
+    search(e).is_break()
 }
 
 fn expr_depth(e: &Expr) -> usize {
-    1 + match &e.kind {
-        ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => expr_depth(a),
-        ExprKind::Binary(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => expr_depth(a).max(expr_depth(b)),
-        ExprKind::Ternary(c, t, e2) => expr_depth(c).max(expr_depth(t)).max(expr_depth(e2)),
-        ExprKind::Call(_, args) => args.iter().map(expr_depth).max().unwrap_or(0),
-        ExprKind::Member(a, _, _) => expr_depth(a),
-        _ => 0,
-    }
+    let mut deepest = 0;
+    let _ = e.children(|c| {
+        deepest = deepest.max(expr_depth(c));
+        ControlFlow::<()>::Continue(())
+    });
+    1 + deepest
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use super::{contains_call, expr_depth, Facts, TriggerFacts};
 use crate::interp::NOT_A_HOLE;
 use spe_minic::ast::*;
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// Where a site reads a name: an index into [`FactPlan::ids`]. The holes
 /// come first, then one slot per distinct name the program spells where
@@ -557,28 +557,10 @@ impl<'p> Builder<'p> {
             }
             _ => {}
         }
-        match &e.kind {
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => self.patterns(a),
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                self.patterns(a);
-                self.patterns(b);
-            }
-            ExprKind::Ternary(c, t, els) => {
-                self.patterns(c);
-                self.patterns(t);
-                self.patterns(els);
-            }
-            ExprKind::Call(_, args) => {
-                for a in args {
-                    self.patterns(a);
-                }
-            }
-            ExprKind::Member(a, _, _) => self.patterns(a),
-            _ => {}
-        }
+        let _ = e.children(|c| {
+            self.patterns(c);
+            ControlFlow::<()>::Continue(())
+        });
     }
 
     /// A site where `which` holds if `a` and `b` are equal: none when

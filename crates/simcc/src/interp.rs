@@ -24,6 +24,7 @@
 use crate::newest;
 use spe_minic::ast::*;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1122,17 +1123,12 @@ fn label_index(stmts: &[Stmt], label: &str) -> Option<usize> {
 }
 
 fn stmt_defines_label(s: &Stmt, label: &str) -> bool {
-    match s {
-        Stmt::Label(l, inner) => l == label || stmt_defines_label(inner, label),
-        Stmt::Block(body) => body.iter().any(|s| stmt_defines_label(s, label)),
-        Stmt::If(_, t, e) => {
-            stmt_defines_label(t, label) || e.as_ref().is_some_and(|e| stmt_defines_label(e, label))
-        }
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => {
-            stmt_defines_label(b, label)
-        }
-        _ => false,
-    }
+    matches!(s, Stmt::Label(l, _) if l == label)
+        || s.children(|c| match c {
+            Node::Stmt(c) if stmt_defines_label(c, label) => ControlFlow::Break(()),
+            _ => ControlFlow::Continue(()),
+        })
+        .is_break()
 }
 
 fn arith(op: BinaryOp, x: i64, y: i64) -> Result<i64, Ub> {

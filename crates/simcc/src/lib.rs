@@ -47,6 +47,7 @@ use bugs::{registry, BugKind, BugSpec, Facts};
 use coverage::Coverage;
 use spe_minic::ast::Program;
 use std::fmt;
+use std::ops::ControlFlow;
 
 pub(crate) use passes::const_arith as passes_const_arith;
 
@@ -508,24 +509,10 @@ fn structural_coverage(p: &Program, cov: &mut Coverage) {
             }
             _ => {}
         }
-        match &e.kind {
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => expr(a, cov),
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                expr(a, cov);
-                expr(b, cov);
-            }
-            ExprKind::Ternary(c, t, e2) => {
-                expr(c, cov);
-                expr(t, cov);
-                expr(e2, cov);
-            }
-            ExprKind::Call(_, args) => args.iter().for_each(|a| expr(a, cov)),
-            ExprKind::Member(a, _, _) => expr(a, cov),
-            _ => {}
-        }
+        let _ = e.children(|c| {
+            expr(c, cov);
+            ControlFlow::<()>::Continue(())
+        });
     }
     for item in &p.items {
         match item {

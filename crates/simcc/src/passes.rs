@@ -17,6 +17,7 @@ use crate::coverage::Coverage;
 use spe_minic::ast::*;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Pass pipeline context.
 pub struct PassCtx<'a> {
@@ -86,55 +87,14 @@ fn fold_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
     }
 }
 
-fn fold_inits(ds: &mut [VarDeclarator], ctx: &mut PassCtx<'_>) {
-    for d in ds {
-        if let Some(init) = &mut d.init {
-            fold_expr(init, ctx);
-        }
-    }
-}
-
 fn fold_stmt(s: &mut Stmt, ctx: &mut PassCtx<'_>) {
-    match s {
-        Stmt::Expr(e) | Stmt::Return(Some(e)) => fold_expr(e, ctx),
-        Stmt::Decl(ds) => fold_inits(ds, ctx),
-        Stmt::Block(b) => {
-            for s in b {
-                fold_stmt(s, ctx);
-            }
+    let _ = s.children_mut(|c| {
+        match c {
+            Node::Stmt(s) => fold_stmt(s, ctx),
+            Node::Expr(e) => fold_expr(e, ctx),
         }
-        Stmt::If(c, t, e) => {
-            fold_expr(c, ctx);
-            fold_stmt(t, ctx);
-            if let Some(e) = e {
-                fold_stmt(e, ctx);
-            }
-        }
-        Stmt::While(c, b) => {
-            fold_expr(c, ctx);
-            fold_stmt(b, ctx);
-        }
-        Stmt::DoWhile(b, c) => {
-            fold_stmt(b, ctx);
-            fold_expr(c, ctx);
-        }
-        Stmt::For(init, c, st, b) => {
-            match init {
-                Some(ForInit::Decl(ds)) => fold_inits(ds, ctx),
-                Some(ForInit::Expr(e)) => fold_expr(e, ctx),
-                None => {}
-            }
-            if let Some(c) = c {
-                fold_expr(c, ctx);
-            }
-            if let Some(st) = st {
-                fold_expr(st, ctx);
-            }
-            fold_stmt(b, ctx);
-        }
-        Stmt::Label(_, inner) => fold_stmt(inner, ctx),
-        _ => {}
-    }
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 fn lit(e: &Expr) -> Option<i64> {
@@ -333,32 +293,21 @@ fn dce_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
 }
 
 fn function_has_backward_goto(body: &[Stmt]) -> bool {
-    let mut labels: Vec<&str> = Vec::new();
-    let mut found = false;
-    fn walk<'a>(stmts: &'a [Stmt], labels: &mut Vec<&'a str>, found: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Label(l, inner) => {
-                    labels.push(l);
-                    walk(std::slice::from_ref(inner), labels, found);
-                }
-                Stmt::Goto(l) if labels.contains(&l.as_str()) => *found = true,
-                Stmt::Block(b) => walk(b, labels, found),
-                Stmt::If(_, t, e) => {
-                    walk(std::slice::from_ref(t), labels, found);
-                    if let Some(e) = e {
-                        walk(std::slice::from_ref(e), labels, found);
-                    }
-                }
-                Stmt::While(_, b) | Stmt::DoWhile(b, _) | Stmt::For(_, _, _, b) => {
-                    walk(std::slice::from_ref(b), labels, found);
-                }
-                _ => {}
-            }
+    fn walk<'a>(s: &'a Stmt, labels: &mut Vec<&'a str>) -> ControlFlow<()> {
+        match s {
+            Stmt::Label(l, _) => labels.push(l),
+            Stmt::Goto(l) if labels.contains(&l.as_str()) => return ControlFlow::Break(()),
+            _ => {}
         }
+        s.children(|c| match c {
+            Node::Stmt(c) => walk(c, labels),
+            Node::Expr(_) => ControlFlow::Continue(()),
+        })
     }
-    walk(body, &mut labels, &mut found);
-    found
+    let mut labels = Vec::new();
+    body.iter()
+        .try_for_each(|s| walk(s, &mut labels))
+        .is_break()
 }
 
 fn dce_stmts(stmts: &mut Vec<Stmt>, ctx: &mut PassCtx<'_>, back_goto: bool, after_label: bool) {
@@ -448,81 +397,21 @@ fn ccp_pass(p: &mut Program, ctx: &mut PassCtx<'_>) {
 }
 
 fn collect_addressed(stmts: &[Stmt], out: &mut HashSet<String>) {
-    fn expr(e: &Expr, out: &mut HashSet<String>) {
-        if let ExprKind::Unary(UnaryOp::Addr, inner) = &e.kind {
-            if let ExprKind::Ident(id) = &inner.kind {
-                out.insert(id.name.clone());
+    fn walk(c: Node<&Stmt, &Expr>, out: &mut HashSet<String>) -> ControlFlow<()> {
+        match c {
+            Node::Stmt(s) => s.children(|c| walk(c, out)),
+            Node::Expr(e) => {
+                if let ExprKind::Unary(UnaryOp::Addr, inner) = &e.kind {
+                    if let ExprKind::Ident(id) = &inner.kind {
+                        out.insert(id.name.clone());
+                    }
+                }
+                e.children(|c| walk(Node::Expr(c), out))
             }
-        }
-        match &e.kind {
-            ExprKind::Unary(_, a) | ExprKind::Post(_, a) | ExprKind::Cast(_, a) => expr(a, out),
-            ExprKind::Binary(_, a, b)
-            | ExprKind::Assign(_, a, b)
-            | ExprKind::Index(a, b)
-            | ExprKind::Comma(a, b) => {
-                expr(a, out);
-                expr(b, out);
-            }
-            ExprKind::Ternary(c, t, e2) => {
-                expr(c, out);
-                expr(t, out);
-                expr(e2, out);
-            }
-            ExprKind::Call(_, args) => args.iter().for_each(|a| expr(a, out)),
-            ExprKind::Member(a, _, _) => expr(a, out),
-            _ => {}
         }
     }
     for s in stmts {
-        match s {
-            Stmt::Expr(e) => expr(e, out),
-            Stmt::Decl(ds) => {
-                for d in ds {
-                    if let Some(i) = &d.init {
-                        expr(i, out);
-                    }
-                }
-            }
-            Stmt::Block(b) => collect_addressed(b, out),
-            Stmt::If(c, t, e) => {
-                expr(c, out);
-                collect_addressed(std::slice::from_ref(t), out);
-                if let Some(e) = e {
-                    collect_addressed(std::slice::from_ref(e), out);
-                }
-            }
-            Stmt::While(c, b) => {
-                expr(c, out);
-                collect_addressed(std::slice::from_ref(b), out);
-            }
-            Stmt::DoWhile(b, c) => {
-                expr(c, out);
-                collect_addressed(std::slice::from_ref(b), out);
-            }
-            Stmt::For(init, c, st, b) => {
-                match init {
-                    Some(ForInit::Decl(ds)) => {
-                        for d in ds {
-                            if let Some(i) = &d.init {
-                                expr(i, out);
-                            }
-                        }
-                    }
-                    Some(ForInit::Expr(e)) => expr(e, out),
-                    None => {}
-                }
-                if let Some(c) = c {
-                    expr(c, out);
-                }
-                if let Some(st) = st {
-                    expr(st, out);
-                }
-                collect_addressed(std::slice::from_ref(b), out);
-            }
-            Stmt::Return(Some(e)) => expr(e, out),
-            Stmt::Label(_, inner) => collect_addressed(std::slice::from_ref(inner), out),
-            _ => {}
-        }
+        let _ = walk(Node::Stmt(s), out);
     }
 }
 
@@ -613,18 +502,16 @@ fn ccp_stmt(
 }
 
 fn contains_write(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Assign(_, _, _) | ExprKind::Post(_, _) => true,
-        ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, _) => true,
-        ExprKind::Call(_, _) => true,
-        ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => contains_write(a),
-        ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
-            contains_write(a) || contains_write(b)
+    fn search(e: &Expr) -> ControlFlow<()> {
+        match &e.kind {
+            ExprKind::Assign(..)
+            | ExprKind::Post(..)
+            | ExprKind::Call(..)
+            | ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, _) => ControlFlow::Break(()),
+            _ => e.children(search),
         }
-        ExprKind::Ternary(c, t, e2) => contains_write(c) || contains_write(t) || contains_write(e2),
-        ExprKind::Member(a, _, _) => contains_write(a),
-        _ => false,
     }
+    search(e).is_break()
 }
 
 fn ccp_expr(e: &mut Expr, consts: &HashMap<String, i64>, ctx: &mut PassCtx<'_>) {

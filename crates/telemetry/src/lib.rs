@@ -172,26 +172,9 @@ impl Timer {
     }
 }
 
-/// Runs `f` under a span named `name`, recording it to `sink` as both
-/// a span and (via aggregating sinks) a duration histogram. Returns
-/// `f`'s result.
-pub fn time_span<T>(sink: &dyn Sink, name: &str, detail: &str, f: impl FnOnce() -> T) -> T {
-    let t = Timer::start(sink);
-    let out = f();
-    if sink.enabled() {
-        sink.span(name, detail, t.stop_nanos());
-    }
-    out
-}
-
 fn global_cell() -> &'static RwLock<Arc<dyn Sink>> {
     static CELL: OnceLock<RwLock<Arc<dyn Sink>>> = OnceLock::new();
     CELL.get_or_init(|| RwLock::new(Arc::new(NullSink)))
-}
-
-fn recorder_cell() -> &'static RwLock<Option<Arc<Recorder>>> {
-    static CELL: OnceLock<RwLock<Option<Arc<Recorder>>>> = OnceLock::new();
-    CELL.get_or_init(|| RwLock::new(None))
 }
 
 /// Replaces the process-global sink, returning the previous one.
@@ -213,12 +196,9 @@ pub fn global() -> Arc<dyn Sink> {
         .clone()
 }
 
-/// Installs `recorder` as both the process-global sink and the
-/// process-global recorder handle (see [`recorder()`]), optionally
-/// fanned out with `extra` sinks. Returns the previously installed
-/// sink.
+/// Installs `recorder` as the process-global sink, optionally fanned
+/// out with `extra` sinks. Returns the previously installed sink.
 pub fn install_recorder(recorder: Arc<Recorder>, extra: Vec<Arc<dyn Sink>>) -> Arc<dyn Sink> {
-    *recorder_cell().write().unwrap_or_else(|e| e.into_inner()) = Some(recorder.clone());
     if extra.is_empty() {
         install(recorder)
     } else {
@@ -228,22 +208,10 @@ pub fn install_recorder(recorder: Arc<Recorder>, extra: Vec<Arc<dyn Sink>>) -> A
     }
 }
 
-/// The process-global [`Recorder`] installed by [`install_recorder`]
-/// (or [`Telemetry::install_from_env`]), if any — how binaries read
-/// back phase spans and end-of-run summaries without threading a
-/// handle through library code.
-pub fn recorder() -> Option<Arc<Recorder>> {
-    recorder_cell()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
-/// Clears the process-global recorder handle and restores `prev` as
-/// the global sink (used by [`Telemetry`] on drop so scoped
-/// instrumentation composes with tests).
+/// Restores `prev` as the global sink after [`install_recorder`] (used
+/// by [`Telemetry`] on drop so scoped instrumentation composes with
+/// tests).
 pub fn uninstall_recorder(prev: Arc<dyn Sink>) {
-    *recorder_cell().write().unwrap_or_else(|e| e.into_inner()) = None;
     install(prev);
 }
 

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use spe::corpus::{generate, seeds, CorpusConfig, TestFile};
 use spe::harness::checkpoint::{
-    compact_journal, compact_journal_abandoned, resume_campaign, run_campaign_checkpointed,
-    CampaignStatus, CheckpointError, CheckpointOptions,
+    compact_journal, compact_journal_abandoned, reduce_findings_checkpointed, resume_campaign,
+    run_campaign_checkpointed, CampaignStatus, CheckpointError, CheckpointOptions,
 };
 use spe::harness::fleet::{merge_journals, FleetError};
 use spe::harness::reduction::ReductionOptions;
@@ -866,6 +866,92 @@ fn a_frame_after_a_jobs_final_frame_is_refused() {
         Err(FleetError::Checkpoint(e)) => refused("merge", Err(e)),
         other => panic!("merge: expected a journal error, got {other:?}"),
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A finished campaign journal of the paper seeds that a journaled
+/// reduction has extended with its options record and one witness
+/// record per finding; returns the report and the options.
+fn reduced_journal(tag: &str) -> (PathBuf, CampaignReport, ReductionOptions) {
+    let path = journal_path(tag);
+    let report = run_campaign_checkpointed(
+        &seeds::all(),
+        &config(),
+        2,
+        &path,
+        &CheckpointOptions::default(),
+    )
+    .expect("campaign")
+    .into_report()
+    .expect("completed");
+    assert!(!report.findings.is_empty(), "the seeds expose findings");
+    let options = ReductionOptions {
+        fuel: config().fuel,
+        ..ReductionOptions::default()
+    };
+    reduce_findings_checkpointed(&mut report.clone(), &options, 2, &path).expect("reduce");
+    (path, report, options)
+}
+
+/// Asserts that `result` is a `Foreign` refusal whose message contains
+/// `wording`.
+fn refused_as(wording: &str, what: &str, result: Result<(), CheckpointError>) {
+    match result {
+        Err(CheckpointError::Foreign(message)) => {
+            assert!(message.contains(wording), "{what}: {message}");
+        }
+        other => panic!("{what}: expected a Foreign error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_second_reduction_options_record_is_refused() {
+    // Witnesses recorded under the first options must not resume under
+    // a second record's, even when the reduction asks for exactly those.
+    let (path, report, options) = reduced_journal("second-reduction-options");
+    let other = ReductionOptions {
+        fuel: options.fuel + 1,
+        ..options
+    };
+    let mut enc = Encoder::new();
+    enc.u8(5) // record tag: reduction options
+        .u64(other.fuel)
+        .usize(other.reduce.max_oracle_calls)
+        .usize(other.reduce.max_rounds)
+        .bool(other.reduce.canonicalize);
+    append_record(&path, &enc.finish());
+    let wording = "a second reduction-options record";
+    refused_as(
+        wording,
+        "reduce",
+        reduce_findings_checkpointed(&mut report.clone(), &other, 2, &path),
+    );
+    refused_as(wording, "compaction", compact_journal(&path).map(drop));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_second_witness_for_one_finding_is_refused() {
+    // A byte-for-byte copy of a witness record: its checksum is valid,
+    // and replaying it would keep whichever copy came last.
+    let (path, report, options) = reduced_journal("second-witness");
+    let (finding, record) = JournalIter::open(&path)
+        .expect("open")
+        .map(|record| record.expect("valid frame"))
+        .find_map(|record| {
+            let mut dec = Decoder::new(&record);
+            // Reduced layout (`DESIGN.md` §9): tag 4, finding, ...
+            (dec.u8().ok()? == 4).then_some((dec.u32().ok()?, record))
+        })
+        .expect("a witness record");
+    append_record(&path, &record);
+    let wording = format!("a second reduction record for finding {finding}");
+    refused_as(
+        &wording,
+        "reduce",
+        reduce_findings_checkpointed(&mut report.clone(), &options, 2, &path),
+    );
+    refused_as(&wording, "compaction", compact_journal(&path).map(drop));
     std::fs::remove_file(&path).ok();
 }
 
