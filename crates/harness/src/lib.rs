@@ -692,6 +692,8 @@ impl JobOracle<'_> {
                     names::ORACLE_REFERENCE_RUNS,
                     stats.reference_runs - last.reference_runs,
                 ),
+                (names::ORACLE_O0_PATCHED, stats.o0_patched - last.o0_patched),
+                (names::ORACLE_O0_LOWERED, stats.o0_lowered - last.o0_lowered),
             ] {
                 if delta > 0 {
                     telemetry.counter(name, delta);

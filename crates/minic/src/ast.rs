@@ -27,6 +27,17 @@
 //! *is* the behaviour (the printer, the parser, tree comparison, the
 //! interpreter, rewrites that skip store targets) keep their own
 //! `match`.
+//!
+//! # Refreshing a copy in place
+//!
+//! Every node type's `clone` copies each field, as `#[derive(Clone)]`
+//! would. Its `clone_from` clones each field from its counterpart
+//! instead, down to the leaves, so wherever the two trees have the same
+//! shape the target keeps its boxes, strings and vectors and only
+//! overwrites their contents; where a variant or a length differs, that
+//! subtree is cloned afresh. A caller that rewrites one private copy of
+//! a tree many times refreshes it with `copy.clone_from(&original)`
+//! instead of dropping it and cloning a new one.
 
 use std::fmt;
 use std::ops::ControlFlow;
@@ -324,7 +335,7 @@ impl AssignOp {
 }
 
 /// A variable use site: the name as written plus its occurrence id.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Ident {
     /// Source name.
     pub name: String,
@@ -333,7 +344,7 @@ pub struct Ident {
 }
 
 /// An expression node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Expr {
     /// Unique node id.
     pub id: ExprId,
@@ -342,7 +353,7 @@ pub struct Expr {
 }
 
 /// Expression forms.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum ExprKind {
     /// Integer literal.
     IntLit(i64),
@@ -453,8 +464,83 @@ impl Expr {
     }
 }
 
+impl Clone for ExprKind {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            ExprKind::IntLit(v) => ExprKind::IntLit(*v),
+            ExprKind::CharLit(c) => ExprKind::CharLit(*c),
+            ExprKind::StrLit(s) => ExprKind::StrLit(s.clone()),
+            ExprKind::Ident(id) => ExprKind::Ident(id.clone()),
+            ExprKind::Unary(op, a) => ExprKind::Unary(*op, a.clone()),
+            ExprKind::Post(op, a) => ExprKind::Post(*op, a.clone()),
+            ExprKind::Binary(op, a, b) => ExprKind::Binary(*op, a.clone(), b.clone()),
+            ExprKind::Assign(op, a, b) => ExprKind::Assign(*op, a.clone(), b.clone()),
+            ExprKind::Ternary(c, t, e) => ExprKind::Ternary(c.clone(), t.clone(), e.clone()),
+            ExprKind::Call(name, args) => ExprKind::Call(name.clone(), args.clone()),
+            ExprKind::Index(a, i) => ExprKind::Index(a.clone(), i.clone()),
+            ExprKind::Member(a, field, arrow) => ExprKind::Member(a.clone(), field.clone(), *arrow),
+            ExprKind::Cast(ty, a) => ExprKind::Cast(ty.clone(), a.clone()),
+            ExprKind::Comma(a, b) => ExprKind::Comma(a.clone(), b.clone()),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (ExprKind::StrLit(s), ExprKind::StrLit(from)) => s.clone_from(from),
+            (ExprKind::Ident(id), ExprKind::Ident(from)) => id.clone_from(from),
+            (ExprKind::Unary(op, a), ExprKind::Unary(from_op, from)) => {
+                *op = *from_op;
+                a.clone_from(from);
+            }
+            (ExprKind::Post(op, a), ExprKind::Post(from_op, from)) => {
+                *op = *from_op;
+                a.clone_from(from);
+            }
+            (ExprKind::Binary(op, a, b), ExprKind::Binary(from_op, from_a, from_b)) => {
+                *op = *from_op;
+                a.clone_from(from_a);
+                b.clone_from(from_b);
+            }
+            (ExprKind::Assign(op, a, b), ExprKind::Assign(from_op, from_a, from_b)) => {
+                *op = *from_op;
+                a.clone_from(from_a);
+                b.clone_from(from_b);
+            }
+            (ExprKind::Ternary(c, t, e), ExprKind::Ternary(from_c, from_t, from_e)) => {
+                c.clone_from(from_c);
+                t.clone_from(from_t);
+                e.clone_from(from_e);
+            }
+            (ExprKind::Call(name, args), ExprKind::Call(from_name, from_args)) => {
+                name.clone_from(from_name);
+                args.clone_from(from_args);
+            }
+            (ExprKind::Index(a, i), ExprKind::Index(from_a, from_i))
+            | (ExprKind::Comma(a, i), ExprKind::Comma(from_a, from_i)) => {
+                a.clone_from(from_a);
+                i.clone_from(from_i);
+            }
+            (
+                ExprKind::Member(a, field, arrow),
+                ExprKind::Member(from_a, from_field, from_arrow),
+            ) => {
+                a.clone_from(from_a);
+                field.clone_from(from_field);
+                *arrow = *from_arrow;
+            }
+            (ExprKind::Cast(ty, a), ExprKind::Cast(from_ty, from)) => {
+                ty.clone_from(from_ty);
+                a.clone_from(from);
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
 /// One declarator in a declaration: `int a = 1, *p;` has two.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct VarDeclarator {
     /// Declared name.
     pub name: String,
@@ -466,7 +552,7 @@ pub struct VarDeclarator {
 }
 
 /// Loop initialization clause of a `for` statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum ForInit {
     /// `for (int i = 0; …)`.
     Decl(Vec<VarDeclarator>),
@@ -475,7 +561,7 @@ pub enum ForInit {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Stmt {
     /// Expression statement.
     Expr(Expr),
@@ -614,8 +700,85 @@ impl Stmt {
     }
 }
 
+impl Clone for ForInit {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            ForInit::Decl(ds) => ForInit::Decl(ds.clone()),
+            ForInit::Expr(e) => ForInit::Expr(e.clone()),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (ForInit::Decl(ds), ForInit::Decl(from)) => ds.clone_from(from),
+            (ForInit::Expr(e), ForInit::Expr(from)) => e.clone_from(from),
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
+impl Clone for Stmt {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            Stmt::Expr(e) => Stmt::Expr(e.clone()),
+            Stmt::Decl(ds) => Stmt::Decl(ds.clone()),
+            Stmt::Block(body) => Stmt::Block(body.clone()),
+            Stmt::If(c, t, e) => Stmt::If(c.clone(), t.clone(), e.clone()),
+            Stmt::While(c, b) => Stmt::While(c.clone(), b.clone()),
+            Stmt::DoWhile(b, c) => Stmt::DoWhile(b.clone(), c.clone()),
+            Stmt::For(init, c, step, b) => {
+                Stmt::For(init.clone(), c.clone(), step.clone(), b.clone())
+            }
+            Stmt::Return(e) => Stmt::Return(e.clone()),
+            Stmt::Break => Stmt::Break,
+            Stmt::Continue => Stmt::Continue,
+            Stmt::Goto(label) => Stmt::Goto(label.clone()),
+            Stmt::Label(label, s) => Stmt::Label(label.clone(), s.clone()),
+            Stmt::Empty => Stmt::Empty,
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Stmt::Expr(e), Stmt::Expr(from)) => e.clone_from(from),
+            (Stmt::Decl(ds), Stmt::Decl(from)) => ds.clone_from(from),
+            (Stmt::Block(body), Stmt::Block(from)) => body.clone_from(from),
+            (Stmt::If(c, t, e), Stmt::If(from_c, from_t, from_e)) => {
+                c.clone_from(from_c);
+                t.clone_from(from_t);
+                e.clone_from(from_e);
+            }
+            (Stmt::While(c, b), Stmt::While(from_c, from_b)) => {
+                c.clone_from(from_c);
+                b.clone_from(from_b);
+            }
+            (Stmt::DoWhile(b, c), Stmt::DoWhile(from_b, from_c)) => {
+                b.clone_from(from_b);
+                c.clone_from(from_c);
+            }
+            (Stmt::For(init, c, step, b), Stmt::For(from_init, from_c, from_step, from_b)) => {
+                init.clone_from(from_init);
+                c.clone_from(from_c);
+                step.clone_from(from_step);
+                b.clone_from(from_b);
+            }
+            (Stmt::Return(e), Stmt::Return(from)) => e.clone_from(from),
+            (Stmt::Goto(label), Stmt::Goto(from)) => label.clone_from(from),
+            (Stmt::Label(label, s), Stmt::Label(from_label, from)) => {
+                label.clone_from(from_label);
+                s.clone_from(from);
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -624,7 +787,7 @@ pub struct Param {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -639,7 +802,7 @@ pub struct Function {
 }
 
 /// A struct definition `struct S { … };`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StructDef {
     /// Struct tag.
     pub name: String,
@@ -648,7 +811,7 @@ pub struct StructDef {
 }
 
 /// A top-level item.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Item {
     /// Global variable declaration.
     Global(Vec<VarDeclarator>),
@@ -658,8 +821,29 @@ pub enum Item {
     Struct(StructDef),
 }
 
+impl Clone for Item {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            Item::Global(ds) => Item::Global(ds.clone()),
+            Item::Func(f) => Item::Func(f.clone()),
+            Item::Struct(s) => Item::Struct(s.clone()),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Item::Global(ds), Item::Global(from)) => ds.clone_from(from),
+            (Item::Func(f), Item::Func(from)) => f.clone_from(from),
+            (Item::Struct(s), Item::Struct(from)) => s.clone_from(from),
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
 /// A complete translation unit.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
@@ -714,4 +898,35 @@ impl Program {
             }
         }
     }
+}
+
+/// `Clone` for an AST struct: `clone` copies every field, as the derive
+/// does, and `clone_from` refreshes every field from its counterpart
+/// (see "Refreshing a copy in place" above). The struct literal in
+/// `clone` must name every field, so a field missing from the list
+/// breaks the build.
+macro_rules! clone_fields {
+    ($($ty:ident { $($field:ident),* })*) => {$(
+        impl Clone for $ty {
+            #[inline]
+            fn clone(&self) -> Self {
+                $ty { $($field: self.$field.clone()),* }
+            }
+
+            #[inline]
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$field.clone_from(&source.$field);)*
+            }
+        }
+    )*};
+}
+
+clone_fields! {
+    Ident { name, occ }
+    Expr { id, kind }
+    VarDeclarator { name, ty, init }
+    Param { name, ty }
+    Function { name, ret, params, body, is_static }
+    StructDef { name, fields }
+    Program { items, max_occ, max_expr }
 }

@@ -220,7 +220,7 @@ impl SymbolTable {
 /// # Errors
 ///
 /// Returns [`SemaError`] when a use site refers to an undeclared (or
-/// not-yet-declared) variable.
+/// not-yet-declared) variable, or when a function is defined twice.
 ///
 /// # Examples
 ///
@@ -258,6 +258,13 @@ pub fn analyze(p: &Program) -> Result<SymbolTable, SemaError> {
             }
             Item::Struct(_) => {}
             Item::Func(f) => {
+                // A call names its callee by spelling alone, so a second
+                // body would leave it ambiguous.
+                if a.table.functions.contains(&f.name) {
+                    return Err(SemaError {
+                        message: format!("redefinition of function `{}`", f.name),
+                    });
+                }
                 let fidx = a.table.functions.len();
                 a.table.functions.push(f.name.clone());
                 a.current_func = Some(fidx);
@@ -538,6 +545,18 @@ mod tests {
     fn use_before_declaration_is_an_error() {
         let p = parse("void f() { x = 1; int x; }").expect("parses");
         assert!(analyze(&p).is_err());
+    }
+
+    #[test]
+    fn a_function_defined_twice_is_an_error() {
+        // The reference interpreter would call the first `f` and the VM
+        // the last, so the program has no single meaning.
+        let p =
+            parse("int f(){return 1;} int f(){return 2;} int main(){return f();}").expect("parses");
+        let err = analyze(&p).expect_err("a second body of `f` is refused");
+        assert!(err.message.contains("`f`"), "{err}");
+        // One definition per name is fine, whatever the order.
+        table("int g(){return 1;} int f(){return g();} int main(){return f();}");
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //!   from the configuration, so gcc-sim `-O0` and clang-sim `-O0`
 //!   usually collapse to one pipeline execution, and so do their
 //!   differential VM runs.
+//! * No pass runs at `-O0`, so a variant's `-O0` image is the job's
+//!   image with each hole's address aimed at another object. The job
+//!   lowers once, logging each hole site (`vm::lower_logged`), and per
+//!   variant re-aims only the sites whose hole changed
+//!   (`vm::SiteLog::patch`). A name that resolves nowhere makes the
+//!   variant unsupported, as lowering would; a name whose object has
+//!   another size lowers the variant in full.
+//! * From `-O1` up the passes rewrite one tree the job owns. Before each
+//!   run it is refreshed from the spelled tree by `clone_from`, which
+//!   keeps every box, string and vector where the two trees have the
+//!   same shape, instead of cloning and dropping a whole copy per run.
 //! * Reference runs are memoized *across* the job's variants, filed in a
 //!   decision tree under the name ids of the holes each run read
 //!   ([`interp::run_logged`]): a variant that agrees with an earlier run
@@ -63,9 +74,10 @@
 //! observations are field-for-field equal to [`Compiler::observe`].
 
 use crate::bugs::{BugSpec, FactPlan, Facts};
+use crate::coverage::Coverage;
 use crate::{
-    divergence_from_image, interp, optimize_and_lower, reference_limits, triggered, vm, Compiler,
-    Divergence, Observation,
+    divergence_from_image, interp, passes, reference_limits, triggered, vm, Compiler, Divergence,
+    Observation,
 };
 use spe_minic::ast::{OccId, Program};
 
@@ -91,6 +103,15 @@ pub struct CacheStats {
     pub reference_memo_hits: u64,
     /// Reference-interpreter runs that actually ran.
     pub reference_runs: u64,
+    /// `-O0` pipeline runs the job's template answered by re-aiming its
+    /// sites: an image, or `unsupported` for a name that resolves
+    /// nowhere.
+    pub o0_patched: u64,
+    /// `-O0` pipeline runs that lowered the spelled program in full: the
+    /// one that made the template (and each before it whose spelling did
+    /// not lower), and every name the template cannot take: an object of
+    /// another size, or an address a global initializer folds.
+    pub o0_lowered: u64,
 }
 
 /// A parsed program whose holes are respelled on demand.
@@ -153,11 +174,19 @@ fn hole_at(occ_hole: &[usize], occ: OccId) -> Option<usize> {
 /// reads from a configuration.
 type PipeKey = (u8, Vec<&'static BugSpec>);
 
+/// Where a pipeline execution's image is.
+enum Lowered {
+    /// Lowering rejected the program (`CompileError::Unsupported`).
+    Unsupported,
+    /// The job's `-O0` template, aimed at this variant.
+    Template,
+    /// An image of its own: optimized, or `-O0` lowered in full.
+    Image(vm::Image),
+}
+
 /// Memoized outcome of one optimize + lower pipeline execution.
 struct PipeEntry {
-    /// `None` when lowering rejected the optimized program
-    /// (`CompileError::Unsupported`).
-    image: Option<vm::Image>,
+    image: Lowered,
     miscompiled_by: Vec<&'static str>,
     /// Differential verdict against this variant's reference execution,
     /// filled on first use (`None` = not yet computed).
@@ -281,6 +310,91 @@ impl ReferenceMemo {
     }
 }
 
+/// The job's `-O0` image, lowered once and re-aimed per variant.
+struct O0Template {
+    log: vm::SiteLog,
+    image: vm::Image,
+    /// The name id each site's hole held when the site was last aimed.
+    aimed: Vec<u32>,
+}
+
+impl O0Template {
+    /// Re-aims every site whose hole's name id is not the one it was
+    /// last aimed at. A site is aimed or left as it was, never half, so a
+    /// panic in between leaves `aimed` true to the image.
+    fn aim(&mut self, names: &[&str], ids: &[u32]) -> Result<(), vm::PatchError> {
+        for (site, hole) in self.log.holes().enumerate() {
+            if self.aimed[site] != ids[hole] {
+                self.log.patch(site, names[hole], &mut self.image)?;
+                self.aimed[site] = ids[hole];
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The `-O0` image of the variant whose hole `h` holds name id `ids[h]`
+/// and is spelled `names[h]`: the job's template aimed at it, or `ast`
+/// lowered in full when no template exists yet or a name needs another
+/// shape. The first full lowering that succeeds becomes the template.
+fn lower_o0(
+    template: &mut Option<O0Template>,
+    ast: &mut SplicedAst,
+    names: &[&str],
+    ids: &[u32],
+    stats: &mut CacheStats,
+) -> Lowered {
+    if let Some(t) = template {
+        match t.aim(names, ids) {
+            Ok(()) => {
+                stats.o0_patched += 1;
+                return Lowered::Template;
+            }
+            Err(vm::PatchError::Unresolved) => {
+                stats.o0_patched += 1;
+                return Lowered::Unsupported;
+            }
+            Err(vm::PatchError::Relower) => {
+                stats.o0_lowered += 1;
+                return vm::lower(&ast.spelled(names).program)
+                    .map_or(Lowered::Unsupported, Lowered::Image);
+            }
+        }
+    }
+    stats.o0_lowered += 1;
+    let ast = ast.spelled(names);
+    match vm::lower_logged(&ast.program, &ast.occ_hole) {
+        Ok((image, log)) => {
+            let aimed = log.holes().map(|h| ids[h]).collect();
+            *template = Some(O0Template { log, image, aimed });
+            Lowered::Template
+        }
+        Err(_) => Lowered::Unsupported,
+    }
+}
+
+/// Optimizes the variant spelled `names` at `opt` (≥ 1) with the
+/// `wrong_code` defects armed, on `tree` refreshed from `ast`, and
+/// lowers it; returns the image and the ids of the defects that applied.
+fn optimize_and_lower(
+    tree: &mut Program,
+    ast: &mut SplicedAst,
+    names: &[&str],
+    opt: u8,
+    wrong_code: Vec<&'static BugSpec>,
+) -> (Lowered, Vec<&'static str>) {
+    tree.clone_from(&ast.spelled(names).program);
+    let mut ctx = passes::PassCtx {
+        opt,
+        wrong_code,
+        coverage: &mut Coverage::off(),
+        miscompiled_by: Vec::new(),
+    };
+    passes::optimize_in_place(tree, &mut ctx);
+    let image = vm::lower(tree).map_or(Lowered::Unsupported, Lowered::Image);
+    (image, ctx.miscompiled_by)
+}
+
 /// One compiler configuration with its live-bug set resolved once.
 struct CompilerSlot {
     compiler: Compiler,
@@ -290,6 +404,10 @@ struct CompilerSlot {
 /// The incremental oracle for one skeleton: a cached AST spliced per
 /// variant plus within-variant pipeline memoization across the
 /// compiler matrix.
+///
+/// The `-O0` template and the `-O1`+ tree are made at the job's first
+/// pipeline run that needs them, so a compile-only job that fires no
+/// performance defect never lowers or copies anything.
 ///
 /// Intended lifecycle (what the campaign harness does): build one per
 /// (file, shard) job from a clone of the skeleton's program, feed every
@@ -317,6 +435,11 @@ pub struct CachedOracle {
     pipeline: Vec<(PipeKey, PipeEntry)>,
     /// Reference results across the job's variants.
     reference_memo: ReferenceMemo,
+    /// The job's `-O0` image, once a spelling has lowered.
+    o0: Option<O0Template>,
+    /// The tree the `-O1`+ passes rewrite, refreshed before each run;
+    /// empty until the first.
+    tree: Program,
     /// True while a call is binding or reading the variant; still true on
     /// entry means the previous call panicked partway.
     in_flight: bool,
@@ -355,6 +478,8 @@ impl CachedOracle {
             obs: Vec::new(),
             pipeline: Vec::new(),
             reference_memo: ReferenceMemo::default(),
+            o0: None,
+            tree: Program::default(),
             // The first variant rebinds every hole: there is no delta
             // baseline yet.
             in_flight: true,
@@ -426,10 +551,18 @@ impl CachedOracle {
                 }
                 None => {
                     self.stats.pipeline_memo_misses += 1;
-                    let prog = &self.ast.spelled(names).program;
-                    let (image, miscompiled_by) = optimize_and_lower(prog, opt, wrong_code.clone());
+                    let (image, miscompiled_by) = if opt == 0 {
+                        // No pass runs at -O0, so no defect applies.
+                        let ids = self.plan.ids();
+                        let image =
+                            lower_o0(&mut self.o0, &mut self.ast, names, ids, &mut self.stats);
+                        (image, Vec::new())
+                    } else {
+                        let wrong_code = wrong_code.clone();
+                        optimize_and_lower(&mut self.tree, &mut self.ast, names, opt, wrong_code)
+                    };
                     let entry = PipeEntry {
-                        image: image.ok(),
+                        image,
                         miscompiled_by,
                         divergence: None,
                     };
@@ -438,12 +571,16 @@ impl CachedOracle {
                 }
             };
             let entry = &mut self.pipeline[idx].1;
-            let Some(image) = &entry.image else {
-                self.obs.push(Observation {
-                    unsupported: true,
-                    ..Observation::default()
-                });
-                continue;
+            let image = match &entry.image {
+                Lowered::Unsupported => {
+                    self.obs.push(Observation {
+                        unsupported: true,
+                        ..Observation::default()
+                    });
+                    continue;
+                }
+                Lowered::Template => &self.o0.as_ref().expect("a template was aimed").image,
+                Lowered::Image(image) => image,
             };
             let mut obs = Observation {
                 miscompiled_by: entry.miscompiled_by.clone(),
@@ -514,6 +651,27 @@ impl CachedOracle {
         let facts = self.plan.facts();
         self.in_flight = false;
         facts
+    }
+
+    /// The `-O0` image of the variant spelled `names`, bound as
+    /// [`CachedOracle::observe_variant`] binds it: the image that oracle
+    /// runs for every `-O0` configuration, or `None` when lowering rejects
+    /// the variant. It is the job's template aimed at this variant
+    /// whenever the template can serve it.
+    ///
+    /// # Panics
+    ///
+    /// As [`CachedOracle::observe_variant`].
+    pub fn o0_image(&mut self, names: &[&str], changed: Option<&[usize]>) -> Option<vm::Image> {
+        self.splice(names, changed);
+        let ids = self.plan.ids();
+        let image = match lower_o0(&mut self.o0, &mut self.ast, names, ids, &mut self.stats) {
+            Lowered::Unsupported => None,
+            Lowered::Template => self.o0.as_ref().map(|t| t.image.clone()),
+            Lowered::Image(image) => Some(image),
+        };
+        self.in_flight = false;
+        image
     }
 
     /// Binds the holes to `names` (only the `changed` ones when the
@@ -648,10 +806,12 @@ mod tests {
         assert_eq!(fresh.observe_variant(&v1, None), &first[..]);
     }
 
-    /// A panic while binding or while respelling the tree self-heals on
-    /// the next call. Both hole numberings run: along the walk, a walk
-    /// that panics at the last hole has written every other one; against
-    /// it, the walk panics at its first hole, before it writes any.
+    /// A panic while binding, while respelling the tree, or while
+    /// re-aiming the `-O0` image self-heals on the next call. Both hole
+    /// numberings run: along the walk, a walk that panics at the last
+    /// hole has written every other one; against it, the walk panics at
+    /// its first hole, before it writes any. The image's sites follow the
+    /// walk, so re-aiming panics likewise after or before the others.
     #[test]
     fn poisoned_splice_self_heals() {
         let src = "int a, b, c; int main() { a = b + c; return a; }";
@@ -713,6 +873,38 @@ mod tests {
                 spe_minic::print_program(&renamed)
             );
             assert_eq!(oracle().observe_variant(&same, None), &healed[..]);
+
+            // Poison the re-aiming of the -O0 image. A last hole spelled
+            // with no declaration leaves its site aimed at the name before;
+            // the next variant binds the other holes from the short slice,
+            // re-aims their sites, and reads the last hole's missing name.
+            let mut undeclared = good.clone();
+            undeclared[n - 1] = "zz";
+            let unsupported = cache.observe_variant(&undeclared, None).to_vec();
+            assert!(unsupported.iter().all(|o| o.unsupported));
+            let before = cache.stats();
+            poison(&mut cache, &in_range);
+            let after = cache.stats();
+            assert_eq!(
+                after.splice_delta,
+                before.splice_delta + 1,
+                "binding finished"
+            );
+            assert_eq!(
+                after.pipeline_memo_misses,
+                before.pipeline_memo_misses + 1,
+                "the panic came in the first pipeline run, at -O0"
+            );
+            assert_eq!(
+                (after.o0_patched, after.o0_lowered),
+                (before.o0_patched, before.o0_lowered),
+                "the panic came while re-aiming"
+            );
+            let healed = cache.observe_variant(&good, Some(&[])).to_vec();
+            assert_eq!(healed, expected, "a cut-short re-aim leaked into the image");
+            let mut respelled = prog.clone();
+            respelled.for_each_ident_mut(&mut |id| id.name = "b".into());
+            assert_eq!(cache.o0_image(&good, Some(&[])), vm::lower(&respelled).ok());
         }
     }
 

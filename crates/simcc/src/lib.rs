@@ -210,10 +210,17 @@ impl Compiler {
     pub fn compile(&self, p: &Program) -> Result<Compiled, CompileError> {
         let (slow_compile_bugs, wrong_code) =
             triggered(self.live(), &bugs::scan_facts(p).facts).map_err(CompileError::Ice)?;
-        let (image, miscompiled_by) = optimize_and_lower(p, self.opt, wrong_code);
+        let mut ctx = passes::PassCtx {
+            opt: self.opt,
+            wrong_code,
+            coverage: &mut Coverage::off(),
+            miscompiled_by: Vec::new(),
+        };
+        let image = vm::lower(&passes::optimize(p, &mut ctx))
+            .map_err(|e| CompileError::Unsupported(e.0))?;
         Ok(Compiled {
-            image: image?,
-            miscompiled_by,
+            image,
+            miscompiled_by: ctx.miscompiled_by,
             slow_compile_bugs,
         })
     }
@@ -242,25 +249,6 @@ pub(crate) fn triggered(
         }
     }
     Ok((slow, wrong_code))
-}
-
-/// Optimizes `p` at `opt` with the `wrong_code` defects armed, then
-/// lowers it: the image, or [`CompileError::Unsupported`], and the ids
-/// of the defects whose rewrite applied. Records no coverage.
-pub(crate) fn optimize_and_lower(
-    p: &Program,
-    opt: u8,
-    wrong_code: Vec<&BugSpec>,
-) -> (Result<vm::Image, CompileError>, Vec<&'static str>) {
-    let mut ctx = passes::PassCtx {
-        opt,
-        wrong_code,
-        coverage: &mut Coverage::off(),
-        miscompiled_by: Vec::new(),
-    };
-    let image =
-        vm::lower(&passes::optimize(p, &mut ctx)).map_err(|e| CompileError::Unsupported(e.0));
-    (image, ctx.miscompiled_by)
 }
 
 /// The bug-relevant outcome of compiling (and, differentially, running)

@@ -9,8 +9,9 @@
 //! are realized here as incorrect rewrites.
 //!
 //! [`optimize`] copies the program at most once: `-O0` runs no pass and
-//! hands the input back borrowed, and from `-O1` up every pass rewrites
-//! one private copy in place.
+//! hands the input back borrowed, and from `-O1` up `optimize_in_place`
+//! rewrites one private copy. The incremental oracle keeps one copy per
+//! job, refreshes it per run, and calls `optimize_in_place` directly.
 
 use crate::bugs::{exprs_equal, BugSpec, Trigger};
 use crate::coverage::Coverage;
@@ -47,16 +48,25 @@ pub fn optimize<'p>(p: &'p Program, ctx: &mut PassCtx<'_>) -> Cow<'p, Program> {
         return Cow::Borrowed(p);
     }
     let mut prog = p.clone();
-    fold_pass(&mut prog, ctx);
-    dce_pass(&mut prog, ctx);
+    optimize_in_place(&mut prog, ctx);
+    Cow::Owned(prog)
+}
+
+/// Runs the optimization pipeline for the configured level on `p` itself;
+/// at `-O0` it leaves `p` as it is.
+pub(crate) fn optimize_in_place(p: &mut Program, ctx: &mut PassCtx<'_>) {
+    if ctx.opt == 0 {
+        return;
+    }
+    fold_pass(p, ctx);
+    dce_pass(p, ctx);
     if ctx.opt >= 2 {
-        ccp_pass(&mut prog, ctx);
-        alias_pass(&mut prog, ctx);
+        ccp_pass(p, ctx);
+        alias_pass(p, ctx);
     }
     if ctx.opt >= 3 {
-        loop_pass(&mut prog, ctx);
+        loop_pass(p, ctx);
     }
-    Cow::Owned(prog)
 }
 
 /// The function bodies of `p`, in source order.

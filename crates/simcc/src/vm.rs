@@ -5,7 +5,15 @@
 //! uninitialized stack cells contain a canary value (so defects that drop
 //! initializers become observable), and memory is a flat `i64` array
 //! addressed by absolute cell index (pointers are plain addresses).
+//!
+//! Lowering's only choice that depends on how a use site is spelled is
+//! the object the name resolves to there. `lower_logged` records, at
+//! each hole occurrence, what it emitted and the scope it resolved in;
+//! `SiteLog::patch` then re-aims one site of that image at another
+//! name's object without lowering again (the wrong-code oracle's `-O0`
+//! template, DESIGN §13).
 
+use crate::interp::NOT_A_HOLE;
 use crate::newest;
 use spe_minic::ast::*;
 use std::fmt;
@@ -65,7 +73,7 @@ pub enum Instr {
 }
 
 /// A compiled function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuncInfo {
     /// Name (for diagnostics).
     pub name: String,
@@ -78,7 +86,7 @@ pub struct FuncInfo {
 }
 
 /// A fully lowered program image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     /// Flat instruction stream.
     pub instrs: Vec<Instr>,
@@ -146,6 +154,188 @@ pub struct VmExecution {
 /// (locals), and its size in cells.
 type Layout = (i64, usize);
 
+/// The address instruction of a global's cell or a frame offset.
+fn addr_instr(is_global: bool, base: i64) -> Instr {
+    if is_global {
+        Instr::AddrGlobal(base)
+    } else {
+        Instr::AddrLocal(base)
+    }
+}
+
+/// Marks the end of a scope chain in a [`SiteLog`].
+const NO_LOCAL: usize = usize::MAX;
+
+/// What [`lower_logged`] did at each hole occurrence it resolved, and
+/// what it needs to resolve another name there. The log owns all of it,
+/// so it outlives the program it was made from.
+///
+/// The scope a use site resolves in depends on declarations alone, never
+/// on how any use site is spelled, and a site's object decides only its
+/// address and, by its size, whether a load follows it. So re-aiming the
+/// address at an object of the same size gives the image [`lower`] makes
+/// of the respelled program.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SiteLog {
+    /// The resolved hole occurrences, in lowering order.
+    sites: Vec<Site>,
+    /// Every local lowering allocated, in order. Following `below` from a
+    /// site's `scope` visits the locals in scope there, newest first.
+    locals: Vec<LoggedLocal>,
+    /// The globals, in declaration order.
+    globals: Vec<(String, Layout)>,
+}
+
+#[derive(Debug, Clone)]
+struct LoggedLocal {
+    name: String,
+    layout: Layout,
+    /// The newest local still in scope when this one was declared
+    /// ([`NO_LOCAL`] for none).
+    below: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Site {
+    hole: usize,
+    target: Target,
+    /// Size in cells of the object the site resolved to.
+    cells: usize,
+    /// The newest local in scope ([`NO_LOCAL`] for none, and in a global
+    /// initializer, which sees only globals).
+    scope: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// The `AddrLocal`/`AddrGlobal` at this instruction index.
+    Instr(usize),
+    /// The global cell a `&x` initializer set to the address.
+    Cell(usize),
+    /// An address a global initializer computes with, or that a later
+    /// initializer of the same cell overwrote: no single cell holds it.
+    Folded,
+}
+
+/// Why [`SiteLog::patch`] did not re-aim a site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PatchError {
+    /// The name resolves to no object there, so [`lower`] rejects the
+    /// respelled program.
+    Unresolved,
+    /// The name resolves to an object of another size, which changes the
+    /// instructions around the address, or the site's address is folded
+    /// into a global initializer: lower the respelled program in full.
+    Relower,
+}
+
+impl SiteLog {
+    /// The hole of each site, in site order.
+    pub(crate) fn holes(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.sites.iter().map(|s| s.hole)
+    }
+
+    /// Re-aims site `site` of `image`, which [`lower_logged`] made with
+    /// this log, at the object `name` resolves to there. On success the
+    /// image is [`lower`] of the program with that site's hole spelled
+    /// `name`; on an error it is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range or `image` was lowered without
+    /// this log.
+    pub(crate) fn patch(
+        &self,
+        site: usize,
+        name: &str,
+        image: &mut Image,
+    ) -> Result<(), PatchError> {
+        let s = &self.sites[site];
+        let (is_global, base, cells) = self.resolve(s.scope, name).ok_or(PatchError::Unresolved)?;
+        if cells != s.cells {
+            return Err(PatchError::Relower);
+        }
+        match s.target {
+            Target::Instr(at) => image.instrs[at] = addr_instr(is_global, base),
+            Target::Cell(cell) => image.globals[cell] = base,
+            Target::Folded => return Err(PatchError::Relower),
+        }
+        Ok(())
+    }
+
+    /// What `name` denotes in `scope`, as [`FnLower::resolve`] finds it:
+    /// the newest local in scope, else the newest global.
+    fn resolve(&self, scope: usize, name: &str) -> Option<(bool, i64, usize)> {
+        let mut at = scope;
+        while let Some(local) = self.locals.get(at) {
+            if local.name == name {
+                return Some((false, local.layout.0, local.layout.1));
+            }
+            at = local.below;
+        }
+        self.globals
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|&(_, (base, cells))| (true, base, cells))
+    }
+}
+
+/// Where a logged lowering records its hole sites.
+struct SiteLogger<'p> {
+    /// `occ_hole[o]`: the hole at occurrence `o`, or [`NOT_A_HOLE`].
+    occ_hole: &'p [usize],
+    log: &'p mut SiteLog,
+    /// The log's entry of each local in [`FnLower::locals`].
+    entries: Vec<usize>,
+}
+
+impl SiteLogger<'_> {
+    /// Logs the site at occurrence `occ` if it is a hole.
+    fn site(&mut self, occ: OccId, target: Target, cells: usize, scope: usize) {
+        match self.occ_hole.get(occ.0 as usize) {
+            Some(&hole) if hole != NOT_A_HOLE => self.log.sites.push(Site {
+                hole,
+                target,
+                cells,
+                scope,
+            }),
+            _ => {}
+        }
+    }
+
+    /// Logs the hole sites of a global initializer that set the cells
+    /// from `base` on; `layout` is the one the initializer resolved in.
+    fn global_init(&mut self, init: &Expr, base: i64, layout: &[(&str, Layout)]) {
+        let values = match &init.kind {
+            ExprKind::Call(name, args) if name == "__init_list" => &args[..],
+            _ => std::slice::from_ref(init),
+        };
+        for (i, value) in values.iter().enumerate() {
+            let cell = base as usize + i;
+            // Only a program that initializes one global twice writes a
+            // cell again; the last write stands.
+            for s in &mut self.log.sites {
+                if s.target == Target::Cell(cell) {
+                    s.target = Target::Folded;
+                }
+            }
+            let target = match &value.kind {
+                ExprKind::Unary(UnaryOp::Addr, a) if matches!(a.kind, ExprKind::Ident(_)) => {
+                    Target::Cell(cell)
+                }
+                _ => Target::Folded,
+            };
+            // A constant initializer names variables only as `&x`, each
+            // resolved before the cell was set.
+            value.for_each_ident(&mut |id| {
+                let (_, cells) = newest(layout, &id.name).expect("a set cell resolved its `&x`");
+                self.site(id.occ, target, cells, NO_LOCAL);
+            });
+        }
+    }
+}
+
 struct FnLower<'a, 'p> {
     instrs: &'a mut Vec<Instr>,
     /// Locals in scope, innermost last.
@@ -159,6 +349,7 @@ struct FnLower<'a, 'p> {
     goto_patches: Vec<(usize, &'p str)>,
     break_patches: Vec<Vec<usize>>,
     continue_targets: Vec<ContinueTarget>,
+    log: Option<&'a mut SiteLogger<'p>>,
 }
 
 enum ContinueTarget {
@@ -175,6 +366,31 @@ enum ContinueTarget {
 /// Returns [`LowerError`] for constructs outside the executable subset
 /// (structs, unknown functions in initializers, etc.).
 pub fn lower(p: &Program) -> Result<Image, LowerError> {
+    lower_with(p, None)
+}
+
+/// [`lower`], with a log of what it did at each hole it resolved:
+/// `occ_hole[o]` is the hole filled at occurrence `o`, or
+/// [`NOT_A_HOLE`]. [`SiteLog::patch`] then re-aims the image's sites.
+///
+/// # Errors
+///
+/// As [`lower`].
+pub(crate) fn lower_logged(
+    p: &Program,
+    occ_hole: &[usize],
+) -> Result<(Image, SiteLog), LowerError> {
+    let mut log = SiteLog::default();
+    let logger = SiteLogger {
+        occ_hole,
+        log: &mut log,
+        entries: Vec::new(),
+    };
+    let image = lower_with(p, Some(logger))?;
+    Ok((image, log))
+}
+
+fn lower_with<'p>(p: &'p Program, mut log: Option<SiteLogger<'p>>) -> Result<Image, LowerError> {
     if p.items.iter().any(|i| matches!(i, Item::Struct(_))) {
         return Err(LowerError("struct definitions are not lowerable".into()));
     }
@@ -204,9 +420,18 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
                     (&d.init, newest(&globals_layout, &d.name))
                 {
                     init_global(init, base, cells, &globals_layout, &mut gmem)?;
+                    if let Some(log) = &mut log {
+                        log.global_init(init, base, &globals_layout);
+                    }
                 }
             }
         }
+    }
+    if let Some(log) = &mut log {
+        log.log.globals = globals_layout
+            .iter()
+            .map(|&(name, layout)| (name.to_owned(), layout))
+            .collect();
     }
     let func_ids: Vec<(&str, usize)> = p
         .functions()
@@ -228,7 +453,11 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
             goto_patches: Vec::new(),
             break_patches: Vec::new(),
             continue_targets: Vec::new(),
+            log: log.as_mut(),
         };
+        if let Some(log) = &mut fl.log {
+            log.entries.clear();
+        }
         for param in &f.params {
             fl.alloc_local(&param.name, &param.ty)?;
         }
@@ -313,8 +542,28 @@ impl<'p> FnLower<'_, 'p> {
         let off = self.next_local;
         self.next_local += n;
         self.max_frame = self.max_frame.max(self.next_local);
-        self.locals.push((name, (off, n as usize)));
+        let layout = (off, n as usize);
+        self.locals.push((name, layout));
+        if let Some(log) = &mut self.log {
+            let below = log.entries.last().copied().unwrap_or(NO_LOCAL);
+            log.entries.push(log.log.locals.len());
+            log.log.locals.push(LoggedLocal {
+                name: name.to_owned(),
+                layout,
+                below,
+            });
+        }
         Ok(off)
+    }
+
+    /// Leaves a scope: drops the locals declared since `locals` held
+    /// `scope` of them and frees their cells from `next_local` on.
+    fn leave_scope(&mut self, scope: usize, next_local: i64) {
+        self.next_local = next_local;
+        self.locals.truncate(scope);
+        if let Some(log) = &mut self.log {
+            log.entries.truncate(scope);
+        }
     }
 
     fn resolve(&self, name: &str) -> Option<(bool, i64, usize)> {
@@ -322,6 +571,20 @@ impl<'p> FnLower<'_, 'p> {
             Some((off, n)) => Some((false, off, n)),
             None => newest(self.globals, name).map(|(b, n)| (true, b, n)),
         }
+    }
+
+    /// Pushes the address of the object the use site `id` names and
+    /// returns its size in cells, logging the site if it is a hole.
+    fn ident_addr(&mut self, id: &Ident) -> Result<usize, LowerError> {
+        let (is_global, base, cells) = self
+            .resolve(&id.name)
+            .ok_or_else(|| LowerError(format!("unknown variable `{}`", id.name)))?;
+        if let Some(log) = &mut self.log {
+            let scope = log.entries.last().copied().unwrap_or(NO_LOCAL);
+            log.site(id.occ, Target::Instr(self.instrs.len()), cells, scope);
+        }
+        self.instrs.push(addr_instr(is_global, base));
+        Ok(cells)
     }
 
     fn stmts(&mut self, body: &'p [Stmt]) -> Result<(), LowerError> {
@@ -371,8 +634,7 @@ impl<'p> FnLower<'_, 'p> {
                 let scope = self.locals.len();
                 let saved = self.next_local;
                 self.stmts(body)?;
-                self.next_local = saved;
-                self.locals.truncate(scope);
+                self.leave_scope(scope, saved);
             }
             Stmt::If(c, t, e) => {
                 self.expr(c)?;
@@ -458,8 +720,7 @@ impl<'p> FnLower<'_, 'p> {
                     self.instrs[jz] = Instr::Jz(end);
                 }
                 self.finish_loop(end);
-                self.next_local = saved;
-                self.locals.truncate(scope);
+                self.leave_scope(scope, saved);
             }
             Stmt::Return(e) => {
                 match e {
@@ -524,21 +785,14 @@ impl<'p> FnLower<'_, 'p> {
     fn addr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::Ident(id) => {
-                let (is_global, base, _) = self
-                    .resolve(&id.name)
-                    .ok_or_else(|| LowerError(format!("unknown variable `{}`", id.name)))?;
-                self.instrs.push(if is_global {
-                    Instr::AddrGlobal(base)
-                } else {
-                    Instr::AddrLocal(base)
-                });
+                self.ident_addr(id)?;
             }
             ExprKind::Unary(UnaryOp::Deref, inner) => {
                 self.expr(inner)?;
             }
             ExprKind::Index(base, idx) => {
-                // Array decays to base address; pointers are loaded.
-                self.base_addr(base)?;
+                // An array base decays to its address; a pointer is loaded.
+                self.expr(base)?;
                 self.expr(idx)?;
                 self.instrs.push(Instr::Bin(BinaryOp::Add));
             }
@@ -548,42 +802,16 @@ impl<'p> FnLower<'_, 'p> {
         Ok(())
     }
 
-    fn base_addr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
-        if let ExprKind::Ident(id) = &e.kind {
-            if let Some((is_global, base, cells)) = self.resolve(&id.name) {
-                if cells > 1 {
-                    self.instrs.push(if is_global {
-                        Instr::AddrGlobal(base)
-                    } else {
-                        Instr::AddrLocal(base)
-                    });
-                    return Ok(());
-                }
-            }
-        }
-        // Pointer value.
-        self.expr(e)
-    }
-
     fn expr(&mut self, e: &'p Expr) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::IntLit(v) => self.instrs.push(Instr::Push(*v)),
             ExprKind::CharLit(c) => self.instrs.push(Instr::Push(*c as i64)),
             ExprKind::StrLit(_) => self.instrs.push(Instr::Push(0)),
             ExprKind::Ident(id) => {
-                let (is_global, base, cells) = self
-                    .resolve(&id.name)
-                    .ok_or_else(|| LowerError(format!("unknown variable `{}`", id.name)))?;
-                let addr = if is_global {
-                    Instr::AddrGlobal(base)
-                } else {
-                    Instr::AddrLocal(base)
-                };
-                self.instrs.push(addr);
-                if cells == 1 {
+                // Arrays decay to their address; a scalar is loaded.
+                if self.ident_addr(id)? == 1 {
                     self.instrs.push(Instr::LoadInd);
                 }
-                // Arrays decay to their address.
             }
             ExprKind::Unary(UnaryOp::Addr, inner) => self.addr(inner)?,
             ExprKind::Unary(UnaryOp::Deref, inner) => {
@@ -726,7 +954,8 @@ impl<'p> FnLower<'_, 'p> {
                 }
             }
             ExprKind::Index(base, idx) => {
-                self.base_addr(base)?;
+                // An array base decays to its address; a pointer is loaded.
+                self.expr(base)?;
                 self.expr(idx)?;
                 self.instrs.push(Instr::Bin(BinaryOp::Add));
                 self.instrs.push(Instr::LoadInd);
@@ -990,6 +1219,23 @@ mod tests {
         let p = parse(src).expect("parses");
         let img = lower(&p).expect("lowers");
         execute(&img, 1_000_000).expect("executes")
+    }
+
+    #[test]
+    fn a_patched_site_is_lowering_of_the_respelled_program() {
+        let p = parse("int a, b; int main() { int c = 1; return a + c; }").expect("parses");
+        let (mut image, log) = lower_logged(&p, &[0, 1]).expect("lowers");
+        assert_eq!(log.holes().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(log.patch(0, "c", &mut image), Ok(()));
+        assert_eq!(log.patch(1, "b", &mut image), Ok(()));
+        let respelled = parse("int a, b; int main() { int c = 1; return c + b; }").expect("parses");
+        assert_eq!(image, lower(&respelled).expect("lowers"));
+        assert_eq!(log.patch(0, "zz", &mut image), Err(PatchError::Unresolved));
+        assert_eq!(
+            image,
+            lower(&respelled).expect("lowers"),
+            "a failed patch changed the image"
+        );
     }
 
     #[test]

@@ -133,6 +133,14 @@ pub const ORACLE_PIPELINE_MEMO_MISSES: &str = "oracle_cache.pipeline_memo_misses
 pub const ORACLE_REFERENCE_MEMO_HITS: &str = "oracle_cache.reference_memo_hits";
 /// Counter: reference-interpreter runs the memo could not serve.
 pub const ORACLE_REFERENCE_RUNS: &str = "oracle_cache.reference_runs";
+/// Counter: `-O0` images the incremental oracle served by re-aiming the
+/// hole sites of the job's one lowering (a name that resolves nowhere
+/// counts here too: it answers `unsupported`).
+pub const ORACLE_O0_PATCHED: &str = "oracle_cache.o0_patched";
+/// Counter: `-O0` programs the incremental oracle lowered in full: the
+/// job's template, and every variant whose names the template cannot
+/// serve.
+pub const ORACLE_O0_LOWERED: &str = "oracle_cache.o0_lowered";
 
 /// Span: one host's slice of a multi-host fleet campaign (a journaled
 /// `spe_harness::Campaign` run with a fleet slot), detail

@@ -196,6 +196,20 @@ fn incremental_oracle_attribution_is_per_variant() {
         recorder.counter_value(names::ORACLE_REFERENCE_MEMO_HITS) > 0,
         "no variant's reference came from the job's reference memo"
     );
+    // On this corpus each job lowers -O0 in full at most once, for its
+    // template, and re-aims it for every later variant: no skeleton
+    // variant needs a relowering.
+    let patched = recorder.counter_value(names::ORACLE_O0_PATCHED);
+    let lowered = recorder.counter_value(names::ORACLE_O0_LOWERED);
+    let jobs = recorder.counter_value(names::ORCH_JOBS_DONE);
+    assert!(
+        patched > lowered,
+        "-O0 images patched: {patched} vs {lowered}"
+    );
+    assert!(
+        lowered <= jobs,
+        "-O0 lowered in full {lowered} times over {jobs} jobs"
+    );
 }
 
 /// Telemetry counts what fired, not what a job kept: a job stores only
