@@ -209,6 +209,7 @@ impl<'a> Decoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
 
     #[test]
     fn roundtrip_all_field_kinds() {
@@ -256,6 +257,85 @@ mod tests {
         let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.str(), Err(DecodeError::Invalid("utf-8 string")));
+    }
+
+    /// Decodes `bytes` as [`all_kinds`]'s layout, field by field, requires
+    /// every byte consumed, and encodes what it read again.
+    fn re_encoded(bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        let mut dec = Decoder::new(bytes);
+        let mut enc = Encoder::new();
+        enc.u8(dec.u8()?)
+            .u32(dec.u32()?)
+            .u64(dec.u64()?)
+            .usize(dec.usize()?)
+            .bool(dec.bool()?)
+            .str(&dec.str()?)
+            .bytes(dec.bytes()?)
+            .opt_str(dec.opt_str()?.as_deref())
+            .opt_str(dec.opt_str()?.as_deref());
+        dec.expect_empty()?;
+        Ok(enc.finish())
+    }
+
+    /// One payload holding every field kind.
+    fn all_kinds() -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.u8(7)
+            .u32(0xdead_beef)
+            .u64(u64::MAX)
+            .usize(42)
+            .bool(true)
+            .str("héllo")
+            .bytes(&[1, 2, 3])
+            .opt_str(Some("x"))
+            .opt_str(None);
+        enc.finish()
+    }
+
+    #[test]
+    fn every_mutation_of_a_payload_is_refused_or_re_encodes_exactly() {
+        let bytes = all_kinds();
+        let (mut decoded, mut refused) = (0usize, 0usize);
+        // A panic fails the test; a payload that decodes must re-encode to
+        // exactly its own bytes. Returns whether it decoded.
+        let mut check = |payload: &[u8]| {
+            let result = catch_unwind(|| re_encoded(payload))
+                .unwrap_or_else(|_| panic!("decoding {payload:?} panicked"));
+            match result {
+                Ok(again) => {
+                    assert_eq!(again, payload, "decoded, but re-encodes otherwise");
+                    decoded += 1;
+                    true
+                }
+                Err(_) => {
+                    refused += 1;
+                    false
+                }
+            }
+        };
+        assert!(check(&bytes), "the unmutated payload decodes");
+        for cut in 0..bytes.len() {
+            assert!(!check(&bytes[..cut]), "a cut at {cut} decoded");
+        }
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                check(&flipped);
+            }
+        }
+        for at in 0..=bytes.len() {
+            for len in 1..=16u8 {
+                let n = usize::from(len);
+                for inserted in [vec![0; n], vec![1; n], vec![0xff; n], (1..=len).collect()] {
+                    let mut grown = bytes.clone();
+                    grown.splice(at..at, inserted);
+                    check(&grown);
+                }
+            }
+        }
+        assert!(decoded > 1, "some mutations leave a valid payload");
+        assert!(refused > bytes.len(), "{refused} refusals");
     }
 
     #[test]

@@ -110,7 +110,9 @@ pub struct CacheStats {
     /// `-O0` pipeline runs that lowered the spelled program in full: the
     /// one that made the template (and each before it whose spelling did
     /// not lower), and every name the template cannot take: an object of
-    /// another size, or an address a global initializer folds.
+    /// another size, or an address a global initializer folds. A job whose
+    /// program fails to lower whatever its holes spell lowers once and
+    /// answers every later run `unsupported`, counted in neither field.
     pub o0_lowered: u64,
 }
 
@@ -336,16 +338,19 @@ impl O0Template {
 /// The `-O0` image of the variant whose hole `h` holds name id `ids[h]`
 /// and is spelled `names[h]`: the job's template aimed at it, or `ast`
 /// lowered in full when no template exists yet or a name needs another
-/// shape. The first full lowering that succeeds becomes the template.
+/// shape. The first full lowering that succeeds becomes the template;
+/// one that fails whatever the holes spell answers every later variant.
 fn lower_o0(
-    template: &mut Option<O0Template>,
+    o0: &mut Result<O0Template, vm::Unlowered>,
     ast: &mut SplicedAst,
     names: &[&str],
     ids: &[u32],
     stats: &mut CacheStats,
 ) -> Lowered {
-    if let Some(t) = template {
-        match t.aim(names, ids) {
+    match o0 {
+        Err(vm::Unlowered::Program) => return Lowered::Unsupported,
+        Err(vm::Unlowered::Spelling) => {}
+        Ok(t) => match t.aim(names, ids) {
             Ok(()) => {
                 stats.o0_patched += 1;
                 return Lowered::Template;
@@ -359,17 +364,20 @@ fn lower_o0(
                 return vm::lower(&ast.spelled(names).program)
                     .map_or(Lowered::Unsupported, Lowered::Image);
             }
-        }
+        },
     }
     stats.o0_lowered += 1;
     let ast = ast.spelled(names);
     match vm::lower_logged(&ast.program, &ast.occ_hole) {
         Ok((image, log)) => {
             let aimed = log.holes().map(|h| ids[h]).collect();
-            *template = Some(O0Template { log, image, aimed });
+            *o0 = Ok(O0Template { log, image, aimed });
             Lowered::Template
         }
-        Err(_) => Lowered::Unsupported,
+        Err(why) => {
+            *o0 = Err(why);
+            Lowered::Unsupported
+        }
     }
 }
 
@@ -435,8 +443,9 @@ pub struct CachedOracle {
     pipeline: Vec<(PipeKey, PipeEntry)>,
     /// Reference results across the job's variants.
     reference_memo: ReferenceMemo,
-    /// The job's `-O0` image, once a spelling has lowered.
-    o0: Option<O0Template>,
+    /// The job's `-O0` image once a spelling has lowered; until then, why
+    /// the last spelling tried did not (`Spelling` before the first).
+    o0: Result<O0Template, vm::Unlowered>,
     /// The tree the `-O1`+ passes rewrite, refreshed before each run;
     /// empty until the first.
     tree: Program,
@@ -478,7 +487,7 @@ impl CachedOracle {
             obs: Vec::new(),
             pipeline: Vec::new(),
             reference_memo: ReferenceMemo::default(),
-            o0: None,
+            o0: Err(vm::Unlowered::Spelling),
             tree: Program::default(),
             // The first variant rebinds every hole: there is no delta
             // baseline yet.
@@ -667,7 +676,7 @@ impl CachedOracle {
         let ids = self.plan.ids();
         let image = match lower_o0(&mut self.o0, &mut self.ast, names, ids, &mut self.stats) {
             Lowered::Unsupported => None,
-            Lowered::Template => self.o0.as_ref().map(|t| t.image.clone()),
+            Lowered::Template => self.o0.as_ref().ok().map(|t| t.image.clone()),
             Lowered::Image(image) => Some(image),
         };
         self.in_flight = false;

@@ -21,6 +21,7 @@
 //! order. A run is a function of those spellings alone: the incremental
 //! oracle files reference results under them (DESIGN §13).
 
+use crate::arith::{self, Outcome};
 use crate::newest;
 use spe_minic::ast::*;
 use std::fmt;
@@ -288,7 +289,7 @@ impl<'p> Interp<'p> {
         let ret = self.call(main, Vec::new(), 0)?;
         Ok(Execution {
             exit_code: match ret {
-                Some(Value::Int(v)) => v & 0xff, // exit codes are 8-bit
+                Some(Value::Int(v)) => arith::exit_status(v),
                 _ => 0,
             },
             output: self.output,
@@ -844,15 +845,7 @@ impl<'p> Interp<'p> {
             ExprKind::Index(base, idx) => {
                 let t = self.lvalue_or_ptr(base, depth)?;
                 let i = self.int(idx, depth)?;
-                let slot = self.slots[t.slot];
-                let off = t.offset as i64 + i;
-                if off < 0 || off as usize >= slot.len {
-                    return Err(Ub::OutOfBounds(slot.name.to_string()));
-                }
-                Ok(PtrTarget {
-                    slot: t.slot,
-                    offset: off as usize,
-                })
+                self.moved(t, BinaryOp::Add, i, self.slots[t.slot].len)
             }
             ExprKind::Member(_, _, _) => Err(Ub::Unsupported("struct member access".into())),
             ExprKind::Cast(_, inner) => self.lvalue(inner, depth),
@@ -924,12 +917,11 @@ impl<'p> Interp<'p> {
                 self.read_cell(slot, 0)
             }
             ExprKind::Unary(op, inner) => match op {
-                UnaryOp::Neg => {
+                UnaryOp::Neg | UnaryOp::BitNot => {
                     let v = self.int(inner, depth)?;
-                    v.checked_neg().map(Value::Int).ok_or(Ub::Overflow)
+                    Ok(Value::Int(checked(arith::unary(*op, v))?))
                 }
                 UnaryOp::Not => Ok(Value::Int((!self.truthy(inner, depth)?) as i64)),
-                UnaryOp::BitNot => Ok(Value::Int(!self.int(inner, depth)?)),
                 UnaryOp::Deref => {
                     let t = match self.eval(inner, depth)? {
                         Value::Ptr(t) => t,
@@ -941,36 +933,15 @@ impl<'p> Interp<'p> {
                     let t = self.lvalue(inner, depth)?;
                     Ok(Value::Ptr(t))
                 }
-                UnaryOp::PreInc | UnaryOp::PreDec => {
-                    let t = self.lvalue(inner, depth)?;
-                    let old = match self.read_cell(t.slot, t.offset)? {
-                        Value::Int(v) => v,
-                        _ => return Err(Ub::Unsupported("++/-- on pointer".into())),
-                    };
-                    let new = if matches!(op, UnaryOp::PreInc) {
-                        old.checked_add(1)
-                    } else {
-                        old.checked_sub(1)
-                    }
-                    .ok_or(Ub::Overflow)?;
-                    self.write_cell(t, Value::Int(new))?;
-                    Ok(Value::Int(new))
-                }
+                UnaryOp::PreInc => Ok(Value::Int(self.step(inner, BinaryOp::Add, depth)?.1)),
+                UnaryOp::PreDec => Ok(Value::Int(self.step(inner, BinaryOp::Sub, depth)?.1)),
             },
             ExprKind::Post(op, inner) => {
-                let t = self.lvalue(inner, depth)?;
-                let old = match self.read_cell(t.slot, t.offset)? {
-                    Value::Int(v) => v,
-                    _ => return Err(Ub::Unsupported("++/-- on pointer".into())),
+                let op = match op {
+                    PostOp::Inc => BinaryOp::Add,
+                    PostOp::Dec => BinaryOp::Sub,
                 };
-                let new = if matches!(op, PostOp::Inc) {
-                    old.checked_add(1)
-                } else {
-                    old.checked_sub(1)
-                }
-                .ok_or(Ub::Overflow)?;
-                self.write_cell(t, Value::Int(new))?;
-                Ok(Value::Int(old))
+                Ok(Value::Int(self.step(inner, op, depth)?.0))
             }
             ExprKind::Binary(op, a, b) => self.binary(*op, a, b, depth),
             ExprKind::Assign(op, lhs, rhs) => {
@@ -987,7 +958,7 @@ impl<'p> Interp<'p> {
                             Value::Int(v) => v,
                             _ => return Err(Ub::Unsupported("pointer in compound assign".into())),
                         };
-                        Value::Int(arith(bop, old, rhs_int)?)
+                        Value::Int(checked(arith::binary(bop, old, rhs_int))?)
                     }
                 };
                 self.write_cell(t, result)?;
@@ -1011,6 +982,32 @@ impl<'p> Interp<'p> {
                 self.eval(a, depth)?;
                 self.eval(b, depth)
             }
+        }
+    }
+
+    /// `++` or `--` (`op` is `+` or `-`) on the lvalue `e`: stores the
+    /// new value and returns the old and the new one.
+    fn step(&mut self, e: &'p Expr, op: BinaryOp, depth: usize) -> Result<(i64, i64), Ub> {
+        let t = self.lvalue(e, depth)?;
+        let old = match self.read_cell(t.slot, t.offset)? {
+            Value::Int(v) => v,
+            _ => return Err(Ub::Unsupported("++/-- on pointer".into())),
+        };
+        let new = checked(arith::binary(op, old, 1))?;
+        self.write_cell(t, Value::Int(new))?;
+        Ok((old, new))
+    }
+
+    /// `t` moved `i` cells by `op` (`+` or `-`), if that stays below
+    /// `end` cells into its object; `OutOfBounds` otherwise, and also
+    /// when the offset overflows.
+    fn moved(&self, t: PtrTarget, op: BinaryOp, i: i64, end: usize) -> Result<PtrTarget, Ub> {
+        match arith::binary(op, t.offset as i64, i) {
+            Outcome::Value(off) if (0..end as i64).contains(&off) => Ok(PtrTarget {
+                slot: t.slot,
+                offset: off as usize,
+            }),
+            _ => Err(Ub::OutOfBounds(self.slots[t.slot].name.to_string())),
         }
     }
 
@@ -1040,20 +1037,12 @@ impl<'p> Interp<'p> {
         let av = self.eval(a, depth)?;
         let bv = self.eval(b, depth)?;
         match (av, bv) {
-            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(arith(op, x, y)?)),
-            // Pointer comparisons and pointer ± integer.
-            (Value::Ptr(p), Value::Int(i)) if matches!(op, BinaryOp::Add | BinaryOp::Sub) => {
-                let delta = if op == BinaryOp::Add { i } else { -i };
-                let off = p.offset as i64 + delta;
-                let slot = self.slots[p.slot];
-                if off < 0 || off > slot.len as i64 {
-                    return Err(Ub::OutOfBounds(slot.name.to_string()));
-                }
-                Ok(Value::Ptr(PtrTarget {
-                    slot: p.slot,
-                    offset: off as usize,
-                }))
-            }
+            (Value::Int(x), Value::Int(y)) => Ok(Value::Int(checked(arith::binary(op, x, y))?)),
+            // Pointer comparisons and pointer ± integer, which may point
+            // one past the end.
+            (Value::Ptr(p), Value::Int(i)) if matches!(op, BinaryOp::Add | BinaryOp::Sub) => Ok(
+                Value::Ptr(self.moved(p, op, i, self.slots[p.slot].len + 1)?),
+            ),
             (Value::Ptr(p), Value::Ptr(q)) if op == BinaryOp::Eq => Ok(Value::Int((p == q) as i64)),
             (Value::Ptr(p), Value::Ptr(q)) if op == BinaryOp::Ne => Ok(Value::Int((p != q) as i64)),
             (Value::Null, Value::Null) if op == BinaryOp::Eq => Ok(Value::Int(1)),
@@ -1070,12 +1059,10 @@ impl<'p> Interp<'p> {
     fn builtin_or_call(&mut self, name: &str, args: &'p [Expr], depth: usize) -> Result<Value, Ub> {
         match name {
             "printf" => {
-                let mut rendered = String::new();
-                if let Some(first) = args.first() {
-                    if let ExprKind::StrLit(fmt) = &first.kind {
-                        rendered.push_str(fmt);
-                    }
-                }
+                let fmt = match args.first().map(|a| &a.kind) {
+                    Some(ExprKind::StrLit(fmt)) => fmt.as_str(),
+                    _ => "",
+                };
                 let mut vals = Vec::new();
                 for a in args.iter().skip(1) {
                     match self.eval(a, depth)? {
@@ -1084,11 +1071,7 @@ impl<'p> Interp<'p> {
                         Value::Null => vals.push("0".into()),
                     }
                 }
-                if !vals.is_empty() {
-                    rendered.push(':');
-                    rendered.push_str(&vals.join(","));
-                }
-                self.output.push(rendered);
+                self.output.push(arith::printf_line(fmt, &vals));
                 Ok(Value::Int(0))
             }
             "abort" | "exit" => {
@@ -1131,46 +1114,14 @@ fn stmt_defines_label(s: &Stmt, label: &str) -> bool {
         .is_break()
 }
 
-fn arith(op: BinaryOp, x: i64, y: i64) -> Result<i64, Ub> {
-    Ok(match op {
-        BinaryOp::Add => x.checked_add(y).ok_or(Ub::Overflow)?,
-        BinaryOp::Sub => x.checked_sub(y).ok_or(Ub::Overflow)?,
-        BinaryOp::Mul => x.checked_mul(y).ok_or(Ub::Overflow)?,
-        BinaryOp::Div => {
-            if y == 0 {
-                return Err(Ub::DivByZero);
-            }
-            x.checked_div(y).ok_or(Ub::Overflow)?
-        }
-        BinaryOp::Rem => {
-            if y == 0 {
-                return Err(Ub::DivByZero);
-            }
-            x.checked_rem(y).ok_or(Ub::Overflow)?
-        }
-        BinaryOp::Lt => (x < y) as i64,
-        BinaryOp::Gt => (x > y) as i64,
-        BinaryOp::Le => (x <= y) as i64,
-        BinaryOp::Ge => (x >= y) as i64,
-        BinaryOp::Eq => (x == y) as i64,
-        BinaryOp::Ne => (x != y) as i64,
-        BinaryOp::BitAnd => x & y,
-        BinaryOp::BitOr => x | y,
-        BinaryOp::BitXor => x ^ y,
-        BinaryOp::Shl => {
-            if !(0..64).contains(&y) || x < 0 {
-                return Err(Ub::Overflow);
-            }
-            x.checked_shl(y as u32).ok_or(Ub::Overflow)?
-        }
-        BinaryOp::Shr => {
-            if !(0..64).contains(&y) {
-                return Err(Ub::Overflow);
-            }
-            x >> y
-        }
-        BinaryOp::LogAnd | BinaryOp::LogOr => unreachable!("short-circuited earlier"),
-    })
+/// The reference's reading of the integer table: every overflow and
+/// every shift out of range is undefined behaviour.
+pub(crate) fn checked(outcome: Outcome) -> Result<i64, Ub> {
+    match outcome {
+        Outcome::Value(v) => Ok(v),
+        Outcome::Overflow(_) | Outcome::ShiftRange(_) => Err(Ub::Overflow),
+        Outcome::DivByZero => Err(Ub::DivByZero),
+    }
 }
 
 #[cfg(test)]
@@ -1270,6 +1221,37 @@ mod tests {
         );
         assert_eq!(
             run_src("int main() { int a[3] = {1, 2, 3}; return a[3]; }"),
+            Err(Ub::OutOfBounds("a".into()))
+        );
+    }
+
+    // An offset that does not fit an `i64` leaves the object: the
+    // reference says so in every build, and never panics.
+
+    #[test]
+    fn subtracting_i64_min_from_a_pointer_is_out_of_bounds() {
+        assert_eq!(
+            run_src(
+                "int main() { int a[2]; int *p = a; p = p - (-9223372036854775807 - 1); return 0; }"
+            ),
+            Err(Ub::OutOfBounds("a".into()))
+        );
+    }
+
+    #[test]
+    fn adding_i64_max_to_a_pointer_is_out_of_bounds() {
+        assert_eq!(
+            run_src(
+                "int main() { int a[2]; int *p = a + 1; p = p + 9223372036854775807; return 0; }"
+            ),
+            Err(Ub::OutOfBounds("a".into()))
+        );
+    }
+
+    #[test]
+    fn indexing_past_i64_max_is_out_of_bounds() {
+        assert_eq!(
+            run_src("int main() { int a[2]; int *p = a + 1; return p[9223372036854775807]; }"),
             Err(Ub::OutOfBounds("a".into()))
         );
     }

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod arith;
 pub mod backend;
 pub mod bugs;
 pub mod coverage;
@@ -48,8 +49,6 @@ use coverage::Coverage;
 use spe_minic::ast::Program;
 use std::fmt;
 use std::ops::ControlFlow;
-
-pub(crate) use passes::const_arith as passes_const_arith;
 
 /// The newest binding of `name`: later declarations shadow earlier ones,
 /// as inner scopes shadow outer ones. Lowering and the reference

@@ -13,6 +13,7 @@
 //! rewrites one private copy. The incremental oracle keeps one copy per
 //! job, refreshes it per run, and calls `optimize_in_place` directly.
 
+use crate::arith::{self, Outcome};
 use crate::bugs::{exprs_equal, BugSpec, Trigger};
 use crate::coverage::Coverage;
 use spe_minic::ast::*;
@@ -151,7 +152,7 @@ fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
             fold_expr(b, ctx);
             let (x, y) = (lit(a), lit(b));
             if let (Some(x), Some(y)) = (x, y) {
-                if let Some(v) = const_arith(op, x, y) {
+                if let Some(v) = folded(arith::binary(op, x, y)) {
                     ctx.coverage.hit("fold", 1 + (op.precedence() % 8) as u32);
                     e.kind = ExprKind::IntLit(v);
                     return;
@@ -204,18 +205,13 @@ fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
         ExprKind::Unary(op, inner) => {
             let op = *op;
             fold_expr(inner, ctx);
-            match (op, lit(inner)) {
-                (UnaryOp::Neg, Some(v)) => {
-                    if let Some(n) = v.checked_neg() {
-                        ctx.coverage.hit("fold", 14);
-                        e.kind = ExprKind::IntLit(n);
-                    }
+            // Only a defined result folds: `-i64::MIN` stays.
+            if let (UnaryOp::Neg | UnaryOp::Not, Some(v)) = (op, lit(inner)) {
+                if let Outcome::Value(n) = arith::unary(op, v) {
+                    ctx.coverage
+                        .hit("fold", if op == UnaryOp::Neg { 14 } else { 15 });
+                    e.kind = ExprKind::IntLit(n);
                 }
-                (UnaryOp::Not, Some(v)) => {
-                    ctx.coverage.hit("fold", 15);
-                    e.kind = ExprKind::IntLit((v == 0) as i64);
-                }
-                _ => {}
             }
         }
         ExprKind::Ternary(c, t, els) => {
@@ -247,49 +243,14 @@ fn fold_expr(e: &mut Expr, ctx: &mut PassCtx<'_>) {
     }
 }
 
-/// Compile-time arithmetic: wrapping like the target machine, `None` for
-/// division by zero (left for runtime).
-pub(crate) fn const_arith(op: BinaryOp, x: i64, y: i64) -> Option<i64> {
-    Some(match op {
-        BinaryOp::Add => x.wrapping_add(y),
-        BinaryOp::Sub => x.wrapping_sub(y),
-        BinaryOp::Mul => x.wrapping_mul(y),
-        BinaryOp::Div => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_div(y)
-        }
-        BinaryOp::Rem => {
-            if y == 0 {
-                return None;
-            }
-            x.wrapping_rem(y)
-        }
-        BinaryOp::Lt => (x < y) as i64,
-        BinaryOp::Gt => (x > y) as i64,
-        BinaryOp::Le => (x <= y) as i64,
-        BinaryOp::Ge => (x >= y) as i64,
-        BinaryOp::Eq => (x == y) as i64,
-        BinaryOp::Ne => (x != y) as i64,
-        BinaryOp::BitAnd => x & y,
-        BinaryOp::BitOr => x | y,
-        BinaryOp::BitXor => x ^ y,
-        BinaryOp::Shl => {
-            if !(0..64).contains(&y) {
-                return None;
-            }
-            x.wrapping_shl(y as u32)
-        }
-        BinaryOp::Shr => {
-            if !(0..64).contains(&y) {
-                return None;
-            }
-            x.wrapping_shr(y as u32)
-        }
-        BinaryOp::LogAnd => ((x != 0) && (y != 0)) as i64,
-        BinaryOp::LogOr => ((x != 0) || (y != 0)) as i64,
-    })
+/// The folder's reading of the integer table: a result the machine
+/// computes folds, wrapped; a shift out of range or a division by zero is
+/// left for run time.
+pub(crate) fn folded(outcome: Outcome) -> Option<i64> {
+    match outcome {
+        Outcome::Value(v) | Outcome::Overflow(v) => Some(v),
+        Outcome::ShiftRange(_) | Outcome::DivByZero => None,
+    }
 }
 
 // ----- dce ------------------------------------------------------------------

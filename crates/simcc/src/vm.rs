@@ -13,8 +13,10 @@
 //! name's object without lowering again (the wrong-code oracle's `-O0`
 //! template, DESIGN §13).
 
+use crate::arith::{self, Outcome};
 use crate::interp::NOT_A_HOLE;
 use crate::newest;
+use crate::passes::folded;
 use spe_minic::ast::*;
 use std::fmt;
 
@@ -281,6 +283,16 @@ impl SiteLog {
     }
 }
 
+/// Why [`lower_logged`] made no image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unlowered {
+    /// A hole's name resolved to no object, or a global initializer that
+    /// holds a hole failed: another spelling of the holes may lower.
+    Spelling,
+    /// The failure depends on no hole's spelling: no spelling lowers.
+    Program,
+}
+
 /// Where a logged lowering records its hole sites.
 struct SiteLogger<'p> {
     /// `occ_hole[o]`: the hole at occurrence `o`, or [`NOT_A_HOLE`].
@@ -288,19 +300,26 @@ struct SiteLogger<'p> {
     log: &'p mut SiteLog,
     /// The log's entry of each local in [`FnLower::locals`].
     entries: Vec<usize>,
+    /// Lowering failed where a hole's spelling may be the cause.
+    spelling_failed: bool,
 }
 
 impl SiteLogger<'_> {
+    /// The hole at occurrence `occ`, if it is one.
+    fn hole(&self, occ: OccId) -> Option<usize> {
+        let hole = *self.occ_hole.get(occ.0 as usize)?;
+        (hole != NOT_A_HOLE).then_some(hole)
+    }
+
     /// Logs the site at occurrence `occ` if it is a hole.
     fn site(&mut self, occ: OccId, target: Target, cells: usize, scope: usize) {
-        match self.occ_hole.get(occ.0 as usize) {
-            Some(&hole) if hole != NOT_A_HOLE => self.log.sites.push(Site {
+        if let Some(hole) = self.hole(occ) {
+            self.log.sites.push(Site {
                 hole,
                 target,
                 cells,
                 scope,
-            }),
-            _ => {}
+            });
         }
     }
 
@@ -375,22 +394,28 @@ pub fn lower(p: &Program) -> Result<Image, LowerError> {
 ///
 /// # Errors
 ///
-/// As [`lower`].
-pub(crate) fn lower_logged(
-    p: &Program,
-    occ_hole: &[usize],
-) -> Result<(Image, SiteLog), LowerError> {
+/// Where [`lower`] fails, says whether another spelling of the holes
+/// may lower. Only a name's resolution, and the addresses a global
+/// initializer computes with, depend on how a use site is spelled.
+pub(crate) fn lower_logged(p: &Program, occ_hole: &[usize]) -> Result<(Image, SiteLog), Unlowered> {
     let mut log = SiteLog::default();
-    let logger = SiteLogger {
+    let mut logger = SiteLogger {
         occ_hole,
         log: &mut log,
         entries: Vec::new(),
+        spelling_failed: false,
     };
-    let image = lower_with(p, Some(logger))?;
-    Ok((image, log))
+    match lower_with(p, Some(&mut logger)) {
+        Ok(image) => Ok((image, log)),
+        Err(_) if logger.spelling_failed => Err(Unlowered::Spelling),
+        Err(_) => Err(Unlowered::Program),
+    }
 }
 
-fn lower_with<'p>(p: &'p Program, mut log: Option<SiteLogger<'p>>) -> Result<Image, LowerError> {
+fn lower_with<'p>(
+    p: &'p Program,
+    mut log: Option<&mut SiteLogger<'p>>,
+) -> Result<Image, LowerError> {
     if p.items.iter().any(|i| matches!(i, Item::Struct(_))) {
         return Err(LowerError("struct definitions are not lowerable".into()));
     }
@@ -419,10 +444,16 @@ fn lower_with<'p>(p: &'p Program, mut log: Option<SiteLogger<'p>>) -> Result<Ima
                 if let (Some(init), Some((base, cells))) =
                     (&d.init, newest(&globals_layout, &d.name))
                 {
-                    init_global(init, base, cells, &globals_layout, &mut gmem)?;
+                    let set = init_global(init, base, cells, &globals_layout, &mut gmem);
                     if let Some(log) = &mut log {
-                        log.global_init(init, base, &globals_layout);
+                        match set {
+                            Ok(()) => log.global_init(init, base, &globals_layout),
+                            Err(_) => init.for_each_ident(&mut |id| {
+                                log.spelling_failed |= log.hole(id.occ).is_some()
+                            }),
+                        }
                     }
+                    set?;
                 }
             }
         }
@@ -453,7 +484,7 @@ fn lower_with<'p>(p: &'p Program, mut log: Option<SiteLogger<'p>>) -> Result<Ima
             goto_patches: Vec::new(),
             break_patches: Vec::new(),
             continue_targets: Vec::new(),
-            log: log.as_mut(),
+            log: log.as_deref_mut(),
         };
         if let Some(log) = &mut fl.log {
             log.entries.clear();
@@ -510,11 +541,16 @@ fn init_global(
     Ok(())
 }
 
+/// A global initializer's value, folded as the constant folder folds;
+/// `-i64::MIN` wraps here.
 fn const_eval(e: &Expr, layout: &[(&str, Layout)]) -> Result<i64, LowerError> {
+    let non_constant = || LowerError("non-constant global initializer".into());
     match &e.kind {
         ExprKind::IntLit(v) => Ok(*v),
         ExprKind::CharLit(c) => Ok(*c as i64),
-        ExprKind::Unary(UnaryOp::Neg, a) => Ok(const_eval(a, layout)?.wrapping_neg()),
+        ExprKind::Unary(UnaryOp::Neg, a) => {
+            folded(arith::unary(UnaryOp::Neg, const_eval(a, layout)?)).ok_or_else(non_constant)
+        }
         ExprKind::Unary(UnaryOp::Addr, a) => match &a.kind {
             ExprKind::Ident(id) => newest(layout, &id.name)
                 .map(|(b, _)| b)
@@ -523,10 +559,9 @@ fn const_eval(e: &Expr, layout: &[(&str, Layout)]) -> Result<i64, LowerError> {
         },
         ExprKind::Binary(op, a, b) => {
             let (x, y) = (const_eval(a, layout)?, const_eval(b, layout)?);
-            crate::passes_const_arith(*op, x, y)
-                .ok_or_else(|| LowerError("non-constant global initializer".into()))
+            folded(arith::binary(*op, x, y)).ok_or_else(non_constant)
         }
-        _ => Err(LowerError("non-constant global initializer".into())),
+        _ => Err(non_constant()),
     }
 }
 
@@ -576,9 +611,12 @@ impl<'p> FnLower<'_, 'p> {
     /// Pushes the address of the object the use site `id` names and
     /// returns its size in cells, logging the site if it is a hole.
     fn ident_addr(&mut self, id: &Ident) -> Result<usize, LowerError> {
-        let (is_global, base, cells) = self
-            .resolve(&id.name)
-            .ok_or_else(|| LowerError(format!("unknown variable `{}`", id.name)))?;
+        let Some((is_global, base, cells)) = self.resolve(&id.name) else {
+            if let Some(log) = &mut self.log {
+                log.spelling_failed = log.hole(id.occ).is_some();
+            }
+            return Err(LowerError(format!("unknown variable `{}`", id.name)));
+        };
         if let Some(log) = &mut self.log {
             let scope = log.entries.last().copied().unwrap_or(NO_LOCAL);
             log.site(id.occ, Target::Instr(self.instrs.len()), cells, scope);
@@ -1088,17 +1126,14 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
             Instr::Bin(op) => {
                 let b = pop!();
                 let a = pop!();
-                values.push(vm_arith(*op, a, b)?);
+                values.push(wrapped(arith::binary(*op, a, b))?);
             }
-            Instr::Un(op) => {
+            Instr::Un(op @ (UnaryOp::Neg | UnaryOp::Not | UnaryOp::BitNot)) => {
                 let a = pop!();
-                values.push(match op {
-                    UnaryOp::Neg => a.wrapping_neg(),
-                    UnaryOp::Not => (a == 0) as i64,
-                    UnaryOp::BitNot => !a,
-                    _ => return Err(Trap::StackUnderflow),
-                });
+                values.push(wrapped(arith::unary(*op, a))?);
             }
+            // Lowering emits no other unary operator.
+            Instr::Un(_) => return Err(Trap::StackUnderflow),
             Instr::Jmp(t) => pc = *t,
             Instr::Jz(t) => {
                 if pop!() == 0 {
@@ -1142,7 +1177,7 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
                     }
                     None => {
                         return Ok(VmExecution {
-                            exit_code: v & 0xff,
+                            exit_code: arith::exit_status(v),
                             output,
                         });
                     }
@@ -1151,21 +1186,10 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
             Instr::Print { fmt, nargs } => {
                 let mut vals = Vec::new();
                 for _ in 0..*nargs {
-                    vals.push(pop!());
+                    vals.push(pop!().to_string());
                 }
                 vals.reverse();
-                let mut rendered = fmt.clone();
-                if !vals.is_empty() {
-                    rendered.push(':');
-                    rendered.push_str(
-                        &vals
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    );
-                }
-                output.push(rendered);
+                output.push(arith::printf_line(fmt, &vals));
             }
             Instr::Halt => {
                 return Ok(VmExecution {
@@ -1177,37 +1201,13 @@ pub fn execute(image: &Image, fuel: u64) -> Result<VmExecution, Trap> {
     }
 }
 
-fn vm_arith(op: BinaryOp, a: i64, b: i64) -> Result<i64, Trap> {
-    Ok(match op {
-        BinaryOp::Add => a.wrapping_add(b),
-        BinaryOp::Sub => a.wrapping_sub(b),
-        BinaryOp::Mul => a.wrapping_mul(b),
-        BinaryOp::Div => {
-            if b == 0 {
-                return Err(Trap::DivByZero);
-            }
-            a.wrapping_div(b)
-        }
-        BinaryOp::Rem => {
-            if b == 0 {
-                return Err(Trap::DivByZero);
-            }
-            a.wrapping_rem(b)
-        }
-        BinaryOp::Lt => (a < b) as i64,
-        BinaryOp::Gt => (a > b) as i64,
-        BinaryOp::Le => (a <= b) as i64,
-        BinaryOp::Ge => (a >= b) as i64,
-        BinaryOp::Eq => (a == b) as i64,
-        BinaryOp::Ne => (a != b) as i64,
-        BinaryOp::BitAnd => a & b,
-        BinaryOp::BitOr => a | b,
-        BinaryOp::BitXor => a ^ b,
-        BinaryOp::Shl => a.wrapping_shl((b & 63) as u32),
-        BinaryOp::Shr => a.wrapping_shr((b & 63) as u32),
-        BinaryOp::LogAnd => ((a != 0) && (b != 0)) as i64,
-        BinaryOp::LogOr => ((a != 0) || (b != 0)) as i64,
-    })
+/// The machine's reading of the integer table: it wraps, and traps only
+/// on division by zero.
+pub(crate) fn wrapped(outcome: Outcome) -> Result<i64, Trap> {
+    match outcome {
+        Outcome::Value(v) | Outcome::Overflow(v) | Outcome::ShiftRange(v) => Ok(v),
+        Outcome::DivByZero => Err(Trap::DivByZero),
+    }
 }
 
 #[cfg(test)]
@@ -1236,6 +1236,30 @@ mod tests {
             lower(&respelled).expect("lowers"),
             "a failed patch changed the image"
         );
+    }
+
+    #[test]
+    fn a_failed_logged_lowering_says_whether_a_spelling_may_lower() {
+        const NO: usize = NOT_A_HOLE;
+        let fails = |src: &str, occ_hole: &[usize]| {
+            lower_logged(&parse(src).expect("parses"), occ_hole).map(|_| ())
+        };
+        // `zz` resolves nowhere: at a hole, another name may lower.
+        let src = "int a; int main() { return zz + a; }";
+        assert_eq!(fails(src, &[0, 1]), Err(Unlowered::Spelling));
+        assert_eq!(fails(src, &[NO, 0]), Err(Unlowered::Program));
+        // A global initializer divides by the distance between two
+        // addresses, which a hole there may change.
+        let src = "int a, b; int g = 1 / (&a - &b); int main() { return g; }";
+        assert_eq!(fails(src, &[0, NO]), Ok(()));
+        let src = "int a, b; int g = 1 / (&a - &a); int main() { return g; }";
+        assert_eq!(fails(src, &[0, NO]), Err(Unlowered::Spelling));
+        assert_eq!(fails(src, &[NO, NO]), Err(Unlowered::Program));
+        // No name of a hole makes these lower.
+        let src = "struct s { int x; }; int a; int main() { return a; }";
+        assert_eq!(fails(src, &[0]), Err(Unlowered::Program));
+        let src = "int a; int main() { return f(a); }";
+        assert_eq!(fails(src, &[0]), Err(Unlowered::Program));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! budget-50 variant of the seeds and of 40 generated files, at one and
 //! at two shards per file; the fixtures spell each hole with every name
 //! to reach each branch: a name that resolves nowhere, an object of
-//! another size, a local that shadows a global, and holes in global
-//! `&x` initializers.
+//! another size, a local that shadows a global, holes in global `&x`
+//! initializers, and programs that no spelling of their holes lowers.
 
 use spe::core::{Algorithm, EnumeratorConfig, Granularity, ShardedEnumerator, Skeleton};
 use spe::corpus::{generate, seeds, CorpusConfig, TestFile};
@@ -191,4 +191,25 @@ fn served_images_equal_lowering_on_every_branch() {
         &["a", "b", "c", "zz"],
     );
     assert!(s.o0_lowered > 1 && s.o0_patched > 0, "{s:?}");
+}
+
+// A program that fails to lower for a reason no hole changes is lowered
+// once per job; every later variant is `unsupported` without lowering.
+
+#[test]
+fn a_struct_definition_is_lowered_once_per_job() {
+    let s = check_fixture(
+        "struct s { int x; }; int a, b; int main() { int c = 1; a = c; return b; }",
+        &["a", "b", "c", "zz"],
+    );
+    assert_eq!(s.o0_lowered, 1, "{s:?}");
+}
+
+#[test]
+fn a_call_to_an_undefined_function_is_lowered_once_per_job() {
+    let s = check_fixture(
+        "int a, b; int main() { int c = f(a); return b + c; }",
+        &["a", "b", "c", "zz"],
+    );
+    assert_eq!(s.o0_lowered, 1, "{s:?}");
 }
