@@ -692,6 +692,10 @@ impl JobOracle<'_> {
                     names::ORACLE_REFERENCE_RUNS,
                     stats.reference_runs - last.reference_runs,
                 ),
+                (
+                    names::ORACLE_REFERENCE_FUEL_EXHAUSTED,
+                    stats.reference_fuel_exhausted - last.reference_fuel_exhausted,
+                ),
                 (names::ORACLE_O0_PATCHED, stats.o0_patched - last.o0_patched),
                 (names::ORACLE_O0_LOWERED, stats.o0_lowered - last.o0_lowered),
             ] {

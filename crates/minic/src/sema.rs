@@ -411,6 +411,7 @@ impl Analyzer {
         if let ExprKind::Ident(id) = &e.kind {
             return self.resolve(id, scope);
         }
+        lvalue_operands(e)?;
         let first_error = e.children(|c| match self.expr(c, scope) {
             Ok(()) => ControlFlow::Continue(()),
             Err(err) => ControlFlow::Break(err),
@@ -436,6 +437,42 @@ impl Analyzer {
             seq,
         });
         Ok(())
+    }
+}
+
+/// Refuses the operands gcc refuses for not being lvalues: an
+/// assignment, `++`/`--` or `&` needs a name, `*e`, `e[i]` or a member
+/// access (`&` also takes a string literal), and `*` takes no integer or
+/// character literal. `e[i]` stays: `0[a]` is C, and telling it from
+/// `0[i]` on an `int` needs types.
+fn lvalue_operands(e: &Expr) -> Result<(), SemaError> {
+    let (operand, what) = match &e.kind {
+        ExprKind::Assign(_, target, _) => (target, "left operand of assignment"),
+        ExprKind::Unary(UnaryOp::PreInc, a) | ExprKind::Post(PostOp::Inc, a) => {
+            (a, "increment operand")
+        }
+        ExprKind::Unary(UnaryOp::PreDec, a) | ExprKind::Post(PostOp::Dec, a) => {
+            (a, "decrement operand")
+        }
+        ExprKind::Unary(UnaryOp::Addr, a) if matches!(a.kind, ExprKind::StrLit(_)) => return Ok(()),
+        ExprKind::Unary(UnaryOp::Addr, a) => (a, "unary '&' operand"),
+        ExprKind::Unary(UnaryOp::Deref, a)
+            if matches!(a.kind, ExprKind::IntLit(_) | ExprKind::CharLit(_)) =>
+        {
+            return Err(SemaError {
+                message: "invalid type argument of unary '*'".into(),
+            });
+        }
+        _ => return Ok(()),
+    };
+    match operand.kind {
+        ExprKind::Ident(_)
+        | ExprKind::Unary(UnaryOp::Deref, _)
+        | ExprKind::Index(..)
+        | ExprKind::Member(..) => Ok(()),
+        _ => Err(SemaError {
+            message: format!("lvalue required as {what}"),
+        }),
     }
 }
 
@@ -557,6 +594,52 @@ mod tests {
         assert!(err.message.contains("`f`"), "{err}");
         // One definition per name is fine, whatever the order.
         table("int g(){return 1;} int f(){return g();} int main(){return f();}");
+    }
+
+    fn refused(src: &str) -> String {
+        let p = parse(src).expect("parses");
+        analyze(&p).expect_err("refused").message
+    }
+
+    #[test]
+    fn assigning_to_a_literal_is_an_error() {
+        let m = refused("int main() { int a = 1; 0 = a; return 0; }");
+        assert_eq!(m, "lvalue required as left operand of assignment");
+    }
+
+    #[test]
+    fn incrementing_a_literal_is_an_error() {
+        let m = refused("int main() { 0++; return 0; }");
+        assert_eq!(m, "lvalue required as increment operand");
+        let m = refused("int main() { --0; return 0; }");
+        assert_eq!(m, "lvalue required as decrement operand");
+    }
+
+    #[test]
+    fn the_address_of_a_literal_is_an_error() {
+        let m = refused("int main() { int *p = &0; return 0; }");
+        assert_eq!(m, "lvalue required as unary '&' operand");
+    }
+
+    #[test]
+    fn assigning_to_a_sum_is_an_error() {
+        let m = refused("int main() { int a = 1; (a + 1) = 2; return 0; }");
+        assert_eq!(m, "lvalue required as left operand of assignment");
+    }
+
+    #[test]
+    fn dereferencing_a_literal_is_an_error() {
+        let m = refused("int main() { *0 = 1; return 0; }");
+        assert_eq!(m, "invalid type argument of unary '*'");
+    }
+
+    #[test]
+    fn every_lvalue_form_is_accepted() {
+        table(
+            "struct s { int x; }; struct s t; int u[4]; int main() { int a = 0; int *p = &a; \
+             a = 1; a++; --a; *p = 2; (*p)++; u[a] = 3; 0[u] = 4; u[1] += 5; t.x = 6; \
+             p = &u[2]; p = &*p; p = &a; return &\"s\" != 0; }",
+        );
     }
 
     #[test]

@@ -103,6 +103,9 @@ pub struct CacheStats {
     pub reference_memo_hits: u64,
     /// Reference-interpreter runs that actually ran.
     pub reference_runs: u64,
+    /// Of those, the runs that burned all their fuel
+    /// ([`interp::Ub::FuelExhausted`]).
+    pub reference_fuel_exhausted: u64,
     /// `-O0` pipeline runs the job's template answered by re-aiming its
     /// sites: an image, or `unsupported` for a name that resolves
     /// nowhere.
@@ -250,6 +253,9 @@ impl ReferenceMemo {
         stats.reference_runs += 1;
         let ast = ast.spelled(names);
         let result = interp::run_logged(&ast.program, limits, &ast.occ_hole, &mut self.reads);
+        if result == Err(interp::Ub::FuelExhausted) {
+            stats.reference_fuel_exhausted += 1;
+        }
         self.file(ids, &result);
         result
     }

@@ -23,9 +23,12 @@
 
 use crate::arith::{self, Outcome};
 use crate::newest;
+use slice::{Loop, Verdict, Watch};
 use spe_minic::ast::*;
 use std::fmt;
 use std::ops::ControlFlow;
+
+mod slice;
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,12 +65,11 @@ pub enum Ub {
     BadDeref,
     /// The program exceeded its fuel (possible non-termination).
     FuelExhausted,
-    /// A loop whose condition held cannot exit: the condition has no
-    /// side effect and reads no variable that the body or step writes
-    /// or declares, and they contain no `break`, `return`, `goto`,
-    /// label, call, pointer, array or member access, and no write but to
-    /// a name. Found at the loop's head after [`LOOP_CHECK_AT`]
-    /// iterations instead of by burning all the fuel.
+    /// A loop whose condition held cannot exit: nothing writes the names
+    /// its exit depends on (its slice, DESIGN §3), or their cells repeat
+    /// at its head. A `while`, `do`, `for` or goto back-edge is checked
+    /// from its [`LOOP_CHECK_AT`]th iteration instead of burning all the
+    /// fuel.
     NonTerminating,
     /// Call stack too deep.
     StackOverflow,
@@ -147,7 +149,8 @@ pub fn run(p: &Program, limits: Limits) -> Result<Execution, Ub> {
 }
 
 /// Iterations a loop activation runs before its head checks whether the
-/// loop can exit at all ([`Ub::NonTerminating`]); loops that finish
+/// loop can exit at all ([`Ub::NonTerminating`]) and, when the loop
+/// writes its slice, starts watching the slice's cells; loops that finish
 /// sooner pay nothing for the check.
 pub const LOOP_CHECK_AT: u32 = 64;
 
@@ -248,13 +251,30 @@ struct Interp<'p> {
     frame: usize,
     /// Start of the innermost scope's bindings in `locals`.
     scope: usize,
+    /// One past the highest slot a pointer was made to: a scope or call
+    /// frees the objects it made only when all of them lie above it.
+    pointed: usize,
     fuel: u64,
     max_depth: usize,
     output: Vec<String>,
-    /// Each checked loop's [`Interp::cannot_exit`] verdict. It depends
-    /// only on the program and its spellings, so one check serves the
-    /// whole run.
-    verdicts: Vec<(&'p Stmt, bool)>,
+    /// Each checked loop's verdict, keyed by [`Loop::key`].
+    verdicts: Vec<(&'p Stmt, Verdict<'p>)>,
+}
+
+/// A loop activation's head: how often its condition has held, up to
+/// [`LOOP_CHECK_AT`], and after that visit the watch over its slice.
+#[derive(Default)]
+struct Head {
+    held: u32,
+    watch: Option<Watch>,
+}
+
+/// What [`Interp::close_scope`] restores.
+struct ScopeMark {
+    /// The enclosing scope's start in `locals`.
+    outer: usize,
+    /// The slot count when the scope opened.
+    slots: usize,
 }
 
 enum Flow<'p> {
@@ -276,6 +296,7 @@ impl<'p> Interp<'p> {
             locals: Vec::new(),
             frame: 0,
             scope: 0,
+            pointed: 0,
             fuel: limits.fuel,
             max_depth: limits.max_depth,
             output: Vec::new(),
@@ -345,13 +366,34 @@ impl<'p> Interp<'p> {
     }
 
     /// Opens a scope; returns the token [`Interp::close_scope`] takes.
-    fn open_scope(&mut self) -> usize {
-        std::mem::replace(&mut self.scope, self.locals.len())
+    fn open_scope(&mut self) -> ScopeMark {
+        ScopeMark {
+            outer: std::mem::replace(&mut self.scope, self.locals.len()),
+            slots: self.slots.len(),
+        }
     }
 
-    fn close_scope(&mut self, outer: usize) {
+    fn close_scope(&mut self, mark: ScopeMark) {
         self.locals.truncate(self.scope);
-        self.scope = outer;
+        self.scope = mark.outer;
+        self.release(mark.slots);
+    }
+
+    /// Frees the objects made since there were `slots` slots, unless a
+    /// pointer to one of them was made: then none can be named again.
+    fn release(&mut self, slots: usize) {
+        if self.pointed <= slots {
+            if let Some(first) = self.slots.get(slots) {
+                self.cells.truncate(first.start);
+                self.slots.truncate(slots);
+            }
+        }
+    }
+
+    /// `t` as a pointer value, noting that its slot may now be named.
+    fn pointer(&mut self, t: PtrTarget) -> Value {
+        self.pointed = self.pointed.max(t.slot + 1);
+        Value::Ptr(t)
     }
 
     fn init_globals(&mut self) -> Result<(), Ub> {
@@ -427,6 +469,7 @@ impl<'p> Interp<'p> {
             return Err(Ub::StackOverflow);
         }
         let caller = (self.frame, self.scope);
+        let slots = self.slots.len();
         self.frame = self.locals.len();
         self.scope = self.frame;
         for (param, arg) in f.params.iter().zip(args) {
@@ -437,6 +480,7 @@ impl<'p> Interp<'p> {
         let flow = self.run_body(&f.body, None, depth)?;
         self.locals.truncate(self.frame);
         (self.frame, self.scope) = caller;
+        self.release(slots);
         match flow {
             Flow::Return(v) => Ok(v),
             Flow::Goto(l) => Err(Ub::Unsupported(format!("goto to unknown label `{l}`"))),
@@ -457,6 +501,9 @@ impl<'p> Interp<'p> {
             Some(label) => label_index(stmts, label).unwrap_or(stmts.len()),
             None => 0,
         };
+        // The goto back-edge this list took last, by its index, and the
+        // head of its loop. Any other jump here ends that loop.
+        let mut edge: Option<(usize, Head)> = None;
         while idx < stmts.len() {
             let flow = match entry.take() {
                 Some(label) => self.enter(&stmts[idx], label, depth)?,
@@ -466,6 +513,16 @@ impl<'p> Interp<'p> {
                 Flow::Normal => idx += 1,
                 Flow::Goto(label) => match label_index(stmts, label) {
                     Some(i) => {
+                        match Loop::back_edge(stmts, i, idx, label) {
+                            Some(l) => {
+                                let head = match &mut edge {
+                                    Some((g, head)) if *g == idx => head,
+                                    _ => &mut edge.insert((idx, Head::default())).1,
+                                };
+                                self.condition_held(l, head)?;
+                            }
+                            None => edge = None,
+                        }
                         idx = i;
                         entry = Some(label);
                     }
@@ -577,7 +634,7 @@ impl<'p> Interp<'p> {
         mut entry: Option<&'p str>,
         depth: usize,
     ) -> Result<Flow<'p>, Ub> {
-        let mut held = 0;
+        let mut head = Head::default();
         loop {
             let flow = match entry.take() {
                 Some(label) => self.enter(body, label, depth)?,
@@ -586,7 +643,7 @@ impl<'p> Interp<'p> {
                     if !self.truthy(c, depth)? {
                         break;
                     }
-                    self.condition_held(s, &mut held)?;
+                    self.condition_held(Loop::Structured(s), &mut head)?;
                     self.stmt(body, depth)?
                 }
             };
@@ -609,7 +666,7 @@ impl<'p> Interp<'p> {
         mut entry: Option<&'p str>,
         depth: usize,
     ) -> Result<Flow<'p>, Ub> {
-        let mut held = 0;
+        let mut head = Head::default();
         loop {
             let flow = match entry.take() {
                 Some(label) => self.enter(body, label, depth)?,
@@ -626,7 +683,7 @@ impl<'p> Interp<'p> {
             if !self.truthy(c, depth)? {
                 break;
             }
-            self.condition_held(s, &mut held)?;
+            self.condition_held(Loop::Structured(s), &mut head)?;
         }
         Ok(Flow::Normal)
     }
@@ -643,7 +700,7 @@ impl<'p> Interp<'p> {
         mut entry: Option<&'p str>,
         depth: usize,
     ) -> Result<Flow<'p>, Ub> {
-        let mut held = 0;
+        let mut head = Head::default();
         loop {
             let flow = match entry.take() {
                 Some(label) => self.enter(body, label, depth)?,
@@ -654,7 +711,7 @@ impl<'p> Interp<'p> {
                             break;
                         }
                     }
-                    self.condition_held(s, &mut held)?;
+                    self.condition_held(Loop::Structured(s), &mut head)?;
                     self.stmt(body, depth)?
                 }
             };
@@ -670,149 +727,69 @@ impl<'p> Interp<'p> {
         Ok(Flow::Normal)
     }
 
-    /// Counts one more time loop `s`'s condition held in this activation;
-    /// at the [`LOOP_CHECK_AT`]th, stops the run if the loop cannot exit.
-    fn condition_held(&mut self, s: &'p Stmt, held: &mut u32) -> Result<(), Ub> {
-        *held += 1;
-        if *held == LOOP_CHECK_AT && self.cannot_exit(s) {
-            return Err(Ub::NonTerminating);
+    /// Counts one more time loop `l`'s condition held in this activation.
+    /// At the [`LOOP_CHECK_AT`]th, stops the run if the loop cannot exit,
+    /// or starts watching its slice; from then on, stops the run when the
+    /// slice's cells repeat.
+    fn condition_held(&mut self, l: Loop<'p>, head: &mut Head) -> Result<(), Ub> {
+        if let Some(watch) = &mut head.watch {
+            if watch.repeats(&self.cells) {
+                return Err(Ub::NonTerminating);
+            }
+        } else if head.held < LOOP_CHECK_AT {
+            head.held += 1;
+            if head.held == LOOP_CHECK_AT {
+                head.watch = self.head_check(l)?;
+            }
         }
         Ok(())
     }
 
-    /// Whether loop `s`, at a head where its condition held, can never
-    /// leave the loop: the rule [`Ub::NonTerminating`] states. The check
-    /// is a may-write analysis of the body and the step. Nothing in them
-    /// can exit, and without calls or pointer, array or member access
-    /// they change only the variables they name. So a condition that
-    /// reads none of those names keeps its value, and holds forever.
-    /// Every use-site spelling the check inspects goes through
-    /// [`Interp::name`], so a logged run records the holes the verdict
-    /// depends on.
-    fn cannot_exit(&mut self, s: &'p Stmt) -> bool {
-        if let Some(&(_, verdict)) = self.verdicts.iter().find(|(l, _)| std::ptr::eq(*l, s)) {
-            return verdict;
-        }
-        let (cond, step, body) = match s {
-            Stmt::While(c, b) | Stmt::DoWhile(b, c) => (Some(c), None, b),
-            Stmt::For(_, c, st, b) => (c.as_ref(), st.as_ref(), b),
-            _ => return false,
+    /// Loop `l`'s verdict at a head where its condition held: the rule
+    /// [`Ub::NonTerminating`] states, read by [`slice::verdict`] once per
+    /// run. `Err` when the loop cannot exit, a watch when its slice is
+    /// written, and `None` when the loop may exit. Names resolve here, at
+    /// the head: the slice's, to the cells to watch, and each written
+    /// array's, which must be an array object.
+    fn head_check(&mut self, l: Loop<'p>) -> Result<Option<Watch>, Ub> {
+        let key = l.key();
+        let at = match self
+            .verdicts
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, key))
+        {
+            Some(at) => at,
+            None => {
+                let verdict = slice::verdict(l, |id| self.name(id));
+                self.verdicts.push((key, verdict));
+                self.verdicts.len() - 1
+            }
         };
-        let mut reads = Vec::new();
-        let mut writes = Vec::new();
-        let verdict = cond.is_none_or(|c| self.pure_reads(c, &mut reads))
-            && step.is_none_or(|st| self.expr_writes(st, &mut writes))
-            && self.stmt_writes(body, &mut writes)
-            && !reads.iter().any(|r| writes.contains(r));
-        self.verdicts.push((s, verdict));
-        verdict
-    }
-
-    /// Collects the names `e` reads; false if evaluating `e` could write
-    /// anything or read through a pointer, array or member.
-    fn pure_reads(&mut self, e: &'p Expr, reads: &mut Vec<&'p str>) -> bool {
-        match &e.kind {
-            ExprKind::IntLit(_) | ExprKind::CharLit(_) | ExprKind::StrLit(_) => true,
-            ExprKind::Ident(id) => {
-                let name = self.name(id);
-                reads.push(name);
-                true
-            }
-            ExprKind::Unary(
-                UnaryOp::PreInc | UnaryOp::PreDec | UnaryOp::Deref | UnaryOp::Addr,
-                _,
-            ) => false,
-            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => self.pure_reads(a, reads),
-            ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
-                self.pure_reads(a, reads) && self.pure_reads(b, reads)
-            }
-            ExprKind::Ternary(c, t, f) => {
-                self.pure_reads(c, reads) && self.pure_reads(t, reads) && self.pure_reads(f, reads)
-            }
-            ExprKind::Post(..)
-            | ExprKind::Assign(..)
-            | ExprKind::Call(..)
-            | ExprKind::Index(..)
-            | ExprKind::Member(..) => false,
+        let Verdict::Slice {
+            names,
+            arrays,
+            written,
+        } = &self.verdicts[at].1
+        else {
+            return Ok(None);
+        };
+        let array = |slot: usize| self.slots[slot].len > 1;
+        if !arrays.iter().all(|a| self.lookup(a).is_some_and(array)) {
+            return Ok(None);
         }
-    }
-
-    /// Collects the names `e` writes; false if `e` calls anything,
-    /// touches a pointer, array or member, or writes other than by a
-    /// direct assignment or `++`/`--` to a name.
-    fn expr_writes(&mut self, e: &'p Expr, writes: &mut Vec<&'p str>) -> bool {
-        match &e.kind {
-            ExprKind::IntLit(_)
-            | ExprKind::CharLit(_)
-            | ExprKind::StrLit(_)
-            | ExprKind::Ident(_) => true,
-            ExprKind::Unary(UnaryOp::PreInc | UnaryOp::PreDec, target)
-            | ExprKind::Post(_, target) => self.written_name(target, writes),
-            ExprKind::Assign(_, target, value) => {
-                self.written_name(target, writes) && self.expr_writes(value, writes)
-            }
-            ExprKind::Unary(UnaryOp::Deref | UnaryOp::Addr, _) => false,
-            ExprKind::Unary(_, a) | ExprKind::Cast(_, a) => self.expr_writes(a, writes),
-            ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
-                self.expr_writes(a, writes) && self.expr_writes(b, writes)
-            }
-            ExprKind::Ternary(c, t, f) => {
-                self.expr_writes(c, writes)
-                    && self.expr_writes(t, writes)
-                    && self.expr_writes(f, writes)
-            }
-            ExprKind::Call(..) | ExprKind::Index(..) | ExprKind::Member(..) => false,
+        if !written {
+            return Err(Ub::NonTerminating);
         }
-    }
-
-    /// Collects the name an assignment or `++`/`--` writes; false unless
-    /// the target is a bare name.
-    fn written_name(&mut self, target: &'p Expr, writes: &mut Vec<&'p str>) -> bool {
-        match &target.kind {
-            ExprKind::Ident(id) => {
-                let name = self.name(id);
-                writes.push(name);
-                true
+        let mut cells = Vec::with_capacity(names.len());
+        for n in names {
+            match self.lookup(n) {
+                // An array enters as its address, which cannot change.
+                Some(slot) if array(slot) => {}
+                Some(slot) => cells.push(self.slots[slot].start),
+                None => return Ok(None),
             }
-            _ => false,
         }
-    }
-
-    /// Collects the names statement `s` writes or declares; false if `s`
-    /// could leave the loop or write other than by name (see
-    /// [`Interp::expr_writes`]).
-    fn stmt_writes(&mut self, s: &'p Stmt, writes: &mut Vec<&'p str>) -> bool {
-        match s {
-            Stmt::Expr(e) => self.expr_writes(e, writes),
-            Stmt::Decl(decls) => self.decl_writes(decls, writes),
-            Stmt::Block(body) => body.iter().all(|s| self.stmt_writes(s, writes)),
-            Stmt::If(c, t, e) => {
-                self.expr_writes(c, writes)
-                    && self.stmt_writes(t, writes)
-                    && e.as_deref().is_none_or(|e| self.stmt_writes(e, writes))
-            }
-            Stmt::While(c, b) | Stmt::DoWhile(b, c) => {
-                self.expr_writes(c, writes) && self.stmt_writes(b, writes)
-            }
-            Stmt::For(init, c, st, b) => {
-                (match init {
-                    Some(ForInit::Decl(decls)) => self.decl_writes(decls, writes),
-                    Some(ForInit::Expr(e)) => self.expr_writes(e, writes),
-                    None => true,
-                }) && c.as_ref().is_none_or(|c| self.expr_writes(c, writes))
-                    && st.as_ref().is_none_or(|st| self.expr_writes(st, writes))
-                    && self.stmt_writes(b, writes)
-            }
-            Stmt::Continue | Stmt::Empty => true,
-            Stmt::Return(_) | Stmt::Break | Stmt::Goto(_) | Stmt::Label(..) => false,
-        }
-    }
-
-    fn decl_writes(&mut self, decls: &'p [VarDeclarator], writes: &mut Vec<&'p str>) -> bool {
-        decls.iter().all(|d| {
-            writes.push(&d.name);
-            d.init.as_ref().is_none_or(|i| self.expr_writes(i, writes))
-        })
+        Ok(Some(Watch::new(cells, &self.cells)))
     }
 
     fn truthy(&mut self, e: &'p Expr, depth: usize) -> Result<bool, Ub> {
@@ -912,7 +889,7 @@ impl<'p> Interp<'p> {
                     .ok_or_else(|| Ub::UnknownFunction(name.to_string()))?;
                 if self.slots[slot].len > 1 {
                     // Array decays to pointer.
-                    return Ok(Value::Ptr(PtrTarget { slot, offset: 0 }));
+                    return Ok(self.pointer(PtrTarget { slot, offset: 0 }));
                 }
                 self.read_cell(slot, 0)
             }
@@ -931,7 +908,7 @@ impl<'p> Interp<'p> {
                 }
                 UnaryOp::Addr => {
                     let t = self.lvalue(inner, depth)?;
-                    Ok(Value::Ptr(t))
+                    Ok(self.pointer(t))
                 }
                 UnaryOp::PreInc => Ok(Value::Int(self.step(inner, BinaryOp::Add, depth)?.1)),
                 UnaryOp::PreDec => Ok(Value::Int(self.step(inner, BinaryOp::Sub, depth)?.1)),
@@ -1274,10 +1251,11 @@ mod tests {
 
     #[test]
     fn nontermination_exhausts_fuel() {
-        // The body writes the condition's variable, so the head check
-        // cannot prove the loop endless: it runs out of fuel.
+        // The body moves the condition's variable without ever repeating
+        // it, so the head check cannot prove the loop endless: it runs out
+        // of fuel.
         assert_eq!(
-            run_src("int main() { int x = 1; while (x) x = 1; return 0; }"),
+            run_src("int main() { int x = 1; while (x > 0) x = x + 1; return 0; }"),
             Err(Ub::FuelExhausted)
         );
     }
@@ -1290,9 +1268,46 @@ mod tests {
             "int main() { int x = 1, y = 0; while (x > 0) { y++; if (y) continue; } return y; }",
             "int main() { int x = 1, y = 0; do { y = y + 1; } while (x); return y; }",
             "int g = 1; int main() { int i = 0; for (int n = 0; g; n++) { i = i + 1; } return i; }",
+            // Array-element writes join the slice by their index: `a`,
+            // which nothing writes, or a `j` that runs through the same
+            // cells on every pass.
+            "int u[9]; int main() { int a = 1, b = 0; for (int c = 0; a < 7; b++) { u[a] = 0 - 17; } return 0; }",
+            "int u[9]; int main() { int a = 1; while (a < 7) u[a]++; return 0; }",
+            "int main() { int a = 1, j = 0; int u[3]; while (a) { for (j = 0; j < 3; j++) u[j] = a; } return 0; }",
+            "int u[4]; int main() { int a = 2; do { u[a] = u[a] + 1; } while (a < 3); return 0; }",
+            // Goto back-edges: nothing writes `b`; `b` comes back to 0;
+            // the edge is the whole loop.
+            "int main() { int a = 0, b = 1; again: a++; a += b; if (b < 4) goto again; return a; }",
+            "int main() { int b = 0; again: b += b - b; if (b < 4) goto again; return b; }",
+            "int main() { int b = 1; again: if (b) goto again; return b; }",
+            // The slice is written, but repeats: fixed points, a cycle of
+            // two values, a guard `t` cycling through 0, 1, 2.
+            "int main() { int x = 1; while (x) x = 1; return 0; }",
+            "int main() { int a = 0; for (int b = 0; b < 4; a++) { b += b - b; } return a; }",
+            "int main() { int b = 0; while (b < 4) b += b; return b; }",
+            "int main() { int x = 0; while (x < 5) x = 1 - x; return x; }",
+            "int main() { int a = 1, t = 0; while (a) { t = (t + 1) % 3; if (t == 7) a = 0; } return 0; }",
+            "int main() { int a = 1; do { a = a * 1; } while (a); return a; }",
         ] {
             assert_eq!(run_src(src), Err(Ub::NonTerminating), "{src}");
         }
+    }
+
+    #[test]
+    fn a_scope_frees_its_objects_unless_a_pointer_names_one() {
+        let cells = |src: &str| {
+            let p = parse(src).expect("parses");
+            let mut it = Interp::new(&p, Limits::default(), None);
+            it.init_globals().expect("globals");
+            let main = p.function("main").expect("main");
+            it.call(main, Vec::new(), 0).expect("runs");
+            it.cells.capacity()
+        };
+        let freed = "int main() { int i = 0; while (i < 1000) { int a[100]; i++; } return 0; }";
+        assert!(cells(freed) < 400, "{}", cells(freed));
+        // A pointer to the array keeps every copy: none may be reused.
+        let kept = "int main() { int i = 0; int *p = 0; while (i < 1000) { int a[100]; p = a; i++; } return 0; }";
+        assert!(cells(kept) >= 100_000, "{}", cells(kept));
     }
 
     #[test]
@@ -1315,11 +1330,52 @@ mod tests {
                 .map(|e| e.exit_code),
             Ok(90)
         );
-        // Endless, but outside the rule: a call in the body, and a body
-        // that declares the name the condition reads.
+        // Loops the slice watches, which exit after the check.
+        for (src, exit) in [
+            ("int main() { int i = 0; while (i < 100) { i = i + 1; } return i; }", 100),
+            (
+                "int main() { int u[4]; int i = 0; while (i < 100) { u[i % 4] = i; i++; } return u[3]; }",
+                99,
+            ),
+            ("int main() { int i = 0, s = 0; again: i++; s += 1; if (i < 200) goto again; return s; }", 200),
+            (
+                "int main() { int x = 0, n = 0; while (x < 5 && n < 150) { x = 1 - x; n++; } return n; }",
+                150,
+            ),
+            // Each of these holds `a` still for 99 passes out of 100, so a
+            // watch over `a` alone would stop it: an array element's value
+            // flows into the slice, or a `continue`, a `?:` or a nested
+            // loop's condition decides whether the write runs.
+            (
+                "int main() { int a = 0; int u[2]; u[0] = 0; while (a < 3) { u[0] = u[0] + 1; a = u[0] / 100; } return a; }",
+                3,
+            ),
+            (
+                "int main() { int a = 0, b = 0; while (a < 3) { b = (b + 1) % 100; if (b) continue; a = a + 1; } return a; }",
+                3,
+            ),
+            (
+                "int main() { int a = 0, b = 0; while (a < 3) { b = (b + 1) % 100; b ? 0 : (a = a + 1); } return a; }",
+                3,
+            ),
+            (
+                "int main() { int a = 0, b = 0; while (a < 3) { b = (b + 1) % 100; while (b == 0 && a < 3) a = a + 1; } return a; }",
+                3,
+            ),
+        ] {
+            assert_eq!(run_src(src).map(|e| e.exit_code), Ok(exit), "{src}");
+        }
+        // Endless, but outside the rule: a call in the body, a body that
+        // declares the name the condition reads, a write through a
+        // pointer, Figure 11b's label inside an `else`, and an array
+        // element's value flowing into the slice.
         for src in [
             r#"int main() { int x = 1; while (x) printf("."); return 0; }"#,
             "int main() { int x = 1; while (x) { int x = 0; } return 0; }",
+            "int f(int v) { return v; } int main() { int x = 1; while (x) x = f(x); return 0; }",
+            "int main() { int x = 1; int *p = &x; while (x) { *p = 1; } return 0; }",
+            "int a = 1; int b = 0; int main() { if (b) ; else { l1: ; b = b * 1; } if (a) goto l1; return b; }",
+            "int u[2]; int main() { int a = 1; u[0] = 1; u[1] = 1; while (a) { a = u[0]; } return 0; }",
         ] {
             assert_eq!(run_src(src), Err(Ub::FuelExhausted), "{src}");
         }

@@ -133,6 +133,9 @@ pub const ORACLE_PIPELINE_MEMO_MISSES: &str = "oracle_cache.pipeline_memo_misses
 pub const ORACLE_REFERENCE_MEMO_HITS: &str = "oracle_cache.reference_memo_hits";
 /// Counter: reference-interpreter runs the memo could not serve.
 pub const ORACLE_REFERENCE_RUNS: &str = "oracle_cache.reference_runs";
+/// Counter: of those runs, the ones that burned all their fuel
+/// (`Ub::FuelExhausted`): loops the head check could not prove endless.
+pub const ORACLE_REFERENCE_FUEL_EXHAUSTED: &str = "oracle_cache.reference_fuel_exhausted";
 /// Counter: `-O0` images the incremental oracle served by re-aiming the
 /// hole sites of the job's one lowering (a name that resolves nowhere
 /// counts here too: it answers `unsupported`).

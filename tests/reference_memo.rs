@@ -10,7 +10,9 @@
 //!   serves a wrong result here.
 //! * `Ub::NonTerminating` claims that a loop can never exit. Whenever the
 //!   reference says so, the unoptimized image on the VM, an independent
-//!   engine, must not finish either: it runs out of fuel or traps.
+//!   engine, must not finish either: it runs out of fuel or traps. The
+//!   same pass counts the runs that still burn all their fuel, and fails
+//!   when the head check lets more of them through.
 
 use proptest::prelude::*;
 use spe::core::{Algorithm, EnumeratorConfig, Granularity, ShardedEnumerator, Skeleton};
@@ -37,13 +39,37 @@ const LATE_EXIT: &str = "int main() {
     return 0;
 }";
 
-/// The paper seeds, [`LATE_EXIT`], and `files` generated files at `seed`.
+/// A loop whose verdict hangs on a hole that only the head check's slice
+/// walk reads: the value of `a = ·`, in a branch that never runs. Spelled
+/// `a`, the slice is `{a}`, which repeats, so the run stops
+/// `NonTerminating`; spelled `n`, it is `{a, n}`, which never repeats, so
+/// the run burns its fuel. A memo that missed the walk's read would hand
+/// one variant the other's verdict.
+const SLICE_READ: &str = "int main() {
+    int a = 1, n = 0;
+    while (a) {
+        n++;
+        if (0) a = n;
+    }
+    return 0;
+}";
+
+/// The runs of [`non_terminating_verdicts_hold_on_the_unoptimized_vm`]'s
+/// corpus that end `FuelExhausted`, counted when the head check began to
+/// follow a loop's slice (687 ended `NonTerminating` then). Without the
+/// two fixtures above the count was 114, against 396 before.
+const FUEL_EXHAUSTED_AT_MOST: usize = 138;
+
+/// The paper seeds, [`LATE_EXIT`], [`SLICE_READ`], and `files` generated
+/// files at `seed`.
 fn corpus(seed: u64, files: usize) -> Vec<TestFile> {
     let mut out = seeds::all();
-    out.push(TestFile {
-        name: "late_exit.c".into(),
-        source: LATE_EXIT.into(),
-    });
+    for (name, source) in [("late_exit.c", LATE_EXIT), ("slice_read.c", SLICE_READ)] {
+        out.push(TestFile {
+            name: name.into(),
+            source: source.into(),
+        });
+    }
     out.extend(generate(&CorpusConfig { files, seed }));
     out
 }
@@ -144,15 +170,19 @@ proptest! {
 
 #[test]
 fn non_terminating_verdicts_hold_on_the_unoptimized_vm() {
-    let mut proved = 0;
+    let (mut proved, mut exhausted) = (0, 0);
     for seed in [1, 3, 7] {
         for_each_job_variant(&corpus(seed, 100), 1, |file, sk, v, _| {
             let src = v.source(sk);
             let p = spe::minic::parse(&src).expect("variants parse");
-            if interp::run(&p, reference_limits(FUEL)) != Err(interp::Ub::NonTerminating) {
-                return;
+            match interp::run(&p, reference_limits(FUEL)) {
+                Err(interp::Ub::NonTerminating) => proved += 1,
+                Err(interp::Ub::FuelExhausted) => {
+                    exhausted += 1;
+                    return;
+                }
+                _ => return,
             }
-            proved += 1;
             // Unoptimized: no pass runs, so nothing can delete the loop.
             let image = vm::lower(&p).expect("a program the reference runs lowers");
             let run = vm::execute(&image, FUEL * 4);
@@ -164,4 +194,8 @@ fn non_terminating_verdicts_hold_on_the_unoptimized_vm() {
         });
     }
     assert!(proved > 0, "no variant ended NonTerminating");
+    assert!(
+        exhausted <= FUEL_EXHAUSTED_AT_MOST,
+        "{exhausted} runs burned all their fuel ({proved} NonTerminating)"
+    );
 }

@@ -196,6 +196,12 @@ fn incremental_oracle_attribution_is_per_variant() {
         recorder.counter_value(names::ORACLE_REFERENCE_MEMO_HITS) > 0,
         "no variant's reference came from the job's reference memo"
     );
+    let exhausted = recorder.counter_value(names::ORACLE_REFERENCE_FUEL_EXHAUSTED);
+    let runs = recorder.counter_value(names::ORACLE_REFERENCE_RUNS);
+    assert!(
+        exhausted <= runs,
+        "{exhausted} fuel-exhausted reference runs out of {runs}"
+    );
     // On this corpus each job lowers -O0 in full at most once, for its
     // template, and re-aims it for every later variant: no skeleton
     // variant needs a relowering.

@@ -26,9 +26,12 @@ use spe::simcc::coverage::Coverage;
 use spe::simcc::{coverage_probe, interp, passes, reference_limits, Compiler, CompilerId};
 use std::ops::ControlFlow;
 
-/// The digest recorded before the walks moved onto the shared child
-/// enumeration of `spe_minic::ast`.
-const GOLDEN: u64 = 0x9692_9765_b7f6_adb4;
+/// The digest recorded when scope analysis began to refuse the operands
+/// gcc refuses for not being lvalues (`0 = a;`, `*0 = 1;`): the reducer
+/// no longer keeps such a candidate, and only reductions moved. Before
+/// that it was `0x9692_9765_b7f6_adb4`, recorded before the walks moved
+/// onto the shared child enumeration of `spe_minic::ast`.
+const GOLDEN: u64 = 0x9eec_5666_a21a_8580;
 
 /// Every statement and expression kind of mini-C, under labels, loops
 /// and both `for` initializers, and the writes constant propagation must
